@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-json trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
+.PHONY: all check build test race bench bench-check bench-json trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
 
 all: check
 
@@ -11,8 +11,10 @@ all: check
 # the scale experiment's quick leg (which fails loudly if any sharded
 # run diverges from its serial twin), scale-smoke reruns that sweep
 # full-featured (contention + tracing at 4 shards), and race-smoke
-# runs the happens-before detection corpus end to end.
-check: build test race lint bench-json trace-smoke race-smoke scale-smoke kvserve-smoke
+# runs the happens-before detection corpus end to end. bench-check
+# vets and tests the benchmark harness, a nested module outside the
+# root `go test ./...`.
+check: build test race lint bench-check bench-json trace-smoke race-smoke scale-smoke kvserve-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +32,12 @@ test-log:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# The benchmark harness (bench/, its own module) compiles against the
+# internal APIs (mesh.New, sim.ShardSet, Mesh.AllocMsg/FreeMsg), so a
+# reshape there must keep it building and its tests passing.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Quick sweeps through the parallel runner with self-timing: writes
 # BENCH_<date>.json (per-experiment wall-clock, point count, workers,

@@ -59,9 +59,9 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 		}
 		mcfg.Faults = f
 		mcfg.CheckInvariants = true
-		// A tight check period both exercises the checker across every
-		// failover epoch and keeps the self-rearming tick from
-		// quantizing the run's drain time too coarsely for Slowdown.
+		// A tight check period exercises the checker across every
+		// failover epoch; checking schedules nothing, so it leaves
+		// Elapsed (and Slowdown) exactly as an unchecked run's.
 		mcfg.InvariantPeriod = 1000
 	}
 	o.Observe.Attach(&mcfg, name)

@@ -7,6 +7,7 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
+	"plus/internal/stats"
 )
 
 // TestCrossRunDeterminism runs Table 2-1 quick twice in one process
@@ -33,11 +34,13 @@ func TestCrossRunDeterminism(t *testing.T) {
 // reproduced exactly run to run.
 func TestCrossRunTraceDeterminism(t *testing.T) {
 	run := func() string {
-		m, err := core.NewMachine(core.DefaultConfig(2, 2))
+		cfg := core.DefaultConfig(2, 2)
+		obs := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16})
+		cfg.Observe = obs
+		m, err := core.NewMachine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := m.EnableTrace(1 << 16)
 		shared := m.Alloc(0, 1)
 		m.Replicate(shared, 1, 2, 3)
 		for n := 0; n < m.Nodes(); n++ {
@@ -55,7 +58,7 @@ func TestCrossRunTraceDeterminism(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Dump()
+		return obs.Dump()
 	}
 	first, second := run(), run()
 	if first == "" {

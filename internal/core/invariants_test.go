@@ -7,6 +7,8 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
+	"plus/internal/sim"
+	"plus/internal/stats"
 )
 
 // invariantRig builds a quiesced machine with one page replicated on
@@ -126,5 +128,62 @@ func TestInvariantCheckerIdleWhenOff(t *testing.T) {
 	}
 	if m.Invariants() != nil {
 		t.Fatal("checker exists despite CheckInvariants=false")
+	}
+}
+
+// TestInvariantCheckingLeavesRunUnchanged pins that the periodic
+// invariant check observes the run without perturbing it: a replicated
+// write/read program reports the same elapsed cycles, engine event
+// count and counters with checking on and off, on one engine and on
+// several. A check that scheduled its own events would keep the engine
+// alive past the last real event and show up in all three.
+func TestInvariantCheckingLeavesRunUnchanged(t *testing.T) {
+	type outcome struct {
+		Elapsed   sim.Cycles
+		Processed uint64
+		Totals    stats.Node
+		Messages  uint64
+	}
+	run := func(shards int, check bool) outcome {
+		cfg := DefaultConfig(4, 4)
+		cfg.Shards = shards
+		cfg.CheckInvariants = check
+		cfg.InvariantPeriod = 1000
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := make([]memory.VAddr, 4)
+		for i := range pages {
+			home := i * 5
+			pages[i] = m.Alloc(mesh.NodeID(home), 1)
+			m.Replicate(pages[i], mesh.NodeID((home+3)%16), mesh.NodeID((home+7)%16))
+		}
+		for n := 0; n < m.Nodes(); n++ {
+			n := n
+			m.Spawn(mesh.NodeID(n), func(th *proc.Thread) {
+				for i := 0; i < 30; i++ {
+					th.Write(pages[(n+i)%4]+memory.VAddr(n), memory.Word(i))
+					th.Read(pages[(n+i+1)%4] + memory.VAddr(i))
+					th.Compute(sim.Cycles(10 + n))
+				}
+				th.Fence()
+			})
+		}
+		elapsed, err := m.Run()
+		if err != nil {
+			t.Fatalf("shards=%d check=%v: %v", shards, check, err)
+		}
+		o := outcome{Elapsed: elapsed, Totals: m.Stats().Totals(), Messages: m.Stats().Messages()}
+		for _, e := range m.engines {
+			o.Processed += e.Processed()
+		}
+		return o
+	}
+	for _, k := range []int{1, 2, 4} {
+		off, on := run(k, false), run(k, true)
+		if off != on {
+			t.Errorf("shards=%d: checking changed the run:\n off %+v\n  on %+v", k, off, on)
+		}
 	}
 }

@@ -74,9 +74,10 @@ type Config struct {
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
-	// copy-list chains, and replica convergence at quiescence. Sharded
-	// runs check at lookahead barriers (all shards quiescent) instead of
-	// on a scheduled tick.
+	// copy-list chains, and replica convergence at quiescence. The
+	// periodic check rides the run loop's quiescent points (before a
+	// dispatch on one engine, at lookahead barriers on several) and
+	// schedules nothing, so checking never changes the run it checks.
 	CheckInvariants bool
 	// InvariantPeriod is the cycle interval between runtime invariant
 	// checks when CheckInvariants is set (0 means 10000).
@@ -108,7 +109,7 @@ type Machine struct {
 	cfg Config
 	eng *sim.Engine
 	// engines holds one engine per shard (engines[0] == eng); shardViews
-	// holds each shard's private stats.Machine view (nil when serial).
+	// holds each shard's private stats.Machine view (nil on one engine).
 	engines    []*sim.Engine
 	shardViews []*stats.Machine
 	net        *mesh.Mesh
@@ -122,8 +123,6 @@ type Machine struct {
 
 	threads []*proc.Thread
 	nextTID int
-	ran     bool
-	started sim.Cycles
 	elapsed sim.Cycles
 
 	// inv is the runtime invariant checker (nil unless
@@ -131,13 +130,10 @@ type Machine struct {
 	inv    *InvariantChecker
 	invErr error
 
-	// obs is the attached observer (nil when unobserved); obsKids holds
-	// its per-shard children (nil when serial); sample is the
-	// time-series sampler, driven per-dispatch serially and
-	// barrier-aligned when sharded.
-	obs     *stats.Observer
-	obsKids []*stats.Observer
-	sample  func(at sim.Cycles)
+	// obs is the attached observer (nil when unobserved); sample is the
+	// time-series sampler, fed by the run loop's quiescent points.
+	obs    *stats.Observer
+	sample func(at sim.Cycles)
 }
 
 // NewMachine builds and wires a machine.
@@ -167,24 +163,16 @@ func NewMachine(cfg Config) (*Machine, error) {
 			return nil, errors.New("core: crash injection requires the write-update protocol (failover resyncs chains by page copy); disable InvalidateMode")
 		}
 	}
-	engines := make([]*sim.Engine, k)
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-		if mcfg.Contention {
-			// Deferred contention replays mid-round sends at barriers in
-			// dispatch-tag order; tags are only meaningful under strict
-			// waiting. Serial runs wait strictly too so their schedules
-			// stay byte-identical to sharded ones (AdvanceIf is
-			// schedule-neutral — see sim.Engine.SetStrictWait).
-			engines[i].SetStrictWait(true)
-		}
-	}
-	eng := engines[0]
-	var net *mesh.Mesh
-	if k > 1 {
-		net = mesh.NewSharded(engines, mcfg)
-	} else {
-		net = mesh.New(eng, mcfg)
+	eng := sim.NewEngine()
+	net := mesh.New(eng, mcfg)
+	engines := net.Engines()
+	for _, e := range engines {
+		// Deferred contention replays mid-round sends at barriers in
+		// dispatch-tag order; tags are only meaningful under strict
+		// waiting. One engine waits strictly too so its schedule stays
+		// byte-identical to sharded ones (AdvanceIf is schedule-neutral —
+		// see sim.Engine.SetStrictWait).
+		e.SetStrictWait(mcfg.Contention)
 	}
 	n := net.Nodes()
 	st := stats.New(n)
@@ -248,32 +236,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		if len(cfg.Faults.Crashes) > 0 {
 			m.inv.Down = func(id mesh.NodeID) bool { return net.DownAt(id, eng.Now()) }
 		}
-		if k == 1 {
-			period := cfg.InvariantPeriod
-			if period == 0 {
-				period = 10000
-			}
-			// The tick re-arms itself only while other events remain, so it
-			// never keeps an otherwise-drained engine alive; the first
-			// violation is recorded and checking stops.
-			var tick func()
-			tick = func() {
-				if m.invErr == nil {
-					if err := m.inv.Check(); err != nil {
-						m.invErr = fmt.Errorf("%w (at cycle %d)", err, eng.Now())
-						return
-					}
-				}
-				if eng.Pending() > 0 {
-					eng.Schedule(period, tick)
-				}
-			}
-			eng.Schedule(period, tick)
-		}
-		// Sharded: runSharded checks at lookahead barriers instead — the
-		// checker reads every shard's CM state, which is only safe with
-		// all workers quiescent, and a scheduled tick would perturb the
-		// event schedule's shard-equivalence anyway.
 	}
 	if cfg.Observe != nil {
 		m.attachObserver(cfg.Observe)
@@ -284,19 +246,18 @@ func NewMachine(cfg Config) (*Machine, error) {
 // attachObserver binds o to this machine: clock + topology metadata,
 // the stats/mesh emission hooks, the optional engine-dispatch probe,
 // and the optional time-series sampler. Observers record events and
-// counters only — they never schedule engine events (the sampler
-// piggybacks on the dispatch hook rather than arming its own tick),
-// so an observed run computes exactly the same result, elapsed time
+// counters only — they never schedule engine events (the sampler rides
+// the run loop's quiescent points rather than arming its own tick), so
+// an observed run computes exactly the same result, elapsed time
 // included, as an unobserved one.
 //
 // On a sharded machine each shard gets a child observer reading its
 // own engine's clock and dispatch tags (stats.ShardChild); the shard's
-// components emit into the child and runSharded merges the buffers
-// into the master ring in tag order at every barrier, reconstructing
-// the exact serial emission order. The sampler runs barrier-aligned
-// instead of per-dispatch. Every engine — including a serial one —
-// switches to strict waiting so dispatch tags stay meaningful and the
-// two modes keep identical schedules.
+// components emit into the child and Run merges the buffers into the
+// master ring in tag order at every barrier, reconstructing the exact
+// one-engine emission order. Every engine — including a lone one —
+// switches to strict waiting so dispatch tags stay meaningful and all
+// shard counts keep identical schedules.
 func (m *Machine) attachObserver(o *stats.Observer) {
 	o.Bind(m.eng.Now, stats.TraceMeta{
 		Nodes:      m.net.Nodes(),
@@ -327,30 +288,18 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 			}
 		}
 	}
-	probe := o.EngineEvents()
-	if len(m.engines) == 1 {
-		m.net.SetObserver(o)
-		if probe || m.sample != nil {
-			sample := m.sample
-			m.eng.SetOnEvent(func(at sim.Cycles, kind int) {
-				if sample != nil {
-					sample(at)
-				}
-				if probe {
-					o.EmitAt(at, stats.EvEngineDispatch, -1, uint8(kind), 0, 0, 0)
-				}
-			})
+	// Per-shard stats views exist only on several engines; a lone engine
+	// writes the master block, so the master observer serves it directly.
+	kids := []*stats.Observer{o}
+	if m.shardViews != nil {
+		kids = make([]*stats.Observer, len(m.engines))
+		for s, e := range m.engines {
+			kids[s] = o.ShardChild(e.Now, e.DispatchTag)
+			m.shardViews[s].AttachObserver(kids[s])
 		}
-		return
 	}
-	kids := make([]*stats.Observer, len(m.engines))
-	for s, e := range m.engines {
-		kids[s] = o.ShardChild(e.Now, e.DispatchTag)
-		m.shardViews[s].AttachObserver(kids[s])
-	}
-	m.obsKids = kids
-	m.net.SetShardObservers(kids)
-	if probe {
+	m.net.SetObservers(kids)
+	if o.EngineEvents() {
 		for s, e := range m.engines {
 			kid := kids[s]
 			e.SetOnEvent(func(at sim.Cycles, kind int) {
@@ -360,20 +309,18 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 	}
 }
 
-// samplerFunc builds the time-series sampler, driven from the engine's
-// dispatch hook: the first event dispatched at or after each period
+// samplerFunc builds the time-series sampler, driven from the run
+// loop's quiescent points: the first one at or after each period
 // boundary appends one stats.Sample holding the deltas since the
 // previous sample — per-link busy time (as a utilization fraction of
 // the actual span covered), the instantaneous link backlog, and the
-// per-node busy/stall breakdown. Sampling on the hook instead of a
-// scheduled tick keeps the event queue untouched, so the engine's
+// per-node busy/stall breakdown. Sampling at quiescent points instead
+// of on a scheduled tick keeps the event queue untouched, so the
 // schedule (and the run's elapsed time) is identical with or without
-// sampling; the cost is that Sample.At lands on a dispatch time, not
-// the exact boundary, and idle gaps longer than one period yield a
-// single sample covering the whole gap. A sharded run drives the same
-// closure from the lookahead barriers instead (all shards quiescent),
-// so Sample.At lands on round boundaries — coarser, but reading the
-// same counters.
+// sampling; the cost is that Sample.At lands on a dispatch time (one
+// engine) or a round boundary (several), not the exact period
+// boundary, and idle gaps longer than one period yield a single sample
+// covering the whole gap.
 func (m *Machine) samplerFunc(o *stats.Observer, period sim.Cycles) func(at sim.Cycles) {
 	n := m.net.Nodes()
 	prevLink := make([]sim.Cycles, len(m.net.LinkLabels()))
@@ -436,19 +383,6 @@ func (m *Machine) Mesh() *mesh.Mesh { return m.net }
 
 // Stats returns the machine's instrumentation counters.
 func (m *Machine) Stats() *stats.Machine { return m.st }
-
-// EnableTrace starts recording protocol events (coherence messages,
-// memory operations, scheduling, stalls) in a ring keeping the newest
-// limit entries (limit <= 0 means stats.DefaultRingEvents); it returns
-// a back-compat Tracer view over the underlying structured observer.
-// It must not be combined with Config.Observe — one observer per
-// machine. New code should set Config.Observe directly and use the
-// stats.Observer API.
-func (m *Machine) EnableTrace(limit int) *stats.Tracer {
-	o := stats.NewObserver(stats.ObserveConfig{Events: limit})
-	m.attachObserver(o)
-	return stats.TracerFor(o)
-}
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -564,14 +498,7 @@ func (m *Machine) ActiveProcs() int {
 // remain parked with no pending events (deadlock: a Sleep with no
 // Wake, a lock never released).
 func (m *Machine) Run() (sim.Cycles, error) {
-	if len(m.engines) > 1 {
-		m.runSharded()
-	} else {
-		m.started = m.eng.Now()
-		m.eng.Run()
-		m.elapsed = m.eng.Now() - m.started
-	}
-	m.ran = true
+	m.runShards()
 	var stuck []string
 	for _, t := range m.threads {
 		if !t.Done() {
@@ -608,29 +535,13 @@ func (m *Machine) Run() (sim.Cycles, error) {
 	return m.elapsed, nil
 }
 
-// runSharded drives the per-shard engines in lookahead rounds until
-// the machine drains, then folds the shard stats views into the master
-// block. Elapsed time is the latest actual activity on any shard —
-// RunUntil drags each shard's clock to the round horizon, but
-// LastActivityAt records only real work, so the figure matches the
-// serial engine's final clock exactly.
-func (m *Machine) runSharded() {
-	started := m.engines[0].Now()
-	for _, e := range m.engines[1:] {
-		if t := e.Now(); t > started {
-			started = t
-		}
-	}
-	// While rounds are in flight, kernel page operations queue as
-	// barrier work and shard observers buffer locally; both drain at
-	// every barrier below, and the brackets restore inline execution
-	// and direct emission for quiescent code after the run.
-	m.kern.BeginRounds()
-	defer m.kern.EndRounds()
-	if m.obs != nil {
-		m.obs.SetShardBuffering(true)
-		defer m.obs.SetShardBuffering(false)
-	}
+// runShards drives the engines through sim.ShardSet until the machine
+// drains — inline on one engine, in lookahead rounds on several — then
+// folds the shard stats views into the master block. Elapsed time is
+// the latest actual activity on any engine: RunUntil drags each
+// shard's clock to the round horizon, but LastActivityAt records only
+// real work, so the figure is the same for every shard count.
+func (m *Machine) runShards() {
 	ss := &sim.ShardSet{
 		Engines: m.engines,
 		Window:  m.net.Config().LookaheadWindow(),
@@ -640,65 +551,73 @@ func (m *Machine) runSharded() {
 		// round's contended sends against the shared link queues, splice
 		// the copy-lists for deferred kernel page operations, then merge
 		// the shards' buffered observations into the master ring in
-		// dispatch-tag order and take a barrier-aligned sample.
+		// dispatch-tag order.
 		BarrierWork: func() {
 			m.net.ResolveContention()
 			m.kern.RunBarrierWork()
 			if m.obs != nil {
 				m.obs.MergeShardEvents()
-				if m.sample != nil {
-					m.sample(m.lastActivity())
-				}
 			}
 		},
 	}
-	if m.inv != nil {
-		period := m.cfg.InvariantPeriod
-		if period == 0 {
-			period = 10000
-		}
-		next := started + period
-		ss.AtBarrier = func() {
-			if m.invErr != nil {
-				return
-			}
-			cur := m.lastActivity()
-			if cur < next {
-				return
-			}
-			if err := m.inv.Check(); err != nil {
-				m.invErr = fmt.Errorf("%w (at cycle %d)", err, cur)
-				return
-			}
-			for next <= cur {
-				next += period
-			}
-		}
+	started := ss.Now()
+	ss.Quiescent = m.quiescentFunc(started)
+	// While rounds are in flight, kernel page operations queue as
+	// barrier work and shard observers buffer locally; both drain at
+	// every barrier, and the brackets restore inline execution and
+	// direct emission for quiescent code after the run. On one engine
+	// there are no rounds and both brackets are no-ops.
+	m.kern.BeginRounds()
+	if m.obs != nil {
+		m.obs.SetShardBuffering(true)
 	}
 	ss.Run()
-	m.started = started
-	m.elapsed = m.lastActivity() - started
+	m.kern.EndRounds()
+	if m.obs != nil {
+		m.obs.SetShardBuffering(false)
+		// The final barrier already merged every buffered event; fold the
+		// children's latency histograms so the master's Metrics read as a
+		// one-engine run's would.
+		m.obs.FoldShardMetrics()
+	}
 	for _, v := range m.shardViews {
 		m.st.FoldShard(v)
 	}
-	if m.obs != nil {
-		// The final barrier already merged every buffered event; fold the
-		// children's latency histograms so the master's Metrics read as a
-		// serial run's would.
-		m.obs.FoldShardMetrics()
+	m.elapsed = 0
+	if last := ss.LastActivityAt(); last > started {
+		m.elapsed = last - started
 	}
 }
 
-// lastActivity returns the latest LastActivityAt across the shard
-// engines.
-func (m *Machine) lastActivity() sim.Cycles {
-	var t sim.Cycles
-	for _, e := range m.engines {
-		if a := e.LastActivityAt(); a > t {
-			t = a
+// quiescentFunc returns the run loop's quiescent-point hook: the
+// time-series sampler, then the periodic invariant check at the first
+// quiescent point at or after each InvariantPeriod boundary (the first
+// violation is recorded and checking stops). Nil when neither is on,
+// so an unobserved, unchecked run pays nothing per dispatch.
+func (m *Machine) quiescentFunc(started sim.Cycles) func(at sim.Cycles) {
+	if m.sample == nil && m.inv == nil {
+		return nil
+	}
+	period := m.cfg.InvariantPeriod
+	if period == 0 {
+		period = 10000
+	}
+	next := started + period
+	return func(at sim.Cycles) {
+		if m.sample != nil {
+			m.sample(at)
+		}
+		if m.inv == nil || m.invErr != nil || at < next {
+			return
+		}
+		if err := m.inv.Check(); err != nil {
+			m.invErr = fmt.Errorf("%w (at cycle %d)", err, at)
+			return
+		}
+		for next <= at {
+			next += period
 		}
 	}
-	return t
 }
 
 // Elapsed returns the virtual time consumed by the last Run.

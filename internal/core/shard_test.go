@@ -186,17 +186,23 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
 // same counters — and for observed legs, the same merged event stream
-// and latency histograms. Six legs stress the paths most likely to
+// and latency histograms. Seven legs stress the paths most likely to
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
 // (mid-round sends replayed at barriers in dispatch-tag order), a
-// structured observer (shard-local buffers merged by tag), and
-// contention and observation together.
+// structured observer (shard-local buffers merged by tag), contention
+// and observation together, and the runtime invariant checker on a
+// faulty network (checked before dispatches on one engine, at barriers
+// on several).
 func TestShardEquivalenceFuzz(t *testing.T) {
 	contention := func(c *core.Config) { c.NetContention = true }
 	observe := func(c *core.Config) {
 		c.Observe = stats.NewObserver(stats.ObserveConfig{Events: 1 << 15, EngineEvents: true})
+	}
+	checked := func(c *core.Config) {
+		c.CheckInvariants = true
+		c.InvariantPeriod = 700
 	}
 	legs := []struct {
 		name   string
@@ -212,6 +218,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "contention", batch: 1, mods: []func(*core.Config){contention}},
 		{name: "observer", batch: 1, mods: []func(*core.Config){observe}},
 		{name: "contention+observer", batch: 1, mods: []func(*core.Config){contention, observe}},
+		{name: "invariants", batch: 1, faults: mesh.FaultConfig{
+			Seed: 5, DropRate: 0.02, DelayRate: 0.03, DelayMax: 40,
+		}, mods: []func(*core.Config){checked}},
 	}
 	seeds := []int64{1, 42}
 	if testing.Short() {

@@ -143,9 +143,9 @@ func (k *Kernel) sharded() bool { return k.net.Config().ShardCount() > 1 }
 // EndRounds, page reorganizations defer to barrier work instead of
 // splicing shared state mid-round. core brackets ShardSet.Run with
 // these; outside the bracket (setup, between runs) the machine is
-// quiescent and reorganizations execute inline exactly as in serial
-// runs.
-func (k *Kernel) BeginRounds() { k.inRounds = true }
+// quiescent and reorganizations execute inline. A one-engine run has
+// no rounds, so there the bracket leaves them inline throughout.
+func (k *Kernel) BeginRounds() { k.inRounds = k.barrierQ != nil }
 
 // EndRounds closes the deferral window opened by BeginRounds.
 func (k *Kernel) EndRounds() { k.inRounds = false }

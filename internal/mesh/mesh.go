@@ -302,7 +302,7 @@ type Msg struct {
 	// message belongs to (stats.Event.Cause): a write request, every
 	// update it fans out and the final ack all carry the ID stamped at
 	// issue, so the whole span is reconstructable from the event stream.
-	// Zero when tracing is off. CloneMsg copies it; FreeMsg clears it.
+	// Zero when tracing is off. CloneMsgAt copies it; FreeMsgAt clears it.
 	Cause uint64
 	// ID is an origin-local request identifier (or delayed-op slot).
 	ID uint64
@@ -460,35 +460,25 @@ type Mesh struct {
 	linkBusy [][]sim.Cycles
 }
 
-// New creates a serial mesh. Ports are registered per node with Attach
-// before any traffic is sent.
+// New creates a mesh whose nodes are partitioned over one engine per
+// shard (see Config.ShardOf): eng runs shard 0, and New builds the
+// other ShardCount()-1 engines itself (Engines lists them all).
+// Cross-shard sends buffer in per-shard mailboxes; the shard runner
+// delivers them with DrainMail at each lookahead barrier. Ports are
+// registered per node with Attach before any traffic is sent.
 func New(eng *sim.Engine, cfg Config) *Mesh {
-	if cfg.ShardCount() != 1 {
-		panic(fmt.Sprintf("mesh: New with Shards=%d (use NewSharded with one engine per shard)", cfg.Shards))
-	}
-	return newMesh([]*sim.Engine{eng}, cfg)
-}
-
-// NewSharded creates a mesh whose nodes are partitioned over one
-// engine per shard (see Config.ShardOf). Cross-shard sends buffer in
-// per-shard mailboxes; the shard runner delivers them with DrainMail
-// at each lookahead barrier.
-func NewSharded(engines []*sim.Engine, cfg Config) *Mesh {
-	if len(engines) != cfg.ShardCount() {
-		panic(fmt.Sprintf("mesh: NewSharded with %d engines for %d shards", len(engines), cfg.ShardCount()))
-	}
-	return newMesh(engines, cfg)
-}
-
-func newMesh(engines []*sim.Engine, cfg Config) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
 	n := cfg.Width * cfg.Height
 	k := cfg.ShardCount()
+	engines := []*sim.Engine{eng}
+	for len(engines) < k {
+		engines = append(engines, sim.NewEngine())
+	}
 	m := &Mesh{
 		cfg:      cfg,
-		eng:      engines[0],
+		eng:      eng,
 		engines:  engines,
 		shardOf:  make([]int32, n),
 		mail:     make([][]mailEntry, k*k),
@@ -525,24 +515,11 @@ func newMesh(engines []*sim.Engine, cfg Config) *Mesh {
 	// physical link: 2*((W-1)*H + W*(H-1)).
 	next := int32(0)
 	for id := 0; id < n; id++ {
-		x, y := id%cfg.Width, id/cfg.Width
 		for dir := 0; dir < 4; dir++ {
-			exists := false
-			switch dir {
-			case dirEast:
-				exists = x+1 < cfg.Width
-			case dirWest:
-				exists = x > 0
-			case dirNorth:
-				exists = y > 0
-			case dirSouth:
-				exists = y+1 < cfg.Height
-			}
-			if exists {
+			m.linkSlot[id*4+dir] = -1
+			if _, ok := m.neighbor(NodeID(id), dir); ok {
 				m.linkSlot[id*4+dir] = next
 				next++
-			} else {
-				m.linkSlot[id*4+dir] = -1
 			}
 		}
 	}
@@ -559,6 +536,9 @@ func (m *Mesh) DirectedLinks() int { return len(m.linkFree) }
 
 // Config returns the mesh configuration.
 func (m *Mesh) Config() Config { return m.cfg }
+
+// Engines returns the per-shard engines, shard 0 first.
+func (m *Mesh) Engines() []*sim.Engine { return m.engines }
 
 // Stats returns the accumulated network statistics, summed over
 // shards. Call it only with the simulation quiescent (between runs or
@@ -607,37 +587,18 @@ func (m *Mesh) DrainMail() int {
 	return moved
 }
 
-// SetObserver attaches the structured-event observer for a serial
-// mesh (nil = tracing off, the default). core.NewMachine wires this;
-// with no observer the send path performs a single nil check and
-// nothing else. Sharded meshes take one child observer per shard via
-// SetShardObservers instead.
-func (m *Mesh) SetObserver(o *stats.Observer) {
-	if len(m.engines) > 1 {
-		panic("mesh: SetObserver on a sharded mesh (use SetShardObservers with one child per shard)")
-	}
-	if o == nil {
-		m.obs = nil
-		return
-	}
-	m.obs = []*stats.Observer{o}
-	m.ensureLinkBusy()
-}
-
-// SetShardObservers attaches one observer per shard — the master
-// observer's ShardChild children, which core merges deterministically
-// at each lookahead barrier. Emissions go through the acting node's
-// shard entry, so no ring or histogram is ever touched by two shard
-// workers.
-func (m *Mesh) SetShardObservers(obs []*stats.Observer) {
+// SetObservers attaches one structured-event observer per shard
+// (tracing is off until then, and the send path performs a single nil
+// check and nothing else). core.NewMachine wires the master observer on
+// one engine and its ShardChild children, merged deterministically at
+// each lookahead barrier, on several. Emissions go through the acting
+// node's shard entry, so no ring or histogram is ever touched by two
+// shard workers.
+func (m *Mesh) SetObservers(obs []*stats.Observer) {
 	if len(obs) != len(m.engines) {
-		panic(fmt.Sprintf("mesh: SetShardObservers with %d observers for %d shards", len(obs), len(m.engines)))
+		panic(fmt.Sprintf("mesh: SetObservers with %d observers for %d shards", len(obs), len(m.engines)))
 	}
 	m.obs = obs
-	m.ensureLinkBusy()
-}
-
-func (m *Mesh) ensureLinkBusy() {
 	if m.linkBusy == nil {
 		m.linkBusy = make([][]sim.Cycles, len(m.engines))
 		for i := range m.linkBusy {
@@ -660,24 +621,10 @@ func (m *Mesh) obsFor(shard int32) *stats.Observer {
 func (m *Mesh) LinkLabels() []string {
 	labels := make([]string, len(m.linkFree))
 	for id := 0; id < len(m.ports); id++ {
-		x, y := m.Coord(NodeID(id))
 		for dir := 0; dir < 4; dir++ {
-			slot := m.linkSlot[id*4+dir]
-			if slot < 0 {
-				continue
+			if to, ok := m.neighbor(NodeID(id), dir); ok {
+				labels[m.linkSlot[id*4+dir]] = fmt.Sprintf("%d->%d", id, to)
 			}
-			nx, ny := x, y
-			switch dir {
-			case dirEast:
-				nx++
-			case dirWest:
-				nx--
-			case dirNorth:
-				ny--
-			case dirSouth:
-				ny++
-			}
-			labels[slot] = fmt.Sprintf("%d->%d", id, m.ID(nx, ny))
 		}
 	}
 	return labels
@@ -810,10 +757,6 @@ func (m *Mesh) CloneMsgAt(at NodeID, src *Msg) *Msg {
 	return c
 }
 
-// CloneMsg is CloneMsgAt from shard 0's pool, for serial meshes and
-// machine-level callers.
-func (m *Mesh) CloneMsg(src *Msg) *Msg { return m.CloneMsgAt(0, src) }
-
 // Coord returns the (x, y) position of a node.
 func (m *Mesh) Coord(id NodeID) (x, y int) {
 	return int(id) % m.cfg.Width, int(id) / m.cfg.Width
@@ -848,6 +791,59 @@ const (
 	dirSouth
 )
 
+// dirStep is the (x, y) move across a link in each direction.
+var dirStep = [4][2]int{dirEast: {1, 0}, dirWest: {-1, 0}, dirNorth: {0, -1}, dirSouth: {0, 1}}
+
+// neighbor returns the node one link from id in direction dir, or
+// false where the mesh edge has no such link.
+func (m *Mesh) neighbor(id NodeID, dir int) (NodeID, bool) {
+	x, y := m.Coord(id)
+	x, y = x+dirStep[dir][0], y+dirStep[dir][1]
+	if x < 0 || y < 0 || x >= m.cfg.Width || y >= m.cfg.Height {
+		return 0, false
+	}
+	return m.ID(x, y), true
+}
+
+// route walks the dimension-ordered path (X first, then Y) one directed
+// link at a time, in coordinates, so no step divides:
+//
+//	for r := m.route(src, dst); r.next(); { ... r.from, r.dir ... }
+type route struct {
+	w, x, y, dx, dy int
+	// from and dir name the current link: the node it leaves and its
+	// direction (valid after next returns true).
+	from NodeID
+	dir  int
+}
+
+func (m *Mesh) route(src, dst NodeID) route {
+	x, y := m.Coord(src)
+	dx, dy := m.Coord(dst)
+	return route{w: m.cfg.Width, x: x, y: y, dx: dx, dy: dy}
+}
+
+// next steps onto the path's next link, reporting false once the walk
+// has reached the destination.
+func (r *route) next() bool {
+	switch {
+	case r.x < r.dx:
+		r.dir = dirEast
+	case r.x > r.dx:
+		r.dir = dirWest
+	case r.y < r.dy:
+		r.dir = dirSouth
+	case r.y > r.dy:
+		r.dir = dirNorth
+	default:
+		return false
+	}
+	r.from = NodeID(r.y*r.w + r.x)
+	r.x += dirStep[r.dir][0]
+	r.y += dirStep[r.dir][1]
+	return true
+}
+
 // linkIndex returns the linkFree slot of the directed link leaving
 // from in direction dir. The link must exist (contention walks real
 // paths only); a missing link panics.
@@ -862,26 +858,11 @@ func (m *Mesh) linkIndex(from NodeID, dir int) int {
 // Path returns the sequence of nodes visited by dimension-order
 // routing from src to dst, inclusive of both endpoints.
 func (m *Mesh) Path(src, dst NodeID) []NodeID {
-	path := []NodeID{src}
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx {
-		if x < dx {
-			x++
-		} else {
-			x--
-		}
-		path = append(path, m.ID(x, y))
+	var path []NodeID
+	for r := m.route(src, dst); r.next(); {
+		path = append(path, r.from)
 	}
-	for y != dy {
-		if y < dy {
-			y++
-		} else {
-			y--
-		}
-		path = append(path, m.ID(x, y))
-	}
-	return path
+	return append(path, dst)
 }
 
 // Delivery event kinds (sim.EventSink dispatch).
@@ -971,28 +952,25 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	// and tie-break-key draws still happen here, in serial draw order,
 	// so the replay only walks the links.
 	var ps *pendingSend
-	if contending {
-		if m.pending != nil {
-			q := &m.pending[srcShard]
-			*q = append(*q, pendingSend{
-				tag:   eng.DispatchTag(),
-				sendT: eng.Now(),
-				src:   src,
-				dst:   dst,
-				flits: sizeFlits,
-				ms:    ms,
-			})
-			ps = &(*q)[len(*q)-1]
-			if o != nil {
-				// Reserve the tag slots the serial schedule would have
-				// given the per-hop events emitted right here.
-				ps.hopTags = eng.DispatchTagN(hops)
-			}
-		} else {
-			lat += m.contend(src, dst, sizeFlits, ms.Cause)
+	switch {
+	case contending && m.pending != nil:
+		q := &m.pending[srcShard]
+		*q = append(*q, pendingSend{
+			tag:   eng.DispatchTag(),
+			sendT: eng.Now(),
+			src:   src,
+			dst:   dst,
+			flits: sizeFlits,
+			ms:    ms,
+		})
+		ps = &(*q)[len(*q)-1]
+		if o != nil {
+			// Reserve the tag slots the serial schedule would have
+			// given the per-hop events emitted right here.
+			ps.hopTags = eng.DispatchTagN(hops)
 		}
-	} else if o != nil && hops > 0 {
-		m.emitHops(srcShard, eng.Now(), src, dst, sizeFlits, ms.Cause)
+	case contending || o != nil:
+		lat += m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause, false, sim.DispatchTag{})
 	}
 	if frand != nil {
 		// A duplicate arrives one cycle behind the original (it shares
@@ -1121,108 +1099,59 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 func (m *Mesh) admit(src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
 	t := m.eng.Now()
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		li := m.linkIndex(m.ID(x, y), dir)
+	for r := m.route(src, dst); r.next(); {
+		li := m.linkIndex(r.from, r.dir)
 		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
 			return false
-		}
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
 		}
 	}
 	return true
 }
 
-// contend reserves each directed link on the path and returns the
-// extra queueing delay incurred (serial: inline at Send time).
-func (m *Mesh) contend(src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
-	return m.contendAt(m.eng.Now(), src, dst, sizeFlits, cause, false, sim.DispatchTag{})
-}
-
-// contendAt reserves each directed link on the dimension-ordered path
-// starting from injection time t0 and returns the queueing delay
-// incurred. This is a pipelined (wormhole-like) approximation: the
-// header advances one hop per PerHop cycles once a link frees, and
-// the body occupies each link for sizeFlits*FlitCycles. The wait is
-// charged to the sending node's shard; when replayed at a barrier
-// (tagged), per-hop events are filed under the tag slots reserved at
-// Send time so the merged stream interleaves exactly like the serial
-// one.
+// contendAt walks the dimension-ordered path from injection time t0,
+// recording per-hop link events when an observer is attached, and —
+// with the contention model on — reserves each directed link and
+// returns the queueing delay incurred. This is a pipelined
+// (wormhole-like) approximation: the header advances one hop per
+// PerHop cycles once a link frees, and the body occupies each link for
+// sizeFlits*FlitCycles. With contention off nothing queues: the walk
+// only emits the hops, so trace exports cover every link either way.
+// The wait is charged to the sending node's shard; when replayed at a
+// barrier (tagged), per-hop events are filed under the tag slots
+// reserved at Send time so the merged stream interleaves exactly like
+// the serial one.
 func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64, tagged bool, hopTags sim.DispatchTag) sim.Cycles {
 	srcShard := m.shardOf[src]
 	o := m.obsFor(srcShard)
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
 	var wait sim.Cycles
 	t := t0
-	// Walk the dimension-ordered route in place (X first, then Y)
-	// rather than materializing a Path slice per message.
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
 	hop := 0
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		from := m.ID(x, y)
-		li := m.linkIndex(from, dir)
+	for r := m.route(src, dst); r.next(); hop++ {
+		li := m.linkIndex(r.from, r.dir)
 		var hopWait sim.Cycles
-		if m.linkFree[li] > t {
-			hopWait = m.linkFree[li] - t
-			wait += hopWait
-			t = m.linkFree[li]
+		if m.cfg.Contention {
+			if m.linkFree[li] > t {
+				hopWait = m.linkFree[li] - t
+				wait += hopWait
+				t = m.linkFree[li]
+			}
+			m.linkFree[li] = t + occupancy
 		}
-		m.linkFree[li] = t + occupancy
 		if o != nil {
 			m.linkBusy[srcShard][li] += occupancy
-			o.Metrics.HopQueue.Observe(uint64(hopWait))
+			if m.cfg.Contention {
+				o.Metrics.HopQueue.Observe(uint64(hopWait))
+			}
 			if tagged {
-				o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(from), uint8(dir), cause,
+				o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
 					uint64(li), uint64(occupancy))
 			} else {
-				o.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
+				o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
 					uint64(li), uint64(occupancy))
 			}
 		}
-		hop++
 		t += m.cfg.PerHop
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
-		}
 	}
 	m.shStats[srcShard].QueueWait += wait
 	return wait
@@ -1261,48 +1190,6 @@ func (m *Mesh) ResolveContention() {
 		})
 	for i := range m.pending {
 		m.pending[i] = m.pending[i][:0]
-	}
-}
-
-// emitHops records approximate per-hop link events for an uncontended
-// send (no queueing: the header advances one hop per PerHop cycles),
-// so trace exports cover every link even with the contention model
-// off. Called only when an observer is attached, on the sending
-// shard's worker — occupancy lands in the shard's own linkBusy block.
-func (m *Mesh) emitHops(srcShard int32, t sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) {
-	o := m.obs[srcShard]
-	busy := m.linkBusy[srcShard]
-	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx || y != dy {
-		var dir int
-		switch {
-		case x < dx:
-			dir = dirEast
-		case x > dx:
-			dir = dirWest
-		case y < dy:
-			dir = dirSouth
-		default:
-			dir = dirNorth
-		}
-		from := m.ID(x, y)
-		li := m.linkIndex(from, dir)
-		busy[li] += occupancy
-		o.EmitAt(t, stats.EvNetHop, int(from), uint8(dir), cause,
-			uint64(li), uint64(occupancy))
-		t += m.cfg.PerHop
-		switch dir {
-		case dirEast:
-			x++
-		case dirWest:
-			x--
-		case dirSouth:
-			y++
-		default:
-			y--
-		}
 	}
 }
 

@@ -2,27 +2,30 @@ package sim
 
 import "fmt"
 
-// ShardSet runs K engines — one per mesh shard, each owning its nodes'
-// events — under conservative lookahead. Cross-shard interaction
-// happens only through messages with a fixed minimum link latency, so
-// within a window of that width every shard's events are independent
-// of what the other shards are concurrently doing: the earliest
-// possible cross-shard arrival lies beyond the window by construction.
+// ShardSet is the run loop for one machine on K engines — one per mesh
+// shard, each owning its nodes' events — under conservative lookahead.
+// Cross-shard interaction happens only through messages with a fixed
+// minimum link latency, so within a window of that width every shard's
+// events are independent of what the other shards are concurrently
+// doing: the earliest possible cross-shard arrival lies beyond the
+// window by construction.
 //
-// Run proceeds in rounds. Each round picks the globally earliest
-// pending event time T, lets every shard execute its events in
-// [T, T+Window-1] on its own worker goroutine, then synchronizes at a
-// barrier where the round's cross-shard messages are injected into the
-// owning shards' queues (Drain) carrying the tie-break keys drawn at
-// send time. Because every engine orders its heap by the (at, lane,
-// seq) key — not by insertion order — the merged schedule is
-// byte-identical to a single serial engine running the same program.
+// With several engines, Run proceeds in rounds. Each round picks the
+// globally earliest pending event time T, lets every shard execute its
+// events in [T, T+Window-1] on its own worker goroutine, then
+// synchronizes at a barrier where the round's cross-shard messages are
+// injected into the owning shards' queues (Drain) carrying the
+// tie-break keys drawn at send time. Because every engine orders its
+// heap by the (at, lane, seq) key — not by insertion order — the merged
+// schedule is byte-identical to a single engine running the same
+// program. With one engine there is nothing to synchronize: Run drains
+// it on the calling goroutine, with no rounds and no window.
 type ShardSet struct {
 	// Engines are the per-shard event queues (len >= 1).
 	Engines []*Engine
 	// Window is the conservative lookahead in cycles: a lower bound on
 	// the latency of any cross-shard message (for the PLUS mesh,
-	// Base + PerHop). Must be >= 1.
+	// Base + PerHop). Must be >= 1 when there are several engines.
 	Window Cycles
 	// BarrierWork, when non-nil, runs at each barrier with all shards
 	// quiescent, BEFORE Drain — so cross-shard messages it sends are
@@ -35,24 +38,31 @@ type ShardSet struct {
 	// returns how many it moved. It runs on the coordinating goroutine
 	// with every worker quiescent.
 	Drain func() int
-	// AtBarrier, when non-nil, runs after each Drain with all shards
-	// quiescent — a safe point for cross-shard inspection (runtime
-	// invariant checks). It must not schedule events.
-	AtBarrier func()
+	// Quiescent, when non-nil, runs at every point where the whole
+	// machine is at rest and safe to inspect, with the time of the
+	// latest simulated activity: before every dispatch on a single
+	// engine (chained ahead of the engine's own dispatch hook, so
+	// dispatches driven from inside a coroutine are covered too), and
+	// after every barrier's Drain on several. It must not schedule
+	// events, so hooking it in never changes the schedule.
+	Quiescent func(at Cycles)
 }
 
-// Run executes rounds until every shard's queue is empty and no
+// Run executes the engines until every queue is empty and no
 // cross-shard mail remains.
 func (s *ShardSet) Run() {
-	k := len(s.Engines)
-	if k == 0 {
+	switch len(s.Engines) {
+	case 0:
+		return
+	case 1:
+		s.runOne(s.Engines[0])
 		return
 	}
 	if s.Window < 1 {
 		panic(fmt.Sprintf("sim: shard window %d < 1", s.Window))
 	}
-	start := make([]chan Cycles, k)
-	done := make(chan int, k)
+	start := make([]chan Cycles, len(s.Engines))
+	done := make(chan int, len(s.Engines))
 	for i, e := range s.Engines {
 		start[i] = make(chan Cycles)
 		go func(i int, e *Engine, start <-chan Cycles) {
@@ -80,8 +90,8 @@ func (s *ShardSet) Run() {
 		if s.Drain != nil {
 			s.Drain()
 		}
-		if s.AtBarrier != nil {
-			s.AtBarrier()
+		if s.Quiescent != nil {
+			s.Quiescent(s.LastActivityAt())
 		}
 		t, ok := s.nextEventTime()
 		if !ok {
@@ -95,6 +105,42 @@ func (s *ShardSet) Run() {
 			<-done
 		}
 	}
+}
+
+// runOne drains a single engine, with the Quiescent hook (if any)
+// chained ahead of the engine's dispatch hook for the run.
+func (s *ShardSet) runOne(e *Engine) {
+	if q := s.Quiescent; q != nil {
+		prev := e.onEvent
+		e.onEvent = func(at Cycles, kind int) {
+			q(at)
+			if prev != nil {
+				prev(at, kind)
+			}
+		}
+		defer func() { e.onEvent = prev }()
+	}
+	e.Run()
+}
+
+// Now returns the latest clock across the engines.
+func (s *ShardSet) Now() Cycles {
+	var t Cycles
+	for _, e := range s.Engines {
+		t = max(t, e.Now())
+	}
+	return t
+}
+
+// LastActivityAt returns the latest LastActivityAt across the engines:
+// RunUntil drags each shard's clock to the round horizon, but only
+// real activity counts, so this matches a single engine's final clock.
+func (s *ShardSet) LastActivityAt() Cycles {
+	var t Cycles
+	for _, e := range s.Engines {
+		t = max(t, e.LastActivityAt())
+	}
+	return t
 }
 
 // nextEventTime returns the earliest pending event time across all

@@ -1,0 +1,75 @@
+package sim
+
+import "testing"
+
+// TestShardSetOneEngineQuiescent pins the single-engine run loop: no
+// window is needed, the Quiescent hook fires before every dispatch —
+// including the ones a coroutine drives inline from ParkInline — ahead
+// of the engine's own dispatch hook, and the engine's hook is restored
+// after the run.
+func TestShardSetOneEngineQuiescent(t *testing.T) {
+	e := NewEngine()
+	e.SetStrictWait(true) // every wait takes the ParkInline path
+	var order []string
+	e.SetOnEvent(func(Cycles, int) { order = append(order, "probe") })
+	for i := 0; i < 2; i++ {
+		co := NewCoroutine(e, "co", func(co *Coroutine) {
+			for k := 0; k < 5; k++ {
+				co.WaitCycles(Cycles(3 + k))
+			}
+		})
+		co.WakeAfter(Cycles(i))
+	}
+	e.Schedule(7, func() {})
+	quiet := 0
+	ss := &ShardSet{Engines: []*Engine{e}, Quiescent: func(at Cycles) {
+		if at != e.Now() {
+			t.Errorf("quiescent at %d, engine clock %d", at, e.Now())
+		}
+		quiet++
+		order = append(order, "quiescent")
+	}}
+	ss.Run()
+	if uint64(quiet) != e.Processed() || quiet == 0 {
+		t.Fatalf("quiescent fired %d times for %d dispatches", quiet, e.Processed())
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "quiescent" || order[i+1] != "probe" {
+			t.Fatalf("hook order at %d: %v, want quiescent before probe", i, order[i:i+2])
+		}
+	}
+	order = order[:0]
+	e.Schedule(1, func() {})
+	e.Run()
+	if len(order) != 1 || order[0] != "probe" {
+		t.Fatalf("after Run the engine hook is %v, want the original probe alone", order)
+	}
+}
+
+// TestShardSetBarrierQuiescent pins the multi-engine run loop: the
+// Quiescent hook fires once per barrier, after Drain, with the latest
+// real activity across the engines, and the last call sees the run's
+// final activity.
+func TestShardSetBarrierQuiescent(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	a.Schedule(5, func() {})
+	b.Schedule(40, func() {})
+	drained := 0
+	var seen []Cycles
+	ss := &ShardSet{
+		Engines: []*Engine{a, b},
+		Window:  12,
+		Drain:   func() int { drained++; return 0 },
+		Quiescent: func(at Cycles) {
+			if len(seen) != drained-1 {
+				t.Fatalf("quiescent before drain (%d calls, %d drains)", len(seen), drained)
+			}
+			seen = append(seen, at)
+		},
+	}
+	ss.Run()
+	if len(seen) != drained || seen[len(seen)-1] != 40 || ss.LastActivityAt() != 40 {
+		t.Fatalf("quiescent points %v over %d barriers, last activity %d; want the last at 40",
+			seen, drained, ss.LastActivityAt())
+	}
+}

@@ -283,8 +283,8 @@ type TraceMeta struct {
 
 // Observer is one machine's structured-event collector: the ring, the
 // latency histograms, and the time-series samples. Create one with
-// NewObserver, pass it to the machine via core.Config.Observe (or let
-// core.Machine.EnableTrace build one), and read it after Run.
+// NewObserver, pass it to the machine via core.Config.Observe, and read
+// it after Run.
 //
 // An Observer serves exactly one machine: core.NewMachine binds it to
 // the machine's clock and topology, and binding twice panics — sharing
@@ -300,7 +300,6 @@ type Observer struct {
 	samples []Sample
 	meta    TraceMeta
 	clock   func() sim.Cycles
-	cause   uint64
 	bound   bool
 	// winEnd is WindowEnd with 0 mapped to max, so Emit does one
 	// comparison instead of a zero test plus a comparison.
@@ -389,21 +388,9 @@ func (o *Observer) EmitAtTag(tag sim.DispatchTag, at sim.Cycles, kind EventKind,
 	o.EmitAt(at, kind, node, sub, cause, a, b)
 }
 
-// NextCause returns a fresh nonzero causal ID. Causal IDs are
-// machine-wide and strictly increasing in issue order — which only a
-// single serial collector can hand out; shard children must use the
-// per-node CauseFor.
-func (o *Observer) NextCause() uint64 {
-	if o.parent != nil {
-		panic("stats: NextCause on a shard child (machine-wide IDs need one counter; use CauseFor)")
-	}
-	o.cause++
-	return o.cause
-}
-
 // CauseFor returns a fresh nonzero causal ID for an operation issued
-// by the given node. Unlike NextCause the counters are per-node, so a
-// node's k-th issue gets the same ID in serial and sharded runs: all
+// by the given node. The counters are per-node, so a node's k-th issue
+// gets the same ID in serial and sharded runs: all
 // of one node's issues pass through the observer serving its shard in
 // the node's own program order, whatever the shard count. IDs pack
 // node+1 above a 40-bit per-node counter — never zero, never colliding

@@ -9,38 +9,37 @@ import (
 
 // The ring keeps the NEWEST events: pushing past capacity overwrites
 // the oldest, and Overwritten counts the loss.
-func TestTracerKeepsNewest(t *testing.T) {
+func TestObserverKeepsNewest(t *testing.T) {
 	var now sim.Cycles
-	tr := NewTracer(4, func() sim.Cycles { return now })
+	o := NewObserver(ObserveConfig{Events: 4})
+	o.Bind(func() sim.Cycles { return now }, TraceMeta{})
 	for i := 0; i < 6; i++ {
 		now = sim.Cycles(i)
-		tr.Observer().Emit(EvWriteIssue, 1, 0, uint64(i+1), uint64(i), 0)
+		o.Emit(EvWriteIssue, 1, 0, uint64(i+1), uint64(i), 0)
 	}
-	evs := tr.Events()
+	evs := o.Events()
 	if len(evs) != 4 {
 		t.Fatalf("events = %d, want 4 (ring capacity)", len(evs))
 	}
 	if evs[0].At != 2 || evs[3].At != 5 {
 		t.Fatalf("window = [%d, %d], want [2, 5] (newest kept)", evs[0].At, evs[3].At)
 	}
-	if tr.Overwritten() != 2 {
-		t.Fatalf("overwritten = %d, want 2", tr.Overwritten())
+	if o.Overwritten() != 2 {
+		t.Fatalf("overwritten = %d, want 2", o.Overwritten())
 	}
-	if !strings.Contains(tr.Dump(), "2 earlier event(s) overwritten") {
-		t.Fatalf("dump missing overwrite note:\n%s", tr.Dump())
+	if !strings.Contains(o.Dump(), "2 earlier event(s) overwritten") {
+		t.Fatalf("dump missing overwrite note:\n%s", o.Dump())
 	}
 }
 
-// limit <= 0 is the documented default, not a silent fallback.
-func TestTracerDefaultLimit(t *testing.T) {
-	tr := NewTracer(0, func() sim.Cycles { return 0 })
-	if got := tr.Observer().RingCap(); got != DefaultRingEvents {
+// Events <= 0 is the documented default, not a silent fallback.
+func TestObserverDefaultRingCap(t *testing.T) {
+	if got := NewObserver(ObserveConfig{}).RingCap(); got != DefaultRingEvents {
 		t.Fatalf("default ring capacity = %d, want %d", got, DefaultRingEvents)
 	}
-	// Non-power-of-two limits round up.
-	tr = NewTracer(100, func() sim.Cycles { return 0 })
-	if got := tr.Observer().RingCap(); got != 128 {
-		t.Fatalf("ring capacity for limit 100 = %d, want 128", got)
+	// Non-power-of-two capacities round up.
+	if got := NewObserver(ObserveConfig{Events: 100}).RingCap(); got != 128 {
+		t.Fatalf("ring capacity for Events 100 = %d, want 128", got)
 	}
 }
 
@@ -49,14 +48,15 @@ func TestMachineObserverNilByDefault(t *testing.T) {
 	if m.Observer() != nil {
 		t.Fatal("fresh machine should have no observer")
 	}
-	tr := NewTracer(10, func() sim.Cycles { return 7 })
-	m.AttachObserver(tr.Observer())
-	if m.Observer() != tr.Observer() {
+	o := NewObserver(ObserveConfig{Events: 10})
+	o.Bind(func() sim.Cycles { return 7 }, TraceMeta{})
+	m.AttachObserver(o)
+	if m.Observer() != o {
 		t.Fatal("observer attach/accessor broken")
 	}
 	m.Observer().Emit(EvUpdate, 1, 0, 3, 9, 1)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].At != 7 || evs[0].Node != 1 || evs[0].Kind != "update" {
+	evs := o.Events()
+	if len(evs) != 1 || evs[0].At != 7 || evs[0].Node != 1 || evs[0].Kind != EvUpdate {
 		t.Fatalf("events = %+v", evs)
 	}
 }
@@ -86,10 +86,16 @@ func TestObserverDoubleBindPanics(t *testing.T) {
 	o.Bind(func() sim.Cycles { return 0 }, TraceMeta{})
 }
 
+// CauseFor draws per-node IDs: nonzero, strictly increasing within a
+// node, and never colliding across nodes.
 func TestCausalIDsMonotonic(t *testing.T) {
 	o := NewObserver(ObserveConfig{})
-	if a, b := o.NextCause(), o.NextCause(); a != 1 || b != 2 {
-		t.Fatalf("causes = %d, %d; want 1, 2", a, b)
+	a, b := o.CauseFor(0), o.CauseFor(0)
+	if a == 0 || b <= a {
+		t.Fatalf("node 0 causes = %d, %d; want nonzero and increasing", a, b)
+	}
+	if c := o.CauseFor(1); c == a || c == b {
+		t.Fatalf("node 1 cause %d collides with node 0's %d, %d", c, a, b)
 	}
 }
 
@@ -139,7 +145,7 @@ func TestEmitZeroAlloc(t *testing.T) {
 	o.Bind(func() sim.Cycles { return now }, TraceMeta{Nodes: 4})
 	allocs := testing.AllocsPerRun(1000, func() {
 		now++
-		o.Emit(EvWriteIssue, 2, 0, o.NextCause(), 0xdead, 42)
+		o.Emit(EvWriteIssue, 2, 0, o.CauseFor(2), 0xdead, 42)
 		o.Metrics.WriteAck.Observe(uint64(now))
 	})
 	if allocs != 0 {
@@ -219,7 +225,7 @@ func TestAccessEmitZeroAlloc(t *testing.T) {
 		now++
 		o.Emit(EvAccRead, 1, 0, 0, 0x40, 3<<32|7)
 		o.Emit(EvAccWrite, 1, 1, 0, 0x41, 3<<32|9)
-		o.Emit(EvAccRMW, 2, 1, o.NextCause(), 0x42, 4<<32|1)
+		o.Emit(EvAccRMW, 2, 1, o.CauseFor(2), 0x42, 4<<32|1)
 		o.Emit(EvAccFence, 2, 0, 0, 4, 0)
 	})
 	if allocs != 0 {

@@ -91,11 +91,13 @@ type (
 	MachineStats = stats.Machine
 	// NodeStats holds one node's counters.
 	NodeStats = stats.Node
-	// Tracer records timestamped protocol events when enabled with
-	// Machine.EnableTrace.
-	Tracer = stats.Tracer
-	// TraceEvent is one recorded protocol event.
-	TraceEvent = stats.TraceEvent
+	// Observer records a machine's structured protocol events, latency
+	// histograms and time-series samples; attach one with
+	// Config.Observe.
+	Observer = stats.Observer
+	// ObserveConfig sizes an Observer's ring and selects what it
+	// records.
+	ObserveConfig = stats.ObserveConfig
 	// CacheConfig sizes the per-processor cache.
 	CacheConfig = cache.Config
 	// Mode selects the processor's latency reaction (run-to-block or
@@ -140,6 +142,10 @@ func New(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
 
 // DefaultConfig returns a paper-calibrated machine on a w x h mesh.
 func DefaultConfig(w, h int) Config { return core.DefaultConfig(w, h) }
+
+// NewObserver returns an observer to set as Config.Observe; one
+// observer serves exactly one machine.
+func NewObserver(cfg ObserveConfig) *Observer { return stats.NewObserver(cfg) }
 
 // DefaultTiming returns the paper's cycle-cost table (§3.1, §5,
 // Table 3-1), with documented choices where the paper is silent.

@@ -164,12 +164,16 @@ func TestKernelMigrationThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestTraceEndToEnd drives the structured observer through the public
+// surface alone: plus.NewObserver attached via Config.Observe.
 func TestTraceEndToEnd(t *testing.T) {
-	m, err := plus.New(plus.DefaultConfig(2, 1))
+	cfg := plus.DefaultConfig(2, 1)
+	obs := plus.NewObserver(plus.ObserveConfig{Events: 128})
+	cfg.Observe = obs
+	m, err := plus.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := m.EnableTrace(128)
 	data := m.Alloc(1, 1)
 	m.Spawn(0, func(th *plus.Thread) {
 		th.Write(data, 1)
@@ -180,19 +184,19 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]bool{}
-	for _, e := range tr.Events() {
-		kinds[e.Kind] = true
+	for _, e := range obs.Events() {
+		kinds[e.Kind.String()] = true
 	}
 	for _, want := range []string{"write", "fence", "rmw", "ack"} {
 		if !kinds[want] {
 			t.Errorf("trace missing %q events; got %v", want, kinds)
 		}
 	}
-	if tr.Dump() == "" {
+	if obs.Dump() == "" {
 		t.Error("empty trace dump")
 	}
 	// Timestamps are nondecreasing.
-	ev := tr.Events()
+	ev := obs.Events()
 	for i := 1; i < len(ev); i++ {
 		if ev[i].At < ev[i-1].At {
 			t.Fatal("trace timestamps not monotone")
