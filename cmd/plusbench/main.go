@@ -5,10 +5,9 @@
 // Usage:
 //
 //	plusbench [-exp all|ablations|<name>[,<name>...]] [-quick] [-json]
-//	          [-parallel N] [-shards K] [-chart] [-max-procs N] [-timing FILE] [-list]
+//	          [-parallel N] [-shards K] [-chart] [-max-procs N] [-list]
 //	          [-trace FILE] [-trace-window A:B] [-trace-events N]
 //	          [-sample N] [-hist]
-//	plusbench -compare OLD.json NEW.json [-threshold F]
 //	plusbench -races [-json] [-trace FILE]
 //
 // Every experiment is a sweep of independent simulation points run on
@@ -17,9 +16,8 @@
 // runs each supporting point's machine on K shard engines —
 // parallelism inside one simulation rather than across points, with
 // byte-identical results either way. -json replaces the tables with
-// one JSON array of {experiment, title, points, rows} objects. -timing writes a BENCH_<date>.json-style self-timing
-// report (per-experiment wall-clock, point count, workers) so the
-// parallel speedup stays trackable.
+// one JSON array of {experiment, title, points, rows} objects. Host
+// performance is measured by the separate benchmark harness in bench/.
 //
 // -trace instruments every sweep point with the structured-event
 // layer and writes one Chrome trace-event JSON (load it in Perfetto or
@@ -29,9 +27,6 @@
 // ring; -sample adds time-series counters every N cycles. -hist
 // prints the merged latency histograms (remote reads, write acks, RMW
 // round trips, per-hop queueing) and a folded stall summary.
-//
-// -compare diffs two -timing reports and exits 1 when any experiment
-// regressed in wall-clock by more than -threshold (default 10%).
 //
 // -races runs the registered race-detection corpus (experiments.
 // RacePrograms) with the data-access event layer on and prints each
@@ -50,10 +45,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"plus/experiments"
 	"plus/internal/sim"
@@ -68,22 +61,14 @@ func main() {
 	shards := flag.Int("shards", 0, "shard engines per machine where supported (0/1 = serial; orthogonal to -parallel)")
 	jsonOut := flag.Bool("json", false, "emit rows as a JSON array instead of tables")
 	chart := flag.Bool("chart", false, "render the figures as ASCII charts as well")
-	timing := flag.String("timing", "", "write a JSON self-timing report to this file")
 	list := flag.Bool("list", false, "list registered experiments and exit")
 	traceOut := flag.String("trace", "", "instrument every sweep point and write a Chrome trace-event JSON to this file")
 	traceWindow := flag.String("trace-window", "", "record only events in cycles A:B (empty = whole run)")
 	traceEvents := flag.Int("trace-events", 0, "per-point event ring size (0 = default)")
 	sample := flag.Int("sample", 0, "sample per-link utilization and per-node stalls every N cycles (0 = off)")
 	hist := flag.Bool("hist", false, "print merged latency histograms and a stall summary (implies instrumentation)")
-	compare := flag.Bool("compare", false, "compare two -timing reports: plusbench -compare OLD.json NEW.json")
-	threshold := flag.Float64("threshold", 0.10, "wall-clock regression threshold for -compare (fraction)")
 	races := flag.Bool("races", false, "run the race-detection corpus and print happens-before reports")
 	flag.Parse()
-
-	if *compare {
-		runCompare(flag.Args(), *threshold)
-		return
-	}
 
 	if *races {
 		runRaces(*jsonOut, *traceOut)
@@ -118,30 +103,14 @@ func main() {
 		}
 		opts.Observe = experiments.NewObservation(ocfg)
 	}
-	report := experiments.Report{
-		Date:       time.Now().Format("2006-01-02"),
-		Quick:      *quick,
-		Workers:    opts.WorkerCount(),
-		Shards:     opts.EffectiveShards(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
 
 	var results []*experiments.Result
-	start := time.Now()
 	for _, e := range sel {
-		t0 := time.Now()
 		res, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
 			os.Exit(1)
 		}
-		report.Experiments = append(report.Experiments, experiments.Timing{
-			Experiment: e.Name,
-			Points:     res.Points,
-			Workers:    report.Workers,
-			WallMS:     float64(time.Since(t0).Microseconds()) / 1e3,
-		})
 		if *jsonOut {
 			results = append(results, res)
 			continue
@@ -151,8 +120,6 @@ func main() {
 			fmt.Println(res.Chart)
 		}
 	}
-	report.TotalWallMS = float64(time.Since(start).Microseconds()) / 1e3
-
 	if *jsonOut {
 		enc, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
@@ -163,19 +130,6 @@ func main() {
 	}
 	if opts.Observe != nil {
 		writeObservation(opts.Observe, *traceOut, *hist)
-	}
-	if *timing != "" {
-		enc, err := json.MarshalIndent(&report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: marshal timing: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*timing, append(enc, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: write timing: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "plusbench: %d experiment(s), %d worker(s), %.0f ms total -> %s\n",
-			len(report.Experiments), report.Workers, report.TotalWallMS, *timing)
 	}
 }
 
@@ -259,34 +213,6 @@ func runRaces(jsonOut bool, traceOut string) {
 	}
 	if !ok {
 		fmt.Fprintln(os.Stderr, "plusbench: race corpus verdict mismatch")
-		os.Exit(1)
-	}
-}
-
-// runCompare implements -compare OLD.json NEW.json.
-func runCompare(args []string, threshold float64) {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "plusbench: -compare needs exactly two report files: OLD.json NEW.json")
-		os.Exit(2)
-	}
-	oldJSON, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
-		os.Exit(2)
-	}
-	newJSON, err := os.ReadFile(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: %v\n", err)
-		os.Exit(2)
-	}
-	diff, regressed, err := experiments.CompareReports(oldJSON, newJSON, threshold)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: compare: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Print(diff)
-	if regressed {
-		fmt.Fprintf(os.Stderr, "plusbench: wall-clock regression over %.0f%% detected\n", threshold*100)
 		os.Exit(1)
 	}
 }

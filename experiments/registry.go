@@ -8,8 +8,8 @@ import (
 // Result is the uniform outcome of one registered experiment: the
 // typed rows (marshaled verbatim by `plusbench -json`), the rendered
 // table, the optional ASCII chart, and the number of sweep points the
-// runner executed. Everything in it is deterministic — wall-clock
-// timing lives in the separate self-timing Report.
+// runner executed. Everything in it is deterministic except the scale
+// experiment's wall-clock columns.
 type Result struct {
 	Name   string `json:"experiment"`
 	Title  string `json:"title"`
@@ -182,29 +182,4 @@ func Select(spec string) ([]Experiment, error) {
 		return nil, fmt.Errorf("empty experiment selection %q", spec)
 	}
 	return out, nil
-}
-
-// Timing is one experiment's wall-clock sample in the self-timing
-// report plusbench writes with -timing.
-type Timing struct {
-	Experiment string  `json:"experiment"`
-	Points     int     `json:"points"`
-	Workers    int     `json:"workers"`
-	WallMS     float64 `json:"wall_ms"`
-}
-
-// Report is the BENCH_<date>.json self-timing report: per-experiment
-// wall-clock, point counts and pool size, so the ~#cores speedup of
-// the parallel runner stays visible and trackable over time.
-type Report struct {
-	Date  string `json:"date"`
-	Quick bool   `json:"quick"`
-	// Workers is the sweep-point pool size; Shards the per-machine
-	// engine count the run was invoked with (1 = serial points).
-	Workers     int      `json:"workers"`
-	Shards      int      `json:"shards"`
-	GoMaxProcs  int      `json:"gomaxprocs"`
-	NumCPU      int      `json:"num_cpu"`
-	Experiments []Timing `json:"experiments"`
-	TotalWallMS float64  `json:"total_wall_ms"`
 }

@@ -37,14 +37,6 @@ type Options struct {
 	Observe *Observation
 }
 
-// WorkerCount resolves Workers to the pool size actually used.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // EffectiveShards resolves Shards to the per-point engine count
 // recorded in every Result (1 = serial).
 func (o Options) EffectiveShards() int {

@@ -165,8 +165,8 @@ func scaleExperiment() Experiment {
 // FormatScale renders the scale sweep. The printed table carries only
 // the deterministic simulation columns — stdout must stay
 // byte-identical run to run, the repo's hard invariant — so the
-// wall-clock measurements (wall_ms, speedup) live in the -json rows
-// and the -timing report, like every other wall-clock number.
+// wall-clock measurements (wall_ms, speedup) live only in the -json
+// rows.
 func FormatScale(rows []ScaleRow) string {
 	return renderTable(
 		"Sharded engine scale: identical simulations per shard count (wall-clock in -json)",

@@ -141,12 +141,11 @@ type CM struct {
 	// Crash/failover state (crash.go). crashy is set only when the run
 	// has a crash script; every tolerance it arms is unreachable — and
 	// every protocol panic stays loud — on ordinary runs.
-	crashy        bool
-	down          bool
-	router        FailoverRouter
-	suspectFn     func(mesh.NodeID)
-	detectStrikes int
-	slotGen       uint64
+	crashy    bool
+	down      bool
+	router    FailoverRouter
+	suspectFn func(mesh.NodeID)
+	slotGen   uint64
 
 	// Write-invalidate ablation mode (see invalidate.go). Real PLUS is
 	// write-update; this exists to measure the §2.2 claim.
@@ -353,23 +352,6 @@ func (cm *CM) BusySlots() int {
 // synchronously, so the calling coroutine can park unconditionally
 // after issuing.
 func (cm *CM) Read(g GAddr, done func(memory.Word)) {
-	cm.startRead(g, done, false)
-}
-
-// ReadFast is Read with a synchronous fast path for the calling
-// coroutine: when mayFast is true (the caller's processor has no other
-// runnable thread that the event path would dispatch during the wait)
-// and the read is served locally with no other event due within its
-// latency, the clock advances directly and the value returns in place
-// — skipping the completion event and the park/resume handoff while
-// producing the identical schedule. Otherwise it behaves exactly like
-// Read and the caller must park until done fires; the returned cost is
-// meaningful only when ok is true.
-func (cm *CM) ReadFast(g GAddr, done func(memory.Word), mayFast bool) (v memory.Word, cost sim.Cycles, ok bool) {
-	return cm.startRead(g, done, mayFast)
-}
-
-func (cm *CM) startRead(g GAddr, done func(memory.Word), mayFast bool) (memory.Word, sim.Cycles, bool) {
 	cm.lastCause = 0
 	// Reads are combine barriers: any read issued by this node flushes
 	// the combine buffer (batch.go). In particular a read of a word
@@ -379,17 +361,15 @@ func (cm *CM) startRead(g GAddr, done func(memory.Word), mayFast bool) (memory.W
 		cm.FlushBatch()
 	}
 	// Reading a location that is currently being written blocks until
-	// the write completes (intra-processor strong ordering, §2.3). The
-	// retry fires from event context with the reader parked, so it must
-	// take the event path.
+	// the write completes (intra-processor strong ordering, §2.3).
 	if cm.pendingAddrs[g] > 0 {
-		cm.readRetry[g] = append(cm.readRetry[g], func() { cm.startRead(g, done, false) })
-		return 0, 0, false
+		cm.readRetry[g] = append(cm.readRetry[g], func() { cm.Read(g, done) })
+		return
 	}
 	if g.Node == cm.self {
 		if cm.invalidateMode && cm.isInvalid(g.Page, g.Off) {
 			cm.readInvalidated(g, done)
-			return 0, 0, false
+			return
 		}
 		cost := cm.ca.Read(g.Page, g.Off)
 		v := cm.mem.Read(g.Page, g.Off)
@@ -399,11 +379,8 @@ func (cm *CM) startRead(g GAddr, done func(memory.Word), mayFast bool) (memory.W
 		} else {
 			cm.node().CacheMisses++
 		}
-		if mayFast && cm.eng.AdvanceIf(cost) {
-			return v, cost, true
-		}
 		cm.scheduleReadDone(cost, done, v)
-		return 0, 0, false
+		return
 	}
 	cm.node().RemoteReads++
 	id := cm.nextID
@@ -426,7 +403,6 @@ func (cm *CM) startRead(g GAddr, done func(memory.Word), mayFast bool) (memory.W
 		o.Emit(stats.EvReadIssue, int(cm.self), 0, m.Cause, packAddr(g), 0)
 	}
 	cm.eng.ScheduleEvent(cm.tm.RemoteReadOverhead, cm, ckSend, m)
-	return 0, 0, false
 }
 
 // scheduleReadDone delivers a local read's value through a pooled

@@ -45,14 +45,17 @@ type FailoverRouter interface {
 	RerouteFrame(owner mesh.NodeID, frame memory.PPage) (memory.GPage, bool)
 }
 
+// detectStrikes is the crash-detection threshold: consecutive
+// retransmission timeouts to one peer, with no acknowledged progress,
+// after which the transport suspects the peer has crashed.
+const detectStrikes = 3
+
 // ArmCrashRecovery wires the crash-epoch collaborators: the kernel's
-// reroute table, the core layer's crash-suspicion hook, and the
-// detection threshold (consecutive zero-progress retransmit expirations
-// per peer). Called once at machine build on crash-script runs.
-func (cm *CM) ArmCrashRecovery(router FailoverRouter, suspect func(mesh.NodeID), strikes int) {
+// reroute table and the core layer's crash-suspicion hook. Called once
+// at machine build on crash-script runs.
+func (cm *CM) ArmCrashRecovery(router FailoverRouter, suspect func(mesh.NodeID)) {
 	cm.router = router
 	cm.suspectFn = suspect
-	cm.detectStrikes = strikes
 }
 
 // Down reports whether this node is currently crashed.

@@ -195,7 +195,7 @@ func (cm *CM) fireRetrans(tk *retransTimer) {
 	// re-enters this CM and rewrites the very txState above.
 	if cm.suspectFn != nil {
 		tx.strikes++
-		if tx.strikes >= cm.detectStrikes {
+		if tx.strikes >= detectStrikes {
 			tx.strikes = 0
 			cm.suspectFn(tk.dst)
 		}

@@ -26,13 +26,13 @@ func isAccessEvent(k stats.EventKind) bool {
 // reorders, retimes or perturbs anything else. Elapsed time and
 // counters match the unobserved run in all three configurations.
 func TestDataAccessOffIsInvisible(t *testing.T) {
-	mPlain, ePlain := observeWorkload(t, nil)
+	mPlain, ePlain := observeWorkload(t, nil, proc.RunToBlock)
 
 	off := stats.NewObserver(stats.ObserveConfig{Events: 1 << 18})
-	mOff, eOff := observeWorkload(t, off)
+	mOff, eOff := observeWorkload(t, off, proc.RunToBlock)
 
 	on := stats.NewObserver(stats.ObserveConfig{Events: 1 << 18, DataAccess: true})
-	mOn, eOn := observeWorkload(t, on)
+	mOn, eOn := observeWorkload(t, on, proc.RunToBlock)
 
 	if ePlain != eOff || ePlain != eOn {
 		t.Fatalf("elapsed differs: plain %d, off %d, on %d", ePlain, eOff, eOn)

@@ -8,12 +8,10 @@ import (
 )
 
 // benchSyncLoop runs one thread per node hammering a remote counter
-// with delayed fetch-and-adds and verify polls — the workload where
-// the serial engine's direct clock-advance fast paths (yield after a
-// sync issue, the verify poll, the re-dispatch after a remote reply)
-// pay or don't. Spend is dominated by park/wake machinery when the
-// fast paths miss, so this is the focused regression benchmark for
-// them.
+// with delayed fetch-and-adds and verify polls. Spend is dominated by
+// the wait path — wake events, ParkInline's in-place dispatch, and the
+// coroutine handoffs it cannot avoid — so this is the focused
+// regression benchmark for it.
 func benchSyncLoop(b *testing.B, mode proc.Mode, switchCost int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -46,16 +44,15 @@ func benchSyncLoop(b *testing.B, mode proc.Mode, switchCost int) {
 	}
 }
 
-// BenchmarkSyncVerifyRunToBlock exercises the verify-poll and
-// remote-wait fast paths in the paper's run-to-block mode.
+// BenchmarkSyncVerifyRunToBlock exercises verify waits and remote
+// round trips in the paper's run-to-block mode.
 func BenchmarkSyncVerifyRunToBlock(b *testing.B) {
 	benchSyncLoop(b, proc.RunToBlock, 0)
 }
 
 // BenchmarkSyncVerifySwitchOnSync adds the context-switch dispatch to
-// every sync issue — the AdvanceIf fast path in yield() collapses the
-// switch to a clock advance whenever the thread is its processor's
-// only runnable work.
+// every sync issue: a thread that is its processor's only runnable
+// work is re-dispatched through a wake event after the switch cost.
 func BenchmarkSyncVerifySwitchOnSync(b *testing.B) {
 	benchSyncLoop(b, proc.SwitchOnSync, 40)
 }

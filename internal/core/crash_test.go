@@ -254,10 +254,6 @@ func TestCrashConfigRejections(t *testing.T) {
 			c.Faults.Crashes = append(c.Faults.Crashes,
 				mesh.CrashEvent{Node: 1, At: 120, Duration: 50})
 		}},
-		{"detect-without-script", func(c *Config) {
-			c.Faults.Crashes = nil
-			c.Faults.CrashDetectAfter = 3
-		}},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(4, 2)

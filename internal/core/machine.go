@@ -166,14 +166,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, mcfg)
 	engines := net.Engines()
-	for _, e := range engines {
-		// Deferred contention replays mid-round sends at barriers in
-		// dispatch-tag order; tags are only meaningful under strict
-		// waiting. One engine waits strictly too so its schedule stays
-		// byte-identical to sharded ones (AdvanceIf is schedule-neutral —
-		// see sim.Engine.SetStrictWait).
-		e.SetStrictWait(mcfg.Contention)
-	}
 	n := net.Nodes()
 	st := stats.New(n)
 	m := &Machine{cfg: cfg, eng: eng, engines: engines, net: net, st: st}
@@ -221,9 +213,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 			}
 			m.kern.FailNode(dead)
 		}
-		strikes := cfg.Faults.DetectStrikes()
 		for _, cm := range m.cms {
-			cm.ArmCrashRecovery(m.kern, suspect, strikes)
+			cm.ArmCrashRecovery(m.kern, suspect)
 		}
 		for _, ev := range cfg.Faults.Crashes {
 			ev := ev
@@ -255,9 +246,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 // own engine's clock and dispatch tags (stats.ShardChild); the shard's
 // components emit into the child and Run merges the buffers into the
 // master ring in tag order at every barrier, reconstructing the exact
-// one-engine emission order. Every engine — including a lone one —
-// switches to strict waiting so dispatch tags stay meaningful and all
-// shard counts keep identical schedules.
+// one-engine emission order.
 func (m *Machine) attachObserver(o *stats.Observer) {
 	o.Bind(m.eng.Now, stats.TraceMeta{
 		Nodes:      m.net.Nodes(),
@@ -267,9 +256,6 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 	})
 	m.obs = o
 	m.st.AttachObserver(o)
-	for _, e := range m.engines {
-		e.SetStrictWait(true)
-	}
 	if period := o.SampleInterval(); period > 0 {
 		m.sample = m.samplerFunc(o, period)
 	}

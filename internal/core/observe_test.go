@@ -14,11 +14,16 @@ import (
 )
 
 // observeWorkload runs a fixed 2x2 workload mixing local and remote
-// reads, writes and RMWs, optionally instrumented.
-func observeWorkload(t *testing.T, obs *stats.Observer) (*Machine, sim.Cycles) {
+// reads, writes and RMWs, optionally instrumented, under the given
+// processor mode (SwitchOnSync pays a 40-cycle switch cost).
+func observeWorkload(t *testing.T, obs *stats.Observer, mode proc.Mode) (*Machine, sim.Cycles) {
 	t.Helper()
 	cfg := DefaultConfig(2, 2)
 	cfg.Observe = obs
+	cfg.Mode = mode
+	if mode == proc.SwitchOnSync {
+		cfg.SwitchCost = 40
+	}
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,23 +50,34 @@ func observeWorkload(t *testing.T, obs *stats.Observer) (*Machine, sim.Cycles) {
 }
 
 // TestObservedRunMatchesUnobserved pins the "observation changes
-// nothing" contract: the same workload with and without an observer
-// produces identical elapsed time, counters and message totals.
+// nothing" contract in both processor modes: the same workload with
+// and without an observer produces identical elapsed time, counters
+// (context switches included) and message totals.
 func TestObservedRunMatchesUnobserved(t *testing.T) {
-	mPlain, ePlain := observeWorkload(t, nil)
-	obs := stats.NewObserver(stats.ObserveConfig{SampleEvery: 1000, EngineEvents: true})
-	mObs, eObs := observeWorkload(t, obs)
-	if ePlain != eObs {
-		t.Fatalf("observer changed elapsed time: %d vs %d", ePlain, eObs)
-	}
-	if a, b := mPlain.Stats().Totals(), mObs.Stats().Totals(); a != b {
-		t.Fatalf("observer changed counters:\n%+v\n%+v", a, b)
-	}
-	if a, b := mPlain.Stats().Messages(), mObs.Stats().Messages(); a != b {
-		t.Fatalf("observer changed message count: %d vs %d", a, b)
-	}
-	if obs.EventCount() == 0 {
-		t.Fatal("observer recorded nothing")
+	for _, tc := range []struct {
+		name string
+		mode proc.Mode
+	}{
+		{"run-to-block", proc.RunToBlock},
+		{"switch-on-sync", proc.SwitchOnSync},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mPlain, ePlain := observeWorkload(t, nil, tc.mode)
+			obs := stats.NewObserver(stats.ObserveConfig{SampleEvery: 1000, EngineEvents: true})
+			mObs, eObs := observeWorkload(t, obs, tc.mode)
+			if ePlain != eObs {
+				t.Fatalf("observer changed elapsed time: %d vs %d", ePlain, eObs)
+			}
+			if a, b := mPlain.Stats().Totals(), mObs.Stats().Totals(); a != b {
+				t.Fatalf("observer changed counters:\n%+v\n%+v", a, b)
+			}
+			if a, b := mPlain.Stats().Messages(), mObs.Stats().Messages(); a != b {
+				t.Fatalf("observer changed message count: %d vs %d", a, b)
+			}
+			if obs.EventCount() == 0 {
+				t.Fatal("observer recorded nothing")
+			}
+		})
 	}
 }
 
@@ -75,7 +91,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 // the end-of-run totals.
 func TestObserverAcceptance(t *testing.T) {
 	obs := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16, SampleEvery: 500})
-	m, _ := observeWorkload(t, obs)
+	m, _ := observeWorkload(t, obs, proc.RunToBlock)
 
 	run := stats.ObservedRunFrom("accept", obs)
 	data, err := stats.ChromeTrace([]stats.ObservedRun{run})

@@ -98,13 +98,7 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 	rejoin := []memory.VPage{}
 	for vp := memory.VPage(0); vp < k.nextVPage; vp++ {
 		list := k.copyLists[vp]
-		idx := -1
-		for i, g := range list {
-			if g.Node == n {
-				idx = i
-				break
-			}
-		}
+		idx := k.copyIndex(vp, n)
 		if idx < 0 {
 			continue
 		}
@@ -117,33 +111,13 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 		}
 		k.lost[n][list[idx].Page] = vp
 		rejoin = append(rejoin, vp)
-		nl := append(append([]memory.GPage{}, list[:idx]...), list[idx+1:]...)
-		k.copyLists[vp] = nl
 		if idx == 0 {
-			// The master died: promote the next copy, exactly as
-			// DeleteCopy does, and repoint every survivor.
 			k.st.MastersPromoted++
-			newMaster := nl[0]
-			for _, g := range nl {
-				k.cms[g.Node].SetMaster(g.Page, newMaster)
-			}
-		} else {
-			// Splice the predecessor past the dead copy.
-			pred := nl[idx-1]
-			next := memory.NilGPage
-			if idx < len(nl) {
-				next = nl[idx]
-			}
-			k.cms[pred.Node].SetNext(pred.Page, next)
 		}
-		// The dead node's own tables are left alone: they are volatile
-		// state that Restart wipes wholesale.
-		for _, tbl := range k.tables {
-			tbl.Invalidate(vp)
-		}
-		for _, g := range nl {
-			k.tables[g.Node].Install(vp, g)
-		}
+		// Unlink exactly as DeleteCopy does. The dead node's own CM
+		// tables are left alone: they are volatile state that Restart
+		// wipes wholesale.
+		k.unlink(vp, idx)
 		k.resyncChain(vp, idx)
 	}
 	k.failed[n] = rejoin

@@ -246,12 +246,17 @@ func (k *Kernel) CopyNodes(vp memory.VPage) []mesh.NodeID {
 
 // HasCopy reports whether node holds a copy of vp.
 func (k *Kernel) HasCopy(vp memory.VPage, node mesh.NodeID) bool {
-	for _, g := range k.copyLists[vp] {
+	return k.copyIndex(vp, node) >= 0
+}
+
+// copyIndex returns node's position in vp's copy-list, or -1.
+func (k *Kernel) copyIndex(vp memory.VPage, node mesh.NodeID) int {
+	for i, g := range k.copyLists[vp] {
 		if g.Node == node {
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
 // Resolve implements the lazy page-table fill: it returns the most
@@ -301,17 +306,9 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 	if k.HasCopy(vp, node) {
 		return
 	}
-	list := k.copyLists[vp]
-	if len(list) == 0 {
-		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
-	}
-	pos := k.insertionPoint(list, node)
-	frame := k.mems[node].AllocFrame()
-	gp := memory.GPage{Node: node, Page: frame}
-	k.splice(vp, pos, gp)
+	gp, pred := k.link(vp, node)
 	// Instant data copy from the predecessor.
-	pred := k.copyLists[vp][pos-1]
-	copy(k.mems[node].Page(frame), k.mems[pred.Node].Page(pred.Page))
+	copy(k.mems[node].Page(gp.Page), k.mems[pred.Node].Page(pred.Page))
 	k.tables[node].Install(vp, gp)
 }
 
@@ -343,15 +340,7 @@ func (k *Kernel) replicateBG(vp memory.VPage, node mesh.NodeID, done func()) {
 		}
 		return
 	}
-	list := k.copyLists[vp]
-	if len(list) == 0 {
-		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
-	}
-	pos := k.insertionPoint(list, node)
-	frame := k.mems[node].AllocFrame()
-	gp := memory.GPage{Node: node, Page: frame}
-	k.splice(vp, pos, gp)
-	pred := k.copyLists[vp][pos-1]
+	gp, pred := k.link(vp, node)
 	k.copiesInFlight.Add(1)
 	// fired guards against the completion running twice: on crash-script
 	// runs a copy racing a crash may be completed administratively from
@@ -374,23 +363,30 @@ func (k *Kernel) replicateBG(vp memory.VPage, node mesh.NodeID, done func()) {
 	})
 }
 
-// splice links gp into vp's copy-list at position pos, updating the
-// hardware master/next-copy tables on the predecessor and new node.
-func (k *Kernel) splice(vp memory.VPage, pos int, gp memory.GPage) {
+// link allocates a frame on node and splices it into vp's copy-list at
+// the insertion point, updating the hardware master/next-copy tables on
+// the predecessor and the new copy. It returns the new copy and its
+// chain predecessor, the source of the page's data.
+func (k *Kernel) link(vp memory.VPage, node mesh.NodeID) (gp, pred memory.GPage) {
 	list := k.copyLists[vp]
-	master := list[0]
-	pred := list[pos-1]
+	if len(list) == 0 {
+		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
+	}
+	pos := k.insertionPoint(list, node)
+	gp = memory.GPage{Node: node, Page: k.mems[node].AllocFrame()}
+	pred = list[pos-1]
 	next := memory.NilGPage
 	if pos < len(list) {
 		next = list[pos]
 	}
-	k.cms[gp.Node].InstallPage(gp.Page, master, next)
+	k.cms[node].InstallPage(gp.Page, list[0], next)
 	k.cms[pred.Node].SetNext(pred.Page, gp)
 	nl := make([]memory.GPage, 0, len(list)+1)
 	nl = append(nl, list[:pos]...)
 	nl = append(nl, gp)
 	nl = append(nl, list[pos:]...)
 	k.copyLists[vp] = nl
+	return gp, pred
 }
 
 // DeleteCopy removes node's copy of vp. Deleting a copy is akin to
@@ -421,32 +417,33 @@ func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 		}
 	}
 	list := k.copyLists[vp]
-	idx := -1
-	for i, g := range list {
-		if g.Node == node {
-			idx = i
-			break
-		}
-	}
+	idx := k.copyIndex(vp, node)
 	if idx < 0 {
 		panic(fmt.Sprintf("kernel: node %d holds no copy of page %d", node, vp))
 	}
 	if len(list) == 1 {
 		panic(fmt.Sprintf("kernel: cannot delete the only copy of page %d", vp))
 	}
-	victim := list[idx]
+	k.unlink(vp, idx)
+	k.cms[node].DropPage(list[idx].Page)
+}
+
+// unlink removes position idx from vp's copy-list. Removing the master
+// promotes the next copy and rewrites every survivor's master pointer;
+// removing any other copy splices its predecessor past it. Every
+// node's translation is then shot down and the survivors' eager
+// mappings reinstalled. The removed copy's own CM tables are left to
+// the caller.
+func (k *Kernel) unlink(vp memory.VPage, idx int) {
+	list := k.copyLists[vp]
 	nl := append(append([]memory.GPage{}, list[:idx]...), list[idx+1:]...)
 	k.copyLists[vp] = nl
-
 	if idx == 0 {
-		// Deleting the master: promote the next copy and rewrite every
-		// remaining copy's master pointer.
 		newMaster := nl[0]
 		for _, g := range nl {
 			k.cms[g.Node].SetMaster(g.Page, newMaster)
 		}
 	} else {
-		// Splice the predecessor past the victim.
 		pred := nl[idx-1]
 		next := memory.NilGPage
 		if idx < len(nl) {
@@ -454,13 +451,10 @@ func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 		}
 		k.cms[pred.Node].SetNext(pred.Page, next)
 	}
-	k.cms[node].DropPage(victim.Page)
-
 	// TLB shootdown: every node remaps the page lazily.
 	for _, tbl := range k.tables {
 		tbl.Invalidate(vp)
 	}
-	// Reinstall eager mappings on nodes that still hold copies.
 	for _, g := range nl {
 		k.tables[g.Node].Install(vp, g)
 	}

@@ -113,11 +113,6 @@ type FaultConfig struct {
 	// Scripted crashes arm the reliability sublayer like the message
 	// faults above; an empty script leaves every hot path untouched.
 	Crashes []CrashEvent
-	// CrashDetectAfter is the number of consecutive retransmission
-	// timeouts to one destination after which the transport suspects
-	// the peer has crashed and escalates to the kernel's failover path.
-	// 0 means the default (3). Meaningful only with a crash script.
-	CrashDetectAfter int
 }
 
 // CrashEvent schedules one node outage: Node is down for
@@ -128,15 +123,6 @@ type CrashEvent struct {
 	Node     NodeID
 	At       sim.Cycles
 	Duration sim.Cycles
-}
-
-// DetectStrikes resolves CrashDetectAfter to the threshold actually
-// used by the coherence transport.
-func (f FaultConfig) DetectStrikes() int {
-	if f.CrashDetectAfter > 0 {
-		return f.CrashDetectAfter
-	}
-	return 3
 }
 
 // Enabled reports whether any part of the fault model is active — the
@@ -187,11 +173,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: LinkBufFlits is serial-only (admission reads the shared link queues mid-round, and the NACK bounce at +Base cycles is inside the lookahead window); run with Shards <= 1")
 	case c.Faults.DelayRate > 0 && c.Faults.DelayMax < 1:
 		return fmt.Errorf("mesh: DelayRate %v requires DelayMax >= 1", c.Faults.DelayRate)
-	case c.Faults.CrashDetectAfter < 0:
-		return fmt.Errorf("mesh: negative CrashDetectAfter %d", c.Faults.CrashDetectAfter)
-	case c.Faults.CrashDetectAfter > 0 && len(c.Faults.Crashes) == 0:
-		return fmt.Errorf("mesh: CrashDetectAfter %d without crash events (the detection threshold only applies to a crash script; set Faults.Crashes or drop it)",
-			c.Faults.CrashDetectAfter)
 	case c.Shards > 1 && len(c.Faults.Crashes) > 0:
 		return fmt.Errorf("mesh: crash injection is serial-only (failover rewrites copy-lists and transport state across every node, which no shard owns); run with Shards <= 1")
 	}

@@ -395,25 +395,10 @@ func (t *Thread) waitOp(class uint8) sim.Cycles {
 // yield requeues the thread behind its processor's ready list — the
 // SwitchOnSync context switch after issuing a synchronization
 // operation. When the thread is its processor's only runnable thread
-// the "switch" re-dispatches it immediately, and if nothing else is
-// due within the switch cost the whole dispatch collapses to a direct
-// clock advance: same charge, same schedule, no wake event and no
-// goroutine handoff. (Skipped with an observer attached so the
-// EvDispatch record is never lost.)
+// the "switch" re-dispatches it at once, paying the switch cost like
+// any other dispatch.
 func (t *Thread) yield() {
 	p := t.proc
-	if len(p.ready) == 0 && p.st.Observer() == nil {
-		var cost sim.Cycles
-		if p.mode == SwitchOnSync {
-			cost = p.switchCost
-		}
-		if p.eng.AdvanceIf(cost) {
-			if p.mode == SwitchOnSync {
-				p.nstat().CtxSwitches++
-			}
-			return
-		}
-	}
 	t.state = tReady
 	p.ready = append(p.ready, t)
 	p.current = nil
@@ -481,15 +466,10 @@ func (t *Thread) Read(va memory.VAddr) memory.Word {
 	t.haltIfDown()
 	g := t.translate(va)
 	t.opCompleted = false
-	// Fast path: with no other runnable thread to dispatch during the
-	// wait, a local read whose latency window contains no other event
-	// completes in place (direct clock advance, same schedule).
-	v, elapsed, fast := t.proc.cm.ReadFast(g, t.readDone, len(t.proc.ready) == 0)
+	t.proc.cm.Read(g, t.readDone)
 	cause := t.proc.cm.LastCause()
-	if !fast {
-		elapsed = t.waitOp(stats.StallRead)
-		v = t.readVal
-	}
+	elapsed := t.waitOp(stats.StallRead)
+	v := t.readVal
 	if o := t.proc.acc(); o != nil {
 		o.Emit(stats.EvAccRead, int(t.proc.node), accSub(sync), cause, uint64(va), tb(t.id, v))
 	}

@@ -64,10 +64,10 @@ func BenchmarkEngineHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkCoroutineSwitch measures a park/wake round trip. A
-// self-rescheduling sink keeps the queue non-empty at the same cadence
-// as the waits, so WaitCycles cannot take the direct clock-advance
-// fast path and every iteration really pays the goroutine handoffs.
+// BenchmarkCoroutineSwitch measures a timed wait: schedule the wake,
+// park through ParkInline, dispatch. A self-rescheduling sink keeps
+// the queue non-empty at the same cadence as the waits, so every wait
+// also dispatches another sink's event before its own wake.
 func BenchmarkCoroutineSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -107,8 +107,8 @@ func TestScheduleEventAllocFree(t *testing.T) {
 
 // TestCoroutineWakeAllocFree pins the coroutine wake path (the
 // coroutine is its own event sink) at zero allocations per wake. A
-// persistent sentinel keeps the queue non-empty so every wait takes
-// the schedule-wake path rather than the direct clock advance.
+// persistent sentinel keeps the queue non-empty, so the measured runs
+// always have events to dispatch.
 func TestCoroutineWakeAllocFree(t *testing.T) {
 	eng := NewEngine()
 	s := &chainSink{eng: eng, remaining: 1 << 30}

@@ -111,17 +111,16 @@ func (co *Coroutine) Park() {
 
 // ParkInline suspends the coroutine until some event calls WakeAfter,
 // like Park, but keeps the coroutine's goroutine executing the
-// engine's event loop while it waits. It is the generalization of
-// AdvanceIf's direct clock advance from "nothing else is due" to
-// "other activity is due, but none of it needs a control transfer":
-// message deliveries, coherence-manager timers and the wait's own
-// completion chain all dispatch inline on this goroutine, and the
-// coroutine's wake event simply falls out of the loop — zero channel
-// handoffs for an entire remote round trip. The drive loop hands back
-// to a real Park the moment the next event would resume a different
-// coroutine (or lies beyond the engine's horizon), so the dispatch
-// order, event timestamps and tie-break draws are identical to the
-// slow path in every case.
+// engine's event loop while it waits, for as long as no other
+// coroutine needs control: message deliveries, coherence-manager
+// timers and the wait's own completion chain all dispatch inline on
+// this goroutine, and the coroutine's wake event simply falls out of
+// the loop — zero channel handoffs for a plain timed wait or an entire
+// remote round trip. The drive loop hands back to a real Park the
+// moment the next event would resume a different coroutine (or lies
+// beyond the engine's horizon), so the dispatch order, event
+// timestamps and tie-break draws are identical to a plain Park in
+// every case.
 func (co *Coroutine) ParkInline() {
 	e := co.eng
 	co.driving = true
@@ -144,14 +143,11 @@ func (co *Coroutine) ParkInline() {
 }
 
 // WaitCycles suspends the coroutine for d cycles of virtual time.
-// Must be called from the coroutine's own body. When no other event is
-// due within d cycles the wait is a direct clock advance — the
-// schedule-wake/park round trip (two goroutine handoffs) happens only
-// when other simulated activity must run first.
+// Must be called from the coroutine's own body. The wake is a real
+// event, so the wait is a dispatch like any other (observable, tagged);
+// ParkInline keeps it free of goroutine handoffs unless another
+// coroutine must run first.
 func (co *Coroutine) WaitCycles(d Cycles) {
-	if co.eng.AdvanceIf(d) {
-		return
-	}
 	co.scheduleWake(d)
 	co.ParkInline()
 }

@@ -88,15 +88,14 @@ type Engine struct {
 	// processed counts executed events, for diagnostics and runaway
 	// detection in tests.
 	processed uint64
-	// lastAct is the time of the most recent simulated activity: the
-	// last dispatched event, or the clock position a successful
-	// AdvanceIf moved to. Unlike now, it is not dragged forward by
+	// lastAct is the time of the most recent simulated activity, the
+	// last dispatched event. Unlike now, it is not dragged forward by
 	// RunUntil's horizon, so it reports true elapsed work in sharded
 	// rounds.
 	lastAct Cycles
-	// horizon bounds AdvanceIf while RunUntil is active: simulated
-	// activity may not move the clock past the instant the caller asked
-	// the engine to stop at.
+	// horizon bounds ParkInline's drive loop while RunUntil is active:
+	// a coroutine driving the engine in place may not dispatch past the
+	// instant the caller asked the engine to stop at.
 	horizon Cycles
 	// onEvent, when set, observes every dispatched event (at, kind)
 	// just before its sink runs — the observability layer's engine
@@ -114,13 +113,6 @@ type Engine struct {
 	tagSeq  uint64
 	tagCtr  uint64
 	tagOrd  uint64
-	// strictWait disables AdvanceIf, forcing every coroutine wait onto
-	// the schedule-wake/park slow path. The slow path yields the same
-	// schedule (AdvanceIf is schedule-neutral) but guarantees that all
-	// simulated activity runs inside a dispatched event, so DispatchTag
-	// is always the key of a real heap event. Required whenever logged
-	// work is re-ordered by tag (deferred contention, shard observers).
-	strictWait bool
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -132,7 +124,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Cycles { return e.now }
 
 // LastActivityAt returns the time of the most recent simulated
-// activity (last dispatched event or direct clock advance). RunUntil
+// activity (the last dispatched event). RunUntil
 // may leave Now beyond it; elapsed-time reporting wants this value.
 func (e *Engine) LastActivityAt() Cycles { return e.lastAct }
 
@@ -158,13 +150,6 @@ func (e *Engine) Pending() int { return len(e.pq) }
 // exists for instrumentation (stats.EvEngineDispatch).
 func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
 
-// SetStrictWait toggles strict waiting: with it on, AdvanceIf always
-// reports false, so coroutines take the schedule-wake/park path and
-// every piece of simulated activity executes inside a dispatched
-// event. The schedule is unchanged (see AdvanceIf); what strict mode
-// buys is that DispatchTag is always meaningful.
-func (e *Engine) SetStrictWait(on bool) { e.strictWait = on }
-
 // DispatchTag returns a serialization key for the current moment of
 // the current dispatch: the heap key of the event being dispatched,
 // this engine's dispatch ordinal, and a per-dispatch draw counter.
@@ -176,9 +161,9 @@ func (e *Engine) SetStrictWait(on bool) { e.strictWait = on }
 // delivery keyed under the sender's lane), and a serial engine pops it
 // after the dispatch that created it, not before. Execution order
 // within one engine is the ordinal (EngineLess); across engines it is
-// the head merge MergeByTag performs. Callers must run under strict
-// waiting; otherwise activity that advanced the clock via AdvanceIf
-// would be tagged with a stale event.
+// the head merge MergeByTag performs. Every wait schedules its wake as
+// an event, so all simulated activity runs inside some dispatch and the
+// tag is always the key of a real heap event.
 func (e *Engine) DispatchTag() DispatchTag {
 	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
 	e.tagCtr++
@@ -353,23 +338,6 @@ func (e *Engine) siftDown(i int) {
 		e.pq[i], e.pq[child] = e.pq[child], e.pq[i]
 		i = child
 	}
-}
-
-// AdvanceIf advances the clock by d and reports whether it did: it
-// succeeds only when nothing else is due first — no pending event in
-// [now, now+d] and now+d does not cross the RunUntil horizon.
-// Coroutines use it to skip the schedule-wake/park handoff when the
-// wake would have been the very next event anyway; the observable
-// schedule (times, and the relative order of all remaining events) is
-// identical to the slow path, so determinism is unaffected.
-func (e *Engine) AdvanceIf(d Cycles) bool {
-	t := e.now + d
-	if e.strictWait || t > e.horizon || (len(e.pq) > 0 && e.pq[0].at <= t) {
-		return false
-	}
-	e.now = t
-	e.lastAct = t
-	return true
 }
 
 // Step executes the single earliest pending event and returns true, or

@@ -9,7 +9,6 @@ import "testing"
 // after the run.
 func TestShardSetOneEngineQuiescent(t *testing.T) {
 	e := NewEngine()
-	e.SetStrictWait(true) // every wait takes the ParkInline path
 	var order []string
 	e.SetOnEvent(func(Cycles, int) { order = append(order, "probe") })
 	for i := 0; i < 2; i++ {

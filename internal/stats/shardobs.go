@@ -13,10 +13,10 @@
 // reconstructs the exact order a single serial engine would have
 // emitted them in. A flat key sort would not: serial pop order is not
 // key order when a dispatch schedules a same-cycle event under a
-// smaller key (see sim.MergeByTag). The engines run under strict
-// waiting whenever an observer is attached so every emission carries a
-// real dispatch tag; the merge runs at each lookahead barrier with
-// every worker quiescent. Outside rounds (setup, between runs)
+// smaller key (see sim.MergeByTag). Every wait is a scheduled wake, so
+// all simulated activity runs inside a dispatch and every emission
+// carries a real dispatch tag; the merge runs at each lookahead barrier
+// with every worker quiescent. Outside rounds (setup, between runs)
 // children sit in direct mode and forward to the master ring in plain
 // call order.
 //
