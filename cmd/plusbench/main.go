@@ -140,28 +140,35 @@ func main() {
 func writeObservation(ob *experiments.Observation, traceOut string, hist bool) {
 	runs := ob.Runs()
 	if traceOut != "" {
-		data, err := stats.ChromeTrace(runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		n, err := stats.ValidateChromeTrace(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: trace validation: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(traceOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: write trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "plusbench: %d trace event(s) from %d run(s) -> %s\n",
-			n, len(runs), traceOut)
+		writeTrace(runs, traceOut)
 	}
 	if hist {
 		m := ob.Metrics()
 		fmt.Println(m.Render())
 		fmt.Println(stats.StallSummary(runs))
 	}
+}
+
+// writeTrace exports runs as Chrome trace JSON, validates that it
+// round-trips through encoding/json, writes it to path and reports the
+// event count on stderr; any failure exits non-zero.
+func writeTrace(runs []stats.ObservedRun, path string) {
+	data, err := stats.ChromeTrace(runs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "plusbench: trace export: %v\n", err)
+		os.Exit(1)
+	}
+	n, err := stats.ValidateChromeTrace(data)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "plusbench: trace validation: %v\n", err)
+		os.Exit(1)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "plusbench: write trace: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "plusbench: %d trace event(s) from %d run(s) -> %s\n",
+		n, len(runs), path)
 }
 
 // runRaces implements -races: run the corpus, render each report (or
@@ -194,22 +201,7 @@ func runRaces(jsonOut bool, traceOut string) {
 		for _, o := range outcomes {
 			runs = append(runs, o.Trace)
 		}
-		data, err := stats.ChromeTrace(runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		n, err := stats.ValidateChromeTrace(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: trace validation: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(traceOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "plusbench: write trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "plusbench: %d trace event(s) from %d run(s) -> %s\n",
-			n, len(runs), traceOut)
+		writeTrace(runs, traceOut)
 	}
 	if !ok {
 		fmt.Fprintln(os.Stderr, "plusbench: race corpus verdict mismatch")

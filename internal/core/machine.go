@@ -62,12 +62,16 @@ type Config struct {
 	// and mesh.Config.Shards). 0 or 1 runs serially. Sharded runs are
 	// deterministic and byte-identical to serial ones — same elapsed
 	// cycles, counters, memory images, and (with an observer attached)
-	// the same merged event stream: link contention replays at lookahead
-	// barriers, observers buffer shard-locally and merge in dispatch-tag
-	// order, and kernel-triggered copy-list splices (competitive
-	// replication, runtime Replicate/DeleteCopy/Migrate) execute as
-	// barrier work. Two features remain serial-only: crash injection and
-	// bounded link buffers (mesh.Config.Validate rejects both). A
+	// the same merged event stream: work on shared state — contended
+	// link walks and kernel copy-list splices (competitive replication,
+	// runtime Replicate/DeleteCopy/Migrate) — goes through
+	// sim.Engine.Defer and replays at lookahead barriers in dispatch-tag
+	// order, and observers buffer shard-locally and merge in the same
+	// order. A splice requested mid-run lands at the next barrier
+	// instead of the call instant, so such runs match serial in
+	// copy-lists and memory, not cycles. Two features remain
+	// serial-only: crash injection and bounded link buffers
+	// (mesh.Config.Validate rejects both). A
 	// cross-shard thread Wake is carried by the cross-shard mail path
 	// and lands one lookahead window later — deterministic for a fixed
 	// shard count, but not byte-identical to serial timing.
@@ -193,10 +197,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.kern = kernel.New(eng, net, m.cms, m.mems, m.tables, cfg.Timing, st)
 	m.kern.SetCompetitiveThreshold(cfg.CompetitiveThreshold)
 	for i := 0; i < n; i++ {
-		p := proc.New(mesh.NodeID(i), net.EngineFor(mesh.NodeID(i)), m.cms[i], m.kern,
+		p := proc.New(mesh.NodeID(i), net, m.cms[i], m.kern,
 			m.tables[i], cfg.Timing, cmSt(i), cfg.Mode, cfg.SwitchCost)
 		p.SetFenceOnSync(cfg.FenceOnSync)
-		p.SetNet(net)
 		m.procs = append(m.procs, p)
 	}
 	if len(cfg.Faults.Crashes) > 0 {
@@ -532,33 +535,19 @@ func (m *Machine) runShards() {
 		Engines: m.engines,
 		Window:  m.net.Config().LookaheadWindow(),
 		Drain:   func() int { return m.net.DrainMail() },
-		// Barrier work runs with every shard quiescent, before the mail
-		// drain so anything it sends lands this barrier: replay the
-		// round's contended sends against the shared link queues, splice
-		// the copy-lists for deferred kernel page operations, then merge
-		// the shards' buffered observations into the master ring in
-		// dispatch-tag order.
-		BarrierWork: func() {
-			m.net.ResolveContention()
-			m.kern.RunBarrierWork()
-			if m.obs != nil {
-				m.obs.MergeShardEvents()
-			}
-		},
 	}
 	started := ss.Now()
 	ss.Quiescent = m.quiescentFunc(started)
-	// While rounds are in flight, kernel page operations queue as
-	// barrier work and shard observers buffer locally; both drain at
-	// every barrier, and the brackets restore inline execution and
-	// direct emission for quiescent code after the run. On one engine
-	// there are no rounds and both brackets are no-ops.
-	m.kern.BeginRounds()
+	// While rounds are in flight shard observers buffer locally; each
+	// barrier merges the buffers into the master ring in dispatch-tag
+	// order, after the round's deferred contention walks and kernel
+	// splices have emitted theirs. On one engine there are no children
+	// and the bracket is a no-op.
 	if m.obs != nil {
+		ss.BarrierWork = m.obs.MergeShardEvents
 		m.obs.SetShardBuffering(true)
 	}
 	ss.Run()
-	m.kern.EndRounds()
 	if m.obs != nil {
 		m.obs.SetShardBuffering(false)
 		// The final barrier already merged every buffered event; fold the

@@ -186,13 +186,15 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
 // same counters — and for observed legs, the same merged event stream
-// and latency histograms. Seven legs stress the paths most likely to
+// and latency histograms. Eight legs stress the paths most likely to
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
 // (mid-round sends replayed at barriers in dispatch-tag order), a
 // structured observer (shard-local buffers merged by tag), contention
-// and observation together, and the runtime invariant checker on a
+// and observation together, both on the unreliable network (where a
+// send's duplicate and delay events precede its deferred hop events),
+// and the runtime invariant checker on a
 // faulty network (checked before dispatches on one engine, at barriers
 // on several).
 func TestShardEquivalenceFuzz(t *testing.T) {
@@ -218,6 +220,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "contention", batch: 1, mods: []func(*core.Config){contention}},
 		{name: "observer", batch: 1, mods: []func(*core.Config){observe}},
 		{name: "contention+observer", batch: 1, mods: []func(*core.Config){contention, observe}},
+		{name: "faults+contention+observer", batch: 1, faults: mesh.FaultConfig{
+			Seed: 11, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
+		}, mods: []func(*core.Config){contention, observe}},
 		{name: "invariants", batch: 1, faults: mesh.FaultConfig{
 			Seed: 5, DropRate: 0.02, DelayRate: 0.03, DelayMax: 40,
 		}, mods: []func(*core.Config){checked}},
@@ -255,10 +260,11 @@ type kernelOpsDigest struct {
 // Replicate calls mid-run — from their own nodes, while
 // traffic to the affected pages is in flight — and returns the
 // copy-list and memory digest.
-func runKernelOps(t *testing.T, shards int) kernelOpsDigest {
+func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 	t.Helper()
 	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
 	cfg.Shards = shards
+	cfg.NetContention = contention
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("NewMachine(shards=%d): %v", shards, err)
@@ -316,24 +322,93 @@ func runKernelOps(t *testing.T, shards int) kernelOpsDigest {
 }
 
 // TestShardKernelOpsAtBarriers pins the kernel gate lift: runtime
-// Replicate issued mid-run lands as barrier work on a
-// sharded machine and produce exactly the serial run's copy-lists
-// (same nodes, same path-length order) and a coherent, identical
-// memory image for every shard count.
+// Replicate issued mid-run lands as barrier work on a sharded machine
+// and every run ends coherent. Without link contention the sharded
+// runs produce exactly the serial run's copy-lists (same nodes, same
+// path-length order) and memory image. With contention the splice's
+// shift from the call instant to the barrier also shifts the page
+// copies' link reservations, and with them which node's replication
+// lands first, so serial is no reference; the sharded runs, whose
+// barriers fall at the same instants for every shard count, must match
+// each other instead.
 func TestShardKernelOpsAtBarriers(t *testing.T) {
-	serial := runKernelOps(t, 1)
-	for pg, list := range serial.Copies {
-		if len(list) < 2 {
-			t.Fatalf("page %d never replicated (copy-list %v) — the test lost its point", pg, list)
-		}
+	for _, contention := range []bool{false, true} {
+		t.Run(fmt.Sprintf("contention=%v", contention), func(t *testing.T) {
+			want, ref := runKernelOps(t, 1, contention), "serial"
+			for pg, list := range want.Copies {
+				if len(list) < 2 {
+					t.Fatalf("page %d never replicated (copy-list %v) — the test lost its point", pg, list)
+				}
+			}
+			for _, k := range []int{2, 4, 8} {
+				got := runKernelOps(t, k, contention)
+				if contention && k == 2 {
+					want, ref = got, "shards=2"
+					continue
+				}
+				if !reflect.DeepEqual(want.Copies, got.Copies) {
+					t.Errorf("shards=%d: copy-lists diverged from %s:\n got %v\nwant %v", k, ref, got.Copies, want.Copies)
+				}
+				if !reflect.DeepEqual(want.Image, got.Image) {
+					t.Errorf("shards=%d: final memory image diverged from %s", k, ref)
+				}
+			}
+		})
 	}
-	for _, k := range []int{2, 4, 8} {
-		got := runKernelOps(t, k)
-		if !reflect.DeepEqual(serial.Copies, got.Copies) {
-			t.Errorf("shards=%d: copy-lists diverged from serial:\n got %v\nwant %v", k, got.Copies, serial.Copies)
-		}
-		if !reflect.DeepEqual(serial.Image, got.Image) {
-			t.Errorf("shards=%d: final memory image diverged from serial", k)
-		}
+}
+
+// runBarrierReplicate builds a 4x4 machine with link contention on,
+// homes one page on node 8 with a non-zero word, and has a thread on
+// node 9 replicate it onto node 9 and then compute for computeAfter
+// cycles. On two shards, node 9's request lands at a barrier, and the
+// page copy the splice sends is a contended send made during barrier
+// work. It returns the page's copy-list and image.
+func runBarrierReplicate(t *testing.T, shards int, computeAfter sim.Cycles) kernelOpsDigest {
+	t.Helper()
+	cfg := core.DefaultConfig(4, 4)
+	cfg.Shards = shards
+	cfg.NetContention = true
+	m, err := core.NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("NewMachine(shards=%d): %v", shards, err)
+	}
+	va := m.Alloc(8, 1)
+	m.Poke(va, 1)
+	m.Spawn(9, func(th *proc.Thread) {
+		m.Kernel().Replicate(va.Page(), 9, nil)
+		th.Compute(computeAfter)
+	})
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("Run(shards=%d, compute=%d): %v", shards, computeAfter, err)
+	}
+	img := make([]memory.Word, memory.PageWords)
+	for off := range img {
+		img[off] = m.Peek(va + memory.VAddr(off))
+	}
+	return kernelOpsDigest{
+		Copies: [][]mesh.NodeID{m.Kernel().CopyNodes(va.Page())},
+		Image:  [][]memory.Word{img},
+	}
+}
+
+// TestShardBarrierReplicateContended pins a page copy sent by barrier
+// work under link contention: it must be walked and delivered in that
+// same barrier, neither stranded (the replica never filled) nor
+// replayed a barrier late (an injection behind the destination's
+// clock). Both a thread that exits at once and one that keeps running
+// must end exactly like the serial run.
+func TestShardBarrierReplicateContended(t *testing.T) {
+	for _, compute := range []sim.Cycles{0, 100} {
+		t.Run(fmt.Sprintf("compute=%d", compute), func(t *testing.T) {
+			serial := runBarrierReplicate(t, 1, compute)
+			if want := []mesh.NodeID{8, 9}; !reflect.DeepEqual(serial.Copies[0], want) {
+				t.Fatalf("serial copy-list %v, want %v", serial.Copies[0], want)
+			}
+			got := runBarrierReplicate(t, 2, compute)
+			if !reflect.DeepEqual(serial, got) {
+				t.Errorf("shards=2 copy-list %v diverged from serial %v (or the image did)",
+					got.Copies[0], serial.Copies[0])
+			}
+		})
 	}
 }

@@ -65,17 +65,6 @@ type Kernel struct {
 	// retire copies in the same round.
 	copiesInFlight atomic.Int64
 
-	// barrierQ[shard] holds the page reorganizations requested
-	// mid-round (sharded runs only; nil otherwise): copy-list splices
-	// mutate other shards' CM and MMU tables in place, which is only
-	// safe with every worker quiescent. Only the owning shard's worker
-	// appends — so each queue sits in its engine's dispatch order —
-	// and RunBarrierWork head-merges the queues at the next barrier.
-	// inRounds marks the window (BeginRounds/EndRounds) in which
-	// reorganizations must defer.
-	barrierQ [][]barrierOp
-	inRounds bool
-
 	// Crash/failover bookkeeping (failover.go; nil on runs without a
 	// crash script). failed holds each failed-over node's pre-crash
 	// pages until its restart rejoins them; downSince the crash instant
@@ -87,13 +76,11 @@ type Kernel struct {
 	lost      map[mesh.NodeID]map[memory.PPage]memory.VPage
 }
 
-// barrierOp is one page reorganization deferred to the next lookahead
-// barrier, logged under the acting node's dispatch tag so the barrier
-// replays requests in the exact order a serial engine would have
-// executed them.
-type barrierOp struct {
-	tag  sim.DispatchTag
-	kind uint8
+// pageOp is one page reorganization handed to the acting node's
+// engine Defer (the event kind names the operation): copy-list splices
+// rewrite other nodes' CM and MMU tables in place, which is only safe
+// with the whole machine quiescent.
+type pageOp struct {
 	vp   memory.VPage
 	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate)
 	from mesh.NodeID // migrate only: the node losing its copy
@@ -101,11 +88,37 @@ type barrierOp struct {
 }
 
 const (
-	opReplicate uint8 = iota
+	opReplicate = iota
 	opDelete
 	opMigrate
 	opCompetitive
 )
+
+// deferOp runs a page reorganization at the next quiescent point: at
+// once on one engine or outside a round, at the next lookahead barrier
+// mid-round on several. Mid-round, the request must come from code
+// running on the acting node's shard — true for every in-tree caller:
+// competitive triggers fire on the referencing node, and threads
+// reorganize copies on their own node.
+func (k *Kernel) deferOp(kind int, op pageOp) {
+	k.net.EngineFor(op.node).Defer(k, kind, &op)
+}
+
+// HandleEvent implements sim.EventSink for deferOp.
+func (k *Kernel) HandleEvent(kind int, data any) {
+	op := data.(*pageOp)
+	switch kind {
+	case opReplicate:
+		k.replicateBG(op.vp, op.node, op.done)
+	case opDelete:
+		k.deleteCopyNow(op.vp, op.node)
+	case opMigrate:
+		k.ReplicateNow(op.vp, op.node)
+		k.deleteCopyNow(op.vp, op.from)
+	case opCompetitive:
+		k.competitiveNow(op.vp, op.node)
+	}
+}
 
 // New assembles the kernel over the machine's nodes.
 func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, tm timing.Timing, st *stats.Machine) *Kernel {
@@ -115,7 +128,7 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		refs[i] = make(map[memory.VPage]uint64)
 		repl[i] = make(map[memory.VPage]bool)
 	}
-	k := &Kernel{
+	return &Kernel{
 		eng:         eng,
 		net:         net,
 		cms:         cms,
@@ -127,72 +140,12 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		refCounts:   refs,
 		replicating: repl,
 	}
-	if net.Config().ShardCount() > 1 {
-		k.barrierQ = make([][]barrierOp, net.Config().ShardCount())
-	}
-	return k
 }
 
 // sharded reports whether the machine runs on more than one shard.
 // Crash failover — which rewrites copy-lists and transport state in a
-// multi-step epoch — is still serial-only; the page-reorganization
-// services run sharded by deferring to barrier work (RunBarrierWork).
+// multi-step epoch — is still serial-only.
 func (k *Kernel) sharded() bool { return k.net.Config().ShardCount() > 1 }
-
-// BeginRounds marks the start of a sharded run's rounds: until
-// EndRounds, page reorganizations defer to barrier work instead of
-// splicing shared state mid-round. core brackets ShardSet.Run with
-// these; outside the bracket (setup, between runs) the machine is
-// quiescent and reorganizations execute inline. A one-engine run has
-// no rounds, so there the bracket leaves them inline throughout.
-func (k *Kernel) BeginRounds() { k.inRounds = k.barrierQ != nil }
-
-// EndRounds closes the deferral window opened by BeginRounds.
-func (k *Kernel) EndRounds() { k.inRounds = false }
-
-// enqueue logs one deferred reorganization under the acting node's
-// current dispatch tag. Mid-round requests must come from code running
-// on the shard that owns the acting node — true for every in-tree
-// caller: competitive triggers fire on the referencing node, and
-// threads reorganize copies on their own node — so the append touches
-// only the calling shard's queue.
-func (k *Kernel) enqueue(op barrierOp) {
-	op.tag = k.net.EngineFor(op.node).DispatchTag()
-	k.barrierQ[k.net.ShardOf(op.node)] = append(k.barrierQ[k.net.ShardOf(op.node)], op)
-}
-
-// RunBarrierWork executes the page reorganizations deferred during
-// the finished round, in the order a single serial engine would have
-// reached them — each shard's queue is already in its engine's
-// dispatch order, and sim.MergeByTag interleaves the queues by head
-// dispatch key — with every shard worker quiescent. core wires it
-// into the shard runner's barrier, before cross-shard mail drains, so
-// messages the splices send (page-copy traffic) are delivered in the
-// same barrier.
-func (k *Kernel) RunBarrierWork() {
-	if k.barrierQ == nil {
-		return
-	}
-	sim.MergeByTag(k.barrierQ,
-		func(op *barrierOp) sim.DispatchTag { return op.tag },
-		func(op *barrierOp) {
-			switch op.kind {
-			case opReplicate:
-				k.replicateBG(op.vp, op.node, op.done)
-			case opDelete:
-				k.deleteCopyNow(op.vp, op.node)
-			case opMigrate:
-				k.ReplicateNow(op.vp, op.node)
-				k.deleteCopyNow(op.vp, op.from)
-			case opCompetitive:
-				k.competitiveNow(op.vp, op.node)
-			}
-			op.done = nil
-		})
-	for i := range k.barrierQ {
-		k.barrierQ[i] = k.barrierQ[i][:0]
-	}
-}
 
 // SetCompetitiveThreshold enables the competitive replication policy:
 // after threshold remote references from one node to one page, the
@@ -319,17 +272,13 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 // done fires when the copy is complete and the node's mapping has been
 // switched to the local copy.
 //
-// Mid-round in a sharded run, the splice — which rewrites other
-// shards' CM tables in place — defers to the next lookahead barrier as
-// a work item; the request must then come from code running on node's
-// own shard (see enqueue). Quiescent callers (setup, between runs) run
-// inline for any shard count.
+// The splice rewrites other nodes' CM tables in place, so it runs at
+// the next quiescent point (sim.Engine.Defer): at the call instant on
+// one engine, at the next lookahead barrier when called mid-round on
+// several. A mid-round request must come from node's own shard (see
+// deferOp).
 func (k *Kernel) Replicate(vp memory.VPage, node mesh.NodeID, done func()) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opReplicate, vp: vp, node: node, done: done})
-		return
-	}
-	k.replicateBG(vp, node, done)
+	k.deferOp(opReplicate, pageOp{vp: vp, node: node, done: done})
 }
 
 // replicateBG is Replicate's body, run with the machine quiescent.
@@ -397,16 +346,12 @@ func (k *Kernel) link(vp memory.VPage, node mesh.NodeID) (gp, pred memory.GPage)
 // write quiescence and panics otherwise — the simulated workloads
 // fence before reorganizing memory, exactly as real software must.
 //
-// Mid-round in a sharded run the deletion defers to the next lookahead
-// barrier (the quiescence check and table rewrites need every worker
-// stopped); the copy disappears at the round boundary rather than at
-// the call instant. Quiescent callers run inline for any shard count.
+// The quiescence check and table rewrites run at the next quiescent
+// point (sim.Engine.Defer): at the call instant on one engine; called
+// mid-round on several, the copy disappears at the next lookahead
+// barrier.
 func (k *Kernel) DeleteCopy(vp memory.VPage, node mesh.NodeID) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opDelete, vp: vp, node: node})
-		return
-	}
-	k.deleteCopyNow(vp, node)
+	k.deferOp(opDelete, pageOp{vp: vp, node: node})
 }
 
 // deleteCopyNow is DeleteCopy's body, run with the machine quiescent.
@@ -463,16 +408,12 @@ func (k *Kernel) unlink(vp memory.VPage, idx int) {
 // Migrate moves vp's copy from one node to another: create the new
 // copy, then delete the old one (§2.4: "Page migration is achieved
 // simply by creating a copy and then deleting the old one"). The
-// machine must be write-quiescent, as for DeleteCopy. Mid-round in a
-// sharded run the whole move defers to the next barrier as one work
-// item (requested from to's shard).
+// machine must be write-quiescent, as for DeleteCopy. The whole move is
+// one deferred step (sim.Engine.Defer on to's engine): at the call
+// instant on one engine, at the next lookahead barrier when called
+// mid-round on several (requested from to's shard).
 func (k *Kernel) Migrate(vp memory.VPage, from, to mesh.NodeID) {
-	if k.inRounds {
-		k.enqueue(barrierOp{kind: opMigrate, vp: vp, node: to, from: from})
-		return
-	}
-	k.ReplicateNow(vp, to)
-	k.deleteCopyNow(vp, from)
+	k.deferOp(opMigrate, pageOp{vp: vp, node: to, from: from})
 }
 
 // NoteRemoteRef is called by the processor layer on every reference
@@ -493,17 +434,13 @@ func (k *Kernel) NoteRemoteRef(node mesh.NodeID, vp memory.VPage) {
 		// references this round don't re-trigger; the splice itself (and
 		// the machine-wide Replications tally) waits for quiescence.
 		k.replicating[node][vp] = true
-		if k.inRounds {
-			k.enqueue(barrierOp{kind: opCompetitive, vp: vp, node: node})
-			return
-		}
-		k.competitiveNow(vp, node)
+		k.deferOp(opCompetitive, pageOp{vp: vp, node: node})
 	}
 }
 
 // competitiveNow performs one competitive replication trigger with the
-// machine quiescent: inline at the trigger in serial runs, at the next
-// lookahead barrier in sharded ones.
+// machine quiescent: inline at the trigger on one engine, at the next
+// lookahead barrier on several.
 func (k *Kernel) competitiveNow(vp memory.VPage, node mesh.NodeID) {
 	k.Replications++
 	refs := k.refCounts[node]

@@ -66,9 +66,10 @@ type Config struct {
 	// row-major bands of nodes, each simulated on its own event queue
 	// under conservative lookahead (0 or 1 = serial). The shard count
 	// must tile the mesh: Width*Height divisible by Shards. With
-	// Contention on, contended sends are logged per shard and replayed
-	// against the shared per-link queues at each lookahead barrier, in
-	// dispatch-tag order — byte-identical to the serial schedule.
+	// Contention on, every contended send walks the shared per-link
+	// queues through its engine's Defer: at once on one engine, at the
+	// next lookahead barrier in dispatch-tag order on several —
+	// byte-identical either way.
 	Shards int
 }
 
@@ -339,9 +340,11 @@ type Stats struct {
 // messages through its own pool so allocation never crosses shard
 // worker goroutines; a message freed on a different shard than it was
 // allocated on simply migrates pools (it is fully cleared either way).
+// sends recycles the shard's contended-send records the same way.
 type msgPool struct {
-	free []*Msg
-	live int
+	free  []*Msg
+	live  int
+	sends []*pendingSend
 }
 
 // downWindow is one scheduled outage: the node is down for [from, to).
@@ -365,14 +368,15 @@ type mailEntry struct {
 	data any
 }
 
-// pendingSend is one contended send deferred to the next lookahead
-// barrier (sharded contention only). Every PRNG and tie-break-key
-// draw already happened at Send time, in serial draw order; what
-// remains is the walk over the shared per-link queues, which
-// ResolveContention replays in dispatch-tag order so linkFree evolves
-// through exactly the serial sequence of reservations.
+// pendingSend is one contended send, handed to the sending engine's
+// Defer as its own sink: resolved at once on one engine, at the next
+// lookahead barrier on several. Every PRNG and tie-break-key draw
+// already happened at Send time, in serial draw order; what remains is
+// the walk over the shared per-link queues, which the barrier replays
+// in dispatch-tag order so linkFree evolves through exactly the serial
+// sequence of reservations.
 type pendingSend struct {
-	tag      sim.DispatchTag // enclosing dispatch: the Send call's global serial position
+	m        *Mesh
 	hopTags  sim.DispatchTag // first of hops pre-reserved tag slots for EvNetHop (observer on)
 	sendT    sim.Cycles
 	src, dst NodeID
@@ -405,16 +409,10 @@ type Mesh struct {
 	// linkSlot[from*4+dir] indexes linkFree for the directed link
 	// leaving from in direction dir, or -1 where the mesh edge has no
 	// such link. linkFree has exactly one entry per physical directed
-	// link. Used only when Contention is on; sharded runs touch it
-	// only at barriers (ResolveContention), never mid-round.
+	// link. Used only when Contention is on and written only by Defer'd
+	// pendingSends: sharded runs touch it at barriers, never mid-round.
 	linkSlot []int32
 	linkFree []sim.Cycles
-	// pending[srcShard] logs contended sends deferred to the next
-	// lookahead barrier (sharded contention only; nil otherwise).
-	// Only the owning shard's worker appends — so each list sits in
-	// its engine's dispatch order — and ResolveContention head-merges
-	// the lists with every worker quiescent.
-	pending [][]pendingSend
 	// pools holds one message free-list per shard.
 	pools []msgPool
 	// frands drives the fault model, one PRNG per source node (keyed by
@@ -470,9 +468,6 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	}
 	for id := 0; id < n; id++ {
 		m.shardOf[id] = int32(cfg.ShardOf(NodeID(id)))
-	}
-	if k > 1 && cfg.Contention {
-		m.pending = make([][]pendingSend, k)
 	}
 	if cfg.Faults.lossy() {
 		m.frands = make([]*rand.Rand, n)
@@ -925,68 +920,87 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		m.FreeMsgAt(src, ms)
 		return
 	}
-	lat := m.Latency(src, dst)
-	// ps, when non-nil, defers this contended send to the barrier
-	// replay: mid-round, the per-link queues are shared state no shard
-	// owns. The entry is logged under the enclosing dispatch's tag —
-	// the Send call's global serial position — and all remaining PRNG
-	// and tie-break-key draws still happen here, in serial draw order,
-	// so the replay only walks the links.
-	var ps *pendingSend
-	switch {
-	case contending && m.pending != nil:
-		q := &m.pending[srcShard]
-		*q = append(*q, pendingSend{
-			tag:   eng.DispatchTag(),
-			sendT: eng.Now(),
-			src:   src,
-			dst:   dst,
-			flits: sizeFlits,
-			ms:    ms,
-		})
-		ps = &(*q)[len(*q)-1]
-		if o != nil {
-			// Reserve the tag slots the serial schedule would have
-			// given the per-hop events emitted right here.
-			ps.hopTags = eng.DispatchTagN(hops)
-		}
-	case contending || o != nil:
-		lat += m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause, false, sim.DispatchTag{})
+	if !contending && o != nil {
+		// Uncontended, the walk only emits the hops.
+		m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause, eng.DispatchTagN(hops))
 	}
+	// A duplicate arrives one cycle behind the original (it shares the
+	// original's link reservations — an approximation); an injected
+	// delay postpones the original only.
+	var dup *Msg
+	var extra sim.Cycles
 	if frand != nil {
-		// A duplicate arrives one cycle behind the original (it shares
-		// the original's link reservations — an approximation).
 		if r := m.cfg.Faults.DupRate; r > 0 && frand.Float64() < r {
 			st.Duplicated++
 			if o != nil {
 				o.Emit(stats.EvNetDup, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
 			}
-			dup := m.CloneMsgAt(src, ms)
-			if ps != nil {
-				ps.dup = dup
-				ps.dupLane, ps.dupSeq = eng.DrawKey()
-			} else {
-				m.deliverAfter(eng, srcShard, lat+1, dup)
-			}
+			dup = m.CloneMsgAt(src, ms)
 		}
 		if r := m.cfg.Faults.DelayRate; r > 0 && frand.Float64() < r {
 			st.Delayed++
-			extra := 1 + sim.Cycles(frand.Int63n(int64(m.cfg.Faults.DelayMax)))
+			extra = 1 + sim.Cycles(frand.Int63n(int64(m.cfg.Faults.DelayMax)))
 			if o != nil {
 				o.Emit(stats.EvNetDelay, int(src), ms.Kind, ms.Cause, uint64(extra), 0)
 			}
-			if ps != nil {
-				ps.extra = extra
-			} else {
-				lat += extra
-			}
 		}
 	}
-	if ps != nil {
-		ps.msLane, ps.msSeq = eng.DrawKey()
+	if !contending {
+		lat := m.Latency(src, dst)
+		if dup != nil {
+			m.deliverAfter(eng, srcShard, lat+1, dup)
+		}
+		m.deliverAfter(eng, srcShard, lat+extra, ms)
 		return
 	}
-	m.deliverAfter(eng, srcShard, lat, ms)
+	// A contended send goes to eng.Defer: the per-link queues are shared
+	// state no shard owns. Its tie-break keys (duplicate first) and
+	// per-hop tag slots are drawn here, in serial draw order, so
+	// resolving it only walks the links.
+	ps := m.allocSend(srcShard)
+	ps.sendT, ps.src, ps.dst, ps.flits = eng.Now(), src, dst, sizeFlits
+	ps.ms, ps.dup, ps.extra = ms, dup, extra
+	if dup != nil {
+		ps.dupLane, ps.dupSeq = eng.DrawKey()
+	}
+	if o != nil {
+		ps.hopTags = eng.DispatchTagN(hops)
+	}
+	ps.msLane, ps.msSeq = eng.DrawKey()
+	eng.Defer(ps, 0, nil)
+}
+
+// allocSend returns a contended-send record from a shard's free list
+// (or a new one when the list is empty); HandleEvent recycles it.
+func (m *Mesh) allocSend(shard int32) *pendingSend {
+	p := &m.pools[shard]
+	if n := len(p.sends); n > 0 {
+		ps := p.sends[n-1]
+		p.sends = p.sends[:n-1]
+		return ps
+	}
+	return &pendingSend{m: m}
+}
+
+// HandleEvent implements sim.EventSink for Defer: it walks the send's
+// path against the shared per-link queues, from its injection time,
+// schedules its deliveries under the keys drawn at Send time and
+// recycles the record. It runs at once on one engine, or at the barrier
+// with every worker quiescent on several. A contended path has at
+// least one hop, so every arrival lands at or beyond sendT + Base +
+// PerHop — past the finished round's horizon, where injection is legal
+// on any shard.
+func (ps *pendingSend) HandleEvent(int, any) {
+	m := ps.m
+	lat := m.Latency(ps.src, ps.dst) + m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause, ps.hopTags)
+	dstEng := m.engines[m.shardOf[ps.dst]]
+	if ps.dup != nil {
+		dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
+	}
+	dstEng.InjectEventAt(ps.sendT+lat+ps.extra, ps.msLane, ps.msSeq, m, evDeliver, ps.ms)
+	p := &m.pools[m.shardOf[ps.src]]
+	ps.ms, ps.dup = nil, nil
+	p.sends = append(p.sends, ps)
 }
 
 // frandFor returns the sending node's fault PRNG (nil when the lossy
@@ -1097,11 +1111,11 @@ func (m *Mesh) admit(src, dst NodeID) bool {
 // PerHop cycles once a link frees, and the body occupies each link for
 // sizeFlits*FlitCycles. With contention off nothing queues: the walk
 // only emits the hops, so trace exports cover every link either way.
-// The wait is charged to the sending node's shard; when replayed at a
-// barrier (tagged), per-hop events are filed under the tag slots
-// reserved at Send time so the merged stream interleaves exactly like
-// the serial one.
-func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64, tagged bool, hopTags sim.DispatchTag) sim.Cycles {
+// The wait is charged to the sending node's shard; per-hop events are
+// filed under the tag slots reserved at Send time, so when the walk is
+// replayed at a barrier the merged stream interleaves exactly like the
+// serial one.
+func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64, hopTags sim.DispatchTag) sim.Cycles {
 	srcShard := m.shardOf[src]
 	o := m.obsFor(srcShard)
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
@@ -1124,54 +1138,13 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 			if m.cfg.Contention {
 				o.Metrics.HopQueue.Observe(uint64(hopWait))
 			}
-			if tagged {
-				o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
-					uint64(li), uint64(occupancy))
-			} else {
-				o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
-					uint64(li), uint64(occupancy))
-			}
+			o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
+				uint64(li), uint64(occupancy))
 		}
 		t += m.cfg.PerHop
 	}
 	m.shStats[srcShard].QueueWait += wait
 	return wait
-}
-
-// ResolveContention replays the finished round's deferred contended
-// sends against the shared per-link queues in the exact order a
-// single serial engine would have walked them — each shard's pending
-// list is already in its engine's dispatch order, and sim.MergeByTag
-// interleaves the lists by head dispatch key (a flat tag sort would
-// misorder same-cycle sends whose dispatching events were scheduled
-// mid-cycle; see MergeByTag) — and injects the resulting deliveries.
-// It runs as barrier work: every shard worker quiescent, before
-// DrainMail. A contended path has at least one hop, so every arrival
-// lands at or beyond sendT + Base + PerHop — strictly past the
-// finished round's horizon, where injection is legal on any shard.
-func (m *Mesh) ResolveContention() {
-	if m.pending == nil {
-		return
-	}
-	tagged := m.obs != nil
-	sim.MergeByTag(m.pending,
-		func(ps *pendingSend) sim.DispatchTag { return ps.tag },
-		func(ps *pendingSend) {
-			lat := m.Latency(ps.src, ps.dst) +
-				m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause, tagged, ps.hopTags)
-			dstEng := m.engines[m.shardOf[ps.ms.Dst]]
-			if ps.dup != nil {
-				// The duplicate shares the original's reservations and
-				// arrives one cycle behind it (without the delay extra),
-				// exactly as the serial injector schedules it.
-				dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
-			}
-			dstEng.InjectEventAt(ps.sendT+lat+ps.extra, ps.msLane, ps.msSeq, m, evDeliver, ps.ms)
-			ps.ms, ps.dup = nil, nil
-		})
-	for i := range m.pending {
-		m.pending[i] = m.pending[i][:0]
-	}
 }
 
 // Nearest returns the node in candidates closest (fewest hops) to ref,

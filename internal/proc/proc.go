@@ -73,25 +73,21 @@ type Proc struct {
 	halted []*Thread
 
 	// net routes cross-shard Wakes through the mesh's mailbox path when
-	// waker and sleeper live on different shard engines. Nil in
-	// unit-test harnesses that never cross shards.
+	// waker and sleeper live on different shard engines.
 	net *mesh.Mesh
 }
 
-// New builds a processor for node.
-func New(node mesh.NodeID, eng *sim.Engine, cm *coherence.CM, kern *kernel.Kernel, table *mmu.Table, tm timing.Timing, st *stats.Machine, mode Mode, switchCost sim.Cycles) *Proc {
+// New builds a processor for node, running on the engine the mesh
+// assigns that node.
+func New(node mesh.NodeID, net *mesh.Mesh, cm *coherence.CM, kern *kernel.Kernel, table *mmu.Table, tm timing.Timing, st *stats.Machine, mode Mode, switchCost sim.Cycles) *Proc {
 	return &Proc{
-		node: node, eng: eng, cm: cm, kern: kern, table: table,
+		node: node, eng: net.EngineFor(node), net: net, cm: cm, kern: kern, table: table,
 		tm: tm, st: st, mode: mode, switchCost: switchCost,
 	}
 }
 
 // SetFenceOnSync enables the implicit-fence-before-every-sync ablation.
 func (p *Proc) SetFenceOnSync(v bool) { p.fenceOnSync = v }
-
-// SetNet gives the processor the mesh, enabling cross-shard Wake
-// delivery through the mesh's cross-shard mailboxes.
-func (p *Proc) SetNet(net *mesh.Mesh) { p.net = net }
 
 // Node returns the mesh node this processor occupies.
 func (p *Proc) Node() mesh.NodeID { return p.node }
@@ -669,10 +665,6 @@ func (t *Thread) Wake(target *Thread) {
 		o.Emit(stats.EvAccWake, int(t.proc.node), 0, 0, uint64(t.id), uint64(target.id))
 	}
 	if target.proc.eng != t.proc.eng {
-		if t.proc.net == nil {
-			panic(fmt.Sprintf("proc: cross-shard Wake from node %d to node %d without a mesh reference (SetNet)",
-				t.proc.node, target.proc.node))
-		}
 		t.proc.net.CrossShardCall(t.proc.node, target.proc.node, target.proc, evWake, target)
 		return
 	}

@@ -44,7 +44,7 @@ func newRig(t *testing.T, w, h int, mode Mode, cs sim.Cycles) *rig {
 	}
 	r.kern = kernel.New(eng, net, cms, r.mems, r.tbls, tm, st)
 	for i := 0; i < w*h; i++ {
-		r.procs = append(r.procs, New(mesh.NodeID(i), eng, cms[i], r.kern, r.tbls[i], tm, st, mode, cs))
+		r.procs = append(r.procs, New(mesh.NodeID(i), net, cms[i], r.kern, r.tbls[i], tm, st, mode, cs))
 	}
 	return r
 }

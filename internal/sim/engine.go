@@ -113,6 +113,20 @@ type Engine struct {
 	tagSeq  uint64
 	tagCtr  uint64
 	tagOrd  uint64
+	// inRound is set by ShardSet while this engine runs a multi-engine
+	// round; deferred logs the Defer calls made meanwhile, in this
+	// engine's execution order, for replay at the round's barrier.
+	inRound  bool
+	deferred []deferredCall
+}
+
+// deferredCall is one Defer postponed to the next barrier, filed under
+// the dispatch tag of the moment it was requested.
+type deferredCall struct {
+	tag  DispatchTag
+	sink EventSink
+	kind int
+	data any
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -226,6 +240,31 @@ func (t DispatchTag) EngineLess(u DispatchTag) bool {
 		return t.Ord < u.Ord
 	}
 	return t.Ctr < u.Ctr
+}
+
+// Defer calls sink.HandleEvent(kind, data) at the next point where the
+// whole machine is quiescent: at once, unless this engine is inside a
+// multi-engine round, in which case the call is logged under the
+// current DispatchTag and ShardSet replays it at the round's barrier,
+// merged with every other engine's log in the order one engine would
+// have made the calls. Work on state no shard owns (the shared link
+// queues, copy-lists) goes through here. Mid-round, only the worker
+// running this engine may call it.
+func (e *Engine) Defer(sink EventSink, kind int, data any) {
+	if e.inRound {
+		e.logDeferred(sink, kind, data)
+		return
+	}
+	sink.HandleEvent(kind, data)
+}
+
+// logDeferred is Defer's in-round half. It stays out of line so that
+// Defer's own stack frame is small: the inline case runs on simulated
+// threads' goroutine stacks, and a deeper send path grows them.
+//
+//go:noinline
+func (e *Engine) logDeferred(sink EventSink, kind int, data any) {
+	e.deferred = append(e.deferred, deferredCall{tag: e.DispatchTag(), sink: sink, kind: kind, data: data})
 }
 
 // Schedule runs fn after delay cycles of virtual time.

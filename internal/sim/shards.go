@@ -18,8 +18,11 @@ import "fmt"
 // tie-break keys drawn at send time. Because every engine orders its
 // heap by the (at, lane, seq) key — not by insertion order — the merged
 // schedule is byte-identical to a single engine running the same
-// program. With one engine there is nothing to synchronize: Run drains
-// it on the calling goroutine, with no rounds and no window.
+// program. Each barrier first replays the round's Defer calls from
+// every engine in one MergeByTag pass, then runs BarrierWork, then
+// Drain. With one engine there is nothing to synchronize: Run drains
+// it on the calling goroutine, with no rounds and no window, and every
+// Defer runs at once.
 type ShardSet struct {
 	// Engines are the per-shard event queues (len >= 1).
 	Engines []*Engine
@@ -28,10 +31,10 @@ type ShardSet struct {
 	// Base + PerHop). Must be >= 1 when there are several engines.
 	Window Cycles
 	// BarrierWork, when non-nil, runs at each barrier with all shards
-	// quiescent, BEFORE Drain — so cross-shard messages it sends are
-	// delivered in the same barrier, never a round late. This is where
-	// work deferred from mid-round (contention replay, observer merge,
-	// kernel copy-list splices) executes against shared state.
+	// quiescent, after the deferred calls and BEFORE Drain — so
+	// cross-shard messages it sends are delivered in the same barrier,
+	// never a round late. No engine is in a round, so a Defer it makes
+	// runs at once.
 	BarrierWork func()
 	// Drain delivers all cross-shard messages sent during the finished
 	// round into the destination shards' queues (InjectEventAt) and
@@ -78,12 +81,15 @@ func (s *ShardSet) Run() {
 		}
 	}()
 
+	logs := make([][]deferredCall, len(s.Engines))
 	for {
 		// Drain before picking T, not after the workers finish: mail can
 		// exist before the first round (setup code sending cross-shard
 		// messages), and the final round's mail must land before the
-		// emptiness check decides the run is over. BarrierWork comes
-		// first so mail it produces drains this barrier too.
+		// emptiness check decides the run is over. Deferred calls and
+		// BarrierWork come first so mail they produce drains this
+		// barrier too.
+		s.runDeferred(logs)
 		if s.BarrierWork != nil {
 			s.BarrierWork()
 		}
@@ -98,12 +104,39 @@ func (s *ShardSet) Run() {
 			return
 		}
 		h := t + s.Window - 1
-		for _, c := range start {
+		for i, c := range start {
+			s.Engines[i].inRound = true
 			c <- h
 		}
 		for range s.Engines {
 			<-done
 		}
+		for _, e := range s.Engines {
+			e.inRound = false
+		}
+	}
+}
+
+// runDeferred replays the finished round's Defer calls, head-merging
+// the engines' logs by dispatch tag (MergeByTag) so they run in the
+// order one engine would have made them. No engine is in a round, so
+// anything a replayed call defers in turn runs at once. logs is
+// scratch space, one slot per engine.
+func (s *ShardSet) runDeferred(logs [][]deferredCall) {
+	n := 0
+	for i, e := range s.Engines {
+		logs[i] = e.deferred
+		n += len(e.deferred)
+	}
+	if n == 0 {
+		return
+	}
+	MergeByTag(logs,
+		func(d *deferredCall) DispatchTag { return d.tag },
+		func(d *deferredCall) { d.sink.HandleEvent(d.kind, d.data) })
+	for _, e := range s.Engines {
+		clear(e.deferred)
+		e.deferred = e.deferred[:0]
 	}
 }
 

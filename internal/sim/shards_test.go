@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestShardSetOneEngineQuiescent pins the single-engine run loop: no
 // window is needed, the Quiescent hook fires before every dispatch —
@@ -70,5 +73,43 @@ func TestShardSetBarrierQuiescent(t *testing.T) {
 	if len(seen) != drained || seen[len(seen)-1] != 40 || ss.LastActivityAt() != 40 {
 		t.Fatalf("quiescent points %v over %d barriers, last activity %d; want the last at 40",
 			seen, drained, ss.LastActivityAt())
+	}
+}
+
+// TestShardSetDefer pins Engine.Defer: on one engine a deferred call
+// runs at once; inside a multi-engine round it waits for the barrier,
+// where every engine's calls replay in dispatch-tag order before
+// BarrierWork, and a call deferred by a replayed call runs at once.
+func TestShardSetDefer(t *testing.T) {
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, s) } }
+	one := NewEngine()
+	one.Schedule(2, func() {
+		one.Defer(funcSink{}, 0, note("deferred"))
+		log = append(log, "live")
+	})
+	(&ShardSet{Engines: []*Engine{one}}).Run()
+	if got, want := strings.Join(log, " "), "deferred live"; got != want {
+		t.Fatalf("one engine: %q, want %q", got, want)
+	}
+
+	log = nil
+	a, b := NewEngine(), NewEngine()
+	a.Schedule(5, func() { a.Defer(funcSink{}, 0, note("a5")) })
+	b.Schedule(3, func() {
+		b.Defer(funcSink{}, 0, func() {
+			log = append(log, "b3")
+			b.Defer(funcSink{}, 0, note("b3-nested"))
+		})
+		log = append(log, "b3-live")
+	})
+	ss := &ShardSet{
+		Engines:     []*Engine{a, b},
+		Window:      12,
+		BarrierWork: func() { log = append(log, "barrier") },
+	}
+	ss.Run()
+	if got, want := strings.Join(log, " "), "barrier b3-live b3 b3-nested a5 barrier"; got != want {
+		t.Fatalf("two engines: %q, want %q", got, want)
 	}
 }
