@@ -84,6 +84,31 @@ func BenchmarkCoroutineSwitch(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkCoroutineHandoff measures the path that dominates the
+// workloads: two coroutines waiting in lockstep, so every WaitCycles
+// finds the other coroutine's wake next and hands the engine over — a
+// switch out of one coroutine and into the other per wait.
+func BenchmarkCoroutineHandoff(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	n := b.N
+	lockstep(e, (n+1)/2)
+	b.ResetTimer()
+	e.Run()
+}
+
+// lockstep starts two coroutines that each wait one cycle n times.
+func lockstep(e *Engine, n int) {
+	for _, label := range []string{"a", "b"} {
+		co := NewCoroutine(e, label, func(co *Coroutine) {
+			for i := 0; i < n; i++ {
+				co.WaitCycles(1)
+			}
+		})
+		co.WakeAfter(0)
+	}
+}
+
 // TestScheduleEventAllocFree pins the typed event path at zero
 // allocations per event once the heap's backing array has grown to
 // working size — the regression guard for reintroducing a per-event
@@ -123,5 +148,18 @@ func TestCoroutineWakeAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() { eng.RunLimit(200) })
 	if avg != 0 {
 		t.Fatalf("coroutine wake path allocates %v objects per run, want 0", avg)
+	}
+}
+
+// TestCoroutineHandoffAllocFree pins the handoff between two
+// coroutines (every wait resumes the other one) at zero allocations
+// per handoff once both coroutines are running.
+func TestCoroutineHandoffAllocFree(t *testing.T) {
+	eng := NewEngine()
+	lockstep(eng, 1<<20)
+	eng.RunLimit(500) // warm-up: coroutine stacks, heap array
+	avg := testing.AllocsPerRun(20, func() { eng.RunLimit(200) })
+	if avg != 0 {
+		t.Fatalf("coroutine handoff allocates %v objects per run, want 0", avg)
 	}
 }

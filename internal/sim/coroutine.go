@@ -1,11 +1,16 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // Coroutine models a simulated thread of control (an application thread
-// running on a simulated processor). The body runs on its own goroutine
-// but never concurrently with the engine or with another coroutine: it
-// runs only between an engine resume and the next park, so all
+// running on a simulated processor). The body runs as a runtime
+// coroutine (iter.Pull): the engine's wake transfers control to it
+// directly, and Park transfers control straight back, so the body never
+// runs concurrently with the engine or with another coroutine and all
 // simulated state can be accessed without locks.
 //
 // Lifecycle:
@@ -16,38 +21,54 @@ import "fmt"
 //
 // Inside body, the coroutine yields virtual time with WaitCycles, or
 // parks indefinitely with Park (some event handler later calls
-// WakeAfter). When body returns, Done() reports true.
+// WakeAfter). When body returns, Done() reports true. A panic in body
+// surfaces at the engine's Run as a *CoroutinePanic.
 type Coroutine struct {
-	eng    *Engine
-	resume chan struct{}
-	parked chan struct{}
-	done   bool
+	eng *Engine
+	// next resumes the body until its next Park (or its end); yield,
+	// called from the body, is that Park.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
 	// waking is true while a wake event for this coroutine is pending
 	// in the engine's queue. It guards against double-resume.
 	waking bool
-	// driving is true while the coroutine's own goroutine is running
-	// the engine's event loop in place of parking (ParkInline). Its
-	// wake event then clears the flag instead of performing a channel
-	// handoff.
+	// driving is true while the coroutine is running the engine's
+	// event loop in place of parking (ParkInline). Its wake event then
+	// clears the flag instead of resuming the body.
 	driving bool
 	label   string
+}
+
+// CoroutinePanic is the value a panic in a coroutine's body re-raises
+// with at the engine's Run. The runtime moves the panic out of the
+// coroutine and so loses the stack it happened on; Stack keeps it.
+type CoroutinePanic struct {
+	Label string // the coroutine's label
+	Value any    // the value the body panicked with
+	Stack []byte // debug.Stack() at the panic, inside the body
+}
+
+func (p *CoroutinePanic) Error() string {
+	return fmt.Sprintf("sim: coroutine %s panicked: %v\n\ncoroutine stack:\n%s", p.Label, p.Value, p.Stack)
 }
 
 // NewCoroutine creates a coroutine that will execute body. The body
 // does not run until the first WakeAfter; it is created parked.
 func NewCoroutine(eng *Engine, label string, body func(*Coroutine)) *Coroutine {
-	co := &Coroutine{
-		eng:    eng,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		label:  label,
-	}
-	go func() {
-		<-co.resume
+	co := &Coroutine{eng: eng, label: label}
+	// stop is dropped: a body still parked when its run ends just
+	// stays parked.
+	co.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				panic(&CoroutinePanic{Label: label, Value: r, Stack: debug.Stack()})
+			}
+		}()
 		body(co)
 		co.done = true
-		co.parked <- struct{}{}
-	}()
+	})
 	return co
 }
 
@@ -73,22 +94,21 @@ func (co *Coroutine) scheduleWake(delay Cycles) {
 	co.eng.ScheduleEvent(delay, co, 0, nil)
 }
 
-// HandleEvent implements EventSink: the fired wake event hands control
-// to the coroutine and blocks the engine until it parks again (or
-// finishes), preserving the single-activity invariant.
+// HandleEvent implements EventSink: the fired wake event switches to
+// the coroutine and returns when it parks again (or finishes),
+// preserving the single-activity invariant.
 func (co *Coroutine) HandleEvent(int, any) {
 	// Clear before transferring control: the body may re-arm its own
 	// wake (WaitCycles) during this slice.
 	co.waking = false
 	if co.driving {
-		// The coroutine's own goroutine popped this wake from inside
-		// ParkInline's drive loop: clearing the flag IS the resume —
-		// the loop exits and the body continues, no handoff needed.
+		// The coroutine popped this wake from inside ParkInline's
+		// drive loop: clearing the flag IS the resume — the loop exits
+		// and the body continues, no switch needed.
 		co.driving = false
 		return
 	}
-	co.resume <- struct{}{}
-	<-co.parked
+	co.next()
 }
 
 // WakeAfter schedules the coroutine to resume after delay cycles.
@@ -104,23 +124,22 @@ func (co *Coroutine) Wakeable() bool { return !co.done && !co.waking }
 
 // Park suspends the coroutine until some event calls WakeAfter.
 // Must be called from the coroutine's own body.
-func (co *Coroutine) Park() {
-	co.parked <- struct{}{}
-	<-co.resume
-}
+func (co *Coroutine) Park() { co.yield(struct{}{}) }
 
 // ParkInline suspends the coroutine until some event calls WakeAfter,
-// like Park, but keeps the coroutine's goroutine executing the
-// engine's event loop while it waits, for as long as no other
-// coroutine needs control: message deliveries, coherence-manager
-// timers and the wait's own completion chain all dispatch inline on
-// this goroutine, and the coroutine's wake event simply falls out of
-// the loop — zero channel handoffs for a plain timed wait or an entire
-// remote round trip. The drive loop hands back to a real Park the
-// moment the next event would resume a different coroutine (or lies
-// beyond the engine's horizon), so the dispatch order, event
-// timestamps and tie-break draws are identical to a plain Park in
-// every case.
+// like Park, but keeps the coroutine executing the engine's event loop
+// while it waits, for as long as no other coroutine needs control:
+// message deliveries, coherence-manager timers and the wait's own
+// completion chain all dispatch inline, and the coroutine's wake event
+// simply falls out of the loop — zero coroutine switches for a plain
+// timed wait or an entire remote round trip. The drive loop hands back
+// to a real Park the moment the next event would resume a different
+// coroutine (or lies beyond the engine's horizon), so the dispatch
+// order, event timestamps and tie-break draws are identical to a plain
+// Park in every case. Handing back first is also what keeps the
+// switches well nested: another coroutine is only ever resumed from the
+// engine's own loop, never from inside a running coroutine, whose
+// iter.Pull would panic on the re-entrant next.
 func (co *Coroutine) ParkInline() {
 	e := co.eng
 	co.driving = true
@@ -145,7 +164,7 @@ func (co *Coroutine) ParkInline() {
 // WaitCycles suspends the coroutine for d cycles of virtual time.
 // Must be called from the coroutine's own body. The wake is a real
 // event, so the wait is a dispatch like any other (observable, tagged);
-// ParkInline keeps it free of goroutine handoffs unless another
+// ParkInline keeps it free of coroutine switches unless another
 // coroutine must run first.
 func (co *Coroutine) WaitCycles(d Cycles) {
 	co.scheduleWake(d)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCoroutineBasic(t *testing.T) {
 	e := NewEngine()
@@ -138,5 +141,38 @@ func TestManyCoroutinesDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("runs diverge at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+}
+
+// explode is a coroutine body that panics after one wait, so the panic
+// happens on a resumed coroutine rather than on its first slice.
+func explode(co *Coroutine) {
+	co.WaitCycles(3)
+	panic("boom")
+}
+
+// TestCoroutinePanicSurfacesAtRun pins that a panic in a coroutine's
+// body is recoverable at the engine's Run, and that the value names
+// the coroutine and keeps the stack of the body where it happened.
+func TestCoroutinePanicSurfacesAtRun(t *testing.T) {
+	e := NewEngine()
+	NewCoroutine(e, "victim", explode).WakeAfter(0)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+	}()
+	p, ok := got.(*CoroutinePanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *CoroutinePanic", got, got)
+	}
+	if p.Label != "victim" || p.Value != "boom" {
+		t.Fatalf("panic = {%q, %v}, want {victim, boom}", p.Label, p.Value)
+	}
+	if !strings.Contains(string(p.Stack), "sim.explode") {
+		t.Fatalf("panic stack has no frame of the body:\n%s", p.Stack)
+	}
+	if msg := p.Error(); !strings.Contains(msg, "victim") || !strings.Contains(msg, "boom") {
+		t.Fatalf("panic message %q does not name the coroutine and value", msg)
 	}
 }

@@ -5,12 +5,14 @@
 // measured in processor cycles. Exactly one piece of simulated activity
 // runs at any instant: either an event handler or a coroutine that an
 // event handler resumed. Coroutines (used to model application threads
-// running on simulated processors) are ordinary goroutines that park on
-// a channel whenever they need virtual time to pass; the engine resumes
-// them from scheduled events and waits for them to park again before
-// popping the next event. The result is a total, reproducible order of
-// all simulated activity: ties in virtual time break on event sequence
-// number, which is assigned in scheduling order.
+// running on simulated processors) are runtime coroutines (iter.Pull)
+// that park whenever they need virtual time to pass; a scheduled wake
+// event switches into one and the engine continues once it parks
+// again, without a trip through the Go scheduler. A panic in a
+// coroutine's body surfaces at Run as a *CoroutinePanic. The result is
+// a total, reproducible order of all simulated activity: ties in
+// virtual time break on event sequence number, which is assigned in
+// scheduling order.
 //
 // Events are stored by value in an indexed binary heap and dispatch to
 // an EventSink, so scheduling allocates nothing on the hot paths

@@ -52,7 +52,9 @@ type ShardSet struct {
 }
 
 // Run executes the engines until every queue is empty and no
-// cross-shard mail remains.
+// cross-shard mail remains. A panic on any engine surfaces at Run: a
+// worker's round recovers it, and Run re-raises it once every worker
+// has finished the round.
 func (s *ShardSet) Run() {
 	switch len(s.Engines) {
 	case 0:
@@ -65,13 +67,18 @@ func (s *ShardSet) Run() {
 		panic(fmt.Sprintf("sim: shard window %d < 1", s.Window))
 	}
 	start := make([]chan Cycles, len(s.Engines))
-	done := make(chan int, len(s.Engines))
+	done := make(chan struct{}, len(s.Engines))
+	// panics[i] is what engine i's round panicked with, if anything.
+	panics := make([]any, len(s.Engines))
 	for i, e := range s.Engines {
 		start[i] = make(chan Cycles)
 		go func(i int, e *Engine, start <-chan Cycles) {
 			for h := range start {
-				e.RunUntil(h)
-				done <- i
+				func() {
+					defer func() { panics[i] = recover() }()
+					e.RunUntil(h)
+				}()
+				done <- struct{}{}
 			}
 		}(i, e, start[i])
 	}
@@ -110,6 +117,11 @@ func (s *ShardSet) Run() {
 		}
 		for range s.Engines {
 			<-done
+		}
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
 		}
 		for _, e := range s.Engines {
 			e.inRound = false

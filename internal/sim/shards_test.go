@@ -113,3 +113,30 @@ func TestShardSetDefer(t *testing.T) {
 		t.Fatalf("two engines: %q, want %q", got, want)
 	}
 }
+
+// panicSink panics when its event fires.
+type panicSink struct{}
+
+func (panicSink) HandleEvent(int, any) { panic("shard boom") }
+
+// TestShardSetPanicSurfacesAtRun pins that a panic on one of several
+// engines, in a sink or in a coroutine, is recoverable at ShardSet.Run
+// as it is on one engine, rather than killing the process from a
+// worker goroutine.
+func TestShardSetPanicSurfacesAtRun(t *testing.T) {
+	run := func(arm func(b *Engine)) (got any) {
+		a, b := NewEngine(), NewEngine()
+		a.Schedule(4, func() {})
+		arm(b)
+		defer func() { got = recover() }()
+		(&ShardSet{Engines: []*Engine{a, b}, Window: 12}).Run()
+		return nil
+	}
+	if got := run(func(b *Engine) { b.ScheduleEvent(6, panicSink{}, 0, nil) }); got != "shard boom" {
+		t.Fatalf("sink: recovered %v, want the sink's panic", got)
+	}
+	got := run(func(b *Engine) { NewCoroutine(b, "victim", explode).WakeAfter(6) })
+	if p, ok := got.(*CoroutinePanic); !ok || p.Label != "victim" || p.Value != "boom" {
+		t.Fatalf("coroutine: recovered %v, want the body's panic", got)
+	}
+}
