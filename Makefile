@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-check all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
+.PHONY: all check build test race bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
 
 all: check
 
@@ -13,8 +13,10 @@ all: check
 # full-featured (contention + tracing at 4 shards), and race-smoke
 # runs the happens-before detection corpus end to end. bench-check
 # vets and tests the benchmark harness, a nested module outside the
-# root `go test ./...`.
-check: build test race lint bench-check all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke
+# root `go test ./...`; bench-smoke runs every Benchmark function once.
+# examples runs the API demos, among them locks and prodcons, the only
+# programs outside the tests that use Sleep/Wake.
+check: build test race lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
 
 build:
 	$(GO) build ./...
@@ -32,6 +34,11 @@ test-log:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# One iteration of every Benchmark function, so none stops compiling
+# or running unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark harness (bench/, its own module) compiles against the
 # internal APIs (mesh.New, sim.ShardSet, Mesh.AllocMsg/FreeMsg), so a

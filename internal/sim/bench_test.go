@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineSchedule measures raw event throughput on the legacy
 // closure API (funcSink adapter).
@@ -161,5 +164,97 @@ func TestCoroutineHandoffAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(20, func() { eng.RunLimit(200) })
 	if avg != 0 {
 		t.Fatalf("coroutine handoff allocates %v objects per run, want 0", avg)
+	}
+}
+
+// mixSink reschedules itself forever under its own lane, taking its
+// delays in turn from a shared table.
+type mixSink struct {
+	eng    *Engine
+	lane   int32
+	delays []Cycles
+	i      int
+}
+
+func (s *mixSink) HandleEvent(int, any) {
+	s.i = (s.i + 1) % len(s.delays)
+	s.eng.SetLane(s.lane)
+	s.eng.ScheduleEvent(s.delays[s.i], s, 0, nil)
+}
+
+// BenchmarkEngineQueueMix measures the event queue under the workloads'
+// delay mix: 300 events pending, on 64 lanes, with delays about 12 %
+// zero, 80 % 8–128 cycles, 4 % 129–512 and 4 % 513–2048. One op is one
+// dispatch and the schedule it makes.
+func BenchmarkEngineQueueMix(b *testing.B) {
+	b.ReportAllocs()
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Cycles, 4096)
+	for i := range delays {
+		switch r := rng.Intn(100); {
+		case r < 12:
+			delays[i] = 0
+		case r < 92:
+			delays[i] = Cycles(8 + rng.Intn(121))
+		case r < 96:
+			delays[i] = Cycles(129 + rng.Intn(384))
+		default:
+			delays[i] = Cycles(513 + rng.Intn(1536))
+		}
+	}
+	e := NewEngine()
+	for k := 0; k < 300; k++ {
+		s := &mixSink{eng: e, lane: int32(k % 64), delays: delays, i: 13 * k}
+		e.ScheduleEvent(delays[s.i], s, 0, nil)
+	}
+	e.RunLimit(100_000) // warm-up: grow the queue's storage
+	b.ResetTimer()
+	e.RunLimit(uint64(b.N))
+}
+
+// gapSink reschedules itself gap cycles ahead until its budget runs
+// out.
+type gapSink struct {
+	eng       *Engine
+	gap       Cycles
+	remaining int
+}
+
+func (s *gapSink) HandleEvent(int, any) {
+	if s.remaining > 0 {
+		s.remaining--
+		s.eng.ScheduleEvent(s.gap, s, 0, nil)
+	}
+}
+
+// gapChainAllocs returns the allocations per run of a 100-event chain
+// whose events are gap cycles apart, after a warm-up run.
+func gapChainAllocs(gap Cycles) float64 {
+	eng := NewEngine()
+	s := &gapSink{eng: eng, gap: gap, remaining: 256}
+	eng.ScheduleEvent(gap, s, 0, nil)
+	eng.Run()
+	return testing.AllocsPerRun(50, func() {
+		s.remaining = 100
+		eng.ScheduleEvent(gap, s, 0, nil)
+		eng.Run()
+	})
+}
+
+// TestScheduleOverflowAllocFree pins the queue's overflow heap at zero
+// allocations per event: every event of the chain is due a wheel span
+// or more ahead.
+func TestScheduleOverflowAllocFree(t *testing.T) {
+	if avg := gapChainAllocs(3 * wheelSize); avg != 0 {
+		t.Fatalf("overflow path allocates %v objects per run, want 0", avg)
+	}
+}
+
+// TestScheduleWheelWrapAllocFree pins the wheel at zero allocations per
+// event while it wraps: each event of the chain is due one cycle short
+// of the wheel's span, so the chain goes round the wheel once per event.
+func TestScheduleWheelWrapAllocFree(t *testing.T) {
+	if avg := gapChainAllocs(wheelSize - 1); avg != 0 {
+		t.Fatalf("wrapping wheel allocates %v objects per run, want 0", avg)
 	}
 }

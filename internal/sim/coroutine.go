@@ -144,12 +144,13 @@ func (co *Coroutine) ParkInline() {
 	e := co.eng
 	co.driving = true
 	for co.driving {
-		if len(e.pq) == 0 || e.pq[0].at > e.horizon {
+		ev := e.q.peek()
+		if ev == nil || ev.at > e.horizon {
 			co.driving = false
 			co.Park()
 			return
 		}
-		if next, ok := e.pq[0].sink.(*Coroutine); ok && next != co {
+		if next, ok := ev.sink.(*Coroutine); ok && next != co {
 			co.driving = false
 			co.Park()
 			return

@@ -14,12 +14,14 @@
 // virtual time break on event sequence number, which is assigned in
 // scheduling order.
 //
-// Events are stored by value in an indexed binary heap and dispatch to
-// an EventSink, so scheduling allocates nothing on the hot paths
-// (coroutine resume, message delivery, component timers). The
-// closure-based Schedule/ScheduleAt API remains for cold paths and
-// tests; it costs whatever the caller's closure costs, but no
-// per-event heap node.
+// Events are stored by value and dispatch to an EventSink, so
+// scheduling allocates nothing on the hot paths (coroutine resume,
+// message delivery, component timers). The queue (queue.go) is a
+// near-future wheel, one slot per cycle over the next wheelSize cycles,
+// where almost every event lands; a binary heap holds the few events
+// further ahead. The closure-based Schedule/ScheduleAt API remains for
+// cold paths and tests; it costs whatever the caller's closure costs,
+// but no per-event node.
 //
 // Ties in virtual time break on a (lane, per-lane sequence) key rather
 // than a global scheduling counter. A lane is the node whose simulated
@@ -53,14 +55,15 @@ type EventSink interface {
 // simulated activity. It sorts before every node lane.
 const NoLane int32 = -1
 
-// event is one pending entry, stored by value in the heap: scheduling
-// allocates no per-event node. Events compare by (at, lane, seq):
-// same-time events from different lanes order by lane, same-lane
-// events by their lane's draw order.
+// event is one pending entry, stored by value in the queue's node pool
+// or overflow heap: scheduling allocates no per-event node. Events
+// compare by (at, lane, seq) (event.before): same-time events from
+// different lanes order by lane, same-lane events by their lane's draw
+// order.
 type event struct {
 	at   Cycles
 	lane int32
-	kind int
+	kind int32 // beside lane, so an event is 56 bytes and a wheel node 64
 	seq  uint64
 	sink EventSink
 	data any
@@ -85,8 +88,8 @@ type Engine struct {
 	// laneSeq holds one monotone draw counter per lane, indexed by
 	// lane+1 (so NoLane lands on index 0). Grown on demand.
 	laneSeq []uint64
-	// pq is a binary min-heap of events ordered by (at, lane, seq).
-	pq []event
+	// q holds the pending events in (at, lane, seq) order.
+	q queue
 	// processed counts executed events, for diagnostics and runaway
 	// detection in tests.
 	processed uint64
@@ -103,7 +106,7 @@ type Engine struct {
 	// just before its sink runs — the observability layer's engine
 	// probe. Nil (one comparison per Step) when tracing is off.
 	onEvent func(at Cycles, kind int)
-	// tagAt/tagLane/tagSeq hold the heap key of the event currently
+	// tagAt/tagLane/tagSeq hold the queue key of the event currently
 	// dispatching, tagCtr counts DispatchTag draws within it, and
 	// tagOrd numbers this engine's dispatches in execution order. The
 	// key triple is unique across all shards of one run; the ordinal
@@ -133,7 +136,7 @@ type deferredCall struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{horizon: ^Cycles(0), curLane: NoLane}
+	return &Engine{horizon: ^Cycles(0), curLane: NoLane, q: newQueue()}
 }
 
 // Now returns the current virtual time.
@@ -159,7 +162,7 @@ func (e *Engine) SetLane(lane int32) { e.curLane = lane }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events not yet executed.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // SetOnEvent installs a hook observing every event dispatch (nil to
 // remove). The hook must not schedule or mutate simulation state; it
@@ -167,7 +170,7 @@ func (e *Engine) Pending() int { return len(e.pq) }
 func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
 
 // DispatchTag returns a serialization key for the current moment of
-// the current dispatch: the heap key of the event being dispatched,
+// the current dispatch: the queue key of the event being dispatched,
 // this engine's dispatch ordinal, and a per-dispatch draw counter.
 // Keys are unique across all engines of a sharded run (each lane's
 // counter lives on exactly one engine), but sorting tagged work by
@@ -179,7 +182,7 @@ func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
 // within one engine is the ordinal (EngineLess); across engines it is
 // the head merge MergeByTag performs. Every wait schedules its wake as
 // an event, so all simulated activity runs inside some dispatch and the
-// tag is always the key of a real heap event.
+// tag is always the key of a real queued event.
 func (e *Engine) DispatchTag() DispatchTag {
 	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
 	e.tagCtr++
@@ -204,7 +207,7 @@ func (t DispatchTag) Plus(i int) DispatchTag {
 }
 
 // DispatchTag orders logged work by the dispatch that produced it:
-// the dispatched event's heap key (At, Lane, Seq), the engine's
+// the dispatched event's queue key (At, Lane, Seq), the engine's
 // dispatch ordinal Ord, and the intra-dispatch draw counter Ctr.
 type DispatchTag struct {
 	At   Cycles
@@ -217,7 +220,7 @@ type DispatchTag struct {
 }
 
 // Less compares the dispatch keys (At, Lane, Seq, Ctr) — the order in
-// which the dispatching events sat in their heaps, NOT the order a
+// which the dispatching events sat in their queues, NOT the order a
 // serial engine executes them in (see DispatchTag). MergeByTag uses it
 // to compare queue heads across engines.
 func (t DispatchTag) Less(u DispatchTag) bool {
@@ -294,7 +297,7 @@ func (e *Engine) ScheduleEventAt(at Cycles, sink EventSink, kind int, data any) 
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
 	}
 	lane, seq := e.DrawKey()
-	e.push(event{at: at, lane: lane, seq: seq, kind: kind, sink: sink, data: data})
+	e.q.push(event{at: at, lane: lane, seq: seq, kind: int32(kind), sink: sink, data: data}, e.now)
 }
 
 // DrawKey draws the tie-break key the next scheduling by the current
@@ -315,86 +318,34 @@ func (e *Engine) DrawKey() (lane int32, seq uint64) {
 // InjectEventAt enqueues an event carrying an explicit tie-break key
 // drawn on another engine (DrawKey at send time). The sharded runner
 // calls it at lookahead barriers to move cross-shard events into the
-// owning shard's queue; conservative lookahead guarantees at has not
-// passed.
+// owning shard's queue. It relies on conservative lookahead: a
+// cross-shard event is sent at least one window before it is due, and
+// the receiving shard stopped at the window's end, so at ≥ now. The
+// queue depends on that bound (its wheel holds only events in
+// [now, now+wheelSize)); an event in the past panics.
 func (e *Engine) InjectEventAt(at Cycles, lane int32, seq uint64, sink EventSink, kind int, data any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: inject at %d before now %d", at, e.now))
 	}
-	e.push(event{at: at, lane: lane, seq: seq, kind: kind, sink: sink, data: data})
-}
-
-func (e *Engine) push(ev event) {
-	e.pq = append(e.pq, ev)
-	e.siftUp(len(e.pq) - 1)
+	e.q.push(event{at: at, lane: lane, seq: seq, kind: int32(kind), sink: sink, data: data}, e.now)
 }
 
 // NextEventAt returns the time of the earliest pending event, or
 // ok=false when the queue is empty.
 func (e *Engine) NextEventAt() (at Cycles, ok bool) {
-	if len(e.pq) == 0 {
-		return 0, false
+	if ev := e.q.peek(); ev != nil {
+		return ev.at, true
 	}
-	return e.pq[0].at, true
-}
-
-// less orders the heap by (at, lane, seq); (lane, seq) is unique, so
-// the order is total and any correct heap pops the same deterministic
-// sequence — regardless of insertion order, which is what lets barrier
-// injection merge shard queues without a serialization step.
-func (e *Engine) less(i, j int) bool {
-	if e.pq[i].at != e.pq[j].at {
-		return e.pq[i].at < e.pq[j].at
-	}
-	if e.pq[i].lane != e.pq[j].lane {
-		return e.pq[i].lane < e.pq[j].lane
-	}
-	return e.pq[i].seq < e.pq[j].seq
-}
-
-func (e *Engine) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.pq[i], e.pq[parent] = e.pq[parent], e.pq[i]
-		i = parent
-	}
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.pq)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && e.less(r, child) {
-			child = r
-		}
-		if !e.less(child, i) {
-			return
-		}
-		e.pq[i], e.pq[child] = e.pq[child], e.pq[i]
-		i = child
-	}
+	return 0, false
 }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if no events remain.
 func (e *Engine) Step() bool {
-	if len(e.pq) == 0 {
+	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.pq[0]
-	n := len(e.pq) - 1
-	e.pq[0] = e.pq[n]
-	e.pq[n] = event{} // drop sink/data references for the GC
-	e.pq = e.pq[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
+	ev := e.q.pop()
 	e.now = ev.at
 	e.lastAct = ev.at
 	e.curLane = ev.lane
@@ -402,9 +353,9 @@ func (e *Engine) Step() bool {
 	e.tagOrd++
 	e.processed++
 	if e.onEvent != nil {
-		e.onEvent(ev.at, ev.kind)
+		e.onEvent(ev.at, int(ev.kind))
 	}
-	ev.sink.HandleEvent(ev.kind, ev.data)
+	ev.sink.HandleEvent(int(ev.kind), ev.data)
 	return true
 }
 
@@ -419,7 +370,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Cycles) {
 	prev := e.horizon
 	e.horizon = t
-	for len(e.pq) > 0 && e.pq[0].at <= t {
+	for ev := e.q.peek(); ev != nil && ev.at <= t; ev = e.q.peek() {
 		e.Step()
 	}
 	e.horizon = prev

@@ -193,3 +193,127 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// key is an event's (at, lane, seq) queue key.
+type key struct {
+	at   Cycles
+	lane int32
+	seq  uint64
+}
+
+func (a key) less(b key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.lane != b.lane {
+		return a.lane < b.lane
+	}
+	return a.seq < b.seq
+}
+
+// dispatched returns the key of the event e is dispatching.
+func dispatched(e *Engine) key {
+	tag := e.DispatchTag()
+	return key{tag.At, tag.Lane, tag.Seq}
+}
+
+// TestEngineQueueOrderDifferential checks the queue against a plain
+// reference: every dispatch must be the smallest (at, lane, seq) key
+// among the events pending at that moment. Random schedules mix
+// ScheduleEventAt (keys drawn from the engine's lane counters, mirrored
+// here) with InjectEventAt (explicit keys), on lanes including NoLane,
+// with delays of 0, wheelSize-1, wheelSize and up to 4·wheelSize, so
+// events cross between the wheel and the overflow heap and the wheel
+// wraps many times. Handlers schedule more events, zero-delay ones
+// included (an injected key can sort before the dispatch that made it),
+// and RunUntil horizons drag the clock past empty stretches.
+func TestEngineQueueOrderDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var pending []key
+		draws := map[int32]uint64{}
+		injSeq := uint64(1) << 40 // above every drawn seq, so keys stay unique
+		scheduled, fired, wrapped := 0, 0, false
+		delay := func() Cycles {
+			switch rng.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return wheelSize - 1
+			case 2:
+				return wheelSize
+			case 3:
+				return Cycles(rng.Intn(4*wheelSize + 1))
+			default:
+				return Cycles(rng.Intn(64))
+			}
+		}
+		var fire func()
+		schedule := func() {
+			if scheduled == 4000 {
+				return
+			}
+			scheduled++
+			at := e.Now() + delay()
+			lane := int32(rng.Intn(17)) - 1
+			if rng.Intn(3) == 0 {
+				e.InjectEventAt(at, lane, injSeq, funcSink{}, 0, fire)
+				pending = append(pending, key{at, lane, injSeq})
+				injSeq++
+				return
+			}
+			e.SetLane(lane)
+			e.ScheduleEventAt(at, funcSink{}, 0, fire)
+			pending = append(pending, key{at, lane, draws[lane]})
+			draws[lane]++
+		}
+		fire = func() {
+			got := dispatched(e)
+			least := 0
+			for i := range pending {
+				if pending[i].less(pending[least]) {
+					least = i
+				}
+			}
+			if want := pending[least]; got != want || got.at != e.Now() {
+				t.Fatalf("seed %d dispatch %d: got %+v at now %d, want %+v", seed, fired, got, e.Now(), want)
+			}
+			pending[least] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			fired++
+			wrapped = wrapped || got.at >= 8*wheelSize
+			for n := rng.Intn(3); n > 0; n-- {
+				schedule()
+			}
+		}
+		for i := 0; i < 64; i++ {
+			schedule()
+		}
+		for e.Pending() > 0 {
+			if rng.Intn(2) == 0 {
+				e.RunLimit(uint64(rng.Intn(40) + 1))
+			} else {
+				h := e.Now() + Cycles(rng.Intn(3*wheelSize))
+				e.RunUntil(h)
+				if e.Now() != h {
+					t.Fatalf("seed %d: RunUntil(%d) left the clock at %d", seed, h, e.Now())
+				}
+				for _, k := range pending {
+					if k.at <= h {
+						t.Fatalf("seed %d: RunUntil(%d) left %+v pending", seed, h, k)
+					}
+				}
+				for n := rng.Intn(4); n > 0; n-- {
+					schedule()
+				}
+			}
+			if e.Pending() != len(pending) {
+				t.Fatalf("seed %d: Pending() = %d, reference holds %d", seed, e.Pending(), len(pending))
+			}
+		}
+		if fired != scheduled || !wrapped {
+			t.Fatalf("seed %d: fired %d of %d scheduled events (wrapped the wheel: %v)", seed, fired, scheduled, wrapped)
+		}
+	}
+}

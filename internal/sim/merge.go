@@ -12,15 +12,15 @@ package sim
 //
 // Why a head merge and not a flat sort: a serial engine's pop order is
 // not a global key sort. An event scheduled during a dispatch can land
-// in the same cycle under a smaller heap key (e.g. a zero-delay thread
+// in the same cycle under a smaller queue key (e.g. a zero-delay thread
 // wake keyed under the sleeper's lane, created while dispatching a
 // delivery keyed under the sender's lane); serial pops it after the
-// dispatch that created it — the heap can only pop what exists — while
+// dispatch that created it — the queue can only pop what exists — while
 // a flat key sort would place it before. Head-merging is exact: when
 // every engine's earlier work has been emitted, each engine's next
-// dispatch is already sitting in the serial heap (it was scheduled by
+// dispatch is already sitting in the serial queue (it was scheduled by
 // strictly earlier activity on its own engine — cross-engine
-// scheduling happens only at barriers), so the serial heap's next pop
+// scheduling happens only at barriers), so the serial queue's next pop
 // is precisely the minimum of the queue heads' keys.
 func MergeByTag[T any](queues [][]T, tag func(*T) DispatchTag, emit func(*T)) {
 	pos := make([]int, len(queues))

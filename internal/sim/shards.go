@@ -16,7 +16,7 @@ import "fmt"
 // synchronizes at a barrier where the round's cross-shard messages are
 // injected into the owning shards' queues (Drain) carrying the
 // tie-break keys drawn at send time. Because every engine orders its
-// heap by the (at, lane, seq) key — not by insertion order — the merged
+// queue by the (at, lane, seq) key — not by insertion order — the merged
 // schedule is byte-identical to a single engine running the same
 // program. Each barrier first replays the round's Defer calls from
 // every engine in one MergeByTag pass, then runs BarrierWork, then

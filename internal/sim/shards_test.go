@@ -140,3 +140,66 @@ func TestShardSetPanicSurfacesAtRun(t *testing.T) {
 		t.Fatalf("coroutine: recovered %v, want the body's panic", got)
 	}
 }
+
+// TestShardSetInjectOrder pins barrier injection against both halves
+// of the queue at K=2. Engine a sends cross-shard mail in-round; the
+// barrier's Drain injects it into b, one event due within the wheel's
+// span of b's clock and one beyond it, in the overflow heap. Each lands
+// on a cycle where b also holds locally scheduled events on lanes on
+// either side of the injected one, and b must dispatch all of them in
+// (at, lane, seq) order.
+func TestShardSetInjectOrder(t *testing.T) {
+	a, b := NewEngine(), NewEngine()
+	near, far := Cycles(17), Cycles(5+3*wheelSize)
+	var got []key
+	record := func() { got = append(got, dispatched(b)) }
+	for _, lane := range []int32{5, 1} {
+		b.SetLane(lane)
+		b.ScheduleAt(near, record)
+	}
+	b.SetLane(7)
+	b.ScheduleAt(far-20, func() {
+		for _, lane := range []int32{4, 0} {
+			b.SetLane(lane)
+			b.ScheduleAt(far, record)
+		}
+	})
+	type mail struct {
+		key
+		overflow bool // where the event must land in b's queue
+	}
+	var sent []mail
+	a.Schedule(5, func() {
+		sent = append(sent, mail{key{near, 3, 100}, false}, mail{key{far, 2, 101}, true})
+	})
+	a.Schedule(far-100, func() { sent = append(sent, mail{key{far, 3, 102}, false}) })
+	ss := &ShardSet{
+		Engines: []*Engine{a, b},
+		Window:  12,
+		Drain: func() int {
+			for _, m := range sent {
+				before := len(b.q.overflow)
+				b.InjectEventAt(m.at, m.lane, m.seq, funcSink{}, 0, record)
+				if landed := len(b.q.overflow) > before; landed != m.overflow {
+					t.Fatalf("%+v injected at now %d: in overflow %v, want %v", m.key, b.Now(), landed, m.overflow)
+				}
+			}
+			n := len(sent)
+			sent = sent[:0]
+			return n
+		},
+	}
+	ss.Run()
+	want := []key{
+		{near, 1, 0}, {near, 3, 100}, {near, 5, 0},
+		{far, 0, 0}, {far, 2, 101}, {far, 3, 102}, {far, 4, 0},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatched %+v, want %+v", got, want)
+		}
+	}
+}
