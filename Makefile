@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples clean
+.PHONY: all check build test race bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -125,6 +125,10 @@ examples:
 	@for e in quickstart shortestpath beamsearch locks prodcons migration parloop; do \
 		echo "=== $$e ==="; $(GO) run ./examples/$$e || exit 1; \
 	done
+
+# Non-test Go lines under internal/, the size the ROADMAP tracks.
+loc:
+	@find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -13,10 +13,12 @@ import (
 	"plus/apps/sor"
 	"plus/apps/sssp"
 	"plus/internal/core"
+	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
 	"plus/internal/stats"
 	"plus/internal/trace"
+	psync "plus/sync"
 )
 
 // RaceProgram is one entry of the race-detection corpus.
@@ -45,6 +47,7 @@ func RacePrograms() []RaceProgram {
 		{Name: "fenced-pair", Racy: false, Run: runFencedPair},
 		{Name: "kvserve", Racy: false, Run: runKvserveRace},
 		{Name: "kvserve-unsync", Racy: true, Run: runKvserveUnsyncRace},
+		{Name: "queuelock", Racy: false, Run: runQueueLockRace},
 		{Name: "racy-pair", Racy: true, Run: runRacyPair},
 		{Name: "sor", Racy: false, Run: runSORRace},
 		{Name: "sssp", Racy: false, Run: runSSSPRace},
@@ -178,6 +181,41 @@ func runFencedPair(mcfg *core.Config) error {
 	})
 	_, err = m.Run()
 	return err
+}
+
+// runQueueLockRace runs the Table 3-2 queue lock across every node of
+// the corpus mesh: each thread increments a shared counter with plain
+// reads and writes inside the lock, and the fenced Unlock hands the
+// lock to a sleeping waiter with a wake message, so contended handoffs
+// cross nodes (and shards). The Wake→Sleep edge orders every critical
+// section after the previous one, so the detector must report nothing.
+func runQueueLockRace(mcfg *core.Config) error {
+	const sections = 4
+	m, err := core.NewMachine(*mcfg)
+	if err != nil {
+		return err
+	}
+	l := psync.NewQueueLock(m, 0)
+	ctr := m.Alloc(pairReaderNode, 1)
+	for node := 0; node < m.Nodes(); node++ {
+		m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("locker%d", node), func(t *proc.Thread) {
+			for i := 0; i < sections; i++ {
+				l.Lock(t)
+				t.Write(ctr, t.Read(ctr)+1)
+				l.Unlock(t)
+			}
+		})
+	}
+	if _, err := m.Run(); err != nil {
+		return err
+	}
+	if got, want := m.Peek(ctr), memory.Word(sections*m.Nodes()); got != want {
+		return fmt.Errorf("queuelock: counter %d, want %d", got, want)
+	}
+	if m.Stats().MsgWake == 0 {
+		return fmt.Errorf("queuelock: no waiter was ever woken across nodes")
+	}
+	return nil
 }
 
 // runSORRace runs the barrier-synchronized SOR kernel small enough for

@@ -5,8 +5,9 @@ import (
 )
 
 // TestRaceCorpus is the directed-corpus pin: the racy pair is flagged
-// (both sites, right threads, right words), and the fenced pair, SOR
-// and SSSP come out clean — no false negatives, no false positives.
+// (both sites, right threads, right words), and the fenced pair, the
+// queue lock, SOR and SSSP come out clean — no false negatives, no
+// false positives.
 func TestRaceCorpus(t *testing.T) {
 	outcomes, ok, err := RunRaceCorpus()
 	if err != nil {
@@ -104,8 +105,7 @@ func TestRaceKvserveUnsyncCounters(t *testing.T) {
 // byte-identical between the serial engine and sharded runs at every
 // supported tiling: the merged event stream preserves serial emission
 // order, so the detector — a pure function of the stream — cannot
-// tell the difference. (All corpus programs avoid cross-shard Wake,
-// which is the one documented sharding divergence.)
+// tell the difference.
 func TestRaceReportShardEquivalence(t *testing.T) {
 	for _, p := range RacePrograms() {
 		p := p

@@ -147,6 +147,9 @@ type CM struct {
 	suspectFn func(mesh.NodeID)
 	slotGen   uint64
 
+	// wake hands an arriving kWake's thread ID to the processor (OnWake).
+	wake func(id uint64)
+
 	// Write-invalidate ablation mode (see invalidate.go). Real PLUS is
 	// write-update; this exists to measure the §2.2 claim.
 	invalidateMode bool
@@ -268,6 +271,17 @@ func (cm *CM) newMsg(kind uint8, origin mesh.NodeID, id uint64) *mesh.Msg {
 
 // freeMsg recycles a consumed message onto this node's shard free-list.
 func (cm *CM) freeMsg(m *mesh.Msg) { cm.net.FreeMsgAt(cm.self, m) }
+
+// OnWake installs the processor-side handler for arriving wakes: fn
+// receives the ID of the thread to wake on this node.
+func (cm *CM) OnWake(fn func(id uint64)) { cm.wake = fn }
+
+// SendWake carries a wake_up() for thread id to its node dst as a
+// 1-flit kWake. Like an ack it charges no CM processing time at either
+// end: the network latency is the whole cost.
+func (cm *CM) SendWake(dst mesh.NodeID, id uint64) {
+	cm.send(dst, cm.newMsg(kWake, cm.self, id))
+}
 
 // --- Kernel-side table maintenance -----------------------------------
 
@@ -903,6 +917,8 @@ func (cm *CM) send(dst mesh.NodeID, m *mesh.Msg) {
 		cm.st.MsgPage++
 	case kTAck:
 		cm.st.MsgTAck++
+	case kWake:
+		cm.st.MsgWake++
 	}
 	if cm.reliable && m.Kind != kTAck {
 		cm.transportSend(dst, m)
@@ -913,8 +929,8 @@ func (cm *CM) send(dst mesh.NodeID, m *mesh.Msg) {
 
 // Deliver implements mesh.Port: protocol messages arriving at this
 // node. Requests incur the CM's per-hop processing time before acting;
-// acks and replies act immediately, their handling cost folded into
-// the originator-side constants.
+// acks, replies and wakes act immediately (the handling cost of acks
+// and replies is folded into the originator-side constants).
 func (cm *CM) Deliver(m *mesh.Msg) {
 	if cm.down {
 		// Defensive: the mesh already drops deliveries to down nodes.
@@ -966,6 +982,10 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 		id := m.ID
 		cm.freeMsg(m)
 		cm.retireWrite(id)
+	case kWake:
+		id := m.ID
+		cm.freeMsg(m)
+		cm.wake(id)
 	case kRMWReply:
 		tok, pid, v, complete, cause := m.ID, m.Pid, m.Val, m.Complete, m.Cause
 		cm.freeMsg(m)

@@ -15,7 +15,8 @@
 //   - Failover() is one live node's part of that epoch: parked
 //     requests toward the dead node are rerouted to each page's new
 //     master, truncated update chains are completed administratively,
-//     the transport pair is reset, and operations whose state died
+//     the transport pair is reset, wakes for the dead node's sleepers
+//     are re-sent to await its restart, and operations whose state died
 //     inside the crashed node are force-retired or re-issued so no
 //     originator is stranded.
 //   - Restart() models the reboot: the volatile master/next tables are
@@ -264,6 +265,13 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 				c.Done()
 			}
 			cm.freeMsg(c)
+		case kWake:
+			// The sleeper's thread outlives the outage (its processor
+			// only pauses), so its wake must too: re-send it under the
+			// reset pair. It retransmits until the node restarts, then
+			// wakes the thread like any late wake.
+			c.Seq, c.Nacked = 0, false
+			cm.send(dead, c)
 		case kAck, kReadReply, kRMWReply:
 			// Completions addressed to state that died with the node.
 			cm.st.CrashOrphans++

@@ -42,6 +42,9 @@ const (
 	// is recovered by the sender's retransmit timer and the receiver
 	// re-acking duplicates.
 	kTAck
+	// kWake carries a wake_up() (Table 3-2) to the sleeper's node. ID is
+	// the target thread's machine-wide ID.
+	kWake
 )
 
 // wordWrite is one word modified by a write or RMW, propagated down
@@ -70,7 +73,7 @@ func flits(m *mesh.Msg) int {
 		return 2
 	case kPageCopy:
 		return 2 + len(m.Data)
-	case kTAck:
+	case kTAck, kWake:
 		return 1
 	default:
 		return 1

@@ -136,6 +136,50 @@ func TestMasterCrashFailover(t *testing.T) {
 	}
 }
 
+// TestWakeDuringOutage aims a wake at a sleeper whose node is down.
+// The wake retransmits into the outage until the failover epoch finds
+// it parked toward the dead node and re-sends it under the reset
+// transport pair; it keeps retransmitting until the node restarts, and
+// then wakes the sleeper, whose thread survived the outage. The run
+// must finish: no deadlock, no panic over the parked wake.
+func TestWakeDuringOutage(t *testing.T) {
+	const crashAt, outage, wakeAt = 1000, 12000, 2000
+	cfg := DefaultConfig(4, 1)
+	cfg.Faults = mesh.FaultConfig{
+		Crashes: []mesh.CrashEvent{{Node: 3, At: crashAt, Duration: outage}},
+	}
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resumedAt sim.Cycles
+	sleeper := m.Spawn(3, func(th *proc.Thread) {
+		th.Sleep()
+		resumedAt = th.Now()
+	})
+	m.Spawn(0, func(th *proc.Thread) {
+		th.Compute(wakeAt)
+		th.Wake(sleeper)
+	})
+	if _, err := m.Run(); err != nil {
+		t.Fatalf("run with a wake into the outage: %v", err)
+	}
+	if !sleeper.Done() {
+		t.Fatal("sleeper never woke")
+	}
+	if resumedAt < crashAt+outage {
+		t.Fatalf("sleeper resumed at %d, during the outage [%d, %d)", resumedAt, crashAt, crashAt+outage)
+	}
+	st := m.Stats()
+	if cb := st.Crash(); cb.Failovers != 1 || cb.Restarts != 1 || cb.RecoveryMax >= outage {
+		t.Fatalf("want one failover, run at detection inside the outage, and one restart: %+v", cb)
+	}
+	// The failover's re-send is counted like every redirected message.
+	if st.MsgWake != 2 {
+		t.Fatalf("MsgWake = %d, want 2 (the wake and its failover re-send)", st.MsgWake)
+	}
+}
+
 // runCrashFuzz drives the protocol-fuzz workload with a crash script —
 // optionally on top of message loss — and the invariant checker armed.
 // Every page keeps at least one replica on a node the script never

@@ -71,10 +71,7 @@ type Config struct {
 	// instead of the call instant, so such runs match serial in
 	// copy-lists and memory, not cycles. Two features remain
 	// serial-only: crash injection and bounded link buffers
-	// (mesh.Config.Validate rejects both). A
-	// cross-shard thread Wake is carried by the cross-shard mail path
-	// and lands one lookahead window later — deterministic for a fixed
-	// shard count, but not byte-identical to serial timing.
+	// (mesh.Config.Validate rejects both).
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
@@ -603,12 +600,6 @@ func (m *Machine) Elapsed() sim.Cycles { return m.elapsed }
 // metric).
 func (m *Machine) Utilization() float64 {
 	return m.st.Utilization(m.ActiveProcs(), m.elapsed)
-}
-
-// Wake makes a sleeping thread runnable; part of the lock/wakeup
-// protocol (Table 3-2). Usable from outside simulated code in tests.
-func (m *Machine) Wake(t *proc.Thread) {
-	t.Wake(t)
 }
 
 // crashNode takes node n down at the current instant, per the crash

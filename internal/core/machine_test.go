@@ -208,6 +208,46 @@ func TestSleepWake(t *testing.T) {
 	}
 }
 
+// TestWakeLatency pins the cost of a wake_up(): a wake of a thread on
+// another node is a 1-flit message that resumes the sleeper exactly one
+// uncontended network latency after the Wake (Base + 3·PerHop across
+// the 3 hops of a 4×1 mesh), while a wake of a thread on the same node
+// resumes it in the same cycle once the waker gives up the processor.
+func TestWakeLatency(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		waker        mesh.NodeID
+		wantLatency  func(mesh.Config) sim.Cycles
+		wantMessages uint64
+	}{
+		{"3 hops", 0, func(c mesh.Config) sim.Cycles { return c.Base + 3*c.PerHop }, 1},
+		{"same node", 3, func(mesh.Config) sim.Cycles { return 0 }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t, 4, 1)
+			var wokeAt, resumedAt sim.Cycles
+			sleeper := m.Spawn(3, func(th *proc.Thread) {
+				th.Sleep()
+				resumedAt = th.Now()
+			})
+			m.Spawn(tc.waker, func(th *proc.Thread) {
+				th.Compute(500) // the sleeper is asleep by now
+				wokeAt = th.Now()
+				th.Wake(sleeper)
+			})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := resumedAt-wokeAt, tc.wantLatency(m.Mesh().Config()); got != want {
+				t.Errorf("sleeper resumed %d cycles after the Wake, want %d", got, want)
+			}
+			if got := m.Stats().MsgWake; got != tc.wantMessages {
+				t.Errorf("MsgWake = %d, want %d", got, tc.wantMessages)
+			}
+		})
+	}
+}
+
 func TestWakeBeforeSleepAbsorbed(t *testing.T) {
 	m := newMachine(t, 2, 1)
 	var target *proc.Thread

@@ -43,19 +43,38 @@ const (
 	fuzzOps   = 300
 )
 
+// fuzzLeg is one configuration of the random program: the network's
+// fault model, the write-combining batch size, config mods applied
+// before construction (contention, an observer, ...), and whether the
+// threads also pass a token around the ring of nodes with Sleep/Wake.
+type fuzzLeg struct {
+	name   string
+	faults mesh.FaultConfig
+	batch  int
+	mods   []func(*core.Config)
+	ring   bool
+}
+
+// ringEvery is the number of random operations between two passes of
+// the token in a ring leg.
+const ringEvery = 50
+
 // runRandom executes a seeded random program — every node runs one
 // thread issuing a mixed stream of reads, writes, delayed RMWs,
 // fences and compute against a shared page set, some pages replicated
-// — on the given shard count, and returns its digest. Optional mods
-// mutate the machine config before construction (contention, an
-// observer, ...).
-func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, batchWrites int, mods ...func(*core.Config)) digest {
+// — on the given shard count, and returns its digest. In a ring leg,
+// every ringEvery operations the token goes once around the nodes:
+// node 0 wakes node 1 and sleeps until node n-1 wakes it, every other
+// node sleeps until its predecessor wakes it and then wakes its
+// successor. Every shard count's tiling cuts the ring, so some of the
+// wakes cross shards.
+func runRandom(t *testing.T, shards int, seed int64, leg fuzzLeg) digest {
 	t.Helper()
 	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
 	cfg.Shards = shards
-	cfg.Faults = faults
-	cfg.Timing.MaxBatchWrites = batchWrites
-	for _, mod := range mods {
+	cfg.Faults = leg.faults
+	cfg.Timing.MaxBatchWrites = leg.batch
+	for _, mod := range leg.mods {
 		mod(&cfg)
 	}
 	m, err := core.NewMachine(cfg)
@@ -77,12 +96,24 @@ func runRandom(t *testing.T, shards int, seed int64, faults mesh.FaultConfig, ba
 	}
 
 	logs := make([][]uint64, n)
+	threads := make([]*proc.Thread, n)
 	for node := 0; node < n; node++ {
 		node := node
-		m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("fuzz%d", node), func(th *proc.Thread) {
+		threads[node] = m.SpawnNamed(mesh.NodeID(node), fmt.Sprintf("fuzz%d", node), func(th *proc.Thread) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(node)))
 			rec := func(v uint64) { logs[node] = append(logs[node], v) }
 			for op := 0; op < fuzzOps; op++ {
+				if leg.ring && op%ringEvery == ringEvery-1 {
+					next := threads[(node+1)%n]
+					if node == 0 {
+						th.Wake(next)
+						th.Sleep()
+					} else {
+						th.Sleep()
+						th.Wake(next)
+					}
+					rec(uint64(th.Now()))
+				}
 				va := bases[rng.Intn(fuzzPages)] + memory.VAddr(rng.Intn(memory.PageWords))
 				switch rng.Intn(10) {
 				case 0, 1, 2:
@@ -186,7 +217,7 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
 // same counters — and for observed legs, the same merged event stream
-// and latency histograms. Eight legs stress the paths most likely to
+// and latency histograms. Nine legs stress the paths most likely to
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
@@ -194,9 +225,11 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // structured observer (shard-local buffers merged by tag), contention
 // and observation together, both on the unreliable network (where a
 // send's duplicate and delay events precede its deferred hop events),
-// and the runtime invariant checker on a
-// faulty network (checked before dispatches on one engine, at barriers
-// on several).
+// the runtime invariant checker on a faulty network (checked before
+// dispatches on one engine, at barriers on several), and a token
+// passed around the nodes with Sleep/Wake, observed on a faulty
+// network (every cross-node wake a message, so wakes crossing shards
+// land exactly where they land serially).
 func TestShardEquivalenceFuzz(t *testing.T) {
 	contention := func(c *core.Config) { c.NetContention = true }
 	observe := func(c *core.Config) {
@@ -206,12 +239,7 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		c.CheckInvariants = true
 		c.InvariantPeriod = 700
 	}
-	legs := []struct {
-		name   string
-		faults mesh.FaultConfig
-		batch  int
-		mods   []func(*core.Config)
-	}{
+	legs := []fuzzLeg{
 		{name: "base", batch: 1},
 		{name: "faults", batch: 1, faults: mesh.FaultConfig{
 			Seed: 11, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
@@ -226,6 +254,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "invariants", batch: 1, faults: mesh.FaultConfig{
 			Seed: 5, DropRate: 0.02, DelayRate: 0.03, DelayMax: 40,
 		}, mods: []func(*core.Config){checked}},
+		{name: "sleepwake", batch: 1, ring: true, faults: mesh.FaultConfig{
+			Seed: 7, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
+		}, mods: []func(*core.Config){observe}},
 	}
 	seeds := []int64{1, 42}
 	if testing.Short() {
@@ -235,9 +266,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
 			for _, seed := range seeds {
-				serial := runRandom(t, 1, seed, leg.faults, leg.batch, leg.mods...)
+				serial := runRandom(t, 1, seed, leg)
 				for _, k := range []int{2, 4, 8} {
-					got := runRandom(t, k, seed, leg.faults, leg.batch, leg.mods...)
+					got := runRandom(t, k, seed, leg)
 					diffDigest(t, serial, got, fmt.Sprintf("%s seed=%d shards=%d", leg.name, seed, k))
 				}
 			}

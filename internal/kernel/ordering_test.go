@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,8 +117,30 @@ func TestCopyListChainMatchesCentralTable(t *testing.T) {
 }
 
 // TestResolvePrefersNearestEverywhere property-checks Resolve against
-// brute force for random replica placements.
+// brute force for random replica placements: every node resolves to
+// the copy the fewest hops away, and among equally near copies to the
+// one on the lowest node ID.
 func TestResolvePrefersNearestEverywhere(t *testing.T) {
+	check := func(t *testing.T, r *rig, vp memory.VPage, label string) {
+		t.Helper()
+		holders := r.k.CopyNodes(vp)
+		for n := mesh.NodeID(0); n < 16; n++ {
+			g, err := r.k.Resolve(n, vp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := holders[0]
+			for _, h := range holders[1:] {
+				if d, best := r.net.Hops(n, h), r.net.Hops(n, want); d < best || (d == best && h < want) {
+					want = h
+				}
+			}
+			if g.Node != want {
+				t.Fatalf("%s: node %d resolved to %d (%d hops), want %d (%d hops)",
+					label, n, g.Node, r.net.Hops(n, g.Node), want, r.net.Hops(n, want))
+			}
+		}
+	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed + 99))
 		r := newRig(t, 4, 4)
@@ -125,22 +148,16 @@ func TestResolvePrefersNearestEverywhere(t *testing.T) {
 		for k := 0; k < 3; k++ {
 			r.k.ReplicateNow(vp, mesh.NodeID(rng.Intn(16)))
 		}
-		holders := r.k.CopyNodes(vp)
-		for n := mesh.NodeID(0); n < 16; n++ {
-			g, err := r.k.Resolve(n, vp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			best := 1 << 30
-			for _, h := range holders {
-				if d := r.net.Hops(n, h); d < best {
-					best = d
-				}
-			}
-			if r.net.Hops(n, g.Node) != best {
-				t.Fatalf("seed %d: node %d resolved to %d (%d hops), best is %d",
-					seed, n, g.Node, r.net.Hops(n, g.Node), best)
-			}
-		}
+		check(t, r, vp, fmt.Sprintf("seed %d", seed))
 	}
+	// A directed tie: from node 0 the master on (1,1) and the copy on
+	// (2,0) are both 2 hops away, and the copy, listed second, has the
+	// lower ID.
+	r := newRig(t, 4, 4)
+	vp := r.k.AllocPage(r.net.ID(1, 1))
+	r.k.ReplicateNow(vp, r.net.ID(2, 0))
+	if g, err := r.k.Resolve(0, vp); err != nil || g.Node != r.net.ID(2, 0) {
+		t.Fatalf("tie from node 0 resolved to %d (err %v), want %d", g.Node, err, r.net.ID(2, 0))
+	}
+	check(t, r, vp, "directed tie")
 }

@@ -352,20 +352,16 @@ type downWindow struct {
 	from, to sim.Cycles
 }
 
-// mailEntry is one cross-shard event awaiting injection at the next
-// lookahead barrier: the arrival time and the tie-break key drawn on
-// the sending shard's engine at send time, so the event sorts into the
-// destination queue exactly where the serial schedule would put it.
-// Usually a message delivery (sink = the mesh, data = *Msg), but any
-// sink dispatch can ride the mail path — proc routes cross-shard
-// thread wakes through it (CrossShardCall).
+// mailEntry is one cross-shard message delivery awaiting injection at
+// the next lookahead barrier: the arrival time and the tie-break key
+// drawn on the sending shard's engine at send time, so the delivery
+// sorts into the destination queue exactly where the serial schedule
+// would put it.
 type mailEntry struct {
 	at   sim.Cycles
 	lane int32
 	seq  uint64
-	sink sim.EventSink
-	kind int
-	data any
+	ms   *Msg
 }
 
 // pendingSend is one contended send, handed to the sending engine's
@@ -545,7 +541,7 @@ func (m *Mesh) EngineFor(id NodeID) *sim.Engine { return m.engines[m.shardOf[id]
 // destination shard's queue and returns how many it moved. The shard
 // runner calls it at lookahead barriers with every worker quiescent;
 // each entry carries the tie-break key drawn at Send time, and the
-// engines order their heaps by key, so injection order is irrelevant
+// engines order their queues by key, so injection order is irrelevant
 // and the merged schedule matches the serial one exactly.
 func (m *Mesh) DrainMail() int {
 	moved := 0
@@ -555,7 +551,7 @@ func (m *Mesh) DrainMail() int {
 		}
 		dst := m.engines[box%len(m.engines)]
 		for _, e := range entries {
-			dst.InjectEventAt(e.at, e.lane, e.seq, e.sink, e.kind, e.data)
+			dst.InjectEventAt(e.at, e.lane, e.seq, m, evDeliver, e.ms)
 		}
 		moved += len(entries)
 		m.mail[box] = entries[:0]
@@ -1024,28 +1020,7 @@ func (m *Mesh) deliverAfter(eng *sim.Engine, srcShard int32, lat sim.Cycles, ms 
 	}
 	lane, seq := eng.DrawKey()
 	box := int(srcShard)*len(m.engines) + int(dstShard)
-	m.mail[box] = append(m.mail[box], mailEntry{
-		at: eng.Now() + lat, lane: lane, seq: seq,
-		sink: m, kind: evDeliver, data: ms,
-	})
-}
-
-// CrossShardCall buffers an arbitrary sink dispatch for the shard
-// owning dst, arriving LookaheadWindow cycles out — the minimum
-// latency at which any cross-shard interaction is safe under
-// conservative lookahead. The tie-break key is drawn on the calling
-// shard's engine under the current lane, and the mail drains at the
-// next barrier. proc routes cross-shard thread wakes through this;
-// same-shard interactions go straight to the shared engine instead.
-func (m *Mesh) CrossShardCall(src, dst NodeID, sink sim.EventSink, kind int, data any) {
-	srcShard := m.shardOf[src]
-	eng := m.engines[srcShard]
-	lane, seq := eng.DrawKey()
-	box := int(srcShard)*len(m.engines) + int(m.shardOf[dst])
-	m.mail[box] = append(m.mail[box], mailEntry{
-		at: eng.Now() + m.cfg.LookaheadWindow(), lane: lane, seq: seq,
-		sink: sink, kind: kind, data: data,
-	})
+	m.mail[box] = append(m.mail[box], mailEntry{at: eng.Now() + lat, lane: lane, seq: seq, ms: ms})
 }
 
 // HandleEvent implements sim.EventSink: a message scheduled by Send
@@ -1145,24 +1120,6 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 	}
 	m.shStats[srcShard].QueueWait += wait
 	return wait
-}
-
-// Nearest returns the node in candidates closest (fewest hops) to ref,
-// breaking ties toward the lowest node ID. It panics if candidates is
-// empty. Used by the kernel to map each node to its closest copy.
-func (m *Mesh) Nearest(ref NodeID, candidates []NodeID) NodeID {
-	if len(candidates) == 0 {
-		panic("mesh: Nearest with no candidates")
-	}
-	best := candidates[0]
-	bestH := m.Hops(ref, best)
-	for _, c := range candidates[1:] {
-		h := m.Hops(ref, c)
-		if h < bestH || (h == bestH && c < best) {
-			best, bestH = c, h
-		}
-	}
-	return best
 }
 
 func abs(v int) int {

@@ -226,20 +226,6 @@ func TestContentionCornerNodesNonSquare(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	_, m := newTestMesh(4, 4, false)
-	// ref at (0,0); candidates at 3 hops and 1 hop.
-	got := m.Nearest(0, []NodeID{m.ID(3, 0), m.ID(0, 1)})
-	if got != m.ID(0, 1) {
-		t.Fatalf("Nearest = %d, want %d", got, m.ID(0, 1))
-	}
-	// Tie: both 2 hops; lower ID wins.
-	got = m.Nearest(0, []NodeID{m.ID(1, 1), m.ID(2, 0)})
-	if got != m.ID(2, 0) {
-		t.Fatalf("Nearest tie = %d, want %d", got, m.ID(2, 0))
-	}
-}
-
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -46,8 +46,7 @@ func (a *Arrivals) Next() sim.Cycles {
 // processor time (the wait is the frontend pacing itself, not work).
 // If `at` is already past — the frontend is running behind its
 // arrival schedule — it returns immediately with the lateness;
-// otherwise it returns 0. A plain timed wait: no Sleep/Wake, so it is
-// safe on sharded engines and byte-identical for every shard count.
+// otherwise it returns 0. A plain timed wait, with no Sleep/Wake.
 func (t *Thread) IdleUntil(at sim.Cycles) sim.Cycles {
 	now := t.proc.eng.Now()
 	if at <= now {

@@ -71,19 +71,26 @@ type Proc struct {
 	// system, which is the first point the coroutine yields anyway.
 	down   bool
 	halted []*Thread
-
-	// net routes cross-shard Wakes through the mesh's mailbox path when
-	// waker and sleeper live on different shard engines.
-	net *mesh.Mesh
 }
 
 // New builds a processor for node, running on the engine the mesh
-// assigns that node.
+// assigns that node, and installs it as the receiver of the wakes that
+// reach cm.
 func New(node mesh.NodeID, net *mesh.Mesh, cm *coherence.CM, kern *kernel.Kernel, table *mmu.Table, tm timing.Timing, st *stats.Machine, mode Mode, switchCost sim.Cycles) *Proc {
-	return &Proc{
-		node: node, eng: net.EngineFor(node), net: net, cm: cm, kern: kern, table: table,
+	p := &Proc{
+		node: node, eng: net.EngineFor(node), cm: cm, kern: kern, table: table,
 		tm: tm, st: st, mode: mode, switchCost: switchCost,
 	}
+	cm.OnWake(func(id uint64) {
+		for _, t := range p.threads {
+			if uint64(t.id) == id {
+				p.WakeThread(t)
+				return
+			}
+		}
+		panic(fmt.Sprintf("proc: wake for thread %d, not on node %d", id, node))
+	})
+	return p
 }
 
 // SetFenceOnSync enables the implicit-fence-before-every-sync ablation.
@@ -210,9 +217,9 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 // in SwitchOnSync mode.
 //
 // The wake event is drawn under this processor's own lane, whatever
-// activity called here (machine setup in Spawn, a same-shard Wake from
-// another node's slice): a thread's slice inherits its lane from its
-// wake event, so this single choke point guarantees every thread runs
+// activity called here (machine setup in Spawn, a completion, a wake):
+// a thread's slice inherits its lane from its wake event, so this
+// single choke point guarantees every thread runs
 // — and draws tie-break keys — as its own node's activity, never under
 // the engine-local NoLane counter, which is what keeps per-lane draw
 // sequences identical for every shard count. The caller's lane is
@@ -280,32 +287,16 @@ func (p *Proc) Resume() {
 	}
 }
 
-// WakeThread delivers an explicit wakeup (the wake_up() of the
-// paper's Table 3-2 lock). A wake of a thread that is not sleeping is
-// remembered and absorbed by its next Sleep.
+// WakeThread delivers a wake_up() (Table 3-2) to a thread of this
+// processor: a sleeping thread becomes runnable, any other remembers
+// the wake for its next Sleep to absorb. Thread.Wake calls it for a
+// same-node wake, the node's coherence manager when a kWake arrives.
 func (p *Proc) WakeThread(t *Thread) {
 	if t.state == tSleeping {
 		p.unblock(t)
 	} else {
 		t.wakePending = true
 	}
-}
-
-// evWake is the mailbox event kind for a cross-shard Wake; data is the
-// target *Thread.
-const evWake = 1
-
-// HandleEvent delivers a cross-shard Wake buffered by the mesh's
-// mailbox path. The dispatch draws keys under this node's lane, like
-// every other activity of the node.
-func (p *Proc) HandleEvent(kind int, data any) {
-	if kind != evWake {
-		panic(fmt.Sprintf("proc: unknown event kind %d", kind))
-	}
-	prev := p.eng.Lane()
-	p.eng.SetLane(int32(p.node))
-	p.WakeThread(data.(*Thread))
-	p.eng.SetLane(prev)
 }
 
 // --- Thread API --------------------------------------------------------
@@ -652,23 +643,21 @@ func (t *Thread) emitSleepEnd() {
 }
 
 // Wake makes the target thread runnable (wake_up() of Table 3-2). It
-// may be called from any thread. A same-shard wake is instantaneous,
-// exactly as in a serial run. A cross-shard wake is a zero-latency
-// interaction between nodes that the sharded engine's conservative
-// lookahead cannot order inside a round, so it rides the mesh's
-// cross-shard mailbox path instead and lands one lookahead window
-// later — deterministic for a fixed shard count, but not
-// byte-identical to serial timing. The wakePending guard absorbs a
-// wake that arrives before (or without) the target's Sleep.
+// may be called from any thread. A wake of a thread on the same node
+// is instantaneous. A wake of a thread on another node is a 1-flit
+// coherence message to that node and takes effect on arrival, one
+// network latency later, whatever the shard count; the reliability
+// sublayer carries it like any other message. The wakePending guard
+// absorbs a wake that arrives before (or without) the target's Sleep.
 func (t *Thread) Wake(target *Thread) {
 	if o := t.proc.acc(); o != nil {
 		o.Emit(stats.EvAccWake, int(t.proc.node), 0, 0, uint64(t.id), uint64(target.id))
 	}
-	if target.proc.eng != t.proc.eng {
-		t.proc.net.CrossShardCall(t.proc.node, target.proc.node, target.proc, evWake, target)
+	if target.proc == t.proc {
+		t.proc.WakeThread(target)
 		return
 	}
-	target.proc.WakeThread(target)
+	t.proc.cm.SendWake(target.proc.node, uint64(target.id))
 }
 
 // --- Named delayed-operation wrappers (Table 3-1) ---------------------

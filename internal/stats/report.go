@@ -28,9 +28,13 @@ func (m *Machine) Report(elapsed sim.Cycles) string {
 	}
 	// The total row's utilization averages over all nodes.
 	row("total", m.Totals(), elapsed*sim.Cycles(len(m.Nodes)))
-	fmt.Fprintf(&b, "\nmessages: %d total — read %d/%d, write %d, update %d, ack %d, rmw %d/%d, page %d\n",
+	fmt.Fprintf(&b, "\nmessages: %d total — read %d/%d, write %d, update %d, ack %d, rmw %d/%d, page %d",
 		m.Messages(), m.MsgRead, m.MsgReadRep, m.MsgWrite, m.MsgUpdate, m.MsgAck,
 		m.MsgRMW, m.MsgRMWRep, m.MsgPage)
+	if m.MsgWake > 0 {
+		fmt.Fprintf(&b, ", wake %d", m.MsgWake)
+	}
+	b.WriteString("\n")
 	t := m.Totals()
 	fmt.Fprintf(&b, "stalls (cycles): read %d, write %d, verify %d, fence %d\n",
 		t.ReadStall, t.WriteStall, t.VerifyStall, t.FenceStall)

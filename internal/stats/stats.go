@@ -60,6 +60,7 @@ type Machine struct {
 	MsgRMW     uint64 // delayed-operation requests
 	MsgRMWRep  uint64 // delayed-operation replies
 	MsgPage    uint64 // page-copy traffic
+	MsgWake    uint64 // cross-node thread wakes (Sleep/Wake)
 
 	// Unreliable-network mode counters (all zero when the fault model
 	// is off; see mesh.FaultConfig and coherence/transport.go).
@@ -127,6 +128,7 @@ func (m *Machine) FoldShard(v *Machine) {
 	m.MsgRMW += v.MsgRMW
 	m.MsgRMWRep += v.MsgRMWRep
 	m.MsgPage += v.MsgPage
+	m.MsgWake += v.MsgWake
 	m.MsgTAck += v.MsgTAck
 	m.Retransmits += v.Retransmits
 	m.TransDups += v.TransDups
@@ -243,7 +245,7 @@ func (m *Machine) Totals() Node {
 // protocol types.
 func (m *Machine) Messages() uint64 {
 	return m.MsgRead + m.MsgReadRep + m.MsgWrite + m.MsgUpdate +
-		m.MsgAck + m.MsgRMW + m.MsgRMWRep + m.MsgPage + m.MsgTAck
+		m.MsgAck + m.MsgRMW + m.MsgRMWRep + m.MsgPage + m.MsgTAck + m.MsgWake
 }
 
 // ReadRatio returns local/remote reads (∞ is reported as a large

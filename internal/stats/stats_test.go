@@ -1,6 +1,9 @@
 package stats
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTotalsSums(t *testing.T) {
 	m := New(3)
@@ -21,6 +24,29 @@ func TestMessagesSum(t *testing.T) {
 	m.MsgAck, m.MsgRMW, m.MsgRMWRep, m.MsgPage = 5, 6, 7, 8
 	if m.Messages() != 36 {
 		t.Fatalf("Messages = %d", m.Messages())
+	}
+	m.MsgTAck, m.MsgWake = 9, 10
+	if m.Messages() != 55 {
+		t.Fatalf("Messages with transport acks and wakes = %d", m.Messages())
+	}
+}
+
+// TestFoldShardWakes pins that a shard view's wake count folds into the
+// master and that the report shows it only when nonzero.
+func TestFoldShardWakes(t *testing.T) {
+	m := New(1)
+	if r := m.Report(0); strings.Contains(r, "wake") {
+		t.Fatalf("report of a run without wakes mentions them:\n%s", r)
+	}
+	v := m.ShardView()
+	v.MsgWake = 3
+	m.FoldShard(v)
+	m.FoldShard(v)
+	if m.MsgWake != 3 || v.MsgWake != 0 {
+		t.Fatalf("after fold: master MsgWake = %d, view %d; want 3, 0", m.MsgWake, v.MsgWake)
+	}
+	if r := m.Report(0); !strings.Contains(r, ", wake 3\n") {
+		t.Fatalf("report does not show the wakes:\n%s", r)
 	}
 }
 
