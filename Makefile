@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -15,8 +15,9 @@ all: check
 # vets and tests the benchmark harness, a nested module outside the
 # root `go test ./...`; bench-smoke runs every Benchmark function once.
 # examples runs the API demos, among them locks and prodcons, the only
-# programs outside the tests that use Sleep/Wake.
-check: build test race lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
+# programs outside the tests that use Sleep/Wake. shard-oversub reruns
+# the shard run loop's tests on one CPU.
+check: build test race shard-oversub lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
 
 build:
 	$(GO) build ./...
@@ -27,6 +28,12 @@ test:
 # The suite under the race detector (short mode keeps it a few minutes).
 race:
 	$(GO) test -race -short ./...
+
+# The shard run loop's tests and the shard equivalence tests on one
+# CPU (GOMAXPROCS=1), where every multi-engine set oversubscribes it:
+# a barrier that needs a second CPU to make progress fails here.
+shard-oversub:
+	GOMAXPROCS=1 $(GO) test -run 'ShardSet|ShardEquivalence' ./internal/sim ./internal/core
 
 # The full test log the repository ships with.
 test-log:

@@ -57,8 +57,9 @@ type Config struct {
 	// network of the 1990 hardware.
 	Faults mesh.FaultConfig
 	// Shards partitions the mesh into that many equal contiguous bands
-	// of nodes, each simulated on its own event queue by its own worker
-	// goroutine under conservative lookahead (see internal/sim.ShardSet
+	// of nodes, each simulated on its own event queue under
+	// conservative lookahead: the goroutine calling Run runs band 0,
+	// one worker goroutine each the others (see internal/sim.ShardSet
 	// and mesh.Config.Shards). 0 or 1 runs serially. Sharded runs are
 	// deterministic and byte-identical to serial ones — same elapsed
 	// cycles, counters, memory images, and (with an observer attached)
@@ -125,6 +126,8 @@ type Machine struct {
 	threads []*proc.Thread
 	nextTID int
 	elapsed sim.Cycles
+	// shardStats is the run loop's account of the last Run.
+	shardStats sim.ShardStats
 
 	// inv is the runtime invariant checker (nil unless
 	// Config.CheckInvariants); invErr records the first violation.
@@ -555,6 +558,7 @@ func (m *Machine) runShards() {
 	for _, v := range m.shardViews {
 		m.st.FoldShard(v)
 	}
+	m.shardStats = ss.Stats
 	m.elapsed = 0
 	if last := ss.LastActivityAt(); last > started {
 		m.elapsed = last - started
@@ -594,6 +598,11 @@ func (m *Machine) quiescentFunc(started sim.Cycles) func(at sim.Cycles) {
 
 // Elapsed returns the virtual time consumed by the last Run.
 func (m *Machine) Elapsed() sim.Cycles { return m.elapsed }
+
+// ShardStats returns how the last Run's work split into lookahead
+// rounds and shard engines, and the host time each engine's goroutine
+// spent waiting at barriers (sim.ShardStats).
+func (m *Machine) ShardStats() sim.ShardStats { return m.shardStats }
 
 // Utilization returns the ratio of useful processor time to elapsed
 // time over the active processors of the last Run (Figure 2-1's

@@ -443,3 +443,66 @@ func TestShardBarrierReplicateContended(t *testing.T) {
 		})
 	}
 }
+
+// TestShardSetRoundsPinned pins the run loop's account of a fixed 4×4
+// program: at K=2 the number of lookahead rounds is a property of the
+// program and the window alone, the two engines together dispatch
+// exactly the serial engine's events, and the busiest engine's
+// per-round share lies between half and all of them. On one engine
+// there are no rounds.
+func TestShardSetRoundsPinned(t *testing.T) {
+	run := func(shards int) sim.ShardStats {
+		cfg := core.DefaultConfig(4, 4)
+		cfg.Shards = shards
+		m, err := core.NewMachine(cfg)
+		if err != nil {
+			t.Fatalf("NewMachine(shards=%d): %v", shards, err)
+		}
+		page := m.Alloc(0, 1)
+		m.Replicate(page, 5, 10, 15)
+		for node := 0; node < m.Nodes(); node++ {
+			m.Spawn(mesh.NodeID(node), func(th *proc.Thread) {
+				for i := 0; i < 20; i++ {
+					th.Write(page+memory.VAddr(node), memory.Word(i))
+					th.Read(page + memory.VAddr((node+1)%m.Nodes()))
+					th.Compute(7)
+				}
+				th.Fence()
+			})
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("Run(shards=%d): %v", shards, err)
+		}
+		st := m.ShardStats()
+		if len(st.Dispatches) != shards || len(st.Wait) != shards {
+			t.Fatalf("shards=%d: %d dispatch and %d wait slots", shards, len(st.Dispatches), len(st.Wait))
+		}
+		return st
+	}
+	serial := run(1)
+	if serial.Rounds != 0 || serial.Wait[0] != 0 || events(serial) == 0 {
+		t.Fatalf("serial: %d rounds, wait %v, %d events; want 0, 0, some", serial.Rounds, serial.Wait[0], events(serial))
+	}
+	const wantRounds = 160
+	for rep := 0; rep < 2; rep++ {
+		st := run(2)
+		if st.Rounds != wantRounds {
+			t.Errorf("K=2 rep %d: %d rounds, want %d", rep, st.Rounds, wantRounds)
+		}
+		if events(st) != events(serial) || st.Dispatches[0] == 0 || st.Dispatches[1] == 0 {
+			t.Errorf("K=2 rep %d: dispatches %v, want both engines busy and %d in all", rep, st.Dispatches, events(serial))
+		}
+		if 2*st.PeakDispatches < events(st) || st.PeakDispatches > events(st) {
+			t.Errorf("K=2 rep %d: peak %d outside [%d/2, %d]", rep, st.PeakDispatches, events(st), events(st))
+		}
+	}
+}
+
+// events sums a run's dispatches over its engines.
+func events(st sim.ShardStats) uint64 {
+	var n uint64
+	for _, d := range st.Dispatches {
+		n += d
+	}
+	return n
+}

@@ -338,7 +338,7 @@ type Stats struct {
 
 // msgPool is one shard's message free-list. Each shard recycles
 // messages through its own pool so allocation never crosses shard
-// worker goroutines; a message freed on a different shard than it was
+// goroutines; a message freed on a different shard than it was
 // allocated on simply migrates pools (it is fully cleared either way).
 // sends recycles the shard's contended-send records the same way.
 type msgPool struct {

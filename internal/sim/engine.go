@@ -253,8 +253,8 @@ func (t DispatchTag) EngineLess(u DispatchTag) bool {
 // current DispatchTag and ShardSet replays it at the round's barrier,
 // merged with every other engine's log in the order one engine would
 // have made the calls. Work on state no shard owns (the shared link
-// queues, copy-lists) goes through here. Mid-round, only the worker
-// running this engine may call it.
+// queues, copy-lists) goes through here. Mid-round, only the goroutine
+// running this engine's round may call it.
 func (e *Engine) Defer(sink EventSink, kind int, data any) {
 	if e.inRound {
 		e.logDeferred(sink, kind, data)

@@ -1,6 +1,13 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // ShardSet is the run loop for one machine on K engines — one per mesh
 // shard, each owning its nodes' events — under conservative lookahead.
@@ -11,18 +18,35 @@ import "fmt"
 // window by construction.
 //
 // With several engines, Run proceeds in rounds. Each round picks the
-// globally earliest pending event time T, lets every shard execute its
-// events in [T, T+Window-1] on its own worker goroutine, then
-// synchronizes at a barrier where the round's cross-shard messages are
-// injected into the owning shards' queues (Drain) carrying the
-// tie-break keys drawn at send time. Because every engine orders its
-// queue by the (at, lane, seq) key — not by insertion order — the merged
-// schedule is byte-identical to a single engine running the same
-// program. Each barrier first replays the round's Defer calls from
-// every engine in one MergeByTag pass, then runs BarrierWork, then
-// Drain. With one engine there is nothing to synchronize: Run drains
-// it on the calling goroutine, with no rounds and no window, and every
-// Defer runs at once.
+// globally earliest pending event time T and lets every shard execute
+// its events in [T, T+Window-1]: the calling goroutine runs engine 0
+// itself, and one worker goroutine per further engine runs the rest.
+// The shards then synchronize at a barrier where the round's
+// cross-shard messages are injected into the owning shards' queues
+// (Drain) carrying the tie-break keys drawn at send time. Because
+// every engine orders its queue by the (at, lane, seq) key — not by
+// insertion order — the merged schedule is byte-identical to a single
+// engine running the same program. Each barrier first replays the
+// round's Defer calls from every engine in one MergeByTag pass, then
+// runs BarrierWork, then Drain. With one engine there is nothing to
+// synchronize: Run drains it on the calling goroutine, with no rounds
+// and no window, and every Defer runs at once.
+//
+// A round is short (tens of microseconds at 16×16), so the handoff
+// must not go through the Go scheduler: parking a worker on a channel
+// and waking it every round made the K=2 run slower than one engine,
+// because each wake-up waits for an idle P to steal the woken
+// goroutine and the workers migrate between cores. Instead the
+// goroutines meet at a polling barrier (barrier): workers poll an
+// atomic round counter for the next horizon and the coordinator polls
+// an atomic count of outstanding workers. Polling pays only while
+// every polling goroutine has a CPU of its own, so a waiter polls only
+// while the process-wide count of busy shard goroutines — those of
+// every running ShardSet, serial ones included, that are not parked —
+// fits in GOMAXPROCS, and then for at most spinFor, yielding every
+// yieldEvery polls. Otherwise (K > GOMAXPROCS, a sweep running many
+// machines at once, or another process holding the CPU the awaited
+// goroutine needs) it parks until that goroutine wakes it.
 type ShardSet struct {
 	// Engines are the per-shard event queues (len >= 1).
 	Engines []*Engine
@@ -49,46 +73,114 @@ type ShardSet struct {
 	// after every barrier's Drain on several. It must not schedule
 	// events, so hooking it in never changes the schedule.
 	Quiescent func(at Cycles)
+	// Stats describes the last Run; Run overwrites it.
+	Stats ShardStats
+}
+
+// ShardStats describes one ShardSet.Run: how its work split into
+// rounds and engines, and how long its goroutines waited at barriers.
+// The counts are deterministic for a given program and shard count;
+// the host times are not.
+type ShardStats struct {
+	// Rounds counts the lookahead rounds (0 on one engine).
+	Rounds uint64
+	// Dispatches[i] counts the events engine i dispatched.
+	Dispatches []uint64
+	// PeakDispatches sums, over rounds, the dispatch count of the
+	// round's busiest engine: the round-by-round critical path.
+	// PeakDispatches·K ÷ ΣDispatches is the max/mean split (1 is a
+	// perfect balance).
+	PeakDispatches uint64
+	// Wait[i] is the host time engine i's goroutine spent at barriers
+	// waiting for another goroutine: a worker for the next round's
+	// horizon (the coordinator's barrier work included), the
+	// coordinator for the workers to finish the round.
+	Wait []time.Duration
 }
 
 // Run executes the engines until every queue is empty and no
-// cross-shard mail remains. A panic on any engine surfaces at Run: a
-// worker's round recovers it, and Run re-raises it once every worker
-// has finished the round.
+// cross-shard mail remains. A panic on any engine surfaces at Run:
+// each engine's round recovers it, and once every worker has finished
+// the round Run re-raises the lowest-numbered engine's. Run returns
+// only after its worker goroutines have exited, panicking or not.
 func (s *ShardSet) Run() {
+	s.Stats = ShardStats{
+		Dispatches: make([]uint64, len(s.Engines)),
+		Wait:       make([]time.Duration, len(s.Engines)),
+	}
+	for i, e := range s.Engines {
+		s.Stats.Dispatches[i] = e.Processed()
+	}
+	defer func() {
+		for i, e := range s.Engines {
+			s.Stats.Dispatches[i] = e.Processed() - s.Stats.Dispatches[i]
+		}
+	}()
 	switch len(s.Engines) {
 	case 0:
 		return
 	case 1:
+		busyShards.Add(1)
+		defer busyShards.Add(-1)
 		s.runOne(s.Engines[0])
 		return
 	}
 	if s.Window < 1 {
 		panic(fmt.Sprintf("sim: shard window %d < 1", s.Window))
 	}
-	start := make([]chan Cycles, len(s.Engines))
-	done := make(chan struct{}, len(s.Engines))
+	s.runRounds()
+}
+
+// runRounds is Run on several engines. The calling goroutine is the
+// coordinator: it runs every barrier and engine 0's share of every
+// round, while one worker per further engine runs that engine's share.
+func (s *ShardSet) runRounds() {
+	k := len(s.Engines)
+	b := &barrier{procs: int32(runtime.GOMAXPROCS(0)), w: make([]waiter, k)}
+	for i := range b.w {
+		b.w[i].ch = make(chan struct{}, 1)
+	}
 	// panics[i] is what engine i's round panicked with, if anything.
-	panics := make([]any, len(s.Engines))
-	for i, e := range s.Engines {
-		start[i] = make(chan Cycles)
-		go func(i int, e *Engine, start <-chan Cycles) {
-			for h := range start {
-				func() {
-					defer func() { panics[i] = recover() }()
-					e.RunUntil(h)
-				}()
-				done <- struct{}{}
+	panics := make([]any, k)
+	round := func(i int) {
+		defer func() { panics[i] = recover() }()
+		s.Engines[i].RunUntil(b.horizon)
+	}
+	var workers sync.WaitGroup
+	busyShards.Add(int32(k))
+	for i := 1; i < k; i++ {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			defer busyShards.Add(-1)
+			for seen := int64(1); ; seen++ {
+				s.Stats.Wait[i] += b.await(i, &b.round, seen)
+				if b.stop {
+					return
+				}
+				round(i)
+				// The last worker out wakes a parked coordinator. If it
+				// is about to poll rather than park, it yields first, so
+				// the coordinator takes this P at once instead of
+				// waiting for an idle one to steal it.
+				if b.pending.Add(-1) == 0 && b.wake(0) && busyShards.Load() <= b.procs {
+					runtime.Gosched()
+				}
 			}
-		}(i, e, start[i])
+		}()
 	}
 	defer func() {
-		for _, c := range start {
-			close(c)
+		b.stop = true
+		b.round.Add(1)
+		for i := 1; i < k; i++ {
+			b.wake(i)
 		}
+		workers.Wait()
+		busyShards.Add(-1)
 	}()
 
-	logs := make([][]deferredCall, len(s.Engines))
+	logs := make([][]deferredCall, k)
+	last := slices.Clone(s.Stats.Dispatches) // Processed() at the last barrier
 	for {
 		// Drain before picking T, not after the workers finish: mail can
 		// exist before the first round (setup code sending cross-shard
@@ -110,23 +202,123 @@ func (s *ShardSet) Run() {
 		if !ok {
 			return
 		}
-		h := t + s.Window - 1
-		for i, c := range start {
-			s.Engines[i].inRound = true
-			c <- h
+		for _, e := range s.Engines {
+			e.inRound = true
 		}
-		for range s.Engines {
-			<-done
+		b.horizon = t + s.Window - 1
+		b.pending.Store(int64(k - 1))
+		b.round.Add(1)
+		for i := 1; i < k; i++ {
+			b.wake(i)
 		}
+		round(0)
+		s.Stats.Wait[0] += b.await(0, &b.pending, 0)
 		for _, p := range panics {
 			if p != nil {
 				panic(p)
 			}
 		}
-		for _, e := range s.Engines {
+		var peak uint64
+		for i, e := range s.Engines {
 			e.inRound = false
+			peak = max(peak, e.Processed()-last[i])
+			last[i] = e.Processed()
 		}
+		s.Stats.Rounds++
+		s.Stats.PeakDispatches += peak
 	}
+}
+
+// busyShards counts the shard goroutines in the process that are not
+// parked: the goroutine running a one-engine ShardSet, and the
+// coordinator and workers of a multi-engine one, whether running,
+// doing barrier work or polling. It is process-wide on purpose: an
+// experiment sweep runs up to GOMAXPROCS machines at once, and a
+// waiter may poll only while all of them together leave it a CPU.
+var busyShards atomic.Int32
+
+// yieldEvery is the number of polls between a waiter's Gosched calls,
+// so that a goroutine it waits for, runnable but without a P, gets
+// one within microseconds even when the count above is momentarily
+// stale.
+const yieldEvery = 1024
+
+// spinFor bounds one wait's polling. A wait longer than this usually
+// means the goroutine waited for lost its CPU to another process, and
+// only parking, which blocks the thread, hands the CPU back. The bound
+// sits well above an ordinary wait, which at 16×16 lasts a few to a
+// few hundred microseconds, because a park costs a wake-up on the
+// critical path: with a 50 µs bound a K=2 SSSP 16×16 run parked 500
+// to 1 300 times, as often as the host's load made a wait run long,
+// and its wall time varied with that count.
+const spinFor = time.Millisecond
+
+// barrier is the rendezvous of one multi-engine Run. The coordinator
+// publishes a round by setting horizon and pending, then bumping
+// round; each worker runs the round once round reaches its next
+// number and decrements pending when done. The atomics order the
+// plain fields: what the coordinator writes before the bump, and what
+// a worker writes before its decrement, the other side reads after
+// seeing the new value.
+type barrier struct {
+	round   atomic.Int64 // rounds published; bumped once more to stop
+	pending atomic.Int64 // workers still running the current round
+	horizon Cycles       // the current round's last cycle
+	stop    bool         // set before the final bump: workers exit
+	procs   int32        // GOMAXPROCS when the Run began
+	w       []waiter     // per engine; 0 is the coordinator
+}
+
+// waiter is one goroutine's parking slot. parked is set by the
+// goroutine before it blocks on ch, and cleared by exactly one side:
+// the waker, which then sends the single token ch holds, or the
+// goroutine itself when it finds its condition met after all.
+type waiter struct {
+	parked atomic.Bool
+	ch     chan struct{}
+}
+
+// await returns once v holds want, with the host time it waited. It
+// polls, yielding every yieldEvery polls, while the process's busy
+// shard goroutines fit in GOMAXPROCS and for at most spinFor;
+// otherwise it parks until the goroutine that changes v wakes it.
+func (b *barrier) await(i int, v *atomic.Int64, want int64) time.Duration {
+	if v.Load() == want {
+		return 0
+	}
+	began := time.Now()
+	w := &b.w[i]
+	for v.Load() != want {
+		if busyShards.Load() <= b.procs && time.Since(began) < spinFor {
+			for n := 0; n < yieldEvery; n++ {
+				if v.Load() == want {
+					return time.Since(began)
+				}
+			}
+			runtime.Gosched()
+			continue
+		}
+		busyShards.Add(-1)
+		w.parked.Store(true)
+		if v.Load() == want && w.parked.CompareAndSwap(true, false) {
+			busyShards.Add(1)
+			break
+		}
+		<-w.ch // the waker counted this goroutine busy again
+	}
+	return time.Since(began)
+}
+
+// wake unparks goroutine i if it is parked, and reports whether it
+// was. Call it after changing the value i awaits.
+func (b *barrier) wake(i int) bool {
+	w := &b.w[i]
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		busyShards.Add(1)
+		w.ch <- struct{}{}
+		return true
+	}
+	return false
 }
 
 // runDeferred replays the finished round's Defer calls, head-merging

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestShardSetOneEngineQuiescent pins the single-engine run loop: no
@@ -200,6 +203,191 @@ func TestShardSetInjectOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("dispatched %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestShardSetWorkersExit pins that Run leaves no goroutine behind:
+// after a normal multi-engine run and after one whose round panics,
+// the goroutine count returns to its baseline and no shard goroutine
+// is counted busy, so no worker is left polling or parked.
+func TestShardSetWorkersExit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("after %s: %d goroutines, baseline %d", what, n, base)
+		}
+		if n := busyShards.Load(); n != 0 {
+			t.Fatalf("after %s: %d shard goroutines counted busy", what, n)
+		}
+	}
+	engines := func(arm func(*Engine)) []*Engine {
+		es := make([]*Engine, 4)
+		for i := range es {
+			es[i] = NewEngine()
+			for at := Cycles(1); at < 200; at += Cycles(3 + i) {
+				es[i].ScheduleAt(at, func() {})
+			}
+		}
+		arm(es[2])
+		return es
+	}
+	(&ShardSet{Engines: engines(func(*Engine) {}), Window: 5}).Run()
+	settled("a normal run")
+	func() {
+		defer func() {
+			if got := recover(); got != "shard boom" {
+				t.Fatalf("recovered %v, want the worker's panic", got)
+			}
+		}()
+		(&ShardSet{Engines: engines(func(e *Engine) { e.ScheduleEvent(50, panicSink{}, 0, nil) }), Window: 5}).Run()
+	}()
+	settled("a panicking run")
+}
+
+// ringNode is one node of the oversubscription test's program: every
+// event mixes the node's state with the event's key. A tick (kind 0)
+// also schedules the node's next tick and, every other tick, sends a
+// message (kind 1) to another node at least a window ahead — into its
+// own engine's queue, or through the sender's outbox to the next
+// barrier's Drain.
+type ringNode struct {
+	id    int32
+	left  int
+	state uint64
+	net   *ringNet
+}
+
+// ringNet holds a ring program on K engines: which engine owns each
+// node, one outbox per engine (written only by that engine's worker),
+// and one dispatch log per engine.
+type ringNet struct {
+	window  Cycles
+	nodes   []*ringNode
+	engines []*Engine
+	owner   []int
+	outbox  [][]ringMail
+	log     [][]ringRecord
+}
+
+type ringMail struct {
+	at   Cycles
+	lane int32
+	seq  uint64
+	to   int32
+}
+
+type ringRecord struct {
+	key
+	node  int32
+	state uint64
+}
+
+func (n *ringNode) HandleEvent(kind int, _ any) {
+	r := n.net
+	src := r.owner[n.id]
+	e := r.engines[src]
+	k := dispatched(e)
+	n.state = n.state*1000003 + uint64(k.at)*31 + k.seq
+	r.log[src] = append(r.log[src], ringRecord{k, n.id, n.state})
+	if kind == 1 {
+		return
+	}
+	n.left--
+	if n.left <= 0 {
+		return
+	}
+	e.ScheduleEvent(1+Cycles(n.state%3), n, 0, nil)
+	if n.left%2 == 0 {
+		to := int32((uint64(n.id) + 1 + n.state%7) % uint64(len(r.nodes)))
+		at := e.Now() + r.window + Cycles(n.state%5)
+		if dst := r.owner[to]; dst == src {
+			e.ScheduleEventAt(at, r.nodes[to], 1, nil)
+		} else {
+			lane, seq := e.DrawKey()
+			r.outbox[src] = append(r.outbox[src], ringMail{at, lane, seq, to})
+		}
+	}
+}
+
+// runRing runs the ring program — nodes in contiguous bands over k
+// engines — and returns its dispatches sorted by key, with the round
+// count.
+func runRing(k int) ([]ringRecord, uint64) {
+	const nodes, events, window = 16, 1200, 4
+	r := &ringNet{window: window, owner: make([]int, nodes), outbox: make([][]ringMail, k), log: make([][]ringRecord, k)}
+	for i := 0; i < k; i++ {
+		r.engines = append(r.engines, NewEngine())
+	}
+	for i := 0; i < nodes; i++ {
+		r.owner[i] = i * k / nodes
+		n := &ringNode{id: int32(i), left: events, net: r}
+		r.nodes = append(r.nodes, n)
+		e := r.engines[r.owner[i]]
+		e.SetLane(int32(i))
+		e.ScheduleEvent(Cycles(i%3), n, 0, nil)
+	}
+	ss := &ShardSet{Engines: r.engines, Window: window, Drain: func() int {
+		moved := 0
+		for src, box := range r.outbox {
+			for _, m := range box {
+				r.engines[r.owner[m.to]].InjectEventAt(m.at, m.lane, m.seq, r.nodes[m.to], 1, nil)
+			}
+			moved += len(box)
+			r.outbox[src] = box[:0]
+		}
+		return moved
+	}}
+	ss.Run()
+	all := slices.Concat(r.log...)
+	slices.SortFunc(all, func(a, b ringRecord) int {
+		if a.key.less(b.key) {
+			return -1
+		}
+		if b.key.less(a.key) {
+			return 1
+		}
+		return 0
+	})
+	return all, ss.Stats.Rounds
+}
+
+// TestShardSetOversubscribed runs K=4 and K=8 sets on one CPU
+// (GOMAXPROCS 1), where a barrier must hand its CPU over rather than
+// poll for a goroutine that cannot run. Each must finish within a
+// deadline that a barrier progressing only through the runtime's
+// 10 ms preemption of a polling goroutine misses by far (the program
+// runs hundreds of rounds), and must dispatch in the same key order,
+// with the same node states, as one engine.
+func TestShardSetOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, _ := runRing(1)
+	for _, k := range []int{4, 8} {
+		type result struct {
+			log    []ringRecord
+			rounds uint64
+		}
+		done := make(chan result, 1)
+		go func() {
+			log, rounds := runRing(k)
+			done <- result{log, rounds}
+		}()
+		var got result
+		select {
+		case got = <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("K=%d on GOMAXPROCS 1 did not finish within 20 s", k)
+		}
+		if got.rounds < 500 {
+			t.Fatalf("K=%d ran %d rounds; the deadline assumes at least 500", k, got.rounds)
+		}
+		if !slices.Equal(got.log, serial) {
+			t.Fatalf("K=%d dispatched %d events, diverging from one engine's %d", k, len(got.log), len(serial))
 		}
 	}
 }

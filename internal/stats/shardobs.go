@@ -1,7 +1,7 @@
 // Shard-local observation: one child observer per shard, merged
 // deterministically into the master ring at lookahead barriers.
 //
-// A sharded run cannot push into one ring from K worker goroutines,
+// A sharded run cannot push into one ring from K shard goroutines,
 // and even a locked ring would record events in racy real-time order.
 // Instead each shard's components emit into that shard's child, which
 // tags every event with the engine's DispatchTag — the heap key of the
