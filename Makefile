@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race shard-oversub bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub trace-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -16,8 +16,9 @@ all: check
 # root `go test ./...`; bench-smoke runs every Benchmark function once.
 # examples runs the API demos, among them locks and prodcons, the only
 # programs outside the tests that use Sleep/Wake. shard-oversub reruns
-# the shard run loop's tests on one CPU.
-check: build test race shard-oversub lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
+# the shard run loop's tests on one CPU. trace-equiv compares traced
+# sweeps at 1 and 4 shard engines byte for byte.
+check: build test race shard-oversub trace-equiv lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
 
 build:
 	$(GO) build ./...
@@ -34,6 +35,21 @@ race:
 # a barrier that needs a second CPU to make progress fails here.
 shard-oversub:
 	GOMAXPROCS=1 $(GO) test -run 'ShardSet|ShardEquivalence' ./internal/sim ./internal/core
+
+# The sharded observer gate beyond the 4x4 fuzz: the Figure 2-1 and
+# record-store quick sweeps (the latter with link contention on),
+# traced at 1 and at 4 shard engines, must export byte-identical
+# Chrome trace JSON. The record-store ring holds every point's whole
+# stream; Figure 2-1's default ring keeps each point's last 4096 events.
+trace-equiv:
+	@for x in "figure2-1" "kvserve-sweep -trace-events 65536"; do \
+		for k in 1 4; do \
+			$(GO) run ./cmd/plusbench -quick -exp $$x -shards $$k \
+				-trace /tmp/plus-trace-equiv-$$k.json >/dev/null || exit 1; \
+		done; \
+		cmp /tmp/plus-trace-equiv-1.json /tmp/plus-trace-equiv-4.json || exit 1; \
+	done
+	@rm -f /tmp/plus-trace-equiv-1.json /tmp/plus-trace-equiv-4.json
 
 # The full test log the repository ships with.
 test-log:

@@ -63,16 +63,15 @@ type Config struct {
 	// and mesh.Config.Shards). 0 or 1 runs serially. Sharded runs are
 	// deterministic and byte-identical to serial ones — same elapsed
 	// cycles, counters, memory images, and (with an observer attached)
-	// the same merged event stream: work on shared state — contended
-	// link walks and kernel copy-list splices (competitive replication,
-	// runtime Replicate/DeleteCopy/Migrate) — goes through
-	// sim.Engine.Defer and replays at lookahead barriers in dispatch-tag
-	// order, and observers buffer shard-locally and merge in the same
-	// order. A splice requested mid-run lands at the next barrier
-	// instead of the call instant, so such runs match serial in
-	// copy-lists and memory, not cycles. Two features remain
-	// serial-only: crash injection and bounded link buffers
-	// (mesh.Config.Validate rejects both).
+	// the same event stream: work on shared state — contended link
+	// walks, kernel copy-list splices (competitive replication, runtime
+	// Replicate/DeleteCopy/Migrate) and events pushed into the
+	// observer's ring — goes through sim.Engine.Defer and replays at
+	// lookahead barriers in one-engine dispatch order. A splice
+	// requested mid-run lands at the next barrier instead of the call
+	// instant, so such runs match serial in copy-lists and memory, not
+	// cycles. Two features remain serial-only: crash injection and
+	// bounded link buffers (mesh.Config.Validate rejects both).
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
@@ -111,7 +110,7 @@ type Machine struct {
 	cfg Config
 	eng *sim.Engine
 	// engines holds one engine per shard (engines[0] == eng); shardViews
-	// holds each shard's private stats.Machine view (nil on one engine).
+	// holds each shard's private stats.Machine view.
 	engines    []*sim.Engine
 	shardViews []*stats.Machine
 	net        *mesh.Mesh
@@ -176,14 +175,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 	// Each shard's components write stats through a per-shard view:
 	// node-disjoint per-node counters share the master's backing slice;
 	// machine-wide scalars accumulate privately and fold in after Run.
-	cmSt := func(i int) *stats.Machine { return st }
-	if k > 1 {
-		m.shardViews = make([]*stats.Machine, k)
-		for s := range m.shardViews {
-			m.shardViews[s] = st.ShardView()
-		}
-		cmSt = func(i int) *stats.Machine { return m.shardViews[net.ShardOf(mesh.NodeID(i))] }
+	m.shardViews = make([]*stats.Machine, k)
+	for s := range m.shardViews {
+		m.shardViews[s] = st.ShardView()
 	}
+	cmSt := func(i int) *stats.Machine { return m.shardViews[net.ShardOf(mesh.NodeID(i))] }
 	for i := 0; i < n; i++ {
 		mem := memory.New()
 		ca := cache.New(cfg.Cache, cfg.Timing)
@@ -245,11 +241,11 @@ func NewMachine(cfg Config) (*Machine, error) {
 // an observed run computes exactly the same result, elapsed time
 // included, as an unobserved one.
 //
-// On a sharded machine each shard gets a child observer reading its
-// own engine's clock and dispatch tags (stats.ShardChild); the shard's
-// components emit into the child and Run merges the buffers into the
-// master ring in tag order at every barrier, reconstructing the exact
-// one-engine emission order.
+// Each shard engine gets a child observer reading its clock
+// (stats.ShardChild), at every shard count; the shard's components
+// emit into the child. A child in a multi-engine round hands its
+// events to the engine's Defer log, whose replay at the barrier pushes
+// them in the exact one-engine emission order.
 func (m *Machine) attachObserver(o *stats.Observer) {
 	o.Bind(m.eng.Now, stats.TraceMeta{
 		Nodes:      m.net.Nodes(),
@@ -265,8 +261,8 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 	if o.DataAccess() {
 		// Route every node's mapping installs (fault fills, kernel
 		// remaps) into the access stream through the node's own
-		// observer — the shard child on a sharded machine, so the
-		// events carry real dispatch tags and merge deterministically.
+		// observer — its shard's child, so the events reach the ring in
+		// one-engine order.
 		for i, tb := range m.tables {
 			node, p := i, m.procs[i]
 			tb.OnInstall = func(vp memory.VPage, g memory.GPage) {
@@ -277,15 +273,10 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 			}
 		}
 	}
-	// Per-shard stats views exist only on several engines; a lone engine
-	// writes the master block, so the master observer serves it directly.
-	kids := []*stats.Observer{o}
-	if m.shardViews != nil {
-		kids = make([]*stats.Observer, len(m.engines))
-		for s, e := range m.engines {
-			kids[s] = o.ShardChild(e.Now, e.DispatchTag)
-			m.shardViews[s].AttachObserver(kids[s])
-		}
+	kids := make([]*stats.Observer, len(m.engines))
+	for s, e := range m.engines {
+		kids[s] = o.ShardChild(e)
+		m.shardViews[s].AttachObserver(kids[s])
 	}
 	m.net.SetObservers(kids)
 	if o.EngineEvents() {
@@ -538,21 +529,10 @@ func (m *Machine) runShards() {
 	}
 	started := ss.Now()
 	ss.Quiescent = m.quiescentFunc(started)
-	// While rounds are in flight shard observers buffer locally; each
-	// barrier merges the buffers into the master ring in dispatch-tag
-	// order, after the round's deferred contention walks and kernel
-	// splices have emitted theirs. On one engine there are no children
-	// and the bracket is a no-op.
-	if m.obs != nil {
-		ss.BarrierWork = m.obs.MergeShardEvents
-		m.obs.SetShardBuffering(true)
-	}
 	ss.Run()
 	if m.obs != nil {
-		m.obs.SetShardBuffering(false)
-		// The final barrier already merged every buffered event; fold the
-		// children's latency histograms so the master's Metrics read as a
-		// one-engine run's would.
+		// Fold the children's latency histograms so the master's Metrics
+		// read as a one-engine run's would.
 		m.obs.FoldShardMetrics()
 	}
 	for _, v := range m.shardViews {

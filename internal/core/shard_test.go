@@ -221,8 +221,9 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
-// (mid-round sends replayed at barriers in dispatch-tag order), a
-// structured observer (shard-local buffers merged by tag), contention
+// (mid-round sends replayed at barriers in serial dispatch order), a
+// structured observer (mid-round events queued on the engines' Defer
+// logs and pushed as the barrier replays them), contention
 // and observation together, both on the unreliable network (where a
 // send's duplicate and delay events precede its deferred hop events),
 // the runtime invariant checker on a faulty network (checked before
@@ -505,4 +506,61 @@ func events(st sim.ShardStats) uint64 {
 		n += d
 	}
 	return n
+}
+
+// emitSink is a deferred call that emits one event on a shard child,
+// stamped with the time it was deferred at (as a contended link walk
+// stamps its hops with the send time).
+type emitSink struct {
+	o    *stats.Observer
+	node int
+	at   sim.Cycles
+}
+
+func (s emitSink) HandleEvent(mark int, _ any) {
+	s.o.EmitAt(s.at, stats.EvUpdate, s.node, 0, 0, uint64(mark), 0)
+}
+
+// TestShardSetObserverDeferOrder pins where a shard child's events
+// land relative to work its engine defers. Two nodes, on one engine or
+// on two, each run dispatches that emit E1, defer a call emitting E2,
+// then emit E3. One engine runs the deferred call at once, so its ring
+// reads E1 E2 E3 per dispatch; on two engines the call waits for the
+// barrier, and the ring must still read E1 E2 E3, interleaved across
+// the engines exactly as on one.
+func TestShardSetObserverDeferOrder(t *testing.T) {
+	run := func(shards int) []stats.Event {
+		master := stats.NewObserver(stats.ObserveConfig{Events: 64})
+		engines := make([]*sim.Engine, shards)
+		kids := make([]*stats.Observer, shards)
+		for s := range engines {
+			engines[s] = sim.NewEngine()
+			kids[s] = master.ShardChild(engines[s])
+		}
+		for node, times := range [][]sim.Cycles{{3, 8}, {3, 5, 6}} {
+			e, o := engines[node%shards], kids[node%shards]
+			e.SetLane(int32(node))
+			for _, at := range times {
+				e.ScheduleAt(at, func() {
+					o.Emit(stats.EvUpdate, node, 0, 0, 1, 0)
+					e.Defer(emitSink{o, node, at}, 2, nil)
+					o.Emit(stats.EvUpdate, node, 0, 0, 3, 0)
+				})
+			}
+		}
+		(&sim.ShardSet{Engines: engines, Window: 2}).Run()
+		return master.Events()
+	}
+	want, got := run(1), run(2)
+	if len(want) != 15 {
+		t.Fatalf("one engine recorded %d events, want 15", len(want))
+	}
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("two engines recorded\n%v\none engine\n%v", got, want)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("two engines recorded %d events, one engine %d", len(got), len(want))
+	}
 }

@@ -68,7 +68,7 @@ type Config struct {
 	// must tile the mesh: Width*Height divisible by Shards. With
 	// Contention on, every contended send walks the shared per-link
 	// queues through its engine's Defer: at once on one engine, at the
-	// next lookahead barrier in dispatch-tag order on several —
+	// next lookahead barrier in serial dispatch order on several —
 	// byte-identical either way.
 	Shards int
 }
@@ -369,11 +369,10 @@ type mailEntry struct {
 // lookahead barrier on several. Every PRNG and tie-break-key draw
 // already happened at Send time, in serial draw order; what remains is
 // the walk over the shared per-link queues, which the barrier replays
-// in dispatch-tag order so linkFree evolves through exactly the serial
+// in serial dispatch order so linkFree evolves through exactly the serial
 // sequence of reservations.
 type pendingSend struct {
 	m        *Mesh
-	hopTags  sim.DispatchTag // first of hops pre-reserved tag slots for EvNetHop (observer on)
 	sendT    sim.Cycles
 	src, dst NodeID
 	flits    int
@@ -424,10 +423,9 @@ type Mesh struct {
 	// happen on the sending shard); Stats() sums the blocks.
 	shStats []Stats
 	// obs, when non-nil, holds the structured-event observers: one
-	// entry for a serial mesh (the master observer), one child per
-	// shard for a sharded mesh (stats.Observer.ShardChild, merged at
-	// barriers by core). Every emission goes through the acting node's
-	// shard entry. linkBusy mirrors the layout — [shard][link]
+	// child of the master observer per shard (stats.Observer.ShardChild),
+	// which queues mid-round events on its engine's Defer log. Every
+	// emission goes through the acting node's shard entry. linkBusy mirrors the layout — [shard][link]
 	// occupancy cycles, summed by LinkBusyTotals — so mid-round hop
 	// accounting never crosses shard workers. Both are inert (single
 	// nil check) when tracing is off.
@@ -561,11 +559,11 @@ func (m *Mesh) DrainMail() int {
 
 // SetObservers attaches one structured-event observer per shard
 // (tracing is off until then, and the send path performs a single nil
-// check and nothing else). core.NewMachine wires the master observer on
-// one engine and its ShardChild children, merged deterministically at
-// each lookahead barrier, on several. Emissions go through the acting
-// node's shard entry, so no ring or histogram is ever touched by two
-// shard workers.
+// check and nothing else). core.NewMachine wires one ShardChild of the
+// master observer per shard engine, at every shard count. Emissions go
+// through the acting node's shard entry, so no histogram is ever
+// touched by two shard workers, and a child in a round hands its
+// events to the barrier rather than to the shared ring.
 func (m *Mesh) SetObservers(obs []*stats.Observer) {
 	if len(obs) != len(m.engines) {
 		panic(fmt.Sprintf("mesh: SetObservers with %d observers for %d shards", len(obs), len(m.engines)))
@@ -918,7 +916,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	}
 	if !contending && o != nil {
 		// Uncontended, the walk only emits the hops.
-		m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause, eng.DispatchTagN(hops))
+		m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause)
 	}
 	// A duplicate arrives one cycle behind the original (it shares the
 	// original's link reservations — an approximation); an injected
@@ -950,17 +948,14 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		return
 	}
 	// A contended send goes to eng.Defer: the per-link queues are shared
-	// state no shard owns. Its tie-break keys (duplicate first) and
-	// per-hop tag slots are drawn here, in serial draw order, so
-	// resolving it only walks the links.
+	// state no shard owns. Its tie-break keys (duplicate first) are
+	// drawn here, in serial draw order, so resolving it only walks the
+	// links.
 	ps := m.allocSend(srcShard)
 	ps.sendT, ps.src, ps.dst, ps.flits = eng.Now(), src, dst, sizeFlits
 	ps.ms, ps.dup, ps.extra = ms, dup, extra
 	if dup != nil {
 		ps.dupLane, ps.dupSeq = eng.DrawKey()
-	}
-	if o != nil {
-		ps.hopTags = eng.DispatchTagN(hops)
 	}
 	ps.msLane, ps.msSeq = eng.DrawKey()
 	eng.Defer(ps, 0, nil)
@@ -988,7 +983,7 @@ func (m *Mesh) allocSend(shard int32) *pendingSend {
 // on any shard.
 func (ps *pendingSend) HandleEvent(int, any) {
 	m := ps.m
-	lat := m.Latency(ps.src, ps.dst) + m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause, ps.hopTags)
+	lat := m.Latency(ps.src, ps.dst) + m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
 	dstEng := m.engines[m.shardOf[ps.dst]]
 	if ps.dup != nil {
 		dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
@@ -1086,18 +1081,16 @@ func (m *Mesh) admit(src, dst NodeID) bool {
 // PerHop cycles once a link frees, and the body occupies each link for
 // sizeFlits*FlitCycles. With contention off nothing queues: the walk
 // only emits the hops, so trace exports cover every link either way.
-// The wait is charged to the sending node's shard; per-hop events are
-// filed under the tag slots reserved at Send time, so when the walk is
-// replayed at a barrier the merged stream interleaves exactly like the
-// serial one.
-func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64, hopTags sim.DispatchTag) sim.Cycles {
+// The wait is charged to the sending node's shard. A walk replayed at a
+// barrier emits its hops then and there, at the position its send held
+// in the serial schedule.
+func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
 	srcShard := m.shardOf[src]
 	o := m.obsFor(srcShard)
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
 	var wait sim.Cycles
 	t := t0
-	hop := 0
-	for r := m.route(src, dst); r.next(); hop++ {
+	for r := m.route(src, dst); r.next(); {
 		li := m.linkIndex(r.from, r.dir)
 		var hopWait sim.Cycles
 		if m.cfg.Contention {
@@ -1113,7 +1106,7 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 			if m.cfg.Contention {
 				o.Metrics.HopQueue.Observe(uint64(hopWait))
 			}
-			o.EmitAtTag(hopTags.Plus(hop), t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
+			o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
 				uint64(li), uint64(occupancy))
 		}
 		t += m.cfg.PerHop

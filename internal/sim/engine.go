@@ -106,18 +106,11 @@ type Engine struct {
 	// just before its sink runs — the observability layer's engine
 	// probe. Nil (one comparison per Step) when tracing is off.
 	onEvent func(at Cycles, kind int)
-	// tagAt/tagLane/tagSeq hold the queue key of the event currently
-	// dispatching, tagCtr counts DispatchTag draws within it, and
-	// tagOrd numbers this engine's dispatches in execution order. The
-	// key triple is unique across all shards of one run; the ordinal
-	// orders work within one engine (dispatch order is NOT key order —
-	// see DispatchTag). Together they let deferred work be replayed in
-	// the exact order a serial engine would have reached it (MergeByTag).
-	tagAt   Cycles
-	tagLane int32
-	tagSeq  uint64
-	tagCtr  uint64
-	tagOrd  uint64
+	// cur is the queue key of the event currently dispatching. Keys are
+	// unique across all engines of a sharded run, so filing deferred
+	// work under it lets the barrier replay every engine's log in the
+	// order one engine would have made the calls (runDeferred).
+	cur key
 	// inRound is set by ShardSet while this engine runs a multi-engine
 	// round; deferred logs the Defer calls made meanwhile, in this
 	// engine's execution order, for replay at the round's barrier.
@@ -125,10 +118,27 @@ type Engine struct {
 	deferred []deferredCall
 }
 
+// key is an event's queue key (at, lane, seq).
+type key struct {
+	at   Cycles
+	lane int32
+	seq  uint64
+}
+
+func (a key) less(b key) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.lane != b.lane {
+		return a.lane < b.lane
+	}
+	return a.seq < b.seq
+}
+
 // deferredCall is one Defer postponed to the next barrier, filed under
-// the dispatch tag of the moment it was requested.
+// the key of the dispatch that requested it.
 type deferredCall struct {
-	tag  DispatchTag
+	at   key
 	sink EventSink
 	kind int
 	data any
@@ -169,92 +179,20 @@ func (e *Engine) Pending() int { return e.q.len() }
 // exists for instrumentation (stats.EvEngineDispatch).
 func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
 
-// DispatchTag returns a serialization key for the current moment of
-// the current dispatch: the queue key of the event being dispatched,
-// this engine's dispatch ordinal, and a per-dispatch draw counter.
-// Keys are unique across all engines of a sharded run (each lane's
-// counter lives on exactly one engine), but sorting tagged work by
-// key does NOT reconstruct single-queue execution order: an event
-// scheduled during a dispatch can land in the same cycle under a
-// smaller key (a zero-delay wake on the receiver's lane, say, after a
-// delivery keyed under the sender's lane), and a serial engine pops it
-// after the dispatch that created it, not before. Execution order
-// within one engine is the ordinal (EngineLess); across engines it is
-// the head merge MergeByTag performs. Every wait schedules its wake as
-// an event, so all simulated activity runs inside some dispatch and the
-// tag is always the key of a real queued event.
-func (e *Engine) DispatchTag() DispatchTag {
-	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
-	e.tagCtr++
-	return t
-}
-
-// DispatchTagN reserves n consecutive tags and returns the first;
-// slot i is the returned tag with Ctr+i. Work deferred to a barrier
-// (per-hop link events) reserves its tag slots at the moment the
-// serial schedule would have produced them, so the merged stream
-// interleaves exactly like the serial one.
-func (e *Engine) DispatchTagN(n int) DispatchTag {
-	t := DispatchTag{At: e.tagAt, Lane: e.tagLane, Seq: e.tagSeq, Ctr: e.tagCtr, Ord: e.tagOrd}
-	e.tagCtr += uint64(n)
-	return t
-}
-
-// Plus returns the tag i draw slots after t (same dispatch).
-func (t DispatchTag) Plus(i int) DispatchTag {
-	t.Ctr += uint64(i)
-	return t
-}
-
-// DispatchTag orders logged work by the dispatch that produced it:
-// the dispatched event's queue key (At, Lane, Seq), the engine's
-// dispatch ordinal Ord, and the intra-dispatch draw counter Ctr.
-type DispatchTag struct {
-	At   Cycles
-	Lane int32
-	Seq  uint64
-	Ctr  uint64
-	// Ord is the per-engine dispatch ordinal: the nth event this engine
-	// dispatched. Comparable only between tags drawn on one engine.
-	Ord uint64
-}
-
-// Less compares the dispatch keys (At, Lane, Seq, Ctr) — the order in
-// which the dispatching events sat in their queues, NOT the order a
-// serial engine executes them in (see DispatchTag). MergeByTag uses it
-// to compare queue heads across engines.
-func (t DispatchTag) Less(u DispatchTag) bool {
-	if t.At != u.At {
-		return t.At < u.At
-	}
-	if t.Lane != u.Lane {
-		return t.Lane < u.Lane
-	}
-	if t.Seq != u.Seq {
-		return t.Seq < u.Seq
-	}
-	return t.Ctr < u.Ctr
-}
-
-// EngineLess orders two tags drawn on the SAME engine by execution
-// order: dispatch ordinal, then draw counter within the dispatch. Use
-// it to re-insert barrier-replayed work (which carries mid-round tags)
-// among work logged in call order; it is meaningless across engines.
-func (t DispatchTag) EngineLess(u DispatchTag) bool {
-	if t.Ord != u.Ord {
-		return t.Ord < u.Ord
-	}
-	return t.Ctr < u.Ctr
-}
+// InRound reports whether this engine is inside a multi-engine round,
+// where a Defer waits for the round's barrier instead of running at
+// once.
+func (e *Engine) InRound() bool { return e.inRound }
 
 // Defer calls sink.HandleEvent(kind, data) at the next point where the
 // whole machine is quiescent: at once, unless this engine is inside a
 // multi-engine round, in which case the call is logged under the
-// current DispatchTag and ShardSet replays it at the round's barrier,
-// merged with every other engine's log in the order one engine would
-// have made the calls. Work on state no shard owns (the shared link
-// queues, copy-lists) goes through here. Mid-round, only the goroutine
-// running this engine's round may call it.
+// current dispatch's key and ShardSet replays it at the round's
+// barrier, merged with every other engine's log in the order one
+// engine would have made the calls. Work on state no shard owns (the
+// shared link queues, copy-lists, a sharded observer's ring) goes
+// through here. Mid-round, only the goroutine running this engine's
+// round may call it.
 func (e *Engine) Defer(sink EventSink, kind int, data any) {
 	if e.inRound {
 		e.logDeferred(sink, kind, data)
@@ -269,7 +207,7 @@ func (e *Engine) Defer(sink EventSink, kind int, data any) {
 //
 //go:noinline
 func (e *Engine) logDeferred(sink EventSink, kind int, data any) {
-	e.deferred = append(e.deferred, deferredCall{tag: e.DispatchTag(), sink: sink, kind: kind, data: data})
+	e.deferred = append(e.deferred, deferredCall{at: e.cur, sink: sink, kind: kind, data: data})
 }
 
 // Schedule runs fn after delay cycles of virtual time.
@@ -349,8 +287,7 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.lastAct = ev.at
 	e.curLane = ev.lane
-	e.tagAt, e.tagLane, e.tagSeq, e.tagCtr = ev.at, ev.lane, ev.seq, 0
-	e.tagOrd++
+	e.cur = key{ev.at, ev.lane, ev.seq}
 	e.processed++
 	if e.onEvent != nil {
 		e.onEvent(ev.at, int(ev.kind))

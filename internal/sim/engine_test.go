@@ -194,28 +194,8 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// key is an event's (at, lane, seq) queue key.
-type key struct {
-	at   Cycles
-	lane int32
-	seq  uint64
-}
-
-func (a key) less(b key) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	return a.seq < b.seq
-}
-
 // dispatched returns the key of the event e is dispatching.
-func dispatched(e *Engine) key {
-	tag := e.DispatchTag()
-	return key{tag.At, tag.Lane, tag.Seq}
-}
+func dispatched(e *Engine) key { return e.cur }
 
 // TestEngineQueueOrderDifferential checks the queue against a plain
 // reference: every dispatch must be the smallest (at, lane, seq) key

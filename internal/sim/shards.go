@@ -27,8 +27,8 @@ import (
 // every engine orders its queue by the (at, lane, seq) key — not by
 // insertion order — the merged schedule is byte-identical to a single
 // engine running the same program. Each barrier first replays the
-// round's Defer calls from every engine in one MergeByTag pass, then
-// runs BarrierWork, then Drain. With one engine there is nothing to
+// round's Defer calls from every engine in one merged pass
+// (runDeferred), then runs Drain. With one engine there is nothing to
 // synchronize: Run drains it on the calling goroutine, with no rounds
 // and no window, and every Defer runs at once.
 //
@@ -54,12 +54,6 @@ type ShardSet struct {
 	// the latency of any cross-shard message (for the PLUS mesh,
 	// Base + PerHop). Must be >= 1 when there are several engines.
 	Window Cycles
-	// BarrierWork, when non-nil, runs at each barrier with all shards
-	// quiescent, after the deferred calls and BEFORE Drain — so
-	// cross-shard messages it sends are delivered in the same barrier,
-	// never a round late. No engine is in a round, so a Defer it makes
-	// runs at once.
-	BarrierWork func()
 	// Drain delivers all cross-shard messages sent during the finished
 	// round into the destination shards' queues (InjectEventAt) and
 	// returns how many it moved. It runs on the coordinating goroutine
@@ -179,19 +173,15 @@ func (s *ShardSet) runRounds() {
 		busyShards.Add(-1)
 	}()
 
-	logs := make([][]deferredCall, k)
+	pos := make([]int, k)                    // runDeferred's scratch
 	last := slices.Clone(s.Stats.Dispatches) // Processed() at the last barrier
 	for {
 		// Drain before picking T, not after the workers finish: mail can
 		// exist before the first round (setup code sending cross-shard
 		// messages), and the final round's mail must land before the
-		// emptiness check decides the run is over. Deferred calls and
-		// BarrierWork come first so mail they produce drains this
-		// barrier too.
-		s.runDeferred(logs)
-		if s.BarrierWork != nil {
-			s.BarrierWork()
-		}
+		// emptiness check decides the run is over. Deferred calls come
+		// first so mail they produce drains this barrier too.
+		s.runDeferred(pos)
 		if s.Drain != nil {
 			s.Drain()
 		}
@@ -321,23 +311,38 @@ func (b *barrier) wake(i int) bool {
 	return false
 }
 
-// runDeferred replays the finished round's Defer calls, head-merging
-// the engines' logs by dispatch tag (MergeByTag) so they run in the
-// order one engine would have made them. No engine is in a round, so
-// anything a replayed call defers in turn runs at once. logs is
-// scratch space, one slot per engine.
-func (s *ShardSet) runDeferred(logs [][]deferredCall) {
-	n := 0
-	for i, e := range s.Engines {
-		logs[i] = e.deferred
-		n += len(e.deferred)
+// runDeferred replays the finished round's Defer calls in the order
+// one engine would have made them, then empties the logs. Each log is
+// its engine's calls in execution order, and the merge repeatedly runs
+// the head whose dispatch key is smallest. A flat key sort would not
+// do: a serial engine's pop order is not key order, because a dispatch
+// can schedule a same-cycle event under a smaller key (a zero-delay
+// wake on the sleeper's lane, made while dispatching a delivery keyed
+// under the sender's lane), which runs after the dispatch that made
+// it. The head merge is exact: once every engine's earlier calls have
+// run, each engine's next dispatch was already queued (scheduled by
+// earlier activity on its own engine; cross-engine scheduling happens
+// only at barriers), so one engine's next pop is the smallest head.
+// Heads of different engines never tie, since each lane's counter
+// lives on one engine. No engine is in a round, so anything a replayed
+// call defers in turn runs at once. pos is scratch space, one slot per
+// engine.
+func (s *ShardSet) runDeferred(pos []int) {
+	clear(pos)
+	for {
+		var best *deferredCall
+		bi := -1
+		for i, e := range s.Engines {
+			if pos[i] < len(e.deferred) && (best == nil || e.deferred[pos[i]].at.less(best.at)) {
+				best, bi = &e.deferred[pos[i]], i
+			}
+		}
+		if best == nil {
+			break
+		}
+		pos[bi]++
+		best.sink.HandleEvent(best.kind, best.data)
 	}
-	if n == 0 {
-		return
-	}
-	MergeByTag(logs,
-		func(d *deferredCall) DispatchTag { return d.tag },
-		func(d *deferredCall) { d.sink.HandleEvent(d.kind, d.data) })
 	for _, e := range s.Engines {
 		clear(e.deferred)
 		e.deferred = e.deferred[:0]

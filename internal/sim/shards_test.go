@@ -81,8 +81,8 @@ func TestShardSetBarrierQuiescent(t *testing.T) {
 
 // TestShardSetDefer pins Engine.Defer: on one engine a deferred call
 // runs at once; inside a multi-engine round it waits for the barrier,
-// where every engine's calls replay in dispatch-tag order before
-// BarrierWork, and a call deferred by a replayed call runs at once.
+// where every engine's calls replay in dispatch order before Drain,
+// and a call deferred by a replayed call runs at once.
 func TestShardSetDefer(t *testing.T) {
 	var log []string
 	note := func(s string) func() { return func() { log = append(log, s) } }
@@ -107,9 +107,9 @@ func TestShardSetDefer(t *testing.T) {
 		log = append(log, "b3-live")
 	})
 	ss := &ShardSet{
-		Engines:     []*Engine{a, b},
-		Window:      12,
-		BarrierWork: func() { log = append(log, "barrier") },
+		Engines: []*Engine{a, b},
+		Window:  12,
+		Drain:   func() int { log = append(log, "barrier"); return 0 },
 	}
 	ss.Run()
 	if got, want := strings.Join(log, " "), "barrier b3-live b3 b3-nested a5 barrier"; got != want {

@@ -306,18 +306,11 @@ type Observer struct {
 	winEnd sim.Cycles
 
 	// Sharding (shardobs.go). A master observer owns the ring; each
-	// shard gets a child (parent != nil) that either forwards straight
-	// to the master ring (direct mode, quiescent periods) or logs
-	// tagged events privately (buffered mode, shard workers running)
-	// for a deterministic tag-ordered merge at lookahead barriers.
-	parent   *Observer
+	// shard engine gets a child (eng != nil) sharing it, which queues
+	// the events it emits mid-round for the barrier to push.
 	children []*Observer
-	tagf     func() sim.DispatchTag
-	buffered bool
-	tbuf     []taggedEvent
-	// shardQs is MergeShardEvents' per-barrier merge scratch (one
-	// queue header per child, reused across barriers).
-	shardQs [][]taggedEvent
+	eng      *sim.Engine
+	queued   []Event
 	// causeBy holds CauseFor's per-node counters (master or child —
 	// each node's issues all happen on the observer serving its shard).
 	causeBy []uint64
@@ -359,33 +352,12 @@ func (o *Observer) EmitAt(at sim.Cycles, kind EventKind, node int, sub uint8, ca
 		return
 	}
 	e := Event{At: at, Cause: cause, A: a, B: b, Kind: kind, Sub: sub, Node: int16(node)}
-	if o.parent == nil {
-		o.ring.Push(e)
+	if o.eng != nil && o.eng.InRound() {
+		o.queued = append(o.queued, e)
+		o.eng.Defer(o, len(o.queued)-1, nil)
 		return
 	}
-	if o.buffered {
-		o.tbuf = append(o.tbuf, taggedEvent{tag: o.tagf(), ev: e})
-		return
-	}
-	o.parent.ring.Push(e)
-}
-
-// EmitAtTag records an event whose serialization tag was reserved
-// earlier in the schedule (work deferred to a lookahead barrier, like
-// per-hop link reservations under sharded contention): a buffered
-// child files it under the reserved tag so the merge interleaves it
-// exactly where the serial schedule emitted it; in every other mode
-// the tag is irrelevant and this is EmitAt.
-func (o *Observer) EmitAtTag(tag sim.DispatchTag, at sim.Cycles, kind EventKind, node int, sub uint8, cause, a, b uint64) {
-	if o.parent != nil && o.buffered {
-		if at < o.cfg.WindowStart || at > o.winEnd {
-			return
-		}
-		o.tbuf = append(o.tbuf, taggedEvent{tag: tag,
-			ev: Event{At: at, Cause: cause, A: a, B: b, Kind: kind, Sub: sub, Node: int16(node)}})
-		return
-	}
-	o.EmitAt(at, kind, node, sub, cause, a, b)
+	o.ring.Push(e)
 }
 
 // CauseFor returns a fresh nonzero causal ID for an operation issued

@@ -1,101 +1,53 @@
-// Shard-local observation: one child observer per shard, merged
-// deterministically into the master ring at lookahead barriers.
+// Shard-local observation: one child observer per shard engine, whose
+// events reach the master ring in the order one engine would have
+// emitted them.
 //
 // A sharded run cannot push into one ring from K shard goroutines,
 // and even a locked ring would record events in racy real-time order.
-// Instead each shard's components emit into that shard's child, which
-// tags every event with the engine's DispatchTag — the heap key of the
-// dispatch that produced it, the engine's dispatch ordinal, and an
-// intra-dispatch draw counter. Each child's buffer is restored to its
-// engine's execution order (ordinal, then counter — barrier-replayed
-// contention events carry mid-round tags and land at the end), and the
-// buffers are then interleaved by sim.MergeByTag's head merge, which
-// reconstructs the exact order a single serial engine would have
-// emitted them in. A flat key sort would not: serial pop order is not
-// key order when a dispatch schedules a same-cycle event under a
-// smaller key (see sim.MergeByTag). Every wait is a scheduled wake, so
-// all simulated activity runs inside a dispatch and every emission
-// carries a real dispatch tag; the merge runs at each lookahead barrier
-// with every worker quiescent. Outside rounds (setup, between runs)
-// children sit in direct mode and forward to the master ring in plain
-// call order.
+// Instead each shard's components emit into that shard's child. While
+// the child's engine runs a multi-engine round, the child queues each
+// event and hands the engine one sim.Engine.Defer for it; the barrier
+// replays every engine's Defer log in one merge, which pushes each
+// event at its serial position, interleaved with the round's contended
+// link walks and kernel splices. Those replayed calls push their own
+// events at once, since no engine is in a round while they run. Every
+// wait is a scheduled wake, so all simulated activity runs inside a
+// dispatch and every event has a dispatch to be filed under. Outside a
+// round (one engine, setup, barrier replay, between runs) a child
+// pushes straight to the master ring.
 //
 // Two deliberate divergences from a serial trace, both deterministic
-// for a fixed shard count: events emitted by barrier work itself
-// (kernel copy-list splices) carry the tag of the emitting shard's
-// last dispatch rather than a mid-round position, and the time-series
-// sampler runs barrier-aligned rather than per-dispatch. The ring is
-// still overwrite-oldest; a merge can evict events an earlier merge
-// pushed, exactly as a serial run's later events evict earlier ones.
+// for a fixed shard count: work that barrier replay schedules (a page
+// copy sent by a kernel splice) draws its tie-break key on its
+// engine's last-dispatched lane, and the time-series sampler runs
+// barrier-aligned rather than per-dispatch. The ring is still
+// overwrite-oldest; a barrier can evict events an earlier one pushed,
+// exactly as a serial run's later events evict earlier ones.
 package stats
 
-import (
-	"sort"
+import "plus/internal/sim"
 
-	"plus/internal/sim"
-)
-
-// taggedEvent is one buffered shard-local event with the global
-// serialization key that positions it in the merged stream.
-type taggedEvent struct {
-	tag sim.DispatchTag
-	ev  Event
-}
-
-// ShardChild returns a new per-shard child of this observer. The
-// child shares the master's window configuration, keeps its own
-// Metrics histograms (folded with FoldShardMetrics after the run),
-// and reads the shard engine's clock and dispatch tags through the
-// two closures. Children of children are not a thing.
-func (o *Observer) ShardChild(clock func() sim.Cycles, tagf func() sim.DispatchTag) *Observer {
-	if o.parent != nil {
+// ShardChild returns a new child of this observer serving one shard
+// engine. The child pushes into the master's ring and shares its
+// window configuration, keeps its own Metrics histograms (folded with
+// FoldShardMetrics after the run), and reads the engine's clock.
+// Children of children are not a thing.
+func (o *Observer) ShardChild(eng *sim.Engine) *Observer {
+	if o.eng != nil {
 		panic("stats: ShardChild of a shard child (children hang off the master observer)")
 	}
-	c := &Observer{cfg: o.cfg, winEnd: o.winEnd, parent: o, clock: clock, tagf: tagf}
+	c := &Observer{cfg: o.cfg, ring: o.ring, winEnd: o.winEnd, clock: eng.Now, eng: eng}
 	o.children = append(o.children, c)
 	return c
 }
 
-// SetShardBuffering flips every child between direct mode (false:
-// quiescent periods, events forward straight to the master ring in
-// call order) and buffered mode (true: shard workers running
-// concurrently, each child logs tagged events privately for
-// MergeShardEvents). The core run loop buffers around each sharded
-// run and merges at every barrier.
-func (o *Observer) SetShardBuffering(on bool) {
-	for _, c := range o.children {
-		c.buffered = on
-	}
-}
-
-// MergeShardEvents drains every child's buffer into the master ring
-// in serial emission order. Call it only with all shard workers
-// quiescent (at a lookahead barrier or after the run).
-func (o *Observer) MergeShardEvents() {
-	total := 0
-	for _, c := range o.children {
-		total += len(c.tbuf)
-	}
-	if total == 0 {
-		return
-	}
-	if o.shardQs == nil {
-		o.shardQs = make([][]taggedEvent, len(o.children))
-	}
-	for i, c := range o.children {
-		// Restore each child's buffer to its engine's execution order:
-		// barrier-replayed contention events were appended after the
-		// round's live emissions but carry reserved mid-round tags.
-		buf := c.tbuf
-		sort.SliceStable(buf, func(a, b int) bool { return buf[a].tag.EngineLess(buf[b].tag) })
-		o.shardQs[i] = buf
-	}
-	sim.MergeByTag(o.shardQs,
-		func(te *taggedEvent) sim.DispatchTag { return te.tag },
-		func(te *taggedEvent) { o.ring.Push(te.ev) })
-	for i, c := range o.children {
-		c.tbuf = c.tbuf[:0]
-		o.shardQs[i] = nil
+// HandleEvent implements sim.EventSink for a child's queued events:
+// the barrier's replay of its engine's Defer log pushes event i, in
+// queue order, into the ring. The last one empties the queue.
+func (o *Observer) HandleEvent(i int, _ any) {
+	o.ring.Push(o.queued[i])
+	if i == len(o.queued)-1 {
+		o.queued = o.queued[:0]
 	}
 }
 

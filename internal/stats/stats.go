@@ -105,14 +105,15 @@ func (m *Machine) AttachObserver(o *Observer) { m.obs = o }
 func (m *Machine) Observer() *Observer { return m.obs }
 
 // ShardView returns a Machine sharing m's per-node counter slice but
-// holding private machine-wide scalars. The sharded engine hands one
-// view to each shard's components: per-node counters are written only
-// by their owning node (node-disjoint across shards, so sharing the
-// backing slice is race-free), while the machine-wide message tallies
-// are written by every CM and therefore accumulate per shard, to be
-// folded into the master with FoldShard after the run. When tracing
-// is on, core attaches the shard's child observer (ShardChild) to the
-// view, so the shard's components emit shard-locally.
+// holding private machine-wide scalars. core hands one view to each
+// shard's components, at every shard count: per-node counters are
+// written only by their owning node (node-disjoint across shards, so
+// sharing the backing slice is race-free), while the machine-wide
+// message tallies are written by every CM and therefore accumulate
+// per shard, to be folded into the master with FoldShard after the
+// run. When tracing is on, core attaches the shard's child observer
+// (ShardChild) to the view, so the shard's components emit
+// shard-locally.
 func (m *Machine) ShardView() *Machine { return &Machine{Nodes: m.Nodes} }
 
 // FoldShard drains a shard view's machine-wide scalar counters into m:
