@@ -85,8 +85,8 @@ func TestKvserveDeterminism(t *testing.T) {
 // TestKvserveShardEquivalence runs the open-loop workload serial and
 // at 2, 4 and 8 shard engines: elapsed time, final memory image and
 // both latency histograms must be byte-identical (the PR-6 guarantee
-// extended to the arrival-schedule driver — kvserve uses no
-// Sleep/Wake, so nothing rides the cross-shard mail path).
+// extended to the arrival-schedule driver; kvserve uses no
+// Sleep/Wake).
 func TestKvserveShardEquivalence(t *testing.T) {
 	run := func(shards int, placement string) Result {
 		cfg := small()

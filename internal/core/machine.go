@@ -63,15 +63,17 @@ type Config struct {
 	// and mesh.Config.Shards). 0 or 1 runs serially. Sharded runs are
 	// deterministic and byte-identical to serial ones — same elapsed
 	// cycles, counters, memory images, and (with an observer attached)
-	// the same event stream: work on shared state — contended link
-	// walks, kernel copy-list splices (competitive replication, runtime
-	// Replicate/DeleteCopy/Migrate) and events pushed into the
-	// observer's ring — goes through sim.Engine.Defer and replays at
-	// lookahead barriers in one-engine dispatch order. A splice
-	// requested mid-run lands at the next barrier instead of the call
-	// instant, so such runs match serial in copy-lists and memory, not
-	// cycles. Two features remain serial-only: crash injection and
-	// bounded link buffers (mesh.Config.Validate rejects both).
+	// the same event stream: cross-shard deliveries and work on shared
+	// state — contended link walks, kernel copy-list splices
+	// (competitive replication, runtime Replicate/DeleteCopy/Migrate)
+	// and events pushed into the observer's ring — go through
+	// sim.Engine.Defer and replay at lookahead barriers in one-engine
+	// dispatch order. A splice requested mid-run lands at the next
+	// barrier instead of the call instant, so such runs match serial in
+	// copy-lists and memory, not cycles; they match each other at every
+	// shard count above one, event stream included. Two features remain
+	// serial-only: crash injection and bounded link buffers
+	// (mesh.Config.Validate rejects both).
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
@@ -525,7 +527,6 @@ func (m *Machine) runShards() {
 	ss := &sim.ShardSet{
 		Engines: m.engines,
 		Window:  m.net.Config().LookaheadWindow(),
-		Drain:   func() int { return m.net.DrainMail() },
 	}
 	started := ss.Now()
 	ss.Quiescent = m.quiescentFunc(started)

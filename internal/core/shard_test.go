@@ -280,23 +280,27 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 // kernelOpsDigest captures what a mid-run kernel page operation must
 // preserve across shard counts: the final copy-list of every page
 // (master first, in list order) and the final memory image. Timing is
-// deliberately absent — a sharded run splices copy-lists at the next
+// absent from these two — a sharded run splices copy-lists at the next
 // lookahead barrier rather than at the triggering instant, so elapsed
-// cycles may differ; the protocol-level outcome may not.
+// cycles may differ from serial; the protocol-level outcome may not.
+// Events is the observed event stream, which every sharded run, whose
+// barriers fall at the same instants for any shard count, must share.
 type kernelOpsDigest struct {
 	Copies [][]mesh.NodeID
 	Image  [][]memory.Word
+	Events []string
 }
 
 // runKernelOps executes a program whose threads issue runtime
 // Replicate calls mid-run — from their own nodes, while
 // traffic to the affected pages is in flight — and returns the
-// copy-list and memory digest.
+// copy-list and memory digest with the observed event stream.
 func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 	t.Helper()
 	cfg := core.DefaultConfig(fuzzMeshW, fuzzMeshH)
 	cfg.Shards = shards
 	cfg.NetContention = contention
+	cfg.Observe = stats.NewObserver(stats.ObserveConfig{Events: 1 << 15})
 	m, err := core.NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("NewMachine(shards=%d): %v", shards, err)
@@ -350,6 +354,12 @@ func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 		}
 		d.Image[pg] = img
 	}
+	if n := cfg.Observe.EventCount(); n > 1<<15 {
+		t.Fatalf("shards=%d: %d events overflow the ring", shards, n)
+	}
+	for _, ev := range cfg.Observe.Events() {
+		d.Events = append(d.Events, ev.String())
+	}
 	return d
 }
 
@@ -362,7 +372,10 @@ func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 // copies' link reservations, and with them which node's replication
 // lands first, so serial is no reference; the sharded runs, whose
 // barriers fall at the same instants for every shard count, must match
-// each other instead.
+// each other instead. Either way the sharded runs must observe the
+// same event stream: what barrier replay schedules draws its keys from
+// the one barrier counter, not from whichever lane each engine last
+// dispatched.
 func TestShardKernelOpsAtBarriers(t *testing.T) {
 	for _, contention := range []bool{false, true} {
 		t.Run(fmt.Sprintf("contention=%v", contention), func(t *testing.T) {
@@ -372,17 +385,30 @@ func TestShardKernelOpsAtBarriers(t *testing.T) {
 					t.Fatalf("page %d never replicated (copy-list %v) — the test lost its point", pg, list)
 				}
 			}
+			k2 := runKernelOps(t, 2, contention)
+			if contention {
+				want, ref = k2, "shards=2"
+			}
 			for _, k := range []int{2, 4, 8} {
-				got := runKernelOps(t, k, contention)
-				if contention && k == 2 {
-					want, ref = got, "shards=2"
-					continue
+				got := k2
+				if k != 2 {
+					got = runKernelOps(t, k, contention)
 				}
 				if !reflect.DeepEqual(want.Copies, got.Copies) {
 					t.Errorf("shards=%d: copy-lists diverged from %s:\n got %v\nwant %v", k, ref, got.Copies, want.Copies)
 				}
 				if !reflect.DeepEqual(want.Image, got.Image) {
 					t.Errorf("shards=%d: final memory image diverged from %s", k, ref)
+				}
+				if len(got.Events) != len(k2.Events) {
+					t.Errorf("shards=%d: %d events, shards=2 %d", k, len(got.Events), len(k2.Events))
+					continue
+				}
+				for i := range got.Events {
+					if got.Events[i] != k2.Events[i] {
+						t.Errorf("shards=%d: event[%d] = %q, shards=2 %q", k, i, got.Events[i], k2.Events[i])
+						break
+					}
 				}
 			}
 		})
@@ -447,10 +473,11 @@ func TestShardBarrierReplicateContended(t *testing.T) {
 
 // TestShardSetRoundsPinned pins the run loop's account of a fixed 4×4
 // program: at K=2 the number of lookahead rounds is a property of the
-// program and the window alone, the two engines together dispatch
-// exactly the serial engine's events, and the busiest engine's
-// per-round share lies between half and all of them. On one engine
-// there are no rounds.
+// program and the window alone, as is the number of Defer calls the
+// barriers replay (here every cross-shard message), the two engines
+// together dispatch exactly the serial engine's events, and the
+// busiest engine's per-round share lies between half and all of them.
+// On one engine there are no rounds and nothing to replay.
 func TestShardSetRoundsPinned(t *testing.T) {
 	run := func(shards int) sim.ShardStats {
 		cfg := core.DefaultConfig(4, 4)
@@ -481,14 +508,18 @@ func TestShardSetRoundsPinned(t *testing.T) {
 		return st
 	}
 	serial := run(1)
-	if serial.Rounds != 0 || serial.Wait[0] != 0 || events(serial) == 0 {
-		t.Fatalf("serial: %d rounds, wait %v, %d events; want 0, 0, some", serial.Rounds, serial.Wait[0], events(serial))
+	if serial.Rounds != 0 || serial.Wait[0] != 0 || serial.Replayed != 0 || events(serial) == 0 {
+		t.Fatalf("serial: %d rounds, wait %v, %d replayed, %d events; want 0, 0, 0, some",
+			serial.Rounds, serial.Wait[0], serial.Replayed, events(serial))
 	}
-	const wantRounds = 160
+	const wantRounds, wantReplayed = 160, 800
 	for rep := 0; rep < 2; rep++ {
 		st := run(2)
 		if st.Rounds != wantRounds {
 			t.Errorf("K=2 rep %d: %d rounds, want %d", rep, st.Rounds, wantRounds)
+		}
+		if st.Replayed != wantReplayed || st.ReplayTime <= 0 {
+			t.Errorf("K=2 rep %d: %d calls replayed in %v, want %d in some time", rep, st.Replayed, st.ReplayTime, wantReplayed)
 		}
 		if events(st) != events(serial) || st.Dispatches[0] == 0 || st.Dispatches[1] == 0 {
 			t.Errorf("K=2 rep %d: dispatches %v, want both engines busy and %d in all", rep, st.Dispatches, events(serial))
@@ -562,5 +593,87 @@ func TestShardSetObserverDeferOrder(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("two engines recorded %d events, one engine %d", len(got), len(want))
+	}
+}
+
+// twoRunDigest is what two Runs of one machine show: the machine clock
+// and elapsed cycles after each Run, every thread's clock after every
+// operation, and the observed event stream.
+type twoRunDigest struct {
+	Now     []sim.Cycles
+	Elapsed []sim.Cycles
+	Logs    [][]uint64
+	Events  []string
+}
+
+// runTwice runs a 4×4 observed program twice on one machine. A page
+// homed on node 15 is copied in the background onto node 12 before the
+// first Run and onto node 6 between the Runs; at two and four shards
+// the second copy crosses a band boundary. Each Run spawns a thread on
+// every node that reads, writes and computes against the page.
+func runTwice(t *testing.T, shards int) twoRunDigest {
+	t.Helper()
+	cfg := core.DefaultConfig(4, 4)
+	cfg.Shards = shards
+	cfg.Observe = stats.NewObserver(stats.ObserveConfig{Events: 1 << 13})
+	m, err := core.NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("NewMachine(shards=%d): %v", shards, err)
+	}
+	va := m.Alloc(15, 1)
+	var d twoRunDigest
+	for run, copyTo := range []mesh.NodeID{12, 6} {
+		m.Kernel().Replicate(va.Page(), copyTo, nil)
+		for node := 0; node < m.Nodes(); node++ {
+			log := len(d.Logs)
+			d.Logs = append(d.Logs, nil)
+			m.Spawn(mesh.NodeID(node), func(th *proc.Thread) {
+				for i := 0; i < 6; i++ {
+					th.Write(va+memory.VAddr(node), memory.Word(run*100+i))
+					d.Logs[log] = append(d.Logs[log], uint64(th.Read(va+memory.VAddr((node+5)%16))), uint64(th.Now()))
+					th.Compute(sim.Cycles(3 + node%4))
+				}
+			})
+		}
+		elapsed, err := m.Run()
+		if err != nil {
+			t.Fatalf("Run %d (shards=%d): %v", run, shards, err)
+		}
+		d.Now = append(d.Now, m.Now())
+		d.Elapsed = append(d.Elapsed, elapsed)
+	}
+	if n := cfg.Observe.EventCount(); n > 1<<13 {
+		t.Fatalf("shards=%d: %d events overflow the ring", shards, n)
+	}
+	for _, ev := range cfg.Observe.Events() {
+		d.Events = append(d.Events, ev.String())
+	}
+	return d
+}
+
+// TestShardSecondRunClock pins where a sharded machine's clock stands
+// between Runs: at its last activity, as on one engine, not at the last
+// round's horizon. Work between the Runs (a background copy) and the
+// whole second Run must then match one engine cycle for cycle.
+func TestShardSecondRunClock(t *testing.T) {
+	serial := runTwice(t, 1)
+	for _, k := range []int{2, 4} {
+		got := runTwice(t, k)
+		if !reflect.DeepEqual(serial.Now, got.Now) || !reflect.DeepEqual(serial.Elapsed, got.Elapsed) {
+			t.Errorf("shards=%d: clock %v after the runs (elapsed %v), serial %v (%v)", k, got.Now, got.Elapsed, serial.Now, serial.Elapsed)
+		}
+		if !reflect.DeepEqual(serial.Logs, got.Logs) {
+			t.Errorf("shards=%d: thread logs diverged from serial", k)
+		}
+		if len(got.Events) != len(serial.Events) {
+			t.Errorf("shards=%d: %d events, serial %d", k, len(got.Events), len(serial.Events))
+			continue
+		}
+		for i := range got.Events {
+			if got.Events[i] != serial.Events[i] {
+				t.Errorf("shards=%d: event[%d] = %q, serial %q", k, i, got.Events[i], serial.Events[i])
+				break
+			}
+		}
 	}
 }

@@ -65,11 +65,11 @@ type Config struct {
 	// Shards partitions the mesh into that many equal contiguous
 	// row-major bands of nodes, each simulated on its own event queue
 	// under conservative lookahead (0 or 1 = serial). The shard count
-	// must tile the mesh: Width*Height divisible by Shards. With
-	// Contention on, every contended send walks the shared per-link
-	// queues through its engine's Defer: at once on one engine, at the
-	// next lookahead barrier in serial dispatch order on several —
-	// byte-identical either way.
+	// must tile the mesh: Width*Height divisible by Shards. Every
+	// cross-shard or contended delivery goes through its sending
+	// engine's Defer: at once on one engine, at the next lookahead
+	// barrier in serial dispatch order on several — byte-identical
+	// either way.
 	Shards int
 }
 
@@ -340,7 +340,7 @@ type Stats struct {
 // messages through its own pool so allocation never crosses shard
 // goroutines; a message freed on a different shard than it was
 // allocated on simply migrates pools (it is fully cleared either way).
-// sends recycles the shard's contended-send records the same way.
+// sends recycles the shard's deferred-send records the same way.
 type msgPool struct {
 	free  []*Msg
 	live  int
@@ -352,25 +352,13 @@ type downWindow struct {
 	from, to sim.Cycles
 }
 
-// mailEntry is one cross-shard message delivery awaiting injection at
-// the next lookahead barrier: the arrival time and the tie-break key
-// drawn on the sending shard's engine at send time, so the delivery
-// sorts into the destination queue exactly where the serial schedule
-// would put it.
-type mailEntry struct {
-	at   sim.Cycles
-	lane int32
-	seq  uint64
-	ms   *Msg
-}
-
-// pendingSend is one contended send, handed to the sending engine's
-// Defer as its own sink: resolved at once on one engine, at the next
-// lookahead barrier on several. Every PRNG and tie-break-key draw
-// already happened at Send time, in serial draw order; what remains is
-// the walk over the shared per-link queues, which the barrier replays
-// in serial dispatch order so linkFree evolves through exactly the serial
-// sequence of reservations.
+// pendingSend is one cross-shard or contended send, handed to the
+// sending engine's Defer as its own sink: resolved at once on one
+// engine, at the next lookahead barrier on several. Every PRNG and
+// tie-break-key draw already happened at Send time, in serial draw
+// order; what remains is the walk over the shared per-link queues,
+// replayed in serial dispatch order so linkFree evolves through exactly
+// the serial sequence of reservations, and the injection.
 type pendingSend struct {
 	m        *Mesh
 	sendT    sim.Cycles
@@ -391,16 +379,11 @@ type pendingSend struct {
 // logical thread, touching only that shard's slice of the state.
 type Mesh struct {
 	cfg   Config
-	eng   *sim.Engine
 	ports []Port
 	// engines holds one engine per shard (length ShardCount; engines[0]
-	// == eng in the serial case). shardOf maps each node to its owner.
+	// is the engine passed to New). shardOf maps each node to its owner.
 	engines []*sim.Engine
 	shardOf []int32
-	// mail[srcShard*K+dstShard] buffers cross-shard deliveries between
-	// lookahead barriers. Only the source shard's worker appends, so no
-	// lock is needed; DrainMail runs with all workers quiescent.
-	mail [][]mailEntry
 	// linkSlot[from*4+dir] indexes linkFree for the directed link
 	// leaving from in direction dir, or -1 where the mesh edge has no
 	// such link. linkFree has exactly one entry per physical directed
@@ -436,9 +419,8 @@ type Mesh struct {
 // New creates a mesh whose nodes are partitioned over one engine per
 // shard (see Config.ShardOf): eng runs shard 0, and New builds the
 // other ShardCount()-1 engines itself (Engines lists them all).
-// Cross-shard sends buffer in per-shard mailboxes; the shard runner
-// delivers them with DrainMail at each lookahead barrier. Ports are
-// registered per node with Attach before any traffic is sent.
+// Cross-shard sends ride the sending engine's Defer (see Send). Ports
+// are registered per node with Attach before any traffic is sent.
 func New(eng *sim.Engine, cfg Config) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -451,10 +433,8 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	}
 	m := &Mesh{
 		cfg:      cfg,
-		eng:      eng,
 		engines:  engines,
 		shardOf:  make([]int32, n),
-		mail:     make([][]mailEntry, k*k),
 		ports:    make([]Port, n),
 		pools:    make([]msgPool, k),
 		shStats:  make([]Stats, k),
@@ -535,28 +515,6 @@ func (m *Mesh) ShardOf(id NodeID) int { return int(m.shardOf[id]) }
 // EngineFor returns the engine owning a node's events.
 func (m *Mesh) EngineFor(id NodeID) *sim.Engine { return m.engines[m.shardOf[id]] }
 
-// DrainMail injects every buffered cross-shard delivery into its
-// destination shard's queue and returns how many it moved. The shard
-// runner calls it at lookahead barriers with every worker quiescent;
-// each entry carries the tie-break key drawn at Send time, and the
-// engines order their queues by key, so injection order is irrelevant
-// and the merged schedule matches the serial one exactly.
-func (m *Mesh) DrainMail() int {
-	moved := 0
-	for box, entries := range m.mail {
-		if len(entries) == 0 {
-			continue
-		}
-		dst := m.engines[box%len(m.engines)]
-		for _, e := range entries {
-			dst.InjectEventAt(e.at, e.lane, e.seq, m, evDeliver, e.ms)
-		}
-		moved += len(entries)
-		m.mail[box] = entries[:0]
-	}
-	return moved
-}
-
 // SetObservers attaches one structured-event observer per shard
 // (tracing is off until then, and the send path performs a single nil
 // check and nothing else). core.NewMachine wires one ShardChild of the
@@ -620,9 +578,10 @@ func (m *Mesh) LinkBusyTotals() []sim.Cycles {
 
 // LinkBacklog returns each directed link's queued traffic at the
 // current cycle, in cycles of occupancy still ahead of a new arrival.
+// Call it with the simulation quiescent, where every clock agrees.
 func (m *Mesh) LinkBacklog() []sim.Cycles {
 	out := make([]sim.Cycles, len(m.linkFree))
-	now := m.eng.Now()
+	now := m.engines[0].Now()
 	for i, free := range m.linkFree {
 		if free > now {
 			out[i] = free - now
@@ -855,6 +814,8 @@ const (
 // LinkBufFlits — bounced back to src as a NACK without touching the
 // network. A dropped message is recycled here; a NACKed message is
 // owned by the sender's port when the bounce arrives.
+// An uncontended send within one shard is queued on its engine; any
+// other is a pendingSend on the engine's Defer, its keys drawn here.
 func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	if sizeFlits < 1 {
 		sizeFlits = 1
@@ -888,7 +849,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	// path has more than LinkBufFlits flits queued, and bounce the
 	// message back after Base cycles (the reverse flow-control signal).
 	// Serial-only (Validate): admission reads the shared link queues.
-	if contending && m.cfg.Faults.LinkBufFlits > 0 && !m.admit(src, dst) {
+	if contending && m.cfg.Faults.LinkBufFlits > 0 && !m.admit(eng.Now(), src, dst) {
 		st.Nacked++
 		ms.Nacked = true
 		if o != nil {
@@ -939,18 +900,16 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 			}
 		}
 	}
-	if !contending {
+	if !contending && m.shardOf[dst] == srcShard {
 		lat := m.Latency(src, dst)
 		if dup != nil {
-			m.deliverAfter(eng, srcShard, lat+1, dup)
+			eng.ScheduleEvent(lat+1, m, evDeliver, dup)
 		}
-		m.deliverAfter(eng, srcShard, lat+extra, ms)
+		eng.ScheduleEvent(lat+extra, m, evDeliver, ms)
 		return
 	}
-	// A contended send goes to eng.Defer: the per-link queues are shared
-	// state no shard owns. Its tie-break keys (duplicate first) are
-	// drawn here, in serial draw order, so resolving it only walks the
-	// links.
+	// Another shard's queue and the per-link queues are not this
+	// shard's: draw the keys (duplicate first) in serial order and defer.
 	ps := m.allocSend(srcShard)
 	ps.sendT, ps.src, ps.dst, ps.flits = eng.Now(), src, dst, sizeFlits
 	ps.ms, ps.dup, ps.extra = ms, dup, extra
@@ -961,7 +920,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	eng.Defer(ps, 0, nil)
 }
 
-// allocSend returns a contended-send record from a shard's free list
+// allocSend returns a deferred-send record from a shard's free list
 // (or a new one when the list is empty); HandleEvent recycles it.
 func (m *Mesh) allocSend(shard int32) *pendingSend {
 	p := &m.pools[shard]
@@ -973,17 +932,18 @@ func (m *Mesh) allocSend(shard int32) *pendingSend {
 	return &pendingSend{m: m}
 }
 
-// HandleEvent implements sim.EventSink for Defer: it walks the send's
-// path against the shared per-link queues, from its injection time,
-// schedules its deliveries under the keys drawn at Send time and
-// recycles the record. It runs at once on one engine, or at the barrier
-// with every worker quiescent on several. A contended path has at
-// least one hop, so every arrival lands at or beyond sendT + Base +
-// PerHop — past the finished round's horizon, where injection is legal
-// on any shard.
+// HandleEvent implements sim.EventSink for Defer: with Contention on it
+// walks the send's path against the shared per-link queues, from its
+// injection time; it injects the deliveries under the keys drawn at
+// Send time and recycles the record. A deferred path has at least one
+// hop, so every arrival lands at or beyond sendT + Base + PerHop — past
+// the finished round's horizon, where injection is legal on any shard.
 func (ps *pendingSend) HandleEvent(int, any) {
 	m := ps.m
-	lat := m.Latency(ps.src, ps.dst) + m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
+	lat := m.Latency(ps.src, ps.dst)
+	if m.cfg.Contention {
+		lat += m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
+	}
 	dstEng := m.engines[m.shardOf[ps.dst]]
 	if ps.dup != nil {
 		dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
@@ -1003,21 +963,6 @@ func (m *Mesh) frandFor(src NodeID) *rand.Rand {
 	return m.frands[src]
 }
 
-// deliverAfter schedules a delivery lat cycles out: directly on the
-// sending shard's engine when the destination lives there, otherwise
-// into the cross-shard mailbox with the key the event would have
-// carried, for injection at the next lookahead barrier.
-func (m *Mesh) deliverAfter(eng *sim.Engine, srcShard int32, lat sim.Cycles, ms *Msg) {
-	dstShard := m.shardOf[ms.Dst]
-	if dstShard == srcShard {
-		eng.ScheduleEvent(lat, m, evDeliver, ms)
-		return
-	}
-	lane, seq := eng.DrawKey()
-	box := int(srcShard)*len(m.engines) + int(dstShard)
-	m.mail[box] = append(m.mail[box], mailEntry{at: eng.Now() + lat, lane: lane, seq: seq, ms: ms})
-}
-
 // HandleEvent implements sim.EventSink: a message scheduled by Send
 // arrives at its destination port (evDeliver) or bounces back to its
 // sender (evNack). The event was scheduled under the sending activity's
@@ -1029,12 +974,13 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 		if m.ports[ms.Src] == nil {
 			panic(fmt.Sprintf("mesh: NACK to unattached sender %d", ms.Src))
 		}
-		if m.downWin != nil && m.DownAt(ms.Src, m.eng.Now()) {
+		eng := m.engines[m.shardOf[ms.Src]]
+		if m.downWin != nil && m.DownAt(ms.Src, eng.Now()) {
 			m.shStats[m.shardOf[ms.Src]].CrashDropped++
 			m.FreeMsgAt(ms.Src, ms)
 			return
 		}
-		m.engines[m.shardOf[ms.Src]].SetLane(int32(ms.Src))
+		eng.SetLane(int32(ms.Src))
 		m.ports[ms.Src].Deliver(ms)
 		return
 	}
@@ -1042,7 +988,8 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 	// message is recycled here and the sender's reliability sublayer
 	// (which never sees a transport ack for it) retransmits until the
 	// node returns or the crash detector escalates to failover.
-	if m.downWin != nil && m.DownAt(ms.Dst, m.eng.Now()) {
+	eng := m.engines[m.shardOf[ms.Dst]]
+	if m.downWin != nil && m.DownAt(ms.Dst, eng.Now()) {
 		m.shStats[m.shardOf[ms.Dst]].CrashDropped++
 		m.FreeMsgAt(ms.Dst, ms)
 		return
@@ -1050,7 +997,7 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 	if o := m.obsFor(m.shardOf[ms.Dst]); o != nil {
 		o.Emit(stats.EvNetDeliver, int(ms.Dst), ms.Kind, ms.Cause, uint64(ms.Src), 0)
 	}
-	m.engines[m.shardOf[ms.Dst]].SetLane(int32(ms.Dst))
+	eng.SetLane(int32(ms.Dst))
 	m.ports[ms.Dst].Deliver(ms)
 }
 
@@ -1061,9 +1008,8 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 // partially drain by the time the header reaches them), in cycles of
 // occupancy — wormhole switching streams a long message through, so
 // the bound applies to waiting traffic, not to the message's own size.
-func (m *Mesh) admit(src, dst NodeID) bool {
+func (m *Mesh) admit(t sim.Cycles, src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
-	t := m.eng.Now()
 	for r := m.route(src, dst); r.next(); {
 		li := m.linkIndex(r.from, r.dir)
 		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {

@@ -55,6 +55,11 @@ type EventSink interface {
 // simulated activity. It sorts before every node lane.
 const NoLane int32 = -1
 
+// BarrierLane is the lane of every key drawn during barrier replay,
+// from one counter the ShardSet owns; it sorts before NoLane. An event
+// keyed under it dispatches as machine-level activity (NoLane).
+const BarrierLane int32 = -2
+
 // event is one pending entry, stored by value in the queue's node pool
 // or overflow heap: scheduling allocates no per-event node. Events
 // compare by (at, lane, seq) (event.before): same-time events from
@@ -80,10 +85,11 @@ func (funcSink) HandleEvent(_ int, data any) { data.(func())() }
 type Engine struct {
 	now Cycles
 	// curLane is the lane of the activity currently executing: set by
-	// Step from each dispatched event (and left in place afterwards, so
-	// a coroutine slice that keeps running after an inline-driven
-	// resume still schedules under its own lane). Events scheduled
-	// during an activity inherit it as their tie-break lane.
+	// Step from each dispatched event (NoLane for one keyed under
+	// BarrierLane) and left in place afterwards, so a coroutine slice
+	// that keeps running after an inline-driven resume still schedules
+	// under its own lane. Events scheduled during an activity inherit
+	// it as their tie-break lane.
 	curLane int32
 	// laneSeq holds one monotone draw counter per lane, indexed by
 	// lane+1 (so NoLane lands on index 0). Grown on demand.
@@ -116,6 +122,9 @@ type Engine struct {
 	// engine's execution order, for replay at the round's barrier.
 	inRound  bool
 	deferred []deferredCall
+	// replaySeq, set while a ShardSet replays a barrier, is the set's
+	// one key counter, which DrawKey then draws from.
+	replaySeq *uint64
 }
 
 // key is an event's queue key (at, lane, seq).
@@ -240,10 +249,16 @@ func (e *Engine) ScheduleEventAt(at Cycles, sink EventSink, kind int, data any) 
 
 // DrawKey draws the tie-break key the next scheduling by the current
 // activity would receive: the current lane and the next value of its
-// counter. The mesh uses it to stamp cross-shard messages at send
-// time, so an event injected into another shard's queue at a barrier
-// carries exactly the key it would have had on a single shared queue.
+// counter. The mesh uses it to stamp deferred messages at send time,
+// so an event injected into another shard's queue at a barrier carries
+// exactly the key it would have had on a single shared queue. During
+// barrier replay the key is BarrierLane's, alike for every shard count.
 func (e *Engine) DrawKey() (lane int32, seq uint64) {
+	if e.replaySeq != nil {
+		seq = *e.replaySeq
+		*e.replaySeq++
+		return BarrierLane, seq
+	}
 	idx := int(e.curLane) + 1
 	for idx >= len(e.laneSeq) {
 		e.laneSeq = append(e.laneSeq, 0)
@@ -286,7 +301,7 @@ func (e *Engine) Step() bool {
 	ev := e.q.pop()
 	e.now = ev.at
 	e.lastAct = ev.at
-	e.curLane = ev.lane
+	e.curLane = max(ev.lane, NoLane)
 	e.cur = key{ev.at, ev.lane, ev.seq}
 	e.processed++
 	if e.onEvent != nil {

@@ -21,16 +21,16 @@ import (
 // globally earliest pending event time T and lets every shard execute
 // its events in [T, T+Window-1]: the calling goroutine runs engine 0
 // itself, and one worker goroutine per further engine runs the rest.
-// The shards then synchronize at a barrier where the round's
-// cross-shard messages are injected into the owning shards' queues
-// (Drain) carrying the tie-break keys drawn at send time. Because
+// The shards then synchronize at a barrier, which replays the round's
+// Defer calls from every engine in one merged pass (runDeferred),
+// cross-shard messages among them: each is injected into the owning
+// shard's queue with the tie-break key drawn at send time. Because
 // every engine orders its queue by the (at, lane, seq) key — not by
 // insertion order — the merged schedule is byte-identical to a single
-// engine running the same program. Each barrier first replays the
-// round's Defer calls from every engine in one merged pass
-// (runDeferred), then runs Drain. With one engine there is nothing to
-// synchronize: Run drains it on the calling goroutine, with no rounds
-// and no window, and every Defer runs at once.
+// engine running the same program. Keys drawn during replay come from
+// one counter (BarrierLane), whatever the split. With one engine there
+// is nothing to synchronize: Run drains it on the calling goroutine,
+// with no rounds and no window, and every Defer runs at once.
 //
 // A round is short (tens of microseconds at 16×16), so the handoff
 // must not go through the Go scheduler: parking a worker on a channel
@@ -54,21 +54,23 @@ type ShardSet struct {
 	// the latency of any cross-shard message (for the PLUS mesh,
 	// Base + PerHop). Must be >= 1 when there are several engines.
 	Window Cycles
-	// Drain delivers all cross-shard messages sent during the finished
-	// round into the destination shards' queues (InjectEventAt) and
-	// returns how many it moved. It runs on the coordinating goroutine
-	// with every worker quiescent.
+	// Drain, when non-nil, runs at every barrier after the replay, on
+	// the coordinating goroutine with every worker quiescent, for a
+	// caller that carries its own cross-shard messages (InjectEventAt);
+	// it returns how many it moved. A machine needs none: its
+	// cross-shard messages ride Defer.
 	Drain func() int
 	// Quiescent, when non-nil, runs at every point where the whole
 	// machine is at rest and safe to inspect, with the time of the
 	// latest simulated activity: before every dispatch on a single
 	// engine (chained ahead of the engine's own dispatch hook, so
 	// dispatches driven from inside a coroutine are covered too), and
-	// after every barrier's Drain on several. It must not schedule
+	// at the end of every barrier on several. It must not schedule
 	// events, so hooking it in never changes the schedule.
 	Quiescent func(at Cycles)
 	// Stats describes the last Run; Run overwrites it.
-	Stats ShardStats
+	Stats     ShardStats
+	replaySeq uint64 // barrier replay's one key counter (DrawKey)
 }
 
 // ShardStats describes one ShardSet.Run: how its work split into
@@ -90,10 +92,14 @@ type ShardStats struct {
 	// horizon (the coordinator's barrier work included), the
 	// coordinator for the workers to finish the round.
 	Wait []time.Duration
+	// Replayed counts the Defer calls barriers replayed (0 on one
+	// engine), and ReplayTime the coordinator's host time replaying.
+	Replayed   uint64
+	ReplayTime time.Duration
 }
 
-// Run executes the engines until every queue is empty and no
-// cross-shard mail remains. A panic on any engine surfaces at Run:
+// Run executes the engines until every queue is empty and no deferred
+// call remains. A panic on any engine surfaces at Run:
 // each engine's round recovers it, and once every worker has finished
 // the round Run re-raises the lowest-numbered engine's. Run returns
 // only after its worker goroutines have exited, panicking or not.
@@ -176,11 +182,9 @@ func (s *ShardSet) runRounds() {
 	pos := make([]int, k)                    // runDeferred's scratch
 	last := slices.Clone(s.Stats.Dispatches) // Processed() at the last barrier
 	for {
-		// Drain before picking T, not after the workers finish: mail can
-		// exist before the first round (setup code sending cross-shard
-		// messages), and the final round's mail must land before the
-		// emptiness check decides the run is over. Deferred calls come
-		// first so mail they produce drains this barrier too.
+		// The barrier comes before picking T, so the final round's
+		// deferred deliveries land before the emptiness check decides
+		// the run is over.
 		s.runDeferred(pos)
 		if s.Drain != nil {
 			s.Drain()
@@ -190,6 +194,12 @@ func (s *ShardSet) runRounds() {
 		}
 		t, ok := s.nextEventTime()
 		if !ok {
+			// Leave every clock where one engine's would stand, not at
+			// the last horizon, for work between runs and the next Run.
+			at := s.LastActivityAt()
+			for _, e := range s.Engines {
+				e.now = at
+			}
 			return
 		}
 		for _, e := range s.Engines {
@@ -325,9 +335,13 @@ func (b *barrier) wake(i int) bool {
 // only at barriers), so one engine's next pop is the smallest head.
 // Heads of different engines never tie, since each lane's counter
 // lives on one engine. No engine is in a round, so anything a replayed
-// call defers in turn runs at once. pos is scratch space, one slot per
-// engine.
+// call defers in turn runs at once, and every engine draws its keys
+// from replaySeq. pos is scratch space, one slot per engine.
 func (s *ShardSet) runDeferred(pos []int) {
+	began := time.Now()
+	for _, e := range s.Engines {
+		e.replaySeq = &s.replaySeq
+	}
 	clear(pos)
 	for {
 		var best *deferredCall
@@ -341,12 +355,15 @@ func (s *ShardSet) runDeferred(pos []int) {
 			break
 		}
 		pos[bi]++
+		s.Stats.Replayed++
 		best.sink.HandleEvent(best.kind, best.data)
 	}
 	for _, e := range s.Engines {
+		e.replaySeq = nil
 		clear(e.deferred)
 		e.deferred = e.deferred[:0]
 	}
+	s.Stats.ReplayTime += time.Since(began)
 }
 
 // runOne drains a single engine, with the Quiescent hook (if any)
@@ -386,8 +403,8 @@ func (s *ShardSet) LastActivityAt() Cycles {
 }
 
 // nextEventTime returns the earliest pending event time across all
-// shards (mail is always drained before this runs, so queues are the
-// complete picture).
+// shards (the barrier's replay always runs before this, so queues are
+// the complete picture).
 func (s *ShardSet) nextEventTime() (Cycles, bool) {
 	var min Cycles
 	ok := false

@@ -54,7 +54,8 @@ func TestShardSetOneEngineQuiescent(t *testing.T) {
 // TestShardSetBarrierQuiescent pins the multi-engine run loop: the
 // Quiescent hook fires once per barrier, after Drain, with the latest
 // real activity across the engines, and the last call sees the run's
-// final activity.
+// final activity. After the run every engine's clock stands at that
+// activity, as one engine's would, not at the last round's horizon.
 func TestShardSetBarrierQuiescent(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
 	a.Schedule(5, func() {})
@@ -76,6 +77,9 @@ func TestShardSetBarrierQuiescent(t *testing.T) {
 	if len(seen) != drained || seen[len(seen)-1] != 40 || ss.LastActivityAt() != 40 {
 		t.Fatalf("quiescent points %v over %d barriers, last activity %d; want the last at 40",
 			seen, drained, ss.LastActivityAt())
+	}
+	if a.Now() != 40 || b.Now() != 40 {
+		t.Fatalf("clocks %d and %d after the run, want both at the last activity, 40", a.Now(), b.Now())
 	}
 }
 
@@ -114,6 +118,66 @@ func TestShardSetDefer(t *testing.T) {
 	ss.Run()
 	if got, want := strings.Join(log, " "), "barrier b3-live b3 b3-nested a5 barrier"; got != want {
 		t.Fatalf("two engines: %q, want %q", got, want)
+	}
+}
+
+// TestShardSetReplayKeys pins the keys barrier replay draws: whichever
+// engine a replayed call schedules on, and whatever lane that engine
+// last dispatched, the key comes from the set's one counter under
+// BarrierLane, in replay order, and the counter carries across
+// barriers. An event keyed so dispatches as machine-level activity
+// (NoLane). On one engine the same call runs at once and draws under
+// the caller's lane.
+func TestShardSetReplayKeys(t *testing.T) {
+	// got[i] logs what engine i dispatched; each engine's goroutine
+	// writes only its own log.
+	got := make([][]key, 2)
+	a, b := NewEngine(), NewEngine()
+	engines := []*Engine{a, b}
+	scheduleOn := func(is ...int) func() {
+		return func() {
+			for _, i := range is {
+				e := engines[i]
+				e.Schedule(20, func() {
+					if e.Lane() != NoLane {
+						t.Errorf("engine %d dispatched %+v on lane %d, want NoLane", i, dispatched(e), e.Lane())
+					}
+					got[i] = append(got[i], dispatched(e))
+				})
+			}
+		}
+	}
+	a.SetLane(4)
+	a.Schedule(5, func() { a.Defer(funcSink{}, 0, scheduleOn(0, 1)) })
+	b.SetLane(9)
+	b.Schedule(3, func() { b.Defer(funcSink{}, 0, scheduleOn(1)) })
+	b.Schedule(60, func() { b.Defer(funcSink{}, 0, scheduleOn(0)) })
+	ss := &ShardSet{Engines: engines, Window: 12}
+	ss.Run()
+	// The first round ends at 3+12-1 = 14, and its barrier replays b's
+	// call (filed at 3) before a's (at 5): b's event draws 0, then a's
+	// 1 and b's 2, all due at 34. The round from 60 ends at 71, and its
+	// barrier draws 3 for a's event at 91.
+	wantA := []key{{34, BarrierLane, 1}, {91, BarrierLane, 3}}
+	wantB := []key{{34, BarrierLane, 0}, {34, BarrierLane, 2}}
+	if !slices.Equal(got[0], wantA) || !slices.Equal(got[1], wantB) {
+		t.Fatalf("engines dispatched %+v and %+v, want %+v and %+v", got[0], got[1], wantA, wantB)
+	}
+	if ss.Stats.Replayed != 3 {
+		t.Fatalf("%d calls replayed, want 3", ss.Stats.Replayed)
+	}
+
+	one := NewEngine()
+	one.SetLane(4)
+	one.Schedule(5, func() {
+		one.Defer(funcSink{}, 0, func() {
+			one.Schedule(20, func() { got[0] = append(got[0], dispatched(one)) })
+		})
+	})
+	got[0] = nil
+	(&ShardSet{Engines: []*Engine{one}}).Run()
+	if len(got[0]) != 1 || got[0][0].lane != 4 || got[0][0].at != 25 {
+		t.Fatalf("one engine dispatched %+v, want one event at 25 on lane 4", got[0])
 	}
 }
 
