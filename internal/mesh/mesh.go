@@ -356,13 +356,15 @@ type downWindow struct {
 // sending engine's Defer as its own sink: resolved at once on one
 // engine, at the next lookahead barrier on several. Every PRNG and
 // tie-break-key draw already happened at Send time, in serial draw
-// order; what remains is the walk over the shared per-link queues,
-// replayed in serial dispatch order so linkFree evolves through exactly
-// the serial sequence of reservations, and the injection.
+// order, and hops is the path length Send computed; what remains is
+// the walk over the shared per-link queues, replayed in serial
+// dispatch order so linkFree evolves through exactly the serial
+// sequence of reservations, and the injection.
 type pendingSend struct {
 	m        *Mesh
 	sendT    sim.Cycles
 	src, dst NodeID
+	hops     int
 	flits    int
 	ms       *Msg
 	msLane   int32 // pre-drawn delivery key for ms
@@ -384,6 +386,9 @@ type Mesh struct {
 	// is the engine passed to New). shardOf maps each node to its owner.
 	engines []*sim.Engine
 	shardOf []int32
+	// xy holds every node's (x, y), computed once in New so that no
+	// coordinate lookup on the send path divides.
+	xy []point
 	// linkSlot[from*4+dir] indexes linkFree for the directed link
 	// leaving from in direction dir, or -1 where the mesh edge has no
 	// such link. linkFree has exactly one entry per physical directed
@@ -435,6 +440,7 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 		cfg:      cfg,
 		engines:  engines,
 		shardOf:  make([]int32, n),
+		xy:       make([]point, n),
 		ports:    make([]Port, n),
 		pools:    make([]msgPool, k),
 		shStats:  make([]Stats, k),
@@ -442,6 +448,7 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 	}
 	for id := 0; id < n; id++ {
 		m.shardOf[id] = int32(cfg.ShardOf(NodeID(id)))
+		m.xy[id] = point{id % cfg.Width, id / cfg.Width}
 	}
 	if cfg.Faults.lossy() {
 		m.frands = make([]*rand.Rand, n)
@@ -686,9 +693,13 @@ func (m *Mesh) CloneMsgAt(at NodeID, src *Msg) *Msg {
 	return c
 }
 
+// point is a node's (x, y) position in the mesh.
+type point struct{ x, y int }
+
 // Coord returns the (x, y) position of a node.
 func (m *Mesh) Coord(id NodeID) (x, y int) {
-	return int(id) % m.cfg.Width, int(id) / m.cfg.Width
+	p := m.xy[id]
+	return p.x, p.y
 }
 
 // ID returns the node at (x, y).
@@ -699,9 +710,8 @@ func (m *Mesh) ID(x, y int) NodeID {
 // Hops returns the dimension-ordered path length between two nodes in
 // link traversals (Manhattan distance).
 func (m *Mesh) Hops(a, b NodeID) int {
-	ax, ay := m.Coord(a)
-	bx, by := m.Coord(b)
-	return abs(ax-bx) + abs(ay-by)
+	pa, pb := m.xy[a], m.xy[b]
+	return abs(pa.x-pb.x) + abs(pa.y-pb.y)
 }
 
 // Latency returns the uncontended one-way latency for a message from
@@ -709,7 +719,12 @@ func (m *Mesh) Hops(a, b NodeID) int {
 // processor/router interface in the real machine; local operations
 // bypass the network entirely and should not call Latency).
 func (m *Mesh) Latency(src, dst NodeID) sim.Cycles {
-	return m.cfg.Base + m.cfg.PerHop*sim.Cycles(m.Hops(src, dst))
+	return m.latency(m.Hops(src, dst))
+}
+
+// latency is the uncontended one-way latency of a path of hops links.
+func (m *Mesh) latency(hops int) sim.Cycles {
+	return m.cfg.Base + m.cfg.PerHop*sim.Cycles(hops)
 }
 
 // direction indices for links leaving a node.
@@ -734,64 +749,25 @@ func (m *Mesh) neighbor(id NodeID, dir int) (NodeID, bool) {
 	return m.ID(x, y), true
 }
 
-// route walks the dimension-ordered path (X first, then Y) one directed
-// link at a time, in coordinates, so no step divides:
-//
-//	for r := m.route(src, dst); r.next(); { ... r.from, r.dir ... }
-type route struct {
-	w, x, y, dx, dy int
-	// from and dir name the current link: the node it leaves and its
-	// direction (valid after next returns true).
-	from NodeID
-	dir  int
-}
+// leg is one straight span of a dimension-ordered path: n directed
+// links in direction dir, leaving the nodes from, from+step, … in turn.
+type leg struct{ dir, step, n int }
 
-func (m *Mesh) route(src, dst NodeID) route {
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	return route{w: m.cfg.Width, x: x, y: y, dx: dx, dy: dy}
-}
-
-// next steps onto the path's next link, reporting false once the walk
-// has reached the destination.
-func (r *route) next() bool {
-	switch {
-	case r.x < r.dx:
-		r.dir = dirEast
-	case r.x > r.dx:
-		r.dir = dirWest
-	case r.y < r.dy:
-		r.dir = dirSouth
-	case r.y > r.dy:
-		r.dir = dirNorth
-	default:
-		return false
+// legs splits the path from src to dst into its X leg (east or west,
+// step ±1) and then its Y leg (south or north, step ±Width). Walking
+// them in order visits the links X-first routing reserves, one linkSlot
+// read per hop and no per-hop branching on the direction.
+func (m *Mesh) legs(src, dst NodeID) [2]leg {
+	s, d := m.xy[src], m.xy[dst]
+	x := leg{dirEast, 1, d.x - s.x}
+	if x.n < 0 {
+		x = leg{dirWest, -1, -x.n}
 	}
-	r.from = NodeID(r.y*r.w + r.x)
-	r.x += dirStep[r.dir][0]
-	r.y += dirStep[r.dir][1]
-	return true
-}
-
-// linkIndex returns the linkFree slot of the directed link leaving
-// from in direction dir. The link must exist (contention walks real
-// paths only); a missing link panics.
-func (m *Mesh) linkIndex(from NodeID, dir int) int {
-	slot := m.linkSlot[int(from)*4+dir]
-	if slot < 0 {
-		panic(fmt.Sprintf("mesh: no link from node %d in direction %d", from, dir))
+	y := leg{dirSouth, m.cfg.Width, d.y - s.y}
+	if y.n < 0 {
+		y = leg{dirNorth, -m.cfg.Width, -y.n}
 	}
-	return int(slot)
-}
-
-// Path returns the sequence of nodes visited by dimension-order
-// routing from src to dst, inclusive of both endpoints.
-func (m *Mesh) Path(src, dst NodeID) []NodeID {
-	var path []NodeID
-	for r := m.route(src, dst); r.next(); {
-		path = append(path, r.from)
-	}
-	return append(path, dst)
+	return [2]leg{x, y}
 }
 
 // Delivery event kinds (sim.EventSink dispatch).
@@ -901,7 +877,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		}
 	}
 	if !contending && m.shardOf[dst] == srcShard {
-		lat := m.Latency(src, dst)
+		lat := m.latency(hops)
 		if dup != nil {
 			eng.ScheduleEvent(lat+1, m, evDeliver, dup)
 		}
@@ -911,7 +887,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	// Another shard's queue and the per-link queues are not this
 	// shard's: draw the keys (duplicate first) in serial order and defer.
 	ps := m.allocSend(srcShard)
-	ps.sendT, ps.src, ps.dst, ps.flits = eng.Now(), src, dst, sizeFlits
+	ps.sendT, ps.src, ps.dst, ps.hops, ps.flits = eng.Now(), src, dst, hops, sizeFlits
 	ps.ms, ps.dup, ps.extra = ms, dup, extra
 	if dup != nil {
 		ps.dupLane, ps.dupSeq = eng.DrawKey()
@@ -940,7 +916,7 @@ func (m *Mesh) allocSend(shard int32) *pendingSend {
 // the finished round's horizon, where injection is legal on any shard.
 func (ps *pendingSend) HandleEvent(int, any) {
 	m := ps.m
-	lat := m.Latency(ps.src, ps.dst)
+	lat := m.latency(ps.hops)
 	if m.cfg.Contention {
 		lat += m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
 	}
@@ -1010,19 +986,22 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 // the bound applies to waiting traffic, not to the message's own size.
 func (m *Mesh) admit(t sim.Cycles, src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
-	for r := m.route(src, dst); r.next(); {
-		li := m.linkIndex(r.from, r.dir)
-		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
-			return false
+	from := int(src)
+	for _, l := range m.legs(src, dst) {
+		for i := 0; i < l.n; i++ {
+			if free := m.linkFree[m.linkSlot[from*4+l.dir]]; free > t && free-t > bufCap {
+				return false
+			}
+			from += l.step
 		}
 	}
 	return true
 }
 
-// contendAt walks the dimension-ordered path from injection time t0,
-// recording per-hop link events when an observer is attached, and —
-// with the contention model on — reserves each directed link and
-// returns the queueing delay incurred. This is a pipelined
+// contendAt walks the dimension-ordered path's two legs (see legs)
+// from injection time t0, recording per-hop link events when an
+// observer is attached, and — with the contention model on — reserves
+// each directed link and returns the queueing delay incurred. This is a pipelined
 // (wormhole-like) approximation: the header advances one hop per
 // PerHop cycles once a link frees, and the body occupies each link for
 // sizeFlits*FlitCycles. With contention off nothing queues: the walk
@@ -1036,26 +1015,30 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
 	var wait sim.Cycles
 	t := t0
-	for r := m.route(src, dst); r.next(); {
-		li := m.linkIndex(r.from, r.dir)
-		var hopWait sim.Cycles
-		if m.cfg.Contention {
-			if m.linkFree[li] > t {
-				hopWait = m.linkFree[li] - t
-				wait += hopWait
-				t = m.linkFree[li]
-			}
-			m.linkFree[li] = t + occupancy
-		}
-		if o != nil {
-			m.linkBusy[srcShard][li] += occupancy
+	from := int(src)
+	for _, l := range m.legs(src, dst) {
+		for i := 0; i < l.n; i++ {
+			li := m.linkSlot[from*4+l.dir]
+			var hopWait sim.Cycles
 			if m.cfg.Contention {
-				o.Metrics.HopQueue.Observe(uint64(hopWait))
+				if m.linkFree[li] > t {
+					hopWait = m.linkFree[li] - t
+					wait += hopWait
+					t = m.linkFree[li]
+				}
+				m.linkFree[li] = t + occupancy
 			}
-			o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
-				uint64(li), uint64(occupancy))
+			if o != nil {
+				m.linkBusy[srcShard][li] += occupancy
+				if m.cfg.Contention {
+					o.Metrics.HopQueue.Observe(uint64(hopWait))
+				}
+				o.EmitAt(t, stats.EvNetHop, from, uint8(l.dir), cause,
+					uint64(li), uint64(occupancy))
+			}
+			t += m.cfg.PerHop
+			from += l.step
 		}
-		t += m.cfg.PerHop
 	}
 	m.shStats[srcShard].QueueWait += wait
 	return wait

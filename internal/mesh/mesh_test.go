@@ -1,10 +1,14 @@
 package mesh
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"plus/internal/sim"
+	"plus/internal/stats"
 )
 
 func newTestMesh(w, h int, contention bool) (*sim.Engine, *Mesh) {
@@ -68,7 +72,7 @@ func TestPaperLatencyCalibration(t *testing.T) {
 func TestPathDimensionOrder(t *testing.T) {
 	_, m := newTestMesh(4, 4, false)
 	// From (0,0) to (2,2): X first (1,0),(2,0) then Y (2,1),(2,2).
-	path := m.Path(m.ID(0, 0), m.ID(2, 2))
+	path := hopPath(m, m.ID(0, 0), m.ID(2, 2))
 	want := []NodeID{m.ID(0, 0), m.ID(1, 0), m.ID(2, 0), m.ID(2, 1), m.ID(2, 2)}
 	if len(path) != len(want) {
 		t.Fatalf("path %v, want %v", path, want)
@@ -85,7 +89,7 @@ func TestPathLengthMatchesHops(t *testing.T) {
 	f := func(a, b uint8) bool {
 		src := NodeID(int(a) % m.Nodes())
 		dst := NodeID(int(b) % m.Nodes())
-		path := m.Path(src, dst)
+		path := hopPath(m, src, dst)
 		if path[0] != src || path[len(path)-1] != dst {
 			return false
 		}
@@ -233,4 +237,192 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	New(sim.NewEngine(), Config{Width: 0, Height: 0})
+}
+
+// route is the test oracle for the leg walk: it steps the
+// dimension-ordered path (X first, then Y) one directed link at a time,
+// choosing each hop's direction from the coordinates still to cover.
+type route struct {
+	w, x, y, dx, dy int
+	// from and dir name the current link: the node it leaves and its
+	// direction (valid after next returns true).
+	from NodeID
+	dir  int
+}
+
+func newRoute(m *Mesh, src, dst NodeID) route {
+	w := m.cfg.Width
+	return route{w: w, x: int(src) % w, y: int(src) / w, dx: int(dst) % w, dy: int(dst) / w}
+}
+
+// next steps onto the path's next link, reporting false once the walk
+// has reached the destination.
+func (r *route) next() bool {
+	switch {
+	case r.x < r.dx:
+		r.dir = dirEast
+	case r.x > r.dx:
+		r.dir = dirWest
+	case r.y < r.dy:
+		r.dir = dirSouth
+	case r.y > r.dy:
+		r.dir = dirNorth
+	default:
+		return false
+	}
+	r.from = NodeID(r.y*r.w + r.x)
+	r.x += dirStep[r.dir][0]
+	r.y += dirStep[r.dir][1]
+	return true
+}
+
+// hopLink returns the linkFree slot of the directed link leaving from
+// in direction dir, failing loudly where the mesh edge has none.
+func hopLink(m *Mesh, from NodeID, dir int) int {
+	slot := m.linkSlot[int(from)*4+dir]
+	if slot < 0 {
+		panic(fmt.Sprintf("no link from node %d in direction %d", from, dir))
+	}
+	return int(slot)
+}
+
+// hopPath returns the nodes the hop walk visits from src to dst,
+// inclusive of both endpoints.
+func hopPath(m *Mesh, src, dst NodeID) []NodeID {
+	var path []NodeID
+	for r := newRoute(m, src, dst); r.next(); {
+		path = append(path, r.from)
+	}
+	return append(path, dst)
+}
+
+// hopAdmit is admit over the hop walk.
+func hopAdmit(m *Mesh, t sim.Cycles, src, dst NodeID) bool {
+	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
+	for r := newRoute(m, src, dst); r.next(); {
+		li := hopLink(m, r.from, r.dir)
+		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
+			return false
+		}
+	}
+	return true
+}
+
+// hopContendAt is contendAt over the hop walk.
+func hopContendAt(m *Mesh, t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
+	srcShard := m.shardOf[src]
+	o := m.obsFor(srcShard)
+	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
+	var wait sim.Cycles
+	t := t0
+	for r := newRoute(m, src, dst); r.next(); {
+		li := hopLink(m, r.from, r.dir)
+		var hopWait sim.Cycles
+		if m.cfg.Contention {
+			if m.linkFree[li] > t {
+				hopWait = m.linkFree[li] - t
+				wait += hopWait
+				t = m.linkFree[li]
+			}
+			m.linkFree[li] = t + occupancy
+		}
+		if o != nil {
+			m.linkBusy[srcShard][li] += occupancy
+			if m.cfg.Contention {
+				o.Metrics.HopQueue.Observe(uint64(hopWait))
+			}
+			o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
+				uint64(li), uint64(occupancy))
+		}
+		t += m.cfg.PerHop
+	}
+	m.shStats[srcShard].QueueWait += wait
+	return wait
+}
+
+// TestLegWalkMatchesHopWalk drives seeded random sends through the leg
+// walk and through the hop-by-hop oracle on twin meshes, with
+// contention on and off and with and without an observer, and demands
+// identical waits, link reservations, queue statistics, hop histograms,
+// link occupancy and EvNetHop streams, plus identical LinkBufFlits
+// admission verdicts at every buffer size from 1 to 8 flits.
+func TestLegWalkMatchesHopWalk(t *testing.T) {
+	for _, g := range []struct{ w, h int }{{1, 1}, {1, 8}, {8, 1}, {5, 3}, {16, 16}} {
+		for _, contention := range []bool{true, false} {
+			for _, observed := range []bool{false, true} {
+				name := fmt.Sprintf("%dx%d/contention=%v/observed=%v", g.w, g.h, contention, observed)
+				t.Run(name, func(t *testing.T) {
+					legWalkAgainstOracle(t, g.w, g.h, contention, observed)
+				})
+			}
+		}
+	}
+}
+
+func legWalkAgainstOracle(t *testing.T, w, h int, contention, observed bool) {
+	twin := func() (*Mesh, *stats.Observer) {
+		_, m := newTestMesh(w, h, contention)
+		if !observed {
+			return m, nil
+		}
+		o := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16})
+		o.Bind(func() sim.Cycles { return 0 }, stats.TraceMeta{})
+		m.SetObservers([]*stats.Observer{o})
+		return m, o
+	}
+	legs, legObs := twin()
+	hops, hopObs := twin()
+	rng := rand.New(rand.NewSource(int64(w*100 + h)))
+	n := legs.Nodes()
+	var now sim.Cycles
+	refused := 0
+	for i := 0; i < 2000; i++ {
+		now += sim.Cycles(rng.Intn(4))
+		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		flits := 1 + rng.Intn(8)
+		for buf := 1; buf <= 8; buf++ {
+			legs.cfg.Faults.LinkBufFlits = buf
+			hops.cfg.Faults.LinkBufFlits = buf
+			got, want := legs.admit(now, src, dst), hopAdmit(hops, now, src, dst)
+			if got != want {
+				t.Fatalf("send %d (%d->%d at %d), LinkBufFlits %d: admit %v, hop walk %v",
+					i, src, dst, now, buf, got, want)
+			}
+			if !want {
+				refused++
+			}
+		}
+		cause := uint64(i + 1)
+		if got, want := legs.contendAt(now, src, dst, flits, cause), hopContendAt(hops, now, src, dst, flits, cause); got != want {
+			t.Fatalf("send %d (%d->%d at %d): wait %d, hop walk %d", i, src, dst, now, got, want)
+		}
+		if !reflect.DeepEqual(legs.linkFree, hops.linkFree) {
+			t.Fatalf("send %d (%d->%d at %d): linkFree diverges from the hop walk", i, src, dst, now)
+		}
+	}
+	if got, want := legs.Stats().QueueWait, hops.Stats().QueueWait; got != want {
+		t.Fatalf("QueueWait %d, hop walk %d", got, want)
+	}
+	if contention && w*h > 1 && (legs.Stats().QueueWait == 0 || refused == 0) {
+		t.Fatalf("QueueWait %d, %d admissions refused: the workload exercises no contention",
+			legs.Stats().QueueWait, refused)
+	}
+	if !observed {
+		return
+	}
+	if legObs.Metrics.HopQueue != hopObs.Metrics.HopQueue {
+		t.Fatalf("HopQueue %+v, hop walk %+v", legObs.Metrics.HopQueue, hopObs.Metrics.HopQueue)
+	}
+	if !reflect.DeepEqual(legs.LinkBusyTotals(), hops.LinkBusyTotals()) {
+		t.Fatal("link occupancy diverges from the hop walk")
+	}
+	got, want := legObs.Events(), hopObs.Events()
+	if len(got) != len(want) || (w*h > 1 && len(got) == 0) {
+		t.Fatalf("%d EvNetHop events, hop walk %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: %v, hop walk %v", i, got[i], want[i])
+		}
+	}
 }
