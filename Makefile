@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race shard-oversub trace-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub trace-equiv parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -53,6 +53,37 @@ trace-equiv:
 		done; \
 	done
 	@rm -f /tmp/plus-trace-equiv-1.json /tmp/plus-trace-equiv-2.json /tmp/plus-trace-equiv-4.json
+
+# Byte-identical simulation against an earlier commit, for changes
+# that claim to move host speed only: builds plusbench from BASE (via
+# git archive, so it needs the repository's history and stays out of
+# check) and from the working tree, runs both on the same sweeps and
+# compares every output byte for byte. The record-store sweep's trace
+# pins every contended link reservation and wait; ext-linkbuf's JSON
+# the NACKs that bounded link buffers decide; fault-crash the crash
+# and failover sweeps; the invalidate, pending-writes and batching
+# ablations the write-invalidate, pending-depth and combining paths.
+# Usage: make parent-equiv BASE=<rev>
+PARENT_EQUIV_DIR ?= /tmp/plus-parent-equiv
+parent-equiv:
+	@test -n "$(BASE)" || { echo "usage: make parent-equiv BASE=<rev>"; exit 2; }
+	@set -e; d=$(PARENT_EQUIV_DIR); rm -rf $$d; mkdir -p $$d/src; \
+	git archive $(BASE) | tar -x -C $$d/src; \
+	(cd $$d/src && $(GO) build -o $$d/base ./cmd/plusbench); \
+	$(GO) build -o $$d/change ./cmd/plusbench; \
+	for b in base change; do \
+		$$d/$$b -quick -exp kvserve-sweep -trace-events 65536 \
+			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
+		for x in ext-linkbuf fault-crash ablation-invalidate \
+			ablation-pending-writes ablation-batching; do \
+			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
+		done; \
+	done; \
+	for f in kv.json kv.txt ext-linkbuf.json fault-crash.json ablation-invalidate.json \
+		ablation-pending-writes.json ablation-batching.json; do \
+		cmp $$d/base-$$f $$d/change-$$f; \
+	done; \
+	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"
 
 # The full test log the repository ships with.
 test-log:

@@ -29,6 +29,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 
 	"plus/internal/cache"
 	"plus/internal/memory"
@@ -86,17 +87,16 @@ type CM struct {
 	tm   timing.Timing
 	st   *stats.Machine
 
-	// master maps each locally present frame to the global address of
-	// the page's master copy. Maintained by the operating system
-	// (kernel package); consulted by the write/RMW routing hardware.
-	master map[memory.PPage]memory.GPage
-	// next maps each locally present frame to its successor on the
-	// copy-list, or NilGPage at the end of the list.
-	next map[memory.PPage]memory.GPage
+	// frames is the master and next-copy tables, indexed by local frame
+	// like the hardware's direct-mapped SRAM: each locally present
+	// frame's master copy and copy-list successor. Maintained by the
+	// operating system (kernel package); consulted by the write/RMW
+	// routing hardware. Frames come densely from Memory.AllocFrame.
+	frames []frameEntry
 
-	// Pending-writes cache.
-	pending      map[uint64]GAddr
-	pendingAddrs map[GAddr]int
+	// Pending-writes cache: at most MaxPendingWrites entries, in no
+	// particular order (retirement swap-removes).
+	pending      []pendingWrite
 	nextID       uint64
 	writeWaiters []func()
 	fenceWaiters []func()
@@ -124,8 +124,8 @@ type CM struct {
 	slots       []dslot
 	slotWaiters []func()
 
-	// Outstanding remote blocking reads.
-	readWaiters map[uint64]readWaiter
+	// Outstanding remote blocking reads, in issue order.
+	readWaiters []readWaiter
 
 	// rdFree recycles local-read completions.
 	rdFree []*readDone
@@ -200,10 +200,26 @@ type dslot struct {
 	gen     uint64
 }
 
-// readWaiter is one outstanding remote blocking read: the completion
-// callback plus the target address, kept so a crash epoch can re-issue
-// the read against the page's new master.
+// frameEntry is one local frame's row of the master and next-copy
+// tables; present is false for a frame never installed, dropped, or
+// wiped by a crash restart.
+type frameEntry struct {
+	master, next memory.GPage
+	present      bool
+}
+
+// pendingWrite is one pending-writes cache entry: the write's id and
+// the word it writes.
+type pendingWrite struct {
+	id uint64
+	g  GAddr
+}
+
+// readWaiter is one outstanding remote blocking read: its id, the
+// completion callback, and the target address, kept so a crash epoch
+// can re-issue the read against the page's new master.
 type readWaiter struct {
+	id uint64
 	g  GAddr
 	fn func(memory.Word)
 }
@@ -212,22 +228,16 @@ type readWaiter struct {
 // mesh. It attaches itself as the node's message port.
 func New(self mesh.NodeID, eng *sim.Engine, net *mesh.Mesh, mem *memory.Memory, ca *cache.Cache, tm timing.Timing, st *stats.Machine) *CM {
 	cm := &CM{
-		self:         self,
-		eng:          eng,
-		net:          net,
-		mem:          mem,
-		ca:           ca,
-		tm:           tm,
-		st:           st,
-		master:       make(map[memory.PPage]memory.GPage),
-		next:         make(map[memory.PPage]memory.GPage),
-		pending:      make(map[uint64]GAddr),
-		pendingAddrs: make(map[GAddr]int),
-		nextID:       1,
-		readRetry:    make(map[GAddr][]func()),
-		slots:        make([]dslot, tm.MaxDelayedOps),
-		readWaiters:  make(map[uint64]readWaiter),
-		batchMax:     tm.MaxBatchWrites,
+		self:     self,
+		eng:      eng,
+		net:      net,
+		mem:      mem,
+		ca:       ca,
+		tm:       tm,
+		st:       st,
+		nextID:   1,
+		slots:    make([]dslot, tm.MaxDelayedOps),
+		batchMax: tm.MaxBatchWrites,
 	}
 	if cm.batchMax < 1 {
 		cm.batchMax = 1 // zero-valued Timing tables mean "no combining"
@@ -289,48 +299,103 @@ func (cm *CM) SendWake(dst mesh.NodeID, id uint64) {
 // successor, making the replication structure visible to the hardware
 // via the master and next-copy tables (§2.3).
 func (cm *CM) InstallPage(frame memory.PPage, master, next memory.GPage) {
-	cm.master[frame] = master
-	cm.next[frame] = next
+	if n := int(frame) + 1; n > len(cm.frames) {
+		cm.frames = append(cm.frames, make([]frameEntry, n-len(cm.frames))...)
+	}
+	cm.frames[frame] = frameEntry{master: master, next: next, present: true}
+}
+
+// entry returns a frame's table row; ok is false when the frame is not
+// installed (the row is then the zero entry).
+func (cm *CM) entry(frame memory.PPage) (e frameEntry, ok bool) {
+	if uint(frame) < uint(len(cm.frames)) {
+		e = cm.frames[frame]
+	}
+	return e, e.present
+}
+
+// installed returns a present frame's row for rewriting, panicking
+// with op's name on an uninstalled frame.
+func (cm *CM) installed(op string, frame memory.PPage) *frameEntry {
+	if _, ok := cm.entry(frame); !ok {
+		panic(fmt.Sprintf("coherence: %s of uninstalled frame %d on node %d", op, frame, cm.self))
+	}
+	return &cm.frames[frame]
 }
 
 // SetNext rewrites the successor of a local frame (copy-list splice).
 func (cm *CM) SetNext(frame memory.PPage, next memory.GPage) {
-	if _, ok := cm.next[frame]; !ok {
-		panic(fmt.Sprintf("coherence: SetNext of uninstalled frame %d on node %d", frame, cm.self))
-	}
-	cm.next[frame] = next
+	cm.installed("SetNext", frame).next = next
 }
 
 // SetMaster rewrites the master pointer of a local frame (used when
 // the master migrates).
 func (cm *CM) SetMaster(frame memory.PPage, master memory.GPage) {
-	if _, ok := cm.master[frame]; !ok {
-		panic(fmt.Sprintf("coherence: SetMaster of uninstalled frame %d on node %d", frame, cm.self))
-	}
-	cm.master[frame] = master
+	cm.installed("SetMaster", frame).master = master
 }
 
 // DropPage removes a frame's coherence tables (copy deletion).
 func (cm *CM) DropPage(frame memory.PPage) {
-	delete(cm.master, frame)
-	delete(cm.next, frame)
+	if uint(frame) < uint(len(cm.frames)) {
+		cm.frames[frame] = frameEntry{}
+	}
 }
 
 // Master returns the master pointer for a local frame.
 func (cm *CM) Master(frame memory.PPage) (memory.GPage, bool) {
-	g, ok := cm.master[frame]
-	return g, ok
+	e, ok := cm.entry(frame)
+	return e.master, ok
 }
 
 // Next returns the copy-list successor for a local frame.
 func (cm *CM) Next(frame memory.PPage) (memory.GPage, bool) {
-	g, ok := cm.next[frame]
-	return g, ok
+	e, ok := cm.entry(frame)
+	return e.next, ok
 }
 
 // PendingCount returns the number of incomplete writes (pending-writes
 // cache occupancy).
 func (cm *CM) PendingCount() int { return len(cm.pending) }
+
+// writePending reports whether a pending-writes entry covers g: the
+// read-blocking check of §2.3.
+func (cm *CM) writePending(g GAddr) bool {
+	for i := range cm.pending {
+		if cm.pending[i].g == g {
+			return true
+		}
+	}
+	return false
+}
+
+// pendingIndex returns the position of write id in the pending-writes
+// cache, or -1.
+func (cm *CM) pendingIndex(id uint64) int {
+	for i := range cm.pending {
+		if cm.pending[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// readWaiterIndex returns the position of remote read id among the
+// outstanding reads, or -1.
+func (cm *CM) readWaiterIndex(id uint64) int {
+	for i := range cm.readWaiters {
+		if cm.readWaiters[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropReadWaiter removes outstanding read i and returns it.
+func (cm *CM) dropReadWaiter(i int) readWaiter {
+	w := cm.readWaiters[i]
+	cm.readWaiters = slices.Delete(cm.readWaiters, i, i+1)
+	return w
+}
 
 // LastCause returns the causal ID drawn by the most recent traced
 // issue on this node (0 when the last operation drew none — a local
@@ -376,7 +441,10 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 	}
 	// Reading a location that is currently being written blocks until
 	// the write completes (intra-processor strong ordering, §2.3).
-	if cm.pendingAddrs[g] > 0 {
+	if cm.writePending(g) {
+		if cm.readRetry == nil {
+			cm.readRetry = make(map[GAddr][]func())
+		}
 		cm.readRetry[g] = append(cm.readRetry[g], func() { cm.Read(g, done) })
 		return
 	}
@@ -399,7 +467,7 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 	cm.node().RemoteReads++
 	id := cm.nextID
 	cm.nextID++
-	cm.readWaiters[id] = readWaiter{g: g, fn: done}
+	cm.readWaiters = append(cm.readWaiters, readWaiter{id: id, g: g, fn: done})
 	// The paper charges "about 32 cycles plus the round-trip delay"
 	// for a remote blocking read; the 32 cycles are the processor and
 	// interface overhead, charged here before the request enters the
@@ -537,7 +605,7 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 	n := cm.node()
 	if op.IsRead() {
 		if g.Node == cm.self {
-			if m, ok := cm.master[g.Page]; ok && m.Node == cm.self {
+			if e, ok := cm.entry(g.Page); ok && e.master.Node == cm.self {
 				n.LocalReads++
 			} else {
 				n.RemoteReads++
@@ -632,19 +700,14 @@ func (cm *CM) PageCopy(src memory.PPage, dst memory.GPage, done func()) {
 // finishes without any network traffic: master here and no copy-list
 // successor.
 func (cm *CM) completesLocally(frame memory.PPage) bool {
-	m, ok := cm.master[frame]
-	if !ok || m.Node != cm.self {
-		return false
-	}
-	nxt, ok := cm.next[frame]
-	return ok && nxt.IsNil()
+	e, ok := cm.entry(frame)
+	return ok && e.master.Node == cm.self && e.next.IsNil()
 }
 
 func (cm *CM) allocPending(g GAddr) uint64 {
 	id := cm.nextID
 	cm.nextID++
-	cm.pending[id] = g
-	cm.pendingAddrs[g]++
+	cm.pending = append(cm.pending, pendingWrite{id: id, g: g})
 	return id
 }
 
@@ -670,8 +733,8 @@ func (cm *CM) releaseSlot(slot int) {
 // retirement unblocks: readers of that address, one writer waiting for
 // a free entry, and — when the cache drains — fence waiters.
 func (cm *CM) finishWrite(id uint64) {
-	g, ok := cm.pending[id]
-	if !ok {
+	i := cm.pendingIndex(id)
+	if i < 0 {
 		if cm.crashy {
 			// The entry was force-retired by a crash epoch and the
 			// chain's real ack arrived later (the chain survived after
@@ -689,9 +752,11 @@ func (cm *CM) finishWrite(id uint64) {
 			o.Emit(stats.EvWriteAck, int(cm.self), 0, rec.cause, lat, id)
 		}
 	}
-	delete(cm.pending, id)
-	if cm.pendingAddrs[g]--; cm.pendingAddrs[g] == 0 {
-		delete(cm.pendingAddrs, g)
+	g := cm.pending[i].g
+	last := len(cm.pending) - 1
+	cm.pending[i] = cm.pending[last]
+	cm.pending = cm.pending[:last]
+	if len(cm.readRetry) > 0 && !cm.writePending(g) {
 		if rs := cm.readRetry[g]; len(rs) > 0 {
 			delete(cm.readRetry, g)
 			for _, r := range rs {
@@ -742,7 +807,7 @@ func (cm *CM) applyWrites(frame memory.PPage, ws []wordWrite) {
 // local processor or the network): perform it here if this node holds
 // the master copy, otherwise forward the message to the master.
 func (cm *CM) arriveWrite(m *mesh.Msg) {
-	mg, ok := cm.master[m.Page]
+	e, ok := cm.entry(m.Page)
 	if !ok {
 		if cm.crashy {
 			cm.orphanRequest(m)
@@ -750,6 +815,7 @@ func (cm *CM) arriveWrite(m *mesh.Msg) {
 		}
 		panic(fmt.Sprintf("coherence: write to uninstalled frame %d on node %d", m.Page, cm.self))
 	}
+	mg := e.master
 	if mg.Node != cm.self {
 		m.Page = mg.Page
 		cm.send(mg.Node, m)
@@ -767,7 +833,8 @@ func (cm *CM) arriveWrite(m *mesh.Msg) {
 // either forwarding it as the next kUpdate hop, returning it to the
 // originator as the kAck, or recycling it.
 func (cm *CM) propagate(frame memory.PPage, m *mesh.Msg) {
-	nxt, ok := cm.next[frame]
+	e, ok := cm.entry(frame)
+	nxt := e.next
 	if !ok {
 		if cm.crashy {
 			// The frame was dropped by a failover between apply and
@@ -803,7 +870,7 @@ func (cm *CM) propagate(frame memory.PPage, m *mesh.Msg) {
 // arriveRMW handles a kRMWReq that has reached this node: execute if
 // the master is local, else forward the message toward the master.
 func (cm *CM) arriveRMW(m *mesh.Msg) {
-	mg, ok := cm.master[m.Page]
+	e, ok := cm.entry(m.Page)
 	if !ok {
 		if cm.crashy {
 			cm.orphanRequest(m)
@@ -811,6 +878,7 @@ func (cm *CM) arriveRMW(m *mesh.Msg) {
 		}
 		panic(fmt.Sprintf("coherence: RMW to uninstalled frame %d on node %d", m.Page, cm.self))
 	}
+	mg := e.master
 	if mg.Node != cm.self {
 		m.Page = mg.Page
 		cm.send(mg.Node, m)
@@ -836,7 +904,8 @@ func (cm *CM) execRMW(m *mesh.Msg) {
 	if o := cm.obs(); o != nil {
 		o.Emit(stats.EvRMWExec, int(cm.self), m.Op, m.Cause, uint64(m.Page), uint64(len(ws)))
 	}
-	nxt := cm.next[m.Page]
+	e, _ := cm.entry(m.Page)
+	nxt := e.next
 	// The reply completes the operation outright when nothing needs
 	// propagating (no modification, or the master is the only copy).
 	complete := len(ws) == 0 || nxt.IsNil()
@@ -955,8 +1024,8 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 	case kReadReq, kWriteReq, kUpdate, kRMWReq:
 		cm.eng.ScheduleEvent(cm.tm.CMProcess, cm, ckProcess, m)
 	case kReadReply:
-		w, ok := cm.readWaiters[m.ID]
-		if !ok {
+		i := cm.readWaiterIndex(m.ID)
+		if i < 0 {
 			if cm.crashy {
 				// A reply to a read the crash epoch already re-issued
 				// and resolved (or force-completed).
@@ -966,8 +1035,7 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 			}
 			panic(fmt.Sprintf("coherence: read reply for unknown id %d on node %d", m.ID, cm.self))
 		}
-		done := w.fn
-		delete(cm.readWaiters, m.ID)
+		done := cm.dropReadWaiter(i).fn
 		if o := cm.obs(); o != nil {
 			if rec, ok := cm.rdIssued[m.ID]; ok {
 				delete(cm.rdIssued, m.ID)
@@ -1066,9 +1134,9 @@ func (cm *CM) process(m *mesh.Msg) {
 		if cm.invalidateMode && cm.isInvalid(m.Page, m.Off) {
 			// Stale replica word: forward the request to the master
 			// rather than serving old data.
-			if mg, ok := cm.master[m.Page]; ok && mg.Node != cm.self {
-				m.Page = mg.Page
-				cm.send(mg.Node, m)
+			if e, ok := cm.entry(m.Page); ok && e.master.Node != cm.self {
+				m.Page = e.master.Page
+				cm.send(e.master.Node, m)
 				return
 			}
 		}

@@ -134,27 +134,22 @@ func (cm *CM) Crash() {
 // incarnation), and re-issued reads and delayed operations.
 func (cm *CM) Restart() {
 	cm.down = false
-	for f := range cm.master {
-		delete(cm.master, f)
-	}
-	for f := range cm.next {
-		delete(cm.next, f)
-	}
+	clear(cm.frames)
 	if n := len(cm.pending); n > 0 {
 		ids := make([]uint64, 0, n)
-		for id := range cm.pending {
-			ids = append(ids, id)
+		for _, p := range cm.pending {
+			ids = append(ids, p.id)
 		}
 		sortIDs(ids)
 		for _, id := range ids {
-			if _, ok := cm.pending[id]; !ok {
+			if cm.pendingIndex(id) < 0 {
 				continue // batch member retired by its lead id
 			}
 			cm.st.ForcedRetires++
 			cm.retireWrite(id)
 		}
 	}
-	cm.reissueReads(func(uint64, readWaiter) bool { return true })
+	cm.reissueReads(func(readWaiter) bool { return true })
 	for i := range cm.slots {
 		if cm.slots[i].busy && !cm.slots[i].ready {
 			cm.reissueRMW(i)
@@ -193,9 +188,9 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	for _, c := range queue {
 		switch c.Kind {
 		case kReadReq:
-			w, waiting := cm.readWaiters[c.ID]
+			i := cm.readWaiterIndex(c.ID)
 			g, ok := reroute(c.Page)
-			if !waiting || !ok {
+			if i < 0 || !ok {
 				cm.st.CrashOrphans++
 				cm.freeMsg(c)
 				continue
@@ -204,7 +199,7 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			cm.st.RedirectedMsgs++
 			c.Seq, c.Nacked = 0, false
 			if g.Node == cm.self {
-				delete(cm.readWaiters, c.ID)
+				w := cm.dropReadWaiter(i)
 				cm.freeMsg(c)
 				cm.scheduleReadDone(cm.ca.Read(g.Page, w.g.Off), w.fn, cm.mem.Read(g.Page, w.g.Off))
 				continue
@@ -294,8 +289,8 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	}
 	// Re-issue outstanding reads addressed to the dead node, skipping
 	// those already re-sent from the parked queue above.
-	cm.reissueReads(func(id uint64, w readWaiter) bool {
-		return w.g.Node == dead && !resentReads[id]
+	cm.reissueReads(func(w readWaiter) bool {
+		return w.g.Node == dead && !resentReads[w.id]
 	})
 	// Force-retire pending writes to affected pages whose request or
 	// update may have died inside the crashed node. A write that was in
@@ -303,14 +298,14 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	// later, which finishWrite tolerates on crash runs.
 	if len(cm.pending) > 0 {
 		var ids []uint64
-		for id, g := range cm.pending {
-			if affected(g) && !resentPids[id] {
-				ids = append(ids, id)
+		for _, p := range cm.pending {
+			if affected(p.g) && !resentPids[p.id] {
+				ids = append(ids, p.id)
 			}
 		}
 		sortIDs(ids)
 		for _, id := range ids {
-			if _, ok := cm.pending[id]; !ok {
+			if cm.pendingIndex(id) < 0 {
 				continue // batch member retired by its lead id
 			}
 			cm.st.ForcedRetires++
@@ -322,14 +317,14 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 // reissueReads re-sends every outstanding remote read selected by keep,
 // rerouting reads whose target frame was lost. Deterministic: waiters
 // are processed in id order.
-func (cm *CM) reissueReads(keep func(uint64, readWaiter) bool) {
+func (cm *CM) reissueReads(keep func(readWaiter) bool) {
 	if len(cm.readWaiters) == 0 {
 		return
 	}
 	ids := make([]uint64, 0, len(cm.readWaiters))
-	for id, w := range cm.readWaiters {
-		if keep(id, w) {
-			ids = append(ids, id)
+	for _, w := range cm.readWaiters {
+		if keep(w) {
+			ids = append(ids, w.id)
 		}
 	}
 	sortIDs(ids)
@@ -343,7 +338,8 @@ func (cm *CM) reissueReads(keep func(uint64, readWaiter) bool) {
 // table if the target frame was lost to a crash. A reroute that lands
 // on this node is served locally.
 func (cm *CM) reissueRead(id uint64) {
-	w := cm.readWaiters[id]
+	i := cm.readWaiterIndex(id)
+	w := cm.readWaiters[i]
 	cm.st.ReissuedOps++
 	g := w.g
 	if cm.router != nil {
@@ -352,7 +348,7 @@ func (cm *CM) reissueRead(id uint64) {
 		}
 	}
 	if g.Node == cm.self {
-		delete(cm.readWaiters, id)
+		cm.dropReadWaiter(i)
 		cm.scheduleReadDone(cm.ca.Read(g.Page, g.Off), w.fn, cm.mem.Read(g.Page, g.Off))
 		return
 	}
@@ -443,7 +439,8 @@ func (cm *CM) orphanRequest(m *mesh.Msg) {
 }
 
 // sortIDs sorts operation ids ascending — every crash-epoch sweep over
-// a map walks its keys in this order so recovery stays deterministic.
+// the unordered pending-writes cache or outstanding reads walks them in
+// this order so recovery stays deterministic.
 func sortIDs(ids []uint64) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -71,7 +71,8 @@ func (cm *CM) applyInvalidations(frame memory.PPage, ws []wordWrite) {
 // cost is exactly a remote blocking read — the §2.2 "cost of cache
 // misses" the update protocol avoids.
 func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) {
-	mg, ok := cm.master[g.Page]
+	e, ok := cm.entry(g.Page)
+	mg := e.master
 	if !ok || mg.Node == cm.self {
 		// Master local: nothing can be stale here.
 		cm.scheduleReadDone(cm.tm.LocalMemRead, done, cm.mem.Read(g.Page, g.Off))
@@ -81,10 +82,10 @@ func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) {
 	cm.node().InvalidateMisses++
 	id := cm.nextID
 	cm.nextID++
-	cm.readWaiters[id] = readWaiter{g: g, fn: func(v memory.Word) {
+	cm.readWaiters = append(cm.readWaiters, readWaiter{id: id, g: g, fn: func(v memory.Word) {
 		cm.repair(g.Page, g.Off, v)
 		done(v)
-	}}
+	}})
 	m := cm.newMsg(kReadReq, cm.self, id)
 	m.Page, m.Off = mg.Page, g.Off
 	m.Dst = mg.Node

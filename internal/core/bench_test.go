@@ -56,3 +56,36 @@ func BenchmarkSyncVerifyRunToBlock(b *testing.B) {
 func BenchmarkSyncVerifySwitchOnSync(b *testing.B) {
 	benchSyncLoop(b, proc.SwitchOnSync, 40)
 }
+
+// BenchmarkPrefault times the record store's set-up step: every node
+// of a 16x16 machine installs its translation for 512 record pages
+// (two per node, homed in blocks) and the counter page, 513 pages in
+// all. Machine construction and allocation sit outside the timer; the
+// reported ns/page is one page-table install (kernel resolve, page
+// table and TLB insert).
+func BenchmarkPrefault(b *testing.B) {
+	const recordPages = 512
+	b.ReportAllocs()
+	pages := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := NewMachine(DefaultConfig(16, 16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes := m.Nodes()
+		homes := make([]mesh.NodeID, recordPages)
+		for p := range homes {
+			homes[p] = mesh.NodeID(p / (recordPages / nodes) % nodes)
+		}
+		records := m.AllocHomed(homes...)
+		counters := m.Alloc(mesh.NodeID(nodes-1), 1)
+		b.StartTimer()
+		for n := 0; n < nodes; n++ {
+			m.Prefault(mesh.NodeID(n), records, recordPages)
+			m.Prefault(mesh.NodeID(n), counters, 1)
+		}
+		pages += nodes * (recordPages + 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+}

@@ -60,7 +60,7 @@ func (k *Kernel) RerouteFrame(owner mesh.NodeID, frame memory.PPage) (memory.GPa
 	if !ok {
 		return memory.NilGPage, false
 	}
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		return memory.NilGPage, false
 	}
@@ -96,8 +96,8 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 	// inside the crashed node.
 	affected := make(map[memory.GPage]bool)
 	rejoin := []memory.VPage{}
-	for vp := memory.VPage(0); vp < k.nextVPage; vp++ {
-		list := k.copyLists[vp]
+	for vp := memory.VPage(0); int(vp) < len(k.copyLists); vp++ {
+		list := k.CopyList(vp)
 		idx := k.copyIndex(vp, n)
 		if idx < 0 {
 			continue
@@ -148,7 +148,7 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 func (k *Kernel) resyncChain(vp memory.VPage, start int) {
 	var hop func(pos int)
 	hop = func(pos int) {
-		list := k.copyLists[vp]
+		list := k.CopyList(vp)
 		if pos < 1 || pos >= len(list) {
 			return
 		}

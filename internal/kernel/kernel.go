@@ -34,10 +34,10 @@ type Kernel struct {
 	tm     timing.Timing
 	st     *stats.Machine
 
-	// copyLists is the centralized table: virtual page → ordered
-	// copy-list, master copy first.
-	copyLists map[memory.VPage][]memory.GPage
-	nextVPage memory.VPage
+	// copyLists is the centralized table, indexed by virtual page:
+	// each page's ordered copy-list, master copy first. AllocPage
+	// numbers pages densely from 0, so its length is the page count.
+	copyLists [][]memory.GPage
 
 	// Competitive replication (§2.4): per-(node, page) remote reference
 	// counters maintained by hardware; when one overflows the
@@ -136,7 +136,6 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		tables:      tables,
 		tm:          tm,
 		st:          st,
-		copyLists:   make(map[memory.VPage][]memory.GPage),
 		refCounts:   refs,
 		replicating: repl,
 	}
@@ -158,12 +157,11 @@ func (k *Kernel) SetCompetitiveThreshold(threshold uint64) {
 // the given node and returns its page number. The home mapping is
 // installed eagerly; other nodes fill lazily on first touch.
 func (k *Kernel) AllocPage(home mesh.NodeID) memory.VPage {
-	vp := k.nextVPage
-	k.nextVPage++
+	vp := memory.VPage(len(k.copyLists))
 	frame := k.mems[home].AllocFrame()
 	gp := memory.GPage{Node: home, Page: frame}
 	k.cms[home].InstallPage(frame, gp, memory.NilGPage)
-	k.copyLists[vp] = []memory.GPage{gp}
+	k.copyLists = append(k.copyLists, []memory.GPage{gp})
 	k.tables[home].Install(vp, gp)
 	return vp
 }
@@ -184,12 +182,15 @@ func (k *Kernel) AllocPages(home mesh.NodeID, n int) memory.VPage {
 // CopyList returns the page's copy-list (master first). The returned
 // slice must not be mutated.
 func (k *Kernel) CopyList(vp memory.VPage) []memory.GPage {
-	return k.copyLists[vp]
+	if uint(vp) < uint(len(k.copyLists)) {
+		return k.copyLists[vp]
+	}
+	return nil
 }
 
 // CopyNodes returns the nodes holding copies of vp, master first.
 func (k *Kernel) CopyNodes(vp memory.VPage) []mesh.NodeID {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	nodes := make([]mesh.NodeID, len(list))
 	for i, g := range list {
 		nodes[i] = g.Node
@@ -204,7 +205,7 @@ func (k *Kernel) HasCopy(vp memory.VPage, node mesh.NodeID) bool {
 
 // copyIndex returns node's position in vp's copy-list, or -1.
 func (k *Kernel) copyIndex(vp memory.VPage, node mesh.NodeID) int {
-	for i, g := range k.copyLists[vp] {
+	for i, g := range k.CopyList(vp) {
 		if g.Node == node {
 			return i
 		}
@@ -216,7 +217,7 @@ func (k *Kernel) copyIndex(vp memory.VPage, node mesh.NodeID) int {
 // convenient (closest) physical copy of vp for the requesting node.
 // The caller charges the fault cost and installs the mapping.
 func (k *Kernel) Resolve(node mesh.NodeID, vp memory.VPage) (memory.GPage, error) {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		return memory.NilGPage, fmt.Errorf("kernel: virtual page %d not mapped", vp)
 	}
@@ -317,7 +318,7 @@ func (k *Kernel) replicateBG(vp memory.VPage, node mesh.NodeID, done func()) {
 // the predecessor and the new copy. It returns the new copy and its
 // chain predecessor, the source of the page's data.
 func (k *Kernel) link(vp memory.VPage, node mesh.NodeID) (gp, pred memory.GPage) {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: replicate of unmapped page %d", vp))
 	}
@@ -361,7 +362,7 @@ func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 			panic("kernel: DeleteCopy while writes are in flight")
 		}
 	}
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	idx := k.copyIndex(vp, node)
 	if idx < 0 {
 		panic(fmt.Sprintf("kernel: node %d holds no copy of page %d", node, vp))
@@ -380,7 +381,7 @@ func (k *Kernel) deleteCopyNow(vp memory.VPage, node mesh.NodeID) {
 // mappings reinstalled. The removed copy's own CM tables are left to
 // the caller.
 func (k *Kernel) unlink(vp memory.VPage, idx int) {
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	nl := append(append([]memory.GPage{}, list[:idx]...), list[idx+1:]...)
 	k.copyLists[vp] = nl
 	if idx == 0 {
@@ -484,7 +485,7 @@ func (k *Kernel) RefCount(node mesh.NodeID, vp memory.VPage) uint64 {
 // initialization before a run.
 func (k *Kernel) Poke(va memory.VAddr, v memory.Word) {
 	vp, off := va.Page(), va.Offset()
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: Poke of unmapped page %d", vp))
 	}
@@ -497,7 +498,7 @@ func (k *Kernel) Poke(va memory.VAddr, v memory.Word) {
 // the protocol and simulated time. For result extraction after a run.
 func (k *Kernel) Peek(va memory.VAddr) memory.Word {
 	vp, off := va.Page(), va.Offset()
-	list := k.copyLists[vp]
+	list := k.CopyList(vp)
 	if len(list) == 0 {
 		panic(fmt.Sprintf("kernel: Peek of unmapped page %d", vp))
 	}
@@ -505,7 +506,7 @@ func (k *Kernel) Peek(va memory.VAddr) memory.Word {
 }
 
 // PageCount returns the number of virtual pages allocated so far.
-func (k *Kernel) PageCount() int { return int(k.nextVPage) }
+func (k *Kernel) PageCount() int { return len(k.copyLists) }
 
 // CopiesInFlight returns the number of background page replications
 // whose bulk data copy is still travelling.
@@ -513,7 +514,7 @@ func (k *Kernel) CopiesInFlight() int { return int(k.copiesInFlight.Load()) }
 
 // CheckCoherent verifies that every copy of every page holds identical
 // contents — the general-coherence invariant after quiescence. It
-// returns the first discrepancy found.
+// returns the first discrepancy in page order.
 func (k *Kernel) CheckCoherent() error {
 	for vp, list := range k.copyLists {
 		if len(list) < 2 {

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"plus/internal/cache"
@@ -344,5 +346,27 @@ func TestCheckCoherentDetectsDivergence(t *testing.T) {
 	r.mems[1].Write(list[1].Page, 4, 999) // corrupt the replica
 	if err := r.k.CheckCoherent(); err == nil {
 		t.Fatal("divergence not detected")
+	}
+}
+
+// TestCheckCoherentNamesLowestPage pins the report's determinism: with
+// several pages diverged, every call names the lowest one.
+func TestCheckCoherentNamesLowestPage(t *testing.T) {
+	r := newRig(t, 2, 1)
+	var vps []memory.VPage
+	for i := 0; i < 8; i++ {
+		vp := r.k.AllocPage(0)
+		r.k.ReplicateNow(vp, 1)
+		vps = append(vps, vp)
+	}
+	for _, vp := range []memory.VPage{vps[6], vps[3]} {
+		r.mems[1].Write(r.k.CopyList(vp)[1].Page, 4, 999)
+	}
+	want := fmt.Sprintf("kernel: page %d word 4:", vps[3])
+	for i := 0; i < 50; i++ {
+		err := r.k.CheckCoherent()
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("call %d: err = %v, want it to name page %d", i, err, vps[3])
+		}
 	}
 }

@@ -17,8 +17,10 @@ import (
 // caches its entries; Translate is the processor-facing lookup that
 // reports which level hit.
 type Table struct {
+	// tlb is held by value: a translation reads the TLB's fields from
+	// the table's own allocation instead of chasing a pointer.
+	tlb     TLB
 	entries map[memory.VPage]memory.GPage
-	tlb     *TLB
 	// Faults counts lazy fills (misses resolved through the kernel).
 	Faults uint64
 	// Flushes counts whole-table invalidations (TLB shootdowns on copy
@@ -40,13 +42,13 @@ func New() *Table {
 // NewSized returns an empty page table with a TLB of tlbEntries.
 func NewSized(tlbEntries int) *Table {
 	return &Table{
+		tlb:     *NewTLB(tlbEntries),
 		entries: make(map[memory.VPage]memory.GPage),
-		tlb:     NewTLB(tlbEntries),
 	}
 }
 
 // TLB exposes the hardware translation cache.
-func (t *Table) TLB() *TLB { return t.tlb }
+func (t *Table) TLB() *TLB { return &t.tlb }
 
 // Translate performs the hardware translation sequence: TLB first,
 // then the page table (refilling the TLB on a table hit). tlbHit
