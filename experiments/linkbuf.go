@@ -37,18 +37,23 @@ func linkbufPoints(o Options) []Point[LinkbufRow] {
 	var pts []Point[LinkbufRow]
 	for _, d := range depths {
 		d := d
+		name := fmt.Sprintf("linkbuf flits=%d", d)
 		pts = append(pts, Point[LinkbufRow]{
-			Name: fmt.Sprintf("linkbuf flits=%d", d),
+			Name: name,
 			Tags: map[string]string{"buf_flits": fmt.Sprint(d)},
 			Run: func() (LinkbufRow, error) {
-				mcfg := core.DefaultConfig(8, 8)
+				mcfg := shardedMachine(o, name, 8, 8)
+				if mcfg == nil {
+					c := core.DefaultConfig(8, 8)
+					mcfg = &c
+				}
 				mcfg.Faults = mesh.FaultConfig{LinkBufFlits: d}
 				res, err := sssp.Run(sssp.Config{
 					MeshW: 8, MeshH: 8, Procs: 64,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: 4, Validate: true,
 					Contention: true,
-					Machine:    &mcfg,
+					Machine:    mcfg,
 				})
 				if err != nil {
 					return LinkbufRow{}, err

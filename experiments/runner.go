@@ -22,10 +22,10 @@ type Options struct {
 	// only; nil = its default 0, 0.001, 0.01, 0.05).
 	DropRates []float64
 	// Shards runs each point's machine on that many shard engines where
-	// the workload supports it: the SSSP sweeps — contention-on and
-	// observed points included, both shard-aware since the serial-only
-	// gates were lifted — and the scale experiment, which then sweeps
-	// {1, Shards} instead of its default shard list. Results are
+	// the workload supports it: the SSSP sweeps — contention-on,
+	// bounded-buffer (ext-linkbuf) and observed points included — and
+	// the scale experiment, which then sweeps {1, Shards} instead of
+	// its default shard list. Results are
 	// byte-identical to serial runs; the knob trades wall-clock time
 	// inside one point, orthogonally to Workers, which runs independent
 	// points concurrently. 0 or 1 = serial points; points whose mesh the

@@ -68,19 +68,17 @@ type Config struct {
 	// (competitive replication, runtime Replicate/DeleteCopy/Migrate)
 	// and events pushed into the observer's ring — go through
 	// sim.Engine.Defer and replay at lookahead barriers in one-engine
-	// dispatch order. A splice requested mid-run lands at the next
-	// barrier instead of the call instant, so such runs match serial in
-	// copy-lists and memory, not cycles; they match each other at every
-	// shard count above one, event stream included. Two features remain
-	// serial-only: crash injection and bounded link buffers
-	// (mesh.Config.Validate rejects both).
+	// dispatch order. One engine runs the same rounds and barriers, so
+	// a splice requested mid-run lands at the next barrier at every
+	// shard count, one included. One feature remains serial-only: crash
+	// injection (mesh.Config.Validate rejects it).
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
 	// copy-list chains, and replica convergence at quiescence. The
-	// periodic check rides the run loop's quiescent points (before a
-	// dispatch on one engine, at lookahead barriers on several) and
-	// schedules nothing, so checking never changes the run it checks.
+	// periodic check rides the run loop's quiescent points (its
+	// lookahead barriers) and schedules nothing, so checking never
+	// changes the run it checks.
 	CheckInvariants bool
 	// InvariantPeriod is the cycle interval between runtime invariant
 	// checks when CheckInvariants is set (0 means 10000).
@@ -245,7 +243,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 //
 // Each shard engine gets a child observer reading its clock
 // (stats.ShardChild), at every shard count; the shard's components
-// emit into the child. A child in a multi-engine round hands its
+// emit into the child. A child in a lookahead round hands its
 // events to the engine's Defer log, whose replay at the barrier pushes
 // them in the exact one-engine emission order.
 func (m *Machine) attachObserver(o *stats.Observer) {
@@ -299,10 +297,9 @@ func (m *Machine) attachObserver(o *stats.Observer) {
 // per-node busy/stall breakdown. Sampling at quiescent points instead
 // of on a scheduled tick keeps the event queue untouched, so the
 // schedule (and the run's elapsed time) is identical with or without
-// sampling; the cost is that Sample.At lands on a dispatch time (one
-// engine) or a round boundary (several), not the exact period
-// boundary, and idle gaps longer than one period yield a single sample
-// covering the whole gap.
+// sampling; the cost is that Sample.At lands on a barrier's last
+// activity, not the exact period boundary, and idle gaps longer than
+// one period yield a single sample covering the whole gap.
 func (m *Machine) samplerFunc(o *stats.Observer, period sim.Cycles) func(at sim.Cycles) {
 	n := m.net.Nodes()
 	prevLink := make([]sim.Cycles, len(m.net.LinkLabels()))
@@ -517,12 +514,12 @@ func (m *Machine) Run() (sim.Cycles, error) {
 	return m.elapsed, nil
 }
 
-// runShards drives the engines through sim.ShardSet until the machine
-// drains — inline on one engine, in lookahead rounds on several — then
-// folds the shard stats views into the master block. Elapsed time is
-// the latest actual activity on any engine: RunUntil drags each
-// shard's clock to the round horizon, but LastActivityAt records only
-// real work, so the figure is the same for every shard count.
+// runShards drives the engines through sim.ShardSet's lookahead rounds
+// until the machine drains, then folds the shard stats views into the
+// master block. Elapsed time is the latest actual activity on any
+// engine: RunUntil drags each shard's clock to the round horizon, but
+// LastActivityAt records only real work, so the figure is the same for
+// every shard count.
 func (m *Machine) runShards() {
 	ss := &sim.ShardSet{
 		Engines: m.engines,
@@ -550,7 +547,7 @@ func (m *Machine) runShards() {
 // time-series sampler, then the periodic invariant check at the first
 // quiescent point at or after each InvariantPeriod boundary (the first
 // violation is recorded and checking stops). Nil when neither is on,
-// so an unobserved, unchecked run pays nothing per dispatch.
+// so an unobserved, unchecked run pays nothing at its barriers.
 func (m *Machine) quiescentFunc(started sim.Cycles) func(at sim.Cycles) {
 	if m.sample == nil && m.inv == nil {
 		return nil

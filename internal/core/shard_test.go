@@ -217,7 +217,7 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // 2, 4 and 8 shards and requires byte-identical digests: same elapsed
 // cycles, same per-thread values and timestamps, same memory images,
 // same counters — and for observed legs, the same merged event stream
-// and latency histograms. Nine legs stress the paths most likely to
+// and latency histograms. Eleven legs stress the paths most likely to
 // diverge: the plain protocol, the unreliable network (per-source-node
 // fault PRNGs, retransmission timers), write combining (multi-word
 // batches interacting with the lookahead window), link contention
@@ -226,11 +226,13 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // logs and pushed as the barrier replays them), contention
 // and observation together, both on the unreliable network (where a
 // send's duplicate and delay events precede its deferred hop events),
-// the runtime invariant checker on a faulty network (checked before
-// dispatches on one engine, at barriers on several), and a token
-// passed around the nodes with Sleep/Wake, observed on a faulty
-// network (every cross-node wake a message, so wakes crossing shards
-// land exactly where they land serially).
+// the runtime invariant checker on a faulty network (checked at
+// barriers), a token passed around the nodes with Sleep/Wake,
+// observed on a faulty network (every cross-node wake a message, so
+// wakes crossing shards land exactly where they land serially), and
+// bounded link buffers, observed, on a reliable network and with
+// combining on a lossy one (admission, NACKs and every fault draw run
+// at barriers in serial order).
 func TestShardEquivalenceFuzz(t *testing.T) {
 	contention := func(c *core.Config) { c.NetContention = true }
 	observe := func(c *core.Config) {
@@ -258,6 +260,11 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "sleepwake", batch: 1, ring: true, faults: mesh.FaultConfig{
 			Seed: 7, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
 		}, mods: []func(*core.Config){observe}},
+		{name: "linkbuf", batch: 1, faults: mesh.FaultConfig{LinkBufFlits: 4},
+			mods: []func(*core.Config){contention, observe}},
+		{name: "linkbuf+faults", batch: 4, faults: mesh.FaultConfig{
+			Seed: 13, DropRate: 0.05, DupRate: 0.05, DelayRate: 0.05, DelayMax: 40, LinkBufFlits: 4,
+		}, mods: []func(*core.Config){contention, observe}},
 	}
 	seeds := []int64{1, 42}
 	if testing.Short() {
@@ -268,6 +275,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		t.Run(leg.name, func(t *testing.T) {
 			for _, seed := range seeds {
 				serial := runRandom(t, 1, seed, leg)
+				if leg.faults.LinkBufFlits > 0 && serial.Net.Nacked == 0 {
+					t.Fatalf("seed %d: no send was refused by a full link buffer — the leg lost its point", seed)
+				}
 				for _, k := range []int{2, 4, 8} {
 					got := runRandom(t, k, seed, leg)
 					diffDigest(t, serial, got, fmt.Sprintf("%s seed=%d shards=%d", leg.name, seed, k))
@@ -279,12 +289,10 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 
 // kernelOpsDigest captures what a mid-run kernel page operation must
 // preserve across shard counts: the final copy-list of every page
-// (master first, in list order) and the final memory image. Timing is
-// absent from these two — a sharded run splices copy-lists at the next
-// lookahead barrier rather than at the triggering instant, so elapsed
-// cycles may differ from serial; the protocol-level outcome may not.
-// Events is the observed event stream, which every sharded run, whose
-// barriers fall at the same instants for any shard count, must share.
+// (master first, in list order), the final memory image, and the
+// observed event stream. A splice requested mid-run lands at the next
+// lookahead barrier, whose instants are the same at every shard count,
+// so all three match exactly.
 type kernelOpsDigest struct {
 	Copies [][]mesh.NodeID
 	Image  [][]memory.Word
@@ -332,8 +340,8 @@ func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 				case 5:
 					// Every node pulls a copy of a page it touches onto
 					// itself mid-run, with its own and other nodes' traffic
-					// to the page still in flight; serially the splice is
-					// immediate, sharded it lands at the next barrier.
+					// to the page still in flight; the splice lands at the
+					// next barrier.
 					m.Kernel().Replicate(va.Page(), mesh.NodeID(node), nil)
 				}
 			}
@@ -363,50 +371,37 @@ func runKernelOps(t *testing.T, shards int, contention bool) kernelOpsDigest {
 	return d
 }
 
-// TestShardKernelOpsAtBarriers pins the kernel gate lift: runtime
-// Replicate issued mid-run lands as barrier work on a sharded machine
-// and every run ends coherent. Without link contention the sharded
-// runs produce exactly the serial run's copy-lists (same nodes, same
-// path-length order) and memory image. With contention the splice's
-// shift from the call instant to the barrier also shifts the page
-// copies' link reservations, and with them which node's replication
-// lands first, so serial is no reference; the sharded runs, whose
-// barriers fall at the same instants for every shard count, must match
-// each other instead. Either way the sharded runs must observe the
-// same event stream: what barrier replay schedules draws its keys from
-// the one barrier counter, not from whichever lane each engine last
-// dispatched.
+// TestShardKernelOpsAtBarriers pins runtime Replicate issued mid-run:
+// it lands as barrier work at every shard count, every run ends
+// coherent, and K=2, 4 and 8 produce exactly K=1's copy-lists (same
+// nodes, same path-length order), memory image and event stream, with
+// link contention and without. What barrier replay schedules draws its
+// keys from the one barrier counter, not from whichever lane each
+// engine last dispatched.
 func TestShardKernelOpsAtBarriers(t *testing.T) {
 	for _, contention := range []bool{false, true} {
 		t.Run(fmt.Sprintf("contention=%v", contention), func(t *testing.T) {
-			want, ref := runKernelOps(t, 1, contention), "serial"
+			want := runKernelOps(t, 1, contention)
 			for pg, list := range want.Copies {
 				if len(list) < 2 {
 					t.Fatalf("page %d never replicated (copy-list %v) — the test lost its point", pg, list)
 				}
 			}
-			k2 := runKernelOps(t, 2, contention)
-			if contention {
-				want, ref = k2, "shards=2"
-			}
 			for _, k := range []int{2, 4, 8} {
-				got := k2
-				if k != 2 {
-					got = runKernelOps(t, k, contention)
-				}
+				got := runKernelOps(t, k, contention)
 				if !reflect.DeepEqual(want.Copies, got.Copies) {
-					t.Errorf("shards=%d: copy-lists diverged from %s:\n got %v\nwant %v", k, ref, got.Copies, want.Copies)
+					t.Errorf("shards=%d: copy-lists diverged from serial:\n got %v\nwant %v", k, got.Copies, want.Copies)
 				}
 				if !reflect.DeepEqual(want.Image, got.Image) {
-					t.Errorf("shards=%d: final memory image diverged from %s", k, ref)
+					t.Errorf("shards=%d: final memory image diverged from serial", k)
 				}
-				if len(got.Events) != len(k2.Events) {
-					t.Errorf("shards=%d: %d events, shards=2 %d", k, len(got.Events), len(k2.Events))
+				if len(got.Events) != len(want.Events) {
+					t.Errorf("shards=%d: %d events, serial %d", k, len(got.Events), len(want.Events))
 					continue
 				}
 				for i := range got.Events {
-					if got.Events[i] != k2.Events[i] {
-						t.Errorf("shards=%d: event[%d] = %q, shards=2 %q", k, i, got.Events[i], k2.Events[i])
+					if got.Events[i] != want.Events[i] {
+						t.Errorf("shards=%d: event[%d] = %q, serial %q", k, i, got.Events[i], want.Events[i])
 						break
 					}
 				}
@@ -472,12 +467,13 @@ func TestShardBarrierReplicateContended(t *testing.T) {
 }
 
 // TestShardSetRoundsPinned pins the run loop's account of a fixed 4×4
-// program: at K=2 the number of lookahead rounds is a property of the
-// program and the window alone, as is the number of Defer calls the
-// barriers replay (here every cross-shard message), the two engines
-// together dispatch exactly the serial engine's events, and the
-// busiest engine's per-round share lies between half and all of them.
-// On one engine there are no rounds and nothing to replay.
+// program: the number of lookahead rounds is a property of the program
+// and the window alone, the same on one engine as on two; at K=2 so is
+// the number of Defer calls the barriers replay (here every
+// cross-shard message), the two engines together dispatch exactly the
+// serial engine's events, and the busiest engine's per-round share
+// lies between half and all of them. One engine has no worker to wait
+// for and, in this program, nothing crossing a shard to replay.
 func TestShardSetRoundsPinned(t *testing.T) {
 	run := func(shards int) sim.ShardStats {
 		cfg := core.DefaultConfig(4, 4)
@@ -507,12 +503,13 @@ func TestShardSetRoundsPinned(t *testing.T) {
 		}
 		return st
 	}
-	serial := run(1)
-	if serial.Rounds != 0 || serial.Wait[0] != 0 || serial.Replayed != 0 || events(serial) == 0 {
-		t.Fatalf("serial: %d rounds, wait %v, %d replayed, %d events; want 0, 0, 0, some",
-			serial.Rounds, serial.Wait[0], serial.Replayed, events(serial))
-	}
 	const wantRounds, wantReplayed = 160, 800
+	serial := run(1)
+	if serial.Rounds != wantRounds || serial.Wait[0] != 0 || serial.Replayed != 0 ||
+		events(serial) == 0 || serial.PeakDispatches != events(serial) {
+		t.Fatalf("serial: %d rounds, wait %v, %d replayed, peak %d of %d events; want %d, 0, 0, all of some",
+			serial.Rounds, serial.Wait[0], serial.Replayed, serial.PeakDispatches, events(serial), wantRounds)
+	}
 	for rep := 0; rep < 2; rep++ {
 		st := run(2)
 		if st.Rounds != wantRounds {
@@ -555,10 +552,9 @@ func (s emitSink) HandleEvent(mark int, _ any) {
 // TestShardSetObserverDeferOrder pins where a shard child's events
 // land relative to work its engine defers. Two nodes, on one engine or
 // on two, each run dispatches that emit E1, defer a call emitting E2,
-// then emit E3. One engine runs the deferred call at once, so its ring
-// reads E1 E2 E3 per dispatch; on two engines the call waits for the
-// barrier, and the ring must still read E1 E2 E3, interleaved across
-// the engines exactly as on one.
+// then emit E3. The call waits for the barrier, and the ring must
+// still read E1 E2 E3 per dispatch, interleaved across the engines
+// exactly as on one.
 func TestShardSetObserverDeferOrder(t *testing.T) {
 	run := func(shards int) []stats.Event {
 		master := stats.NewObserver(stats.ObserveConfig{Events: 64})

@@ -71,7 +71,7 @@ func (k *Kernel) RerouteFrame(owner mesh.NodeID, frame memory.PPage) (memory.GPa
 // outage: detection by several peers and a subsequent restart all
 // funnel here, and only the first call acts.
 func (k *Kernel) FailNode(n mesh.NodeID) {
-	if k.sharded() {
+	if k.net.Config().ShardCount() > 1 {
 		panic("kernel: FailNode is serial-only (rewrites other shards' CM tables in place); run with Shards <= 1")
 	}
 	if _, done := k.failed[n]; done {

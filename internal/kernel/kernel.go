@@ -95,8 +95,8 @@ const (
 )
 
 // deferOp runs a page reorganization at the next quiescent point: at
-// once on one engine or outside a round, at the next lookahead barrier
-// mid-round on several. Mid-round, the request must come from code
+// once outside a round, at the next lookahead barrier mid-round, at
+// every shard count. Mid-round, the request must come from code
 // running on the acting node's shard — true for every in-tree caller:
 // competitive triggers fire on the referencing node, and threads
 // reorganize copies on their own node.
@@ -140,11 +140,6 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		replicating: repl,
 	}
 }
-
-// sharded reports whether the machine runs on more than one shard.
-// Crash failover — which rewrites copy-lists and transport state in a
-// multi-step epoch — is still serial-only.
-func (k *Kernel) sharded() bool { return k.net.Config().ShardCount() > 1 }
 
 // SetCompetitiveThreshold enables the competitive replication policy:
 // after threshold remote references from one node to one page, the
@@ -274,10 +269,9 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 // switched to the local copy.
 //
 // The splice rewrites other nodes' CM tables in place, so it runs at
-// the next quiescent point (sim.Engine.Defer): at the call instant on
-// one engine, at the next lookahead barrier when called mid-round on
-// several. A mid-round request must come from node's own shard (see
-// deferOp).
+// the next quiescent point (sim.Engine.Defer): at the call instant
+// outside a run, at the next lookahead barrier when called mid-round.
+// A mid-round request must come from node's own shard (see deferOp).
 func (k *Kernel) Replicate(vp memory.VPage, node mesh.NodeID, done func()) {
 	k.deferOp(opReplicate, pageOp{vp: vp, node: node, done: done})
 }
@@ -348,9 +342,8 @@ func (k *Kernel) link(vp memory.VPage, node mesh.NodeID) (gp, pred memory.GPage)
 // fence before reorganizing memory, exactly as real software must.
 //
 // The quiescence check and table rewrites run at the next quiescent
-// point (sim.Engine.Defer): at the call instant on one engine; called
-// mid-round on several, the copy disappears at the next lookahead
-// barrier.
+// point (sim.Engine.Defer): at the call instant outside a run; called
+// mid-round, the copy disappears at the next lookahead barrier.
 func (k *Kernel) DeleteCopy(vp memory.VPage, node mesh.NodeID) {
 	k.deferOp(opDelete, pageOp{vp: vp, node: node})
 }
@@ -411,8 +404,8 @@ func (k *Kernel) unlink(vp memory.VPage, idx int) {
 // simply by creating a copy and then deleting the old one"). The
 // machine must be write-quiescent, as for DeleteCopy. The whole move is
 // one deferred step (sim.Engine.Defer on to's engine): at the call
-// instant on one engine, at the next lookahead barrier when called
-// mid-round on several (requested from to's shard).
+// instant outside a run, at the next lookahead barrier when called
+// mid-round (requested from to's shard).
 func (k *Kernel) Migrate(vp memory.VPage, from, to mesh.NodeID) {
 	k.deferOp(opMigrate, pageOp{vp: vp, node: to, from: from})
 }
@@ -440,8 +433,7 @@ func (k *Kernel) NoteRemoteRef(node mesh.NodeID, vp memory.VPage) {
 }
 
 // competitiveNow performs one competitive replication trigger with the
-// machine quiescent: inline at the trigger on one engine, at the next
-// lookahead barrier on several.
+// machine quiescent: at the lookahead barrier after the trigger.
 func (k *Kernel) competitiveNow(vp memory.VPage, node mesh.NodeID) {
 	k.Replications++
 	refs := k.refCounts[node]

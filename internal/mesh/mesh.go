@@ -66,10 +66,8 @@ type Config struct {
 	// row-major bands of nodes, each simulated on its own event queue
 	// under conservative lookahead (0 or 1 = serial). The shard count
 	// must tile the mesh: Width*Height divisible by Shards. Every
-	// cross-shard or contended delivery goes through its sending
-	// engine's Defer: at once on one engine, at the next lookahead
-	// barrier in serial dispatch order on several — byte-identical
-	// either way.
+	// cross-shard, contended or bounded send rides its engine's Defer to
+	// the next barrier, replayed in serial dispatch order at every count.
 	Shards int
 }
 
@@ -103,7 +101,8 @@ type FaultConfig struct {
 	// already waiting is refused at injection and bounced back to the
 	// sender with Msg.Nacked set, after Base cycles (the reverse
 	// flow-control signal). 0 means unlimited buffering. Requires
-	// Contention, which models the queues being bounded.
+	// Contention, which models the queues being bounded, and Base >= 1:
+	// every send waits for the next barrier (see pendingSend).
 	LinkBufFlits int
 	// Crashes is an explicit, deterministic crash/restart script: while
 	// a node is down ([At, At+Duration)), the mesh silently discards
@@ -162,16 +161,16 @@ func (c Config) Validate() error {
 	case c.Shards > 1 && c.Width*c.Height%c.Shards != 0:
 		return fmt.Errorf("mesh: %d shards do not tile the %dx%d mesh: %d nodes %% %d shards = %d left over (pick a divisor of the node count)",
 			c.Shards, c.Width, c.Height, c.Width*c.Height, c.Shards, c.Width*c.Height%c.Shards)
-	case c.Shards > 1 && c.Base+c.PerHop < 1:
-		return fmt.Errorf("mesh: sharding requires a positive minimum link latency (Base+PerHop = %d) for conservative lookahead", c.Base+c.PerHop)
+	case c.Base+c.PerHop < 1:
+		return fmt.Errorf("mesh: the run loop requires a positive minimum link latency (Base+PerHop = %d) for conservative lookahead", c.Base+c.PerHop)
 	case c.Contention && c.FlitCycles < 1:
 		return fmt.Errorf("mesh: contention model requires FlitCycles >= 1 (got %d)", c.FlitCycles)
 	case c.Faults.LinkBufFlits < 0:
 		return fmt.Errorf("mesh: negative LinkBufFlits %d", c.Faults.LinkBufFlits)
 	case c.Faults.LinkBufFlits > 0 && !c.Contention:
 		return fmt.Errorf("mesh: LinkBufFlits requires the contention model (bounded buffers bound the contention queues)")
-	case c.Faults.LinkBufFlits > 0 && c.Shards > 1:
-		return fmt.Errorf("mesh: LinkBufFlits is serial-only (admission reads the shared link queues mid-round, and the NACK bounce at +Base cycles is inside the lookahead window); run with Shards <= 1")
+	case c.Faults.LinkBufFlits > 0 && c.Base < 1:
+		return fmt.Errorf("mesh: LinkBufFlits requires Base >= 1 (got %d): a NACK bounces back after Base cycles, and the lookahead window shrinks to Base", c.Base)
 	case c.Faults.DelayRate > 0 && c.Faults.DelayMax < 1:
 		return fmt.Errorf("mesh: DelayRate %v requires DelayMax >= 1", c.Faults.DelayRate)
 	case c.Shards > 1 && len(c.Faults.Crashes) > 0:
@@ -223,10 +222,14 @@ func (c Config) ShardOf(id NodeID) int {
 }
 
 // LookaheadWindow returns the conservative lookahead the shard runner
-// may use: the minimum latency of any cross-shard message. Any two
+// may use: the minimum latency of any delivery a round defers. Any two
 // distinct nodes are at least one hop apart, so Base + PerHop bounds
-// every cross-shard delivery regardless of how the bands fall.
+// every cross-shard delivery; bounded link buffers defer 0-hop sends
+// and NACKs too, so with LinkBufFlits the bound is Base.
 func (c Config) LookaheadWindow() sim.Cycles {
+	if c.Faults.LinkBufFlits > 0 {
+		return c.Base
+	}
 	return c.Base + c.PerHop
 }
 
@@ -353,21 +356,25 @@ type downWindow struct {
 }
 
 // pendingSend is one cross-shard or contended send, handed to the
-// sending engine's Defer as its own sink: resolved at once on one
-// engine, at the next lookahead barrier on several. Every PRNG and
+// sending engine's Defer as its own sink: resolved at once outside a
+// round, at the round's barrier inside one. Every PRNG and
 // tie-break-key draw already happened at Send time, in serial draw
 // order, and hops is the path length Send computed; what remains is
 // the walk over the shared per-link queues, replayed in serial
 // dispatch order so linkFree evolves through exactly the serial
-// sequence of reservations, and the injection.
+// sequence of reservations, and the injection. A bounded send (with
+// LinkBufFlits) draws only its keys at Send time: admission reads the
+// link queues, so the barrier runs the rest of Send too, and each
+// source's PRNG is drawn in serial order.
 type pendingSend struct {
 	m        *Mesh
 	sendT    sim.Cycles
 	src, dst NodeID
 	hops     int
 	flits    int
+	bounded  bool // admission and inject still to run (LinkBufFlits)
 	ms       *Msg
-	msLane   int32 // pre-drawn delivery key for ms
+	msLane   int32 // pre-drawn delivery (or NACK) key for ms
 	msSeq    uint64
 	dup      *Msg // non-nil: fault injector duplicated the message
 	dupLane  int32
@@ -788,10 +795,11 @@ const (
 // In unreliable-network mode the message may instead be dropped,
 // delivered twice, delayed, or — when a link buffer on its path is over
 // LinkBufFlits — bounced back to src as a NACK without touching the
-// network. A dropped message is recycled here; a NACKed message is
-// owned by the sender's port when the bounce arrives.
+// network. A dropped message is recycled; a NACKed message is owned by
+// the sender's port when the bounce arrives.
 // An uncontended send within one shard is queued on its engine; any
-// other is a pendingSend on the engine's Defer, its keys drawn here.
+// other, and with LinkBufFlits every send, is a pendingSend on the
+// engine's Defer, its keys drawn here.
 func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	if sizeFlits < 1 {
 		sizeFlits = 1
@@ -808,75 +816,25 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	ms.Src, ms.Dst = src, dst
 	srcShard := m.shardOf[src]
 	eng := m.engines[srcShard]
-	st := &m.shStats[srcShard]
 	// A crashed sender's injections die at its network interface. The
 	// coherence manager and processor are halted while down, so this
 	// fires only for stragglers (e.g. a retransmit timer racing the
 	// crash instant).
 	if m.downWin != nil && m.DownAt(src, eng.Now()) {
-		st.CrashDropped++
+		m.shStats[srcShard].CrashDropped++
 		m.FreeMsgAt(src, ms)
 		return
 	}
-	o := m.obsFor(srcShard)
 	hops := m.Hops(src, dst)
-	contending := m.cfg.Contention && hops > 0
-	// Bounded router buffers: refuse at injection when a link on the
-	// path has more than LinkBufFlits flits queued, and bounce the
-	// message back after Base cycles (the reverse flow-control signal).
-	// Serial-only (Validate): admission reads the shared link queues.
-	if contending && m.cfg.Faults.LinkBufFlits > 0 && !m.admit(eng.Now(), src, dst) {
-		st.Nacked++
-		ms.Nacked = true
-		if o != nil {
-			o.Emit(stats.EvNetNack, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
-		}
-		eng.ScheduleEvent(m.cfg.Base, m, evNack, ms)
+	if m.cfg.Faults.LinkBufFlits > 0 {
+		m.deferSend(srcShard, src, dst, hops, sizeFlits, ms, nil, 0, true)
 		return
 	}
-	st.Messages++
-	st.Hops += uint64(hops)
-	st.Flits += uint64(sizeFlits)
-	if o != nil {
-		o.Emit(stats.EvNetInject, int(src), ms.Kind, ms.Cause, uint64(dst), uint64(sizeFlits))
-	}
-	frand := m.frandFor(src)
-	// Loss is modeled at injection: a dropped message reserves no
-	// links and is recycled immediately.
-	if frand != nil && m.cfg.Faults.DropRate > 0 && frand.Float64() < m.cfg.Faults.DropRate {
-		st.Dropped++
-		if o != nil {
-			o.Emit(stats.EvNetDrop, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
-		}
-		m.FreeMsgAt(src, ms)
+	dup, extra, ok := m.inject(eng.Now(), src, dst, hops, sizeFlits, ms)
+	if !ok {
 		return
 	}
-	if !contending && o != nil {
-		// Uncontended, the walk only emits the hops.
-		m.contendAt(eng.Now(), src, dst, sizeFlits, ms.Cause)
-	}
-	// A duplicate arrives one cycle behind the original (it shares the
-	// original's link reservations — an approximation); an injected
-	// delay postpones the original only.
-	var dup *Msg
-	var extra sim.Cycles
-	if frand != nil {
-		if r := m.cfg.Faults.DupRate; r > 0 && frand.Float64() < r {
-			st.Duplicated++
-			if o != nil {
-				o.Emit(stats.EvNetDup, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
-			}
-			dup = m.CloneMsgAt(src, ms)
-		}
-		if r := m.cfg.Faults.DelayRate; r > 0 && frand.Float64() < r {
-			st.Delayed++
-			extra = 1 + sim.Cycles(frand.Int63n(int64(m.cfg.Faults.DelayMax)))
-			if o != nil {
-				o.Emit(stats.EvNetDelay, int(src), ms.Kind, ms.Cause, uint64(extra), 0)
-			}
-		}
-	}
-	if !contending && m.shardOf[dst] == srcShard {
+	if !(m.cfg.Contention && hops > 0) && m.shardOf[dst] == srcShard {
 		lat := m.latency(hops)
 		if dup != nil {
 			eng.ScheduleEvent(lat+1, m, evDeliver, dup)
@@ -885,46 +843,116 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		return
 	}
 	// Another shard's queue and the per-link queues are not this
-	// shard's: draw the keys (duplicate first) in serial order and defer.
-	ps := m.allocSend(srcShard)
-	ps.sendT, ps.src, ps.dst, ps.hops, ps.flits = eng.Now(), src, dst, hops, sizeFlits
-	ps.ms, ps.dup, ps.extra = ms, dup, extra
-	if dup != nil {
+	// shard's: defer.
+	m.deferSend(srcShard, src, dst, hops, sizeFlits, ms, dup, extra, false)
+}
+
+// inject counts a send entering the network at t, records its events,
+// and draws its faults from the source's PRNG: drop, then duplicate
+// and extra delay. It reports false, with the message recycled, when
+// the message was dropped.
+func (m *Mesh) inject(t sim.Cycles, src, dst NodeID, hops, sizeFlits int, ms *Msg) (dup *Msg, extra sim.Cycles, ok bool) {
+	srcShard := m.shardOf[src]
+	st := &m.shStats[srcShard]
+	o := m.obsFor(srcShard)
+	st.Messages++
+	st.Hops += uint64(hops)
+	st.Flits += uint64(sizeFlits)
+	if o != nil {
+		o.EmitAt(t, stats.EvNetInject, int(src), ms.Kind, ms.Cause, uint64(dst), uint64(sizeFlits))
+	}
+	frand := m.frandFor(src)
+	// Loss is modeled at injection: a dropped message reserves no
+	// links and is recycled immediately.
+	if frand != nil && m.cfg.Faults.DropRate > 0 && frand.Float64() < m.cfg.Faults.DropRate {
+		st.Dropped++
+		if o != nil {
+			o.EmitAt(t, stats.EvNetDrop, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
+		}
+		m.FreeMsgAt(src, ms)
+		return nil, 0, false
+	}
+	if !m.cfg.Contention && o != nil {
+		// Uncontended, the walk only emits the hops.
+		m.contendAt(t, src, dst, sizeFlits, ms.Cause)
+	}
+	// A duplicate arrives one cycle behind the original (it shares the
+	// original's link reservations — an approximation); an injected
+	// delay postpones the original only.
+	if frand != nil {
+		if r := m.cfg.Faults.DupRate; r > 0 && frand.Float64() < r {
+			st.Duplicated++
+			if o != nil {
+				o.EmitAt(t, stats.EvNetDup, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
+			}
+			dup = m.CloneMsgAt(src, ms)
+		}
+		if r := m.cfg.Faults.DelayRate; r > 0 && frand.Float64() < r {
+			st.Delayed++
+			extra = 1 + sim.Cycles(frand.Int63n(int64(m.cfg.Faults.DelayMax)))
+			if o != nil {
+				o.EmitAt(t, stats.EvNetDelay, int(src), ms.Kind, ms.Cause, uint64(extra), 0)
+			}
+		}
+	}
+	return dup, extra, true
+}
+
+// deferSend hands a send made now to its engine's Defer as a pooled
+// pendingSend, drawing its keys: the duplicate's first. A bounded send
+// draws both whatever the barrier decides (a NACK uses the message's).
+func (m *Mesh) deferSend(shard int32, src, dst NodeID, hops, sizeFlits int, ms, dup *Msg, extra sim.Cycles, bounded bool) {
+	p, eng := &m.pools[shard], m.engines[shard]
+	var ps *pendingSend
+	if n := len(p.sends); n > 0 {
+		ps, p.sends = p.sends[n-1], p.sends[:n-1]
+	} else {
+		ps = new(pendingSend)
+	}
+	*ps = pendingSend{m: m, sendT: eng.Now(), src: src, dst: dst, hops: hops, flits: sizeFlits,
+		bounded: bounded, ms: ms, dup: dup, extra: extra}
+	if dup != nil || bounded {
 		ps.dupLane, ps.dupSeq = eng.DrawKey()
 	}
 	ps.msLane, ps.msSeq = eng.DrawKey()
 	eng.Defer(ps, 0, nil)
 }
 
-// allocSend returns a deferred-send record from a shard's free list
-// (or a new one when the list is empty); HandleEvent recycles it.
-func (m *Mesh) allocSend(shard int32) *pendingSend {
-	p := &m.pools[shard]
-	if n := len(p.sends); n > 0 {
-		ps := p.sends[n-1]
-		p.sends = p.sends[:n-1]
-		return ps
-	}
-	return &pendingSend{m: m}
-}
-
-// HandleEvent implements sim.EventSink for Defer: with Contention on it
-// walks the send's path against the shared per-link queues, from its
-// injection time; it injects the deliveries under the keys drawn at
-// Send time and recycles the record. A deferred path has at least one
-// hop, so every arrival lands at or beyond sendT + Base + PerHop — past
-// the finished round's horizon, where injection is legal on any shard.
+// HandleEvent implements sim.EventSink for Defer. A bounded send first
+// runs admission — refused, the message bounces back to its sender
+// Base cycles after the send — then inject. With Contention on it
+// walks the path against the per-link queues from the send time, then
+// injects the deliveries under the keys drawn at Send and recycles the
+// record. Every arrival lands at sendT + Base or later, past the
+// round's horizon (Config.LookaheadWindow), so on any shard's queue.
 func (ps *pendingSend) HandleEvent(int, any) {
 	m := ps.m
-	lat := m.latency(ps.hops)
-	if m.cfg.Contention {
-		lat += m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
+	deliver := true
+	if ps.bounded {
+		if ps.hops > 0 && !m.admit(ps.sendT, ps.src, ps.dst) {
+			srcShard := m.shardOf[ps.src]
+			m.shStats[srcShard].Nacked++
+			ps.ms.Nacked = true
+			if o := m.obsFor(srcShard); o != nil {
+				o.EmitAt(ps.sendT, stats.EvNetNack, int(ps.src), ps.ms.Kind, ps.ms.Cause, uint64(ps.dst), 0)
+			}
+			m.engines[srcShard].InjectEventAt(ps.sendT+m.cfg.Base, ps.msLane, ps.msSeq, m, evNack, ps.ms)
+			deliver = false
+		} else {
+			ps.dup, ps.extra, deliver = m.inject(ps.sendT, ps.src, ps.dst, ps.hops, ps.flits, ps.ms)
+		}
 	}
-	dstEng := m.engines[m.shardOf[ps.dst]]
-	if ps.dup != nil {
-		dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
+	if deliver {
+		lat := m.latency(ps.hops)
+		if m.cfg.Contention {
+			lat += m.contendAt(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms.Cause)
+		}
+		dstEng := m.engines[m.shardOf[ps.dst]]
+		if ps.dup != nil {
+			dstEng.InjectEventAt(ps.sendT+lat+1, ps.dupLane, ps.dupSeq, m, evDeliver, ps.dup)
+		}
+		dstEng.InjectEventAt(ps.sendT+lat+ps.extra, ps.msLane, ps.msSeq, m, evDeliver, ps.ms)
 	}
-	dstEng.InjectEventAt(ps.sendT+lat+ps.extra, ps.msLane, ps.msSeq, m, evDeliver, ps.ms)
 	p := &m.pools[m.shardOf[ps.src]]
 	ps.ms, ps.dup = nil, nil
 	p.sends = append(p.sends, ps)

@@ -27,10 +27,11 @@ func TestValidateLargeMeshes(t *testing.T) {
 
 // TestValidateShards pins the sharding rules: the count must be
 // non-negative, at most the node count, tile the mesh exactly, and is
-// incompatible with zero link latency, bounded link buffers, and
-// crash scripts (contention and tracing are shard-aware — see the
-// equivalence fuzzer). Errors must carry enough context to fix the
-// config.
+// incompatible with crash scripts (contention, bounded link buffers
+// and tracing are shard-aware — see the equivalence fuzzer). The run
+// loop's lookahead needs a positive minimum link latency at every
+// shard count, and bounded link buffers, whose window is Base, need
+// Base >= 1. Errors must carry enough context to fix the config.
 func TestValidateShards(t *testing.T) {
 	mod := func(f func(*Config)) Config {
 		cfg := DefaultConfig(4, 4)
@@ -57,13 +58,20 @@ func TestValidateShards(t *testing.T) {
 			c.Shards = 4
 			c.Contention = true
 			c.Faults.LinkBufFlits = 8
-		}), []string{"LinkBufFlits is serial-only", "Shards <= 1"}},
+		}), nil},
 		{"crashes", mod(func(c *Config) {
 			c.Shards = 4
 			c.Faults.Crashes = []CrashEvent{{Node: 1, At: 100, Duration: 50}}
 		}), []string{"crash injection is serial-only"}},
 		{"zero latency", mod(func(c *Config) { c.Shards = 4; c.Base = 0; c.PerHop = 0 }),
 			[]string{"positive minimum link latency", "conservative lookahead"}},
+		{"zero latency serial", mod(func(c *Config) { c.Base = 0; c.PerHop = 0 }),
+			[]string{"positive minimum link latency", "conservative lookahead"}},
+		{"link buffers without base", mod(func(c *Config) {
+			c.Contention = true
+			c.Faults.LinkBufFlits = 8
+			c.Base = 0
+		}), []string{"LinkBufFlits requires Base >= 1", "got 0"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,5 +116,9 @@ func TestShardOfBands(t *testing.T) {
 	}
 	if w := cfg.LookaheadWindow(); w != 12 {
 		t.Errorf("LookaheadWindow = %d, want 12 (Base 10 + PerHop 2)", w)
+	}
+	cfg.Contention, cfg.Faults.LinkBufFlits = true, 4
+	if w := cfg.LookaheadWindow(); w != 10 {
+		t.Errorf("LookaheadWindow with bounded link buffers = %d, want 10 (Base: every send waits for the barrier)", w)
 	}
 }

@@ -117,9 +117,9 @@ type Engine struct {
 	// work under it lets the barrier replay every engine's log in the
 	// order one engine would have made the calls (runDeferred).
 	cur key
-	// inRound is set by ShardSet while this engine runs a multi-engine
-	// round; deferred logs the Defer calls made meanwhile, in this
-	// engine's execution order, for replay at the round's barrier.
+	// inRound is set by ShardSet while this engine runs a round;
+	// deferred logs the Defer calls made meanwhile, in this engine's
+	// execution order, for replay at the round's barrier.
 	inRound  bool
 	deferred []deferredCall
 	// replaySeq, set while a ShardSet replays a barrier, is the set's
@@ -188,20 +188,20 @@ func (e *Engine) Pending() int { return e.q.len() }
 // exists for instrumentation (stats.EvEngineDispatch).
 func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
 
-// InRound reports whether this engine is inside a multi-engine round,
+// InRound reports whether this engine is inside a ShardSet round,
 // where a Defer waits for the round's barrier instead of running at
 // once.
 func (e *Engine) InRound() bool { return e.inRound }
 
 // Defer calls sink.HandleEvent(kind, data) at the next point where the
 // whole machine is quiescent: at once, unless this engine is inside a
-// multi-engine round, in which case the call is logged under the
-// current dispatch's key and ShardSet replays it at the round's
-// barrier, merged with every other engine's log in the order one
-// engine would have made the calls. Work on state no shard owns (the
-// shared link queues, copy-lists, a sharded observer's ring) goes
-// through here. Mid-round, only the goroutine running this engine's
-// round may call it.
+// ShardSet round, in which case the call is logged under the current
+// dispatch's key and ShardSet replays it at the round's barrier,
+// merged with every other engine's log in the order one engine would
+// have made the calls. Work on state no shard owns (the shared link
+// queues, copy-lists, a sharded observer's ring) goes through here.
+// Mid-round, only the goroutine running this engine's round may call
+// it.
 func (e *Engine) Defer(sink EventSink, kind int, data any) {
 	if e.inRound {
 		e.logDeferred(sink, kind, data)

@@ -17,20 +17,19 @@ import (
 // doing: the earliest possible cross-shard arrival lies beyond the
 // window by construction.
 //
-// With several engines, Run proceeds in rounds. Each round picks the
-// globally earliest pending event time T and lets every shard execute
-// its events in [T, T+Window-1]: the calling goroutine runs engine 0
-// itself, and one worker goroutine per further engine runs the rest.
-// The shards then synchronize at a barrier, which replays the round's
-// Defer calls from every engine in one merged pass (runDeferred),
-// cross-shard messages among them: each is injected into the owning
-// shard's queue with the tie-break key drawn at send time. Because
-// every engine orders its queue by the (at, lane, seq) key — not by
-// insertion order — the merged schedule is byte-identical to a single
-// engine running the same program. Keys drawn during replay come from
-// one counter (BarrierLane), whatever the split. With one engine there
-// is nothing to synchronize: Run drains it on the calling goroutine,
-// with no rounds and no window, and every Defer runs at once.
+// Run proceeds in rounds at every K, one included. Each round picks
+// the globally earliest pending event time T and lets every shard
+// execute its events in [T, T+Window-1]: the calling goroutine runs
+// engine 0 itself, and one worker goroutine per further engine runs
+// the rest. The shards then synchronize at a barrier, which replays
+// the round's Defer calls from every engine in one merged pass
+// (runDeferred), cross-shard messages among them: each is injected
+// into the owning shard's queue with the tie-break key drawn at send
+// time. Because every engine orders its queue by the (at, lane, seq)
+// key — not by insertion order — the merged schedule is byte-identical
+// to a single engine running the same program. Keys drawn during
+// replay come from one counter (BarrierLane), whatever the split, and
+// the barrier instants too are the same at every K.
 //
 // A round is short (tens of microseconds at 16×16), so the handoff
 // must not go through the Go scheduler: parking a worker on a channel
@@ -42,17 +41,18 @@ import (
 // an atomic count of outstanding workers. Polling pays only while
 // every polling goroutine has a CPU of its own, so a waiter polls only
 // while the process-wide count of busy shard goroutines — those of
-// every running ShardSet, serial ones included, that are not parked —
-// fits in GOMAXPROCS, and then for at most spinFor, yielding every
-// yieldEvery polls. Otherwise (K > GOMAXPROCS, a sweep running many
-// machines at once, or another process holding the CPU the awaited
-// goroutine needs) it parks until that goroutine wakes it.
+// every running ShardSet that are not parked — fits in GOMAXPROCS,
+// and then for at most spinFor, yielding every yieldEvery polls.
+// Otherwise (K > GOMAXPROCS, a sweep running many machines at once,
+// or another process holding the CPU the awaited goroutine needs) it
+// parks until that goroutine wakes it.
 type ShardSet struct {
 	// Engines are the per-shard event queues (len >= 1).
 	Engines []*Engine
 	// Window is the conservative lookahead in cycles: a lower bound on
-	// the latency of any cross-shard message (for the PLUS mesh,
-	// Base + PerHop). Must be >= 1 when there are several engines.
+	// the latency of any message a round defers to its barrier (for the
+	// PLUS mesh, Base + PerHop, or Base with bounded link buffers).
+	// Must be >= 1.
 	Window Cycles
 	// Drain, when non-nil, runs at every barrier after the replay, on
 	// the coordinating goroutine with every worker quiescent, for a
@@ -60,13 +60,10 @@ type ShardSet struct {
 	// it returns how many it moved. A machine needs none: its
 	// cross-shard messages ride Defer.
 	Drain func() int
-	// Quiescent, when non-nil, runs at every point where the whole
-	// machine is at rest and safe to inspect, with the time of the
-	// latest simulated activity: before every dispatch on a single
-	// engine (chained ahead of the engine's own dispatch hook, so
-	// dispatches driven from inside a coroutine are covered too), and
-	// at the end of every barrier on several. It must not schedule
-	// events, so hooking it in never changes the schedule.
+	// Quiescent, when non-nil, runs at the end of every barrier, where
+	// the whole machine is at rest and safe to inspect, with the time
+	// of the latest simulated activity. It must not schedule events,
+	// so hooking it in never changes the schedule.
 	Quiescent func(at Cycles)
 	// Stats describes the last Run; Run overwrites it.
 	Stats     ShardStats
@@ -78,7 +75,7 @@ type ShardSet struct {
 // The counts are deterministic for a given program and shard count;
 // the host times are not.
 type ShardStats struct {
-	// Rounds counts the lookahead rounds (0 on one engine).
+	// Rounds counts the lookahead rounds.
 	Rounds uint64
 	// Dispatches[i] counts the events engine i dispatched.
 	Dispatches []uint64
@@ -92,17 +89,17 @@ type ShardStats struct {
 	// horizon (the coordinator's barrier work included), the
 	// coordinator for the workers to finish the round.
 	Wait []time.Duration
-	// Replayed counts the Defer calls barriers replayed (0 on one
-	// engine), and ReplayTime the coordinator's host time replaying.
+	// Replayed counts the Defer calls barriers replayed, and
+	// ReplayTime the coordinator's host time replaying.
 	Replayed   uint64
 	ReplayTime time.Duration
 }
 
 // Run executes the engines until every queue is empty and no deferred
-// call remains. A panic on any engine surfaces at Run:
-// each engine's round recovers it, and once every worker has finished
-// the round Run re-raises the lowest-numbered engine's. Run returns
-// only after its worker goroutines have exited, panicking or not.
+// call remains. A panic on engine 0 or at a barrier propagates with
+// its stack intact; a worker recovers its round's, and once the round
+// is over Run re-raises the lowest-numbered engine's. Run returns only
+// after its worker goroutines have exited, panicking or not.
 func (s *ShardSet) Run() {
 	s.Stats = ShardStats{
 		Dispatches: make([]uint64, len(s.Engines)),
@@ -116,36 +113,19 @@ func (s *ShardSet) Run() {
 			s.Stats.Dispatches[i] = e.Processed() - s.Stats.Dispatches[i]
 		}
 	}()
-	switch len(s.Engines) {
-	case 0:
-		return
-	case 1:
-		busyShards.Add(1)
-		defer busyShards.Add(-1)
-		s.runOne(s.Engines[0])
+	if len(s.Engines) == 0 {
 		return
 	}
 	if s.Window < 1 {
 		panic(fmt.Sprintf("sim: shard window %d < 1", s.Window))
 	}
-	s.runRounds()
-}
-
-// runRounds is Run on several engines. The calling goroutine is the
-// coordinator: it runs every barrier and engine 0's share of every
-// round, while one worker per further engine runs that engine's share.
-func (s *ShardSet) runRounds() {
 	k := len(s.Engines)
 	b := &barrier{procs: int32(runtime.GOMAXPROCS(0)), w: make([]waiter, k)}
 	for i := range b.w {
 		b.w[i].ch = make(chan struct{}, 1)
 	}
-	// panics[i] is what engine i's round panicked with, if anything.
+	// panics[i] is what worker i's round panicked with, if anything.
 	panics := make([]any, k)
-	round := func(i int) {
-		defer func() { panics[i] = recover() }()
-		s.Engines[i].RunUntil(b.horizon)
-	}
 	var workers sync.WaitGroup
 	busyShards.Add(int32(k))
 	for i := 1; i < k; i++ {
@@ -158,7 +138,10 @@ func (s *ShardSet) runRounds() {
 				if b.stop {
 					return
 				}
-				round(i)
+				func() {
+					defer func() { panics[i] = recover() }()
+					s.Engines[i].RunUntil(b.horizon)
+				}()
 				// The last worker out wakes a parked coordinator. If it
 				// is about to poll rather than park, it yields first, so
 				// the coordinator takes this P at once instead of
@@ -170,6 +153,8 @@ func (s *ShardSet) runRounds() {
 		}()
 	}
 	defer func() {
+		// A panic on engine 0 leaves the round's workers running.
+		b.await(0, &b.pending, 0)
 		b.stop = true
 		b.round.Add(1)
 		for i := 1; i < k; i++ {
@@ -177,6 +162,9 @@ func (s *ShardSet) runRounds() {
 		}
 		workers.Wait()
 		busyShards.Add(-1)
+		for _, e := range s.Engines {
+			e.inRound = false // after a panic, a Defer runs at once again
+		}
 	}()
 
 	pos := make([]int, k)                    // runDeferred's scratch
@@ -211,7 +199,7 @@ func (s *ShardSet) runRounds() {
 		for i := 1; i < k; i++ {
 			b.wake(i)
 		}
-		round(0)
+		s.Engines[0].RunUntil(b.horizon)
 		s.Stats.Wait[0] += b.await(0, &b.pending, 0)
 		for _, p := range panics {
 			if p != nil {
@@ -230,8 +218,7 @@ func (s *ShardSet) runRounds() {
 }
 
 // busyShards counts the shard goroutines in the process that are not
-// parked: the goroutine running a one-engine ShardSet, and the
-// coordinator and workers of a multi-engine one, whether running,
+// parked: every ShardSet's coordinator and workers, whether running,
 // doing barrier work or polling. It is process-wide on purpose: an
 // experiment sweep runs up to GOMAXPROCS machines at once, and a
 // waiter may poll only while all of them together leave it a CPU.
@@ -253,7 +240,7 @@ const yieldEvery = 1024
 // and its wall time varied with that count.
 const spinFor = time.Millisecond
 
-// barrier is the rendezvous of one multi-engine Run. The coordinator
+// barrier is the rendezvous of one Run. The coordinator
 // publishes a round by setting horizon and pending, then bumping
 // round; each worker runs the round once round reaches its next
 // number and decrements pending when done. The atomics order the
@@ -336,8 +323,17 @@ func (b *barrier) wake(i int) bool {
 // Heads of different engines never tie, since each lane's counter
 // lives on one engine. No engine is in a round, so anything a replayed
 // call defers in turn runs at once, and every engine draws its keys
-// from replaySeq. pos is scratch space, one slot per engine.
+// from replaySeq. pos is scratch space, one slot per engine. A
+// barrier with nothing to replay returns at once, without reading the
+// host clock.
 func (s *ShardSet) runDeferred(pos []int) {
+	logged := 0
+	for _, e := range s.Engines {
+		logged += len(e.deferred)
+	}
+	if logged == 0 {
+		return
+	}
 	began := time.Now()
 	for _, e := range s.Engines {
 		e.replaySeq = &s.replaySeq
@@ -364,22 +360,6 @@ func (s *ShardSet) runDeferred(pos []int) {
 		e.deferred = e.deferred[:0]
 	}
 	s.Stats.ReplayTime += time.Since(began)
-}
-
-// runOne drains a single engine, with the Quiescent hook (if any)
-// chained ahead of the engine's dispatch hook for the run.
-func (s *ShardSet) runOne(e *Engine) {
-	if q := s.Quiescent; q != nil {
-		prev := e.onEvent
-		e.onEvent = func(at Cycles, kind int) {
-			q(at)
-			if prev != nil {
-				prev(at, kind)
-			}
-		}
-		defer func() { e.onEvent = prev }()
-	}
-	e.Run()
 }
 
 // Now returns the latest clock across the engines.

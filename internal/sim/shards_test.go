@@ -1,54 +1,72 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestShardSetOneEngineQuiescent pins the single-engine run loop: no
-// window is needed, the Quiescent hook fires before every dispatch —
-// including the ones a coroutine drives inline from ParkInline — ahead
-// of the engine's own dispatch hook, and the engine's hook is restored
-// after the run.
+// TestShardSetOneEngineQuiescent pins the one-engine run loop: it runs
+// the same lookahead rounds as several engines do, so the Quiescent
+// hook fires only at barriers — never from inside a dispatch, the ones
+// a coroutine drives inline from ParkInline included — at the same
+// instants as a two-engine split of the same program, and the
+// engine's own dispatch hook stays its own. A set without a window
+// panics at one engine as at several.
 func TestShardSetOneEngineQuiescent(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.SetOnEvent(func(Cycles, int) { order = append(order, "probe") })
-	for i := 0; i < 2; i++ {
-		co := NewCoroutine(e, "co", func(co *Coroutine) {
-			for k := 0; k < 5; k++ {
-				co.WaitCycles(Cycles(3 + k))
+	run := func(k int) (quiet []Cycles, probes []int) {
+		engines := make([]*Engine, k)
+		probes = make([]int, k)
+		for i := range engines {
+			engines[i] = NewEngine()
+			engines[i].SetOnEvent(func(Cycles, int) { probes[i]++ })
+		}
+		for i := 0; i < 2; i++ {
+			e := engines[i%k]
+			co := NewCoroutine(e, "co", func(co *Coroutine) {
+				for n := 0; n < 5; n++ {
+					co.WaitCycles(Cycles(3 + n))
+				}
+			})
+			co.WakeAfter(Cycles(i))
+		}
+		engines[k-1].Schedule(70, func() {})
+		ss := &ShardSet{Engines: engines, Window: 12, Quiescent: func(at Cycles) {
+			for _, e := range engines {
+				if e.InRound() {
+					t.Errorf("K=%d: quiescent at %d inside a round", k, at)
+				}
 			}
-		})
-		co.WakeAfter(Cycles(i))
-	}
-	e.Schedule(7, func() {})
-	quiet := 0
-	ss := &ShardSet{Engines: []*Engine{e}, Quiescent: func(at Cycles) {
-		if at != e.Now() {
-			t.Errorf("quiescent at %d, engine clock %d", at, e.Now())
+			quiet = append(quiet, at)
+		}}
+		ss.Run()
+		if uint64(len(quiet)) != ss.Stats.Rounds+1 {
+			t.Errorf("K=%d: quiescent fired %d times over %d rounds, want once per barrier", k, len(quiet), ss.Stats.Rounds)
 		}
-		quiet++
-		order = append(order, "quiescent")
-	}}
-	ss.Run()
-	if uint64(quiet) != e.Processed() || quiet == 0 {
-		t.Fatalf("quiescent fired %d times for %d dispatches", quiet, e.Processed())
+		return quiet, probes
 	}
-	for i := 0; i < len(order); i += 2 {
-		if order[i] != "quiescent" || order[i+1] != "probe" {
-			t.Fatalf("hook order at %d: %v, want quiescent before probe", i, order[i:i+2])
+	one, probes := run(1)
+	if probes[0] != 13 {
+		t.Fatalf("one engine's dispatch hook saw %d dispatches, want 13", probes[0])
+	}
+	if two, _ := run(2); !slices.Equal(one, two) {
+		t.Fatalf("quiescent points %v on one engine, %v on two", one, two)
+	}
+	if want := []Cycles{0, 8, 19, 26, 70}; !slices.Equal(one, want) {
+		t.Fatalf("quiescent points %v, want %v", one, want)
+	}
+	defer func() {
+		if got := recover(); got != "sim: shard window 0 < 1" {
+			t.Fatalf("one engine without a window: recovered %v, want the window panic", got)
 		}
-	}
-	order = order[:0]
+	}()
+	e := NewEngine()
 	e.Schedule(1, func() {})
-	e.Run()
-	if len(order) != 1 || order[0] != "probe" {
-		t.Fatalf("after Run the engine hook is %v, want the original probe alone", order)
-	}
+	(&ShardSet{Engines: []*Engine{e}}).Run()
 }
 
 // TestShardSetBarrierQuiescent pins the multi-engine run loop: the
@@ -83,41 +101,40 @@ func TestShardSetBarrierQuiescent(t *testing.T) {
 	}
 }
 
-// TestShardSetDefer pins Engine.Defer: on one engine a deferred call
-// runs at once; inside a multi-engine round it waits for the barrier,
-// where every engine's calls replay in dispatch order before Drain,
-// and a call deferred by a replayed call runs at once.
+// TestShardSetDefer pins Engine.Defer: outside a round a deferred call
+// runs at once; inside a round, on one engine as on several, it waits
+// for the barrier, where every engine's calls replay in dispatch order
+// before Drain, and a call deferred by a replayed call runs at once.
 func TestShardSetDefer(t *testing.T) {
 	var log []string
 	note := func(s string) func() { return func() { log = append(log, s) } }
-	one := NewEngine()
-	one.Schedule(2, func() {
-		one.Defer(funcSink{}, 0, note("deferred"))
-		log = append(log, "live")
-	})
-	(&ShardSet{Engines: []*Engine{one}}).Run()
-	if got, want := strings.Join(log, " "), "deferred live"; got != want {
-		t.Fatalf("one engine: %q, want %q", got, want)
+	idle := NewEngine()
+	idle.Defer(funcSink{}, 0, note("idle"))
+	if got, want := strings.Join(log, " "), "idle"; got != want {
+		t.Fatalf("outside a round: %q, want %q", got, want)
 	}
 
-	log = nil
-	a, b := NewEngine(), NewEngine()
-	a.Schedule(5, func() { a.Defer(funcSink{}, 0, note("a5")) })
-	b.Schedule(3, func() {
-		b.Defer(funcSink{}, 0, func() {
-			log = append(log, "b3")
-			b.Defer(funcSink{}, 0, note("b3-nested"))
+	for _, k := range []int{1, 2} {
+		log = nil
+		engines := []*Engine{NewEngine(), NewEngine()}[:k]
+		a, b := engines[0], engines[k-1]
+		a.Schedule(5, func() { a.Defer(funcSink{}, 0, note("a5")) })
+		b.Schedule(3, func() {
+			b.Defer(funcSink{}, 0, func() {
+				log = append(log, "b3")
+				b.Defer(funcSink{}, 0, note("b3-nested"))
+			})
+			log = append(log, "b3-live")
 		})
-		log = append(log, "b3-live")
-	})
-	ss := &ShardSet{
-		Engines: []*Engine{a, b},
-		Window:  12,
-		Drain:   func() int { log = append(log, "barrier"); return 0 },
-	}
-	ss.Run()
-	if got, want := strings.Join(log, " "), "barrier b3-live b3 b3-nested a5 barrier"; got != want {
-		t.Fatalf("two engines: %q, want %q", got, want)
+		ss := &ShardSet{
+			Engines: engines,
+			Window:  12,
+			Drain:   func() int { log = append(log, "barrier"); return 0 },
+		}
+		ss.Run()
+		if got, want := strings.Join(log, " "), "barrier b3-live b3 b3-nested a5 barrier"; got != want {
+			t.Fatalf("%d engines: %q, want %q", k, got, want)
+		}
 	}
 }
 
@@ -126,8 +143,7 @@ func TestShardSetDefer(t *testing.T) {
 // last dispatched, the key comes from the set's one counter under
 // BarrierLane, in replay order, and the counter carries across
 // barriers. An event keyed so dispatches as machine-level activity
-// (NoLane). On one engine the same call runs at once and draws under
-// the caller's lane.
+// (NoLane). One engine running the same program draws the same keys.
 func TestShardSetReplayKeys(t *testing.T) {
 	// got[i] logs what engine i dispatched; each engine's goroutine
 	// writes only its own log.
@@ -167,17 +183,19 @@ func TestShardSetReplayKeys(t *testing.T) {
 		t.Fatalf("%d calls replayed, want 3", ss.Stats.Replayed)
 	}
 
+	// One engine running both engines' events defers the same calls
+	// and replays them in the same order, so it draws the same keys.
 	one := NewEngine()
+	engines = []*Engine{one, one}
+	got[0], got[1] = nil, nil
 	one.SetLane(4)
-	one.Schedule(5, func() {
-		one.Defer(funcSink{}, 0, func() {
-			one.Schedule(20, func() { got[0] = append(got[0], dispatched(one)) })
-		})
-	})
-	got[0] = nil
-	(&ShardSet{Engines: []*Engine{one}}).Run()
-	if len(got[0]) != 1 || got[0][0].lane != 4 || got[0][0].at != 25 {
-		t.Fatalf("one engine dispatched %+v, want one event at 25 on lane 4", got[0])
+	one.Schedule(5, func() { one.Defer(funcSink{}, 0, scheduleOn(0, 1)) })
+	one.SetLane(9)
+	one.Schedule(3, func() { one.Defer(funcSink{}, 0, scheduleOn(1)) })
+	one.Schedule(60, func() { one.Defer(funcSink{}, 0, scheduleOn(0)) })
+	(&ShardSet{Engines: []*Engine{one}, Window: 12}).Run()
+	if !slices.Equal(got[0], wantA) || !slices.Equal(got[1], wantB) {
+		t.Fatalf("one engine dispatched %+v and %+v, want %+v and %+v", got[0], got[1], wantA, wantB)
 	}
 }
 
@@ -185,6 +203,28 @@ func TestShardSetReplayKeys(t *testing.T) {
 type panicSink struct{}
 
 func (panicSink) HandleEvent(int, any) { panic("shard boom") }
+
+// TestShardSetPanicKeepsStack pins that a panic on one engine reaches
+// Run's caller unrecovered, its stack intact: debug.Stack at the
+// caller's recover still shows the sink that panicked.
+func TestShardSetPanicKeepsStack(t *testing.T) {
+	var stack string
+	func() {
+		e := NewEngine()
+		e.Schedule(4, func() {})
+		e.ScheduleEvent(6, panicSink{}, 0, nil)
+		defer func() {
+			if got := recover(); got != "shard boom" {
+				t.Fatalf("recovered %v, want the sink's panic", got)
+			}
+			stack = string(debug.Stack())
+		}()
+		(&ShardSet{Engines: []*Engine{e}, Window: 12}).Run()
+	}()
+	if !strings.Contains(stack, "panicSink.HandleEvent") {
+		t.Fatalf("the stack at recover lost the panicking sink:\n%s", stack)
+	}
+}
 
 // TestShardSetPanicSurfacesAtRun pins that a panic on one of several
 // engines, in a sink or in a coroutine, is recoverable at ShardSet.Run
@@ -272,7 +312,8 @@ func TestShardSetInjectOrder(t *testing.T) {
 }
 
 // TestShardSetWorkersExit pins that Run leaves no goroutine behind:
-// after a normal multi-engine run and after one whose round panics,
+// after a normal multi-engine run and after one whose round panics —
+// on a worker, or on engine 0 while the workers still run the round —
 // the goroutine count returns to its baseline and no shard goroutine
 // is counted busy, so no worker is left polling or parked.
 func TestShardSetWorkersExit(t *testing.T) {
@@ -290,7 +331,7 @@ func TestShardSetWorkersExit(t *testing.T) {
 			t.Fatalf("after %s: %d shard goroutines counted busy", what, n)
 		}
 	}
-	engines := func(arm func(*Engine)) []*Engine {
+	engines := func(arm func([]*Engine)) []*Engine {
 		es := make([]*Engine, 4)
 		for i := range es {
 			es[i] = NewEngine()
@@ -298,20 +339,22 @@ func TestShardSetWorkersExit(t *testing.T) {
 				es[i].ScheduleAt(at, func() {})
 			}
 		}
-		arm(es[2])
+		arm(es)
 		return es
 	}
-	(&ShardSet{Engines: engines(func(*Engine) {}), Window: 5}).Run()
+	(&ShardSet{Engines: engines(func([]*Engine) {}), Window: 5}).Run()
 	settled("a normal run")
-	func() {
-		defer func() {
-			if got := recover(); got != "shard boom" {
-				t.Fatalf("recovered %v, want the worker's panic", got)
-			}
+	for _, i := range []int{2, 0} {
+		func() {
+			defer func() {
+				if got := recover(); got != "shard boom" {
+					t.Fatalf("recovered %v, want engine %d's panic", got, i)
+				}
+			}()
+			(&ShardSet{Engines: engines(func(es []*Engine) { es[i].ScheduleEvent(50, panicSink{}, 0, nil) }), Window: 5}).Run()
 		}()
-		(&ShardSet{Engines: engines(func(e *Engine) { e.ScheduleEvent(50, panicSink{}, 0, nil) }), Window: 5}).Run()
-	}()
-	settled("a panicking run")
+		settled(fmt.Sprintf("a run panicking on engine %d", i))
+	}
 }
 
 // ringNode is one node of the oversubscription test's program: every

@@ -5,24 +5,23 @@
 // A sharded run cannot push into one ring from K shard goroutines,
 // and even a locked ring would record events in racy real-time order.
 // Instead each shard's components emit into that shard's child. While
-// the child's engine runs a multi-engine round, the child queues each
-// event and hands the engine one sim.Engine.Defer for it; the barrier
-// replays every engine's Defer log in one merge, which pushes each
-// event at its serial position, interleaved with the round's deferred
-// sends (cross-shard or contended) and kernel splices. Those replayed
-// calls push their own events at once, since no engine is in a round
-// while they run. Every wait is a scheduled wake, so all simulated
-// activity runs inside a dispatch and every event has a dispatch to be
-// filed under. Outside a round (one engine, setup, barrier replay,
-// between runs) a child pushes straight to the master ring.
+// the child's engine runs a lookahead round, at any shard count, the
+// child queues each event and hands the engine one sim.Engine.Defer
+// for it; the barrier replays every engine's Defer log in one merge,
+// which pushes each event at its serial position, interleaved with the
+// round's deferred sends (cross-shard, contended or bounded) and
+// kernel splices. Those replayed calls push their own events at once,
+// since no engine is in a round while they run. Every wait is a
+// scheduled wake, so all simulated activity runs inside a dispatch and
+// every event has a dispatch to be filed under. Outside a round (setup, barrier replay, between runs) a
+// child pushes straight to the master ring.
 //
-// One deliberate divergence from a serial trace, deterministic for a
-// fixed shard count: the time-series sampler runs barrier-aligned
-// rather than per-dispatch. Work that barrier replay schedules (a page
-// copy sent by a kernel splice) is keyed from the one barrier counter,
-// so its events fall alike at every shard count above one. The ring is
-// still overwrite-oldest; a barrier can evict events an earlier one
-// pushed, exactly as a serial run's later events evict earlier ones.
+// The time-series sampler runs at barriers, which fall at the same
+// instants at every shard count. Work that barrier replay schedules (a
+// page copy sent by a kernel splice) is keyed from the one barrier
+// counter, so its events fall alike at every shard count too. The ring
+// is overwrite-oldest; a barrier can evict events an earlier one
+// pushed, exactly as later events evict earlier ones.
 package stats
 
 import "plus/internal/sim"
