@@ -38,15 +38,16 @@ shard-oversub:
 
 # The sharded observer gate beyond the 4x4 fuzz: the Figure 2-1 quick
 # sweep (plain and with the time-series sampler, which runs at
-# barriers), the record-store sweep (link contention on) and the
+# barriers), the record-store sweep (link contention on), the
 # link-buffer sweep (bounded buffers: admission and NACKs at
-# barriers), traced at 1, 2 and 4 shard engines, must export
+# barriers) and the crash sweep (crash, restart, failover and resync
+# at barriers), traced at 1, 2 and 4 shard engines, must export
 # byte-identical Chrome trace JSON. Two engines cut the mesh at one
 # band boundary, four at three. The record-store ring holds every
 # point's whole stream; the other sweeps' default ring keeps each
 # point's last 4096 events.
 trace-equiv:
-	@for x in "figure2-1" "figure2-1 -sample 5000" "kvserve-sweep -trace-events 65536" "ext-linkbuf"; do \
+	@for x in "figure2-1" "figure2-1 -sample 5000" "kvserve-sweep -trace-events 65536" "ext-linkbuf" "fault-crash"; do \
 		for k in 1 2 4; do \
 			$(GO) run ./cmd/plusbench -quick -exp $$x -shards $$k \
 				-trace /tmp/plus-trace-equiv-$$k.json >/dev/null || exit 1; \

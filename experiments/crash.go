@@ -49,7 +49,11 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 	if quick {
 		iters = 800
 	}
-	mcfg := core.DefaultConfig(4, 4)
+	mcfg := shardedMachine(o, name, 4, 4)
+	if mcfg == nil {
+		c := core.DefaultConfig(4, 4)
+		mcfg = &c
+	}
 	if crashes > 0 {
 		f := mesh.FaultConfig{}
 		for i := 0; i < crashes; i++ {
@@ -64,8 +68,7 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 		// Elapsed (and Slowdown) exactly as an unchecked run's.
 		mcfg.InvariantPeriod = 1000
 	}
-	o.Observe.Attach(&mcfg, name)
-	m, err := core.NewMachine(mcfg)
+	m, err := core.NewMachine(*mcfg)
 	if err != nil {
 		return CrashRow{}, err
 	}

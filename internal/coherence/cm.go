@@ -141,11 +141,10 @@ type CM struct {
 	// Crash/failover state (crash.go). crashy is set only when the run
 	// has a crash script; every tolerance it arms is unreachable — and
 	// every protocol panic stays loud — on ordinary runs.
-	crashy    bool
-	down      bool
-	router    FailoverRouter
-	suspectFn func(mesh.NodeID)
-	slotGen   uint64
+	crashy  bool
+	down    bool
+	router  FailoverRouter
+	slotGen uint64
 
 	// wake hands an arriving kWake's thread ID to the processor (OnWake).
 	wake func(id uint64)
@@ -1002,7 +1001,8 @@ func (cm *CM) send(dst mesh.NodeID, m *mesh.Msg) {
 // and replies is folded into the originator-side constants).
 func (cm *CM) Deliver(m *mesh.Msg) {
 	if cm.down {
-		// Defensive: the mesh already drops deliveries to down nodes.
+		// Traffic arriving after the scripted restart instant but before
+		// the restart lands at the barrier: the sender retransmits it.
 		cm.freeMsg(m)
 		return
 	}
@@ -1083,8 +1083,10 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 	}
 }
 
-// HandleEvent implements sim.EventSink: the CM's typed timers.
+// HandleEvent implements sim.EventSink: the CM's typed timers, run as
+// this node's activity even when armed during a barrier replay.
 func (cm *CM) HandleEvent(kind int, data any) {
+	cm.eng.SetLane(int32(cm.self))
 	if cm.down {
 		// A crashed node's in-flight work dies with it: requests being
 		// processed, staged sends and executing RMWs are dropped.

@@ -5,13 +5,12 @@
 //
 //   - Crash() models power loss: every in-flight message the node owns
 //     (parked retransmit clones, staged sends, requests being
-//     processed) is dropped, the transport sequence state is zeroed,
-//     and the combine buffer's words are lost.
+//     processed) is dropped and the combine buffer's words are lost.
 //   - Detection is the transport's retransmit escalation: a peer whose
 //     timer expires detectStrikes times in a row with no acknowledged
-//     progress is handed to the suspicion hook, which the core layer
-//     confirms out-of-band (a management-network probe stand-in)
-//     before the kernel runs the failover epoch.
+//     progress is handed to the kernel, which confirms the suspicion
+//     out-of-band (a management-network probe stand-in) before it runs
+//     the failover epoch.
 //   - Failover() is one live node's part of that epoch: parked
 //     requests toward the dead node are rerouted to each page's new
 //     master, truncated update chains are completed administratively,
@@ -19,8 +18,9 @@
 //     are re-sent to await its restart, and operations whose state died
 //     inside the crashed node are force-retired or re-issued so no
 //     originator is stranded.
-//   - Restart() models the reboot: the volatile master/next tables are
-//     gone (the kernel re-replicates the node's pages as it rejoins),
+//   - Restart() models the reboot: the transport pairs restart in a
+//     new incarnation, the volatile master/next tables are gone (the
+//     kernel re-replicates the node's pages as it rejoins),
 //     pending writes are force-retired with lost-write semantics, and
 //     still-outstanding reads and delayed ops are re-issued.
 //
@@ -38,12 +38,16 @@ import (
 	"plus/internal/mesh"
 )
 
-// FailoverRouter resolves where traffic addressed to a crashed node's
-// lost frame should go now: the current master of the page that frame
-// held. ok is false when (owner, frame) was never lost to a crash.
-// Implemented by the kernel, which records every frame it splices out.
+// FailoverRouter is the kernel's side of crash recovery. RerouteFrame
+// resolves where traffic addressed to a crashed node's lost frame
+// should go now: the current master of the page that frame held; ok is
+// false when (owner, frame) was never lost to a crash. Suspect takes a
+// peer a transport suspects; the epoch runs at the next barrier.
+// PairBase is the sequence number the pair (a, b) restarts from.
 type FailoverRouter interface {
 	RerouteFrame(owner mesh.NodeID, frame memory.PPage) (memory.GPage, bool)
+	Suspect(by, dead mesh.NodeID)
+	PairBase(a, b mesh.NodeID) uint64
 }
 
 // detectStrikes is the crash-detection threshold: consecutive
@@ -51,13 +55,9 @@ type FailoverRouter interface {
 // after which the transport suspects the peer has crashed.
 const detectStrikes = 3
 
-// ArmCrashRecovery wires the crash-epoch collaborators: the kernel's
-// reroute table and the core layer's crash-suspicion hook. Called once
-// at machine build on crash-script runs.
-func (cm *CM) ArmCrashRecovery(router FailoverRouter, suspect func(mesh.NodeID)) {
-	cm.router = router
-	cm.suspectFn = suspect
-}
+// ArmCrashRecovery wires the kernel's reroute table and crash
+// suspicion. Called once at machine build on crash-script runs.
+func (cm *CM) ArmCrashRecovery(router FailoverRouter) { cm.router = router }
 
 // Down reports whether this node is currently crashed.
 func (cm *CM) Down() bool { return cm.down }
@@ -111,12 +111,6 @@ func (cm *CM) Crash() {
 		}
 		tx.queue = tx.queue[:0]
 		tx.epoch++ // cancels in-flight retransmit timers
-		tx.nextSeq = 0
-		tx.rto = 0
-		tx.strikes = 0
-	}
-	for i := range cm.rx {
-		cm.rx[i].acked = 0
 	}
 	// The combine buffer's words are lost with the node; their pending
 	// entries force-retire at Restart.
@@ -134,6 +128,9 @@ func (cm *CM) Crash() {
 // incarnation), and re-issued reads and delayed operations.
 func (cm *CM) Restart() {
 	cm.down = false
+	for i := range cm.tx {
+		cm.resetPair(mesh.NodeID(i))
+	}
 	clear(cm.frames)
 	if n := len(cm.pending); n > 0 {
 		ids := make([]uint64, 0, n)
@@ -164,14 +161,9 @@ func (cm *CM) Restart() {
 // has promoted masters and rewritten the surviving chain, so reroutes
 // resolve to the new topology.
 func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
-	tx := &cm.tx[dead]
-	queue := tx.queue
-	tx.queue = nil
-	tx.epoch++ // cancels the pair's retransmit timer
-	tx.nextSeq = 0
-	tx.rto = 0
-	tx.strikes = 0
-	cm.rx[dead].acked = 0
+	queue := cm.tx[dead].queue
+	cm.tx[dead].queue = nil
+	cm.resetPair(dead)
 
 	// resent tracks operations whose request was parked toward the
 	// dead node and is re-sent below: those must not also be
@@ -312,6 +304,18 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			cm.retireWrite(id)
 		}
 	}
+}
+
+// resetPair restarts the transport pair with peer (the peer does too,
+// in its Failover or Restart) above every sequence number its earlier
+// incarnations used, so their stragglers read as duplicates.
+func (cm *CM) resetPair(peer mesh.NodeID) {
+	tx := &cm.tx[peer]
+	tx.epoch++
+	tx.nextSeq = cm.router.PairBase(cm.self, peer)
+	tx.rto = 0
+	tx.strikes = 0
+	cm.rx[peer].acked = tx.nextSeq
 }
 
 // reissueReads re-sends every outstanding remote read selected by keep,

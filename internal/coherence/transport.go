@@ -191,13 +191,12 @@ func (cm *CM) fireRetrans(tk *retransTimer) {
 	}
 	// Crash-detection escalation (crash script runs only): after
 	// detectStrikes consecutive expirations with zero progress, hand
-	// the peer to the suspicion hook. Called last — a confirmed crash
-	// re-enters this CM and rewrites the very txState above.
-	if cm.suspectFn != nil {
+	// the peer to the kernel.
+	if cm.router != nil {
 		tx.strikes++
 		if tx.strikes >= detectStrikes {
 			tx.strikes = 0
-			cm.suspectFn(tk.dst)
+			cm.router.Suspect(cm.self, tk.dst)
 		}
 	}
 }

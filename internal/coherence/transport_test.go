@@ -209,3 +209,37 @@ func TestTransportInertWhenOff(t *testing.T) {
 		}
 	}
 }
+
+// replayWrite issues a write from node 1 when a barrier replays it.
+type replayWrite struct {
+	r *rig
+	g GAddr
+}
+
+func (w replayWrite) HandleEvent(int, any) { w.r.cms[1].Write(w.g, 7, func() {}) }
+
+// TestReplayArmedTimerKeepsLane arms a retransmit timer during a
+// barrier replay, where every key comes from the replay's counter, and
+// lets it fire before the ack returns. The timer runs as node 1's
+// activity, so its re-send and re-arm draw from node 1's counter: no
+// key of the run is ever drawn from the engine's own NoLane counter,
+// which a second engine would not share.
+func TestReplayArmedTimerKeepsLane(t *testing.T) {
+	tm := timing.Default()
+	tm.RetransTimeout = 4 // shorter than the round trip
+	// A vanishing duplication rate arms the reliability sublayer.
+	r := newFaultyRigTiming(t, 2, 1, mesh.FaultConfig{Seed: 1, DupRate: 1e-9}, tm)
+	frames := r.page(0)
+	w := replayWrite{r, addrFor(frames, 0, 1, 3)}
+	e := r.eng
+	e.SetLane(1)
+	e.Schedule(10, func() { e.Defer(w, 0, nil) })
+	(&sim.ShardSet{Engines: []*sim.Engine{e}, Window: 12}).Run()
+	if r.st.Retransmits == 0 {
+		t.Fatal("the timer armed at the barrier never fired live")
+	}
+	e.SetLane(sim.NoLane)
+	if _, drawn := e.DrawKey(); drawn != 0 {
+		t.Errorf("%d keys drawn from the engine's NoLane counter", drawn)
+	}
+}

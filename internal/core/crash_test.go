@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"plus/internal/memory"
@@ -187,10 +188,11 @@ func TestWakeDuringOutage(t *testing.T) {
 // skipped: a delayed op re-issued across a crash epoch may apply twice,
 // and a force-retired write may be lost (both documented in
 // PROTOCOL.md); convergence and invariants are still fully checked.
-func runCrashFuzz(t *testing.T, seed int64, f mesh.FaultConfig) string {
+func runCrashFuzz(t *testing.T, seed int64, f mesh.FaultConfig, shards int) string {
 	t.Helper()
 	cfg := DefaultConfig(4, 2)
 	cfg.Faults = f
+	cfg.Shards = shards
 	cfg.CheckInvariants = true
 	cfg.InvariantPeriod = 1000
 	m, err := NewMachine(cfg)
@@ -271,8 +273,8 @@ func TestCrashFuzz(t *testing.T) {
 	}
 	for _, f := range scripts {
 		for seed := int64(0); seed < 3; seed++ {
-			a := runCrashFuzz(t, seed, f)
-			b := runCrashFuzz(t, seed, f)
+			a := runCrashFuzz(t, seed, f, 1)
+			b := runCrashFuzz(t, seed, f, 1)
 			if a != b {
 				t.Fatalf("seed %d crashes %+v: two runs diverged\n%s\n%s", seed, f.Crashes, a, b)
 			}
@@ -281,15 +283,15 @@ func TestCrashFuzz(t *testing.T) {
 }
 
 // TestCrashConfigRejections pins the build-time gates: crash scripts
-// are serial-only and incompatible with competitive replication and
-// invalidate mode, and the mesh validates the script itself.
+// are incompatible with competitive replication and invalidate mode,
+// and the mesh validates the script itself. A sharded crash script is
+// accepted, and its run equals the one-engine run.
 func TestCrashConfigRejections(t *testing.T) {
 	crash := []mesh.CrashEvent{{Node: 1, At: 100, Duration: 50}}
 	cases := []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"sharded", func(c *Config) { c.Shards = 2 }},
 		{"competitive", func(c *Config) { c.CompetitiveThreshold = 8 }},
 		{"invalidate", func(c *Config) { c.InvalidateMode = true }},
 		{"zero-duration", func(c *Config) { c.Faults.Crashes[0].Duration = 0 }},
@@ -313,4 +315,70 @@ func TestCrashConfigRejections(t *testing.T) {
 	if _, err := NewMachine(cfg); err != nil {
 		t.Errorf("baseline crash config rejected: %v", err)
 	}
+	// sharded: two staggered outages, one failed over at detection and
+	// one at its restart, on two engines.
+	f := mesh.FaultConfig{Crashes: []mesh.CrashEvent{
+		{Node: 2, At: 2000, Duration: 4000},
+		{Node: 5, At: 7000, Duration: 600},
+	}}
+	if a, b := runCrashFuzz(t, 1, f, 1), runCrashFuzz(t, 1, f, 2); a != b {
+		t.Errorf("sharded: the K=2 crash run diverged from K=1\n%s\n%s", b, a)
+	}
+}
+
+// TestRestartedThreadKeepsLane crashes the node a thread runs on. Its
+// processor resumes the thread when the restart replays at a barrier,
+// so the resuming wake carries the replay's key; every slice must still
+// run as the thread's own node's activity, at one engine and at two.
+func TestRestartedThreadKeepsLane(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		cfg := DefaultConfig(4, 2)
+		cfg.Shards = k
+		cfg.Faults.Crashes = []mesh.CrashEvent{{Node: 3, At: 1000, Duration: 2000}}
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := m.Alloc(0, 1)
+		eng := m.Mesh().EngineFor(3)
+		var lanes []int32
+		m.Spawn(3, func(th *proc.Thread) {
+			for i := 0; i < 60; i++ {
+				lanes = append(lanes, eng.Lane())
+				th.Write(base+memory.VAddr(i), memory.Word(i))
+				th.Compute(50)
+			}
+		})
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Stats().Crash().Restarts != 1 {
+			t.Fatalf("shards=%d: node 3 never restarted", k)
+		}
+		for i, l := range lanes {
+			if l != 3 {
+				t.Errorf("shards=%d: slice %d ran on lane %d, want 3", k, i, l)
+			}
+		}
+	}
+}
+
+// TestLastCopiesDownIsLoud crashes both holders of a page. Node 2
+// restarts while node 1 is still down, so no live copy is left to
+// rejoin from: node 2 does not rejoin, and node 1's failover reports
+// the data loss instead of promoting node 2's empty frame.
+func TestLastCopiesDownIsLoud(t *testing.T) {
+	cfg := DefaultConfig(4, 2)
+	cfg.Faults.Crashes = []mesh.CrashEvent{{Node: 1, At: 1000, Duration: 5000}, {Node: 2, At: 1100, Duration: 1000}}
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Replicate(m.Alloc(1, 1), 2)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "only copy") {
+			t.Fatalf("want the only-copy panic, got %v", r)
+		}
+	}()
+	m.Run()
 }

@@ -6,7 +6,6 @@ import (
 	"plus/internal/coherence"
 	"plus/internal/kernel"
 	"plus/internal/memory"
-	"plus/internal/mesh"
 )
 
 // InvariantChecker validates the machine's coherence structures at
@@ -26,13 +25,6 @@ type InvariantChecker struct {
 	// skipConvergence disables the replica-convergence check (invalidate
 	// mode: replicas legitimately hold stale words).
 	skipConvergence bool
-	// Down reports whether a node is currently crashed (set on
-	// crash-script runs only). A down node's CM tables are frozen
-	// pre-crash state awaiting the wipe at restart, so the structure
-	// check treats the kernel's copy-list as authoritative and skips
-	// verifying that node's own entries — the invariants must hold on
-	// the survivors right through a failover epoch.
-	Down func(mesh.NodeID) bool
 
 	// Checks counts structure checks performed; ConvergenceChecks counts
 	// how many of those found the machine quiescent and compared replica
@@ -54,10 +46,12 @@ func (ic *InvariantChecker) CheckStructure() error {
 		}
 		master := list[0]
 		for i, g := range list {
-			if ic.Down != nil && ic.Down(g.Node) {
+			cm := ic.cms[g.Node]
+			if cm.Down() {
+				// Frozen pre-crash tables awaiting the restart's wipe:
+				// the kernel's copy-list is authoritative.
 				continue
 			}
-			cm := ic.cms[g.Node]
 			m, ok := cm.Master(g.Page)
 			if !ok {
 				return fmt.Errorf("invariant: page %d copy %d: node %d has no master entry for frame %d", vp, i, g.Node, g.Page)

@@ -68,10 +68,9 @@ type Config struct {
 	// (competitive replication, runtime Replicate/DeleteCopy/Migrate)
 	// and events pushed into the observer's ring — go through
 	// sim.Engine.Defer and replay at lookahead barriers in one-engine
-	// dispatch order. One engine runs the same rounds and barriers, so
-	// a splice requested mid-run lands at the next barrier at every
-	// shard count, one included. One feature remains serial-only: crash
-	// injection (mesh.Config.Validate rejects it).
+	// dispatch order, as do crash-script crashes, restarts and failover.
+	// One engine runs the same rounds and barriers, so a splice
+	// requested mid-run lands at the next barrier at every shard count.
 	Shards int
 	// CheckInvariants runs the coherence invariant checker periodically
 	// during Run and once at the end: single master per page, intact
@@ -200,32 +199,20 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	if len(cfg.Faults.Crashes) > 0 {
 		// Crash & recovery wiring (see PROTOCOL.md "Crash & failover"):
-		// the transport's ack-timeout escalation suspects a silent peer;
-		// the core confirms the suspicion out-of-band — standing in for a
-		// management-network probe, so a merely slow peer is never failed
-		// over — and hands the confirmed crash to the kernel's failover
-		// epoch. Crash and restart instants come from the declarative
-		// script, scheduled here at build time (the engine clock is 0).
-		suspect := func(dead mesh.NodeID) {
-			if !net.DownAt(dead, eng.Now()) {
-				return
-			}
-			m.kern.FailNode(dead)
-		}
+		// transports hand suspected peers to the kernel, and the script's
+		// instants are events on engine 0, keyed here at build time alike
+		// for every shard count.
 		for _, cm := range m.cms {
-			cm.ArmCrashRecovery(m.kern, suspect)
+			cm.ArmCrashRecovery(m.kern)
 		}
+		cs := (*crashScript)(m)
 		for _, ev := range cfg.Faults.Crashes {
-			ev := ev
-			eng.Schedule(ev.At, func() { m.crashNode(ev.Node) })
-			eng.Schedule(ev.At+ev.Duration, func() { m.restartNode(ev.Node) })
+			eng.ScheduleEventAt(ev.At, cs, evCrash, &ev)
+			eng.ScheduleEventAt(ev.At+ev.Duration, cs, evRestart, &ev)
 		}
 	}
 	if cfg.CheckInvariants {
 		m.inv = &InvariantChecker{kern: m.kern, cms: m.cms, skipConvergence: cfg.InvalidateMode}
-		if len(cfg.Faults.Crashes) > 0 {
-			m.inv.Down = func(id mesh.NodeID) bool { return net.DownAt(id, eng.Now()) }
-		}
 	}
 	if cfg.Observe != nil {
 		m.attachObserver(cfg.Observe)
@@ -589,25 +576,37 @@ func (m *Machine) Utilization() float64 {
 	return m.st.Utilization(m.ActiveProcs(), m.elapsed)
 }
 
-// crashNode takes node n down at the current instant, per the crash
-// script: the mesh stops carrying its traffic (mesh.DownAt), the
-// processor halts thread dispatch at the next memory reference, the
-// CM's volatile transport and combining state is destroyed, and the
-// kernel records the instant for the recovery-time metric. Detection
-// and failover happen later, driven by peers' ack timeouts.
-func (m *Machine) crashNode(n mesh.NodeID) {
-	m.st.Crashes++
-	m.procs[n].Pause()
-	m.cms[n].Crash()
-	m.kern.MarkDown(n, m.eng.Now())
-}
+// Crash-script event kinds (crashScript).
+const evCrash, evRestart = 0, 1
 
-// restartNode brings node n back at the current instant: the kernel
-// runs the failover epoch if nobody detected the outage, wipes the
-// node's volatile CM/MMU state, rejoins its pages as ordinary copies,
-// and the processor resumes dispatching its halted threads.
-func (m *Machine) restartNode(n mesh.NodeID) {
+// crashScript is the sink of the crash script's events. Taking a node
+// down or back rewrites state on every shard, so an instant's work runs
+// at its round's barrier, at most Window-1 cycles later; the mesh cuts
+// the node's traffic at the instant itself (mesh.DownAt).
+type crashScript Machine
+
+func (cs *crashScript) HandleEvent(kind int, data any) {
+	m := (*Machine)(cs)
+	if m.eng.InRound() {
+		m.eng.Defer(cs, kind, data)
+		return
+	}
+	ev := data.(*mesh.CrashEvent)
+	if kind == evCrash {
+		// The processor halts at its next memory reference, the CM
+		// loses its volatile transport and combining state, and the
+		// kernel records the scripted instant for the recovery-time
+		// metric. Peers' ack timeouts detect the outage later.
+		m.st.Crashes++
+		m.procs[ev.Node].Pause()
+		m.cms[ev.Node].Crash()
+		m.kern.MarkDown(ev.Node, ev.At)
+		return
+	}
+	// The kernel fails the node over if nobody detected the outage,
+	// wipes its volatile CM/MMU state and rejoins its pages as ordinary
+	// copies; the processor resumes its halted threads.
 	m.st.Restarts++
-	m.kern.RestartNode(n)
-	m.procs[n].Resume()
+	m.kern.RestartNode(ev.Node)
+	m.procs[ev.Node].Resume()
 }

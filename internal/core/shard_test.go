@@ -27,6 +27,7 @@ type digest struct {
 	Messages uint64
 	Updates  uint64
 	Relia    stats.Reliability
+	Crash    stats.CrashBlock
 	Net      mesh.Stats
 	// Observer exports (observer legs only): the full merged event
 	// stream, the total pushed count (ring eviction included), and the
@@ -150,6 +151,7 @@ func runRandom(t *testing.T, shards int, seed int64, leg fuzzLeg) digest {
 		Messages: m.Stats().Messages(),
 		Updates:  m.Stats().MsgUpdate,
 		Relia:    m.Stats().Reliability(),
+		Crash:    m.Stats().Crash(),
 		Net:      m.Mesh().Stats(),
 	}
 	for pg := 0; pg < fuzzPages; pg++ {
@@ -232,7 +234,11 @@ func diffDigest(t *testing.T, want, got digest, label string) {
 // wakes crossing shards land exactly where they land serially), and
 // bounded link buffers, observed, on a reliable network and with
 // combining on a lossy one (admission, NACKs and every fault draw run
-// at barriers in serial order).
+// at barriers in serial order). Three crash legs run the failover path
+// (crash, restart, suspicion and resync hops as barrier work): two
+// overlapping outages, observed and checked; two more with loss,
+// contention, combining and the observer; and two outages of holders
+// of one page.
 func TestShardEquivalenceFuzz(t *testing.T) {
 	contention := func(c *core.Config) { c.NetContention = true }
 	observe := func(c *core.Config) {
@@ -265,6 +271,15 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 		{name: "linkbuf+faults", batch: 4, faults: mesh.FaultConfig{
 			Seed: 13, DropRate: 0.05, DupRate: 0.05, DelayRate: 0.05, DelayMax: 40, LinkBufFlits: 4,
 		}, mods: []func(*core.Config){contention, observe}},
+		{name: "crash", batch: 1, faults: mesh.FaultConfig{Crashes: []mesh.CrashEvent{
+			{Node: 0, At: 3000, Duration: 5000}, {Node: 13, At: 4000, Duration: 7000},
+		}}, mods: []func(*core.Config){observe, checked}},
+		{name: "crash+faults", batch: 4, faults: mesh.FaultConfig{
+			Seed: 17, DropRate: 0.02, DupRate: 0.02, DelayRate: 0.03, DelayMax: 40,
+			Crashes: []mesh.CrashEvent{{Node: 10, At: 2500, Duration: 6000}, {Node: 7, At: 2600, Duration: 3000}},
+		}, mods: []func(*core.Config){contention, observe}},
+		{name: "crash-shared-page", batch: 1, faults: mesh.FaultConfig{Crashes: overlapCrashes},
+			mods: []func(*core.Config){contention, checked}},
 	}
 	seeds := []int64{1, 42}
 	if testing.Short() {
@@ -277,6 +292,9 @@ func TestShardEquivalenceFuzz(t *testing.T) {
 				serial := runRandom(t, 1, seed, leg)
 				if leg.faults.LinkBufFlits > 0 && serial.Net.Nacked == 0 {
 					t.Fatalf("seed %d: no send was refused by a full link buffer — the leg lost its point", seed)
+				}
+				if len(leg.faults.Crashes) > 0 && serial.Crash.Failovers != uint64(len(leg.faults.Crashes)) {
+					t.Fatalf("seed %d: %d failovers for %d outages", seed, serial.Crash.Failovers, len(leg.faults.Crashes))
 				}
 				for _, k := range []int{2, 4, 8} {
 					got := runRandom(t, k, seed, leg)
@@ -670,6 +688,38 @@ func TestShardSecondRunClock(t *testing.T) {
 				t.Errorf("shards=%d: event[%d] = %q, serial %q", k, i, got.Events[i], serial.Events[i])
 				break
 			}
+		}
+	}
+}
+
+// overlapCrashes takes down two holders of one page at once: nodes 4
+// and 7 both hold page 4 of runRandom's layout, whose third copy is on
+// node 11.
+var overlapCrashes = []mesh.CrashEvent{{Node: 4, At: 2500, Duration: 6000}, {Node: 7, At: 2600, Duration: 3000}}
+
+// TestOverlappingOutagesConverge runs overlapCrashes over thirty seeds.
+// Node 7's restart fails it over while node 4 is still down and
+// undetected, so a resync or a rejoin that took node 4 as its source
+// would copy a stale, silent frame, and node 4's later failover would
+// promote a copy that never received data: the page would converge to
+// an empty frame. The program modifies a few hundred of the page's
+// words, so most must still hold their initial values. Seed 1 also
+// pins the transport's pair incarnations: a message sent to node 7
+// before its failover and delivered after its restart must not pass
+// for the new pair's first.
+func TestOverlappingOutagesConverge(t *testing.T) {
+	leg := fuzzLeg{name: "overlap", batch: 1, faults: mesh.FaultConfig{Crashes: overlapCrashes},
+		mods: []func(*core.Config){func(c *core.Config) { c.NetContention = true }}}
+	for seed := int64(1); seed <= 30; seed++ {
+		d := runRandom(t, 1, seed, leg)
+		kept := 0
+		for off, w := range d.Image[4] {
+			if w == memory.Word(uint32(4*memory.PageWords+off)) {
+				kept++
+			}
+		}
+		if kept < memory.PageWords/2 {
+			t.Fatalf("seed %d: only %d of page 4's words kept their initial values", seed, kept)
 		}
 	}
 }

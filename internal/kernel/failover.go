@@ -2,11 +2,11 @@
 // protocol (crash-script runs only; see PROTOCOL.md "Crash & failover"
 // and coherence/crash.go for the per-node half).
 //
-// The failover epoch for a crashed node runs atomically at one
-// simulated instant — the kernel's transition fence: no protocol
-// message is processed between the first list rewrite and the last
-// transport sweep, so survivors never observe a half-rewritten chain.
-// Per page the dead node held, the epoch:
+// The failover epoch for a crashed node runs atomically at a lookahead
+// barrier — the kernel's transition fence: no protocol message is
+// processed between the first list rewrite and the last transport
+// sweep, so survivors never observe a half-rewritten chain. Per page
+// the dead node held, the epoch:
 //
 //  1. splices the dead copy out of the copy-list, promoting the next
 //     copy to master when the dead node held it (the hardened form of
@@ -30,6 +30,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"plus/internal/coherence"
 	"plus/internal/memory"
@@ -67,13 +68,25 @@ func (k *Kernel) RerouteFrame(owner mesh.NodeID, frame memory.PPage) (memory.GPa
 	return list[0], true
 }
 
+// Suspect implements coherence.FailoverRouter. The suspicion is
+// confirmed against the crash script at by's clock — a stand-in for a
+// management-network probe, so a merely slow peer is never failed over.
+func (k *Kernel) Suspect(by, dead mesh.NodeID) {
+	if k.net.DownAt(dead, k.net.EngineFor(by).Now()) {
+		k.deferOp(opFail, pageOp{node: by, from: dead})
+	}
+}
+
+// PairBase implements coherence.FailoverRouter: 2^32 per failover of
+// a or b, past every sequence number an earlier incarnation used.
+func (k *Kernel) PairBase(a, b mesh.NodeID) uint64 {
+	return (k.fails[a] + k.fails[b]) << 32
+}
+
 // FailNode runs the failover epoch for a crashed node. Idempotent per
 // outage: detection by several peers and a subsequent restart all
 // funnel here, and only the first call acts.
 func (k *Kernel) FailNode(n mesh.NodeID) {
-	if k.net.Config().ShardCount() > 1 {
-		panic("kernel: FailNode is serial-only (rewrites other shards' CM tables in place); run with Shards <= 1")
-	}
 	if _, done := k.failed[n]; done {
 		return
 	}
@@ -87,6 +100,7 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 		k.lost[n] = make(map[memory.PPage]memory.VPage)
 	}
 	k.st.Failovers++
+	k.fails[n]++
 	if at, ok := k.downSince[n]; ok {
 		k.st.Recovery.Observe(uint64(k.eng.Now() - at))
 	}
@@ -118,7 +132,7 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 		// tables are left alone: they are volatile state that Restart
 		// wipes wholesale.
 		k.unlink(vp, idx)
-		k.resyncChain(vp, idx)
+		k.resyncHop(vp, max(idx, 1))
 	}
 	k.failed[n] = rejoin
 
@@ -136,39 +150,35 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 	}
 }
 
-// resyncChain re-copies vp's copies from list position start to the
-// end, one hop at a time: each target receives a snapshot from its
-// chain predecessor over the same FIFO (and transport-ordered) pair
-// that carries the predecessor's subsequent updates, so — exactly as
-// in Replicate — the target converges to the predecessor while writes
+// resyncHop re-copies vp's copies from list position pos to the end,
+// one hop at a time: each target receives a snapshot from its chain
+// predecessor over the same FIFO (and transport-ordered) pair that
+// carries the predecessor's subsequent updates, so — exactly as in
+// Replicate — the target converges to the predecessor while writes
 // continue to flow. Hops run sequentially because the chain prefix
 // property only guarantees a predecessor is correct once its own
-// resync (if any) completed. The list is re-read each hop so a further
-// failover during the cascade cannot strand it on stale positions.
-func (k *Kernel) resyncChain(vp memory.VPage, start int) {
-	var hop func(pos int)
-	hop = func(pos int) {
-		list := k.CopyList(vp)
-		if pos < 1 || pos >= len(list) {
-			return
+// resync (if any) completed; each hop's completion, on the target's
+// shard, defers the next to the barrier. The list is re-read each hop
+// so a further failover cannot strand the cascade on stale positions.
+// A down predecessor ends it: its frame is stale and it sends nothing,
+// and its own failover resyncs the rest of the chain.
+func (k *Kernel) resyncHop(vp memory.VPage, pos int) {
+	list := k.CopyList(vp)
+	if pos < 1 || pos >= len(list) || k.cms[list[pos-1].Node].Down() {
+		return
+	}
+	pred, succ := list[pos-1], list[pos]
+	k.st.PagesResynced++
+	k.copiesInFlight.Add(1)
+	fired := false
+	k.cms[pred.Node].PageCopy(pred.Page, succ, func() {
+		if fired {
+			return // administrative + delivered completion raced
 		}
-		pred, succ := list[pos-1], list[pos]
-		k.st.PagesResynced++
-		k.copiesInFlight.Add(1)
-		fired := false
-		k.cms[pred.Node].PageCopy(pred.Page, succ, func() {
-			if fired {
-				return // administrative + delivered completion raced
-			}
-			fired = true
-			k.copiesInFlight.Add(-1)
-			hop(pos + 1)
-		})
-	}
-	if start < 1 {
-		start = 1
-	}
-	hop(start)
+		fired = true
+		k.copiesInFlight.Add(-1)
+		k.deferOp(opResync, pageOp{vp: vp, node: succ.Node, pos: pos + 1})
+	})
 }
 
 // RestartNode brings a crashed node back: the failover epoch runs now
@@ -176,7 +186,8 @@ func (k *Kernel) resyncChain(vp memory.VPage, start int) {
 // the node's volatile CM and MMU state is wiped, and every page it
 // held before the crash is re-replicated onto it in the background —
 // the node rejoins each copy-list as an ordinary copy, never
-// reclaiming mastership it lost.
+// reclaiming mastership it lost. A page with no live copy left is not
+// rejoined; its last copy's failover reports the loss.
 func (k *Kernel) RestartNode(n mesh.NodeID) {
 	if _, was := k.failed[n]; !was {
 		k.FailNode(n)
@@ -186,8 +197,9 @@ func (k *Kernel) RestartNode(n mesh.NodeID) {
 	delete(k.downSince, n)
 	k.cms[n].Restart()
 	k.tables[n].Flush()
+	live := func(g memory.GPage) bool { return !k.cms[g.Node].Down() }
 	for _, vp := range vps {
-		if k.HasCopy(vp, n) {
+		if k.HasCopy(vp, n) || !slices.ContainsFunc(k.CopyList(vp), live) {
 			continue
 		}
 		k.st.RejoinCopies++

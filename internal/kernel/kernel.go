@@ -70,10 +70,12 @@ type Kernel struct {
 	// pages until its restart rejoins them; downSince the crash instant
 	// per currently-down node; lost every frame ever spliced out by a
 	// failover, so stale traffic addressed to a dead node's copy can be
-	// rerouted to the page's current master.
+	// rerouted to the page's current master; fails counts each node's
+	// failovers.
 	failed    map[mesh.NodeID][]memory.VPage
 	downSince map[mesh.NodeID]sim.Cycles
 	lost      map[mesh.NodeID]map[memory.PPage]memory.VPage
+	fails     []uint64
 }
 
 // pageOp is one page reorganization handed to the acting node's
@@ -82,8 +84,9 @@ type Kernel struct {
 // with the whole machine quiescent.
 type pageOp struct {
 	vp   memory.VPage
-	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate)
-	from mesh.NodeID // migrate only: the node losing its copy
+	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate), suspecter (fail), resynced copy (resync)
+	from mesh.NodeID // migrate: the node losing its copy; fail: the crashed node
+	pos  int         // resync: the next hop's list position
 	done func()
 }
 
@@ -92,14 +95,17 @@ const (
 	opDelete
 	opMigrate
 	opCompetitive
+	opFail
+	opResync
 )
 
 // deferOp runs a page reorganization at the next quiescent point: at
 // once outside a round, at the next lookahead barrier mid-round, at
 // every shard count. Mid-round, the request must come from code
 // running on the acting node's shard — true for every in-tree caller:
-// competitive triggers fire on the referencing node, and threads
-// reorganize copies on their own node.
+// competitive triggers fire on the referencing node, threads
+// reorganize copies on their own node, a transport suspects a peer and
+// a resync hop completes on the node it filled.
 func (k *Kernel) deferOp(kind int, op pageOp) {
 	k.net.EngineFor(op.node).Defer(k, kind, &op)
 }
@@ -117,6 +123,10 @@ func (k *Kernel) HandleEvent(kind int, data any) {
 		k.deleteCopyNow(op.vp, op.from)
 	case opCompetitive:
 		k.competitiveNow(op.vp, op.node)
+	case opFail:
+		k.FailNode(op.from)
+	case opResync:
+		k.resyncHop(op.vp, op.pos)
 	}
 }
 
@@ -138,6 +148,7 @@ func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Me
 		st:          st,
 		refCounts:   refs,
 		replicating: repl,
+		fails:       make([]uint64, net.Nodes()),
 	}
 }
 
@@ -230,11 +241,15 @@ func (k *Kernel) Resolve(node mesh.NodeID, vp memory.VPage) (memory.GPage, error
 // after the master) where linking a copy on node adds the least
 // network path length — the kernel "orders the copy-list to minimize
 // the network path length through all the nodes in the list" (§2.3)
-// by nearest insertion.
+// by nearest insertion. The predecessor, the data source, is never a
+// down copy unless every copy is down.
 func (k *Kernel) insertionPoint(list []memory.GPage, node mesh.NodeID) int {
 	bestPos, bestCost := len(list), -1
 	for pos := 1; pos <= len(list); pos++ {
 		pred := list[pos-1].Node
+		if k.cms[pred].Down() {
+			continue
+		}
 		cost := k.net.Hops(pred, node)
 		if pos < len(list) {
 			succ := list[pos].Node

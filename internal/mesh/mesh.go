@@ -109,6 +109,7 @@ type FaultConfig struct {
 	// every message addressed to it (and anything it tries to inject),
 	// its processor halts at its next memory reference, and on restart
 	// it has lost all volatile coherence-manager and page-table state.
+	// The node goes down and back at the barrier after each instant.
 	// Recovery is the kernel's failover protocol (see internal/kernel).
 	// Scripted crashes arm the reliability sublayer like the message
 	// faults above; an empty script leaves every hot path untouched.
@@ -173,8 +174,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: LinkBufFlits requires Base >= 1 (got %d): a NACK bounces back after Base cycles, and the lookahead window shrinks to Base", c.Base)
 	case c.Faults.DelayRate > 0 && c.Faults.DelayMax < 1:
 		return fmt.Errorf("mesh: DelayRate %v requires DelayMax >= 1", c.Faults.DelayRate)
-	case c.Shards > 1 && len(c.Faults.Crashes) > 0:
-		return fmt.Errorf("mesh: crash injection is serial-only (failover rewrites copy-lists and transport state across every node, which no shard owns); run with Shards <= 1")
 	}
 	for _, r := range []struct {
 		name string

@@ -26,9 +26,9 @@ func TestValidateLargeMeshes(t *testing.T) {
 }
 
 // TestValidateShards pins the sharding rules: the count must be
-// non-negative, at most the node count, tile the mesh exactly, and is
-// incompatible with crash scripts (contention, bounded link buffers
-// and tracing are shard-aware — see the equivalence fuzzer). The run
+// non-negative, at most the node count, and tile the mesh exactly
+// (contention, bounded link buffers, crash scripts and tracing are
+// shard-aware — see the equivalence fuzzer). The run
 // loop's lookahead needs a positive minimum link latency at every
 // shard count, and bounded link buffers, whose window is Base, need
 // Base >= 1. Errors must carry enough context to fix the config.
@@ -62,7 +62,7 @@ func TestValidateShards(t *testing.T) {
 		{"crashes", mod(func(c *Config) {
 			c.Shards = 4
 			c.Faults.Crashes = []CrashEvent{{Node: 1, At: 100, Duration: 50}}
-		}), []string{"crash injection is serial-only"}},
+		}), nil},
 		{"zero latency", mod(func(c *Config) { c.Shards = 4; c.Base = 0; c.PerHop = 0 }),
 			[]string{"positive minimum link latency", "conservative lookahead"}},
 		{"zero latency serial", mod(func(c *Config) { c.Base = 0; c.PerHop = 0 }),

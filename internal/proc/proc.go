@@ -187,6 +187,8 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 	}
 	t.readDone = func(w memory.Word) { t.readVal = w; t.opDone() }
 	t.issuedDone = func(slot int) { t.issuedSlot = slot; t.opDone() }
+	prev := p.eng.Lane()
+	p.eng.SetLane(int32(p.node)) // the coroutine's slices run on it
 	t.co = sim.NewCoroutine(p.eng, name, func(*sim.Coroutine) {
 		body(t)
 		// A thread may exit with writes still resting in the combine
@@ -201,6 +203,7 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 		p.current = nil
 		p.dispatchNext()
 	})
+	p.eng.SetLane(prev)
 	p.threads = append(p.threads, t)
 	if o := p.acc(); o != nil {
 		o.Emit(stats.EvAccSpawn, int(p.node), 0, 0, uint64(t.id), 0)
@@ -217,13 +220,11 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 // in SwitchOnSync mode.
 //
 // The wake event is drawn under this processor's own lane, whatever
-// activity called here (machine setup in Spawn, a completion, a wake):
-// a thread's slice inherits its lane from its wake event, so this
-// single choke point guarantees every thread runs
-// — and draws tie-break keys — as its own node's activity, never under
-// the engine-local NoLane counter, which is what keeps per-lane draw
-// sequences identical for every shard count. The caller's lane is
-// restored around the draw.
+// activity called here (machine setup in Spawn, a completion, a wake),
+// never from the engine-local NoLane counter, which differs between
+// shard counts (during a barrier replay the key is the replay's). The
+// slice then runs on the lane the coroutine was created under: its
+// node's (Spawn). The caller's lane is restored around the draw.
 func (p *Proc) dispatch(t *Thread) {
 	p.current = t
 	var cost sim.Cycles
@@ -266,8 +267,8 @@ func (p *Proc) unblock(t *Thread) {
 
 // Pause crashes the processor: nothing dispatches until Resume, and
 // every thread halts at its next memory reference (haltIfDown). The
-// core run loop calls this at a scripted CrashEvent's start, in event
-// context, so no thread is mid-slice.
+// core layer calls this at the barrier after a scripted CrashEvent's
+// start, so no thread is mid-slice.
 func (p *Proc) Pause() { p.down = true }
 
 // Down reports whether the processor is crashed.

@@ -37,6 +37,7 @@ type Coroutine struct {
 	// event loop in place of parking (ParkInline). Its wake event then
 	// clears the flag instead of resuming the body.
 	driving bool
+	lane    int32 // every slice's lane: the engine's at creation
 	label   string
 }
 
@@ -54,9 +55,10 @@ func (p *CoroutinePanic) Error() string {
 }
 
 // NewCoroutine creates a coroutine that will execute body. The body
-// does not run until the first WakeAfter; it is created parked.
+// does not run until the first WakeAfter; it is created parked. Its
+// slices run on the lane current now, whatever key a wake drew.
 func NewCoroutine(eng *Engine, label string, body func(*Coroutine)) *Coroutine {
-	co := &Coroutine{eng: eng, label: label}
+	co := &Coroutine{eng: eng, lane: eng.curLane, label: label}
 	// stop is dropped: a body still parked when its run ends just
 	// stays parked.
 	co.next, _ = iter.Pull(func(yield func(struct{}) bool) {
@@ -98,6 +100,7 @@ func (co *Coroutine) scheduleWake(delay Cycles) {
 // the coroutine and returns when it parks again (or finishes),
 // preserving the single-activity invariant.
 func (co *Coroutine) HandleEvent(int, any) {
+	co.eng.curLane = co.lane
 	// Clear before transferring control: the body may re-arm its own
 	// wake (WaitCycles) during this slice.
 	co.waking = false
@@ -159,7 +162,7 @@ func (co *Coroutine) ParkInline() {
 	}
 	// Our own wake dispatched from our own Step: the body resumes here
 	// with the engine clock at the wake time and curLane already set to
-	// the wake event's lane, exactly as if HandleEvent had resumed us.
+	// our lane, exactly as if HandleEvent had resumed us.
 }
 
 // WaitCycles suspends the coroutine for d cycles of virtual time.

@@ -57,7 +57,8 @@ const NoLane int32 = -1
 
 // BarrierLane is the lane of every key drawn during barrier replay,
 // from one counter the ShardSet owns; it sorts before NoLane. An event
-// keyed under it dispatches as machine-level activity (NoLane).
+// keyed under it dispatches as NoLane until its sink sets its node's
+// lane, as the mesh, coherence managers and coroutines do.
 const BarrierLane int32 = -2
 
 // event is one pending entry, stored by value in the queue's node pool

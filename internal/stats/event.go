@@ -257,7 +257,7 @@ type ObserveConfig struct {
 	WindowStart, WindowEnd sim.Cycles
 	// SampleEvery, when > 0, records a time-series Sample (link
 	// utilization, buffer depth, per-node stall deltas) roughly every
-	// that many cycles: at the first engine dispatch at or after each
+	// that many cycles: at the first lookahead barrier at or after each
 	// period boundary, so sampling never adds events to the schedule.
 	SampleEvery sim.Cycles
 	// EngineEvents records every sim-engine event dispatch
