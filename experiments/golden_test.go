@@ -79,3 +79,7 @@ func TestGoldenFaultCrash(t *testing.T) {
 func TestGoldenKvserve(t *testing.T) {
 	checkGolden(t, "kvserve-sweep.quick", goldenRun(t, "kvserve-sweep", Options{Quick: true}))
 }
+
+func TestGoldenFigure31(t *testing.T) {
+	checkGolden(t, "figure3-1.quick", goldenRun(t, "figure3-1", Options{Quick: true}))
+}

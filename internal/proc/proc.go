@@ -247,8 +247,12 @@ func (p *Proc) dispatchNext() {
 	if p.down || len(p.ready) == 0 {
 		return
 	}
+	// Copy the rest down rather than re-slice: re-slicing walks the
+	// list off its backing array, and the next append reallocates.
 	t := p.ready[0]
-	p.ready = p.ready[1:]
+	n := copy(p.ready, p.ready[1:])
+	p.ready[n] = nil
+	p.ready = p.ready[:n]
 	p.dispatch(t)
 }
 

@@ -251,3 +251,29 @@ func TestThreadMetadata(t *testing.T) {
 		t.Fatal("proc accessors wrong")
 	}
 }
+
+// TestSwitchOnSyncAllocFree pins the SwitchOnSync context switch at
+// zero allocations: two threads on one processor each issue a delayed
+// operation, yield to the other and verify, over and over, so every
+// switch requeues a thread behind the ready list and dispatches the
+// one at its front.
+func TestSwitchOnSyncAllocFree(t *testing.T) {
+	r := newRig(t, 2, 1, SwitchOnSync, 40)
+	vp := r.kern.AllocPage(1)
+	va := vp.Base()
+	for id := 0; id < 2; id++ {
+		r.procs[0].Spawn(id, "t", func(t *Thread) {
+			for {
+				t.Verify(t.Fadd(va, 1))
+			}
+		})
+	}
+	r.eng.RunLimit(2000) // warm-up: coroutine stacks, queue pools
+	avg := testing.AllocsPerRun(20, func() { r.eng.RunLimit(500) })
+	if avg != 0 {
+		t.Fatalf("SwitchOnSync switching allocates %v objects per run, want 0", avg)
+	}
+	if r.st.Nodes[0].CtxSwitches < 100 {
+		t.Fatalf("%d context switches, want the run to keep switching", r.st.Nodes[0].CtxSwitches)
+	}
+}

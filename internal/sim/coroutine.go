@@ -147,20 +147,20 @@ func (co *Coroutine) ParkInline() {
 	e := co.eng
 	co.driving = true
 	for co.driving {
-		ev := e.q.peek()
-		if ev == nil || ev.at > e.horizon {
+		at, h := e.q.head()
+		if h < 0 || at > e.horizon {
 			co.driving = false
 			co.Park()
 			return
 		}
-		if next, ok := ev.sink.(*Coroutine); ok && next != co {
+		if next, ok := e.q.sink(h).(*Coroutine); ok && next != co {
 			co.driving = false
 			co.Park()
 			return
 		}
-		e.Step()
+		e.run(at, h)
 	}
-	// Our own wake dispatched from our own Step: the body resumes here
+	// Our own wake dispatched from our own loop: the body resumes here
 	// with the engine clock at the wake time and curLane already set to
 	// our lane, exactly as if HandleEvent had resumed us.
 }

@@ -32,7 +32,8 @@
 // event is identical whether the simulation runs on one event queue or
 // on many shard queues exchanging cross-shard events at lookahead
 // barriers. That property is what makes the sharded engine (shards.go)
-// byte-identical to the serial one.
+// byte-identical to the serial one. The queue compares the pair as one
+// packed word (tieOf).
 package sim
 
 import "fmt"
@@ -61,16 +62,56 @@ const NoLane int32 = -1
 // lane, as the mesh, coherence managers and coroutines do.
 const BarrierLane int32 = -2
 
-// event is one pending entry, stored by value in the queue's node pool
-// or overflow heap: scheduling allocates no per-event node. Events
-// compare by (at, lane, seq) (event.before): same-time events from
+// A tie-break key packs (lane, seq) into one word: lane−BarrierLane
+// in the top 16 bits, seq in the low 48. Comparing two such words
+// compares lane first and seq second, the (lane, seq) order, in one
+// integer comparison, which is what the queue's slot walk, its heap and
+// the barrier's Defer merge do on every step. A machine's lanes run
+// from BarrierLane to its largest node (4095 at mesh.MaxNodes), far
+// inside the 16-bit field, and a lane would have to draw 2^48 keys to
+// run out of sequence numbers; tieOf panics on anything outside.
+const (
+	seqBits = 48
+	maxSeq  = 1<<seqBits - 1
+	maxLane = BarrierLane + 1<<(64-seqBits) - 1
+)
+
+// tieOf packs (lane, seq) into a tie-break word.
+func tieOf(lane int32, seq uint64) uint64 {
+	l := uint64(uint32(lane - BarrierLane))
+	if l>>(64-seqBits)|seq>>seqBits != 0 {
+		panic(badTie{lane, seq})
+	}
+	return l<<seqBits | seq
+}
+
+// badTie is tieOf's panic value, a key it cannot pack. (A formatted
+// string built in tieOf would keep tieOf from inlining.)
+type badTie struct {
+	lane int32
+	seq  uint64
+}
+
+func (b badTie) Error() string {
+	return fmt.Sprintf("sim: tie-break key (lane %d, seq %d) outside the packed range", b.lane, b.seq)
+}
+
+// laneOf returns the lane a tie-break word packs.
+func laneOf(tie uint64) int32 { return int32(tie>>seqBits) + BarrierLane }
+
+// seqOf returns the sequence number a tie-break word packs.
+func seqOf(tie uint64) uint64 { return tie & maxSeq }
+
+// event is one overflow-heap entry, stored by value: scheduling
+// allocates no per-event node. (A wheel event is split over the
+// queue's link and payload pools and needs no time of its own.)
+// Events compare by (at, tie) (event.before): same-time events from
 // different lanes order by lane, same-lane events by their lane's draw
 // order.
 type event struct {
 	at   Cycles
-	lane int32
-	kind int32 // beside lane, so an event is 56 bytes and a wheel node 64
-	seq  uint64
+	tie  uint64
+	kind int32
 	sink EventSink
 	data any
 }
@@ -86,7 +127,7 @@ func (funcSink) HandleEvent(_ int, data any) { data.(func())() }
 type Engine struct {
 	now Cycles
 	// curLane is the lane of the activity currently executing: set by
-	// Step from each dispatched event (NoLane for one keyed under
+	// each dispatch from its event (NoLane for one keyed under
 	// BarrierLane) and left in place afterwards, so a coroutine slice
 	// that keeps running after an inline-driven resume still schedules
 	// under its own lane. Events scheduled during an activity inherit
@@ -95,7 +136,7 @@ type Engine struct {
 	// laneSeq holds one monotone draw counter per lane, indexed by
 	// lane+1 (so NoLane lands on index 0). Grown on demand.
 	laneSeq []uint64
-	// q holds the pending events in (at, lane, seq) order.
+	// q holds the pending events in (at, tie) order.
 	q queue
 	// processed counts executed events, for diagnostics and runaway
 	// detection in tests.
@@ -111,7 +152,7 @@ type Engine struct {
 	horizon Cycles
 	// onEvent, when set, observes every dispatched event (at, kind)
 	// just before its sink runs — the observability layer's engine
-	// probe. Nil (one comparison per Step) when tracing is off.
+	// probe. Nil (one comparison per dispatch) when tracing is off.
 	onEvent func(at Cycles, kind int)
 	// cur is the queue key of the event currently dispatching. Keys are
 	// unique across all engines of a sharded run, so filing deferred
@@ -128,22 +169,13 @@ type Engine struct {
 	replaySeq *uint64
 }
 
-// key is an event's queue key (at, lane, seq).
+// key is an event's queue key: its time and packed tie-break.
 type key struct {
-	at   Cycles
-	lane int32
-	seq  uint64
+	at  Cycles
+	tie uint64
 }
 
-func (a key) less(b key) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	return a.seq < b.seq
-}
+func (a key) less(b key) bool { return a.at < b.at || a.at == b.at && a.tie < b.tie }
 
 // deferredCall is one Defer postponed to the next barrier, filed under
 // the key of the dispatch that requested it.
@@ -244,8 +276,7 @@ func (e *Engine) ScheduleEventAt(at Cycles, sink EventSink, kind int, data any) 
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
 	}
-	lane, seq := e.DrawKey()
-	e.q.push(event{at: at, lane: lane, seq: seq, kind: int32(kind), sink: sink, data: data}, e.now)
+	e.q.push(at, e.drawTie(), sink, int32(kind), data, e.now)
 }
 
 // DrawKey draws the tie-break key the next scheduling by the current
@@ -255,18 +286,24 @@ func (e *Engine) ScheduleEventAt(at Cycles, sink EventSink, kind int, data any) 
 // exactly the key it would have had on a single shared queue. During
 // barrier replay the key is BarrierLane's, alike for every shard count.
 func (e *Engine) DrawKey() (lane int32, seq uint64) {
+	tie := e.drawTie()
+	return laneOf(tie), seqOf(tie)
+}
+
+// drawTie is DrawKey, packed.
+func (e *Engine) drawTie() uint64 {
 	if e.replaySeq != nil {
-		seq = *e.replaySeq
+		seq := *e.replaySeq
 		*e.replaySeq++
-		return BarrierLane, seq
+		return tieOf(BarrierLane, seq)
 	}
 	idx := int(e.curLane) + 1
 	for idx >= len(e.laneSeq) {
 		e.laneSeq = append(e.laneSeq, 0)
 	}
-	seq = e.laneSeq[idx]
+	seq := e.laneSeq[idx]
 	e.laneSeq[idx]++
-	return e.curLane, seq
+	return tieOf(e.curLane, seq)
 }
 
 // InjectEventAt enqueues an event carrying an explicit tie-break key
@@ -276,40 +313,46 @@ func (e *Engine) DrawKey() (lane int32, seq uint64) {
 // cross-shard event is sent at least one window before it is due, and
 // the receiving shard stopped at the window's end, so at ≥ now. The
 // queue depends on that bound (its wheel holds only events in
-// [now, now+wheelSize)); an event in the past panics.
+// [now, now+wheelSize)); an event in the past panics, and so does a
+// key outside the packed range (tieOf).
 func (e *Engine) InjectEventAt(at Cycles, lane int32, seq uint64, sink EventSink, kind int, data any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: inject at %d before now %d", at, e.now))
 	}
-	e.q.push(event{at: at, lane: lane, seq: seq, kind: int32(kind), sink: sink, data: data}, e.now)
+	e.q.push(at, tieOf(lane, seq), sink, int32(kind), data, e.now)
 }
 
 // NextEventAt returns the time of the earliest pending event, or
 // ok=false when the queue is empty.
 func (e *Engine) NextEventAt() (at Cycles, ok bool) {
-	if ev := e.q.peek(); ev != nil {
-		return ev.at, true
-	}
-	return 0, false
+	at, h := e.q.head()
+	return at, h >= 0
 }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if no events remain.
 func (e *Engine) Step() bool {
-	if e.q.len() == 0 {
+	at, h := e.q.head()
+	if h < 0 {
 		return false
 	}
-	ev := e.q.pop()
-	e.now = ev.at
-	e.lastAct = ev.at
-	e.curLane = max(ev.lane, NoLane)
-	e.cur = key{ev.at, ev.lane, ev.seq}
+	e.run(at, h)
+	return true
+}
+
+// run dispatches the event at queue handle h, due at at: both from
+// the one head lookup its caller made.
+func (e *Engine) run(at Cycles, h int32) {
+	tie, sink, kind, data := e.q.take(at, h)
+	e.now = at
+	e.lastAct = at
+	e.curLane = max(laneOf(tie), NoLane)
+	e.cur = key{at, tie}
 	e.processed++
 	if e.onEvent != nil {
-		e.onEvent(ev.at, int(ev.kind))
+		e.onEvent(at, int(kind))
 	}
-	ev.sink.HandleEvent(int(ev.kind), ev.data)
-	return true
+	sink.HandleEvent(int(kind), data)
 }
 
 // Run executes events until none remain.
@@ -323,8 +366,8 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Cycles) {
 	prev := e.horizon
 	e.horizon = t
-	for ev := e.q.peek(); ev != nil && ev.at <= t; ev = e.q.peek() {
-		e.Step()
+	for at, h := e.q.head(); h >= 0 && at <= t; at, h = e.q.head() {
+		e.run(at, h)
 	}
 	e.horizon = prev
 	if e.now < t {

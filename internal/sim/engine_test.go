@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -197,78 +199,140 @@ func TestEngineDeterminism(t *testing.T) {
 // dispatched returns the key of the event e is dispatching.
 func dispatched(e *Engine) key { return e.cur }
 
-// TestEngineQueueOrderDifferential checks the queue against a plain
-// reference: every dispatch must be the smallest (at, lane, seq) key
-// among the events pending at that moment. Random schedules mix
-// ScheduleEventAt (keys drawn from the engine's lane counters, mirrored
-// here) with InjectEventAt (explicit keys), on lanes including NoLane,
-// with delays of 0, wheelSize-1, wheelSize and up to 4·wheelSize, so
-// events cross between the wheel and the overflow heap and the wheel
-// wraps many times. Handlers schedule more events, zero-delay ones
-// included (an injected key can sort before the dispatch that made it),
-// and RunUntil horizons drag the clock past empty stretches.
+// keyOf returns the queue key of an event at at keyed (lane, seq).
+func keyOf(at Cycles, lane int32, seq uint64) key { return key{at, tieOf(lane, seq)} }
+
+func (k key) String() string {
+	return fmt.Sprintf("{at:%d lane:%d seq:%d}", k.at, laneOf(k.tie), seqOf(k.tie))
+}
+
+// ref is the queue model's view of a pending event: its key
+// unpacked, ordered field by field with no help from the engine.
+type ref struct {
+	at   Cycles
+	lane int32
+	seq  uint64
+}
+
+func (a ref) cmp(b ref) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.lane, b.lane), cmp.Compare(a.seq, b.seq))
+}
+
+func (a ref) key() key { return keyOf(a.at, a.lane, a.seq) }
+
+// TestEngineQueueOrderDifferential checks the queue against a model:
+// every dispatch must be the smallest (at, lane, seq) among the events
+// pending at that moment, compared as three separate fields. Random
+// schedules mix ScheduleEventAt (keys drawn from the engine's lane
+// counters, mirrored here) with InjectEventAt (foreign keys), on lanes
+// from BarrierLane (injected only: no activity draws under it) through
+// NoLane and 0 to 4095, the largest node of a 64×64 mesh. Delays are 0,
+// wheelSize-1, wheelSize and up to 4·wheelSize, so events cross
+// between the wheel and the overflow heap and the wheel wraps many
+// times. Handlers schedule more events, zero-delay ones included,
+// which join the cycle being drained (an injected key can sort before
+// the dispatch that made it), and RunUntil horizons drag the clock
+// past empty stretches. At every dispatch, key.less and event.before
+// must agree with the model's order on a pair of pending events.
 func TestEngineQueueOrderDifferential(t *testing.T) {
+	lanes := []int32{NoLane, 0, 1, 2, 3, 5, 8, 13, 255, 4095}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		var pending []key
+		var pending []ref
 		draws := map[int32]uint64{}
 		injSeq := uint64(1) << 40 // above every drawn seq, so keys stay unique
-		scheduled, fired, wrapped := 0, 0, false
+		scheduled, fired := 0, 0
+		// seen counts what the run covered: dispatches on lanes -2 and
+		// 4095, injections, zero-delay pushes made mid-cycle, pushes at
+		// the wheel's edge and beyond, and wraps.
+		seen := map[string]int{}
 		delay := func() Cycles {
 			switch rng.Intn(8) {
 			case 0:
 				return 0
 			case 1:
+				seen["delay wheelSize-1"]++
 				return wheelSize - 1
 			case 2:
+				seen["delay wheelSize"]++
 				return wheelSize
 			case 3:
-				return Cycles(rng.Intn(4*wheelSize + 1))
+				d := Cycles(rng.Intn(4*wheelSize + 1))
+				if d > wheelSize {
+					seen["delay beyond wheelSize"]++
+				}
+				return d
 			default:
 				return Cycles(rng.Intn(64))
 			}
 		}
 		var fire func()
-		schedule := func() {
+		schedule := func(inCycle bool) {
 			if scheduled == 4000 {
 				return
 			}
 			scheduled++
-			at := e.Now() + delay()
-			lane := int32(rng.Intn(17)) - 1
+			d := delay()
+			if d == 0 && inCycle {
+				seen["zero-delay push mid-cycle"]++
+			}
+			at := e.Now() + d
 			if rng.Intn(3) == 0 {
+				lane := lanes[rng.Intn(len(lanes))]
+				if rng.Intn(4) == 0 {
+					lane = BarrierLane
+				}
 				e.InjectEventAt(at, lane, injSeq, funcSink{}, 0, fire)
-				pending = append(pending, key{at, lane, injSeq})
+				pending = append(pending, ref{at, lane, injSeq})
 				injSeq++
+				seen["injected"]++
 				return
 			}
+			lane := lanes[rng.Intn(len(lanes))]
 			e.SetLane(lane)
 			e.ScheduleEventAt(at, funcSink{}, 0, fire)
-			pending = append(pending, key{at, lane, draws[lane]})
+			pending = append(pending, ref{at, lane, draws[lane]})
 			draws[lane]++
 		}
 		fire = func() {
 			got := dispatched(e)
 			least := 0
 			for i := range pending {
-				if pending[i].less(pending[least]) {
+				if pending[i].cmp(pending[least]) < 0 {
 					least = i
 				}
 			}
-			if want := pending[least]; got != want || got.at != e.Now() {
-				t.Fatalf("seed %d dispatch %d: got %+v at now %d, want %+v", seed, fired, got, e.Now(), want)
+			if want := pending[least]; got != want.key() || got.at != e.Now() {
+				t.Fatalf("seed %d dispatch %d: got %v at now %d, want %+v", seed, fired, got, e.Now(), want)
+			}
+			switch laneOf(got.tie) {
+			case BarrierLane:
+				seen["lane -2 dispatched"]++
+			case 4095:
+				seen["lane 4095 dispatched"]++
+			}
+			if got.at >= 8*wheelSize {
+				seen["wheel wrapped"]++
 			}
 			pending[least] = pending[len(pending)-1]
 			pending = pending[:len(pending)-1]
 			fired++
-			wrapped = wrapped || got.at >= 8*wheelSize
+			if len(pending) > 1 {
+				a, b := pending[rng.Intn(len(pending))], pending[rng.Intn(len(pending))]
+				ka, kb := a.key(), b.key()
+				ea, eb := event{at: ka.at, tie: ka.tie}, event{at: kb.at, tie: kb.tie}
+				if ka.less(kb) != (a.cmp(b) < 0) || ea.before(&eb) != (a.cmp(b) < 0) {
+					t.Fatalf("seed %d: %+v vs %+v: key.less %v, event.before %v, model %d",
+						seed, a, b, ka.less(kb), ea.before(&eb), a.cmp(b))
+				}
+			}
 			for n := rng.Intn(3); n > 0; n-- {
-				schedule()
+				schedule(true)
 			}
 		}
 		for i := 0; i < 64; i++ {
-			schedule()
+			schedule(false)
 		}
 		for e.Pending() > 0 {
 			if rng.Intn(2) == 0 {
@@ -285,15 +349,72 @@ func TestEngineQueueOrderDifferential(t *testing.T) {
 					}
 				}
 				for n := rng.Intn(4); n > 0; n-- {
-					schedule()
+					schedule(false)
 				}
 			}
 			if e.Pending() != len(pending) {
-				t.Fatalf("seed %d: Pending() = %d, reference holds %d", seed, e.Pending(), len(pending))
+				t.Fatalf("seed %d: Pending() = %d, model holds %d", seed, e.Pending(), len(pending))
 			}
 		}
-		if fired != scheduled || !wrapped {
-			t.Fatalf("seed %d: fired %d of %d scheduled events (wrapped the wheel: %v)", seed, fired, scheduled, wrapped)
+		if fired != scheduled {
+			t.Fatalf("seed %d: fired %d of %d scheduled events", seed, fired, scheduled)
+		}
+		for _, what := range []string{"lane -2 dispatched", "lane 4095 dispatched", "injected",
+			"zero-delay push mid-cycle", "delay wheelSize-1", "delay wheelSize",
+			"delay beyond wheelSize", "wheel wrapped"} {
+			if seen[what] == 0 {
+				t.Fatalf("seed %d: the run never covered %q", seed, what)
+			}
 		}
 	}
+}
+
+// TestTieKeyRange pins the packed tie-break key's range: lanes from
+// BarrierLane up to maxLane and sequence numbers up to maxSeq pack and
+// unpack unchanged, and a key outside that range panics, whether
+// injected or drawn from a lane's counter (set near its end here
+// rather than counted up to it).
+func TestTieKeyRange(t *testing.T) {
+	for _, lane := range []int32{BarrierLane, NoLane, 0, 4095, maxLane} {
+		for _, seq := range []uint64{0, 1, maxSeq} {
+			if tie := tieOf(lane, seq); laneOf(tie) != lane || seqOf(tie) != seq {
+				t.Fatalf("tieOf(%d, %d) unpacks to (%d, %d)", lane, seq, laneOf(tie), seqOf(tie))
+			}
+		}
+	}
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if _, ok := recover().(badTie); !ok {
+				t.Fatalf("%s did not panic with badTie", what)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	for _, k := range []struct {
+		lane int32
+		seq  uint64
+	}{{BarrierLane - 1, 0}, {maxLane + 1, 0}, {-1 << 31, 0}, {0, maxSeq + 1}, {0, 1 << 63}} {
+		panics(fmt.Sprintf("InjectEventAt lane %d seq %d", k.lane, k.seq), func() {
+			e.InjectEventAt(1, k.lane, k.seq, funcSink{}, 0, func() {})
+		})
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued by panicking injections", e.Pending())
+	}
+
+	e.SetLane(7)
+	e.DrawKey() // grows the lane's counter
+	e.laneSeq[7+1] = maxSeq
+	if lane, seq := e.DrawKey(); lane != 7 || seq != maxSeq {
+		t.Fatalf("drew (%d, %d), want (7, %d)", lane, seq, uint64(maxSeq))
+	}
+	panics("a drawn seq past maxSeq", func() { e.ScheduleEvent(1, funcSink{}, 0, func() {}) })
+	e.SetLane(maxLane + 1)
+	panics("a draw on a lane past maxLane", func() { e.DrawKey() })
+
+	replay := uint64(maxSeq + 1)
+	e.replaySeq = &replay
+	panics("a replay key past maxSeq", func() { e.DrawKey() })
 }

@@ -320,10 +320,12 @@ func (b *barrier) wake(i int) bool {
 // run, each engine's next dispatch was already queued (scheduled by
 // earlier activity on its own engine; cross-engine scheduling happens
 // only at barriers), so one engine's next pop is the smallest head.
-// Heads of different engines never tie, since each lane's counter
-// lives on one engine. No engine is in a round, so anything a replayed
-// call defers in turn runs at once, and every engine draws its keys
-// from replaySeq. pos is scratch space, one slot per engine. A
+// The merge takes each winner's calls in runs, up to the first that
+// sorts after another engine's head. Heads of different engines never
+// tie, since each lane's counter lives on one engine. No engine is in
+// a round, so anything a replayed call defers in turn runs at once
+// (the logs stay as they are), and every engine draws its keys from
+// replaySeq. pos is scratch space, one slot per engine. A
 // barrier with nothing to replay returns at once, without reading the
 // host clock.
 func (s *ShardSet) runDeferred(pos []int) {
@@ -340,19 +342,39 @@ func (s *ShardSet) runDeferred(pos []int) {
 	}
 	clear(pos)
 	for {
-		var best *deferredCall
+		// The engine with the smallest head wins, and keeps winning
+		// for as long as its next call's key beats the runner-up head:
+		// each call the run takes is one the head merge would have
+		// picked. With one engine the whole log is one run.
 		bi := -1
+		var best, runnerUp *key
 		for i, e := range s.Engines {
-			if pos[i] < len(e.deferred) && (best == nil || e.deferred[pos[i]].at.less(best.at)) {
-				best, bi = &e.deferred[pos[i]], i
+			if pos[i] == len(e.deferred) {
+				continue
+			}
+			k := &e.deferred[pos[i]].at
+			switch {
+			case best == nil || k.less(*best):
+				best, runnerUp, bi = k, best, i
+			case runnerUp == nil || k.less(*runnerUp):
+				runnerUp = k
 			}
 		}
 		if best == nil {
 			break
 		}
-		pos[bi]++
-		s.Stats.Replayed++
-		best.sink.HandleEvent(best.kind, best.data)
+		log := s.Engines[bi].deferred
+		i := pos[bi]
+		for {
+			c := &log[i]
+			i++
+			s.Stats.Replayed++
+			c.sink.HandleEvent(c.kind, c.data)
+			if i == len(log) || runnerUp != nil && runnerUp.less(log[i].at) {
+				break
+			}
+		}
+		pos[bi] = i
 	}
 	for _, e := range s.Engines {
 		e.replaySeq = nil

@@ -174,8 +174,8 @@ func TestShardSetReplayKeys(t *testing.T) {
 	// call (filed at 3) before a's (at 5): b's event draws 0, then a's
 	// 1 and b's 2, all due at 34. The round from 60 ends at 71, and its
 	// barrier draws 3 for a's event at 91.
-	wantA := []key{{34, BarrierLane, 1}, {91, BarrierLane, 3}}
-	wantB := []key{{34, BarrierLane, 0}, {34, BarrierLane, 2}}
+	wantA := []key{keyOf(34, BarrierLane, 1), keyOf(91, BarrierLane, 3)}
+	wantB := []key{keyOf(34, BarrierLane, 0), keyOf(34, BarrierLane, 2)}
 	if !slices.Equal(got[0], wantA) || !slices.Equal(got[1], wantB) {
 		t.Fatalf("engines dispatched %+v and %+v, want %+v and %+v", got[0], got[1], wantA, wantB)
 	}
@@ -277,16 +277,16 @@ func TestShardSetInjectOrder(t *testing.T) {
 	}
 	var sent []mail
 	a.Schedule(5, func() {
-		sent = append(sent, mail{key{near, 3, 100}, false}, mail{key{far, 2, 101}, true})
+		sent = append(sent, mail{keyOf(near, 3, 100), false}, mail{keyOf(far, 2, 101), true})
 	})
-	a.Schedule(far-100, func() { sent = append(sent, mail{key{far, 3, 102}, false}) })
+	a.Schedule(far-100, func() { sent = append(sent, mail{keyOf(far, 3, 102), false}) })
 	ss := &ShardSet{
 		Engines: []*Engine{a, b},
 		Window:  12,
 		Drain: func() int {
 			for _, m := range sent {
 				before := len(b.q.overflow)
-				b.InjectEventAt(m.at, m.lane, m.seq, funcSink{}, 0, record)
+				b.InjectEventAt(m.at, laneOf(m.tie), seqOf(m.tie), funcSink{}, 0, record)
 				if landed := len(b.q.overflow) > before; landed != m.overflow {
 					t.Fatalf("%+v injected at now %d: in overflow %v, want %v", m.key, b.Now(), landed, m.overflow)
 				}
@@ -298,8 +298,8 @@ func TestShardSetInjectOrder(t *testing.T) {
 	}
 	ss.Run()
 	want := []key{
-		{near, 1, 0}, {near, 3, 100}, {near, 5, 0},
-		{far, 0, 0}, {far, 2, 101}, {far, 3, 102}, {far, 4, 0},
+		keyOf(near, 1, 0), keyOf(near, 3, 100), keyOf(near, 5, 0),
+		keyOf(far, 0, 0), keyOf(far, 2, 101), keyOf(far, 3, 102), keyOf(far, 4, 0),
 	}
 	if len(got) != len(want) {
 		t.Fatalf("dispatched %+v, want %+v", got, want)
@@ -400,7 +400,7 @@ func (n *ringNode) HandleEvent(kind int, _ any) {
 	src := r.owner[n.id]
 	e := r.engines[src]
 	k := dispatched(e)
-	n.state = n.state*1000003 + uint64(k.at)*31 + k.seq
+	n.state = n.state*1000003 + uint64(k.at)*31 + seqOf(k.tie)
 	r.log[src] = append(r.log[src], ringRecord{k, n.id, n.state})
 	if kind == 1 {
 		return
