@@ -66,7 +66,10 @@ trace-equiv:
 # pins every contended link reservation and wait; ext-linkbuf's JSON
 # the NACKs that bounded link buffers decide; fault-crash the crash
 # and failover sweeps; the invalidate, pending-writes and batching
-# ablations the write-invalidate, pending-depth and combining paths.
+# ablations the write-invalidate, pending-depth and combining paths;
+# the competitive ablation and ext-placement the per-page reference
+# counters (the only sweeps that cross the competitive threshold or
+# read the remote-reference profile).
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
 # search's delayed ops and context switches.
@@ -83,13 +86,14 @@ parent-equiv:
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
 		for x in ext-linkbuf fault-crash ablation-invalidate \
-			ablation-pending-writes ablation-batching figure3-1; do \
+			ablation-pending-writes ablation-batching ablation-competitive \
+			ext-placement figure3-1; do \
 			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
 		done; \
 	done; \
 	for f in kv.json kv.txt f21.json f21.txt ext-linkbuf.json fault-crash.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
-		figure3-1.json; do \
+		ablation-competitive.json ext-placement.json figure3-1.json; do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \
 	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"

@@ -13,6 +13,7 @@ package sssp
 
 import (
 	"fmt"
+	"slices"
 
 	"plus/internal/core"
 	"plus/internal/memory"
@@ -202,6 +203,9 @@ type workspace struct {
 	// only its own slot, so the tally stays race-free when processors
 	// run on different shards. Summed for Result.Relaxations.
 	relaxations []uint64
+
+	// near caches nearest's answer per home.
+	near [][]mesh.NodeID
 }
 
 func (w *workspace) owner(v int32) int {
@@ -265,7 +269,7 @@ func newWorkspace(m *core.Machine, g *Graph, cfg Config) *workspace {
 			for i := 0; i < pages; i++ {
 				va := base + memory.VAddr(i*memory.PageWords)
 				home := w.m.Kernel().CopyList(va.Page())[0].Node
-				for _, n := range w.nearest(home, cfg.Copies-1) {
+				for _, n := range w.nearest(home) {
 					m.Replicate(va, n)
 				}
 			}
@@ -280,7 +284,7 @@ func newWorkspace(m *core.Machine, g *Graph, cfg Config) *workspace {
 			}
 			// Replicating processor p's queues onto its neighbours
 			// shares them: those nodes may now extract p's work.
-			for _, n := range w.nearest(mesh.NodeID(p), cfg.Copies-1) {
+			for _, n := range w.nearest(mesh.NodeID(p)) {
 				w.visible[int(n)] = append(w.visible[int(n)], p)
 			}
 		}
@@ -319,33 +323,36 @@ func (w *workspace) pageHomes(words int, ownerOf func(word int) int) []mesh.Node
 	return homes
 }
 
-// nearest returns the k participating nodes nearest to home (excluding
-// home), deterministic order.
-func (w *workspace) nearest(home mesh.NodeID, k int) []mesh.NodeID {
-	type cand struct {
-		n mesh.NodeID
-		h int
+// nearest returns the Copies-1 participating nodes nearest to home
+// (excluding home). Each home's list is computed once per workspace
+// and shared by every page it homes.
+func (w *workspace) nearest(home mesh.NodeID) []mesh.NodeID {
+	if w.near == nil {
+		w.near = make([][]mesh.NodeID, w.cfg.Procs)
 	}
-	var cs []cand
-	for p := 0; p < w.cfg.Procs; p++ {
+	if w.near[home] == nil {
+		w.near[home] = nearestK(w.cfg.Procs, w.cfg.Copies-1, home, w.m.Mesh().Hops)
+	}
+	return w.near[home]
+}
+
+// nearestK returns the k participating nodes nearest to home
+// (excluding home), by hop count, ties by node id.
+func nearestK(procs, k int, home mesh.NodeID, hops func(a, b mesh.NodeID) int) []mesh.NodeID {
+	out := make([]mesh.NodeID, 0, k)
+	for p := range procs {
 		n := mesh.NodeID(p)
 		if n == home {
 			continue
 		}
-		cs = append(cs, cand{n, w.m.Mesh().Hops(home, n)})
-	}
-	// Insertion sort by (hops, id): small and deterministic.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && (cs[j].h < cs[j-1].h || (cs[j].h == cs[j-1].h && cs[j].n < cs[j-1].n)); j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
+		// Ids ascend, so n goes after every kept node as near as it.
+		h, i := hops(home, n), len(out)
+		for i > 0 && hops(home, out[i-1]) > h {
+			i--
 		}
-	}
-	if k > len(cs) {
-		k = len(cs)
-	}
-	out := make([]mesh.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = cs[i].n
+		if i < k {
+			out = slices.Insert(out[:min(len(out), k-1)], i, n)
+		}
 	}
 	return out
 }

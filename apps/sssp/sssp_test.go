@@ -1,8 +1,12 @@
 package sssp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"plus/internal/mesh"
+	"plus/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -151,5 +155,51 @@ func TestReplicationImprovesRuntime(t *testing.T) {
 	}
 	if r4.Elapsed >= r1.Elapsed {
 		t.Fatalf("replication did not help: %d >= %d cycles", r4.Elapsed, r1.Elapsed)
+	}
+}
+
+// insertionNearest is the order nearest used to compute afresh on
+// every call: an insertion sort of the other participating nodes by
+// (hops, id).
+func insertionNearest(procs int, home mesh.NodeID, hops func(a, b mesh.NodeID) int) []mesh.NodeID {
+	type cand struct {
+		n mesh.NodeID
+		h int
+	}
+	var cs []cand
+	for p := 0; p < procs; p++ {
+		n := mesh.NodeID(p)
+		if n == home {
+			continue
+		}
+		cs = append(cs, cand{n, hops(home, n)})
+	}
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && (cs[j].h < cs[j-1].h || (cs[j].h == cs[j-1].h && cs[j].n < cs[j-1].n)); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
+		}
+	}
+	out := make([]mesh.NodeID, len(cs))
+	for i, c := range cs {
+		out[i] = c.n
+	}
+	return out
+}
+
+// TestNearestMatchesInsertionSort pins nearestK against the insertion
+// sort it replaced, for every home of a square mesh with every node
+// participating and of a non-square one with only some, at the
+// replication fan-outs Figure 2-1 uses and at the whole order.
+func TestNearestMatchesInsertionSort(t *testing.T) {
+	for _, c := range []struct{ w, h, procs int }{{16, 16, 256}, {12, 5, 47}} {
+		m := mesh.New(sim.NewEngine(), mesh.Config{Width: c.w, Height: c.h, Base: 24, PerHop: 4})
+		for home := mesh.NodeID(0); int(home) < c.procs; home++ {
+			want := insertionNearest(c.procs, home, m.Hops)
+			for _, k := range []int{1, 2, 3, 7, c.procs - 1} {
+				if got := nearestK(c.procs, k, home, m.Hops); !slices.Equal(got, want[:k]) {
+					t.Fatalf("%dx%d procs %d home %d k %d: %v, want %v", c.w, c.h, c.procs, home, k, got, want[:k])
+				}
+			}
+		}
 	}
 }

@@ -596,7 +596,9 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 		pid = cm.allocPending(g)
 	}
 	cm.slotGen++
-	cm.slots[slot] = dslot{busy: true, op: uint8(op), g: g, operand: operand, pid: pid, gen: cm.slotGen}
+	s := &cm.slots[slot]
+	*s = dslot{} // zeroed in place, then set field by field
+	s.busy, s.op, s.g, s.operand, s.pid, s.gen = true, uint8(op), g, operand, pid, cm.slotGen
 	cm.node().RMWIssued++
 	// Local/remote accounting mirrors writes: a mutating RMW is local
 	// only when it completes entirely in local memory. Delayed-read
@@ -625,7 +627,6 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 	if o := cm.obs(); o != nil {
 		m.Cause = o.CauseFor(int(cm.self))
 		cm.lastCause = m.Cause
-		s := &cm.slots[slot]
 		s.issuedAt, s.cause, s.acause = cm.eng.Now(), m.Cause, m.Cause
 		o.Emit(stats.EvRMWIssue, int(cm.self), uint8(op), m.Cause, packAddr(g), uint64(operand))
 	}

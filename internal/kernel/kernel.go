@@ -42,16 +42,10 @@ type Kernel struct {
 	// Competitive replication (§2.4): per-(node, page) remote reference
 	// counters maintained by hardware; when one overflows the
 	// threshold, the kernel replicates the page onto that node. The
-	// counters are held per referencing node — each node's counter map is
-	// written only by that node's own references, so under sharding every
-	// map stays on its owner's shard and NoteRemoteRef never races.
+	// counters and in-flight marks live in the referencing node's
+	// mmu.Table, written only from that node's shard, so NoteRemoteRef
+	// never races.
 	threshold uint64
-	refCounts []map[memory.VPage]uint64
-	// replicating[node] marks pages with a competitive replication in
-	// flight toward that node. Per-node maps: each is written only by
-	// its node's own triggers and completions, so under sharding every
-	// map stays on its owner's shard.
-	replicating []map[memory.VPage]bool
 	// Replications counts competitive replications triggered. Mutated
 	// only with the machine quiescent (inline in serial runs, at
 	// lookahead barriers in sharded ones).
@@ -132,23 +126,15 @@ func (k *Kernel) HandleEvent(kind int, data any) {
 
 // New assembles the kernel over the machine's nodes.
 func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, tm timing.Timing, st *stats.Machine) *Kernel {
-	refs := make([]map[memory.VPage]uint64, net.Nodes())
-	repl := make([]map[memory.VPage]bool, net.Nodes())
-	for i := range refs {
-		refs[i] = make(map[memory.VPage]uint64)
-		repl[i] = make(map[memory.VPage]bool)
-	}
 	return &Kernel{
-		eng:         eng,
-		net:         net,
-		cms:         cms,
-		mems:        mems,
-		tables:      tables,
-		tm:          tm,
-		st:          st,
-		refCounts:   refs,
-		replicating: repl,
-		fails:       make([]uint64, net.Nodes()),
+		eng:    eng,
+		net:    net,
+		cms:    cms,
+		mems:   mems,
+		tables: tables,
+		tm:     tm,
+		st:     st,
+		fails:  make([]uint64, net.Nodes()),
 	}
 }
 
@@ -433,16 +419,16 @@ func (k *Kernel) Migrate(vp memory.VPage, from, to mesh.NodeID) {
 // the competitive algorithm of [5]: once the cumulative cost of remote
 // references exceeds the cost of creating a copy, create it.
 func (k *Kernel) NoteRemoteRef(node mesh.NodeID, vp memory.VPage) {
-	refs := k.refCounts[node]
-	refs[vp]++
+	tbl := k.tables[node]
+	refs, replicating := tbl.CountRef(vp)
 	if k.threshold == 0 {
 		return
 	}
-	if refs[vp] >= k.threshold && !k.replicating[node][vp] && !k.HasCopy(vp, node) {
+	if refs >= k.threshold && !replicating && !k.HasCopy(vp, node) {
 		// The guard is node-local state, set at the trigger so repeated
 		// references this round don't re-trigger; the splice itself (and
 		// the machine-wide Replications tally) waits for quiescence.
-		k.replicating[node][vp] = true
+		tbl.StartReplication(vp)
 		k.deferOp(opCompetitive, pageOp{vp: vp, node: node})
 	}
 }
@@ -451,11 +437,9 @@ func (k *Kernel) NoteRemoteRef(node mesh.NodeID, vp memory.VPage) {
 // machine quiescent: at the lookahead barrier after the trigger.
 func (k *Kernel) competitiveNow(vp memory.VPage, node mesh.NodeID) {
 	k.Replications++
-	refs := k.refCounts[node]
 	k.replicateBG(vp, node, func() {
 		// Fires on node's own shard when the bulk copy lands there.
-		k.replicating[node][vp] = false
-		refs[vp] = 0
+		k.tables[node].EndReplication(vp)
 	})
 }
 
@@ -465,18 +449,15 @@ func (k *Kernel) competitiveNow(vp memory.VPage, node mesh.NodeID) {
 // memory layout (see the placement package).
 func (k *Kernel) RemoteRefProfile() map[memory.VPage]map[mesh.NodeID]uint64 {
 	out := make(map[memory.VPage]map[mesh.NodeID]uint64)
-	for node, refs := range k.refCounts {
-		for vp, c := range refs {
-			if c == 0 {
-				continue
-			}
+	for node, tbl := range k.tables {
+		tbl.EachRef(func(vp memory.VPage, c uint64) {
 			pg := out[vp]
 			if pg == nil {
 				pg = make(map[mesh.NodeID]uint64)
 				out[vp] = pg
 			}
 			pg[mesh.NodeID(node)] = c
-		}
+		})
 	}
 	return out
 }
@@ -484,7 +465,7 @@ func (k *Kernel) RemoteRefProfile() map[memory.VPage]map[mesh.NodeID]uint64 {
 // RefCount returns the hardware remote-reference counter for (node,
 // page), for tests and instrumentation.
 func (k *Kernel) RefCount(node mesh.NodeID, vp memory.VPage) uint64 {
-	return k.refCounts[node][vp]
+	return k.tables[node].RefCount(vp)
 }
 
 // Poke writes v directly into every copy of the word at vp+off,

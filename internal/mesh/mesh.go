@@ -663,7 +663,9 @@ func (m *Mesh) FreeMsgAt(at NodeID, ms *Msg) {
 	if ms.pooled {
 		panic("mesh: double free of pooled Msg")
 	}
-	*ms = Msg{Writes: ms.Writes[:0], Data: ms.Data[:0], pooled: true}
+	w, d := ms.Writes[:0], ms.Data[:0]
+	*ms = Msg{} // zeroed in place; a non-zero literal is block-copied from the stack
+	ms.Writes, ms.Data, ms.pooled = w, d, true
 	p := &m.pools[m.shardOf[at]]
 	p.live--
 	p.free = append(p.free, ms)
@@ -908,8 +910,9 @@ func (m *Mesh) deferSend(shard int32, src, dst NodeID, hops, sizeFlits int, ms, 
 	} else {
 		ps = new(pendingSend)
 	}
-	*ps = pendingSend{m: m, sendT: eng.Now(), src: src, dst: dst, hops: hops, flits: sizeFlits,
-		bounded: bounded, ms: ms, dup: dup, extra: extra}
+	*ps = pendingSend{} // zeroed in place, then set field by field
+	ps.m, ps.sendT, ps.src, ps.dst, ps.hops, ps.flits = m, eng.Now(), src, dst, hops, sizeFlits
+	ps.bounded, ps.ms, ps.dup, ps.extra = bounded, ms, dup, extra
 	if dup != nil || bounded {
 		ps.dupLane, ps.dupSeq = eng.DrawKey()
 	}

@@ -46,3 +46,67 @@ func TestFlush(t *testing.T) {
 		t.Fatalf("flushes = %d", tbl.Flushes)
 	}
 }
+
+func TestCountersSurviveInvalidateFlushAndRemap(t *testing.T) {
+	tbl := New()
+	g := memory.GPage{Node: 2, Page: 7}
+	tbl.Install(5, g)
+	for i := 0; i < 3; i++ {
+		tbl.CountRef(5)
+	}
+	tbl.StartReplication(5)
+	tbl.Invalidate(5)
+	if n, repl := tbl.CountRef(5); n != 4 || !repl {
+		t.Fatalf("after invalidate: count %d replicating %v, want 4 true", n, repl)
+	}
+	tbl.Install(5, memory.GPage{Node: 3, Page: 1}) // remap
+	if n, repl := tbl.CountRef(5); n != 5 || !repl {
+		t.Fatalf("after remap: count %d replicating %v, want 5 true", n, repl)
+	}
+	tbl.Flush()
+	if n, repl := tbl.CountRef(5); n != 6 || !repl {
+		t.Fatalf("after flush: count %d replicating %v, want 6 true", n, repl)
+	}
+	if _, ok := tbl.Lookup(5); ok {
+		t.Fatal("flush left the mapping")
+	}
+	tbl.EndReplication(5)
+	if n, repl := tbl.CountRef(5); n != 1 || repl {
+		t.Fatalf("after end: count %d replicating %v, want 1 false", n, repl)
+	}
+	// A counter on a page never mapped here is an entry too, and
+	// making it maps nothing.
+	tbl.CountRef(9)
+	if tbl.RefCount(9) != 1 || tbl.Len() != 0 {
+		t.Fatalf("unmapped counter: refs %d len %d", tbl.RefCount(9), tbl.Len())
+	}
+}
+
+// TestSteadyStateAllocs pins the per-reference paths at zero heap
+// allocations once the table holds its pages: a TLB hit, a page-table
+// hit with refill, and a counter bump.
+func TestSteadyStateAllocs(t *testing.T) {
+	const pages = 128 // twice the TLB: cycling through them always refills
+	tbl := New()
+	for p := memory.VPage(0); p < pages; p++ {
+		tbl.Install(p, memory.GPage{Node: 1, Page: memory.PPage(p)})
+		tbl.CountRef(p)
+	}
+	var p memory.VPage
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"hit", func() { tbl.Translate(pages - 1) }},
+		{"refill", func() { p = (p + 1) % pages; tbl.Translate(p) }},
+		{"count", func() { p = (p + 1) % pages; tbl.CountRef(p) }},
+	} {
+		hits := tbl.Hits
+		if n := testing.AllocsPerRun(1000, c.f); n != 0 {
+			t.Errorf("%s: %v allocs per run", c.name, n)
+		}
+		if c.name == "refill" && tbl.Hits != hits {
+			t.Errorf("refill: %d TLB hits, want none", tbl.Hits-hits)
+		}
+	}
+}

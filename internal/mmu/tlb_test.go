@@ -6,34 +6,36 @@ import (
 	"testing/quick"
 
 	"plus/internal/memory"
+	"plus/internal/node"
 )
 
 func TestTLBHitMiss(t *testing.T) {
-	tlb := NewTLB(4)
-	if _, hit := tlb.Lookup(5); hit {
-		t.Fatal("empty TLB hit")
+	tbl := NewSized(4)
+	if _, tlbHit, ok := tbl.Translate(5); tlbHit || ok {
+		t.Fatal("empty table hit")
 	}
 	g := memory.GPage{Node: 1, Page: 2}
-	tlb.Insert(5, g)
-	got, hit := tlb.Lookup(5)
-	if !hit || got != g {
-		t.Fatalf("lookup = %v %v", got, hit)
+	tbl.Install(5, g)
+	got, tlbHit, _ := tbl.Translate(5)
+	if !tlbHit || got != g {
+		t.Fatalf("translate = %v %v", got, tlbHit)
 	}
-	if tlb.Hits != 1 || tlb.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", tlb.Hits, tlb.Misses)
+	if tbl.Hits != 1 || tbl.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d", tbl.Hits, tbl.Misses)
 	}
 }
 
 func TestTLBLRUEviction(t *testing.T) {
-	tlb := NewTLB(2)
-	tlb.Insert(1, memory.GPage{Node: 0, Page: 1})
-	tlb.Insert(2, memory.GPage{Node: 0, Page: 2})
-	tlb.Lookup(1) // page 1 recently used; 2 is now LRU
-	tlb.Insert(3, memory.GPage{Node: 0, Page: 3})
-	if _, hit := tlb.Lookup(2); hit {
-		t.Fatal("LRU entry survived eviction")
+	tbl := NewSized(2)
+	tbl.Install(1, memory.GPage{Node: 0, Page: 1})
+	tbl.Install(2, memory.GPage{Node: 0, Page: 2})
+	tbl.Translate(1) // page 1 recently used; 2 is now LRU
+	tbl.Install(3, memory.GPage{Node: 0, Page: 3})
+	if _, tlbHit, ok := tbl.Translate(2); tlbHit || !ok {
+		t.Fatal("LRU entry survived eviction (or lost its mapping)")
 	}
-	if _, hit := tlb.Lookup(1); !hit {
+	// The refill of 2 evicted 1, the LRU after 3's install.
+	if _, tlbHit, _ := tbl.Translate(3); !tlbHit {
 		t.Fatal("MRU entry evicted")
 	}
 }
@@ -41,35 +43,35 @@ func TestTLBLRUEviction(t *testing.T) {
 func TestTLBInsertReplacesInPlace(t *testing.T) {
 	// A remap of the same page must not leave a stale duplicate (the
 	// competitive-replication regression).
-	tlb := NewTLB(4)
+	tbl := NewSized(4)
 	old := memory.GPage{Node: 3, Page: 0}
 	nw := memory.GPage{Node: 0, Page: 9}
-	tlb.Insert(7, old)
-	tlb.Insert(7, nw)
-	got, hit := tlb.Lookup(7)
-	if !hit || got != nw {
-		t.Fatalf("lookup after remap = %v", got)
+	tbl.Install(7, old)
+	tbl.Install(7, nw)
+	got, tlbHit, _ := tbl.Translate(7)
+	if !tlbHit || got != nw {
+		t.Fatalf("translate after remap = %v", got)
 	}
-	if tlb.Len() != 1 {
-		t.Fatalf("duplicate entries: len = %d", tlb.Len())
+	if tbl.resident != 1 || tbl.Len() != 1 {
+		t.Fatalf("duplicate entries: resident = %d, len = %d", tbl.resident, tbl.Len())
 	}
 }
 
 func TestTLBInvalidateAndFlush(t *testing.T) {
-	tlb := NewTLB(4)
-	tlb.Insert(1, memory.GPage{Node: 0, Page: 1})
-	tlb.Insert(2, memory.GPage{Node: 0, Page: 2})
-	tlb.Invalidate(1)
-	if _, hit := tlb.Lookup(1); hit {
+	tbl := NewSized(4)
+	tbl.Install(1, memory.GPage{Node: 0, Page: 1})
+	tbl.Install(2, memory.GPage{Node: 0, Page: 2})
+	tbl.Invalidate(1)
+	if _, tlbHit, ok := tbl.Translate(1); tlbHit || ok {
 		t.Fatal("invalidated entry hit")
 	}
-	tlb.Invalidate(99) // absent: no-op
-	tlb.Flush()
-	if tlb.Len() != 0 {
+	tbl.Invalidate(99) // absent: no-op
+	tbl.Flush()
+	if tbl.resident != 0 {
 		t.Fatal("flush left entries")
 	}
-	if tlb.Shootdowns != 2 {
-		t.Fatalf("shootdowns = %d", tlb.Shootdowns)
+	if tbl.Shootdowns != 2 {
+		t.Fatalf("shootdowns = %d", tbl.Shootdowns)
 	}
 }
 
@@ -99,19 +101,19 @@ func TestTableTranslateLevels(t *testing.T) {
 }
 
 func TestTLBConsistencyProperty(t *testing.T) {
-	// Property: after any insert sequence, every Lookup hit returns
-	// the most recent mapping inserted for that page.
+	// Property: after any install sequence, every translation returns
+	// the most recent mapping installed for that page.
 	f := func(ops []uint8) bool {
-		tlb := NewTLB(4)
+		tbl := NewSized(4)
 		last := make(map[memory.VPage]memory.GPage)
 		for i, op := range ops {
 			vp := memory.VPage(op % 8)
 			g := memory.GPage{Node: 0, Page: memory.PPage(i)}
-			tlb.Insert(vp, g)
+			tbl.Install(vp, g)
 			last[vp] = g
 		}
 		for vp, want := range last {
-			if got, hit := tlb.Lookup(vp); hit && got != want {
+			if got, _, ok := tbl.Translate(vp); !ok || got != want {
 				return false
 			}
 		}
@@ -122,95 +124,13 @@ func TestTLBConsistencyProperty(t *testing.T) {
 	}
 }
 
-// refTLB is the original linear-scan TLB, kept as the oracle for the
-// indexed one: every slot carries a last-use stamp, a hit restamps
-// it, an insert reuses the page's own slot or the first invalid one,
-// and a full TLB evicts the slot with the oldest stamp.
-type refTLB struct {
-	seq                      uint64
-	slots                    []refEntry
-	Hits, Misses, Shootdowns uint64
-}
-
-type refEntry struct {
-	valid bool
-	vp    memory.VPage
-	g     memory.GPage
-	used  uint64
-}
-
-func newRefTLB(entries int) *refTLB { return &refTLB{slots: make([]refEntry, entries)} }
-
-func (t *refTLB) Lookup(vp memory.VPage) (memory.GPage, bool) {
-	for i := range t.slots {
-		e := &t.slots[i]
-		if e.valid && e.vp == vp {
-			t.seq++
-			e.used = t.seq
-			t.Hits++
-			return e.g, true
-		}
-	}
-	t.Misses++
-	return memory.NilGPage, false
-}
-
-func (t *refTLB) Insert(vp memory.VPage, g memory.GPage) {
-	t.seq++
-	victim := -1
-	for i := range t.slots {
-		e := &t.slots[i]
-		if e.valid && e.vp == vp {
-			victim = i
-			break
-		}
-		if victim < 0 && !e.valid {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		victim = 0
-		for i := range t.slots {
-			if t.slots[i].used < t.slots[victim].used {
-				victim = i
-			}
-		}
-	}
-	t.slots[victim] = refEntry{valid: true, vp: vp, g: g, used: t.seq}
-}
-
-func (t *refTLB) Invalidate(vp memory.VPage) {
-	for i := range t.slots {
-		if t.slots[i].valid && t.slots[i].vp == vp {
-			t.slots[i].valid = false
-			t.Shootdowns++
-			return
-		}
-	}
-}
-
-func (t *refTLB) Flush() {
-	for i := range t.slots {
-		t.slots[i].valid = false
-	}
-	t.Shootdowns++
-}
-
-func (t *refTLB) Len() int {
-	n := 0
-	for i := range t.slots {
-		if t.slots[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
-// TestTLBMatchesLinearScanOracle drives the indexed TLB and the
-// linear-scan oracle through the same seeded stream of inserts (new
-// pages and remaps), lookups, invalidations and flushes, comparing
-// every result and counter after every operation.
-func TestTLBMatchesLinearScanOracle(t *testing.T) {
+// TestTableMatchesReferenceModel drives the merged table and the
+// map-plus-TLB reference model (model_test.go) through the same seeded
+// stream of installs (new pages and remaps), translations (TLB hits,
+// refills and misses), invalidations, flushes and counter bumps, reads
+// and resets, comparing every result and counter after every
+// operation.
+func TestTableMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -225,24 +145,48 @@ func TestTLBMatchesLinearScanOracle(t *testing.T) {
 					pool[i] = memory.VPage(rng.Uint32())
 				}
 			}
-			got, want := NewTLB(capacity), newRefTLB(capacity)
+			got, want := NewSized(capacity), newModelTable(capacity)
 			for op := 0; op < 20000; op++ {
 				vp := pool[rng.Intn(len(pool))]
 				var what string
 				switch r := rng.Intn(100); {
-				case r < 40:
-					what = "insert"
-					g := memory.GPage{Node: 1, Page: memory.PPage(op)}
-					got.Insert(vp, g)
-					want.Insert(vp, g)
-				case r < 90:
+				case r < 25:
+					what = "install"
+					g := memory.GPage{Node: node.ID(op % 7), Page: memory.PPage(op)}
+					got.Install(vp, g)
+					want.Install(vp, g)
+				case r < 65:
+					what = "translate"
+					g1, hit1, ok1 := got.Translate(vp)
+					g2, hit2, ok2 := want.Translate(vp)
+					if g1 != g2 || hit1 != hit2 || ok1 != ok2 {
+						t.Fatalf("cap %d seed %d op %d: Translate(%d) = %v %v %v, model %v %v %v",
+							capacity, seed, op, vp, g1, hit1, ok1, g2, hit2, ok2)
+					}
+				case r < 75:
 					what = "lookup"
 					g1, ok1 := got.Lookup(vp)
 					g2, ok2 := want.Lookup(vp)
 					if g1 != g2 || ok1 != ok2 {
-						t.Fatalf("cap %d seed %d op %d: Lookup(%d) = %v %v, oracle %v %v",
+						t.Fatalf("cap %d seed %d op %d: Lookup(%d) = %v %v, model %v %v",
 							capacity, seed, op, vp, g1, ok1, g2, ok2)
 					}
+				case r < 89:
+					what = "count"
+					n1, r1 := got.CountRef(vp)
+					n2, r2 := want.CountRef(vp)
+					if n1 != n2 || r1 != r2 {
+						t.Fatalf("cap %d seed %d op %d: CountRef(%d) = %d %v, model %d %v",
+							capacity, seed, op, vp, n1, r1, n2, r2)
+					}
+				case r < 92:
+					what = "start"
+					got.StartReplication(vp)
+					want.StartReplication(vp)
+				case r < 95:
+					what = "end"
+					got.EndReplication(vp)
+					want.EndReplication(vp)
 				case r < 99:
 					what = "invalidate"
 					got.Invalidate(vp)
@@ -252,12 +196,69 @@ func TestTLBMatchesLinearScanOracle(t *testing.T) {
 					got.Flush()
 					want.Flush()
 				}
-				if got.Hits != want.Hits || got.Misses != want.Misses ||
-					got.Shootdowns != want.Shootdowns || got.Len() != want.Len() {
-					t.Fatalf("cap %d seed %d op %d (%s %d): hits/misses/shootdowns/len = %d/%d/%d/%d, oracle %d/%d/%d/%d",
-						capacity, seed, op, what, vp, got.Hits, got.Misses, got.Shootdowns, got.Len(),
-						want.Hits, want.Misses, want.Shootdowns, want.Len())
+				if got.Hits != want.tlb.Hits || got.Misses != want.tlb.Misses ||
+					got.Shootdowns != want.tlb.Shootdowns || got.resident != want.tlb.Len() ||
+					got.Len() != want.Len() || got.Flushes != want.Flushes {
+					t.Fatalf("cap %d seed %d op %d (%s %d): hits/misses/shootdowns/resident/len/flushes = %d/%d/%d/%d/%d/%d, model %d/%d/%d/%d/%d/%d",
+						capacity, seed, op, what, vp, got.Hits, got.Misses, got.Shootdowns, got.resident, got.Len(), got.Flushes,
+						want.tlb.Hits, want.tlb.Misses, want.tlb.Shootdowns, want.tlb.Len(), want.Len(), want.Flushes)
 				}
+				if c1, c2 := got.RefCount(vp), want.refs[vp]; c1 != c2 {
+					t.Fatalf("cap %d seed %d op %d (%s %d): RefCount = %d, model %d",
+						capacity, seed, op, what, vp, c1, c2)
+				}
+			}
+			// Every counter, at the end, through the profile walk.
+			seen := 0
+			got.EachRef(func(vp memory.VPage, c uint64) {
+				seen++
+				if want.refs[vp] != c {
+					t.Fatalf("cap %d seed %d: EachRef(%d) = %d, model %d", capacity, seed, vp, c, want.refs[vp])
+				}
+			})
+			for _, c := range want.refs {
+				if c != 0 {
+					seen--
+				}
+			}
+			if seen != 0 {
+				t.Fatalf("cap %d seed %d: EachRef visited %d pages more than the model counts", capacity, seed, seen)
+			}
+		}
+	}
+}
+
+// TestTableGrowKeepsLRUOrder fills a TLB, sets its recency order, then
+// grows the table underneath it (counter bumps on fresh pages make
+// entries without touching the TLB) and checks that evictions still
+// follow the old order.
+func TestTableGrowKeepsLRUOrder(t *testing.T) {
+	const capacity = 4
+	tbl := NewSized(capacity)
+	for p := memory.VPage(0); p < capacity; p++ {
+		tbl.Install(p, memory.GPage{Node: 1, Page: memory.PPage(p)})
+	}
+	// Recency, most recent first: 1, 3, 0, 2.
+	for _, p := range []memory.VPage{2, 0, 3, 1} {
+		if _, hit, _ := tbl.Translate(p); !hit {
+			t.Fatalf("page %d not resident", p)
+		}
+	}
+	before := len(tbl.slots)
+	for p := memory.VPage(100); p < 200; p++ {
+		tbl.CountRef(p)
+	}
+	if len(tbl.slots) <= before {
+		t.Fatalf("table did not grow: %d slots", len(tbl.slots))
+	}
+	// Each new install evicts the least recently used: 2, 0, 3, 1.
+	victims := []memory.VPage{2, 0, 3, 1}
+	for i := range victims {
+		tbl.Install(memory.VPage(1000+i), memory.GPage{Node: 2, Page: memory.PPage(i)})
+		for j, p := range victims {
+			resident := tbl.slots[tbl.find(p)].flags&fResident != 0
+			if resident != (j > i) {
+				t.Fatalf("after install %d: page %d resident = %v", i, p, resident)
 			}
 		}
 	}
