@@ -72,7 +72,11 @@ trace-equiv:
 # read the remote-reference profile).
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
-# search's delayed ops and context switches.
+# search's delayed ops and context switches. The delayed-slots
+# ablation pins the stall on a full delayed-operations cache, the
+# fence ablation the fence before every issue, Table 3-1 each delayed
+# operation's cycles, and the race corpus's reports the order of its
+# EvAccRMW/EvAccVerify events.
 # Usage: make parent-equiv BASE=<rev>
 PARENT_EQUIV_DIR ?= /tmp/plus-parent-equiv
 parent-equiv:
@@ -87,13 +91,16 @@ parent-equiv:
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
 		for x in ext-linkbuf fault-crash ablation-invalidate \
 			ablation-pending-writes ablation-batching ablation-competitive \
-			ext-placement figure3-1; do \
+			ext-placement figure3-1 ablation-delayed-slots ablation-fence \
+			table3-1; do \
 			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
 		done; \
+		$$d/$$b -races > $$d/$$b-races.txt; \
 	done; \
 	for f in kv.json kv.txt f21.json f21.txt ext-linkbuf.json fault-crash.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
-		ablation-competitive.json ext-placement.json figure3-1.json; do \
+		ablation-competitive.json ext-placement.json figure3-1.json \
+		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt; do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \
 	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"

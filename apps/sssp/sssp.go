@@ -375,24 +375,8 @@ func (w *workspace) process(t *proc.Thread, p int, v int32) {
 	lo := int32(t.Read(w.offs + memory.VAddr(v)))
 	hi := int32(t.Read(w.offs + memory.VAddr(v) + 1))
 
-	type rel struct {
-		tgt int32
-		nd  uint32
-		h   proc.Handle
-	}
-	var batch []rel
-	flush := func() {
-		for _, r := range batch {
-			old := uint32(t.Verify(r.h))
-			if r.nd < old {
-				// Improved: the min-xchng is verified (applied at the
-				// master), so the pool's flag protocol guarantees the
-				// next processing of tgt observes it.
-				w.pool.Add(t, int(r.tgt))
-			}
-		}
-		batch = batch[:0]
-	}
+	var batch [pipelineDepth]rel
+	n := 0
 	for e := lo; e < hi; e++ {
 		tgt := int32(t.Read(w.tgts + memory.VAddr(e)))
 		wt := uint32(t.Read(w.wgts + memory.VAddr(e)))
@@ -401,13 +385,37 @@ func (w *workspace) process(t *proc.Thread, p int, v int32) {
 		if nd >= Inf {
 			continue
 		}
-		batch = append(batch, rel{tgt: tgt, nd: nd, h: t.MinXchng(w.distVA(tgt), memory.Word(nd))})
-		if len(batch) == pipelineDepth {
-			flush()
+		batch[n] = rel{tgt: tgt, nd: nd, h: t.MinXchng(w.distVA(tgt), memory.Word(nd))}
+		n++
+		if n == pipelineDepth {
+			w.verifyBatch(t, batch[:n])
+			n = 0
 		}
 	}
-	flush()
+	w.verifyBatch(t, batch[:n])
 	w.pool.Done(t)
+}
+
+// rel is one relaxation in flight: its target, the candidate distance
+// and the min-xchng's handle.
+type rel struct {
+	tgt int32
+	nd  uint32
+	h   proc.Handle
+}
+
+// verifyBatch verifies a batch of min-xchngs in issue order and
+// re-enqueues every target one improved.
+func (w *workspace) verifyBatch(t *proc.Thread, batch []rel) {
+	for _, r := range batch {
+		old := uint32(t.Verify(r.h))
+		if r.nd < old {
+			// Improved: the min-xchng is verified (applied at the
+			// master), so the pool's flag protocol guarantees the
+			// next processing of tgt observes it.
+			w.pool.Add(t, int(r.tgt))
+		}
+	}
 }
 
 // worker is one processor's loop: drain the queues it shares (its own

@@ -9,9 +9,9 @@ import (
 
 // benchSyncLoop runs one thread per node hammering a remote counter
 // with delayed fetch-and-adds and verify polls. Spend is dominated by
-// the wait path — wake events, ParkInline's in-place dispatch, and the
-// coroutine handoffs it cannot avoid — so this is the focused
-// regression benchmark for it.
+// the wait path — wake events, the delayed-operation steps they run in
+// event context, and the coroutine handoffs that resume each body once
+// per operation — so this is the focused regression benchmark for it.
 func benchSyncLoop(b *testing.B, mode proc.Mode, switchCost int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

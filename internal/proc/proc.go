@@ -161,11 +161,50 @@ type Thread struct {
 	// code allocated is gone from the hot path.
 	opCompleted bool
 	readVal     memory.Word
-	issuedSlot  int
+	slot        int // the delayed operation's slot: issuedDone's, or Verify's handle's
 	opDone      func()
 	readDone    func(memory.Word)
 	issuedDone  func(int)
+
+	// The thread is the sink of its own wakes (wake). step says
+	// what the next wake runs: the body, or the next step of the
+	// delayed operation under way, whose operands follow.
+	step    step
+	waking  bool // a wake is pending: guards against a double wake
+	sync    bool // the operation continues from Issue into Verify (a *Sync wrapper)
+	op      coherence.Op
+	va      memory.VAddr
+	g       coherence.GAddr
+	operand memory.Word
+	cause   uint64     // the verified slot's causal ID, read before cm.Verify frees it
+	began   sim.Cycles // when the current stall began
+	// resumes counts switches into the body and reached has bit s set
+	// once step s has run: the tests pin one switch per delayed
+	// operation and that their legs reach every step.
+	resumes int
+	reached uint16
 }
+
+// step is a stage of a delayed operation (§3.1) run in event context,
+// from the thread's own wake, instead of on its coroutine. The body
+// parks once per Issue, Verify or *Sync wrapper and resumes when the
+// operation returns; every stage in between runs in the dispatch that
+// would have resumed the body for it, so its draws and emissions fall
+// in the same order.
+type step uint8
+
+const (
+	stepBody          step = iota // resume the body
+	stepIssue                     // charge the issue (DelayedIssue)
+	stepRMW                       // hand the operation to the CM; stall while the delayed-operations cache is full
+	stepRMWStalled                // end that stall
+	stepIssued                    // EvAccRMW; in SwitchOnSync, requeue behind the ready list
+	stepVerify                    // halt while the processor is down; cm.Verify; stall until the result is in
+	stepVerifyStalled             // end that stall
+	stepResult                    // charge the result read (ResultRead)
+	stepVerified                  // EvAccVerify
+	nSteps
+)
 
 // Handle identifies an in-flight delayed operation: the address of a
 // location in the delayed-operations cache (a slot index here).
@@ -186,7 +225,7 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 		}
 	}
 	t.readDone = func(w memory.Word) { t.readVal = w; t.opDone() }
-	t.issuedDone = func(slot int) { t.issuedSlot = slot; t.opDone() }
+	t.issuedDone = func(slot int) { t.slot = slot; t.opDone() }
 	prev := p.eng.Lane()
 	p.eng.SetLane(int32(p.node)) // the coroutine's slices run on it
 	t.co = sim.NewCoroutine(p.eng, name, func(*sim.Coroutine) {
@@ -223,8 +262,8 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 // activity called here (machine setup in Spawn, a completion, a wake),
 // never from the engine-local NoLane counter, which differs between
 // shard counts (during a barrier replay the key is the replay's). The
-// slice then runs on the lane the coroutine was created under: its
-// node's (Spawn). The caller's lane is restored around the draw.
+// wake then runs on its node's lane (wake.HandleEvent). The caller's lane
+// is restored around the draw.
 func (p *Proc) dispatch(t *Thread) {
 	p.current = t
 	var cost sim.Cycles
@@ -237,7 +276,7 @@ func (p *Proc) dispatch(t *Thread) {
 	}
 	prev := p.eng.Lane()
 	p.eng.SetLane(int32(p.node))
-	t.co.WakeAfter(cost)
+	t.wakeAfter(cost)
 	p.eng.SetLane(prev)
 }
 
@@ -321,18 +360,58 @@ func (t *Thread) Done() bool { return t.state == tDone }
 // Now returns the current virtual time in cycles.
 func (t *Thread) Now() sim.Cycles { return t.proc.eng.Now() }
 
-// consume charges c cycles of useful processor time (computation or
-// instruction issue) — the numerator of the paper's utilization.
-// Inside a BeginIdle/EndIdle bracket the cycles pass but do not count
-// as useful.
-func (t *Thread) consume(c sim.Cycles) {
+// wakeAfter arms the thread's next wake, after d cycles. The thread
+// is the wake's sink (kind 0), as a *wake so that the public Thread
+// carries no HandleEvent.
+func (t *Thread) wakeAfter(d sim.Cycles) {
+	if t.waking || t.state == tDone {
+		panic("proc: wake of thread " + t.name + " while its wake is pending or after it finished")
+	}
+	t.waking = true
+	t.proc.eng.ScheduleEvent(d, (*wake)(t), 0, nil)
+}
+
+// wake is a Thread in its role as the sink of its own wakes.
+type wake Thread
+
+// HandleEvent implements sim.EventSink: the thread's wake runs, as its
+// node's activity, the step it was armed for. When the body is next
+// (the wait was the body's own, or the delayed operation just
+// returned) it switches to the coroutine, which returns here at its
+// next Park. A panic inside a step therefore surfaces raw at the
+// engine's Run, not as a *sim.CoroutinePanic.
+func (w *wake) HandleEvent(int, any) {
+	t := (*Thread)(w)
+	t.proc.eng.SetLane(int32(t.proc.node))
+	t.waking = false
+	t.state = tRunning
+	if t.advance() {
+		t.resumes++
+		t.co.Resume()
+	}
+}
+
+// charge accounts c cycles of useful processor time (computation or
+// instruction issue) — the numerator of the paper's utilization —
+// and arms the wake that ends them. It reports whether there is a
+// wait: nothing passes when c is 0. Inside a BeginIdle/EndIdle bracket
+// the cycles pass but do not count as useful.
+func (t *Thread) charge(c sim.Cycles) bool {
 	if c == 0 {
-		return
+		return false
 	}
 	if t.idleDepth == 0 {
 		t.proc.nstat().BusyCycles += c
 	}
-	t.co.WaitCycles(c)
+	t.wakeAfter(c)
+	return true
+}
+
+// consume charges c cycles of useful processor time from the body.
+func (t *Thread) consume(c sim.Cycles) {
+	if t.charge(c) {
+		t.co.Park()
+	}
 }
 
 // BeginIdle suspends useful-time accounting (polling for work); pairs
@@ -353,50 +432,61 @@ func (t *Thread) overhead(c sim.Cycles) {
 	if c == 0 {
 		return
 	}
-	t.co.WaitCycles(c)
+	t.wakeAfter(c)
+	t.co.Park()
+}
+
+// release gives up the processor, leaving the thread in state s, and
+// dispatches the next ready thread. The thread's next wake comes from
+// whatever makes it runnable again (unblock, Resume, its own requeue).
+func (t *Thread) release(s tstate) {
+	t.state = s
+	t.proc.current = nil
+	t.proc.dispatchNext()
+}
+
+// stallBegin starts a stall of the given class (stats.StallRead
+// etc.): it records the start, emits EvStallBegin when an observer is
+// attached, and blocks the thread until its completion hook unblocks
+// it. stallEnd, run on the wake, closes the stall and returns its
+// cycles. Body waits (waitOp) and the delayed-operation steps share
+// the pair.
+func (t *Thread) stallBegin(class uint8) {
+	t.began = t.proc.eng.Now()
+	if o := t.proc.st.Observer(); o != nil {
+		o.Emit(stats.EvStallBegin, int(t.proc.node), class, 0, uint64(t.id), 0)
+	}
+	t.release(tBlocked)
+}
+
+func (t *Thread) stallEnd(class uint8) sim.Cycles {
+	stalled := t.proc.eng.Now() - t.began
+	if o := t.proc.st.Observer(); o != nil {
+		o.Emit(stats.EvStallEnd, int(t.proc.node), class, 0, uint64(t.id), uint64(stalled))
+	}
+	return stalled
 }
 
 // waitOp parks the thread until its completion hook fires. Callers
 // clear t.opCompleted, start the operation with one of the reusable
 // hooks (t.opDone / t.readDone / t.issuedDone) as the callback — which
 // may fire synchronously — and then waitOp. It returns the cycles
-// spent parked. class is the stall class (stats.StallRead etc.) the
-// park is recorded under when an observer is attached; an operation
-// that completed synchronously records nothing.
+// spent parked. class is the stall class the park is recorded under;
+// an operation that completed synchronously records nothing.
 func (t *Thread) waitOp(class uint8) sim.Cycles {
 	if t.opCompleted {
 		return 0
 	}
-	began := t.proc.eng.Now()
-	o := t.proc.st.Observer()
-	if o != nil {
-		o.Emit(stats.EvStallBegin, int(t.proc.node), class, 0, uint64(t.id), 0)
-	}
-	t.state = tBlocked
-	t.proc.current = nil
-	t.proc.dispatchNext()
-	t.co.ParkInline()
-	t.state = tRunning
-	stalled := t.proc.eng.Now() - began
-	if o != nil {
-		o.Emit(stats.EvStallEnd, int(t.proc.node), class, 0, uint64(t.id), uint64(stalled))
-	}
-	return stalled
+	t.stallBegin(class)
+	t.co.Park()
+	return t.stallEnd(class)
 }
 
-// yield requeues the thread behind its processor's ready list — the
-// SwitchOnSync context switch after issuing a synchronization
-// operation. When the thread is its processor's only runnable thread
-// the "switch" re-dispatches it at once, paying the switch cost like
-// any other dispatch.
-func (t *Thread) yield() {
-	p := t.proc
-	t.state = tReady
-	p.ready = append(p.ready, t)
-	p.current = nil
-	p.dispatchNext()
-	t.co.ParkInline()
-	t.state = tRunning
+// halt queues the thread on its crashed processor's halted list and
+// gives up the processor; Resume unblocks it.
+func (t *Thread) halt() {
+	t.proc.halted = append(t.proc.halted, t)
+	t.release(tBlocked)
 }
 
 // haltIfDown parks the thread while its processor is crashed. Every
@@ -405,14 +495,96 @@ func (t *Thread) yield() {
 // parked until Resume unblocks it. The loop re-checks after waking in
 // case a second scripted outage begins before the thread runs.
 func (t *Thread) haltIfDown() {
+	for t.proc.down {
+		t.halt()
+		t.co.Park()
+	}
+}
+
+// run runs the delayed operation set up in t.step from the body: its
+// steps run here until one must wait, and the body then parks until
+// the operation returns (its wake resumes it).
+func (t *Thread) run() {
+	if !t.advance() {
+		t.co.Park()
+	}
+}
+
+// advance runs the steps of the delayed operation under way, from
+// t.step, until one arms a wake (false: that wake continues at t.step)
+// or the operation returns (true, with t.step back at stepBody). A
+// *Sync wrapper's Issue continues into its Verify at stepVerify.
+func (t *Thread) advance() bool {
 	p := t.proc
-	for p.down {
-		p.halted = append(p.halted, t)
-		t.state = tBlocked
-		p.current = nil
-		p.dispatchNext()
-		t.co.ParkInline()
-		t.state = tRunning
+	for {
+		t.reached |= 1 << t.step
+		switch t.step {
+		case stepBody:
+			return true
+		case stepIssue:
+			t.step = stepRMW
+			if t.charge(p.tm.DelayedIssue) {
+				return false
+			}
+		case stepRMW:
+			t.opCompleted = false
+			p.cm.RMW(t.op, t.g, t.operand, t.issuedDone)
+			t.step = stepIssued
+			if !t.opCompleted {
+				t.stallBegin(stats.StallWrite)
+				t.step = stepRMWStalled
+				return false
+			}
+		case stepRMWStalled:
+			p.nstat().WriteStall += t.stallEnd(stats.StallWrite)
+			t.step = stepIssued
+		case stepIssued:
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccRMW, int(p.node), uint8(t.op), p.cm.SlotCause(t.slot),
+					uint64(t.va), tb(t.id, t.operand))
+			}
+			t.step = stepBody
+			if t.sync {
+				t.step = stepVerify
+			}
+			if p.mode == SwitchOnSync {
+				// The context switch after issuing: requeue behind
+				// the ready list (re-dispatched at once, paying the
+				// switch cost, when no other thread is ready).
+				p.ready = append(p.ready, t)
+				t.release(tReady)
+				return false
+			}
+		case stepVerify:
+			if p.down {
+				t.halt() // the wake re-checks
+				return false
+			}
+			// The slot's causal ID must be captured before cm.Verify:
+			// delivery releases the slot.
+			t.cause = p.cm.SlotCause(t.slot)
+			t.opCompleted = false
+			p.cm.Verify(t.slot, t.readDone)
+			t.step = stepResult
+			if !t.opCompleted {
+				t.stallBegin(stats.StallVerify)
+				t.step = stepVerifyStalled
+				return false
+			}
+		case stepVerifyStalled:
+			p.nstat().VerifyStall += t.stallEnd(stats.StallVerify)
+			t.step = stepResult
+		case stepResult:
+			t.step = stepVerified
+			if t.charge(p.tm.ResultRead) {
+				return false
+			}
+		case stepVerified:
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccVerify, int(p.node), 0, t.cause, uint64(t.id), uint64(uint32(t.readVal)))
+			}
+			t.step = stepBody
+		}
 	}
 }
 
@@ -554,24 +726,31 @@ func (t *Thread) Fence() {
 // master copy concurrently with subsequent instructions. In
 // SwitchOnSync mode the processor switches threads after issuing.
 func (t *Thread) Issue(op coherence.Op, va memory.VAddr, operand memory.Word) Handle {
+	t.issue(op, va, operand, false)
+	return Handle{slot: t.slot, node: t.proc.node}
+}
+
+// issue runs a delayed operation's issue — and with sync, its Verify
+// too — parking the body once. The halt check, the fence-on-sync
+// ablation's Fence and the translation stay body waits; the rest runs
+// as steps (advance).
+func (t *Thread) issue(op coherence.Op, va memory.VAddr, operand memory.Word, sync bool) {
 	t.haltIfDown()
 	if t.proc.fenceOnSync {
 		t.Fence()
 	}
-	g := t.translate(va)
-	t.consume(t.proc.tm.DelayedIssue)
-	t.opCompleted = false
-	t.proc.cm.RMW(op, g, operand, t.issuedDone)
-	t.proc.nstat().WriteStall += t.waitOp(stats.StallWrite)
-	h := Handle{slot: t.issuedSlot, node: t.proc.node}
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccRMW, int(t.proc.node), uint8(op), t.proc.cm.SlotCause(h.slot),
-			uint64(va), tb(t.id, operand))
-	}
-	if t.proc.mode == SwitchOnSync {
-		t.yield()
-	}
-	return h
+	t.g = t.translate(va)
+	t.op, t.va, t.operand, t.sync = op, va, operand, sync
+	t.step = stepIssue
+	t.run()
+}
+
+// syncOp is a blocking delayed operation, Issue immediately followed
+// by Verify (the "blocking synchronization" coding style of Figure
+// 3-1), run as one operation with one park.
+func (t *Thread) syncOp(op coherence.Op, va memory.VAddr, operand memory.Word) memory.Word {
+	t.issue(op, va, operand, true)
+	return t.readVal
 }
 
 // Verify retrieves a delayed operation's result, blocking until it is
@@ -579,20 +758,13 @@ func (t *Thread) Issue(op coherence.Op, va memory.VAddr, operand memory.Word) Ha
 // available result costs ~10 cycles. Like Fence and Issue it is a
 // write-combining flush point.
 func (t *Thread) Verify(h Handle) memory.Word {
+	// Checked on the body, so the panic surfaces as the thread's.
 	if h.node != t.proc.node {
 		panic(fmt.Sprintf("proc: thread %q verifying a handle issued on node %d", t.name, h.node))
 	}
-	t.haltIfDown()
-	// The slot's causal ID must be captured before cm.Verify: delivery
-	// releases the slot.
-	cause := t.proc.cm.SlotCause(h.slot)
-	t.opCompleted = false
-	t.proc.cm.Verify(h.slot, t.readDone)
-	t.proc.nstat().VerifyStall += t.waitOp(stats.StallVerify)
-	t.consume(t.proc.tm.ResultRead)
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccVerify, int(t.proc.node), 0, cause, uint64(t.id), uint64(uint32(t.readVal)))
-	}
+	t.slot = h.slot
+	t.step = stepVerify
+	t.run()
 	return t.readVal
 }
 
@@ -631,11 +803,8 @@ func (t *Thread) Sleep() {
 	// Parking indefinitely must not strand buffered writes (another
 	// node may be waiting to observe them before issuing the Wake).
 	t.proc.cm.FlushBatch()
-	t.state = tSleeping
-	t.proc.current = nil
-	t.proc.dispatchNext()
-	t.co.ParkInline()
-	t.state = tRunning
+	t.release(tSleeping)
+	t.co.Park()
 	t.emitSleepEnd()
 }
 
@@ -717,30 +886,30 @@ func (t *Thread) DelayedRead(va memory.VAddr) Handle {
 // FaddSync is a blocking fetch-and-add: Issue immediately followed by
 // Verify (the "blocking synchronization" coding style of Figure 3-1).
 func (t *Thread) FaddSync(va memory.VAddr, delta int32) memory.Word {
-	return t.Verify(t.Fadd(va, delta))
+	return t.syncOp(coherence.OpFadd, va, memory.Word(uint32(delta)))
 }
 
 // XchngSync is a blocking exchange.
 func (t *Thread) XchngSync(va memory.VAddr, v memory.Word) memory.Word {
-	return t.Verify(t.Xchng(va, v))
+	return t.syncOp(coherence.OpXchng, va, v)
 }
 
 // FetchSetSync is a blocking fetch-and-set.
 func (t *Thread) FetchSetSync(va memory.VAddr) memory.Word {
-	return t.Verify(t.FetchSet(va))
+	return t.syncOp(coherence.OpFetchSet, va, 0)
 }
 
 // EnqueueSync is a blocking enqueue returning the old tail word.
 func (t *Thread) EnqueueSync(va memory.VAddr, v memory.Word) memory.Word {
-	return t.Verify(t.Enqueue(va, v))
+	return t.syncOp(coherence.OpQueue, va, v)
 }
 
 // DequeueSync is a blocking dequeue returning the old head word.
 func (t *Thread) DequeueSync(va memory.VAddr) memory.Word {
-	return t.Verify(t.Dequeue(va))
+	return t.syncOp(coherence.OpDequeue, va, 0)
 }
 
 // MinXchngSync is a blocking min-exchange.
 func (t *Thread) MinXchngSync(va memory.VAddr, v memory.Word) memory.Word {
-	return t.Verify(t.MinXchng(va, v))
+	return t.syncOp(coherence.OpMinXchng, va, v)
 }

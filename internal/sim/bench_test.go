@@ -68,7 +68,7 @@ func BenchmarkEngineHotPath(b *testing.B) {
 }
 
 // BenchmarkCoroutineSwitch measures a timed wait: schedule the wake,
-// park through ParkInline, dispatch. A self-rescheduling sink keeps
+// park, dispatch, switch back into the body. A self-rescheduling sink keeps
 // the queue non-empty at the same cadence as the waits, so every wait
 // also dispatches another sink's event before its own wake.
 func BenchmarkCoroutineSwitch(b *testing.B) {

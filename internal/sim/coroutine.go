@@ -23,6 +23,11 @@ import (
 // parks indefinitely with Park (some event handler later calls
 // WakeAfter). When body returns, Done() reports true. A panic in body
 // surfaces at the engine's Run as a *CoroutinePanic.
+//
+// An event sink may own a coroutine's wakes instead: it schedules its
+// own events and calls Resume from one when the body should continue
+// (proc.Thread does, running some wakes in event context without
+// switching to the body at all). The body then parks with Park alone.
 type Coroutine struct {
 	eng *Engine
 	// next resumes the body until its next Park (or its end); yield,
@@ -33,12 +38,8 @@ type Coroutine struct {
 	// waking is true while a wake event for this coroutine is pending
 	// in the engine's queue. It guards against double-resume.
 	waking bool
-	// driving is true while the coroutine is running the engine's
-	// event loop in place of parking (ParkInline). Its wake event then
-	// clears the flag instead of resuming the body.
-	driving bool
-	lane    int32 // every slice's lane: the engine's at creation
-	label   string
+	lane   int32 // every slice's lane: the engine's at creation
+	label  string
 }
 
 // CoroutinePanic is the value a panic in a coroutine's body re-raises
@@ -100,17 +101,20 @@ func (co *Coroutine) scheduleWake(delay Cycles) {
 // the coroutine and returns when it parks again (or finishes),
 // preserving the single-activity invariant.
 func (co *Coroutine) HandleEvent(int, any) {
-	co.eng.curLane = co.lane
 	// Clear before transferring control: the body may re-arm its own
 	// wake (WaitCycles) during this slice.
 	co.waking = false
-	if co.driving {
-		// The coroutine popped this wake from inside ParkInline's
-		// drive loop: clearing the flag IS the resume — the loop exits
-		// and the body continues, no switch needed.
-		co.driving = false
-		return
-	}
+	co.Resume()
+}
+
+// Resume switches to the body until its next Park (or its end), on the
+// lane the coroutine was created under. The coroutine's own wake event
+// calls it, and so does a sink that owns the coroutine's wakes. It
+// must be called from the engine's dispatch, never from inside a
+// coroutine's body: no dispatch runs on a coroutine's stack, and a
+// nested switch would panic in iter.Pull.
+func (co *Coroutine) Resume() {
+	co.eng.curLane = co.lane
 	co.next()
 }
 
@@ -129,50 +133,12 @@ func (co *Coroutine) Wakeable() bool { return !co.done && !co.waking }
 // Must be called from the coroutine's own body.
 func (co *Coroutine) Park() { co.yield(struct{}{}) }
 
-// ParkInline suspends the coroutine until some event calls WakeAfter,
-// like Park, but keeps the coroutine executing the engine's event loop
-// while it waits, for as long as no other coroutine needs control:
-// message deliveries, coherence-manager timers and the wait's own
-// completion chain all dispatch inline, and the coroutine's wake event
-// simply falls out of the loop — zero coroutine switches for a plain
-// timed wait or an entire remote round trip. The drive loop hands back
-// to a real Park the moment the next event would resume a different
-// coroutine (or lies beyond the engine's horizon), so the dispatch
-// order, event timestamps and tie-break draws are identical to a plain
-// Park in every case. Handing back first is also what keeps the
-// switches well nested: another coroutine is only ever resumed from the
-// engine's own loop, never from inside a running coroutine, whose
-// iter.Pull would panic on the re-entrant next.
-func (co *Coroutine) ParkInline() {
-	e := co.eng
-	co.driving = true
-	for co.driving {
-		at, h := e.q.head()
-		if h < 0 || at > e.horizon {
-			co.driving = false
-			co.Park()
-			return
-		}
-		if next, ok := e.q.sink(h).(*Coroutine); ok && next != co {
-			co.driving = false
-			co.Park()
-			return
-		}
-		e.run(at, h)
-	}
-	// Our own wake dispatched from our own loop: the body resumes here
-	// with the engine clock at the wake time and curLane already set to
-	// our lane, exactly as if HandleEvent had resumed us.
-}
-
 // WaitCycles suspends the coroutine for d cycles of virtual time.
 // Must be called from the coroutine's own body. The wake is a real
-// event, so the wait is a dispatch like any other (observable, tagged);
-// ParkInline keeps it free of coroutine switches unless another
-// coroutine must run first.
+// event, so the wait is a dispatch like any other (observable, tagged).
 func (co *Coroutine) WaitCycles(d Cycles) {
 	co.scheduleWake(d)
-	co.ParkInline()
+	co.Park()
 }
 
 // String implements fmt.Stringer for diagnostics.

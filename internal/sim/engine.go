@@ -128,10 +128,9 @@ type Engine struct {
 	now Cycles
 	// curLane is the lane of the activity currently executing: set by
 	// each dispatch from its event (NoLane for one keyed under
-	// BarrierLane) and left in place afterwards, so a coroutine slice
-	// that keeps running after an inline-driven resume still schedules
-	// under its own lane. Events scheduled during an activity inherit
-	// it as their tie-break lane.
+	// BarrierLane), and reset by a sink that runs the activity as its
+	// node's (SetLane, Coroutine.Resume). Events scheduled during an
+	// activity inherit it as their tie-break lane.
 	curLane int32
 	// laneSeq holds one monotone draw counter per lane, indexed by
 	// lane+1 (so NoLane lands on index 0). Grown on demand.
@@ -146,10 +145,6 @@ type Engine struct {
 	// RunUntil's horizon, so it reports true elapsed work in sharded
 	// rounds.
 	lastAct Cycles
-	// horizon bounds ParkInline's drive loop while RunUntil is active:
-	// a coroutine driving the engine in place may not dispatch past the
-	// instant the caller asked the engine to stop at.
-	horizon Cycles
 	// onEvent, when set, observes every dispatched event (at, kind)
 	// just before its sink runs — the observability layer's engine
 	// probe. Nil (one comparison per dispatch) when tracing is off.
@@ -188,7 +183,7 @@ type deferredCall struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{horizon: ^Cycles(0), curLane: NoLane, q: newQueue()}
+	return &Engine{curLane: NoLane, q: newQueue()}
 }
 
 // Now returns the current virtual time.
@@ -364,12 +359,9 @@ func (e *Engine) Run() {
 // RunUntil executes events with time <= t, then sets the clock to t.
 // Events scheduled beyond t remain pending.
 func (e *Engine) RunUntil(t Cycles) {
-	prev := e.horizon
-	e.horizon = t
 	for at, h := e.q.head(); h >= 0 && at <= t; at, h = e.q.head() {
 		e.run(at, h)
 	}
-	e.horizon = prev
 	if e.now < t {
 		e.now = t
 	}

@@ -155,14 +155,6 @@ func (q *queue) head() (at Cycles, h int32) {
 	return o.at, 0
 }
 
-// sink returns the sink of the event at handle h, from head.
-func (q *queue) sink(h int32) EventSink {
-	if h == 0 {
-		return q.overflow[0].sink
-	}
-	return q.pays[h].sink
-}
-
 // take removes the event at handle h, due at at (both from head), and
 // returns its fields.
 func (q *queue) take(at Cycles, h int32) (tie uint64, sink EventSink, kind int32, data any) {

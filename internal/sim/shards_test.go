@@ -12,9 +12,8 @@ import (
 
 // TestShardSetOneEngineQuiescent pins the one-engine run loop: it runs
 // the same lookahead rounds as several engines do, so the Quiescent
-// hook fires only at barriers — never from inside a dispatch, the ones
-// a coroutine drives inline from ParkInline included — at the same
-// instants as a two-engine split of the same program, and the
+// hook fires only at barriers — never from inside a dispatch, a
+// coroutine's slices included — at the same instants as a two-engine split of the same program, and the
 // engine's own dispatch hook stays its own. A set without a window
 // panics at one engine as at several.
 func TestShardSetOneEngineQuiescent(t *testing.T) {
