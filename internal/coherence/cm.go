@@ -256,9 +256,6 @@ func New(self mesh.NodeID, eng *sim.Engine, net *mesh.Mesh, mem *memory.Memory, 
 	return cm
 }
 
-// Self returns the node this CM serves.
-func (cm *CM) Self() mesh.NodeID { return cm.self }
-
 // node returns this node's stats block.
 func (cm *CM) node() *stats.Node { return &cm.st.Nodes[cm.self] }
 

@@ -43,7 +43,7 @@ func TestSameWordPendingBlocksReadUntilLastAck(t *testing.T) {
 			t.Fatalf("depth %d: read of a pending word issued at once (remote reads %d)", depth, n)
 		}
 		for w.PendingCount() == 2 {
-			if !r.eng.Step() {
+			if r.eng.RunLimit(1) == 0 {
 				t.Fatalf("depth %d: engine drained with both writes pending", depth)
 			}
 		}
@@ -54,7 +54,7 @@ func TestSameWordPendingBlocksReadUntilLastAck(t *testing.T) {
 			if readDone || r.st.Nodes[0].RemoteReads != 1 {
 				t.Fatalf("depth %d: read released by the first of two acks", depth)
 			}
-			if !r.eng.Step() {
+			if r.eng.RunLimit(1) == 0 {
 				t.Fatalf("depth %d: engine drained with a write pending", depth)
 			}
 		}
@@ -93,7 +93,7 @@ func TestPendingDepthAndFence(t *testing.T) {
 		if fences != 0 {
 			t.Fatalf("depth %d: fence fired with writes pending", depth)
 		}
-		for r.eng.Step() {
+		for r.eng.RunLimit(1) == 1 {
 			if w.PendingCount() > depth {
 				t.Fatalf("depth %d: %d writes pending", depth, w.PendingCount())
 			}

@@ -233,7 +233,7 @@ func TestReplayArmedTimerKeepsLane(t *testing.T) {
 	w := replayWrite{r, addrFor(frames, 0, 1, 3)}
 	e := r.eng
 	e.SetLane(1)
-	e.Schedule(10, func() { e.Defer(w, 0, nil) })
+	e.ScheduleEvent(10, fnSink{}, 0, func() { e.Defer(w, 0, nil) })
 	(&sim.ShardSet{Engines: []*sim.Engine{e}, Window: 12}).Run()
 	if r.st.Retransmits == 0 {
 		t.Fatal("the timer armed at the barrier never fired live")
@@ -243,3 +243,9 @@ func TestReplayArmedTimerKeepsLane(t *testing.T) {
 		t.Errorf("%d keys drawn from the engine's NoLane counter", drawn)
 	}
 }
+
+// fnSink is the tests' event sink: each event runs the func() it
+// carries as data.
+type fnSink struct{}
+
+func (fnSink) HandleEvent(_ int, data any) { data.(func())() }

@@ -63,7 +63,7 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mPlain, ePlain := observeWorkload(t, nil, tc.mode)
-			obs := stats.NewObserver(stats.ObserveConfig{SampleEvery: 1000, EngineEvents: true})
+			obs := stats.NewObserver(stats.ObserveConfig{SampleEvery: 1000})
 			mObs, eObs := observeWorkload(t, obs, tc.mode)
 			if ePlain != eObs {
 				t.Fatalf("observer changed elapsed time: %d vs %d", ePlain, eObs)

@@ -169,14 +169,7 @@ func (k *Kernel) resyncHop(vp memory.VPage, pos int) {
 	}
 	pred, succ := list[pos-1], list[pos]
 	k.st.PagesResynced++
-	k.copiesInFlight.Add(1)
-	fired := false
-	k.cms[pred.Node].PageCopy(pred.Page, succ, func() {
-		if fired {
-			return // administrative + delivered completion raced
-		}
-		fired = true
-		k.copiesInFlight.Add(-1)
+	k.copyPage(pred, succ, func() {
 		k.deferOp(opResync, pageOp{vp: vp, node: succ.Node, pos: pos + 1})
 	})
 }

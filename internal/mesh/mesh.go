@@ -493,10 +493,6 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 // Nodes returns the number of nodes in the mesh.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// DirectedLinks returns the number of physical directed links modeled
-// by the contention state.
-func (m *Mesh) DirectedLinks() int { return len(m.linkFree) }
-
 // Config returns the mesh configuration.
 func (m *Mesh) Config() Config { return m.cfg }
 

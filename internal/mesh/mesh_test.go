@@ -190,7 +190,7 @@ func TestDirectedLinksExact(t *testing.T) {
 	for _, c := range cases {
 		_, m := newTestMesh(c.w, c.h, true)
 		want := 2 * ((c.w-1)*c.h + c.w*(c.h-1))
-		if got := m.DirectedLinks(); got != want {
+		if got := len(m.LinkLabels()); got != want {
 			t.Errorf("%dx%d mesh: %d directed links, want %d", c.w, c.h, got, want)
 		}
 	}

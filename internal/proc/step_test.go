@@ -103,8 +103,8 @@ func runStepLeg(t *testing.T, leg stepLeg, sync bool, crashAt sim.Cycles) stepRu
 	var out stepRun
 	if crashAt > 0 {
 		p := r.procs[0]
-		r.eng.ScheduleAt(crashAt+1, p.Pause)
-		r.eng.ScheduleAt(crashAt+2001, func() {
+		r.eng.ScheduleEventAt(crashAt+1, fnSink{}, 0, p.Pause)
+		r.eng.ScheduleEventAt(crashAt+2001, fnSink{}, 0, func() {
 			for _, th := range p.halted {
 				out.haltedAt = append(out.haltedAt, th.step)
 			}
@@ -306,3 +306,9 @@ func TestDelayedOpsAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// fnSink is the tests' event sink: each event runs the func() it
+// carries as data.
+type fnSink struct{}
+
+func (fnSink) HandleEvent(_ int, data any) { data.(func())() }

@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-// BenchmarkEngineSchedule measures raw event throughput on the legacy
-// closure API (funcSink adapter).
-func BenchmarkEngineSchedule(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(Cycles(i%64), func() {})
-		if i%1024 == 1023 {
-			e.Run()
-		}
-	}
-	e.Run()
-}
-
-// BenchmarkEngineChain measures self-rescheduling closure chains (the
-// legacy pattern the typed path replaces on hot paths).
-func BenchmarkEngineChain(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	n := b.N
-	var tick func()
-	tick = func() {
-		if n > 0 {
-			n--
-			e.Schedule(3, tick)
-		}
-	}
-	e.Schedule(1, tick)
-	b.ResetTimer()
-	e.Run()
-}
-
 // chainSink reschedules itself until its budget is exhausted,
 // exercising the full schedule → siftUp → pop → siftDown → dispatch
 // cycle with nothing else in the loop.

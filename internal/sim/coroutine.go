@@ -75,14 +75,8 @@ func NewCoroutine(eng *Engine, label string, body func(*Coroutine)) *Coroutine {
 	return co
 }
 
-// Label returns the diagnostic name given at creation.
-func (co *Coroutine) Label() string { return co.label }
-
 // Done reports whether the body has returned.
 func (co *Coroutine) Done() bool { return co.done }
-
-// Engine returns the engine this coroutine is bound to.
-func (co *Coroutine) Engine() *Engine { return co.eng }
 
 // scheduleWake arms a resume event after delay cycles. The coroutine
 // itself is the event's sink, so a wake allocates nothing.
@@ -122,12 +116,6 @@ func (co *Coroutine) Resume() {
 // It panics on a double wake or a wake of a finished coroutine, to
 // surface protocol bugs rather than silently double-running a thread.
 func (co *Coroutine) WakeAfter(delay Cycles) { co.scheduleWake(delay) }
-
-// Wakeable reports whether WakeAfter may be called: the coroutine has
-// not finished and has no wake pending. (A coroutine that is currently
-// executing its slice is nominally wakeable, but only the coroutine
-// itself can observe that state, and waking oneself is meaningless.)
-func (co *Coroutine) Wakeable() bool { return !co.done && !co.waking }
 
 // Park suspends the coroutine until some event calls WakeAfter.
 // Must be called from the coroutine's own body.

@@ -39,12 +39,7 @@ func TestCoroutineParkWake(t *testing.T) {
 		resumedAt = e.Now()
 	})
 	co.WakeAfter(0)
-	e.Schedule(100, func() {
-		if !co.Wakeable() {
-			t.Error("parked coroutine should be wakeable")
-		}
-		co.WakeAfter(7)
-	})
+	runAfter(e, 100, func() { co.WakeAfter(7) })
 	e.Run()
 	if resumedAt != 107 {
 		t.Fatalf("resumed at %d, want 107", resumedAt)

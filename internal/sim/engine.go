@@ -19,9 +19,9 @@
 // message delivery, component timers). The queue (queue.go) is a
 // near-future wheel, one slot per cycle over the next wheelSize cycles,
 // where almost every event lands; a binary heap holds the few events
-// further ahead. The closure-based Schedule/ScheduleAt API remains for
-// cold paths and tests; it costs whatever the caller's closure costs,
-// but no per-event node.
+// further ahead. Every event is typed, a sink and a (kind, data) pair
+// (ScheduleEvent, ScheduleEventAt), so a handler is a method, never a
+// closure.
 //
 // Ties in virtual time break on a (lane, per-lane sequence) key rather
 // than a global scheduling counter. A lane is the node whose simulated
@@ -52,7 +52,7 @@ type EventSink interface {
 }
 
 // NoLane is the lane of machine-level activity: setup scheduling done
-// before the engine runs, and test closures driven outside any node's
+// before the engine runs, and test events driven outside any node's
 // simulated activity. It sorts before every node lane.
 const NoLane int32 = -1
 
@@ -116,12 +116,6 @@ type event struct {
 	data any
 }
 
-// funcSink adapts the closure-based Schedule API onto the typed event
-// path: data carries the func() itself (pointer-shaped, not boxed).
-type funcSink struct{}
-
-func (funcSink) HandleEvent(_ int, data any) { data.(func())() }
-
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
@@ -145,10 +139,6 @@ type Engine struct {
 	// RunUntil's horizon, so it reports true elapsed work in sharded
 	// rounds.
 	lastAct Cycles
-	// onEvent, when set, observes every dispatched event (at, kind)
-	// just before its sink runs — the observability layer's engine
-	// probe. Nil (one comparison per dispatch) when tracing is off.
-	onEvent func(at Cycles, kind int)
 	// cur is the queue key of the event currently dispatching. Keys are
 	// unique across all engines of a sharded run, so filing deferred
 	// work under it lets the barrier replay every engine's log in the
@@ -208,14 +198,6 @@ func (e *Engine) SetLane(lane int32) { e.curLane = lane }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events not yet executed.
-func (e *Engine) Pending() int { return e.q.len() }
-
-// SetOnEvent installs a hook observing every event dispatch (nil to
-// remove). The hook must not schedule or mutate simulation state; it
-// exists for instrumentation (stats.EvEngineDispatch).
-func (e *Engine) SetOnEvent(fn func(at Cycles, kind int)) { e.onEvent = fn }
-
 // InRound reports whether this engine is inside a ShardSet round,
 // where a Defer waits for the round's barrier instead of running at
 // once.
@@ -247,26 +229,14 @@ func (e *Engine) logDeferred(sink EventSink, kind int, data any) {
 	e.deferred = append(e.deferred, deferredCall{at: e.cur, sink: sink, kind: kind, data: data})
 }
 
-// Schedule runs fn after delay cycles of virtual time.
-func (e *Engine) Schedule(delay Cycles, fn func()) {
-	e.ScheduleEventAt(e.now+delay, funcSink{}, 0, fn)
-}
-
-// ScheduleAt runs fn at absolute virtual time at. Scheduling in the
-// past is a programming error and panics: the engine's clock never
-// moves backward.
-func (e *Engine) ScheduleAt(at Cycles, fn func()) {
-	e.ScheduleEventAt(at, funcSink{}, 0, fn)
-}
-
 // ScheduleEvent delivers (kind, data) to sink after delay cycles.
-// This is the allocation-free scheduling path.
 func (e *Engine) ScheduleEvent(delay Cycles, sink EventSink, kind int, data any) {
 	e.ScheduleEventAt(e.now+delay, sink, kind, data)
 }
 
 // ScheduleEventAt delivers (kind, data) to sink at absolute virtual
-// time at. Scheduling in the past panics.
+// time at. Scheduling in the past is a programming error and panics:
+// the engine's clock never moves backward.
 func (e *Engine) ScheduleEventAt(at Cycles, sink EventSink, kind int, data any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.now))
@@ -324,17 +294,6 @@ func (e *Engine) NextEventAt() (at Cycles, ok bool) {
 	return at, h >= 0
 }
 
-// Step executes the single earliest pending event and returns true, or
-// returns false if no events remain.
-func (e *Engine) Step() bool {
-	at, h := e.q.head()
-	if h < 0 {
-		return false
-	}
-	e.run(at, h)
-	return true
-}
-
 // run dispatches the event at queue handle h, due at at: both from
 // the one head lookup its caller made.
 func (e *Engine) run(at Cycles, h int32) {
@@ -344,15 +303,13 @@ func (e *Engine) run(at Cycles, h int32) {
 	e.curLane = max(laneOf(tie), NoLane)
 	e.cur = key{at, tie}
 	e.processed++
-	if e.onEvent != nil {
-		e.onEvent(at, int(kind))
-	}
 	sink.HandleEvent(int(kind), data)
 }
 
 // Run executes events until none remain.
 func (e *Engine) Run() {
-	for e.Step() {
+	for at, h := e.q.head(); h >= 0; at, h = e.q.head() {
+		e.run(at, h)
 	}
 }
 
@@ -372,9 +329,11 @@ func (e *Engine) RunUntil(t Cycles) {
 func (e *Engine) RunLimit(n uint64) uint64 {
 	var i uint64
 	for ; i < n; i++ {
-		if !e.Step() {
+		at, h := e.q.head()
+		if h < 0 {
 			break
 		}
+		e.run(at, h)
 	}
 	return i
 }

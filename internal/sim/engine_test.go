@@ -9,6 +9,18 @@ import (
 	"testing/quick"
 )
 
+// fnSink is the tests' event sink: each event runs the func() it
+// carries as data.
+type fnSink struct{}
+
+func (fnSink) HandleEvent(_ int, data any) { data.(func())() }
+
+// runAfter schedules fn on e after delay cycles.
+func runAfter(e *Engine, delay Cycles, fn func()) { e.ScheduleEvent(delay, fnSink{}, 0, fn) }
+
+// runAt schedules fn on e at absolute time at.
+func runAt(e *Engine, at Cycles, fn func()) { e.ScheduleEventAt(at, fnSink{}, 0, fn) }
+
 func TestEngineEmptyRun(t *testing.T) {
 	e := NewEngine()
 	e.Run()
@@ -23,9 +35,9 @@ func TestEngineEmptyRun(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	runAfter(e, 30, func() { got = append(got, 3) })
+	runAfter(e, 10, func() { got = append(got, 1) })
+	runAfter(e, 20, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
@@ -42,7 +54,7 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		runAfter(e, 5, func() { got = append(got, i) })
 	}
 	e.Run()
 	if len(got) != 100 {
@@ -62,10 +74,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) < 5 {
-			e.Schedule(7, tick)
+			runAfter(e, 7, tick)
 		}
 	}
-	e.Schedule(7, tick)
+	runAfter(e, 7, tick)
 	e.Run()
 	if len(ticks) != 5 {
 		t.Fatalf("got %d ticks, want 5", len(ticks))
@@ -79,13 +91,13 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	runAfter(e, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.ScheduleAt(5, func() {})
+		runAt(e, 5, func() {})
 	})
 	e.Run()
 }
@@ -93,9 +105,9 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(10, func() { ran++ })
-	e.Schedule(20, func() { ran++ })
-	e.Schedule(30, func() { ran++ })
+	runAfter(e, 10, func() { ran++ })
+	runAfter(e, 20, func() { ran++ })
+	runAfter(e, 30, func() { ran++ })
 	e.RunUntil(20)
 	if ran != 2 {
 		t.Fatalf("ran %d events by t=20, want 2", ran)
@@ -103,8 +115,8 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 20 {
 		t.Fatalf("clock = %d, want 20", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if at, ok := e.NextEventAt(); !ok || at != 30 || e.Processed() != 2 {
+		t.Fatalf("next event at (%d, %v) after %d dispatches, want 30 after 2", at, ok, e.Processed())
 	}
 	e.RunUntil(15) // no-op: clock never moves backward
 	if e.Now() != 20 {
@@ -119,7 +131,7 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
-		e.Schedule(Cycles(i), func() {})
+		runAfter(e, Cycles(i), func() {})
 	}
 	if n := e.RunLimit(4); n != 4 {
 		t.Fatalf("RunLimit executed %d, want 4", n)
@@ -140,7 +152,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		var fired []Cycles
 		for _, d := range delays {
 			d := Cycles(d)
-			e.Schedule(d, func() { fired = append(fired, d) })
+			runAfter(e, d, func() { fired = append(fired, d) })
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -175,12 +187,12 @@ func TestEngineDeterminism(t *testing.T) {
 			if depth < 4 {
 				n := rng.Intn(3)
 				for i := 0; i < n; i++ {
-					e.Schedule(Cycles(rng.Intn(50)), func() { spawn(depth + 1) })
+					runAfter(e, Cycles(rng.Intn(50)), func() { spawn(depth + 1) })
 				}
 			}
 		}
 		for i := 0; i < 10; i++ {
-			e.Schedule(Cycles(rng.Intn(100)), func() { spawn(0) })
+			runAfter(e, Cycles(rng.Intn(100)), func() { spawn(0) })
 		}
 		e.Run()
 		return out
@@ -283,7 +295,7 @@ func TestEngineQueueOrderDifferential(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					lane = BarrierLane
 				}
-				e.InjectEventAt(at, lane, injSeq, funcSink{}, 0, fire)
+				e.InjectEventAt(at, lane, injSeq, fnSink{}, 0, fire)
 				pending = append(pending, ref{at, lane, injSeq})
 				injSeq++
 				seen["injected"]++
@@ -291,7 +303,7 @@ func TestEngineQueueOrderDifferential(t *testing.T) {
 			}
 			lane := lanes[rng.Intn(len(lanes))]
 			e.SetLane(lane)
-			e.ScheduleEventAt(at, funcSink{}, 0, fire)
+			e.ScheduleEventAt(at, fnSink{}, 0, fire)
 			pending = append(pending, ref{at, lane, draws[lane]})
 			draws[lane]++
 		}
@@ -334,7 +346,7 @@ func TestEngineQueueOrderDifferential(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			schedule(false)
 		}
-		for e.Pending() > 0 {
+		for len(pending) > 0 {
 			if rng.Intn(2) == 0 {
 				e.RunLimit(uint64(rng.Intn(40) + 1))
 			} else {
@@ -352,8 +364,17 @@ func TestEngineQueueOrderDifferential(t *testing.T) {
 					schedule(false)
 				}
 			}
-			if e.Pending() != len(pending) {
-				t.Fatalf("seed %d: Pending() = %d, model holds %d", seed, e.Pending(), len(pending))
+			if n := uint64(scheduled - len(pending)); e.Processed() != n {
+				t.Fatalf("seed %d: Processed() = %d, model dispatched %d", seed, e.Processed(), n)
+			}
+			at, ok := e.NextEventAt()
+			if ok != (len(pending) > 0) {
+				t.Fatalf("seed %d: NextEventAt ok=%v with %d pending in the model", seed, ok, len(pending))
+			}
+			for _, k := range pending {
+				if k.at < at {
+					t.Fatalf("seed %d: NextEventAt = %d, model holds %+v", seed, at, k)
+				}
 			}
 		}
 		if fired != scheduled {
@@ -397,11 +418,11 @@ func TestTieKeyRange(t *testing.T) {
 		seq  uint64
 	}{{BarrierLane - 1, 0}, {maxLane + 1, 0}, {-1 << 31, 0}, {0, maxSeq + 1}, {0, 1 << 63}} {
 		panics(fmt.Sprintf("InjectEventAt lane %d seq %d", k.lane, k.seq), func() {
-			e.InjectEventAt(1, k.lane, k.seq, funcSink{}, 0, func() {})
+			e.InjectEventAt(1, k.lane, k.seq, fnSink{}, 0, func() {})
 		})
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("%d events queued by panicking injections", e.Pending())
+	if at, ok := e.NextEventAt(); ok {
+		t.Fatalf("a panicking injection queued an event at %d", at)
 	}
 
 	e.SetLane(7)
@@ -410,7 +431,7 @@ func TestTieKeyRange(t *testing.T) {
 	if lane, seq := e.DrawKey(); lane != 7 || seq != maxSeq {
 		t.Fatalf("drew (%d, %d), want (7, %d)", lane, seq, uint64(maxSeq))
 	}
-	panics("a drawn seq past maxSeq", func() { e.ScheduleEvent(1, funcSink{}, 0, func() {}) })
+	panics("a drawn seq past maxSeq", func() { e.ScheduleEvent(1, fnSink{}, 0, func() {}) })
 	e.SetLane(maxLane + 1)
 	panics("a draw on a lane past maxLane", func() { e.DrawKey() })
 

@@ -80,9 +80,6 @@ func (a *event) before(b *event) bool {
 	return a.at < b.at || a.at == b.at && a.tie < b.tie
 }
 
-// len returns the number of pending events.
-func (q *queue) len() int { return q.n + len(q.overflow) }
-
 // push enqueues an event. No pending event lies before now, and now
 // never moves backward between calls; the engine's past-schedule
 // checks keep at ≥ now.

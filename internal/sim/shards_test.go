@@ -13,16 +13,14 @@ import (
 // TestShardSetOneEngineQuiescent pins the one-engine run loop: it runs
 // the same lookahead rounds as several engines do, so the Quiescent
 // hook fires only at barriers — never from inside a dispatch, a
-// coroutine's slices included — at the same instants as a two-engine split of the same program, and the
-// engine's own dispatch hook stays its own. A set without a window
-// panics at one engine as at several.
+// coroutine's slices included — at the same instants as a two-engine
+// split of the same program, and each engine dispatches only its own
+// events. A set without a window panics at one engine as at several.
 func TestShardSetOneEngineQuiescent(t *testing.T) {
-	run := func(k int) (quiet []Cycles, probes []int) {
+	run := func(k int) (quiet []Cycles, dispatched []uint64) {
 		engines := make([]*Engine, k)
-		probes = make([]int, k)
 		for i := range engines {
 			engines[i] = NewEngine()
-			engines[i].SetOnEvent(func(Cycles, int) { probes[i]++ })
 		}
 		for i := 0; i < 2; i++ {
 			e := engines[i%k]
@@ -33,7 +31,7 @@ func TestShardSetOneEngineQuiescent(t *testing.T) {
 			})
 			co.WakeAfter(Cycles(i))
 		}
-		engines[k-1].Schedule(70, func() {})
+		runAfter(engines[k-1], 70, func() {})
 		ss := &ShardSet{Engines: engines, Window: 12, Quiescent: func(at Cycles) {
 			for _, e := range engines {
 				if e.InRound() {
@@ -46,14 +44,21 @@ func TestShardSetOneEngineQuiescent(t *testing.T) {
 		if uint64(len(quiet)) != ss.Stats.Rounds+1 {
 			t.Errorf("K=%d: quiescent fired %d times over %d rounds, want once per barrier", k, len(quiet), ss.Stats.Rounds)
 		}
-		return quiet, probes
+		for _, e := range engines {
+			dispatched = append(dispatched, e.Processed())
+		}
+		return quiet, dispatched
 	}
-	one, probes := run(1)
-	if probes[0] != 13 {
-		t.Fatalf("one engine's dispatch hook saw %d dispatches, want 13", probes[0])
+	one, n1 := run(1)
+	if want := []uint64{13}; !slices.Equal(n1, want) {
+		t.Fatalf("one engine dispatched %v events, want %v", n1, want)
 	}
-	if two, _ := run(2); !slices.Equal(one, two) {
+	two, n2 := run(2)
+	if !slices.Equal(one, two) {
 		t.Fatalf("quiescent points %v on one engine, %v on two", one, two)
+	}
+	if want := []uint64{6, 7}; !slices.Equal(n2, want) {
+		t.Fatalf("two engines dispatched %v events, want %v", n2, want)
 	}
 	if want := []Cycles{0, 8, 19, 26, 70}; !slices.Equal(one, want) {
 		t.Fatalf("quiescent points %v, want %v", one, want)
@@ -64,7 +69,7 @@ func TestShardSetOneEngineQuiescent(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	e.Schedule(1, func() {})
+	runAfter(e, 1, func() {})
 	(&ShardSet{Engines: []*Engine{e}}).Run()
 }
 
@@ -75,8 +80,8 @@ func TestShardSetOneEngineQuiescent(t *testing.T) {
 // activity, as one engine's would, not at the last round's horizon.
 func TestShardSetBarrierQuiescent(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
-	a.Schedule(5, func() {})
-	b.Schedule(40, func() {})
+	runAfter(a, 5, func() {})
+	runAfter(b, 40, func() {})
 	drained := 0
 	var seen []Cycles
 	ss := &ShardSet{
@@ -108,7 +113,7 @@ func TestShardSetDefer(t *testing.T) {
 	var log []string
 	note := func(s string) func() { return func() { log = append(log, s) } }
 	idle := NewEngine()
-	idle.Defer(funcSink{}, 0, note("idle"))
+	idle.Defer(fnSink{}, 0, note("idle"))
 	if got, want := strings.Join(log, " "), "idle"; got != want {
 		t.Fatalf("outside a round: %q, want %q", got, want)
 	}
@@ -117,11 +122,11 @@ func TestShardSetDefer(t *testing.T) {
 		log = nil
 		engines := []*Engine{NewEngine(), NewEngine()}[:k]
 		a, b := engines[0], engines[k-1]
-		a.Schedule(5, func() { a.Defer(funcSink{}, 0, note("a5")) })
-		b.Schedule(3, func() {
-			b.Defer(funcSink{}, 0, func() {
+		runAfter(a, 5, func() { a.Defer(fnSink{}, 0, note("a5")) })
+		runAfter(b, 3, func() {
+			b.Defer(fnSink{}, 0, func() {
 				log = append(log, "b3")
-				b.Defer(funcSink{}, 0, note("b3-nested"))
+				b.Defer(fnSink{}, 0, note("b3-nested"))
 			})
 			log = append(log, "b3-live")
 		})
@@ -153,7 +158,7 @@ func TestShardSetReplayKeys(t *testing.T) {
 		return func() {
 			for _, i := range is {
 				e := engines[i]
-				e.Schedule(20, func() {
+				runAfter(e, 20, func() {
 					if e.Lane() != NoLane {
 						t.Errorf("engine %d dispatched %+v on lane %d, want NoLane", i, dispatched(e), e.Lane())
 					}
@@ -163,10 +168,10 @@ func TestShardSetReplayKeys(t *testing.T) {
 		}
 	}
 	a.SetLane(4)
-	a.Schedule(5, func() { a.Defer(funcSink{}, 0, scheduleOn(0, 1)) })
+	runAfter(a, 5, func() { a.Defer(fnSink{}, 0, scheduleOn(0, 1)) })
 	b.SetLane(9)
-	b.Schedule(3, func() { b.Defer(funcSink{}, 0, scheduleOn(1)) })
-	b.Schedule(60, func() { b.Defer(funcSink{}, 0, scheduleOn(0)) })
+	runAfter(b, 3, func() { b.Defer(fnSink{}, 0, scheduleOn(1)) })
+	runAfter(b, 60, func() { b.Defer(fnSink{}, 0, scheduleOn(0)) })
 	ss := &ShardSet{Engines: engines, Window: 12}
 	ss.Run()
 	// The first round ends at 3+12-1 = 14, and its barrier replays b's
@@ -188,10 +193,10 @@ func TestShardSetReplayKeys(t *testing.T) {
 	engines = []*Engine{one, one}
 	got[0], got[1] = nil, nil
 	one.SetLane(4)
-	one.Schedule(5, func() { one.Defer(funcSink{}, 0, scheduleOn(0, 1)) })
+	runAfter(one, 5, func() { one.Defer(fnSink{}, 0, scheduleOn(0, 1)) })
 	one.SetLane(9)
-	one.Schedule(3, func() { one.Defer(funcSink{}, 0, scheduleOn(1)) })
-	one.Schedule(60, func() { one.Defer(funcSink{}, 0, scheduleOn(0)) })
+	runAfter(one, 3, func() { one.Defer(fnSink{}, 0, scheduleOn(1)) })
+	runAfter(one, 60, func() { one.Defer(fnSink{}, 0, scheduleOn(0)) })
 	(&ShardSet{Engines: []*Engine{one}, Window: 12}).Run()
 	if !slices.Equal(got[0], wantA) || !slices.Equal(got[1], wantB) {
 		t.Fatalf("one engine dispatched %+v and %+v, want %+v and %+v", got[0], got[1], wantA, wantB)
@@ -210,7 +215,7 @@ func TestShardSetPanicKeepsStack(t *testing.T) {
 	var stack string
 	func() {
 		e := NewEngine()
-		e.Schedule(4, func() {})
+		runAfter(e, 4, func() {})
 		e.ScheduleEvent(6, panicSink{}, 0, nil)
 		defer func() {
 			if got := recover(); got != "shard boom" {
@@ -232,7 +237,7 @@ func TestShardSetPanicKeepsStack(t *testing.T) {
 func TestShardSetPanicSurfacesAtRun(t *testing.T) {
 	run := func(arm func(b *Engine)) (got any) {
 		a, b := NewEngine(), NewEngine()
-		a.Schedule(4, func() {})
+		runAfter(a, 4, func() {})
 		arm(b)
 		defer func() { got = recover() }()
 		(&ShardSet{Engines: []*Engine{a, b}, Window: 12}).Run()
@@ -261,13 +266,13 @@ func TestShardSetInjectOrder(t *testing.T) {
 	record := func() { got = append(got, dispatched(b)) }
 	for _, lane := range []int32{5, 1} {
 		b.SetLane(lane)
-		b.ScheduleAt(near, record)
+		runAt(b, near, record)
 	}
 	b.SetLane(7)
-	b.ScheduleAt(far-20, func() {
+	runAt(b, far-20, func() {
 		for _, lane := range []int32{4, 0} {
 			b.SetLane(lane)
-			b.ScheduleAt(far, record)
+			runAt(b, far, record)
 		}
 	})
 	type mail struct {
@@ -275,17 +280,17 @@ func TestShardSetInjectOrder(t *testing.T) {
 		overflow bool // where the event must land in b's queue
 	}
 	var sent []mail
-	a.Schedule(5, func() {
+	runAfter(a, 5, func() {
 		sent = append(sent, mail{keyOf(near, 3, 100), false}, mail{keyOf(far, 2, 101), true})
 	})
-	a.Schedule(far-100, func() { sent = append(sent, mail{keyOf(far, 3, 102), false}) })
+	runAfter(a, far-100, func() { sent = append(sent, mail{keyOf(far, 3, 102), false}) })
 	ss := &ShardSet{
 		Engines: []*Engine{a, b},
 		Window:  12,
 		Drain: func() int {
 			for _, m := range sent {
 				before := len(b.q.overflow)
-				b.InjectEventAt(m.at, laneOf(m.tie), seqOf(m.tie), funcSink{}, 0, record)
+				b.InjectEventAt(m.at, laneOf(m.tie), seqOf(m.tie), fnSink{}, 0, record)
 				if landed := len(b.q.overflow) > before; landed != m.overflow {
 					t.Fatalf("%+v injected at now %d: in overflow %v, want %v", m.key, b.Now(), landed, m.overflow)
 				}
@@ -335,7 +340,7 @@ func TestShardSetWorkersExit(t *testing.T) {
 		for i := range es {
 			es[i] = NewEngine()
 			for at := Cycles(1); at < 200; at += Cycles(3 + i) {
-				es[i].ScheduleAt(at, func() {})
+				runAt(es[i], at, func() {})
 			}
 		}
 		arm(es)

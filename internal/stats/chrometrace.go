@@ -122,8 +122,6 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 						Args: map[string]any{"cause": e.Cause, "occupancy": e.B},
 					})
 				}
-			case EvEngineDispatch:
-				// Too verbose for a track; counters cover engine load.
 			default:
 				cat := "protocol"
 				switch e.Kind {

@@ -58,10 +58,6 @@ const (
 	EvStallBegin // a thread began stalling; Sub = stall class, A = thread id
 	EvStallEnd   // the stall ended; Sub = stall class, A = thread id, B = stalled cycles
 
-	// Engine (internal/sim); recorded only with ObserveConfig
-	// EngineEvents, which is very verbose.
-	EvEngineDispatch // one engine event dispatched; A = sink-defined kind
-
 	// Data-access layer (internal/proc), recorded only with
 	// ObserveConfig.DataAccess: the typed per-thread access stream the
 	// happens-before race detector (internal/trace) consumes. A carries
@@ -108,40 +104,39 @@ func StallClassName(c uint8) string {
 }
 
 var eventKindNames = [evKinds]string{
-	EvNone:           "none",
-	EvReadIssue:      "read",
-	EvReadDone:       "read-done",
-	EvWriteIssue:     "write",
-	EvWriteAck:       "ack",
-	EvRMWIssue:       "rmw",
-	EvRMWExec:        "rmw-exec",
-	EvRMWDone:        "rmw-done",
-	EvUpdate:         "update",
-	EvPageCopy:       "page-copy",
-	EvFence:          "fence",
-	EvNetInject:      "net-inject",
-	EvNetHop:         "net-hop",
-	EvNetDeliver:     "net-deliver",
-	EvNetNack:        "net-nack",
-	EvNetDrop:        "net-drop",
-	EvNetDup:         "net-dup",
-	EvNetDelay:       "net-delay",
-	EvRetransmit:     "retransmit",
-	EvBackoff:        "backoff",
-	EvDispatch:       "dispatch",
-	EvStallBegin:     "stall",
-	EvStallEnd:       "stall-end",
-	EvEngineDispatch: "engine",
-	EvAccRead:        "acc-read",
-	EvAccWrite:       "acc-write",
-	EvAccRMW:         "acc-rmw",
-	EvAccVerify:      "acc-verify",
-	EvAccFence:       "acc-fence",
-	EvAccSpawn:       "acc-spawn",
-	EvAccWake:        "acc-wake",
-	EvAccSleep:       "acc-sleep",
-	EvAccExit:        "acc-exit",
-	EvAccMap:         "acc-map",
+	EvNone:       "none",
+	EvReadIssue:  "read",
+	EvReadDone:   "read-done",
+	EvWriteIssue: "write",
+	EvWriteAck:   "ack",
+	EvRMWIssue:   "rmw",
+	EvRMWExec:    "rmw-exec",
+	EvRMWDone:    "rmw-done",
+	EvUpdate:     "update",
+	EvPageCopy:   "page-copy",
+	EvFence:      "fence",
+	EvNetInject:  "net-inject",
+	EvNetHop:     "net-hop",
+	EvNetDeliver: "net-deliver",
+	EvNetNack:    "net-nack",
+	EvNetDrop:    "net-drop",
+	EvNetDup:     "net-dup",
+	EvNetDelay:   "net-delay",
+	EvRetransmit: "retransmit",
+	EvBackoff:    "backoff",
+	EvDispatch:   "dispatch",
+	EvStallBegin: "stall",
+	EvStallEnd:   "stall-end",
+	EvAccRead:    "acc-read",
+	EvAccWrite:   "acc-write",
+	EvAccRMW:     "acc-rmw",
+	EvAccVerify:  "acc-verify",
+	EvAccFence:   "acc-fence",
+	EvAccSpawn:   "acc-spawn",
+	EvAccWake:    "acc-wake",
+	EvAccSleep:   "acc-sleep",
+	EvAccExit:    "acc-exit",
+	EvAccMap:     "acc-map",
 }
 
 // String names the kind ("write", "update", "net-hop", ...).
@@ -208,14 +203,6 @@ func (r *Ring) Push(e Event) {
 	r.n++
 }
 
-// Len returns the number of events currently held.
-func (r *Ring) Len() int {
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
-	}
-	return len(r.buf)
-}
-
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 
@@ -260,9 +247,6 @@ type ObserveConfig struct {
 	// that many cycles: at the first lookahead barrier at or after each
 	// period boundary, so sampling never adds events to the schedule.
 	SampleEvery sim.Cycles
-	// EngineEvents records every sim-engine event dispatch
-	// (EvEngineDispatch) — very verbose; off by default.
-	EngineEvents bool
 	// DataAccess records the per-thread data-access stream (the EvAcc*
 	// kinds) that the happens-before race detector consumes. Off by
 	// default: with it off every emission site is gated out and runs
@@ -396,9 +380,6 @@ func (o *Observer) Config() ObserveConfig { return o.cfg }
 
 // SampleInterval returns the configured sampling period (0 = off).
 func (o *Observer) SampleInterval() sim.Cycles { return o.cfg.SampleEvery }
-
-// EngineEvents reports whether engine dispatches should be recorded.
-func (o *Observer) EngineEvents() bool { return o.cfg.EngineEvents }
 
 // DataAccess reports whether the data-access event layer is on — the
 // single gate every EvAcc* emission site checks after the nil check.
