@@ -30,11 +30,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# The shard run loop's tests and the shard equivalence tests on one
-# CPU (GOMAXPROCS=1), where every multi-engine set oversubscribes it:
-# a barrier that needs a second CPU to make progress fails here.
+# The shard run loop's tests, the shard equivalence tests and the
+# kernel-ops sweep (runtime replication, whose page-fill marks are
+# written on the copies' own shards) on one CPU (GOMAXPROCS=1), where
+# every multi-engine set oversubscribes it: a barrier that needs a
+# second CPU to make progress fails here.
 shard-oversub:
-	GOMAXPROCS=1 $(GO) test -run 'ShardSet|ShardEquivalence' ./internal/sim ./internal/core
+	GOMAXPROCS=1 $(GO) test -run 'ShardSet|ShardEquivalence|KernelOps' ./internal/sim ./internal/core
 
 # The sharded observer gate beyond the 4x4 fuzz: the Figure 2-1 quick
 # sweep (plain and with the time-series sampler, which runs at
@@ -118,8 +120,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark harness (bench/, its own module) compiles against the
-# internal APIs (mesh.New, sim.ShardSet, Mesh.AllocMsg/FreeMsg), so a
-# reshape there must keep it building and its tests passing.
+# internal APIs, so a reshape there must keep it building and its
+# tests passing. bench/micro.go is the only caller outside the tests
+# of sim.Engine.RunLimit, sim.ShardSet.Drain, sim.Coroutine.WakeAfter
+# and WaitCycles, and mesh.Mesh.AllocMsg and FreeMsg; they stay until
+# the benchmark moves onto the machine's own paths.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 

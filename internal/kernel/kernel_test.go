@@ -187,6 +187,46 @@ func TestBackgroundReplicateOverlapsWrites(t *testing.T) {
 	}
 }
 
+// TestReplicateSourcesFilledCopy replicates one page onto nodes 2 and
+// 3 of a 4x1 row at the same instant. Nearest insertion would link 3
+// after 2, whose own page copy is still travelling; a copy's source
+// must instead be one that holds the page. The test tracks which
+// copies hold it (the master, then each whose done has fired) and
+// checks every new copy's predecessor, its PageCopy source, against
+// that set. Writes through the master overlap both copies and must
+// reach them.
+func TestReplicateSourcesFilledCopy(t *testing.T) {
+	r := newRig(t, 4, 1)
+	vp := r.k.AllocPage(0)
+	master := r.k.CopyList(vp)[0]
+	for i := uint32(0); i < memory.PageWords; i++ {
+		r.mems[0].Write(master.Page, i, memory.Word(i+1))
+	}
+	filled := map[mesh.NodeID]bool{0: true}
+	for _, n := range []mesh.NodeID{2, 3} {
+		r.k.Replicate(vp, n, func() { filled[n] = true })
+		list := r.k.CopyList(vp)
+		idx := r.k.copyIndex(vp, n)
+		if src := list[idx-1].Node; !filled[src] {
+			t.Fatalf("copy-list %v: node %d copies the page from node %d, whose own copy has not landed", list, n, src)
+		}
+	}
+	for i := uint32(0); i < 50; i++ {
+		off := i * 7 % memory.PageWords
+		r.cms[0].Write(coherence.At(master, off), memory.Word(9000+i), func() {})
+	}
+	r.eng.Run()
+	if !filled[2] || !filled[3] {
+		t.Fatalf("replicate completions: %v", filled)
+	}
+	if n := r.k.CopiesInFlight(); n != 0 {
+		t.Fatalf("%d copies in flight after the run", n)
+	}
+	if err := r.k.CheckCoherent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPokePeekAllCopies(t *testing.T) {
 	r := newRig(t, 2, 1)
 	vp := r.k.AllocPage(0)
