@@ -67,7 +67,9 @@ trace-equiv:
 # compares every output byte for byte. The record-store sweep's trace
 # pins every contended link reservation and wait; ext-linkbuf's JSON
 # the NACKs that bounded link buffers decide; fault-crash the crash
-# and failover sweeps; the invalidate, pending-writes and batching
+# and failover sweeps, traced so the failover epoch's event order is
+# compared as well as its rows; faults the reliability sublayer under
+# loss, duplication and delay; the invalidate, pending-writes and batching
 # ablations the write-invalidate, pending-depth and combining paths;
 # the competitive ablation and ext-placement the per-page reference
 # counters (the only sweeps that cross the competitive threshold or
@@ -91,7 +93,8 @@ parent-equiv:
 		$$d/$$b -quick -exp kvserve-sweep -trace-events 65536 \
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
-		for x in ext-linkbuf fault-crash ablation-invalidate \
+		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
+		for x in ext-linkbuf fault-crash faults ablation-invalidate \
 			ablation-pending-writes ablation-batching ablation-competitive \
 			ext-placement figure3-1 ablation-delayed-slots ablation-fence \
 			table3-1; do \
@@ -99,7 +102,8 @@ parent-equiv:
 		done; \
 		$$d/$$b -races > $$d/$$b-races.txt; \
 	done; \
-	for f in kv.json kv.txt f21.json f21.txt ext-linkbuf.json fault-crash.json \
+	for f in kv.json kv.txt f21.json f21.txt crash.json crash.txt \
+		ext-linkbuf.json fault-crash.json faults.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \
 		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt; do \

@@ -242,17 +242,6 @@ func Figure21(o Options) ([]Fig21Point, error) {
 	return fillFig21Efficiency(pts), nil
 }
 
-// Figure21Contention is the ROADMAP's contention-on variant: the same
-// sweep with the mesh link-contention model enabled, quantifying the
-// queueing effects the paper's lightly loaded runs ignored.
-func Figure21Contention(o Options) ([]Fig21Point, error) {
-	pts, err := RunPoints(figure21Points(o, true), o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return fillFig21Efficiency(pts), nil
-}
-
 func formatFig21(title string, pts []Fig21Point) string {
 	return renderTable(title,
 		[]col{{"Procs", -6}, {"Replication", -12}, {"Copies", -7},

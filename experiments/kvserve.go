@@ -123,11 +123,6 @@ func kvservePoints(o Options) []Point[KvRow] {
 	return pts
 }
 
-// KvserveSweep runs the serving-workload sweep.
-func KvserveSweep(o Options) ([]KvRow, error) {
-	return RunPoints(kvservePoints(o), o.Workers)
-}
-
 // FormatKvserve renders the sweep as a table.
 func FormatKvserve(rows []KvRow) string {
 	return renderTable("Serving workload: open-loop Zipfian record store, tail latency by skew x placement",

@@ -3,7 +3,6 @@ package coherence
 import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
-	"plus/internal/stats"
 )
 
 // Write combining (Timing.MaxBatchWrites > 1): consecutive writes from
@@ -31,47 +30,15 @@ import (
 //     treats a non-empty buffer as non-quiescent and core.Machine.Run
 //     fails if one survives the run.
 //
-// With MaxBatchWrites <= 1 none of this state is touched and the
-// protocol is byte-identical to the unbatched implementation.
-
-// batchWrite buffers one word write (batchMax > 1 path). The caller
-// has already checked MaxPendingWrites headroom and counted the write.
-func (cm *CM) batchWrite(g GAddr, v memory.Word) {
-	if cm.bopen && (g.Node != cm.bnode || g.Page != cm.bpage) {
-		cm.FlushBatch()
-	}
-	if !cm.bopen {
-		cm.bopen = true
-		cm.bnode, cm.bpage = g.Node, g.Page
-		if o := cm.obs(); o != nil {
-			// One causal ID spans the whole batch: every member's issue
-			// and ack events, and the combined message across its hops,
-			// share it.
-			cm.bcause = o.CauseFor(int(cm.self))
-		}
-	} else {
-		cm.node().CoalescedWrites++
-	}
-	id := cm.allocPending(g)
-	cm.bids = append(cm.bids, id)
-	cm.bwrites = append(cm.bwrites, wordWrite{Off: g.Off, Val: v})
-	if o := cm.obs(); o != nil {
-		if cm.wrIssued == nil {
-			cm.wrIssued = make(map[uint64]issueRec)
-		}
-		cm.wrIssued[id] = issueRec{at: cm.eng.Now(), cause: cm.bcause}
-		cm.lastCause = cm.bcause
-		o.Emit(stats.EvWriteIssue, int(cm.self), 0, cm.bcause, packAddr(g), id)
-	}
-	if len(cm.bwrites) >= cm.batchMax {
-		cm.FlushBatch()
-	}
-}
+// Every write passes through the buffer (CM.Write). At the default
+// depth of one word (MaxBatchWrites 1) the buffer flushes as soon as
+// its one word is in, so each write travels alone; the batch-size
+// histogram then records nothing.
 
 // FlushBatch sends the combine buffer's contents as one kWriteReq (a
-// no-op when the buffer is empty, and always when combining is off).
-// The message carries the lead member's pending id; batchIDs remembers
-// the rest so the single ack retires every member.
+// no-op when the buffer is empty). The message carries the lead
+// member's pending id; batchIDs remembers the rest so the single ack
+// retires every member.
 func (cm *CM) FlushBatch() {
 	if !cm.bopen {
 		return
@@ -89,32 +56,31 @@ func (cm *CM) FlushBatch() {
 		}
 		cm.batchIDs[m.ID] = append(ids, cm.bids...)
 	}
-	if o := cm.obs(); o != nil {
+	if o := cm.obs(); o != nil && cm.batchMax > 1 {
 		o.Metrics.BatchSize.Observe(uint64(len(cm.bwrites)))
 	}
 	dst := cm.bnode
 	cm.bwrites = cm.bwrites[:0]
 	cm.bids = cm.bids[:0]
 	cm.bcause = 0
-	if dst == cm.self {
-		cm.arriveWrite(m)
-		return
-	}
-	cm.send(dst, m)
+	cm.handOff(dst, m)
 }
 
 // retireWrite handles a write acknowledgement: a batch lead id retires
-// every member of its batch, any other id is a plain single write.
+// every member of its batch, any other id is a plain single write, and
+// id 0 (a delayed operation that carries no pending-writes entry)
+// retires nothing.
 func (cm *CM) retireWrite(id uint64) {
-	if cm.batchIDs != nil {
-		if ids, ok := cm.batchIDs[id]; ok {
-			delete(cm.batchIDs, id)
-			for _, wid := range ids {
-				cm.finishWrite(wid)
-			}
-			cm.idsFree = append(cm.idsFree, ids[:0])
-			return
+	if id == 0 {
+		return
+	}
+	if ids, ok := cm.batchIDs[id]; ok {
+		delete(cm.batchIDs, id)
+		for _, wid := range ids {
+			cm.finishWrite(wid)
 		}
+		cm.idsFree = append(cm.idsFree, ids[:0])
+		return
 	}
 	cm.finishWrite(id)
 }

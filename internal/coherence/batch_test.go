@@ -6,6 +6,7 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/sim"
+	"plus/internal/stats"
 	"plus/internal/timing"
 )
 
@@ -62,9 +63,9 @@ func TestBatchCoalescesWrites(t *testing.T) {
 }
 
 // TestBatchSingleWriteEquivalence pins that with MaxBatchWrites=1 the
-// combine buffer never opens and the message counts match the
-// unbatched protocol exactly (the goldens' byte-identity guarantee at
-// the unit level).
+// combine buffer flushes every word at once, so each write travels as
+// its own request, update and ack (the goldens' byte-identity
+// guarantee at the unit level).
 func TestBatchSingleWriteEquivalence(t *testing.T) {
 	counts := func(depth int) (uint64, uint64, uint64) {
 		r := newRigTiming(t, 2, 2, batchTiming(depth))
@@ -236,5 +237,51 @@ func TestBatchWriteZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("batched write path allocates %v objects per run, want 0", avg)
+	}
+}
+
+// TestRetriedWriteAcceptedBeforeIssue: a write that waited for a free
+// pending-writes entry is handed its entry (accepted, which the
+// processor turns into the thread's EvDispatch) before its
+// EvWriteIssue, whether the buffer flushes at once (depth 1) or the
+// word rests in it (depth 4).
+func TestRetriedWriteAcceptedBeforeIssue(t *testing.T) {
+	for _, depth := range []int{1, 4} {
+		r := newRigTiming(t, 2, 1, batchTiming(depth))
+		o := stats.NewObserver(stats.ObserveConfig{})
+		o.Bind(r.eng.Now, stats.TraceMeta{Nodes: 2})
+		r.st.AttachObserver(o)
+		frames := r.page(0, 1)
+		w := r.cms[1]
+		for i := 0; i < r.tm.MaxPendingWrites; i++ {
+			w.Write(GAddr{1, frames[1], uint32(i)}, 7, noopAccept)
+		}
+		retried := GAddr{1, frames[1], 99}
+		accepted := false
+		w.Write(retried, 8, func() {
+			accepted = true
+			o.Emit(stats.EvDispatch, 1, 0, 0, 1, 0)
+		})
+		if accepted {
+			t.Fatalf("depth %d: write accepted with the pending-writes cache full", depth)
+		}
+		r.eng.Run()
+		w.FlushBatch()
+		r.eng.Run()
+		if !accepted || w.PendingCount() != 0 {
+			t.Fatalf("depth %d: accepted=%v, %d writes pending", depth, accepted, w.PendingCount())
+		}
+		dispatch, issue := -1, -1
+		for i, e := range o.Events() {
+			switch {
+			case e.Kind == stats.EvDispatch:
+				dispatch = i
+			case e.Kind == stats.EvWriteIssue && e.A == packAddr(retried):
+				issue = i
+			}
+		}
+		if dispatch < 0 || issue < 0 || dispatch > issue {
+			t.Fatalf("depth %d: retried write's EvDispatch at event %d, its EvWriteIssue at %d; want dispatch first", depth, dispatch, issue)
+		}
 	}
 }

@@ -62,31 +62,37 @@ func (cm *CM) ArmCrashRecovery(router FailoverRouter) { cm.router = router }
 // Down reports whether this node is currently crashed.
 func (cm *CM) Down() bool { return cm.down }
 
-// slotToken encodes a delayed-op slot for the wire. On crash-script
-// runs the slot's generation rides in the upper bits so a reply to a
-// re-issued (or force-completed) operation cannot corrupt a reused
-// slot; otherwise the token is the bare slot index, byte-identical to
-// the pre-crash-support protocol.
+// slotToken encodes a delayed-op slot for the wire: the slot index in
+// the low 16 bits and the slot's generation above them, so a reply to
+// a re-issued (or force-completed) operation cannot corrupt a reused
+// slot.
 func (cm *CM) slotToken(slot int) uint64 {
-	if !cm.crashy {
-		return uint64(slot)
-	}
 	return uint64(slot) | cm.slots[slot].gen<<16
 }
 
-// slotFromToken decodes a wire token. ok is false (crash-script runs
-// only) when the slot is free or was re-issued under a new generation —
-// the reply is stale and must be dropped.
+// slotFromToken decodes a wire token. A token whose slot is free or was
+// reused under a new generation is stale: on crash-script runs (a late
+// reply to a re-issued or force-completed operation) ok is false and
+// the caller drops it; on any other run it is a protocol fault.
 func (cm *CM) slotFromToken(tok uint64) (int, bool) {
-	if !cm.crashy {
-		return int(tok), true
-	}
 	slot := int(tok & 0xffff)
-	if slot >= len(cm.slots) {
-		return 0, false
+	if slot < len(cm.slots) && cm.slots[slot].busy && cm.slots[slot].gen == tok>>16 {
+		return slot, true
 	}
-	s := &cm.slots[slot]
-	return slot, s.busy && s.gen == tok>>16
+	if !cm.crashy {
+		panic(fmt.Sprintf("coherence: result for stale delayed-operation token %#x on node %d", tok, cm.self))
+	}
+	return 0, false
+}
+
+// reroute resolves where traffic addressed to owner's frame goes after
+// a crash: the current master of the page the frame held. ok is false
+// when the frame was never lost to a crash.
+func (cm *CM) reroute(owner mesh.NodeID, frame memory.PPage) (memory.GPage, bool) {
+	if cm.router == nil {
+		return memory.GPage{}, false
+	}
+	return cm.router.RerouteFrame(owner, frame)
 }
 
 // Crash takes the node down at the current instant. The mesh stops
@@ -171,17 +177,12 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	resentPids := make(map[uint64]bool)
 	resentSlots := make(map[uint64]bool)
 	resentReads := make(map[uint64]bool)
-	reroute := func(frame memory.PPage) (memory.GPage, bool) {
-		if cm.router == nil {
-			return memory.GPage{}, false
-		}
-		return cm.router.RerouteFrame(dead, frame)
-	}
 	for _, c := range queue {
+		c.Seq, c.Nacked = 0, false
 		switch c.Kind {
 		case kReadReq:
 			i := cm.readWaiterIndex(c.ID)
-			g, ok := reroute(c.Page)
+			g, ok := cm.reroute(dead, c.Page)
 			if i < 0 || !ok {
 				cm.st.CrashOrphans++
 				cm.freeMsg(c)
@@ -189,7 +190,6 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			}
 			resentReads[c.ID] = true
 			cm.st.RedirectedMsgs++
-			c.Seq, c.Nacked = 0, false
 			if g.Node == cm.self {
 				w := cm.dropReadWaiter(i)
 				cm.freeMsg(c)
@@ -199,7 +199,7 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			c.Page = g.Page
 			cm.send(g.Node, c)
 		case kWriteReq, kRMWReq:
-			g, ok := reroute(c.Page)
+			g, ok := cm.reroute(dead, c.Page)
 			if !ok {
 				cm.st.CrashOrphans++
 				cm.freeMsg(c)
@@ -214,36 +214,19 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 				}
 			}
 			cm.st.RedirectedMsgs++
-			c.Seq, c.Nacked = 0, false
 			c.Page = g.Page
-			if g.Node == cm.self {
-				if c.Kind == kWriteReq {
-					cm.arriveWrite(c)
-				} else {
-					cm.arriveRMW(c)
-				}
-				continue
-			}
-			cm.send(g.Node, c)
+			cm.handOff(g.Node, c)
 		case kUpdate:
 			// The chain is truncated at the dead node: this copy is now
 			// effectively the end of the list for this modification (the
 			// kernel's resync cascade restores downstream copies), so
 			// acknowledge the originator.
 			cm.st.CrashOrphans++
-			if c.ID == 0 || c.Origin == dead {
+			if c.Origin == dead {
 				cm.freeMsg(c)
 				continue
 			}
-			if c.Origin == cm.self {
-				id := c.ID
-				cm.freeMsg(c)
-				cm.retireWrite(id)
-				continue
-			}
-			c.Kind = kAck
-			c.Seq, c.Nacked = 0, false
-			cm.send(c.Origin, c)
+			cm.ackOrigin(c)
 		case kPageCopy:
 			// A replication racing the target's crash: complete the copy
 			// engine administratively; the rejoin re-replicates the page.
@@ -257,7 +240,6 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 			// only pauses), so its wake must too: re-send it under the
 			// reset pair. It retransmits until the node restarts, then
 			// wakes the thread like any late wake.
-			c.Seq, c.Nacked = 0, false
 			cm.send(dead, c)
 		case kAck, kReadReply, kRMWReply:
 			// Completions addressed to state that died with the node.
@@ -346,10 +328,8 @@ func (cm *CM) reissueRead(id uint64) {
 	w := cm.readWaiters[i]
 	cm.st.ReissuedOps++
 	g := w.g
-	if cm.router != nil {
-		if ng, ok := cm.router.RerouteFrame(g.Node, g.Page); ok {
-			g = GAddr{Node: ng.Node, Page: ng.Page, Off: g.Off}
-		}
+	if ng, ok := cm.reroute(g.Node, g.Page); ok {
+		g = GAddr{Node: ng.Node, Page: ng.Page, Off: g.Off}
 	}
 	if g.Node == cm.self {
 		cm.dropReadWaiter(i)
@@ -371,20 +351,14 @@ func (cm *CM) reissueRMW(slot int) {
 	s := &cm.slots[slot]
 	cm.st.ReissuedOps++
 	g := s.g
-	if cm.router != nil {
-		if ng, ok := cm.router.RerouteFrame(g.Node, g.Page); ok {
-			g = GAddr{Node: ng.Node, Page: ng.Page, Off: g.Off}
-		}
+	if ng, ok := cm.reroute(g.Node, g.Page); ok {
+		g = GAddr{Node: ng.Node, Page: ng.Page, Off: g.Off}
 	}
 	m := cm.newMsg(kRMWReq, cm.self, cm.slotToken(slot))
 	m.Pid = s.pid
 	m.Op = s.op
 	m.Page, m.Off, m.Val = g.Page, g.Off, s.operand
-	if g.Node == cm.self {
-		cm.arriveRMW(m)
-		return
-	}
-	cm.send(g.Node, m)
+	cm.handOff(g.Node, m)
 }
 
 // orphanRequest handles a write/RMW request addressed to a frame this
@@ -393,53 +367,32 @@ func (cm *CM) reissueRMW(slot int) {
 // complete it as lost so no originator is stranded.
 func (cm *CM) orphanRequest(m *mesh.Msg) {
 	cm.st.CrashOrphans++
-	if cm.router != nil {
-		if g, ok := cm.router.RerouteFrame(cm.self, m.Page); ok {
-			cm.st.RedirectedMsgs++
-			m.Page = g.Page
-			if g.Node == cm.self {
-				if m.Kind == kRMWReq {
-					cm.arriveRMW(m)
-				} else {
-					cm.arriveWrite(m)
-				}
-				return
-			}
-			cm.send(g.Node, m)
-			return
-		}
+	if g, ok := cm.reroute(cm.self, m.Page); ok {
+		cm.st.RedirectedMsgs++
+		m.Page = g.Page
+		cm.handOff(g.Node, m)
+		return
 	}
 	if m.Kind == kRMWReq {
 		// Reply with a lost result so a Verify never hangs; the slot
 		// token rejects it if the op was meanwhile re-issued elsewhere.
-		origin, tok, pid, cause := m.Origin, m.ID, m.Pid, m.Cause
-		if origin == cm.self {
-			if slot, ok := cm.slotFromToken(tok); ok {
+		if m.Origin == cm.self {
+			if slot, ok := cm.slotFromToken(m.ID); ok {
 				cm.fillSlot(slot, 0)
 			}
+			pid := m.Pid
 			cm.freeMsg(m)
-			cm.complete(origin, pid, cause)
+			cm.retireWrite(pid)
 			return
 		}
 		m.Kind = kRMWReply
-		m.ID, m.Pid, m.Val, m.Complete = tok, pid, 0, true
-		cm.send(origin, m)
+		m.Val, m.Complete = 0, true
+		cm.send(m.Origin, m)
 		return
 	}
 	// A lost write: acknowledge the originator so its fence makes
 	// progress (the data is gone — lost-write semantics).
-	if m.ID == 0 {
-		cm.freeMsg(m)
-		return
-	}
-	if m.Origin == cm.self {
-		id := m.ID
-		cm.freeMsg(m)
-		cm.retireWrite(id)
-		return
-	}
-	m.Kind = kAck
-	cm.send(m.Origin, m)
+	cm.ackOrigin(m)
 }
 
 // sortIDs sorts operation ids ascending — every crash-epoch sweep over

@@ -105,10 +105,6 @@ func min(a, b int) int {
 
 func (p *Pool) flagVA(item int) memory.VAddr { return p.flags + memory.VAddr(item) }
 
-// ActiveAddr returns the termination counter's address (for
-// instrumentation).
-func (p *Pool) ActiveAddr() memory.VAddr { return p.active }
-
 // Seed enqueues initial items outside simulated time (before Run).
 func (p *Pool) Seed(items ...int) {
 	maxQ := uint32(p.m.Config().Timing.MaxQueueSize)
@@ -222,9 +218,6 @@ func (p *Pool) getScan(t *proc.Thread, ownerAt func(int) int, n int) (int, bool)
 
 // Procs returns the number of participating processors.
 func (p *Pool) Procs() int { return p.procs }
-
-// Items returns the item-space size.
-func (p *Pool) Items() int { return p.nitems }
 
 // Queues returns how many hardware queues processor o owns.
 func (p *Pool) Queues(o int) int { return len(p.heads[o]) }
