@@ -161,13 +161,25 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 // shard, defers the next to the barrier. The list is re-read each hop
 // so a further failover cannot strand the cascade on stale positions.
 // A down predecessor ends it: its frame is stale and it sends nothing,
-// and its own failover resyncs the rest of the chain.
+// and its own failover resyncs the rest of the chain. A predecessor
+// whose own page copy is still filling holds no page yet: the hop
+// waits, and that copy's landing resumes it on the predecessor's
+// shard.
 func (k *Kernel) resyncHop(vp memory.VPage, pos int) {
 	list := k.CopyList(vp)
 	if pos < 1 || pos >= len(list) || k.cms[list[pos-1].Node].Down() {
 		return
 	}
 	pred, succ := list[pos-1], list[pos]
+	if k.filling[pred.Node][pred.Page] > 0 {
+		wait := k.resyncWait[pred.Node]
+		if wait == nil {
+			wait = make(map[memory.PPage][]pageOp)
+			k.resyncWait[pred.Node] = wait
+		}
+		wait[pred.Page] = append(wait[pred.Page], pageOp{vp: vp, node: pred.Node, pos: pos})
+		return
+	}
 	k.st.PagesResynced++
 	k.copyPage(pred, succ, func() {
 		k.deferOp(opResync, pageOp{vp: vp, node: succ.Node, pos: pos + 1})

@@ -60,6 +60,12 @@ type Kernel struct {
 	// (CopiesInFlight): while a copy is in flight the new replica's
 	// contents legitimately lag its peers.
 	filling []map[memory.PPage]int
+	// resyncWait holds, per node, the resync hops waiting for a frame
+	// of that node to fill: a hop copies from its chain predecessor,
+	// which must hold the page first. Written like the fill marks (with
+	// the machine quiescent, and on the filling node's shard where its
+	// copy lands, which resumes the hops).
+	resyncWait []map[memory.PPage][]pageOp
 
 	// Crash/failover bookkeeping (failover.go; nil on runs without a
 	// crash script). failed holds each failed-over node's pre-crash
@@ -80,7 +86,7 @@ type Kernel struct {
 // with the whole machine quiescent.
 type pageOp struct {
 	vp   memory.VPage
-	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate), suspecter (fail), resynced copy (resync)
+	node mesh.NodeID // acting node: new-copy holder (replicate/competitive), victim (delete), destination (migrate), suspecter (fail), the hop's predecessor (resync)
 	from mesh.NodeID // migrate: the node losing its copy; fail: the crashed node
 	pos  int         // resync: the next hop's list position
 	done func()
@@ -129,15 +135,16 @@ func (k *Kernel) HandleEvent(kind int, data any) {
 // New assembles the kernel over the machine's nodes.
 func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, tm timing.Timing, st *stats.Machine) *Kernel {
 	return &Kernel{
-		eng:     eng,
-		net:     net,
-		cms:     cms,
-		mems:    mems,
-		tables:  tables,
-		tm:      tm,
-		st:      st,
-		fails:   make([]uint64, net.Nodes()),
-		filling: make([]map[memory.PPage]int, net.Nodes()),
+		eng:        eng,
+		net:        net,
+		cms:        cms,
+		mems:       mems,
+		tables:     tables,
+		tm:         tm,
+		st:         st,
+		fails:      make([]uint64, net.Nodes()),
+		filling:    make([]map[memory.PPage]int, net.Nodes()),
+		resyncWait: make([]map[memory.PPage][]pageOp, net.Nodes()),
 	}
 }
 
@@ -305,7 +312,8 @@ func (k *Kernel) replicateBG(vp memory.VPage, node mesh.NodeID, done func()) {
 
 // copyPage starts the hardware bulk copy of src's frame into dst, the
 // next copy in src's chain, marks dst as filling, and runs then once,
-// on dst's node, when the copy has landed. Replication and the
+// on dst's node, when the copy has landed; the last fill of dst also
+// resumes the resync hops waiting to copy from it. Replication and the
 // failover resync both copy through here, with the machine quiescent.
 func (k *Kernel) copyPage(src, dst memory.GPage, then func()) {
 	fills := k.filling[dst.Node]
@@ -325,6 +333,10 @@ func (k *Kernel) copyPage(src, dst memory.GPage, then func()) {
 		fired = true
 		if fills[dst.Page]--; fills[dst.Page] == 0 {
 			delete(fills, dst.Page)
+			for _, op := range k.resyncWait[dst.Node][dst.Page] {
+				k.deferOp(opResync, op)
+			}
+			delete(k.resyncWait[dst.Node], dst.Page)
 		}
 		then()
 	})

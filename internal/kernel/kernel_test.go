@@ -27,8 +27,18 @@ type rig struct {
 
 func newRig(t *testing.T, w, h int) *rig {
 	t.Helper()
+	return newFaultRig(t, w, h, mesh.FaultConfig{})
+}
+
+// newFaultRig is newRig on a mesh with the given fault model; with a
+// crash script it arms every CM's crash recovery with the kernel, as
+// the machine does.
+func newFaultRig(t *testing.T, w, h int, f mesh.FaultConfig) *rig {
+	t.Helper()
 	eng := sim.NewEngine()
-	net := mesh.New(eng, mesh.DefaultConfig(w, h))
+	cfg := mesh.DefaultConfig(w, h)
+	cfg.Faults = f
+	net := mesh.New(eng, cfg)
 	tm := timing.Default()
 	st := stats.New(w * h)
 	r := &rig{eng: eng, net: net, st: st}
@@ -40,6 +50,11 @@ func newRig(t *testing.T, w, h int) *rig {
 		r.tbls = append(r.tbls, mmu.New())
 	}
 	r.k = New(eng, net, r.cms, r.mems, r.tbls, tm, st)
+	if len(f.Crashes) > 0 {
+		for _, cm := range r.cms {
+			cm.ArmCrashRecovery(r.k)
+		}
+	}
 	return r
 }
 
@@ -219,6 +234,39 @@ func TestReplicateSourcesFilledCopy(t *testing.T) {
 	if !filled[2] || !filled[3] {
 		t.Fatalf("replicate completions: %v", filled)
 	}
+	if n := r.k.CopiesInFlight(); n != 0 {
+		t.Fatalf("%d copies in flight after the run", n)
+	}
+	if err := r.k.CheckCoherent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResyncWaitsForFillingPredecessor crashes a copy whose chain
+// predecessor is still filling: on a 5x1 row, page 0 has copies on
+// nodes 0, 1, 3 and 4, and a background replication links node 2
+// after node 1. At that instant node 3 crashes and fails over, so the
+// resync hop that restores node 4 has node 2, whose own copy has not
+// landed, as its predecessor. The hop must wait for that fill rather
+// than ship node 2's empty frame.
+func TestResyncWaitsForFillingPredecessor(t *testing.T) {
+	r := newFaultRig(t, 5, 1, mesh.FaultConfig{Crashes: []mesh.CrashEvent{{Node: 3, At: 0, Duration: 1 << 40}}})
+	vp := r.k.AllocPage(0)
+	master := r.k.CopyList(vp)[0]
+	for i := uint32(0); i < memory.PageWords; i++ {
+		r.mems[0].Write(master.Page, i, memory.Word(i+1))
+	}
+	for _, n := range []mesh.NodeID{1, 3, 4} {
+		r.k.ReplicateNow(vp, n)
+	}
+	r.k.Replicate(vp, 2, nil)
+	if got := r.k.CopyNodes(vp); fmt.Sprint(got) != "[0 1 2 3 4]" {
+		t.Fatalf("copy-list %v, want node 2 linked after node 1", got)
+	}
+	r.cms[3].Crash()
+	r.k.MarkDown(3, r.eng.Now())
+	r.k.FailNode(3)
+	r.eng.Run()
 	if n := r.k.CopiesInFlight(); n != 0 {
 		t.Fatalf("%d copies in flight after the run", n)
 	}
