@@ -80,7 +80,9 @@ trace-equiv:
 # ablation pins the stall on a full delayed-operations cache, the
 # fence ablation the fence before every issue, Table 3-1 each delayed
 # operation's cycles, and the race corpus's reports the order of its
-# EvAccRMW/EvAccVerify events.
+# EvAccRMW/EvAccVerify events. Last, every quick sweep's JSON rows
+# (-exp all) are compared with the host-time "wall_ms" and "speedup"
+# lines filtered out.
 # Usage: make parent-equiv BASE=<rev>
 PARENT_EQUIV_DIR ?= /tmp/plus-parent-equiv
 parent-equiv:
@@ -101,12 +103,15 @@ parent-equiv:
 			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
 		done; \
 		$$d/$$b -races > $$d/$$b-races.txt; \
+		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
+		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
 	for f in kv.json kv.txt f21.json f21.txt crash.json crash.txt \
 		ext-linkbuf.json fault-crash.json faults.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \
-		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt; do \
+		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt \
+		all.json; do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \
 	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"

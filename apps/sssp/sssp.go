@@ -43,8 +43,6 @@ type Config struct {
 	// participating nodes nearest each page's home. This is the
 	// "Number of Copies" column of Table 2-1.
 	Copies int
-	// Contention enables the mesh link-contention model.
-	Contention bool
 	// VertexWork and EdgeWork charge computation cycles per processed
 	// vertex and per relaxed edge (defaults 40 / 20), modeling the
 	// instruction stream between shared-memory references.
@@ -130,7 +128,6 @@ func Run(cfg Config) (Result, error) {
 	} else {
 		mcfg = core.DefaultConfig(cfg.MeshW, cfg.MeshH)
 	}
-	mcfg.NetContention = cfg.Contention
 	m, err := core.NewMachine(mcfg)
 	if err != nil {
 		return Result{}, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"plus/internal/core"
 	"plus/internal/mesh"
 	"plus/internal/sim"
 )
@@ -201,5 +202,20 @@ func TestNearestMatchesInsertionSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMachineNetContentionIsHonored pins that the contention knob on
+// the caller's Machine config reaches the run: the 4x4 run queues on
+// links and takes the cycles the contended run always took.
+func TestMachineNetContentionIsHonored(t *testing.T) {
+	mc := core.DefaultConfig(4, 4)
+	mc.NetContention = true
+	res, err := Run(Config{Seed: 1, Validate: true, Machine: &mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Net.QueueWait != 33886 || res.Elapsed != 177262 {
+		t.Fatalf("queue wait %d, elapsed %d; want 33886, 177262", res.Net.QueueWait, res.Elapsed)
 	}
 }

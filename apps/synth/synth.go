@@ -41,15 +41,13 @@ type Config struct {
 	// Copies replicates every data page at this level (1 = none).
 	Copies int
 	// ThinkTime cycles between references (default 30).
-	ThinkTime sim.Cycles
-	Seed      int64
-	// Machine knobs under test.
-	Timing               *core.Config // optional full machine config override
-	Contention           bool
-	FenceOnSync          bool
-	InvalidateMode       bool
-	CompetitiveThreshold uint64
-	FencePeriod          int // fence every N ops (0 = only at end)
+	ThinkTime   sim.Cycles
+	Seed        int64
+	FencePeriod int // fence every N ops (0 = only at end)
+	// Machine, when non-nil, overrides the machine configuration
+	// (mesh geometry fields are still taken from MeshW/MeshH); the
+	// ablation benches set the knob under test on it.
+	Machine *core.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -107,15 +105,12 @@ type Result struct {
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	var mcfg core.Config
-	if cfg.Timing != nil {
-		mcfg = *cfg.Timing
+	if cfg.Machine != nil {
+		mcfg = *cfg.Machine
+		mcfg.MeshWidth, mcfg.MeshHeight = cfg.MeshW, cfg.MeshH
 	} else {
 		mcfg = core.DefaultConfig(cfg.MeshW, cfg.MeshH)
 	}
-	mcfg.NetContention = cfg.Contention
-	mcfg.FenceOnSync = cfg.FenceOnSync
-	mcfg.InvalidateMode = cfg.InvalidateMode
-	mcfg.CompetitiveThreshold = cfg.CompetitiveThreshold
 	m, err := core.NewMachine(mcfg)
 	if err != nil {
 		return Result{}, err

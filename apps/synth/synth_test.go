@@ -1,6 +1,10 @@
 package synth
 
-import "testing"
+import (
+	"testing"
+
+	"plus/internal/core"
+)
 
 func TestRunBasic(t *testing.T) {
 	res, err := Run(Config{MeshW: 2, MeshH: 2, Procs: 4, OpsPerProc: 200, Seed: 1})
@@ -71,7 +75,9 @@ func TestFenceOnSyncSlowsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	fenced := base
-	fenced.FenceOnSync = true
+	mc := core.DefaultConfig(4, 2)
+	mc.FenceOnSync = true
+	fenced.Machine = &mc
 	slow, err := Run(fenced)
 	if err != nil {
 		t.Fatal(err)
@@ -91,12 +97,31 @@ func TestContentionAddsQueueWait(t *testing.T) {
 		t.Fatal("queue wait without contention model")
 	}
 	c := base
-	c.Contention = true
+	mc := core.DefaultConfig(4, 1)
+	mc.NetContention = true
+	c.Machine = &mc
 	rc, err := Run(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rc.QueueWait == 0 {
 		t.Fatal("hotspot with contention produced no queue wait")
+	}
+}
+
+// TestMachineFenceOnSyncIsHonored pins that the knob on the caller's
+// Machine config reaches the run: the fenced run of
+// TestFenceOnSyncSlowsDown takes exactly the cycles it took when synth
+// carried its own FenceOnSync copy, which overwrote the Machine's.
+func TestMachineFenceOnSyncIsHonored(t *testing.T) {
+	mc := core.DefaultConfig(1, 1) // geometry comes from MeshW/MeshH
+	mc.FenceOnSync = true
+	r, err := Run(Config{MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: 300, RMWFrac: 20, LocalFrac: 40, Seed: 7, Machine: &mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Elapsed != 49698 || r.Messages != 2450 || r.Totals.FenceStall != 296 {
+		t.Fatalf("elapsed %d, messages %d, fence stall %d; want 49698, 2450, 296",
+			r.Elapsed, r.Messages, r.Totals.FenceStall)
 	}
 }

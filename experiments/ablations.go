@@ -37,11 +37,12 @@ func fencePoints(o Options) []Point[AblationRow] {
 			Name: name,
 			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
+				mc := o.Observe.MachineFor(name, 4, 2)
+				mc.FenceOnSync = fence
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
 					WriteFrac: 60, RMWFrac: 20, LocalFrac: 10, ThinkTime: 5,
-					Seed: 17, FenceOnSync: fence,
-					Timing: o.Observe.MachineFor(name, 4, 2),
+					Seed: 17, Machine: mc,
 				})
 				if err != nil {
 					return AblationRow{}, err
@@ -84,12 +85,13 @@ func invalidatePoints(o Options) []Point[AblationRow] {
 			Name: name,
 			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
+				mc := o.Observe.MachineFor(name, 4, 2)
+				mc.InvalidateMode = inval
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
 					WriteFrac: 30, RMWFrac: 2, LocalFrac: 10, Copies: 8,
 					PagesPerProc: 1, ThinkTime: 10,
-					Seed: 37, InvalidateMode: inval,
-					Timing: o.Observe.MachineFor(name, 4, 2),
+					Seed: 37, Machine: mc,
 				})
 				if err != nil {
 					return AblationRow{}, err
@@ -266,11 +268,12 @@ func contentionPoints(o Options) []Point[AblationRow] {
 			Name: name,
 			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
+				mc := o.Observe.MachineFor(name, 4, 2)
+				mc.NetContention = cont
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
 					LocalFrac: 1, HotspotFrac: 90, WriteFrac: 50, ThinkTime: 5,
-					Seed: 29, Contention: cont,
-					Timing: o.Observe.MachineFor(name, 4, 2),
+					Seed: 29, Machine: mc,
 				})
 				if err != nil {
 					return AblationRow{}, err
@@ -311,11 +314,12 @@ func competitivePoints(o Options) []Point[AblationRow] {
 			Name: name,
 			Tags: map[string]string{"config": label},
 			Run: func() (AblationRow, error) {
+				mc := o.Observe.MachineFor(name, 4, 2)
+				mc.CompetitiveThreshold = thr
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
 					WriteFrac: 5, RMWFrac: 1, LocalFrac: 10, Seed: 31,
-					CompetitiveThreshold: thr,
-					Timing:               o.Observe.MachineFor(name, 4, 2),
+					Machine: mc,
 				})
 				if err != nil {
 					return AblationRow{}, err

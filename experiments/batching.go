@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plus/apps/synth"
-	"plus/internal/core"
 )
 
 // batchingPoints sweeps the write-combining depth (Timing.MaxBatchWrites,
@@ -31,15 +30,14 @@ func batchingPoints(o Options) []Point[AblationRow] {
 			Name: name,
 			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
-				cfg := core.DefaultConfig(4, 2)
-				cfg.Timing.MaxBatchWrites = depth
-				o.Observe.Attach(&cfg, name)
+				mc := o.Observe.MachineFor(name, 4, 2)
+				mc.Timing.MaxBatchWrites = depth
 				res, err := synth.Run(synth.Config{
 					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
 					WriteFrac: 85, RMWFrac: 2, LocalFrac: 80,
 					PagesPerProc: 1, Copies: 4, ThinkTime: 5,
 					FencePeriod: 64, Seed: 41,
-					Timing: &cfg,
+					Machine: mc,
 				})
 				if err != nil {
 					return AblationRow{}, err

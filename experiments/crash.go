@@ -50,10 +50,6 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 		iters = 800
 	}
 	mcfg := shardedMachine(o, name, 4, 4)
-	if mcfg == nil {
-		c := core.DefaultConfig(4, 4)
-		mcfg = &c
-	}
 	if crashes > 0 {
 		f := mesh.FaultConfig{}
 		for i := 0; i < crashes; i++ {

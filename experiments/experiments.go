@@ -19,20 +19,15 @@ import (
 	"plus/internal/sim"
 )
 
-// shardedMachine resolves an SSSP point's machine override: the
-// observation's instrumented config when observing, otherwise a
-// default config — either way carrying Options.Shards when the knob
-// is set and tiles the point's mesh. Contention and observation are
-// shard-aware (deferred replay and shard-local observers, see
+// shardedMachine resolves an SSSP point's machine config: a default
+// config, instrumented when observing, carrying Options.Shards when the
+// knob is set and tiles the point's mesh. Contention and observation
+// are shard-aware (deferred replay and shard-local observers, see
 // internal/core.Config.Shards), so neither forces a point serial
 // anymore.
 func shardedMachine(o Options, name string, w, h int) *core.Config {
 	mc := o.Observe.MachineFor(name, w, h)
 	if o.Shards > 1 && o.Shards <= w*h && (w*h)%o.Shards == 0 {
-		if mc == nil {
-			c := core.DefaultConfig(w, h)
-			mc = &c
-		}
 		mc.Shards = o.Shards
 	}
 	return mc
@@ -191,12 +186,13 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 				Tags: map[string]string{"procs": fmt.Sprint(p), "copies": fmt.Sprint(copies)},
 				Run: func() (Fig21Point, error) {
 					w, h := meshFor(p)
+					mc := shardedMachine(o, name, w, h)
+					mc.NetContention = contention
 					res, err := sssp.Run(sssp.Config{
 						MeshW: w, MeshH: h, Procs: p,
 						Vertices: vertices, Degree: 4, Seed: 42,
 						Copies: copies, Validate: true,
-						Contention: contention,
-						Machine:    shardedMachine(o, name, w, h),
+						Machine: mc,
 					})
 					if err != nil {
 						return Fig21Point{}, err

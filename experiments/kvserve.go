@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plus/apps/kvserve"
-	"plus/internal/core"
 	"plus/internal/sim"
 )
 
@@ -93,10 +92,6 @@ func kvservePoints(o Options) []Point[KvRow] {
 					},
 					Run: func() (KvRow, error) {
 						mc := shardedMachine(o, name, mm.w, mm.h)
-						if mc == nil {
-							c := core.DefaultConfig(mm.w, mm.h)
-							mc = &c
-						}
 						// Queueing at the hot master IS the measurement;
 						// without the contention model the tail barely moves.
 						mc.NetContention = true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plus/apps/sssp"
-	"plus/internal/core"
 	"plus/internal/mesh"
 	"plus/internal/sim"
 )
@@ -43,17 +42,13 @@ func linkbufPoints(o Options) []Point[LinkbufRow] {
 			Tags: map[string]string{"buf_flits": fmt.Sprint(d)},
 			Run: func() (LinkbufRow, error) {
 				mcfg := shardedMachine(o, name, 8, 8)
-				if mcfg == nil {
-					c := core.DefaultConfig(8, 8)
-					mcfg = &c
-				}
+				mcfg.NetContention = true
 				mcfg.Faults = mesh.FaultConfig{LinkBufFlits: d}
 				res, err := sssp.Run(sssp.Config{
 					MeshW: 8, MeshH: 8, Procs: 64,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: 4, Validate: true,
-					Contention: true,
-					Machine:    mcfg,
+					Machine: mcfg,
 				})
 				if err != nil {
 					return LinkbufRow{}, err

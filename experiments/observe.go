@@ -62,13 +62,10 @@ func (ob *Observation) Attach(cfg *core.Config, name string) {
 	cfg.Observe = ob.ObserverFor(name)
 }
 
-// MachineFor returns a default machine config on a w x h mesh carrying
-// a fresh observer for the named point, or nil when observation is off
-// — directly usable as the apps' Machine/Timing override field.
+// MachineFor returns a default machine config on a w x h mesh, carrying
+// a fresh observer for the named point when observation is on: the
+// apps' Machine override field, on which a point sets its knobs.
 func (ob *Observation) MachineFor(name string, w, h int) *core.Config {
-	if ob == nil {
-		return nil
-	}
 	cfg := core.DefaultConfig(w, h)
 	ob.Attach(&cfg, name)
 	return &cfg

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"plus/apps/sssp"
-	"plus/internal/core"
 	"plus/internal/sim"
 )
 
@@ -71,22 +70,21 @@ func scalePoints(o Options) []Point[ScaleRow] {
 				Name: name,
 				Tags: map[string]string{"mesh": fmt.Sprintf("%dx%d", mesh.w, mesh.h), "shards": fmt.Sprint(k)},
 				Run: func() (ScaleRow, error) {
-					mc := core.DefaultConfig(mesh.w, mesh.h)
-					mc.Shards = k
 					// An instrumented sweep runs the full-featured
 					// machine — link contention on, a per-point observer
 					// attached — so the serial-vs-sharded equivalence
 					// check below also pins the contention and observer
 					// gate lifts at SSSP scale (make check runs this
 					// quick at -shards 4 with tracing).
-					o.Observe.Attach(&mc, name)
+					mc := o.Observe.MachineFor(name, mesh.w, mesh.h)
+					mc.Shards = k
+					mc.NetContention = o.Observe != nil
 					start := time.Now()
 					res, err := sssp.Run(sssp.Config{
 						MeshW: mesh.w, MeshH: mesh.h, Procs: procs,
 						Vertices: mesh.vertices, Degree: 4, Seed: 42,
 						Copies: 4, Validate: true,
-						Contention: o.Observe != nil,
-						Machine:    &mc,
+						Machine: mc,
 					})
 					if err != nil {
 						return ScaleRow{}, err

@@ -1,24 +1,16 @@
-// Package cache models the per-processor cache of a PLUS node (32 KB
-// on the M88000 in the current implementation, 4-word lines).
+// Package cache models the per-processor cache of a PLUS node: 32 KB
+// (8,192 words) on the M88000 of the paper's implementation, direct
+// mapped in 4-word lines.
 //
-// Only local-memory accesses go through this cache; remote accesses are
-// handled by the coherence manager over the network. Two policies
-// apply, following §2.3 of the paper:
+// Only local-memory reads go through this cache; remote accesses are
+// handled by the coherence manager over the network. §2.3 of the
+// paper caches replicated pages write-through and has a bus snoop keep
+// cached lines current when the coherence manager writes local memory;
+// both leave every valid line's tag in place, so neither changes what
+// a read costs. A processor write costs only its issue time, so the
+// model keeps only what a read is charged: one tag per line slot.
 //
-//   - Replicated pages must be cached write-through, so every write is
-//     visible to the coherence manager (which must propagate it down
-//     the copy-list).
-//   - Private pages (stack, code, unshared data) may be cached
-//     copy-back.
-//
-// A snooping protocol on the node bus keeps cache and memory coherent
-// when the coherence manager performs a write or update to local
-// memory: the Snoop hook updates (not invalidates) a present line,
-// Dragon-style, since the data word is being written to memory anyway.
-//
-// Data always lives in memory.Memory; the cache tracks only tags,
-// valid and dirty bits — enough for exact timing and hit/miss
-// statistics without duplicating storage.
+// Data always lives in memory.Memory; the cache holds no words.
 package cache
 
 import (
@@ -27,155 +19,34 @@ import (
 	"plus/internal/timing"
 )
 
-// Config sizes the cache.
-type Config struct {
-	// SizeWords is the total capacity in 32-bit words. Default 8192
-	// (32 KB), the paper's implementation.
-	SizeWords int
-	// LineWords is the line size in words. Default 4 (the paper's
-	// beam-search analysis assumes four-word lines).
-	LineWords int
-}
+// The paper's geometry: 8,192 words in 4-word lines.
+const (
+	lineWords = 4
+	slots     = 8192 / lineWords
+)
 
-// DefaultConfig returns the 32 KB, 4-word-line cache of the paper's
-// implementation.
-func DefaultConfig() Config { return Config{SizeWords: 8192, LineWords: 4} }
-
-type line struct {
-	valid bool
-	dirty bool
-	tag   uint64
-}
-
-// Stats counts cache behaviour.
-type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Writebacks uint64
-	SnoopHits  uint64
-}
-
-// Cache is a direct-mapped cache over one node's physical memory.
+// Cache is a direct-mapped tag array over one node's physical memory.
 type Cache struct {
-	cfg   Config
-	tm    timing.Timing
-	lines []line
-	stats Stats
+	tm timing.Timing
+	// tags[i] is 1 + the global line number held in slot i, or 0 when
+	// the slot is empty.
+	tags []uint64
 }
 
-// New builds a cache. Zero-valued config fields take defaults.
-func New(cfg Config, tm timing.Timing) *Cache {
-	if cfg.SizeWords == 0 {
-		cfg.SizeWords = DefaultConfig().SizeWords
-	}
-	if cfg.LineWords == 0 {
-		cfg.LineWords = DefaultConfig().LineWords
-	}
-	n := cfg.SizeWords / cfg.LineWords
-	if n < 1 {
-		n = 1
-	}
-	return &Cache{cfg: cfg, tm: tm, lines: make([]line, n)}
-}
-
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// key computes the global line number for (frame, offset).
-func (c *Cache) key(p memory.PPage, off uint32) uint64 {
-	wordIdx := uint64(p)<<memory.PageShift | uint64(off&memory.OffMask)
-	return wordIdx / uint64(c.cfg.LineWords)
-}
-
-func (c *Cache) slot(lineNo uint64) *line {
-	return &c.lines[lineNo%uint64(len(c.lines))]
+// New builds an empty cache charging tm's cache costs.
+func New(tm timing.Timing) *Cache {
+	return &Cache{tm: tm, tags: make([]uint64, slots)}
 }
 
 // Read models a processor load from local memory and returns its cost
-// in cycles: a hit costs CacheHit; a miss fills the line (evicting a
-// dirty victim first).
+// in cycles: a hit costs CacheHit; a miss fills the line's slot and
+// costs CacheLineFill.
 func (c *Cache) Read(p memory.PPage, off uint32) sim.Cycles {
-	ln := c.key(p, off)
-	s := c.slot(ln)
-	if s.valid && s.tag == ln {
-		c.stats.Hits++
+	ln := (uint64(p)<<memory.PageShift | uint64(off&memory.OffMask)) / lineWords
+	s := &c.tags[ln%slots]
+	if *s == ln+1 {
 		return c.tm.CacheHit
 	}
-	c.stats.Misses++
-	cost := c.tm.CacheLineFill
-	if s.valid && s.dirty {
-		c.stats.Writebacks++
-		cost += c.tm.CacheLineFill
-	}
-	*s = line{valid: true, tag: ln}
-	return cost
-}
-
-// Write models a processor store to local memory. writeThrough selects
-// the replicated-page policy (required for coherence); otherwise the
-// line is written copy-back and marked dirty. The returned cost covers
-// the cache side only; the write-through traffic to the coherence
-// manager is charged by the caller.
-func (c *Cache) Write(p memory.PPage, off uint32, writeThrough bool) sim.Cycles {
-	ln := c.key(p, off)
-	s := c.slot(ln)
-	if s.valid && s.tag == ln {
-		c.stats.Hits++
-		if !writeThrough {
-			s.dirty = true
-		}
-		return c.tm.CacheHit
-	}
-	c.stats.Misses++
-	if writeThrough {
-		// Write-through, no write-allocate: the store goes to memory
-		// and the coherence manager; the cache is not filled.
-		return c.tm.CacheHit
-	}
-	cost := c.tm.CacheLineFill // write-allocate
-	if s.valid && s.dirty {
-		c.stats.Writebacks++
-		cost += c.tm.CacheLineFill
-	}
-	*s = line{valid: true, dirty: true, tag: ln}
-	return cost
-}
-
-// Snoop is invoked when the coherence manager writes local memory
-// (a remote processor's write or update reaching this node). A present
-// line is updated in place — the bus carries the new word, so the line
-// stays valid and clean relative to memory.
-func (c *Cache) Snoop(p memory.PPage, off uint32) {
-	ln := c.key(p, off)
-	s := c.slot(ln)
-	if s.valid && s.tag == ln {
-		c.stats.SnoopHits++
-		s.dirty = false
-	}
-}
-
-// Flush invalidates the whole cache (used when a page copy is deleted
-// and mappings change, §2.4: "all the nodes that have a copy of the
-// page must update their address translation tables and flush their
-// TLBs"). Dirty lines are counted as writebacks; the returned cost is
-// the total writeback time.
-func (c *Cache) Flush() sim.Cycles {
-	var cost sim.Cycles
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			c.stats.Writebacks++
-			cost += c.tm.CacheLineFill
-		}
-		c.lines[i] = line{}
-	}
-	return cost
-}
-
-// HitRatio returns hits/(hits+misses), or 0 with no accesses.
-func (s Stats) HitRatio() float64 {
-	t := s.Hits + s.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(t)
+	*s = ln + 1
+	return c.tm.CacheLineFill
 }

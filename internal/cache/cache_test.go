@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -8,13 +9,9 @@ import (
 	"plus/internal/timing"
 )
 
-func newTestCache() *Cache {
-	return New(Config{SizeWords: 64, LineWords: 4}, timing.Default())
-}
-
 func TestReadMissThenHit(t *testing.T) {
-	c := newTestCache()
 	tm := timing.Default()
+	c := New(tm)
 	if cost := c.Read(0, 0); cost != tm.CacheLineFill {
 		t.Fatalf("cold read cost %d, want %d", cost, tm.CacheLineFill)
 	}
@@ -29,126 +26,80 @@ func TestReadMissThenHit(t *testing.T) {
 	if cost := c.Read(0, 4); cost != tm.CacheLineFill {
 		t.Fatalf("next-line read cost %d, want miss", cost)
 	}
-	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("stats %+v", st)
-	}
 }
 
+// A frame is 256 lines, so the 2,048 slots wrap every 8 frames: the
+// same offset in frames 8 apart maps to one slot.
 func TestDirectMappedConflict(t *testing.T) {
-	c := newTestCache() // 16 lines
-	c.Read(0, 0)
-	// A line exactly 16 lines away maps to the same slot.
-	c.Read(0, 16*4)
-	if cost := c.Read(0, 0); cost != timing.Default().CacheLineFill {
+	tm := timing.Default()
+	c := New(tm)
+	c.Read(1, 40)
+	if cost := c.Read(9, 40); cost != tm.CacheLineFill {
+		t.Fatalf("frame 9 hit on frame 1's line (cost %d)", cost)
+	}
+	if cost := c.Read(1, 40); cost != tm.CacheLineFill {
 		t.Fatalf("conflict victim still cached (cost %d)", cost)
 	}
-}
-
-func TestWriteThroughNoAllocate(t *testing.T) {
-	c := newTestCache()
-	tm := timing.Default()
-	// Write-through miss does not allocate.
-	c.Write(0, 0, true)
-	if cost := c.Read(0, 0); cost != tm.CacheLineFill {
-		t.Fatalf("write-through allocated the line (read cost %d)", cost)
-	}
-	// After the line is resident, a write-through write hits and the
-	// line never becomes dirty, so flush writes nothing back.
-	c.Write(0, 0, true)
-	if c.Flush() != 0 {
-		t.Fatal("write-through line was dirty")
-	}
-}
-
-func TestWriteBackDirtyEviction(t *testing.T) {
-	c := newTestCache()
-	tm := timing.Default()
-	c.Write(0, 0, false) // allocate dirty
-	// Conflict evicts the dirty line: fill + writeback.
-	if cost := c.Write(0, 16*4, false); cost != 2*tm.CacheLineFill {
-		t.Fatalf("dirty eviction cost %d, want %d", cost, 2*tm.CacheLineFill)
-	}
-	if c.Stats().Writebacks != 1 {
-		t.Fatalf("writebacks = %d", c.Stats().Writebacks)
-	}
-}
-
-func TestSnoopUpdatesLine(t *testing.T) {
-	c := newTestCache()
-	c.Read(0, 0)
-	c.Snoop(0, 1) // same line
-	if c.Stats().SnoopHits != 1 {
-		t.Fatalf("snoop hits = %d", c.Stats().SnoopHits)
-	}
-	// Line remains valid: next read is a hit (Dragon-style update,
-	// not invalidate).
-	if cost := c.Read(0, 0); cost != timing.Default().CacheHit {
-		t.Fatalf("post-snoop read cost %d, want hit", cost)
-	}
-	// Snoop of an absent line is a no-op.
-	c.Snoop(5, 0)
-	if c.Stats().SnoopHits != 1 {
-		t.Fatal("snoop of absent line counted as hit")
-	}
-}
-
-func TestSnoopCleansDirtyLine(t *testing.T) {
-	c := newTestCache()
-	c.Write(0, 0, false) // dirty copy-back line
-	c.Snoop(0, 0)        // CM wrote memory: memory now matches
-	if got := c.Flush(); got != 0 {
-		t.Fatalf("flush after snoop wrote back %d cycles", got)
-	}
-}
-
-func TestFlushInvalidatesAll(t *testing.T) {
-	c := newTestCache()
-	for off := uint32(0); off < 64; off += 4 {
-		c.Read(0, off)
-	}
-	c.Flush()
-	if cost := c.Read(0, 0); cost != timing.Default().CacheLineFill {
-		t.Fatal("flush left lines valid")
+	// Frames 7 apart land in different slots: both stay resident.
+	c.Read(8, 40)
+	if cost := c.Read(1, 40); cost != tm.CacheHit {
+		t.Fatalf("frame 8 evicted frame 1's line (cost %d)", cost)
 	}
 }
 
 func TestFramesDoNotAlias(t *testing.T) {
-	c := New(Config{SizeWords: 1 << 14, LineWords: 4}, timing.Default())
+	tm := timing.Default()
+	c := New(tm)
 	c.Read(1, 0)
-	if cost := c.Read(2, 0); cost != timing.Default().CacheLineFill {
+	if cost := c.Read(2, 0); cost != tm.CacheLineFill {
 		t.Fatal("different frames aliased to the same tag")
+	}
+}
+
+// Property: random reads over a few dozen frames cost exactly what a
+// reference direct-mapped tag map of the paper's geometry (8,192
+// words, 4-word lines) says.
+func TestReadMatchesReferenceTags(t *testing.T) {
+	tm := timing.Default()
+	c := New(tm)
+	ref := map[uint64]uint64{} // slot -> resident global line
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		p := memory.PPage(rng.Intn(40))
+		off := uint32(rng.Intn(memory.PageWords))
+		line := (uint64(p)*memory.PageWords + uint64(off)) / 4
+		want := tm.CacheLineFill
+		if got, ok := ref[line%2048]; ok && got == line {
+			want = tm.CacheHit
+		}
+		ref[line%2048] = line
+		if cost := c.Read(p, off); cost != want {
+			t.Fatalf("read %d (frame %d, offset %d) cost %d, want %d", i, p, off, cost, want)
+		}
 	}
 }
 
 func TestHitRatioProperty(t *testing.T) {
 	// Property: reading any address twice in a row always hits the
 	// second time, for arbitrary frame/offset.
-	c := New(Config{SizeWords: 256, LineWords: 4}, timing.Default())
+	tm := timing.Default()
+	c := New(tm)
 	f := func(frame uint8, off uint16) bool {
 		p := memory.PPage(frame)
 		o := uint32(off)
 		c.Read(p, o)
-		return c.Read(p, o) == timing.Default().CacheHit
+		return c.Read(p, o) == tm.CacheHit
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// The cache takes no configuration: it always has the paper's 2,048
+// slots.
 func TestZeroConfigDefaults(t *testing.T) {
-	c := New(Config{}, timing.Default())
-	if len(c.lines) != 8192/4 {
-		t.Fatalf("default cache has %d lines", len(c.lines))
-	}
-}
-
-func TestHitRatioMath(t *testing.T) {
-	s := Stats{Hits: 3, Misses: 1}
-	if s.HitRatio() != 0.75 {
-		t.Fatalf("hit ratio %f", s.HitRatio())
-	}
-	if (Stats{}).HitRatio() != 0 {
-		t.Fatal("empty stats hit ratio nonzero")
+	c := New(timing.Default())
+	if len(c.tags) != 8192/4 {
+		t.Fatalf("cache has %d slots", len(c.tags))
 	}
 }

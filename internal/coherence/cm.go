@@ -667,8 +667,10 @@ func (cm *CM) TryVerify(slot int) (memory.Word, bool) {
 // installs it and then invokes done. Used by the kernel's replication
 // path after the new copy has been linked into the copy-list, so
 // concurrent writes flow through the new copy while the bulk data is
-// in flight; FIFO delivery per source-destination pair makes the
-// result coherent (§2.4).
+// in flight (§2.4). Per-pair FIFO delivery makes the result coherent
+// only while the target's predecessor stays the sender: a copy linked
+// in front of the target mid-copy forwards updates over another pair,
+// which a delayed snapshot can overwrite (ROADMAP item 1(a)).
 func (cm *CM) PageCopy(src memory.PPage, dst memory.GPage, done func()) {
 	if dst.Node == cm.self {
 		panic("coherence: PageCopy to self")
@@ -768,12 +770,12 @@ func (cm *CM) finishWrite(id uint64) {
 	}
 }
 
-// applyWrites performs committed word writes on a local frame and
-// keeps the processor cache coherent via the bus snooping protocol.
+// applyWrites performs committed word writes on a local frame. The
+// bus snoop that keeps the processor cache current leaves every tag in
+// place, so it costs nothing the cache model charges.
 func (cm *CM) applyWrites(frame memory.PPage, ws []wordWrite) {
 	for _, w := range ws {
 		cm.mem.Write(frame, w.Off, w.Val)
-		cm.ca.Snoop(frame, w.Off)
 	}
 }
 
@@ -869,9 +871,6 @@ func (cm *CM) ackOrigin(m *mesh.Msg) {
 func (cm *CM) execRMW(m *mesh.Msg) {
 	result, ws := exec(Op(m.Op), cm.mem.Page(m.Page), m.Off, m.Val, cm.tm.MaxQueueSize, m.Writes[:0])
 	m.Writes = ws
-	for _, w := range ws {
-		cm.ca.Snoop(m.Page, w.Off)
-	}
 	cm.node().RMWExecuted++
 	if o := cm.obs(); o != nil {
 		o.Emit(stats.EvRMWExec, int(cm.self), m.Op, m.Cause, uint64(m.Page), uint64(len(ws)))
@@ -1041,10 +1040,14 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 		}
 	case kPageCopy:
 		// Install the snapshot immediately: delivery is FIFO with the
-		// updates the predecessor forwards after the snapshot, so
-		// applying in arrival order keeps the new copy coherent while
-		// writes overlap the copy (§2.4). The copy engine's word time
-		// delays only the completion signal (mapping switch).
+		// updates the sender forwards after the snapshot, so applying
+		// in arrival order keeps the new copy coherent while writes
+		// overlap the copy (§2.4) — but only while the sender is still
+		// this copy's predecessor. Updates from a copy linked in front
+		// of it mid-copy travel another pair and can arrive first, and
+		// this install then overwrites them (ROADMAP item 1(a)). The
+		// copy engine's word time delays only the completion signal
+		// (mapping switch).
 		copy(cm.mem.Page(m.Page), m.Data)
 		cm.node().PagesCopied++
 		cm.eng.ScheduleEvent(sim.Cycles(memory.PageWords)*cm.tm.PageCopyPerWord, cm, ckPageDone, m)

@@ -49,7 +49,6 @@ func (cm *CM) isInvalid(frame memory.PPage, off uint32) bool {
 // repair installs a fresh master value in an invalidated replica word.
 func (cm *CM) repair(frame memory.PPage, off uint32, v memory.Word) {
 	cm.mem.Write(frame, off, v)
-	cm.ca.Snoop(frame, off)
 	if ws, ok := cm.invalid[frame]; ok {
 		delete(ws, off&memory.OffMask)
 	}
@@ -60,9 +59,6 @@ func (cm *CM) repair(frame memory.PPage, off uint32, v memory.Word) {
 func (cm *CM) applyInvalidations(frame memory.PPage, ws []wordWrite) {
 	for _, w := range ws {
 		cm.markInvalid(frame, w.Off)
-		// The processor cache must drop the line too: the bus carries
-		// an invalidate, not data.
-		cm.ca.Snoop(frame, w.Off)
 	}
 }
 

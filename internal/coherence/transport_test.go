@@ -28,7 +28,7 @@ func newFaultyRigTiming(t *testing.T, w, h int, f mesh.FaultConfig, tm timing.Ti
 	r := &rig{eng: eng, net: net, st: st, tm: tm}
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(cache.DefaultConfig(), tm)
+		ca := cache.New(tm)
 		r.mems = append(r.mems, mem)
 		r.cms = append(r.cms, New(mesh.NodeID(i), eng, net, mem, ca, tm, st))
 	}

@@ -30,8 +30,6 @@ type Config struct {
 	MeshWidth, MeshHeight int
 	// Timing is the cycle-cost table.
 	Timing timing.Timing
-	// Cache sizes the per-processor cache.
-	Cache cache.Config
 	// NetContention enables the link-contention model (off in the
 	// paper's lightly loaded experiments).
 	NetContention bool
@@ -99,7 +97,6 @@ func DefaultConfig(w, h int) Config {
 		MeshWidth:  w,
 		MeshHeight: h,
 		Timing:     timing.Default(),
-		Cache:      cache.DefaultConfig(),
 		Mode:       proc.RunToBlock,
 	}
 }
@@ -115,7 +112,6 @@ type Machine struct {
 	net        *mesh.Mesh
 	st         *stats.Machine
 	mems       []*memory.Memory
-	caches     []*cache.Cache
 	cms        []*coherence.CM
 	tables     []*mmu.Table
 	kern       *kernel.Kernel
@@ -181,11 +177,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	cmSt := func(i int) *stats.Machine { return m.shardViews[net.ShardOf(mesh.NodeID(i))] }
 	for i := 0; i < n; i++ {
 		mem := memory.New()
-		ca := cache.New(cfg.Cache, cfg.Timing)
-		cm := coherence.New(mesh.NodeID(i), net.EngineFor(mesh.NodeID(i)), net, mem, ca, cfg.Timing, cmSt(i))
+		cm := coherence.New(mesh.NodeID(i), net.EngineFor(mesh.NodeID(i)), net, mem, cache.New(cfg.Timing), cfg.Timing, cmSt(i))
 		cm.SetInvalidateMode(cfg.InvalidateMode)
 		m.mems = append(m.mems, mem)
-		m.caches = append(m.caches, ca)
 		m.cms = append(m.cms, cm)
 		m.tables = append(m.tables, mmu.New())
 	}
@@ -507,11 +501,6 @@ func (m *Machine) runShards() {
 	started := ss.Now()
 	ss.Quiescent = m.quiescentFunc(started)
 	ss.Run()
-	if m.obs != nil {
-		// Fold the children's latency histograms so the master's Metrics
-		// read as a one-engine run's would.
-		m.obs.FoldShardMetrics()
-	}
 	for _, v := range m.shardViews {
 		m.st.FoldShard(v)
 	}

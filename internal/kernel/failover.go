@@ -155,16 +155,18 @@ func (k *Kernel) FailNode(n mesh.NodeID) {
 // predecessor over the same FIFO (and transport-ordered) pair that
 // carries the predecessor's subsequent updates, so — exactly as in
 // Replicate — the target converges to the predecessor while writes
-// continue to flow. Hops run sequentially because the chain prefix
-// property only guarantees a predecessor is correct once its own
-// resync (if any) completed; each hop's completion, on the target's
-// shard, defers the next to the barrier. The list is re-read each hop
-// so a further failover cannot strand the cascade on stale positions.
-// A down predecessor ends it: its frame is stale and it sends nothing,
-// and its own failover resyncs the rest of the chain. A predecessor
-// whose own page copy is still filling holds no page yet: the hop
-// waits, and that copy's landing resumes it on the predecessor's
-// shard.
+// continue to flow, as long as that predecessor is unchanged: a copy
+// linked in front of the target mid-hop sends its updates over another
+// pair, which the snapshot can overwrite (ROADMAP item 1(a)). Hops run
+// sequentially because the chain prefix property only guarantees a
+// predecessor is correct once its own resync (if any) completed; each
+// hop's completion, on the target's shard, defers the next to the
+// barrier. The list is re-read each hop so a further failover cannot
+// strand the cascade on stale positions. A down predecessor ends it:
+// its frame is stale and it sends nothing, and its own failover resyncs
+// the rest of the chain. A predecessor whose own page copy is still
+// filling holds no page yet: the hop waits, and that copy's landing
+// resumes it on the predecessor's shard.
 func (k *Kernel) resyncHop(vp memory.VPage, pos int) {
 	list := k.CopyList(vp)
 	if pos < 1 || pos >= len(list) || k.cms[list[pos-1].Node].Down() {

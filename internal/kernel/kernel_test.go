@@ -44,7 +44,7 @@ func newFaultRig(t *testing.T, w, h int, f mesh.FaultConfig) *rig {
 	r := &rig{eng: eng, net: net, st: st}
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(cache.DefaultConfig(), tm)
+		ca := cache.New(tm)
 		r.mems = append(r.mems, mem)
 		r.cms = append(r.cms, coherence.New(mesh.NodeID(i), eng, net, mem, ca, tm, st))
 		r.tbls = append(r.tbls, mmu.New())

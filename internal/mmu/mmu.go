@@ -41,9 +41,8 @@ type Table struct {
 	// Hits and Misses count TLB lookups; Shootdowns counts explicit
 	// TLB invalidations and flushes.
 	Hits, Misses, Shootdowns uint64
-	// Faults counts lazy fills (misses resolved through the kernel),
-	// Flushes whole-table invalidations.
-	Faults, Flushes uint64
+	// Flushes counts whole-table invalidations.
+	Flushes uint64
 	// OnInstall, when non-nil, observes every mapping install — a lazy
 	// fault fill from the processor or a kernel remap (replication
 	// switching a node to its local copy). core wires it to emit

@@ -13,7 +13,6 @@ type modelTable struct {
 	entries     map[memory.VPage]memory.GPage
 	refs        map[memory.VPage]uint64
 	replicating map[memory.VPage]bool
-	Faults      uint64
 	Flushes     uint64
 }
 

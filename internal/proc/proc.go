@@ -608,7 +608,6 @@ func (t *Thread) translate(va memory.VAddr) coherence.GAddr {
 		}
 		p.table.Install(vp, resolved)
 		p.nstat().PageFaults++
-		p.table.Faults++
 		g = resolved
 	}
 	if g.Node != p.node {

@@ -292,9 +292,8 @@ type Observer struct {
 	// Sharding (shardobs.go). A master observer owns the ring; each
 	// shard engine gets a child (eng != nil) sharing it, which queues
 	// the events it emits mid-round for the barrier to push.
-	children []*Observer
-	eng      *sim.Engine
-	queued   []Event
+	eng    *sim.Engine
+	queued []Event
 	// causeBy holds CauseFor's per-node counters (master or child —
 	// each node's issues all happen on the observer serving its shard).
 	causeBy []uint64

@@ -28,16 +28,14 @@ import "plus/internal/sim"
 
 // ShardChild returns a new child of this observer serving one shard
 // engine. The child pushes into the master's ring and shares its
-// window configuration, keeps its own Metrics histograms (folded with
-// FoldShardMetrics after the run), and reads the engine's clock.
+// window configuration, keeps its own Metrics histograms (folded by
+// Machine.FoldShard after the run), and reads the engine's clock.
 // Children of children are not a thing.
 func (o *Observer) ShardChild(eng *sim.Engine) *Observer {
 	if o.eng != nil {
 		panic("stats: ShardChild of a shard child (children hang off the master observer)")
 	}
-	c := &Observer{cfg: o.cfg, ring: o.ring, winEnd: o.winEnd, clock: eng.Now, eng: eng}
-	o.children = append(o.children, c)
-	return c
+	return &Observer{cfg: o.cfg, ring: o.ring, winEnd: o.winEnd, clock: eng.Now, eng: eng}
 }
 
 // HandleEvent implements sim.EventSink for a child's queued events:
@@ -47,15 +45,5 @@ func (o *Observer) HandleEvent(i int, _ any) {
 	o.ring.Push(o.queued[i])
 	if i == len(o.queued)-1 {
 		o.queued = o.queued[:0]
-	}
-}
-
-// FoldShardMetrics adds every child's latency histograms into the
-// master's and resets them, so the master's Metrics read exactly as a
-// serial run's would. Call once after the run.
-func (o *Observer) FoldShardMetrics() {
-	for _, c := range o.children {
-		o.Metrics.Add(&c.Metrics)
-		c.Metrics = Metrics{}
 	}
 }

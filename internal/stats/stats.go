@@ -116,10 +116,12 @@ func (m *Machine) Observer() *Observer { return m.obs }
 // shard-locally.
 func (m *Machine) ShardView() *Machine { return &Machine{Nodes: m.Nodes} }
 
-// FoldShard drains a shard view's machine-wide scalar counters into m:
-// the values are added and the view's scalars reset, so folding after
-// every run keeps repeated Run/fold cycles from double-counting. Call
-// with the simulation quiescent.
+// FoldShard drains a shard view's machine-wide scalar counters, and
+// its child observer's latency histograms, into m and m's observer:
+// the values are added and the view's reset, so folding after every
+// run keeps repeated Run/fold cycles from double-counting and the
+// master's Metrics read as a one-engine run's would. Call with the
+// simulation quiescent.
 func (m *Machine) FoldShard(v *Machine) {
 	m.MsgRead += v.MsgRead
 	m.MsgReadRep += v.MsgReadRep
@@ -148,6 +150,10 @@ func (m *Machine) FoldShard(v *Machine) {
 	m.StaleAcks += v.StaleAcks
 	m.CrashOrphans += v.CrashOrphans
 	m.Recovery.Add(&v.Recovery)
+	if v.obs != nil {
+		m.obs.Metrics.Add(&v.obs.Metrics)
+		v.obs.Metrics = Metrics{}
+	}
 	nodes, obs := v.Nodes, v.obs
 	*v = Machine{Nodes: nodes, obs: obs}
 }

@@ -43,7 +43,6 @@
 package plus
 
 import (
-	"plus/internal/cache"
 	"plus/internal/coherence"
 	"plus/internal/core"
 	"plus/internal/kernel"
@@ -98,8 +97,6 @@ type (
 	// ObserveConfig sizes an Observer's ring and selects what it
 	// records.
 	ObserveConfig = stats.ObserveConfig
-	// CacheConfig sizes the per-processor cache.
-	CacheConfig = cache.Config
 	// Mode selects the processor's latency reaction (run-to-block or
 	// context switching).
 	Mode = proc.Mode
