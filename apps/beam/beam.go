@@ -78,9 +78,6 @@ type Config struct {
 	SwitchCost sim.Cycles
 	// ThreadsPerProc for ContextSwitch style (default 2).
 	ThreadsPerProc int
-	// InnerWork is the computation charged per inner-loop iteration
-	// (default 70 — "about 70 RISC instructions").
-	InnerWork sim.Cycles
 	// Beam, when nonzero, enables beam pruning: a vertex whose score
 	// exceeds its layer's running best by more than Beam is dropped.
 	// The per-layer bests are maintained with min-xchng — §3.2's
@@ -121,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ThreadsPerProc == 0 {
 		c.ThreadsPerProc = 2
-	}
-	if c.InnerWork == 0 {
-		c.InnerWork = 70
 	}
 	return c
 }
@@ -322,6 +316,10 @@ func (w *lattice) lockVA(v int) memory.VAddr  { return w.lock + memory.VAddr(v) 
 
 const spinBackoff sim.Cycles = 25
 
+// innerWork is the computation charged per inner-loop iteration:
+// "about 70 RISC instructions".
+const innerWork sim.Cycles = 70
+
 // pruneOrTrack applies beam pruning for vertex v at layer l with score
 // sv: it reports true when the vertex falls outside the beam, and
 // otherwise folds sv into the layer's running minimum via min-xchng.
@@ -359,7 +357,7 @@ func (w *lattice) relaxLocked(t *proc.Thread, u int, nd uint32) bool {
 // issued and verified back to back.
 func (w *lattice) processBlocking(t *proc.Thread, v int) {
 	w.processed++
-	t.Compute(w.cfg.InnerWork)
+	t.Compute(innerWork)
 	l, s := v/w.cfg.States, v%w.cfg.States
 	if l+1 >= w.cfg.Layers {
 		w.pool.Done(t)
@@ -390,7 +388,7 @@ func (w *lattice) processBlocking(t *proc.Thread, v int) {
 // performed in parallel" (§3.4).
 func (w *lattice) processDelayed(t *proc.Thread, v int) {
 	w.processed++
-	t.Compute(w.cfg.InnerWork)
+	t.Compute(innerWork)
 	l, s := v/w.cfg.States, v%w.cfg.States
 	if l+1 >= w.cfg.Layers {
 		w.pool.Done(t)

@@ -40,19 +40,22 @@ const (
 	ReplicatedHot = "replicated-hot"
 )
 
-// Config parameterizes a run.
+// recordWords is the record size in words: a small profile record,
+// 256 records per 4KB page.
+const recordWords = 4
+
+// perOpWork is the computation charged per request (request parse +
+// hash).
+const perOpWork sim.Cycles = 20
+
+// Config parameterizes a run. There is one tenant per node: tenant t
+// owns keys [t*RecordsPerTenant, (t+1)*RecordsPerTenant).
 type Config struct {
 	MeshW, MeshH int
-	// Tenants is the number of tenants (default: one per node). Tenant
-	// t owns keys [t*RecordsPerTenant, (t+1)*RecordsPerTenant).
-	Tenants int
 	// RecordsPerTenant is the per-tenant key count (default 512). The
-	// tenant record block must tile whole pages:
-	// RecordsPerTenant*RecordWords must be a multiple of the page size.
+	// tenant record block must tile whole pages: RecordsPerTenant must
+	// be a multiple of the 256 records a page holds.
 	RecordsPerTenant int
-	// RecordWords is the record size in words (default 4 — a small
-	// profile record, 256 records per 4KB page).
-	RecordWords int
 	// OpsPerNode is the number of requests each frontend serves
 	// (default 256).
 	OpsPerNode int
@@ -76,9 +79,6 @@ type Config struct {
 	// HotCopies is the replica count per hot page including nothing of
 	// the master (default 4, PLUS's uncontrolled-replication guard).
 	HotCopies int
-	// PerOpWork charges computation per request (default 20 cycles —
-	// request parse + hash).
-	PerOpWork sim.Cycles
 	// Seed drives every frontend's arrival schedule, key choice and op
 	// mix (per-thread rngs derived from it; default 1).
 	Seed int64
@@ -103,14 +103,8 @@ func (c Config) withDefaults() Config {
 	if c.MeshH == 0 {
 		c.MeshH = 4
 	}
-	if c.Tenants == 0 {
-		c.Tenants = c.MeshW * c.MeshH
-	}
 	if c.RecordsPerTenant == 0 {
 		c.RecordsPerTenant = 512
-	}
-	if c.RecordWords == 0 {
-		c.RecordWords = 4
 	}
 	if c.OpsPerNode == 0 {
 		c.OpsPerNode = 256
@@ -129,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HotCopies == 0 {
 		c.HotCopies = 4
-	}
-	if c.PerOpWork == 0 {
-		c.PerOpWork = 20
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -181,17 +172,18 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	nodes := m.Nodes()
-	if cfg.RecordsPerTenant*cfg.RecordWords%memory.PageWords != 0 {
+	tenants := nodes
+	if cfg.RecordsPerTenant*recordWords%memory.PageWords != 0 {
 		return Result{}, fmt.Errorf("kvserve: tenant block %d words does not tile %d-word pages",
-			cfg.RecordsPerTenant*cfg.RecordWords, memory.PageWords)
+			cfg.RecordsPerTenant*recordWords, memory.PageWords)
 	}
 	if cfg.UnsyncCounters && cfg.Validate {
 		return Result{}, fmt.Errorf("kvserve: UnsyncCounters makes counters unreliable; disable Validate")
 	}
-	pagesPerTenant := cfg.RecordsPerTenant * cfg.RecordWords / memory.PageWords
-	totalPages := cfg.Tenants * pagesPerTenant
-	totalKeys := int64(cfg.Tenants) * int64(cfg.RecordsPerTenant)
-	recordsPerPage := memory.PageWords / cfg.RecordWords
+	pagesPerTenant := cfg.RecordsPerTenant * recordWords / memory.PageWords
+	totalPages := tenants * pagesPerTenant
+	totalKeys := int64(tenants) * int64(cfg.RecordsPerTenant)
+	recordsPerPage := memory.PageWords / recordWords
 
 	// One contiguous block of record pages; key k lives in global page
 	// k/recordsPerPage. Keys are Zipf-ranked in address order (rank 1 =
@@ -212,8 +204,8 @@ func Run(cfg Config) (Result, error) {
 	// Per-tenant op counters on their own page, homed away from the
 	// hot node (node 0 masters the hot records under master-local).
 	counters := m.Alloc(mesh.NodeID(nodes-1), 1)
-	if cfg.Tenants > memory.PageWords {
-		return Result{}, fmt.Errorf("kvserve: %d tenants exceed one counter page", cfg.Tenants)
+	if tenants > memory.PageWords {
+		return Result{}, fmt.Errorf("kvserve: %d tenants exceed one counter page", tenants)
 	}
 
 	if cfg.Placement == ReplicatedHot {
@@ -242,7 +234,7 @@ func Run(cfg Config) (Result, error) {
 	recordVA := func(key int64, field int) memory.VAddr {
 		page := key / int64(recordsPerPage)
 		slot := key % int64(recordsPerPage)
-		return records + memory.VAddr(page*int64(memory.PageWords)+slot*int64(cfg.RecordWords)+int64(field))
+		return records + memory.VAddr(page*int64(memory.PageWords)+slot*recordWords+int64(field))
 	}
 
 	// Per-frontend state, observed into privately and folded after the
@@ -257,7 +249,7 @@ func Run(cfg Config) (Result, error) {
 
 	for n := 0; n < nodes; n++ {
 		n := n
-		tallies[n] = make([]uint64, cfg.Tenants)
+		tallies[n] = make([]uint64, tenants)
 		m.SpawnNamed(mesh.NodeID(n), fmt.Sprintf("kv%d", n), func(t *proc.Thread) {
 			// One rng per frontend: arrivals, keys and the op mix all
 			// draw from it in body order, so the request stream depends
@@ -271,9 +263,9 @@ func Run(cfg Config) (Result, error) {
 					late[n]++
 				}
 				key := zipf.Sample() - 1
-				field := rng.Intn(cfg.RecordWords)
+				field := rng.Intn(recordWords)
 				isRead := rng.Intn(100) < cfg.ReadPct
-				t.Compute(cfg.PerOpWork)
+				t.Compute(perOpWork)
 				va := recordVA(key, field)
 				if isRead {
 					// Served from the nearest copy; race-free against the
@@ -351,19 +343,19 @@ func Run(cfg Config) (Result, error) {
 	for w := 0; w < totalPages*memory.PageWords; w++ {
 		digest(records + memory.VAddr(w))
 	}
-	for tn := 0; tn < cfg.Tenants; tn++ {
+	for tn := 0; tn < tenants; tn++ {
 		digest(counters + memory.VAddr(tn))
 	}
 	res.Checksum = h.Sum64()
 
 	if cfg.Validate {
-		want := make([]uint64, cfg.Tenants)
+		want := make([]uint64, tenants)
 		for n := range tallies {
 			for tn, c := range tallies[n] {
 				want[tn] += c
 			}
 		}
-		for tn := 0; tn < cfg.Tenants; tn++ {
+		for tn := 0; tn < tenants; tn++ {
 			got := uint64(m.Peek(counters + memory.VAddr(tn)))
 			if got != want[tn] {
 				return res, fmt.Errorf("kvserve: tenant %d counter = %d, frontends issued %d", tn, got, want[tn])

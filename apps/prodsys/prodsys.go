@@ -37,8 +37,6 @@ type Config struct {
 	// rules; Seeds the number of initially asserted facts.
 	Facts, Rules, Seeds int
 	Seed                int64
-	// MatchWork charges cycles per rule match attempt (default 30).
-	MatchWork sim.Cycles
 	// Copies replicates working memory at this level (1 = none).
 	Copies   int
 	Validate bool
@@ -62,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seeds == 0 {
 		c.Seeds = 16
-	}
-	if c.MatchWork == 0 {
-		c.MatchWork = 30
 	}
 	if c.Copies == 0 {
 		c.Copies = 1
@@ -261,11 +256,14 @@ func (w *engine) assert(t *proc.Thread, f int32) {
 	w.pool.Add(t, int(f))
 }
 
+// matchWork is the computation charged per rule match attempt.
+const matchWork sim.Cycles = 30
+
 // match processes a newly asserted fact: fire every rule it completes.
 func (w *engine) match(t *proc.Thread, f int32) {
 	for _, ri := range w.byPremise[f] {
 		r := w.rules[ri]
-		t.Compute(w.cfg.MatchWork)
+		t.Compute(matchWork)
 		other := r.A
 		if other == f {
 			other = r.B

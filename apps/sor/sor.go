@@ -34,9 +34,6 @@ type Config struct {
 	// (remote masters for locally owned rows) — real DSM behaviour.
 	// N >= 64 gives each of up to N*N/1024 processors whole pages.
 	N, Iters int
-	// CellWork charges computation per stencil update (default 12 —
-	// a few adds and a shift).
-	CellWork sim.Cycles
 	// ReplicateBoundaries places each strip's pages on the strip's
 	// neighbours, turning halo reads local (the PLUS way to run this
 	// workload). Without it, halo reads are remote.
@@ -64,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Iters == 0 {
 		c.Iters = 4
-	}
-	if c.CellWork == 0 {
-		c.CellWork = 12
 	}
 	return c
 }
@@ -114,7 +108,12 @@ func seedGrid(n int) []uint32 {
 	return g
 }
 
-// Run executes the workload.//
+// cellWork is the computation charged per stencil update: a few adds
+// and a shift.
+const cellWork sim.Cycles = 12
+
+// Run executes the workload.
+//
 // Run is safe for concurrent use by the experiments sweep runner:
 // every call builds a private machine (its own sim.Engine, mesh,
 // stats and locally seeded RNGs) and shares no mutable state with
@@ -203,7 +202,7 @@ func Run(cfg Config) (Result, error) {
 								uint32(t.Read(cell(r+1, c))) +
 								uint32(t.Read(cell(r, c-1))) +
 								uint32(t.Read(cell(r, c+1)))
-							t.Compute(cfg.CellWork)
+							t.Compute(cellWork)
 							t.Write(cell(r, c), memory.Word(sum/4))
 							updatesBy[p]++
 						}

@@ -16,15 +16,12 @@ type Graph struct {
 // Generate builds a deterministic random digraph: a weight-1..maxW
 // chain 0→1→…→V-1 guaranteeing reachability from vertex 0, plus
 // degree-1 extra edges per vertex drawn from a spatially local window
-// (90%% within `locality` vertices ahead, 10%% uniform) — shortest-path
-// instances have spatial structure, and that structure is what makes
-// the unreplicated configuration's load imbalance visible (§2.5).
+// (90% within locality = 128 vertices ahead, 10% uniform) —
+// shortest-path instances have spatial structure, and that structure
+// is what makes the unreplicated configuration's load imbalance
+// visible (§2.5).
 func Generate(v, degree int, maxW uint32, seed int64) *Graph {
-	return GenerateLocal(v, degree, maxW, seed, 128)
-}
-
-// GenerateLocal is Generate with an explicit locality window.
-func GenerateLocal(v, degree int, maxW uint32, seed int64, locality int) *Graph {
+	const locality = 128
 	if v < 2 {
 		panic("sssp: graph needs at least 2 vertices")
 	}
@@ -33,9 +30,6 @@ func GenerateLocal(v, degree int, maxW uint32, seed int64, locality int) *Graph 
 	}
 	if maxW < 1 {
 		maxW = 1
-	}
-	if locality < 2 {
-		locality = 2
 	}
 	rng := rand.New(rand.NewSource(seed))
 	adj := make([][2]int32, 0, v*degree)

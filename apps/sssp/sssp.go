@@ -43,10 +43,6 @@ type Config struct {
 	// participating nodes nearest each page's home. This is the
 	// "Number of Copies" column of Table 2-1.
 	Copies int
-	// VertexWork and EdgeWork charge computation cycles per processed
-	// vertex and per relaxed edge (defaults 40 / 20), modeling the
-	// instruction stream between shared-memory references.
-	VertexWork, EdgeWork sim.Cycles
 	// Validate checks the parallel result against sequential Dijkstra.
 	Validate bool
 	// Machine, when non-nil, overrides the machine configuration
@@ -76,12 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Copies == 0 {
 		c.Copies = 1
-	}
-	if c.VertexWork == 0 {
-		c.VertexWork = 40
-	}
-	if c.EdgeWork == 0 {
-		c.EdgeWork = 20
 	}
 	return c
 }
@@ -361,10 +351,18 @@ func (w *workspace) distVA(v int32) memory.VAddr { return w.dist + memory.VAddr(
 // follows (8 slots per node in the hardware).
 const pipelineDepth = 4
 
+// vertexWork and edgeWork are the computation cycles charged per
+// processed vertex and per relaxed edge, modeling the instruction
+// stream between shared-memory references.
+const (
+	vertexWork sim.Cycles = 40
+	edgeWork   sim.Cycles = 20
+)
+
 // process relaxes all edges of v, re-enqueueing improved targets.
 func (w *workspace) process(t *proc.Thread, p int, v int32) {
 	w.relaxations[p]++
-	t.Compute(w.cfg.VertexWork)
+	t.Compute(vertexWork)
 	// dist[v] is read at the master via delayed-read: an authoritative
 	// value, so a concurrent improvement of dist[v] (which re-enqueues
 	// v) can never be lost to replica staleness.
@@ -377,7 +375,7 @@ func (w *workspace) process(t *proc.Thread, p int, v int32) {
 	for e := lo; e < hi; e++ {
 		tgt := int32(t.Read(w.tgts + memory.VAddr(e)))
 		wt := uint32(t.Read(w.wgts + memory.VAddr(e)))
-		t.Compute(w.cfg.EdgeWork)
+		t.Compute(edgeWork)
 		nd := dv + wt
 		if nd >= Inf {
 			continue

@@ -193,7 +193,7 @@ func insertionNearest(procs int, home mesh.NodeID, hops func(a, b mesh.NodeID) i
 // replication fan-outs Figure 2-1 uses and at the whole order.
 func TestNearestMatchesInsertionSort(t *testing.T) {
 	for _, c := range []struct{ w, h, procs int }{{16, 16, 256}, {12, 5, 47}} {
-		m := mesh.New(sim.NewEngine(), mesh.Config{Width: c.w, Height: c.h, Base: 24, PerHop: 4})
+		m := mesh.New(sim.NewEngine(), mesh.DefaultConfig(c.w, c.h))
 		for home := mesh.NodeID(0); int(home) < c.procs; home++ {
 			want := insertionNearest(c.procs, home, m.Hops)
 			for _, k := range []int{1, 2, 3, 7, c.procs - 1} {

@@ -22,6 +22,7 @@ import (
 	"plus/apps/sssp"
 	"plus/apps/synth"
 	"plus/internal/sim"
+	"plus/internal/timing"
 )
 
 func main() {
@@ -157,7 +158,7 @@ func main() {
 	}
 }
 
-func ms(c sim.Cycles) float64 { return float64(c) * 40 / 1e6 }
+func ms(c sim.Cycles) float64 { return float64(c) * timing.CycleNs / 1e6 }
 
 func meshFor(p int) (int, int) {
 	switch {

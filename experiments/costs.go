@@ -9,6 +9,7 @@ import (
 	"plus/internal/mesh"
 	"plus/internal/proc"
 	"plus/internal/sim"
+	"plus/internal/timing"
 )
 
 func defaultMachine(w, h int) core.Config { return core.DefaultConfig(w, h) }
@@ -43,12 +44,11 @@ func table31Points(o Options) []Point[Table31Row] {
 				if err != nil {
 					return Table31Row{}, err
 				}
-				tm := mcfg.Timing
 				target := m.Alloc(1, 1) // master on the remote node
 				// Queue ops address a control word holding an offset.
 				va := target
 				if op == coherence.OpQueue || op == coherence.OpDequeue {
-					va = target + memory.VAddr(tm.MaxQueueSize)
+					va = target + memory.VAddr(timing.MaxQueueSize)
 				}
 				// Dequeue needs an occupied slot to pop.
 				if op == coherence.OpDequeue {
@@ -65,10 +65,10 @@ func table31Points(o Options) []Point[Table31Row] {
 					return Table31Row{}, err
 				}
 				oneWay := m.Mesh().Latency(0, 1)
-				overheads := tm.DelayedIssue + 2*oneWay + tm.CMProcess + tm.ResultRead
+				overheads := timing.DelayedIssue + 2*oneWay + timing.CMProcess + timing.ResultRead
 				return Table31Row{
 					Op:           op,
-					PaperCycles:  op.ExecCycles(tm),
+					PaperCycles:  op.ExecCycles(),
 					MeasuredExec: elapsed - overheads,
 					EndToEnd:     elapsed,
 				}, nil

@@ -10,7 +10,7 @@ import (
 	"plus/internal/timing"
 )
 
-// batchTiming returns the default cost table with write combining at
+// batchTiming returns the default cache depths with write combining at
 // the given depth.
 func batchTiming(depth int) timing.Timing {
 	tm := timing.Default()

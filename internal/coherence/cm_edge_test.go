@@ -6,6 +6,7 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/sim"
+	"plus/internal/timing"
 )
 
 func TestFiveCopyChainFromTail(t *testing.T) {
@@ -137,7 +138,7 @@ func TestInterleavedPagesIndependentPending(t *testing.T) {
 	})
 	// The read of page B proceeds without waiting for page A's ack:
 	// run only until the read's natural completion time.
-	want := r.tm.RemoteReadOverhead + 2*r.net.Latency(0, 1) + r.tm.CMProcess
+	want := timing.RemoteReadOverhead + 2*r.net.Latency(0, 1) + timing.CMProcess
 	r.eng.RunUntil(want)
 	if !done {
 		t.Fatal("read of an unrelated address was blocked by a pending write")
@@ -175,7 +176,7 @@ func TestUpdateCarriesMultipleWordsOnce(t *testing.T) {
 	// in ONE update message per hop and apply atomically at each copy.
 	r := newRig(t, 4, 1)
 	frames := r.page(0, 2)
-	qsz := uint32(r.tm.MaxQueueSize)
+	qsz := uint32(timing.MaxQueueSize)
 	var slot int
 	r.cms[0].RMW(OpQueue, GAddr{0, frames[0], qsz}, 42, func(s int) { slot = s })
 	r.eng.Run()

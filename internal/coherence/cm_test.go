@@ -27,7 +27,7 @@ func newRig(t *testing.T, w, h int) *rig {
 	return newRigTiming(t, w, h, timing.Default())
 }
 
-// newRigTiming is newRig with a custom cost table (the batching tests
+// newRigTiming is newRig with custom cache depths (the batching tests
 // raise MaxBatchWrites).
 func newRigTiming(t *testing.T, w, h int, tm timing.Timing) *rig {
 	t.Helper()
@@ -37,7 +37,7 @@ func newRigTiming(t *testing.T, w, h int, tm timing.Timing) *rig {
 	r := &rig{eng: eng, net: net, st: st, tm: tm}
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(tm)
+		ca := cache.New()
 		r.mems = append(r.mems, mem)
 		r.cms = append(r.cms, New(mesh.NodeID(i), eng, net, mem, ca, tm, st))
 	}
@@ -126,7 +126,7 @@ func TestRemoteRead(t *testing.T) {
 		t.Fatalf("remote read = %d", got)
 	}
 	// Cost anatomy: 32 (overhead) + one-way + CMProcess + one-way.
-	want := r.tm.RemoteReadOverhead + 2*r.net.Latency(0, 1) + r.tm.CMProcess
+	want := timing.RemoteReadOverhead + 2*r.net.Latency(0, 1) + timing.CMProcess
 	if at != want {
 		t.Fatalf("remote read completed at %d, want %d", at, want)
 	}
@@ -311,7 +311,7 @@ func TestRMWRemoteMasterTiming(t *testing.T) {
 	r.cms[0].Verify(slot, func(v memory.Word) { at = r.eng.Now() })
 	r.eng.Run()
 	// one-way + CMProcess + 39 exec + one-way back.
-	want := 2*r.net.Latency(0, 1) + r.tm.CMProcess + r.tm.RMWSimple
+	want := 2*r.net.Latency(0, 1) + timing.CMProcess + timing.RMWSimple
 	if at != want {
 		t.Fatalf("fadd result at %d, want %d", at, want)
 	}
@@ -327,7 +327,7 @@ func TestRMWComplexCost(t *testing.T) {
 	r.cms[0].RMW(OpMinXchng, g, 1, func(s int) { slot = s })
 	r.cms[0].Verify(slot, func(v memory.Word) { at = r.eng.Now() })
 	r.eng.Run()
-	want := 2*r.net.Latency(0, 1) + r.tm.CMProcess + r.tm.RMWComplex
+	want := 2*r.net.Latency(0, 1) + timing.CMProcess + timing.RMWComplex
 	if at != want {
 		t.Fatalf("min-xchng result at %d, want %d", at, want)
 	}
@@ -404,9 +404,8 @@ func TestCondXchngNoWriteWhenTopBitClear(t *testing.T) {
 
 func TestQueueDequeueRoundTrip(t *testing.T) {
 	r := newRig(t, 2, 1)
-	tm := timing.Default()
 	frames := r.page(0)
-	qsz := uint32(tm.MaxQueueSize)
+	qsz := uint32(timing.MaxQueueSize)
 	tailCtl := qsz // control words live above the wrap range
 	headCtl := qsz + 1
 	g := func(off uint32) GAddr { return GAddr{0, frames[0], off} }
@@ -450,9 +449,8 @@ func TestQueueDequeueRoundTrip(t *testing.T) {
 
 func TestQueueWrapsModuloMaxQueueSize(t *testing.T) {
 	r := newRig(t, 2, 1)
-	tm := timing.Default()
 	frames := r.page(0)
-	qsz := uint32(tm.MaxQueueSize)
+	qsz := uint32(timing.MaxQueueSize)
 	// Start the tail at the last slot: next enqueue wraps to 0.
 	r.mems[0].Write(frames[0], qsz, memory.Word(qsz-1))
 	var slot int
@@ -469,9 +467,8 @@ func TestQueueWrapsModuloMaxQueueSize(t *testing.T) {
 
 func TestQueueFullReportsOccupiedWord(t *testing.T) {
 	r := newRig(t, 2, 1)
-	tm := timing.Default()
 	frames := r.page(0)
-	qsz := uint32(tm.MaxQueueSize)
+	qsz := uint32(timing.MaxQueueSize)
 	// Fill every slot.
 	for off := uint32(0); off < qsz; off++ {
 		r.mems[0].Write(frames[0], off, memory.TopBit|memory.Word(off))

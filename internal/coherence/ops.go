@@ -82,12 +82,12 @@ func Ops() []Op {
 // ExecCycles returns the coherence manager's execution time for the
 // operation: Table 3-1 gives 39 cycles for the simple word operations
 // and 52 for the queue operations and min-xchng.
-func (o Op) ExecCycles(tm timing.Timing) sim.Cycles {
+func (o Op) ExecCycles() sim.Cycles {
 	switch o {
 	case OpQueue, OpDequeue, OpMinXchng:
-		return tm.RMWComplex
+		return timing.RMWComplex
 	default:
-		return tm.RMWSimple
+		return timing.RMWSimple
 	}
 }
 

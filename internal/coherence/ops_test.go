@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"plus/internal/memory"
-	"plus/internal/timing"
 )
 
 func freshPage() []memory.Word { return make([]memory.Word, memory.PageWords) }
@@ -39,13 +38,12 @@ func TestOpsListsTable3_1(t *testing.T) {
 }
 
 func TestExecCyclesTable3_1(t *testing.T) {
-	tm := timing.Default()
 	want := map[Op]uint64{
 		OpXchng: 39, OpCondXchng: 39, OpFadd: 39, OpFetchSet: 39, OpDelayedRead: 39,
 		OpQueue: 52, OpDequeue: 52, OpMinXchng: 52,
 	}
 	for op, w := range want {
-		if got := uint64(op.ExecCycles(tm)); got != w {
+		if got := uint64(op.ExecCycles()); got != w {
 			t.Errorf("%v execution = %d cycles, want %d", op, got, w)
 		}
 	}

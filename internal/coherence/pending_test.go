@@ -7,7 +7,7 @@ import (
 	"plus/internal/timing"
 )
 
-// depthTiming is the default cost table with a pending-writes cache of
+// depthTiming is the default cache depths with a pending-writes cache of
 // the given depth.
 func depthTiming(depth int) timing.Timing {
 	tm := timing.Default()

@@ -16,7 +16,7 @@
 //   - Every in-order delivery is acknowledged with a cumulative kTAck.
 //     Acks are unsequenced; a lost ack is recovered by the sender's
 //     timer and the receiver's re-ack of the resulting duplicates.
-//   - A per-destination retransmit timer (base Timing.RetransTimeout)
+//   - A per-destination retransmit timer (base timing.RetransTimeout)
 //     re-sends the whole unacknowledged window on expiry, doubling the
 //     timeout up to maxBackoff times base. A back-pressure NACK from
 //     the mesh is treated as an early timeout with the same backoff.
@@ -32,10 +32,11 @@ import (
 	"plus/internal/mesh"
 	"plus/internal/sim"
 	"plus/internal/stats"
+	"plus/internal/timing"
 )
 
 // maxBackoff caps the exponential retransmit backoff at
-// maxBackoff * Timing.RetransTimeout.
+// maxBackoff * timing.RetransTimeout.
 const maxBackoff = 16
 
 // txState is the sender half of one (self, dst) pair: the sequence
@@ -79,7 +80,7 @@ func (cm *CM) transportSend(dst mesh.NodeID, m *mesh.Msg) {
 	c.Dst = dst
 	tx.queue = append(tx.queue, c)
 	if len(tx.queue) == 1 {
-		tx.rto = cm.tm.RetransTimeout
+		tx.rto = timing.RetransTimeout
 		cm.armRetrans(dst, tx.rto)
 	}
 	cm.net.Send(cm.self, dst, flits(m), m)
@@ -128,7 +129,7 @@ func (cm *CM) transportAck(m *mesh.Msg) {
 	}
 	tx.queue = append(tx.queue[:0], tx.queue[n:]...)
 	tx.epoch++ // cancel the outstanding timer
-	tx.rto = cm.tm.RetransTimeout
+	tx.rto = timing.RetransTimeout
 	tx.strikes = 0 // acknowledged progress: the peer is alive
 	if len(tx.queue) > 0 {
 		cm.armRetrans(peer, tx.rto)
@@ -156,7 +157,7 @@ func (cm *CM) transportNack(m *mesh.Msg) {
 		return // already acknowledged via an earlier (re)transmission
 	}
 	cm.armRetrans(dst, tx.rto)
-	if tx.rto < maxBackoff*cm.tm.RetransTimeout {
+	if tx.rto < maxBackoff*timing.RetransTimeout {
 		tx.rto *= 2
 	}
 	if o := cm.obs(); o != nil {
@@ -182,7 +183,7 @@ func (cm *CM) fireRetrans(tk *retransTimer) {
 		}
 		cm.net.Send(cm.self, tk.dst, flits(c), cm.net.CloneMsgAt(cm.self, c))
 	}
-	if tx.rto < maxBackoff*cm.tm.RetransTimeout {
+	if tx.rto < maxBackoff*timing.RetransTimeout {
 		tx.rto *= 2
 	}
 	cm.armRetrans(tk.dst, tx.rto)

@@ -17,7 +17,7 @@ func newFaultyRig(t *testing.T, w, h int, f mesh.FaultConfig) *rig {
 	return newFaultyRigTiming(t, w, h, f, timing.Default())
 }
 
-// newFaultyRigTiming is newFaultyRig with a custom cost table.
+// newFaultyRigTiming is newFaultyRig with custom cache depths.
 func newFaultyRigTiming(t *testing.T, w, h int, f mesh.FaultConfig, tm timing.Timing) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -28,7 +28,7 @@ func newFaultyRigTiming(t *testing.T, w, h int, f mesh.FaultConfig, tm timing.Ti
 	r := &rig{eng: eng, net: net, st: st, tm: tm}
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(tm)
+		ca := cache.New()
 		r.mems = append(r.mems, mem)
 		r.cms = append(r.cms, New(mesh.NodeID(i), eng, net, mem, ca, tm, st))
 	}
@@ -225,10 +225,9 @@ func (w replayWrite) HandleEvent(int, any) { w.r.cms[1].Write(w.g, 7, func() {})
 // key of the run is ever drawn from the engine's own NoLane counter,
 // which a second engine would not share.
 func TestReplayArmedTimerKeepsLane(t *testing.T) {
-	tm := timing.Default()
-	tm.RetransTimeout = 4 // shorter than the round trip
-	// A vanishing duplication rate arms the reliability sublayer.
-	r := newFaultyRigTiming(t, 2, 1, mesh.FaultConfig{Seed: 1, DupRate: 1e-9}, tm)
+	// Every message is delayed by up to 4,096 cycles, so the write's
+	// round trip outlasts the 512-cycle retransmit timeout.
+	r := newFaultyRig(t, 2, 1, mesh.FaultConfig{Seed: 1, DelayRate: 1, DelayMax: 4096})
 	frames := r.page(0)
 	w := replayWrite{r, addrFor(frames, 0, 1, 3)}
 	e := r.eng

@@ -28,7 +28,8 @@ type Config struct {
 	// MeshWidth and MeshHeight give the node grid. The 1990 hardware
 	// targeted meshes of tens of nodes (e.g. 4x4).
 	MeshWidth, MeshHeight int
-	// Timing is the cycle-cost table.
+	// Timing holds the cache depths; the cycle costs are constants of
+	// the timing package.
 	Timing timing.Timing
 	// NetContention enables the link-contention model (off in the
 	// paper's lightly loaded experiments).
@@ -177,17 +178,17 @@ func NewMachine(cfg Config) (*Machine, error) {
 	cmSt := func(i int) *stats.Machine { return m.shardViews[net.ShardOf(mesh.NodeID(i))] }
 	for i := 0; i < n; i++ {
 		mem := memory.New()
-		cm := coherence.New(mesh.NodeID(i), net.EngineFor(mesh.NodeID(i)), net, mem, cache.New(cfg.Timing), cfg.Timing, cmSt(i))
+		cm := coherence.New(mesh.NodeID(i), net.EngineFor(mesh.NodeID(i)), net, mem, cache.New(), cfg.Timing, cmSt(i))
 		cm.SetInvalidateMode(cfg.InvalidateMode)
 		m.mems = append(m.mems, mem)
 		m.cms = append(m.cms, cm)
 		m.tables = append(m.tables, mmu.New())
 	}
-	m.kern = kernel.New(eng, net, m.cms, m.mems, m.tables, cfg.Timing, st)
+	m.kern = kernel.New(eng, net, m.cms, m.mems, m.tables, st)
 	m.kern.SetCompetitiveThreshold(cfg.CompetitiveThreshold)
 	for i := 0; i < n; i++ {
 		p := proc.New(mesh.NodeID(i), net, m.cms[i], m.kern,
-			m.tables[i], cfg.Timing, cmSt(i), cfg.Mode, cfg.SwitchCost)
+			m.tables[i], cmSt(i), cfg.Mode, cfg.SwitchCost)
 		p.SetFenceOnSync(cfg.FenceOnSync)
 		m.procs = append(m.procs, p)
 	}
@@ -387,7 +388,7 @@ func (m *Machine) ReplicateRange(va memory.VAddr, npages int, nodes ...mesh.Node
 // Prefault installs node's translation for npages pages starting at
 // va's page, outside simulated time — warm page tables for workloads
 // that measure steady-state latency rather than cold-start faulting
-// (a page-table fill costs Timing.PageFault, 2000 cycles, which would
+// (a page-table fill costs timing.PageFault, 2000 cycles, which would
 // swamp an open-loop run's per-op latencies). The same nearest-copy
 // choice the lazy fill would make is installed, so only the 2000-cycle
 // charge differs from faulting lazily.

@@ -217,11 +217,11 @@ func TestWakeLatency(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		waker        mesh.NodeID
-		wantLatency  func(mesh.Config) sim.Cycles
+		wantLatency  sim.Cycles
 		wantMessages uint64
 	}{
-		{"3 hops", 0, func(c mesh.Config) sim.Cycles { return c.Base + 3*c.PerHop }, 1},
-		{"same node", 3, func(mesh.Config) sim.Cycles { return 0 }, 0},
+		{"3 hops", 0, mesh.Base + 3*mesh.PerHop, 1},
+		{"same node", 3, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newMachine(t, 4, 1)
@@ -238,7 +238,7 @@ func TestWakeLatency(t *testing.T) {
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := resumedAt-wokeAt, tc.wantLatency(m.Mesh().Config()); got != want {
+			if got, want := resumedAt-wokeAt, tc.wantLatency; got != want {
 				t.Errorf("sleeper resumed %d cycles after the Wake, want %d", got, want)
 			}
 			if got := m.Stats().MsgWake; got != tc.wantMessages {
@@ -433,8 +433,7 @@ func TestTimingMatchesPaperCostAnatomy(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tm := timing.Default()
-	want := tm.DelayedIssue + 12 + tm.CMProcess + tm.RMWSimple + 12 + tm.ResultRead
+	want := timing.DelayedIssue + 12 + timing.CMProcess + timing.RMWSimple + 12 + timing.ResultRead
 	if elapsed != want {
 		t.Fatalf("blocking fadd = %d cycles, want %d", elapsed, want)
 	}

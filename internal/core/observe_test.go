@@ -11,6 +11,7 @@ import (
 	"plus/internal/proc"
 	"plus/internal/sim"
 	"plus/internal/stats"
+	"plus/internal/timing"
 )
 
 // observeWorkload runs a fixed 2x2 workload mixing local and remote
@@ -136,17 +137,16 @@ func TestObserverAcceptance(t *testing.T) {
 
 	// Histogram/stall-counter cross-check, exact to the cycle.
 	tot := m.Stats().Totals()
-	tm := m.Config().Timing
 	rr := &obs.Metrics.RemoteRead
 	if rr.Count == 0 {
 		t.Fatal("no remote reads observed")
 	}
-	want := uint64(tot.ReadStall) + rr.Count*uint64(tm.RemoteReadOverhead)
+	want := uint64(tot.ReadStall) + rr.Count*uint64(timing.RemoteReadOverhead)
 	if rr.Sum != want {
 		t.Errorf("remote-read histogram sum %d inconsistent with ReadStall: want %d", rr.Sum, want)
 	}
-	if rr.Mean() < float64(tm.RemoteReadOverhead) {
-		t.Errorf("remote-read mean %.1f below the issue overhead %d", rr.Mean(), tm.RemoteReadOverhead)
+	if rr.Mean() < float64(timing.RemoteReadOverhead) {
+		t.Errorf("remote-read mean %.1f below the issue overhead %d", rr.Mean(), timing.RemoteReadOverhead)
 	}
 	if obs.Metrics.WriteAck.Count == 0 {
 		t.Error("no write acks observed")

@@ -18,7 +18,6 @@ import (
 	"plus/internal/mmu"
 	"plus/internal/sim"
 	"plus/internal/stats"
-	"plus/internal/timing"
 )
 
 // Kernel is the machine-wide operating-system state. Like all
@@ -30,7 +29,6 @@ type Kernel struct {
 	cms    []*coherence.CM
 	mems   []*memory.Memory
 	tables []*mmu.Table
-	tm     timing.Timing
 	st     *stats.Machine
 
 	// copyLists is the centralized table, indexed by virtual page:
@@ -133,14 +131,13 @@ func (k *Kernel) HandleEvent(kind int, data any) {
 }
 
 // New assembles the kernel over the machine's nodes.
-func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, tm timing.Timing, st *stats.Machine) *Kernel {
+func New(eng *sim.Engine, net *mesh.Mesh, cms []*coherence.CM, mems []*memory.Memory, tables []*mmu.Table, st *stats.Machine) *Kernel {
 	return &Kernel{
 		eng:        eng,
 		net:        net,
 		cms:        cms,
 		mems:       mems,
 		tables:     tables,
-		tm:         tm,
 		st:         st,
 		fails:      make([]uint64, net.Nodes()),
 		filling:    make([]map[memory.PPage]int, net.Nodes()),

@@ -44,12 +44,12 @@ func newFaultRig(t *testing.T, w, h int, f mesh.FaultConfig) *rig {
 	r := &rig{eng: eng, net: net, st: st}
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(tm)
+		ca := cache.New()
 		r.mems = append(r.mems, mem)
 		r.cms = append(r.cms, coherence.New(mesh.NodeID(i), eng, net, mem, ca, tm, st))
 		r.tbls = append(r.tbls, mmu.New())
 	}
-	r.k = New(eng, net, r.cms, r.mems, r.tbls, tm, st)
+	r.k = New(eng, net, r.cms, r.mems, r.tbls, st)
 	if len(f.Crashes) > 0 {
 		for _, cm := range r.cms {
 			cm.ArmCrashRecovery(r.k)

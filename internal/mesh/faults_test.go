@@ -18,7 +18,6 @@ func TestValidateRejects(t *testing.T) {
 		cfg  Config
 	}{
 		{"zero geometry", Config{Width: 0, Height: 4}},
-		{"contention without flit cycles", Config{Width: 2, Height: 2, Contention: true}},
 		{"negative buffer", faultyConfig(2, 2, FaultConfig{LinkBufFlits: -1})},
 		{"buffers without contention", faultyConfig(2, 2, FaultConfig{LinkBufFlits: 4})},
 		{"delay without bound", faultyConfig(2, 2, FaultConfig{DelayRate: 0.1})},

@@ -7,7 +7,7 @@
 // and matches wormhole mesh routers of the period. Latency follows the
 // paper's measured constants: the round trip between adjacent nodes is
 // 24 cycles and each extra hop adds 4 cycles, i.e. a one-way message
-// costs Base + PerHop*hops with Base=10 and PerHop=2 by default.
+// costs Base + PerHop*hops with Base=10 and PerHop=2.
 //
 // An optional contention model serializes flits over each directed
 // link: a message of S flits occupies each link on its path for S
@@ -46,19 +46,26 @@ import (
 // memory package's global page addresses.
 type NodeID = node.ID
 
-// Config describes the mesh geometry and timing.
+// The network's latency constants: an adjacent round trip costs
+// 2*(Base+PerHop) = 24 cycles and each extra hop adds 2*PerHop = 4.
+// [paper]
+const (
+	// Base is the fixed one-way latency of a message (router and
+	// interface overhead at both ends), in cycles.
+	Base sim.Cycles = 10
+	// PerHop is the added one-way latency per link traversed.
+	PerHop sim.Cycles = 2
+	// FlitCycles is the link occupancy per flit when Contention is on.
+	// [chosen: 2]
+	FlitCycles sim.Cycles = 2
+)
+
+// Config describes the mesh geometry and network model.
 type Config struct {
 	Width  int
 	Height int
-	// Base is the fixed one-way latency of a message (router and
-	// interface overhead at both ends), in cycles.
-	Base sim.Cycles
-	// PerHop is the added one-way latency per link traversed.
-	PerHop sim.Cycles
 	// Contention, when true, serializes flits on each directed link.
 	Contention bool
-	// FlitCycles is the link occupancy per flit when Contention is on.
-	FlitCycles sim.Cycles
 	// Faults configures the unreliable-network mode. The zero value is
 	// the paper's perfect network.
 	Faults FaultConfig
@@ -101,8 +108,8 @@ type FaultConfig struct {
 	// already waiting is refused at injection and bounced back to the
 	// sender with Msg.Nacked set, after Base cycles (the reverse
 	// flow-control signal). 0 means unlimited buffering. Requires
-	// Contention, which models the queues being bounded, and Base >= 1:
-	// every send waits for the next barrier (see pendingSend).
+	// Contention, which models the queues being bounded; every send
+	// waits for the next barrier (see pendingSend).
 	LinkBufFlits int
 	// Crashes is an explicit, deterministic crash/restart script: while
 	// a node is down ([At, At+Duration)), the mesh silently discards
@@ -162,16 +169,10 @@ func (c Config) Validate() error {
 	case c.Shards > 1 && c.Width*c.Height%c.Shards != 0:
 		return fmt.Errorf("mesh: %d shards do not tile the %dx%d mesh: %d nodes %% %d shards = %d left over (pick a divisor of the node count)",
 			c.Shards, c.Width, c.Height, c.Width*c.Height, c.Shards, c.Width*c.Height%c.Shards)
-	case c.Base+c.PerHop < 1:
-		return fmt.Errorf("mesh: the run loop requires a positive minimum link latency (Base+PerHop = %d) for conservative lookahead", c.Base+c.PerHop)
-	case c.Contention && c.FlitCycles < 1:
-		return fmt.Errorf("mesh: contention model requires FlitCycles >= 1 (got %d)", c.FlitCycles)
 	case c.Faults.LinkBufFlits < 0:
 		return fmt.Errorf("mesh: negative LinkBufFlits %d", c.Faults.LinkBufFlits)
 	case c.Faults.LinkBufFlits > 0 && !c.Contention:
 		return fmt.Errorf("mesh: LinkBufFlits requires the contention model (bounded buffers bound the contention queues)")
-	case c.Faults.LinkBufFlits > 0 && c.Base < 1:
-		return fmt.Errorf("mesh: LinkBufFlits requires Base >= 1 (got %d): a NACK bounces back after Base cycles, and the lookahead window shrinks to Base", c.Base)
 	case c.Faults.DelayRate > 0 && c.Faults.DelayMax < 1:
 		return fmt.Errorf("mesh: DelayRate %v requires DelayMax >= 1", c.Faults.DelayRate)
 	}
@@ -227,23 +228,15 @@ func (c Config) ShardOf(id NodeID) int {
 // and NACKs too, so with LinkBufFlits the bound is Base.
 func (c Config) LookaheadWindow() sim.Cycles {
 	if c.Faults.LinkBufFlits > 0 {
-		return c.Base
+		return Base
 	}
-	return c.Base + c.PerHop
+	return Base + PerHop
 }
 
-// DefaultConfig returns the paper-calibrated mesh: one-way adjacent
-// latency 12 cycles (round trip 24), +2 cycles per extra hop one-way
-// (+4 round trip), no contention.
+// DefaultConfig returns the paper's mesh: a width x height grid with
+// no contention.
 func DefaultConfig(width, height int) Config {
-	return Config{
-		Width:      width,
-		Height:     height,
-		Base:       10,
-		PerHop:     2,
-		Contention: false,
-		FlitCycles: 2,
-	}
+	return Config{Width: width, Height: height}
 }
 
 // WordWrite is one committed word modification carried by an update
@@ -728,7 +721,7 @@ func (m *Mesh) Latency(src, dst NodeID) sim.Cycles {
 
 // latency is the uncontended one-way latency of a path of hops links.
 func (m *Mesh) latency(hops int) sim.Cycles {
-	return m.cfg.Base + m.cfg.PerHop*sim.Cycles(hops)
+	return Base + PerHop*sim.Cycles(hops)
 }
 
 // direction indices for links leaving a node.
@@ -934,7 +927,7 @@ func (ps *pendingSend) HandleEvent(int, any) {
 			if o := m.obsFor(srcShard); o != nil {
 				o.EmitAt(ps.sendT, stats.EvNetNack, int(ps.src), ps.ms.Kind, ps.ms.Cause, uint64(ps.dst), 0)
 			}
-			m.engines[srcShard].InjectEventAt(ps.sendT+m.cfg.Base, ps.msLane, ps.msSeq, m, evNack, ps.ms)
+			m.engines[srcShard].InjectEventAt(ps.sendT+Base, ps.msLane, ps.msSeq, m, evNack, ps.ms)
 			deliver = false
 		} else {
 			ps.dup, ps.extra, deliver = m.inject(ps.sendT, ps.src, ps.dst, ps.hops, ps.flits, ps.ms)
@@ -1011,7 +1004,7 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 // occupancy — wormhole switching streams a long message through, so
 // the bound applies to waiting traffic, not to the message's own size.
 func (m *Mesh) admit(t sim.Cycles, src, dst NodeID) bool {
-	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
+	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * FlitCycles
 	from := int(src)
 	for _, l := range m.legs(src, dst) {
 		for i := 0; i < l.n; i++ {
@@ -1038,7 +1031,7 @@ func (m *Mesh) admit(t sim.Cycles, src, dst NodeID) bool {
 func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
 	srcShard := m.shardOf[src]
 	o := m.obsFor(srcShard)
-	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
+	occupancy := sim.Cycles(sizeFlits) * FlitCycles
 	var wait sim.Cycles
 	t := t0
 	from := int(src)
@@ -1062,7 +1055,7 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 				o.EmitAt(t, stats.EvNetHop, from, uint8(l.dir), cause,
 					uint64(li), uint64(occupancy))
 			}
-			t += m.cfg.PerHop
+			t += PerHop
 			from += l.step
 		}
 	}

@@ -298,7 +298,7 @@ func hopPath(m *Mesh, src, dst NodeID) []NodeID {
 
 // hopAdmit is admit over the hop walk.
 func hopAdmit(m *Mesh, t sim.Cycles, src, dst NodeID) bool {
-	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * m.cfg.FlitCycles
+	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * FlitCycles
 	for r := newRoute(m, src, dst); r.next(); {
 		li := hopLink(m, r.from, r.dir)
 		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
@@ -312,7 +312,7 @@ func hopAdmit(m *Mesh, t sim.Cycles, src, dst NodeID) bool {
 func hopContendAt(m *Mesh, t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause uint64) sim.Cycles {
 	srcShard := m.shardOf[src]
 	o := m.obsFor(srcShard)
-	occupancy := sim.Cycles(sizeFlits) * m.cfg.FlitCycles
+	occupancy := sim.Cycles(sizeFlits) * FlitCycles
 	var wait sim.Cycles
 	t := t0
 	for r := newRoute(m, src, dst); r.next(); {
@@ -334,7 +334,7 @@ func hopContendAt(m *Mesh, t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause 
 			o.EmitAt(t, stats.EvNetHop, int(r.from), uint8(r.dir), cause,
 				uint64(li), uint64(occupancy))
 		}
-		t += m.cfg.PerHop
+		t += PerHop
 	}
 	m.shStats[srcShard].QueueWait += wait
 	return wait

@@ -48,7 +48,6 @@ type Proc struct {
 	cm    *coherence.CM
 	kern  *kernel.Kernel
 	table *mmu.Table
-	tm    timing.Timing
 	st    *stats.Machine
 
 	mode       Mode
@@ -76,10 +75,10 @@ type Proc struct {
 // New builds a processor for node, running on the engine the mesh
 // assigns that node, and installs it as the receiver of the wakes that
 // reach cm.
-func New(node mesh.NodeID, net *mesh.Mesh, cm *coherence.CM, kern *kernel.Kernel, table *mmu.Table, tm timing.Timing, st *stats.Machine, mode Mode, switchCost sim.Cycles) *Proc {
+func New(node mesh.NodeID, net *mesh.Mesh, cm *coherence.CM, kern *kernel.Kernel, table *mmu.Table, st *stats.Machine, mode Mode, switchCost sim.Cycles) *Proc {
 	p := &Proc{
 		node: node, eng: net.EngineFor(node), cm: cm, kern: kern, table: table,
-		tm: tm, st: st, mode: mode, switchCost: switchCost,
+		st: st, mode: mode, switchCost: switchCost,
 	}
 	cm.OnWake(func(id uint64) {
 		for _, t := range p.threads {
@@ -523,7 +522,7 @@ func (t *Thread) advance() bool {
 			return true
 		case stepIssue:
 			t.step = stepRMW
-			if t.charge(p.tm.DelayedIssue) {
+			if t.charge(timing.DelayedIssue) {
 				return false
 			}
 		case stepRMW:
@@ -576,7 +575,7 @@ func (t *Thread) advance() bool {
 			t.step = stepResult
 		case stepResult:
 			t.step = stepVerified
-			if t.charge(p.tm.ResultRead) {
+			if t.charge(timing.ResultRead) {
 				return false
 			}
 		case stepVerified:
@@ -599,9 +598,9 @@ func (t *Thread) translate(va memory.VAddr) coherence.GAddr {
 	case tlbHit:
 		// Free: translation overlaps the access in hardware.
 	case ok:
-		t.overhead(p.tm.TLBRefill)
+		t.overhead(timing.TLBRefill)
 	default:
-		t.overhead(p.tm.PageFault)
+		t.overhead(timing.PageFault)
 		resolved, err := p.kern.Resolve(p.node, vp)
 		if err != nil {
 			panic(fmt.Sprintf("proc: thread %q: %v", t.name, err))
@@ -639,11 +638,11 @@ func (t *Thread) Read(va memory.VAddr) memory.Word {
 	// Accounting: an uncontended local access is useful memory time; a
 	// remote or write-blocked read is busy for the issue overhead and
 	// stalled for the remainder.
-	if elapsed <= t.proc.tm.CacheLineFill {
+	if elapsed <= timing.CacheLineFill {
 		t.proc.nstat().BusyCycles += elapsed
 	} else {
-		t.proc.nstat().BusyCycles += t.proc.tm.RemoteReadOverhead
-		t.proc.nstat().ReadStall += elapsed - t.proc.tm.RemoteReadOverhead
+		t.proc.nstat().BusyCycles += timing.RemoteReadOverhead
+		t.proc.nstat().ReadStall += elapsed - timing.RemoteReadOverhead
 		// Observed exactly where ReadStall accrues, so the histogram's
 		// sum equals ReadStall + Count·RemoteReadOverhead by
 		// construction (the acceptance cross-check).
@@ -666,7 +665,7 @@ func (t *Thread) Write(va memory.VAddr, v memory.Word) {
 	t.proc.cm.Write(g, v, t.opDone)
 	cause := t.proc.cm.LastCause()
 	t.proc.nstat().WriteStall += t.waitOp(stats.StallWrite)
-	t.consume(t.proc.tm.WriteIssue)
+	t.consume(timing.WriteIssue)
 	if o := t.proc.acc(); o != nil {
 		o.Emit(stats.EvAccWrite, int(t.proc.node), accSub(sync), cause, uint64(va), tb(t.id, v))
 	}
@@ -780,13 +779,13 @@ func (t *Thread) TryVerify(h Handle) (memory.Word, bool) {
 	cause := t.proc.cm.SlotCause(h.slot)
 	v, ok := t.proc.cm.TryVerify(h.slot)
 	if ok {
-		t.consume(t.proc.tm.ResultRead)
+		t.consume(timing.ResultRead)
 		if o := t.proc.acc(); o != nil {
 			o.Emit(stats.EvAccVerify, int(t.proc.node), 0, cause, uint64(t.id), uint64(uint32(v)))
 		}
 		return v, true
 	}
-	t.consume(t.proc.tm.CacheHit)
+	t.consume(timing.CacheHit)
 	return 0, false
 }
 

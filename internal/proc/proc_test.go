@@ -36,15 +36,15 @@ func newRig(t *testing.T, w, h int, mode Mode, cs sim.Cycles) *rig {
 	var cms []*coherence.CM
 	for i := 0; i < w*h; i++ {
 		mem := memory.New()
-		ca := cache.New(tm)
+		ca := cache.New()
 		cm := coherence.New(mesh.NodeID(i), eng, net, mem, ca, tm, st)
 		cms = append(cms, cm)
 		r.mems = append(r.mems, mem)
 		r.tbls = append(r.tbls, mmu.New())
 	}
-	r.kern = kernel.New(eng, net, cms, r.mems, r.tbls, tm, st)
+	r.kern = kernel.New(eng, net, cms, r.mems, r.tbls, st)
 	for i := 0; i < w*h; i++ {
-		r.procs = append(r.procs, New(mesh.NodeID(i), net, cms[i], r.kern, r.tbls[i], tm, st, mode, cs))
+		r.procs = append(r.procs, New(mesh.NodeID(i), net, cms[i], r.kern, r.tbls[i], st, mode, cs))
 	}
 	return r
 }

@@ -3,27 +3,27 @@ package timing
 import "testing"
 
 func TestDefaultMatchesPaperConstants(t *testing.T) {
+	if CycleNs != 40 {
+		t.Errorf("cycle = %d ns, want 40 (25 MHz)", CycleNs)
+	}
+	if DelayedIssue != 25 {
+		t.Errorf("delayed issue = %d, want 25", DelayedIssue)
+	}
+	if ResultRead != 10 {
+		t.Errorf("result read = %d, want 10", ResultRead)
+	}
+	if RemoteReadOverhead != 32 {
+		t.Errorf("remote read overhead = %d, want 32", RemoteReadOverhead)
+	}
+	if RMWSimple != 39 || RMWComplex != 52 {
+		t.Errorf("RMW costs = %d/%d, want 39/52", RMWSimple, RMWComplex)
+	}
 	tm := Default()
-	if tm.CycleNs != 40 {
-		t.Errorf("cycle = %d ns, want 40 (25 MHz)", tm.CycleNs)
-	}
-	if tm.DelayedIssue != 25 {
-		t.Errorf("delayed issue = %d, want 25", tm.DelayedIssue)
-	}
-	if tm.ResultRead != 10 {
-		t.Errorf("result read = %d, want 10", tm.ResultRead)
-	}
-	if tm.RemoteReadOverhead != 32 {
-		t.Errorf("remote read overhead = %d, want 32", tm.RemoteReadOverhead)
-	}
-	if tm.RMWSimple != 39 || tm.RMWComplex != 52 {
-		t.Errorf("RMW costs = %d/%d, want 39/52", tm.RMWSimple, tm.RMWComplex)
-	}
 	if tm.MaxPendingWrites != 8 || tm.MaxDelayedOps != 8 {
 		t.Errorf("outstanding limits = %d/%d, want 8/8", tm.MaxPendingWrites, tm.MaxDelayedOps)
 	}
-	if tm.CacheLineFill != 15 {
-		t.Errorf("line fill = %d, want 15", tm.CacheLineFill)
+	if CacheLineFill != 15 {
+		t.Errorf("line fill = %d, want 15", CacheLineFill)
 	}
 }
 
@@ -43,12 +43,8 @@ func TestValidate(t *testing.T) {
 		t.Error("MaxDelayedOps=0 accepted")
 	}
 	bad = tm
-	bad.MaxQueueSize = 1
+	bad.MaxBatchWrites = 0
 	if bad.Validate() == nil {
-		t.Error("MaxQueueSize=1 accepted")
-	}
-	bad.MaxQueueSize = 4096
-	if bad.Validate() == nil {
-		t.Error("MaxQueueSize=4096 accepted")
+		t.Error("MaxBatchWrites=0 accepted")
 	}
 }

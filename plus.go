@@ -82,7 +82,8 @@ type (
 	NodeID = mesh.NodeID
 	// Cycles measures virtual time in 40 ns processor cycles.
 	Cycles = sim.Cycles
-	// Timing is the machine's cycle-cost table.
+	// Timing holds the machine's cache depths, the costs the
+	// ablations vary.
 	Timing = timing.Timing
 	// Op identifies a delayed operation (Table 3-1).
 	Op = coherence.Op
@@ -102,13 +103,16 @@ type (
 	Mode = proc.Mode
 )
 
-// Page geometry and hardware flag bit.
+// Page geometry, hardware flag bit and queue layout.
 const (
 	// PageWords is the page size in words (4 KB pages of 32-bit words).
 	PageWords = memory.PageWords
 	// TopBit is the hardware flag bit used by queue, dequeue,
 	// fetch-and-set and cond-xchng.
 	TopBit = memory.TopBit
+	// MaxQueueSize is the queue/dequeue wrap modulus: queue slots are
+	// page offsets 0..MaxQueueSize-1, the control words live above.
+	MaxQueueSize = timing.MaxQueueSize
 )
 
 // Processor modes.
@@ -144,8 +148,9 @@ func DefaultConfig(w, h int) Config { return core.DefaultConfig(w, h) }
 // observer serves exactly one machine.
 func NewObserver(cfg ObserveConfig) *Observer { return stats.NewObserver(cfg) }
 
-// DefaultTiming returns the paper's cycle-cost table (§3.1, §5,
-// Table 3-1), with documented choices where the paper is silent.
+// DefaultTiming returns the paper's cache depths (§5). The cycle costs
+// are fixed at the paper's values (§3.1, Table 3-1), with documented
+// choices where the paper is silent.
 func DefaultTiming() Timing { return timing.Default() }
 
 // AllOps lists the eight delayed operations in Table 3-1 order.

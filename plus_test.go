@@ -47,7 +47,7 @@ func TestAllDelayedOpWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	page := m.Alloc(1, 1)
-	qsz := plus.VAddr(plus.DefaultTiming().MaxQueueSize)
+	qsz := plus.VAddr(plus.MaxQueueSize)
 	tailCtl, headCtl := page+qsz, page+qsz+1
 	scratch := m.Alloc(1, 1)
 
@@ -103,7 +103,7 @@ func TestAllOpsAndModes(t *testing.T) {
 		t.Fatal("modes not distinct")
 	}
 	tm := plus.DefaultTiming()
-	if tm.CycleNs != 40 || tm.MaxDelayedOps != 8 {
+	if tm.MaxPendingWrites != 8 || tm.MaxDelayedOps != 8 {
 		t.Fatalf("timing = %+v", tm)
 	}
 	if plus.PageWords != 1024 {

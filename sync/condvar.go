@@ -5,6 +5,7 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
+	"plus/internal/timing"
 )
 
 // Cond is a condition variable over a QueueLock: waiters enqueue their
@@ -23,7 +24,7 @@ type Cond struct {
 func NewCond(m *core.Machine, home mesh.NodeID) *Cond {
 	base := m.Alloc(home, 2)
 	qpage := base + memory.VAddr(memory.PageWords)
-	maxQ := memory.VAddr(m.Config().Timing.MaxQueueSize)
+	maxQ := memory.VAddr(timing.MaxQueueSize)
 	return &Cond{m: m, n: base, qp: qpage + maxQ, dqp: qpage + maxQ + 1}
 }
 

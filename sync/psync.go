@@ -18,6 +18,7 @@ import (
 	"plus/internal/mesh"
 	"plus/internal/proc"
 	"plus/internal/sim"
+	"plus/internal/timing"
 )
 
 // spinPause is the computation charged per polling iteration while
@@ -41,7 +42,7 @@ type QueueLock struct {
 func NewQueueLock(m *core.Machine, home mesh.NodeID) *QueueLock {
 	base := m.Alloc(home, 2)
 	qpage := base + memory.VAddr(memory.PageWords)
-	maxQ := memory.VAddr(m.Config().Timing.MaxQueueSize)
+	maxQ := memory.VAddr(timing.MaxQueueSize)
 	return &QueueLock{
 		m:    m,
 		lock: base,
@@ -191,7 +192,7 @@ type Semaphore struct {
 func NewSemaphore(m *core.Machine, home mesh.NodeID, initial int32) *Semaphore {
 	base := m.Alloc(home, 2)
 	qpage := base + memory.VAddr(memory.PageWords)
-	maxQ := memory.VAddr(m.Config().Timing.MaxQueueSize)
+	maxQ := memory.VAddr(timing.MaxQueueSize)
 	s := &Semaphore{m: m, cnt: base, qp: qpage + maxQ, dqp: qpage + maxQ + 1}
 	m.Poke(s.cnt, memory.Word(uint32(initial)))
 	return s

@@ -6,6 +6,7 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
+	"plus/internal/timing"
 )
 
 // TestQueueLockWrapsHardwareQueue pushes far more waiter enqueues
@@ -14,7 +15,7 @@ import (
 // Table 3-2 code must keep working across wrap boundaries.
 func TestQueueLockWrapsHardwareQueue(t *testing.T) {
 	m := newMachine(t, 2, 2)
-	maxQ := m.Config().Timing.MaxQueueSize
+	maxQ := timing.MaxQueueSize
 	l := NewQueueLock(m, 0)
 	x := m.Alloc(1, 1)
 	// Rounds of contended acquisitions; with 4 threads, roughly 3 of 4
@@ -41,7 +42,7 @@ func TestQueueLockWrapsHardwareQueue(t *testing.T) {
 // TestSemaphoreWraps does the same for the semaphore's waiter queue.
 func TestSemaphoreWraps(t *testing.T) {
 	m := newMachine(t, 2, 2)
-	maxQ := m.Config().Timing.MaxQueueSize
+	maxQ := timing.MaxQueueSize
 	s := NewSemaphore(m, 0, 1) // binary semaphore: heavy queueing
 	x := m.Alloc(1, 1)
 	rounds := maxQ/2 + 30

@@ -23,6 +23,7 @@ import (
 	"plus/internal/mesh"
 	"plus/internal/proc"
 	"plus/internal/sim"
+	"plus/internal/timing"
 )
 
 const idleBackoff sim.Cycles = 200
@@ -61,7 +62,7 @@ func New(m *core.Machine, procs, nitems int, ownerOf func(int) int) *Pool {
 		tails: make([][]memory.VAddr, procs),
 		heads: make([][]memory.VAddr, procs),
 	}
-	maxQ := m.Config().Timing.MaxQueueSize
+	maxQ := timing.MaxQueueSize
 
 	// Chunk each owner's items into sub-queues of at most maxQ
 	// distinct items, so a queue can never receive more entries than
@@ -107,7 +108,7 @@ func (p *Pool) flagVA(item int) memory.VAddr { return p.flags + memory.VAddr(ite
 
 // Seed enqueues initial items outside simulated time (before Run).
 func (p *Pool) Seed(items ...int) {
-	maxQ := uint32(p.m.Config().Timing.MaxQueueSize)
+	maxQ := uint32(timing.MaxQueueSize)
 	tails := make(map[[2]int]uint32)
 	for _, item := range items {
 		if p.m.Peek(p.flagVA(item))&memory.TopBit != 0 {
@@ -225,7 +226,7 @@ func (p *Pool) Queues(o int) int { return len(p.heads[o]) }
 // QueuePages returns the virtual addresses of processor o's queue
 // pages (for replication experiments).
 func (p *Pool) QueuePages(o int) []memory.VAddr {
-	maxQ := memory.VAddr(p.m.Config().Timing.MaxQueueSize)
+	maxQ := memory.VAddr(timing.MaxQueueSize)
 	out := make([]memory.VAddr, len(p.tails[o]))
 	for i, tc := range p.tails[o] {
 		out[i] = tc - maxQ

@@ -6,6 +6,7 @@ import (
 	"plus/internal/core"
 	"plus/internal/mesh"
 	"plus/internal/proc"
+	"plus/internal/timing"
 )
 
 func newMachine(t *testing.T, w, h int) *core.Machine {
@@ -132,7 +133,7 @@ func TestPoolOverflowImpossible(t *testing.T) {
 	// pool must give that owner several queues and never livelock
 	// (the regression behind the P=1 SSSP hang).
 	m := newMachine(t, 1, 1)
-	maxQ := m.Config().Timing.MaxQueueSize
+	maxQ := timing.MaxQueueSize
 	n := maxQ*2 + 37
 	pool := New(m, 1, n, func(int) int { return 0 })
 	if pool.Queues(0) < 3 {
