@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race shard-oversub trace-equiv parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub trace-equiv parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke plussim-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -17,8 +17,9 @@ all: check
 # examples runs the API demos, among them locks and prodcons, the only
 # programs outside the tests that use Sleep/Wake. shard-oversub reruns
 # the shard run loop's tests on one CPU. trace-equiv compares traced
-# sweeps at 1, 2 and 4 shard engines byte for byte.
-check: build test race shard-oversub trace-equiv lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke examples
+# sweeps at 1, 2 and 4 shard engines byte for byte. plussim-smoke runs
+# the single-workload command once per workload.
+check: build test race shard-oversub trace-equiv lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke plussim-smoke examples
 
 build:
 	$(GO) build ./...
@@ -188,6 +189,15 @@ race-smoke:
 # target exits nonzero if the serving path loses an update.
 kvserve-smoke:
 	$(GO) run ./cmd/plusbench -quick -exp kvserve-sweep -shards 4 >/dev/null
+
+# Every plussim workload once on 4 processors. The sssp, beam, prodsys
+# and sor runs check their results against the sequential reference
+# (-validate defaults on) and exit nonzero on a mismatch; synth has no
+# reference and only has to run.
+plussim-smoke:
+	@for w in sssp beam prodsys sor synth; do \
+		$(GO) run ./cmd/plussim -workload $$w -procs 4 >/dev/null || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...
