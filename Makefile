@@ -77,7 +77,12 @@ trace-equiv:
 # read the remote-reference profile).
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
-# search's delayed ops and context switches. The delayed-slots
+# search's delayed ops and context switches. Figure 3-1 is traced too,
+# at one and two processors with a ring that holds each point's whole
+# stream (the largest of the ten points has under 131072 events; the
+# eight-processor points would take gigabytes of exporter memory), so
+# beam's writes, fences, issues and switches are compared event by
+# event. The delayed-slots
 # ablation pins the stall on a full delayed-operations cache, the
 # fence ablation the fence before every issue, Table 3-1 each delayed
 # operation's cycles, and the race corpus's reports the order of its
@@ -97,6 +102,8 @@ parent-equiv:
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
 		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
+		$$d/$$b -quick -exp figure3-1 -max-procs 2 -trace-events 131072 \
+			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
 		for x in ext-linkbuf fault-crash faults ablation-invalidate \
 			ablation-pending-writes ablation-batching ablation-competitive \
 			ext-placement figure3-1 ablation-delayed-slots ablation-fence \
@@ -107,7 +114,7 @@ parent-equiv:
 		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
 		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
-	for f in kv.json kv.txt f21.json f21.txt crash.json crash.txt \
+	for f in kv.json kv.txt f21.json f21.txt crash.json crash.txt f31.json f31.txt \
 		ext-linkbuf.json fault-crash.json faults.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \

@@ -99,7 +99,11 @@ type CM struct {
 	pending      []pendingWrite
 	nextID       uint64
 	writeWaiters []func()
+	// fenceWaiters wait for the pending-writes cache to drain;
+	// fenceSpare is the buffer the next drain swaps in (a waiter may
+	// fence again while the list runs).
 	fenceWaiters []func()
+	fenceSpare   []func()
 	readRetry    map[GAddr][]func()
 
 	// Write-combining stage (batch.go), which every write passes
@@ -711,7 +715,7 @@ func (cm *CM) releaseSlot(slot int) {
 	cm.slots[slot] = dslot{}
 	if len(cm.slotWaiters) > 0 {
 		w := cm.slotWaiters[0]
-		cm.slotWaiters = cm.slotWaiters[1:]
+		cm.slotWaiters = popFront(cm.slotWaiters)
 		w()
 	}
 }
@@ -752,16 +756,27 @@ func (cm *CM) finishWrite(id uint64) {
 	}
 	if len(cm.writeWaiters) > 0 {
 		w := cm.writeWaiters[0]
-		cm.writeWaiters = cm.writeWaiters[1:]
+		cm.writeWaiters = popFront(cm.writeWaiters)
 		w()
 	}
 	if len(cm.pending) == 0 && len(cm.fenceWaiters) > 0 {
 		ws := cm.fenceWaiters
-		cm.fenceWaiters = nil
+		cm.fenceWaiters, cm.fenceSpare = cm.fenceSpare[:0], nil
 		for _, w := range ws {
 			w()
 		}
+		clear(ws)
+		cm.fenceSpare = ws[:0]
 	}
+}
+
+// popFront drops a waiter list's first entry. It copies the rest down
+// rather than re-slice: re-slicing walks the list off its backing
+// array, and the next append reallocates.
+func popFront(ws []func()) []func() {
+	n := copy(ws, ws[1:])
+	ws[n] = nil
+	return ws[:n]
 }
 
 // applyWrites performs committed word writes on a local frame. The

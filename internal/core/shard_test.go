@@ -360,7 +360,9 @@ func runKernelOps(t *testing.T, shards int, contention bool, base int64) kernelO
 					// Every node pulls a copy of a page it touches onto
 					// itself mid-run, with its own and other nodes' traffic
 					// to the page still in flight; the splice lands at the
-					// next barrier.
+					// next barrier. The body touches the machine directly,
+					// so it first waits for its earlier calls to run.
+					th.Now()
 					m.Kernel().Replicate(va.Page(), mesh.NodeID(node), nil)
 				}
 			}

@@ -46,14 +46,16 @@ func (a *Arrivals) Next() sim.Cycles {
 // processor time (the wait is the frontend pacing itself, not work).
 // If `at` is already past — the frontend is running behind its
 // arrival schedule — it returns immediately with the lateness;
-// otherwise it returns 0. A plain timed wait, with no Sleep/Wake.
+// otherwise it returns 0. A plain timed wait, with no Sleep/Wake: the
+// clock read waits for the body's earlier calls (Now), the wait itself
+// queues like Compute.
 func (t *Thread) IdleUntil(at sim.Cycles) sim.Cycles {
-	now := t.proc.eng.Now()
+	now := t.Now()
 	if at <= now {
 		return now - at
 	}
 	t.BeginIdle()
-	t.consume(at - now)
+	t.Compute(at - now)
 	t.EndIdle()
 	return 0
 }

@@ -11,6 +11,19 @@
 // Figure 3-1) the processor switches to another ready thread whenever
 // a delayed operation is issued or the running thread blocks, paying a
 // configurable switch cost.
+//
+// Only the machine is simulated, not the Go code between two calls, so
+// a body runs ahead of simulated time. A call that returns nothing
+// (Compute, Write, Fence, Issue, Wake) queues on the thread and the
+// body goes on; a call that returns a value (Read, Verify, a *Sync
+// wrapper, TryVerify, Now) and Sleep park the body until every call
+// before it, and the call itself, has run. The thread's wakes run the
+// queued calls one after another, each at the simulated time it would
+// have run had the body parked after every call, so the simulation is
+// the same either way. The rule for bodies: Go code between two calls
+// runs when the earlier value-returning call returns. A body that
+// touches the machine other than through its Thread (a kernel call,
+// the stats, another thread's state) calls t.Now() first.
 package proc
 
 import (
@@ -132,6 +145,11 @@ const (
 	tDone                   // body returned
 )
 
+// maxQueued bounds a thread's FIFO of pending calls: a body that makes
+// that many calls without one that returns a value parks until they
+// have run, as if it had asked for the time.
+const maxQueued = 32
+
 // Thread is one application thread, bound to its processor for life
 // (PLUS software pins threads; migration is by memory, not threads).
 type Thread struct {
@@ -143,73 +161,146 @@ type Thread struct {
 	// wakePending absorbs a Wake that races ahead of Sleep, the
 	// classic lost-wakeup guard.
 	wakePending bool
-	// accSync marks the next Read/Write as a synchronization access
-	// (set by ReadSync/WriteSync, consumed and cleared by Read/Write).
-	// It only annotates the emitted data-access event — timing and
-	// protocol behavior are identical to a plain access.
-	accSync bool
 	// idleDepth > 0 suspends useful-time accounting: operations issued
 	// while polling for work are real processor activity but not the
-	// "useful processor time" of the paper's utilization metric.
+	// "useful processor time" of the paper's utilization metric. Calls
+	// take it when the body makes them.
 	idleDepth int
 
-	// Reusable completion hooks, created once at Spawn. A thread has at
-	// most one memory operation outstanding (it parks until completion),
-	// so the hooks and their result fields can be shared by every
-	// Read/Write/Fence/Issue/Verify — the per-operation closure the old
-	// code allocated is gone from the hot path.
+	// q holds the calls the body has made and the machine has not yet
+	// run, q[qhead] the one under way. The body fills it while it runs
+	// and parks only for a value; the thread's wakes run the calls'
+	// steps, in order, while it is parked, and resume it when q is dry.
+	q     []call
+	qhead int
+	// issued numbers the thread's Issues (the Handle tickets); held maps
+	// each issued, unverified ticket to its delayed-operations cache slot.
+	issued uint32
+	held   []heldSlot
+
+	// Reusable completion hooks, created once at Spawn. Only the head
+	// call has a memory operation outstanding, so the hooks and their
+	// result fields are shared by every call.
 	opCompleted bool
 	readVal     memory.Word
-	slot        int // the delayed operation's slot: issuedDone's, or Verify's handle's
+	ok          bool // TryVerify's result was available
+	slot        int  // the delayed operation's slot: issuedDone's, or Verify's handle's
 	opDone      func()
 	readDone    func(memory.Word)
 	issuedDone  func(int)
 
-	// The thread is the sink of its own wakes (wake). step says
-	// what the next wake runs: the body, or the next step of the
-	// delayed operation under way, whose operands follow.
+	// The thread is the sink of its own wakes (wake). step says what
+	// the next wake runs: the next step of the head call, or the body
+	// when q is dry. The fields after it are the head call's progress.
 	step    step
-	waking  bool // a wake is pending: guards against a double wake
-	sync    bool // the operation continues from Issue into Verify (a *Sync wrapper)
-	op      coherence.Op
-	va      memory.VAddr
+	waking  bool         // a wake is pending: guards against a double wake
+	pg      memory.GPage // the page translate found
 	g       coherence.GAddr
-	operand memory.Word
-	cause   uint64     // the verified slot's causal ID, read before cm.Verify frees it
+	cause   uint64     // the access's causal ID; the verified slot's is read before cm.Verify frees it
 	began   sim.Cycles // when the current stall began
+	class   uint8      // the current stall's class (stats.StallRead etc.)
+	after   step       // the step the stall ends into
+	stalled sim.Cycles // the read's stall, 0 when it completed at once
 	// resumes counts switches into the body and reached has bit s set
-	// once step s has run: the tests pin one switch per delayed
-	// operation and that their legs reach every step.
+	// once step s has run: the tests pin one switch per value the body
+	// waits for and that their programs reach every step.
 	resumes int
-	reached uint16
+	reached uint32
 }
 
-// step is a stage of a delayed operation (§3.1) run in event context,
-// from the thread's own wake, instead of on its coroutine. The body
-// parks once per Issue, Verify or *Sync wrapper and resumes when the
-// operation returns; every stage in between runs in the dispatch that
-// would have resumed the body for it, so its draws and emissions fall
-// in the same order.
+// callKind is what the body asked for.
+type callKind uint8
+
+const (
+	kCompute   callKind = iota // Compute, IdleUntil's wait
+	kRead                      // Read, ReadSync
+	kWrite                     // Write, WriteSync
+	kFence                     // Fence
+	kIssue                     // Issue and its named wrappers
+	kSyncOp                    // a *Sync wrapper: Issue, then Verify
+	kVerify                    // Verify
+	kTryVerify                 // TryVerify
+	kWake                      // Wake
+	kSleep                     // Sleep
+)
+
+// call is one pending call: its operands and the body state it was
+// made under.
+type call struct {
+	kind   callKind
+	sync   bool // kRead, kWrite: a synchronization access (ReadSync, WriteSync)
+	idle   bool // made inside a BeginIdle/EndIdle bracket
+	va     memory.VAddr
+	v      memory.Word // the value written, or the delayed operation's operand
+	ticket uint32      // kIssue's own; kVerify's and kTryVerify's handle's
+	op     coherence.Op
+	c      sim.Cycles // kCompute
+	target *Thread    // kWake
+}
+
+// heldSlot ties an issued delayed operation's ticket to its slot.
+type heldSlot struct {
+	ticket uint32
+	slot   int
+}
+
+// step is a stage of a call, run from the thread's own wake in event
+// context, or at once from the body when the call finds the FIFO idle.
+// Each step runs in the dispatch in which a body that parked after
+// every call would have run it, so its draws and emissions fall in the
+// same order.
 type step uint8
 
 const (
-	stepBody          step = iota // resume the body
-	stepIssue                     // charge the issue (DelayedIssue)
-	stepRMW                       // hand the operation to the CM; stall while the delayed-operations cache is full
-	stepRMWStalled                // end that stall
-	stepIssued                    // EvAccRMW; in SwitchOnSync, requeue behind the ready list
-	stepVerify                    // halt while the processor is down; cm.Verify; stall until the result is in
-	stepVerifyStalled             // end that stall
-	stepResult                    // charge the result read (ResultRead)
-	stepVerified                  // EvAccVerify
+	stepDone       step = iota // the head call returned: start the next, or resume the body
+	stepHalt                   // halt while the processor is down; the wake re-checks
+	stepTranslate              // TLB lookup; wait out a refill or a page fault
+	stepResolve                // the page fault's fill (kern.Resolve)
+	stepTranslated             // the remote-reference count; on to the access
+	stepCompute                // charge the computation
+	stepRead                   // cm.Read; stall until the value is in
+	stepReadDone               // EvAccRead and the read's accounting
+	stepWrite                  // cm.Write; stall while the pending-writes cache is full
+	stepWriteIssue             // charge the write issue
+	stepWritten                // EvAccWrite
+	stepFence                  // EvFence; cm.Fence; stall until earlier writes complete
+	stepFenced                 // EvAccFence; a fence-on-sync issue continues to translate
+	stepIssue                  // charge the issue (DelayedIssue)
+	stepRMW                    // hand the operation to the CM; stall while the delayed-operations cache is full
+	stepIssued                 // EvAccRMW; in SwitchOnSync, requeue behind the ready list
+	stepVerify                 // halt while the processor is down; cm.Verify; stall until the result is in
+	stepResult                 // charge the result read (ResultRead)
+	stepVerified               // EvAccVerify
+	stepTryVerify              // cm.TryVerify and its charge
+	stepWake                   // EvAccWake and the wake
+	stepSleep                  // absorb a pending wake, or give up the processor
+	stepSlept                  // EvAccSleep
+	stepStalled                // end a stall, then go on to the step after it
 	nSteps
 )
 
-// Handle identifies an in-flight delayed operation: the address of a
-// location in the delayed-operations cache (a slot index here).
+// firstStep is the step each kind of call starts at.
+var firstStep = [...]step{
+	kCompute:   stepCompute,
+	kRead:      stepHalt,
+	kWrite:     stepHalt,
+	kFence:     stepHalt,
+	kIssue:     stepHalt,
+	kSyncOp:    stepHalt,
+	kVerify:    stepVerify,
+	kTryVerify: stepHalt,
+	kWake:      stepWake,
+	kSleep:     stepSleep,
+}
+
+// Handle identifies a delayed operation a thread issued: its ticket
+// among the thread's issues, which the operation's steps resolve to
+// the address of a location in the delayed-operations cache (a slot
+// index here). Only the issuing thread may verify it.
 type Handle struct {
-	slot int
-	node mesh.NodeID
+	ticket uint32
+	thread int
+	node   mesh.NodeID
 }
 
 // Spawn creates a thread on this processor running body. It becomes
@@ -229,6 +320,7 @@ func (p *Proc) Spawn(id int, name string, body func(*Thread)) *Thread {
 	p.eng.SetLane(int32(p.node)) // the coroutine's slices run on it
 	t.co = sim.NewCoroutine(p.eng, name, func(*sim.Coroutine) {
 		body(t)
+		t.drain()
 		// A thread may exit with writes still resting in the combine
 		// buffer (write combining, coherence/batch.go); flush so they
 		// propagate and the machine can quiesce. No-op when combining
@@ -295,8 +387,8 @@ func (p *Proc) dispatchNext() {
 }
 
 // unblock makes a blocked or sleeping thread runnable. Called from
-// event context (operation completions) or another thread's slice
-// (Wake). While the processor is down the thread only queues; Resume
+// event context (operation completions, another thread's Wake step).
+// While the processor is down the thread only queues; Resume
 // dispatches it.
 func (p *Proc) unblock(t *Thread) {
 	t.state = tReady
@@ -308,7 +400,7 @@ func (p *Proc) unblock(t *Thread) {
 }
 
 // Pause crashes the processor: nothing dispatches until Resume, and
-// every thread halts at its next memory reference (haltIfDown). The
+// every thread halts at its next memory reference (stepHalt). The
 // core layer calls this at the barrier after a scripted CrashEvent's
 // start, so no thread is mid-slice.
 func (p *Proc) Pause() { p.down = true }
@@ -356,8 +448,36 @@ func (t *Thread) Node() mesh.NodeID { return t.proc.node }
 // Done reports whether the thread's body has returned.
 func (t *Thread) Done() bool { return t.state == tDone }
 
-// Now returns the current virtual time in cycles.
-func (t *Thread) Now() sim.Cycles { return t.proc.eng.Now() }
+// Now returns the current virtual time in cycles: the time every call
+// the body made before it has returned by. It parks until they have.
+func (t *Thread) Now() sim.Cycles {
+	t.drain()
+	return t.proc.eng.Now()
+}
+
+// post queues c behind the body's earlier calls. When the FIFO was
+// idle, c's steps run at once, until one waits. With wait set (c
+// returns a value), or when the FIFO is full, the body parks until
+// the FIFO has run dry; otherwise it goes on running at once.
+func (t *Thread) post(c call, wait bool) {
+	t.q = append(t.q, c)
+	if len(t.q) == 1 {
+		t.step = firstStep[c.kind]
+		if t.advance() {
+			return
+		}
+	}
+	if wait || len(t.q) == maxQueued {
+		t.co.Park()
+	}
+}
+
+// drain parks the body until every call it made has run.
+func (t *Thread) drain() {
+	if len(t.q) > 0 {
+		t.co.Park()
+	}
+}
 
 // wakeAfter arms the thread's next wake, after d cycles. The thread
 // is the wake's sink (kind 0), as a *wake so that the public Thread
@@ -374,11 +494,10 @@ func (t *Thread) wakeAfter(d sim.Cycles) {
 type wake Thread
 
 // HandleEvent implements sim.EventSink: the thread's wake runs, as its
-// node's activity, the step it was armed for. When the body is next
-// (the wait was the body's own, or the delayed operation just
-// returned) it switches to the coroutine, which returns here at its
-// next Park. A panic inside a step therefore surfaces raw at the
-// engine's Run, not as a *sim.CoroutinePanic.
+// node's activity, the steps of its pending calls. When they have all
+// run it switches to the body, which returns here at its next Park. A
+// panic inside a step therefore surfaces raw at the engine's Run, not
+// as a *sim.CoroutinePanic.
 func (w *wake) HandleEvent(int, any) {
 	t := (*Thread)(w)
 	t.proc.eng.SetLane(int32(t.proc.node))
@@ -393,28 +512,23 @@ func (w *wake) HandleEvent(int, any) {
 // charge accounts c cycles of useful processor time (computation or
 // instruction issue) — the numerator of the paper's utilization —
 // and arms the wake that ends them. It reports whether there is a
-// wait: nothing passes when c is 0. Inside a BeginIdle/EndIdle bracket
-// the cycles pass but do not count as useful.
-func (t *Thread) charge(c sim.Cycles) bool {
+// wait: nothing passes when c is 0. For a call made inside a
+// BeginIdle/EndIdle bracket the cycles pass but do not count as
+// useful.
+func (t *Thread) charge(c sim.Cycles, idle bool) bool {
 	if c == 0 {
 		return false
 	}
-	if t.idleDepth == 0 {
+	if !idle {
 		t.proc.nstat().BusyCycles += c
 	}
 	t.wakeAfter(c)
 	return true
 }
 
-// consume charges c cycles of useful processor time from the body.
-func (t *Thread) consume(c sim.Cycles) {
-	if t.charge(c) {
-		t.co.Park()
-	}
-}
-
 // BeginIdle suspends useful-time accounting (polling for work); pairs
-// with EndIdle. Nesting is allowed.
+// with EndIdle. Nesting is allowed. Calls made inside the bracket
+// carry it, whenever they run.
 func (t *Thread) BeginIdle() { t.idleDepth++ }
 
 // EndIdle resumes useful-time accounting.
@@ -423,16 +537,6 @@ func (t *Thread) EndIdle() {
 		panic("proc: EndIdle without BeginIdle")
 	}
 	t.idleDepth--
-}
-
-// overhead charges c cycles that are neither useful work nor a stall
-// (page-fault handling).
-func (t *Thread) overhead(c sim.Cycles) {
-	if c == 0 {
-		return
-	}
-	t.wakeAfter(c)
-	t.co.Park()
 }
 
 // release gives up the processor, leaving the thread in state s, and
@@ -444,41 +548,19 @@ func (t *Thread) release(s tstate) {
 	t.proc.dispatchNext()
 }
 
-// stallBegin starts a stall of the given class (stats.StallRead
-// etc.): it records the start, emits EvStallBegin when an observer is
-// attached, and blocks the thread until its completion hook unblocks
-// it. stallEnd, run on the wake, closes the stall and returns its
-// cycles. Body waits (waitOp) and the delayed-operation steps share
-// the pair.
-func (t *Thread) stallBegin(class uint8) {
+// stall starts a stall of the given class (stats.StallRead etc.) that
+// ends into step after: it records the start, emits EvStallBegin when
+// an observer is attached, and blocks the thread until its completion
+// hook unblocks it. The wake then runs stepStalled, which closes the
+// stall and books its cycles.
+func (t *Thread) stall(class uint8, after step) {
 	t.began = t.proc.eng.Now()
+	t.class, t.after = class, after
+	t.step = stepStalled
 	if o := t.proc.st.Observer(); o != nil {
 		o.Emit(stats.EvStallBegin, int(t.proc.node), class, 0, uint64(t.id), 0)
 	}
 	t.release(tBlocked)
-}
-
-func (t *Thread) stallEnd(class uint8) sim.Cycles {
-	stalled := t.proc.eng.Now() - t.began
-	if o := t.proc.st.Observer(); o != nil {
-		o.Emit(stats.EvStallEnd, int(t.proc.node), class, 0, uint64(t.id), uint64(stalled))
-	}
-	return stalled
-}
-
-// waitOp parks the thread until its completion hook fires. Callers
-// clear t.opCompleted, start the operation with one of the reusable
-// hooks (t.opDone / t.readDone / t.issuedDone) as the callback — which
-// may fire synchronously — and then waitOp. It returns the cycles
-// spent parked. class is the stall class the park is recorded under;
-// an operation that completed synchronously records nothing.
-func (t *Thread) waitOp(class uint8) sim.Cycles {
-	if t.opCompleted {
-		return 0
-	}
-	t.stallBegin(class)
-	t.co.Park()
-	return t.stallEnd(class)
 }
 
 // halt queues the thread on its crashed processor's halted list and
@@ -488,68 +570,187 @@ func (t *Thread) halt() {
 	t.release(tBlocked)
 }
 
-// haltIfDown parks the thread while its processor is crashed. Every
-// memory-system entry point calls it first, so a thread that was
-// computing when the crash hit stops at its next reference and stays
-// parked until Resume unblocks it. The loop re-checks after waking in
-// case a second scripted outage begins before the thread runs.
-func (t *Thread) haltIfDown() {
-	for t.proc.down {
-		t.halt()
-		t.co.Park()
-	}
-}
-
-// run runs the delayed operation set up in t.step from the body: its
-// steps run here until one must wait, and the body then parks until
-// the operation returns (its wake resumes it).
-func (t *Thread) run() {
-	if !t.advance() {
-		t.co.Park()
-	}
-}
-
-// advance runs the steps of the delayed operation under way, from
-// t.step, until one arms a wake (false: that wake continues at t.step)
-// or the operation returns (true, with t.step back at stepBody). A
-// *Sync wrapper's Issue continues into its Verify at stepVerify.
+// advance runs the steps of the pending calls, from the head's t.step,
+// until one arms a wake (false: that wake continues at t.step) or the
+// FIFO runs dry (true).
 func (t *Thread) advance() bool {
 	p := t.proc
-	for {
+	for t.qhead < len(t.q) {
+		c := &t.q[t.qhead]
 		t.reached |= 1 << t.step
 		switch t.step {
-		case stepBody:
-			return true
+		case stepDone:
+			t.qhead++
+			if t.qhead < len(t.q) {
+				t.step = firstStep[t.q[t.qhead].kind]
+			}
+		case stepHalt:
+			// A thread that was computing when the crash hit stops at
+			// its next memory reference and stays halted until Resume;
+			// the wake re-checks in case a second outage has begun.
+			if p.down {
+				t.halt()
+				return false
+			}
+			switch c.kind {
+			case kFence:
+				t.step = stepFence
+			case kTryVerify:
+				t.step = stepTryVerify
+			default:
+				t.step = stepTranslate
+				if (c.kind == kIssue || c.kind == kSyncOp) && p.fenceOnSync {
+					t.step = stepFence
+				}
+			}
+		case stepTranslate:
+			// Translation to the global physical address of this node's
+			// chosen copy, filling the page table lazily (§2.4) and
+			// feeding the hardware remote-reference counters.
+			g, tlbHit, ok := p.table.Translate(c.va.Page())
+			t.pg = g
+			switch {
+			case tlbHit:
+				// Free: translation overlaps the access in hardware.
+				t.step = stepTranslated
+			case ok:
+				t.step = stepTranslated
+				t.wakeAfter(timing.TLBRefill)
+				return false
+			default:
+				// Page-fault handling is neither useful work nor a stall.
+				t.step = stepResolve
+				t.wakeAfter(timing.PageFault)
+				return false
+			}
+		case stepResolve:
+			vp := c.va.Page()
+			resolved, err := p.kern.Resolve(p.node, vp)
+			if err != nil {
+				panic(fmt.Sprintf("proc: thread %q: %v", t.name, err))
+			}
+			p.table.Install(vp, resolved)
+			p.nstat().PageFaults++
+			t.pg = resolved
+			t.step = stepTranslated
+		case stepTranslated:
+			if t.pg.Node != p.node {
+				p.kern.NoteRemoteRef(p.node, c.va.Page())
+			}
+			t.g = coherence.At(t.pg, c.va.Offset())
+			switch c.kind {
+			case kRead:
+				t.step = stepRead
+			case kWrite:
+				t.step = stepWrite
+			default:
+				t.step = stepIssue
+			}
+		case stepCompute:
+			t.step = stepDone
+			if t.charge(c.c, c.idle) {
+				return false
+			}
+		case stepRead:
+			t.opCompleted = false
+			p.cm.Read(t.g, t.readDone)
+			t.cause = p.cm.LastCause()
+			t.stalled = 0
+			t.step = stepReadDone
+			if !t.opCompleted {
+				t.stall(stats.StallRead, stepReadDone)
+				return false
+			}
+		case stepReadDone:
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccRead, int(p.node), accSub(c.sync), t.cause, uint64(c.va), tb(t.id, t.readVal))
+			}
+			// Accounting: an uncontended local access is useful memory
+			// time; a remote or write-blocked read is busy for the issue
+			// overhead and stalled for the remainder.
+			if t.stalled <= timing.CacheLineFill {
+				p.nstat().BusyCycles += t.stalled
+			} else {
+				p.nstat().BusyCycles += timing.RemoteReadOverhead
+				p.nstat().ReadStall += t.stalled - timing.RemoteReadOverhead
+				// Observed exactly where ReadStall accrues, so the
+				// histogram's sum equals ReadStall +
+				// Count·RemoteReadOverhead by construction (the
+				// acceptance cross-check).
+				if o := p.st.Observer(); o != nil {
+					o.Metrics.RemoteRead.Observe(uint64(t.stalled))
+				}
+			}
+			t.step = stepDone
+		case stepWrite:
+			t.opCompleted = false
+			p.cm.Write(t.g, c.v, t.opDone)
+			t.cause = p.cm.LastCause()
+			t.step = stepWriteIssue
+			if !t.opCompleted {
+				t.stall(stats.StallWrite, stepWriteIssue)
+				return false
+			}
+		case stepWriteIssue:
+			t.step = stepWritten
+			if t.charge(timing.WriteIssue, c.idle) {
+				return false
+			}
+		case stepWritten:
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccWrite, int(p.node), accSub(c.sync), t.cause, uint64(c.va), tb(t.id, c.v))
+			}
+			t.step = stepDone
+		case stepFence:
+			if o := p.st.Observer(); o != nil {
+				o.Emit(stats.EvFence, int(p.node), 0, 0, uint64(t.id), 0)
+			}
+			t.opCompleted = false
+			p.cm.Fence(t.opDone)
+			t.step = stepFenced
+			if !t.opCompleted {
+				t.stall(stats.StallFence, stepFenced)
+				return false
+			}
+		case stepFenced:
+			// EvAccFence marks the COMPLETION (all earlier writes done at
+			// every copy) — the release point the race detector
+			// snapshots — unlike EvFence, which marks the issue.
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccFence, int(p.node), 0, 0, uint64(t.id), 0)
+			}
+			t.step = stepDone
+			if c.kind != kFence {
+				t.step = stepTranslate
+			}
 		case stepIssue:
 			t.step = stepRMW
-			if t.charge(timing.DelayedIssue) {
+			if t.charge(timing.DelayedIssue, c.idle) {
 				return false
 			}
 		case stepRMW:
 			t.opCompleted = false
-			p.cm.RMW(t.op, t.g, t.operand, t.issuedDone)
+			p.cm.RMW(c.op, t.g, c.v, t.issuedDone)
 			t.step = stepIssued
 			if !t.opCompleted {
-				t.stallBegin(stats.StallWrite)
-				t.step = stepRMWStalled
+				t.stall(stats.StallWrite, stepIssued)
 				return false
 			}
-		case stepRMWStalled:
-			p.nstat().WriteStall += t.stallEnd(stats.StallWrite)
-			t.step = stepIssued
 		case stepIssued:
 			if o := p.acc(); o != nil {
-				o.Emit(stats.EvAccRMW, int(p.node), uint8(t.op), p.cm.SlotCause(t.slot),
-					uint64(t.va), tb(t.id, t.operand))
+				o.Emit(stats.EvAccRMW, int(p.node), uint8(c.op), p.cm.SlotCause(t.slot),
+					uint64(c.va), tb(t.id, c.v))
 			}
-			t.step = stepBody
-			if t.sync {
+			t.step = stepDone
+			if c.kind == kSyncOp {
 				t.step = stepVerify
+			} else {
+				t.held = append(t.held, heldSlot{c.ticket, t.slot})
 			}
 			if p.mode == SwitchOnSync {
-				// The context switch after issuing: requeue behind
-				// the ready list (re-dispatched at once, paying the
-				// switch cost, when no other thread is ready).
+				// The context switch after issuing: requeue behind the
+				// ready list (re-dispatched at once, paying the switch
+				// cost, when no other thread is ready).
 				p.ready = append(p.ready, t)
 				t.release(tReady)
 				return false
@@ -559,6 +760,9 @@ func (t *Thread) advance() bool {
 				t.halt() // the wake re-checks
 				return false
 			}
+			if c.kind == kVerify {
+				t.slot = t.unhold(t.holding(c.ticket))
+			}
 			// The slot's causal ID must be captured before cm.Verify:
 			// delivery releases the slot.
 			t.cause = p.cm.SlotCause(t.slot)
@@ -566,109 +770,141 @@ func (t *Thread) advance() bool {
 			p.cm.Verify(t.slot, t.readDone)
 			t.step = stepResult
 			if !t.opCompleted {
-				t.stallBegin(stats.StallVerify)
-				t.step = stepVerifyStalled
+				t.stall(stats.StallVerify, stepResult)
 				return false
 			}
-		case stepVerifyStalled:
-			p.nstat().VerifyStall += t.stallEnd(stats.StallVerify)
-			t.step = stepResult
 		case stepResult:
 			t.step = stepVerified
-			if t.charge(timing.ResultRead) {
+			if t.charge(timing.ResultRead, c.idle) {
 				return false
 			}
 		case stepVerified:
 			if o := p.acc(); o != nil {
 				o.Emit(stats.EvAccVerify, int(p.node), 0, t.cause, uint64(t.id), uint64(uint32(t.readVal)))
 			}
-			t.step = stepBody
+			t.step = stepDone
+		case stepTryVerify:
+			// Software can inspect the delayed-operations cache, so a
+			// non-blocking read of the result is possible (§3.1).
+			i := t.holding(c.ticket)
+			t.cause = p.cm.SlotCause(t.held[i].slot)
+			t.readVal, t.ok = p.cm.TryVerify(t.held[i].slot)
+			if !t.ok {
+				t.step = stepDone
+				if t.charge(timing.CacheHit, c.idle) {
+					return false
+				}
+				break
+			}
+			t.unhold(i)
+			t.step = stepVerified
+			if t.charge(timing.ResultRead, c.idle) {
+				return false
+			}
+		case stepWake:
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccWake, int(p.node), 0, 0, uint64(t.id), uint64(c.target.id))
+			}
+			if c.target.proc == p {
+				p.WakeThread(c.target)
+			} else {
+				p.cm.SendWake(c.target.proc.node, uint64(c.target.id))
+			}
+			t.step = stepDone
+		case stepSleep:
+			t.step = stepSlept
+			if t.wakePending {
+				t.wakePending = false
+				break
+			}
+			// Parking indefinitely must not strand buffered writes
+			// (another node may be waiting to observe them before
+			// issuing the Wake).
+			p.cm.FlushBatch()
+			t.release(tSleeping)
+			return false
+		case stepSlept:
+			// The Sleep-return access event: the point where the race
+			// detector joins every earlier Wake targeting this thread.
+			if o := p.acc(); o != nil {
+				o.Emit(stats.EvAccSleep, int(p.node), 0, 0, uint64(t.id), 0)
+			}
+			t.step = stepDone
+		case stepStalled:
+			stalled := p.eng.Now() - t.began
+			if o := p.st.Observer(); o != nil {
+				o.Emit(stats.EvStallEnd, int(p.node), t.class, 0, uint64(t.id), uint64(stalled))
+			}
+			switch t.class {
+			case stats.StallRead:
+				t.stalled = stalled
+			case stats.StallWrite:
+				p.nstat().WriteStall += stalled
+			case stats.StallFence:
+				p.nstat().FenceStall += stalled
+			case stats.StallVerify:
+				p.nstat().VerifyStall += stalled
+			}
+			t.step = t.after
 		}
 	}
+	t.q, t.qhead = t.q[:0], 0
+	return true
 }
 
-// translate converts a virtual address to the global physical address
-// of this node's chosen copy, filling the page table lazily (§2.4) and
-// feeding the hardware remote-reference counters.
-func (t *Thread) translate(va memory.VAddr) coherence.GAddr {
-	p := t.proc
-	vp := va.Page()
-	g, tlbHit, ok := p.table.Translate(vp)
-	switch {
-	case tlbHit:
-		// Free: translation overlaps the access in hardware.
-	case ok:
-		t.overhead(timing.TLBRefill)
-	default:
-		t.overhead(timing.PageFault)
-		resolved, err := p.kern.Resolve(p.node, vp)
-		if err != nil {
-			panic(fmt.Sprintf("proc: thread %q: %v", t.name, err))
+// holding returns the index in held of the slot an issued ticket
+// resolved to.
+func (t *Thread) holding(ticket uint32) int {
+	for i := range t.held {
+		if t.held[i].ticket == ticket {
+			return i
 		}
-		p.table.Install(vp, resolved)
-		p.nstat().PageFaults++
-		g = resolved
 	}
-	if g.Node != p.node {
-		p.kern.NoteRemoteRef(p.node, vp)
+	panic(fmt.Sprintf("proc: thread %q verifying a delayed operation it already verified", t.name))
+}
+
+// unhold drops held[i], returning its slot.
+func (t *Thread) unhold(i int) int {
+	slot := t.held[i].slot
+	last := len(t.held) - 1
+	t.held[i] = t.held[last]
+	t.held = t.held[:last]
+	return slot
+}
+
+// checkOwner checks, on the body, that h was issued by this thread.
+func (t *Thread) checkOwner(h Handle, what string) {
+	if h.node != t.proc.node {
+		panic(fmt.Sprintf("proc: thread %q %s a handle issued on node %d", t.name, what, h.node))
 	}
-	return coherence.At(g, va.Offset())
+	if h.thread != t.id {
+		panic(fmt.Sprintf("proc: thread %q %s a handle thread %d issued", t.name, what, h.thread))
+	}
 }
 
 // Compute charges c cycles of application computation.
-func (t *Thread) Compute(c sim.Cycles) { t.consume(c) }
+func (t *Thread) Compute(c sim.Cycles) {
+	t.post(call{kind: kCompute, c: c, idle: t.idleDepth > 0}, false)
+}
 
 // Read performs a coherent read of the word at va. Local reads cost
 // the cache model's time; remote reads cost 32 cycles plus the network
 // round trip; a read of a location with a write pending from this node
 // blocks until the write completes.
-func (t *Thread) Read(va memory.VAddr) memory.Word {
-	sync := t.accSync
-	t.accSync = false
-	t.haltIfDown()
-	g := t.translate(va)
-	t.opCompleted = false
-	t.proc.cm.Read(g, t.readDone)
-	cause := t.proc.cm.LastCause()
-	elapsed := t.waitOp(stats.StallRead)
-	v := t.readVal
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccRead, int(t.proc.node), accSub(sync), cause, uint64(va), tb(t.id, v))
-	}
-	// Accounting: an uncontended local access is useful memory time; a
-	// remote or write-blocked read is busy for the issue overhead and
-	// stalled for the remainder.
-	if elapsed <= timing.CacheLineFill {
-		t.proc.nstat().BusyCycles += elapsed
-	} else {
-		t.proc.nstat().BusyCycles += timing.RemoteReadOverhead
-		t.proc.nstat().ReadStall += elapsed - timing.RemoteReadOverhead
-		// Observed exactly where ReadStall accrues, so the histogram's
-		// sum equals ReadStall + Count·RemoteReadOverhead by
-		// construction (the acceptance cross-check).
-		if o := t.proc.st.Observer(); o != nil {
-			o.Metrics.RemoteRead.Observe(uint64(elapsed))
-		}
-	}
-	return v
+func (t *Thread) Read(va memory.VAddr) memory.Word { return t.read(va, false) }
+
+func (t *Thread) read(va memory.VAddr, sync bool) memory.Word {
+	t.post(call{kind: kRead, va: va, sync: sync}, true)
+	return t.readVal
 }
 
 // Write issues a coherent, non-blocking write of v to va. The write
 // propagates to every copy in the background; the processor stalls
 // only when the pending-writes cache is full.
-func (t *Thread) Write(va memory.VAddr, v memory.Word) {
-	sync := t.accSync
-	t.accSync = false
-	t.haltIfDown()
-	g := t.translate(va)
-	t.opCompleted = false
-	t.proc.cm.Write(g, v, t.opDone)
-	cause := t.proc.cm.LastCause()
-	t.proc.nstat().WriteStall += t.waitOp(stats.StallWrite)
-	t.consume(timing.WriteIssue)
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccWrite, int(t.proc.node), accSub(sync), cause, uint64(va), tb(t.id, v))
-	}
+func (t *Thread) Write(va memory.VAddr, v memory.Word) { t.write(va, v, false) }
+
+func (t *Thread) write(va memory.VAddr, v memory.Word, sync bool) {
+	t.post(call{kind: kWrite, va: va, v: v, sync: sync, idle: t.idleDepth > 0}, false)
 }
 
 // accSub maps the sync-annotation flag to the EvAccRead/EvAccWrite Sub
@@ -685,69 +921,35 @@ func accSub(sync bool) uint8 {
 // that intentionally polls a word released by Fence + WriteSync. The
 // psync constructs use it for their internal spin words; timing and
 // protocol behavior are identical to Read.
-func (t *Thread) ReadSync(va memory.VAddr) memory.Word {
-	t.accSync = true
-	return t.Read(va)
-}
+func (t *Thread) ReadSync(va memory.VAddr) memory.Word { return t.read(va, true) }
 
 // WriteSync is Write annotated as a synchronization (release) write —
 // the `Fence(); Write(w, v)` publication idiom of §3.1, as in the
 // barrier's generation flip or the spin lock's release. Identical to
 // Write except for the event annotation.
-func (t *Thread) WriteSync(va memory.VAddr, v memory.Word) {
-	t.accSync = true
-	t.Write(va, v)
-}
+func (t *Thread) WriteSync(va memory.VAddr, v memory.Word) { t.write(va, v, true) }
 
 // Fence blocks until all of this node's earlier writes (including
 // delayed-operation modifications and any writes resting in the
 // write-combine buffer, which it flushes) have completed at every copy
 // — the explicit write fence of §2.3 used to order synchronization.
-func (t *Thread) Fence() {
-	t.haltIfDown()
-	if o := t.proc.st.Observer(); o != nil {
-		o.Emit(stats.EvFence, int(t.proc.node), 0, 0, uint64(t.id), 0)
-	}
-	t.opCompleted = false
-	t.proc.cm.Fence(t.opDone)
-	t.proc.nstat().FenceStall += t.waitOp(stats.StallFence)
-	// EvAccFence marks the COMPLETION (all earlier writes done at every
-	// copy) — the release point the race detector snapshots — unlike
-	// EvFence above, which marks the issue.
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccFence, int(t.proc.node), 0, 0, uint64(t.id), 0)
-	}
-}
+func (t *Thread) Fence() { t.post(call{kind: kFence}, false) }
 
 // Issue starts a delayed operation on va and returns a handle for
 // Verify. The issue costs ~25 cycles; the operation executes at the
 // master copy concurrently with subsequent instructions. In
 // SwitchOnSync mode the processor switches threads after issuing.
 func (t *Thread) Issue(op coherence.Op, va memory.VAddr, operand memory.Word) Handle {
-	t.issue(op, va, operand, false)
-	return Handle{slot: t.slot, node: t.proc.node}
-}
-
-// issue runs a delayed operation's issue — and with sync, its Verify
-// too — parking the body once. The halt check, the fence-on-sync
-// ablation's Fence and the translation stay body waits; the rest runs
-// as steps (advance).
-func (t *Thread) issue(op coherence.Op, va memory.VAddr, operand memory.Word, sync bool) {
-	t.haltIfDown()
-	if t.proc.fenceOnSync {
-		t.Fence()
-	}
-	t.g = t.translate(va)
-	t.op, t.va, t.operand, t.sync = op, va, operand, sync
-	t.step = stepIssue
-	t.run()
+	t.issued++
+	t.post(call{kind: kIssue, op: op, va: va, v: operand, ticket: t.issued, idle: t.idleDepth > 0}, false)
+	return Handle{ticket: t.issued, thread: t.id, node: t.proc.node}
 }
 
 // syncOp is a blocking delayed operation, Issue immediately followed
 // by Verify (the "blocking synchronization" coding style of Figure
-// 3-1), run as one operation with one park.
+// 3-1), run as one call.
 func (t *Thread) syncOp(op coherence.Op, va memory.VAddr, operand memory.Word) memory.Word {
-	t.issue(op, va, operand, true)
+	t.post(call{kind: kSyncOp, op: op, va: va, v: operand, idle: t.idleDepth > 0}, true)
 	return t.readVal
 }
 
@@ -756,13 +958,8 @@ func (t *Thread) syncOp(op coherence.Op, va memory.VAddr, operand memory.Word) m
 // available result costs ~10 cycles. Like Fence and Issue it is a
 // write-combining flush point.
 func (t *Thread) Verify(h Handle) memory.Word {
-	// Checked on the body, so the panic surfaces as the thread's.
-	if h.node != t.proc.node {
-		panic(fmt.Sprintf("proc: thread %q verifying a handle issued on node %d", t.name, h.node))
-	}
-	t.slot = h.slot
-	t.step = stepVerify
-	t.run()
+	t.checkOwner(h, "verifying")
+	t.post(call{kind: kVerify, ticket: h.ticket, idle: t.idleDepth > 0}, true)
 	return t.readVal
 }
 
@@ -772,47 +969,18 @@ func (t *Thread) Verify(h Handle) memory.Word {
 // slot and costs the usual result-read time; a failed poll costs one
 // cycle.
 func (t *Thread) TryVerify(h Handle) (memory.Word, bool) {
-	if h.node != t.proc.node {
-		panic(fmt.Sprintf("proc: thread %q polling a handle issued on node %d", t.name, h.node))
+	t.checkOwner(h, "polling")
+	t.post(call{kind: kTryVerify, ticket: h.ticket, idle: t.idleDepth > 0}, true)
+	if !t.ok {
+		return 0, false
 	}
-	t.haltIfDown()
-	cause := t.proc.cm.SlotCause(h.slot)
-	v, ok := t.proc.cm.TryVerify(h.slot)
-	if ok {
-		t.consume(timing.ResultRead)
-		if o := t.proc.acc(); o != nil {
-			o.Emit(stats.EvAccVerify, int(t.proc.node), 0, cause, uint64(t.id), uint64(uint32(v)))
-		}
-		return v, true
-	}
-	t.consume(timing.CacheHit)
-	return 0, false
+	return t.readVal, true
 }
 
 // Sleep parks the thread until another thread Wakes it (the wait() of
 // the paper's queue lock, Table 3-2). A Wake that arrived earlier is
 // absorbed immediately.
-func (t *Thread) Sleep() {
-	if t.wakePending {
-		t.wakePending = false
-		t.emitSleepEnd()
-		return
-	}
-	// Parking indefinitely must not strand buffered writes (another
-	// node may be waiting to observe them before issuing the Wake).
-	t.proc.cm.FlushBatch()
-	t.release(tSleeping)
-	t.co.Park()
-	t.emitSleepEnd()
-}
-
-// emitSleepEnd records the Sleep-return access event — the point where
-// the race detector joins every earlier Wake targeting this thread.
-func (t *Thread) emitSleepEnd() {
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccSleep, int(t.proc.node), 0, 0, uint64(t.id), 0)
-	}
-}
+func (t *Thread) Sleep() { t.post(call{kind: kSleep}, true) }
 
 // Wake makes the target thread runnable (wake_up() of Table 3-2). It
 // may be called from any thread. A wake of a thread on the same node
@@ -821,16 +989,7 @@ func (t *Thread) emitSleepEnd() {
 // network latency later, whatever the shard count; the reliability
 // sublayer carries it like any other message. The wakePending guard
 // absorbs a wake that arrives before (or without) the target's Sleep.
-func (t *Thread) Wake(target *Thread) {
-	if o := t.proc.acc(); o != nil {
-		o.Emit(stats.EvAccWake, int(t.proc.node), 0, 0, uint64(t.id), uint64(target.id))
-	}
-	if target.proc == t.proc {
-		t.proc.WakeThread(target)
-		return
-	}
-	t.proc.cm.SendWake(target.proc.node, uint64(target.id))
-}
+func (t *Thread) Wake(target *Thread) { t.post(call{kind: kWake, target: target}, false) }
 
 // --- Named delayed-operation wrappers (Table 3-1) ---------------------
 

@@ -181,6 +181,36 @@ func TestCrossNodeVerifyPanics(t *testing.T) {
 	}
 }
 
+// TestCrossThreadVerifyPanics: a handle belongs to the thread that
+// issued it, even on the same node, since only that thread's steps
+// tie its ticket to a slot.
+func TestCrossThreadVerifyPanics(t *testing.T) {
+	r := newRig(t, 2, 1, RunToBlock, 0)
+	va := r.kern.AllocPage(0).Base()
+	var h Handle
+	got := make(chan interface{}, 1)
+	r.procs[0].Spawn(0, "a", func(t *Thread) {
+		h = t.Fadd(va, 1)
+		t.Now()
+	})
+	r.procs[0].Spawn(1, "b", func(t *Thread) {
+		defer func() { got <- recover() }()
+		t.Verify(h)
+	})
+	func() {
+		defer func() { recover() }()
+		r.eng.Run()
+	}()
+	select {
+	case p := <-got:
+		if p == nil {
+			t.Fatal("Verify of another thread's handle did not panic")
+		}
+	default:
+		t.Fatal("thread b never reached Verify")
+	}
+}
+
 func TestSwitchOnSyncChargesEveryDispatch(t *testing.T) {
 	r := newRig(t, 2, 1, SwitchOnSync, 40)
 	vp := r.kern.AllocPage(1)

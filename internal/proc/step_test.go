@@ -12,8 +12,8 @@ import (
 )
 
 // syncOp is one blocking delayed operation written both ways: as its
-// *Sync wrapper, which runs Issue and Verify as one operation with one
-// park, and as the Verify(Issue(...)) pair the wrapper stands for.
+// *Sync wrapper, which runs Issue and Verify as one call, and as the
+// Verify(Issue(...)) pair the wrapper stands for.
 type syncOp struct {
 	name string
 	sync func(t *Thread, va memory.VAddr) memory.Word
@@ -74,8 +74,9 @@ type stepRun struct {
 	nodes   []stats.Node
 	events  []stats.Event
 	results []memory.Word
-	reached uint16
+	reached uint32
 	resumes int
+	threads int // the threads on node 0, each resumed once to start
 	// haltedAt holds the step each thread halted by the crash would
 	// wake into.
 	haltedAt []step
@@ -150,6 +151,7 @@ func runStepLeg(t *testing.T, leg stepLeg, sync bool, crashAt sim.Cycles) stepRu
 		out.reached |= th.reached
 		out.resumes += th.resumes
 	}
+	out.threads = len(threads)
 	if obs.Overwritten() != 0 {
 		t.Fatalf("%s: the event ring overflowed", leg.name)
 	}
@@ -159,14 +161,24 @@ func runStepLeg(t *testing.T, leg stepLeg, sync bool, crashAt sim.Cycles) stepRu
 	return out
 }
 
+// delayedSteps are the steps of a delayed operation and of the writes
+// the legs make before each one (the differential test in
+// runahead_test.go reaches every step).
+var delayedSteps = []step{
+	stepDone, stepHalt, stepTranslate, stepResolve, stepTranslated,
+	stepWrite, stepWriteIssue, stepWritten, stepFence, stepFenced,
+	stepIssue, stepRMW, stepIssued, stepVerify, stepResult, stepVerified,
+	stepStalled,
+}
+
 // TestSyncWrappersMatchIssueVerify pins the step machine: in every
 // leg, each *Sync wrapper simulates exactly what its Verify(Issue(...))
 // pair does — elapsed cycles, every node's counters, the stall and
-// data-access events (the whole observed stream) and the values —
-// while switching into the body less often. Together the legs reach
-// every step a wake can run.
+// data-access events (the whole observed stream) and the values — and
+// both switch into the body once per value. Together the legs reach
+// every step of a delayed operation.
 func TestSyncWrappersMatchIssueVerify(t *testing.T) {
-	var reached uint16
+	var reached uint32
 	for _, leg := range stepLegs {
 		var crashAt sim.Cycles
 		if leg.crash {
@@ -218,46 +230,62 @@ func TestSyncWrappersMatchIssueVerify(t *testing.T) {
 				break
 			}
 		}
-		if sync.resumes >= pair.resumes {
-			t.Errorf("%s: %d resumes with the wrappers, want fewer than the pairs' %d", leg.name, sync.resumes, pair.resumes)
+		// Issue queues, so the pair parks once, at its Verify, as the
+		// wrapper does: once per value, plus the body's start.
+		if want := len(sync.results) + sync.threads; sync.resumes != want || pair.resumes != want {
+			t.Errorf("%s: %d resumes with the wrappers, %d with the pairs, want %d each", leg.name, sync.resumes, pair.resumes, want)
 		}
 		if leg.crash && (len(sync.haltedAt) != 1 || sync.haltedAt[0] != stepVerify) {
 			t.Errorf("%s: threads halted at steps %v, want one at the verify's halt check (%d)", leg.name, sync.haltedAt, stepVerify)
 		}
 		reached |= sync.reached
 	}
-	for s := range nSteps {
+	for _, s := range delayedSteps {
 		if reached&(1<<s) == 0 {
 			t.Errorf("no leg reached step %d", s)
 		}
 	}
 }
 
-// TestOneResumePerOperation pins the switch count of the step
-// machine: a *Sync operation switches into its body once, when it
-// returns, and so does a Verify that stalls. Everything in between —
-// the issue charge, the RMW hand-off, the SwitchOnSync requeue, the
-// stall and the result read — runs in event context.
-func TestOneResumePerOperation(t *testing.T) {
+// TestOneResumePerValue pins the switch count of the step machine:
+// the body switches in once per call that returns a value, when the
+// calls before it and the call itself have run. A *Sync operation
+// switches in once, and so does a Verify that stalls. Calls that
+// return nothing — Compute, Write, Issue, Fence — queue without a
+// switch, and everything in between (the issue charge, the RMW
+// hand-off, the SwitchOnSync requeue, the stalls, the result read)
+// runs in event context.
+func TestOneResumePerValue(t *testing.T) {
 	for _, mode := range []Mode{RunToBlock, SwitchOnSync} {
 		r := newRig(t, 2, 2, mode, 40)
 		va := r.kern.AllocPage(3).Base()
 		const ops = 10
-		var syncResumes, verifyResumes int
+		var syncResumes, verifyResumes, mixedResumes int
 		var verifyStall sim.Cycles
 		th := r.procs[0].Spawn(0, "t", func(th *Thread) {
-			th.FaddSync(va, 1) // the page fault and TLB fill are body waits
+			th.FaddSync(va, 1)
 			before := th.resumes
 			for i := 0; i < ops; i++ {
 				th.XchngSync(va, memory.Word(i))
 			}
 			syncResumes = th.resumes - before
 			h := th.Fadd(va, 1)
+			th.Now() // the body reads machine state next
 			stall := r.st.Nodes[0].VerifyStall
 			before = th.resumes
 			th.Verify(h)
 			verifyResumes = th.resumes - before
-			verifyStall = sim.Cycles(r.st.Nodes[0].VerifyStall - stall)
+			verifyStall = r.st.Nodes[0].VerifyStall - stall
+			before = th.resumes
+			for i := 0; i < ops; i++ {
+				th.Compute(50)
+				th.Write(va+1, memory.Word(i))
+				h := th.Fadd(va, 1)
+				th.Fence()
+				th.Verify(h)
+				th.Read(va + 2)
+			}
+			mixedResumes = th.resumes - before
 		})
 		r.eng.Run()
 		if !th.Done() {
@@ -272,19 +300,42 @@ func TestOneResumePerOperation(t *testing.T) {
 		if verifyResumes != 1 {
 			t.Errorf("mode %d: a stalled Verify resumed the body %d times, want 1", mode, verifyResumes)
 		}
+		if mixedResumes != 2*ops {
+			t.Errorf("mode %d: %d rounds of Compute, Write, Fadd, Fence, Verify and Read resumed the body %d times, want %d (one per Verify and Read)",
+				mode, ops, mixedResumes, 2*ops)
+		}
 	}
 }
 
 // TestDelayedOpsAllocFree pins the step machine at zero allocations in
-// steady state, for a *Sync wrapper and for a separate Issue/Verify
-// pair, in both processor modes.
+// steady state, in both processor modes: for a *Sync wrapper, for a
+// separate Issue/Verify pair, for a remote Read, for Compute, Write
+// and Fence queued behind each other until a Read, and for a Write
+// and a Fence that waits for it made over and over with no value
+// between them, so the FIFO fills and the fence waits in the
+// coherence manager's fence-waiter list.
 func TestDelayedOpsAllocFree(t *testing.T) {
 	ops := []struct {
-		name string
-		run  func(th *Thread, va memory.VAddr)
+		name  string
+		run   func(th *Thread, va memory.VAddr)
+		count func(n stats.Node) uint64 // what the run must keep doing
 	}{
-		{"XchngSync", func(th *Thread, va memory.VAddr) { th.XchngSync(va, 1) }},
-		{"Issue/Verify", func(th *Thread, va memory.VAddr) { th.Verify(th.Issue(coherence.OpFadd, va, 1)) }},
+		{"XchngSync", func(th *Thread, va memory.VAddr) { th.XchngSync(va, 1) },
+			func(n stats.Node) uint64 { return n.RMWIssued }},
+		{"Issue/Verify", func(th *Thread, va memory.VAddr) { th.Verify(th.Issue(coherence.OpFadd, va, 1)) },
+			func(n stats.Node) uint64 { return n.RMWIssued }},
+		{"Read", func(th *Thread, va memory.VAddr) { th.Read(va) },
+			func(n stats.Node) uint64 { return n.RemoteReads }},
+		{"Compute/Write/Fence/Read", func(th *Thread, va memory.VAddr) {
+			th.Compute(20)
+			th.Write(va+1, 1)
+			th.Fence()
+			th.Read(va)
+		}, func(n stats.Node) uint64 { return n.Fences }},
+		{"Write/Fence", func(th *Thread, va memory.VAddr) {
+			th.Write(va+1, 1)
+			th.Fence()
+		}, func(n stats.Node) uint64 { return n.Fences }},
 	}
 	for _, mode := range []Mode{RunToBlock, SwitchOnSync} {
 		for _, op := range ops {
@@ -300,8 +351,8 @@ func TestDelayedOpsAllocFree(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("mode %d, %s: %v allocations per run, want 0", mode, op.name, avg)
 			}
-			if r.st.Nodes[0].RMWIssued < 100 {
-				t.Errorf("mode %d, %s: %d delayed operations, want the run to keep issuing", mode, op.name, r.st.Nodes[0].RMWIssued)
+			if n := op.count(r.st.Nodes[0]); n < 100 {
+				t.Errorf("mode %d, %s: %d operations, want the run to keep going", mode, op.name, n)
 			}
 		}
 	}

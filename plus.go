@@ -61,7 +61,11 @@ type (
 	// Config describes a machine; start from DefaultConfig.
 	Config = core.Config
 	// Thread is one application thread running on a simulated
-	// processor; all shared-memory operations go through it.
+	// processor; all shared-memory operations go through it. Calls
+	// that return nothing queue and the body runs on; Go code between
+	// two calls runs when the earlier value-returning call returns. A
+	// body that touches the machine other than through its Thread
+	// calls t.Now() first.
 	Thread = proc.Thread
 	// Handle identifies an in-flight delayed operation.
 	Handle = proc.Handle
