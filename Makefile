@@ -78,11 +78,11 @@ trace-equiv:
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
 # search's delayed ops and context switches. Figure 3-1 is traced too,
-# at one and two processors with a ring that holds each point's whole
-# stream (the largest of the ten points has under 131072 events; the
-# eight-processor points would take gigabytes of exporter memory), so
-# beam's writes, fences, issues and switches are compared event by
-# event. The delayed-slots
+# at one to four processors with a ring of 131072 events per point
+# (a one- or two-processor point fits whole; a four-processor point
+# keeps at most its last 131072), so beam's writes, fences, issues and
+# switches are compared event by event; the eight-processor points
+# would double the leg's time. The delayed-slots
 # ablation pins the stall on a full delayed-operations cache, the
 # fence ablation the fence before every issue, Table 3-1 each delayed
 # operation's cycles, and the race corpus's reports the order of its
@@ -102,7 +102,7 @@ parent-equiv:
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
 		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
-		$$d/$$b -quick -exp figure3-1 -max-procs 2 -trace-events 131072 \
+		$$d/$$b -quick -exp figure3-1 -max-procs 4 -trace-events 131072 \
 			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
 		for x in ext-linkbuf fault-crash faults ablation-invalidate \
 			ablation-pending-writes ablation-batching ablation-competitive \
@@ -174,8 +174,8 @@ scale:
 	$(GO) run ./cmd/plusbench -exp figure2-1-scale
 
 # Quick instrumented run: exercises the structured-event layer end to
-# end (plusbench validates the Chrome trace JSON round-trips through
-# encoding/json before writing it, exiting nonzero otherwise) and
+# end (plusbench reads the Chrome trace JSON it wrote back through
+# encoding/json, exiting nonzero if it does not validate) and
 # prints the latency histograms + stall summary to /dev/null.
 trace-smoke:
 	$(GO) run ./cmd/plusbench -quick -exp figure2-1 -parallel 2 \

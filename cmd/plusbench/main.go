@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -134,8 +135,7 @@ func main() {
 }
 
 // writeObservation exports the instrumented sweep: the Chrome trace
-// JSON (validated to round-trip through encoding/json before it is
-// written) and, with -hist, the merged latency histograms plus the
+// JSON (validated to parse after it is written) and, with -hist, the merged latency histograms plus the
 // folded stall summary on stdout.
 func writeObservation(ob *experiments.Observation, traceOut string, hist bool) {
 	runs := ob.Runs()
@@ -149,23 +149,35 @@ func writeObservation(ob *experiments.Observation, traceOut string, hist bool) {
 	}
 }
 
-// writeTrace exports runs as Chrome trace JSON, validates that it
-// round-trips through encoding/json, writes it to path and reports the
-// event count on stderr; any failure exits non-zero.
+// writeTrace streams runs to path as Chrome trace JSON, then reads the
+// file back and validates that it parses, reporting the event count on
+// stderr; any failure exits non-zero.
 func writeTrace(runs []stats.ObservedRun, path string) {
-	data, err := stats.ChromeTrace(runs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: trace export: %v\n", err)
+	fail := func(what string, err error) {
+		fmt.Fprintf(os.Stderr, "plusbench: %s: %v\n", what, err)
 		os.Exit(1)
 	}
-	n, err := stats.ValidateChromeTrace(data)
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: trace validation: %v\n", err)
-		os.Exit(1)
+		fail("write trace", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "plusbench: write trace: %v\n", err)
-		os.Exit(1)
+	w := bufio.NewWriter(f)
+	if err := stats.ChromeTrace(w, runs); err != nil {
+		fail("trace export", err)
+	}
+	if err := w.Flush(); err != nil {
+		fail("write trace", err)
+	}
+	if err := f.Close(); err != nil {
+		fail("write trace", err)
+	}
+	if f, err = os.Open(path); err != nil {
+		fail("trace validation", err)
+	}
+	n, err := stats.ValidateChromeTrace(f)
+	f.Close()
+	if err != nil {
+		fail("trace validation", err)
 	}
 	fmt.Fprintf(os.Stderr, "plusbench: %d trace event(s) from %d run(s) -> %s\n",
 		n, len(runs), path)

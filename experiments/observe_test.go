@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -48,11 +49,12 @@ func TestObservationChromeTraceValidates(t *testing.T) {
 	if len(runs) != 3 { // p=1, p=2 unreplicated, p=2 replicated
 		t.Fatalf("got %d observed runs, want 3", len(runs))
 	}
-	data, err := stats.ChromeTrace(runs)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := stats.ChromeTrace(&buf, runs); err != nil {
 		t.Fatal(err)
 	}
-	n, err := stats.ValidateChromeTrace(data)
+	data := buf.Bytes()
+	n, err := stats.ValidateChromeTrace(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("trace does not validate: %v", err)
 	}

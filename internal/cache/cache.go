@@ -27,39 +27,41 @@ const (
 
 // Cache is a direct-mapped tag array over one node's physical memory.
 type Cache struct {
-	// tags[i] is 1 + the global line number held in slot i, or 0 when
-	// the slot is empty.
-	tags []uint64
+	// tags[i] is 1 + the line number bits above the slot index of the
+	// line held in slot i (line/slots + 1), or 0 when the slot is
+	// empty. A frame number is an int32, so a line number has at most
+	// 31+PageShift-2 bits and its tag fits 32.
+	tags []uint32
 }
 
 // New builds an empty cache.
 func New() *Cache {
-	return &Cache{tags: make([]uint64, slots)}
+	return &Cache{tags: make([]uint32, slots)}
 }
 
 // Read models a processor load from local memory and returns its cost
 // in cycles: a hit costs CacheHit; a miss fills the line's slot and
 // costs CacheLineFill.
 func (c *Cache) Read(p memory.PPage, off uint32) sim.Cycles {
-	ln, s := c.slot(p, off)
-	if *s == ln+1 {
+	tag, s := c.slot(p, off)
+	if *s == tag {
 		return timing.CacheHit
 	}
-	*s = ln + 1
+	*s = tag
 	return timing.CacheLineFill
 }
 
 // Drop invalidates the line holding word off of frame p, if the cache
 // holds it, so the next read of any word in that line misses.
 func (c *Cache) Drop(p memory.PPage, off uint32) {
-	if ln, s := c.slot(p, off); *s == ln+1 {
+	if tag, s := c.slot(p, off); *s == tag {
 		*s = 0
 	}
 }
 
-// slot returns the global line number of word off of frame p and the
-// slot it maps to.
-func (c *Cache) slot(p memory.PPage, off uint32) (uint64, *uint64) {
+// slot returns the tag of the line holding word off of frame p and the
+// slot that line maps to.
+func (c *Cache) slot(p memory.PPage, off uint32) (uint32, *uint32) {
 	ln := (uint64(p)<<memory.PageShift | uint64(off&memory.OffMask)) / lineWords
-	return ln, &c.tags[ln%slots]
+	return uint32(ln/slots) + 1, &c.tags[ln%slots]
 }

@@ -53,24 +53,50 @@ func TestFramesDoNotAlias(t *testing.T) {
 	}
 }
 
-// Property: random reads over a few dozen frames cost exactly what a
-// reference direct-mapped tag map of the paper's geometry (8,192
-// words, 4-word lines) says.
+// Property: random reads and drops over a few dozen frames cost
+// exactly what a reference direct-mapped tag map of the paper's
+// geometry (8,192 words, 4-word lines) holding full 64-bit line
+// numbers says. The first pool is 40 frames below 40; the second
+// spreads up to 2^20 as frames 0 and 8·2^k (and the same plus 3),
+// which share their slots and differ only in one bit above the slot
+// index, so a tag that dropped any of those bits would alias them.
 func TestReadMatchesReferenceTags(t *testing.T) {
-	c := New()
-	ref := map[uint64]uint64{} // slot -> resident global line
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200000; i++ {
-		p := memory.PPage(rng.Intn(40))
-		off := uint32(rng.Intn(memory.PageWords))
-		line := (uint64(p)*memory.PageWords + uint64(off)) / 4
-		want := timing.CacheLineFill
-		if got, ok := ref[line%2048]; ok && got == line {
-			want = timing.CacheHit
+	dense := make([]memory.PPage, 40)
+	for i := range dense {
+		dense[i] = memory.PPage(i)
+	}
+	var spread []memory.PPage
+	for k := -1; k < 18; k++ {
+		f := memory.PPage(0)
+		if k >= 0 {
+			f = 8 << k
 		}
-		ref[line%2048] = line
-		if cost := c.Read(p, off); cost != want {
-			t.Fatalf("read %d (frame %d, offset %d) cost %d, want %d", i, p, off, cost, want)
+		spread = append(spread, f, f+3)
+	}
+	for pool, frames := range [][]memory.PPage{dense, spread} {
+		c := New()
+		ref := map[uint64]uint64{} // slot -> resident global line
+		rng := rand.New(rand.NewSource(int64(pool + 1)))
+		for i := 0; i < 200000; i++ {
+			p := frames[rng.Intn(len(frames))]
+			off := uint32(rng.Intn(memory.PageWords))
+			line := (uint64(p)*memory.PageWords + uint64(off)) / 4
+			if rng.Intn(16) == 0 {
+				if got, ok := ref[line%2048]; ok && got == line {
+					delete(ref, line%2048)
+				}
+				c.Drop(p, off)
+				continue
+			}
+			want := timing.CacheLineFill
+			if got, ok := ref[line%2048]; ok && got == line {
+				want = timing.CacheHit
+			}
+			ref[line%2048] = line
+			if cost := c.Read(p, off); cost != want {
+				t.Fatalf("pool %d: read %d (frame %d, offset %d) cost %d, want %d",
+					pool, i, p, off, cost, want)
+			}
 		}
 	}
 }

@@ -391,18 +391,24 @@ func (m *Machine) ReplicateRange(va memory.VAddr, npages int, nodes ...mesh.Node
 // (a page-table fill costs timing.PageFault, 2000 cycles, which would
 // swamp an open-loop run's per-op latencies). The same nearest-copy
 // choice the lazy fill would make is installed, so only the 2000-cycle
-// charge differs from faulting lazily.
+// charge differs from faulting lazily. The node's page table is grown
+// once, up front, to the size installing npages new pages reaches
+// (mmu.Table.Reserve), so a bulk prefault allocates the slots the table
+// keeps and no intermediate tables; prefaulting a range again may leave
+// the table one doubling larger than lazy fills would.
 func (m *Machine) Prefault(node mesh.NodeID, va memory.VAddr, npages int) {
+	tbl := m.tables[node]
+	tbl.Reserve(npages)
 	for i := 0; i < npages; i++ {
 		vp := va.Page() + memory.VPage(i)
-		if _, ok := m.tables[node].Lookup(vp); ok {
+		if _, ok := tbl.Lookup(vp); ok {
 			continue
 		}
 		g, err := m.kern.Resolve(node, vp)
 		if err != nil {
 			panic(fmt.Sprintf("core: prefault: %v", err))
 		}
-		m.tables[node].Install(vp, g)
+		tbl.Install(vp, g)
 	}
 }
 

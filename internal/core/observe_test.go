@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -95,11 +96,12 @@ func TestObserverAcceptance(t *testing.T) {
 	m, _ := observeWorkload(t, obs, proc.RunToBlock)
 
 	run := stats.ObservedRunFrom("accept", obs)
-	data, err := stats.ChromeTrace([]stats.ObservedRun{run})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := stats.ChromeTrace(&buf, []stats.ObservedRun{run}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stats.ValidateChromeTrace(data); err != nil {
+	data := buf.Bytes()
+	if _, err := stats.ValidateChromeTrace(bytes.NewReader(data)); err != nil {
 		t.Fatalf("trace does not validate: %v", err)
 	}
 	var doc struct {

@@ -388,12 +388,18 @@ type Mesh struct {
 	// xy holds every node's (x, y), computed once in New so that no
 	// coordinate lookup on the send path divides.
 	xy []point
-	// linkSlot[from*4+dir] indexes linkFree for the directed link
-	// leaving from in direction dir, or -1 where the mesh edge has no
-	// such link. linkFree has exactly one entry per physical directed
-	// link. Used only when Contention is on and written only by Defer'd
-	// pendingSends: sharded runs touch it at barriers, never mid-round.
+	// linkSlot[from*4+dir] is the dense id (0..links-1) of the directed
+	// link leaving from in direction dir, or -1 where the mesh edge has
+	// no such link: the id EvNetHop, linkBusy, LinkLabels and
+	// LinkBacklog number links by.
 	linkSlot []int32
+	links    int
+	// linkFree[dir*nodes+from] is the cycle the directed link leaving
+	// from in direction dir frees, so a path's X leg walks consecutive
+	// entries and its Y leg strides by Width; entries for missing edge
+	// links stay 0, never read. Used only when Contention is on and
+	// written only by Defer'd pendingSends: sharded runs touch it at
+	// barriers, never mid-round.
 	linkFree []sim.Cycles
 	// pools holds one message free-list per shard.
 	pools []msgPool
@@ -479,7 +485,8 @@ func New(eng *sim.Engine, cfg Config) *Mesh {
 			}
 		}
 	}
-	m.linkFree = make([]sim.Cycles, next)
+	m.links = int(next)
+	m.linkFree = make([]sim.Cycles, 4*n)
 	return m
 }
 
@@ -532,7 +539,7 @@ func (m *Mesh) SetObservers(obs []*stats.Observer) {
 	if m.linkBusy == nil {
 		m.linkBusy = make([][]sim.Cycles, len(m.engines))
 		for i := range m.linkBusy {
-			m.linkBusy[i] = make([]sim.Cycles, len(m.linkFree))
+			m.linkBusy[i] = make([]sim.Cycles, m.links)
 		}
 	}
 }
@@ -549,7 +556,7 @@ func (m *Mesh) obsFor(shard int32) *stats.Observer {
 // LinkLabels names every physical directed link in dense-slot order
 // ("src->dst"), for trace exporters that draw one track per link.
 func (m *Mesh) LinkLabels() []string {
-	labels := make([]string, len(m.linkFree))
+	labels := make([]string, m.links)
 	for id := 0; id < len(m.ports); id++ {
 		for dir := 0; dir < 4; dir++ {
 			if to, ok := m.neighbor(NodeID(id), dir); ok {
@@ -569,7 +576,7 @@ func (m *Mesh) LinkBusyTotals() []sim.Cycles {
 	if m.linkBusy == nil {
 		return nil
 	}
-	out := make([]sim.Cycles, len(m.linkFree))
+	out := make([]sim.Cycles, m.links)
 	for _, shard := range m.linkBusy {
 		for i, v := range shard {
 			out[i] += v
@@ -582,11 +589,14 @@ func (m *Mesh) LinkBusyTotals() []sim.Cycles {
 // current cycle, in cycles of occupancy still ahead of a new arrival.
 // Call it with the simulation quiescent, where every clock agrees.
 func (m *Mesh) LinkBacklog() []sim.Cycles {
-	out := make([]sim.Cycles, len(m.linkFree))
+	out := make([]sim.Cycles, m.links)
 	now := m.engines[0].Now()
-	for i, free := range m.linkFree {
-		if free > now {
-			out[i] = free - now
+	n := len(m.ports)
+	for from := 0; from < n; from++ {
+		for dir := 0; dir < 4; dir++ {
+			if li := m.linkSlot[from*4+dir]; li >= 0 && m.linkFree[dir*n+from] > now {
+				out[li] = m.linkFree[dir*n+from] - now
+			}
 		}
 	}
 	return out
@@ -752,8 +762,9 @@ type leg struct{ dir, step, n int }
 
 // legs splits the path from src to dst into its X leg (east or west,
 // step ±1) and then its Y leg (south or north, step ±Width). Walking
-// them in order visits the links X-first routing reserves, one linkSlot
-// read per hop and no per-hop branching on the direction.
+// them in order visits the links X-first routing reserves, each leg
+// over one direction's run of linkFree and no per-hop branching on the
+// direction.
 func (m *Mesh) legs(src, dst NodeID) [2]leg {
 	s, d := m.xy[src], m.xy[dst]
 	x := leg{dirEast, 1, d.x - s.x}
@@ -1005,10 +1016,12 @@ func (m *Mesh) HandleEvent(kind int, data any) {
 // the bound applies to waiting traffic, not to the message's own size.
 func (m *Mesh) admit(t sim.Cycles, src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * FlitCycles
+	n := len(m.ports)
 	from := int(src)
 	for _, l := range m.legs(src, dst) {
+		free := m.linkFree[l.dir*n : (l.dir+1)*n]
 		for i := 0; i < l.n; i++ {
-			if free := m.linkFree[m.linkSlot[from*4+l.dir]]; free > t && free-t > bufCap {
+			if free[from] > t && free[from]-t > bufCap {
 				return false
 			}
 			from += l.step
@@ -1034,20 +1047,22 @@ func (m *Mesh) contendAt(t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause ui
 	occupancy := sim.Cycles(sizeFlits) * FlitCycles
 	var wait sim.Cycles
 	t := t0
+	n := len(m.ports)
 	from := int(src)
 	for _, l := range m.legs(src, dst) {
+		free := m.linkFree[l.dir*n : (l.dir+1)*n]
 		for i := 0; i < l.n; i++ {
-			li := m.linkSlot[from*4+l.dir]
 			var hopWait sim.Cycles
 			if m.cfg.Contention {
-				if m.linkFree[li] > t {
-					hopWait = m.linkFree[li] - t
+				if free[from] > t {
+					hopWait = free[from] - t
 					wait += hopWait
-					t = m.linkFree[li]
+					t = free[from]
 				}
-				m.linkFree[li] = t + occupancy
+				free[from] = t + occupancy
 			}
 			if o != nil {
+				li := m.linkSlot[from*4+l.dir]
 				m.linkBusy[srcShard][li] += occupancy
 				if m.cfg.Contention {
 					o.Metrics.HopQueue.Observe(uint64(hopWait))

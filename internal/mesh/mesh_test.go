@@ -276,14 +276,15 @@ func (r *route) next() bool {
 	return true
 }
 
-// hopLink returns the linkFree slot of the directed link leaving from
-// in direction dir, failing loudly where the mesh edge has none.
-func hopLink(m *Mesh, from NodeID, dir int) int {
+// hopLink returns the dense id of the directed link leaving from in
+// direction dir and its linkFree entry, failing loudly where the mesh
+// edge has none.
+func hopLink(m *Mesh, from NodeID, dir int) (li, fi int) {
 	slot := m.linkSlot[int(from)*4+dir]
 	if slot < 0 {
 		panic(fmt.Sprintf("no link from node %d in direction %d", from, dir))
 	}
-	return int(slot)
+	return int(slot), dir*m.Nodes() + int(from)
 }
 
 // hopPath returns the nodes the hop walk visits from src to dst,
@@ -300,8 +301,8 @@ func hopPath(m *Mesh, src, dst NodeID) []NodeID {
 func hopAdmit(m *Mesh, t sim.Cycles, src, dst NodeID) bool {
 	bufCap := sim.Cycles(m.cfg.Faults.LinkBufFlits) * FlitCycles
 	for r := newRoute(m, src, dst); r.next(); {
-		li := hopLink(m, r.from, r.dir)
-		if m.linkFree[li] > t && m.linkFree[li]-t > bufCap {
+		_, fi := hopLink(m, r.from, r.dir)
+		if m.linkFree[fi] > t && m.linkFree[fi]-t > bufCap {
 			return false
 		}
 	}
@@ -316,15 +317,15 @@ func hopContendAt(m *Mesh, t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause 
 	var wait sim.Cycles
 	t := t0
 	for r := newRoute(m, src, dst); r.next(); {
-		li := hopLink(m, r.from, r.dir)
+		li, fi := hopLink(m, r.from, r.dir)
 		var hopWait sim.Cycles
 		if m.cfg.Contention {
-			if m.linkFree[li] > t {
-				hopWait = m.linkFree[li] - t
+			if m.linkFree[fi] > t {
+				hopWait = m.linkFree[fi] - t
 				wait += hopWait
-				t = m.linkFree[li]
+				t = m.linkFree[fi]
 			}
-			m.linkFree[li] = t + occupancy
+			m.linkFree[fi] = t + occupancy
 		}
 		if o != nil {
 			m.linkBusy[srcShard][li] += occupancy
@@ -343,8 +344,8 @@ func hopContendAt(m *Mesh, t0 sim.Cycles, src, dst NodeID, sizeFlits int, cause 
 // TestLegWalkMatchesHopWalk drives seeded random sends through the leg
 // walk and through the hop-by-hop oracle on twin meshes, with
 // contention on and off and with and without an observer, and demands
-// identical waits, link reservations, queue statistics, hop histograms,
-// link occupancy and EvNetHop streams, plus identical LinkBufFlits
+// identical waits, link reservations and backlogs, queue statistics,
+// hop histograms, link occupancy and EvNetHop streams, plus identical LinkBufFlits
 // admission verdicts at every buffer size from 1 to 8 flits.
 func TestLegWalkMatchesHopWalk(t *testing.T) {
 	for _, g := range []struct{ w, h int }{{1, 1}, {1, 8}, {8, 1}, {5, 3}, {16, 16}} {
@@ -406,6 +407,20 @@ func legWalkAgainstOracle(t *testing.T, w, h int, contention, observed bool) {
 	if contention && w*h > 1 && (legs.Stats().QueueWait == 0 || refused == 0) {
 		t.Fatalf("QueueWait %d, %d admissions refused: the workload exercises no contention",
 			legs.Stats().QueueWait, refused)
+	}
+	// The clock stays at 0, so each link's backlog is its free cycle,
+	// read through the hop walk's link numbering.
+	backlog := make([]sim.Cycles, len(legs.LinkBacklog()))
+	for r := 0; r < n; r++ {
+		for dir := 0; dir < 4; dir++ {
+			if _, ok := hops.neighbor(NodeID(r), dir); ok {
+				li, fi := hopLink(hops, NodeID(r), dir)
+				backlog[li] = hops.linkFree[fi]
+			}
+		}
+	}
+	if !reflect.DeepEqual(legs.LinkBacklog(), backlog) {
+		t.Fatalf("LinkBacklog %v, hop walk %v", legs.LinkBacklog(), backlog)
 	}
 	if !observed {
 		return

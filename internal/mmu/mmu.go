@@ -75,7 +75,7 @@ func New() *Table { return NewSized(64) }
 // NewSized returns an empty page table with a TLB of tlbEntries.
 func NewSized(tlbEntries int) *Table {
 	t := &Table{tlbCap: max(tlbEntries, 1), head: -1, tail: -1}
-	t.grow()
+	t.growTo(8)
 	return t
 }
 
@@ -223,7 +223,7 @@ func (t *Table) slot(p memory.VPage) int32 {
 		return i
 	}
 	if 4*(t.used+1) > 3*len(t.slots) {
-		t.grow()
+		t.growTo(2 * len(t.slots))
 	}
 	t.used++
 	return t.place(entry{vp: p, flags: fUsed})
@@ -240,15 +240,30 @@ func (t *Table) place(e entry) int32 {
 	return i
 }
 
-// grow rehashes into the next power of two at or above 2×(used+1)
-// slots, 8 at least. Every entry moves, so the TLB list is rebuilt:
-// resident entries are re-placed from the least recently used up, each
-// pushed to the front, which relinks them in their old order.
-func (t *Table) grow() {
-	n := max(8, 1<<bits.Len(uint(2*t.used+1)))
+// Reserve makes room for n more pages in one rehash: it grows the
+// table to the capacity installing them one at a time would reach, so
+// a bulk install (core.Machine.Prefault) allocates its slots once
+// instead of at every doubling on the way. Pages already present count
+// as new, so reserve only for pages the caller expects to be absent.
+func (t *Table) Reserve(n int) {
+	size := len(t.slots)
+	for 4*(t.used+n) > 3*size {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.growTo(size)
+	}
+}
+
+// growTo rehashes into size slots, a power of two. Lazy growth doubles
+// the table once an install would fill it past three quarters. Every
+// entry moves, so the TLB list is rebuilt: resident entries are
+// re-placed from the least recently used up, each pushed to the front,
+// which relinks them in their old order.
+func (t *Table) growTo(size int) {
 	old, tail := t.slots, t.tail
-	t.slots = make([]entry, n)
-	t.shift = uint8(32 - bits.TrailingZeros(uint(n)))
+	t.slots = make([]entry, size)
+	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
 	t.head, t.tail = -1, -1
 	for k := range old {
 		if old[k].flags&(fUsed|fResident) == fUsed {

@@ -110,3 +110,49 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveMatchesLazyGrowth pins Reserve on tables already holding
+// a few pages: after Reserve(n), n fresh installs allocate nothing, and
+// the table ends at exactly the capacity the same installs reach
+// growing one doubling at a time, so Reserve never over-reserves.
+func TestReserveMatchesLazyGrowth(t *testing.T) {
+	g := memory.GPage{Node: 1, Page: 2}
+	for _, pre := range []int{0, 5, 6, 100} {
+		for _, n := range []int{0, 1, 6, 7, 513, 1000} {
+			filled := func() *Table {
+				tbl := New()
+				for p := 0; p < pre; p++ {
+					tbl.Install(memory.VPage(p), g)
+				}
+				return tbl
+			}
+			install := func(tbl *Table) {
+				for i := 0; i < n; i++ {
+					tbl.Install(memory.VPage(pre+i), g)
+				}
+			}
+			lazy := filled()
+			install(lazy)
+			// AllocsPerRun calls its function once to warm up and once
+			// measured; each call gets its own reserved table.
+			reserved := []*Table{filled(), filled()}
+			for _, tbl := range reserved {
+				tbl.Reserve(n)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(1, func() {
+				install(reserved[k])
+				k++
+			})
+			if allocs != 0 {
+				t.Errorf("%d pages, Reserve(%d): the installs allocated %v times", pre, n, allocs)
+			}
+			if got, want := len(reserved[1].slots), len(lazy.slots); got != want {
+				t.Errorf("%d pages, Reserve(%d): %d slots, lazy growth reaches %d", pre, n, got, want)
+			}
+			if reserved[1].Len() != pre+n {
+				t.Errorf("%d pages, Reserve(%d): %d mappings, want %d", pre, n, reserved[1].Len(), pre+n)
+			}
+		}
+	}
+}

@@ -127,9 +127,9 @@ func TestTLBConsistencyProperty(t *testing.T) {
 // TestTableMatchesReferenceModel drives the merged table and the
 // map-plus-TLB reference model (model_test.go) through the same seeded
 // stream of installs (new pages and remaps), translations (TLB hits,
-// refills and misses), invalidations, flushes and counter bumps, reads
-// and resets, comparing every result and counter after every
-// operation.
+// refills and misses), invalidations, flushes, reservations and counter
+// bumps, reads and resets, comparing every result and counter after
+// every operation.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -187,10 +187,15 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					what = "end"
 					got.EndReplication(vp)
 					want.EndReplication(vp)
-				case r < 99:
+				case r < 98:
 					what = "invalidate"
 					got.Invalidate(vp)
 					want.Invalidate(vp)
+				case r < 99:
+					// Growing ahead of installs changes no result: the
+					// model has nothing to do.
+					what = "reserve"
+					got.Reserve(rng.Intn(4 * len(pool)))
 				default:
 					what = "flush"
 					got.Flush()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"plus/internal/sim"
 )
@@ -61,18 +62,53 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeTraceFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-// ChromeTrace renders runs as Chrome trace-event JSON: one process
+// ChromeTrace writes runs to w as Chrome trace-event JSON: one process
 // track per node and per directed link (every node and link gets a
 // metadata entry even if it saw no traffic), stall spans and protocol
 // instants on node tracks, link-occupancy spans on link tracks, and
-// counter series from the time-series samples.
-func ChromeTrace(runs []ObservedRun) ([]byte, error) {
-	var evs []chromeEvent
+// counter series from the time-series samples. Events stream out one
+// at a time, so the export holds one event's encoding, not the file;
+// the bytes are those of encoding the whole traceEvents array at once
+// with a one-space indent and HTML escaping off. Wrap a file in a
+// bufio.Writer: each event is its own Write.
+func ChromeTrace(w io.Writer, runs []ObservedRun) error {
+	// Each event is encoded with the prefix its depth in the file gives
+	// it, so the pieces concatenate to the indented whole.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false) // keep "0->1E" link labels readable
+	enc.SetIndent("  ", " ")
+	const head = "{\n \"traceEvents\": "
+	events := 0
+	var err error
+	chromeEvents(runs, func(ev chromeEvent) {
+		if err != nil {
+			return
+		}
+		buf.Reset()
+		if events == 0 {
+			buf.WriteString(head + "[\n  ")
+		} else {
+			buf.WriteString(",\n  ")
+		}
+		events++
+		if err = enc.Encode(ev); err == nil {
+			_, err = w.Write(buf.Bytes()[:buf.Len()-1]) // Encode ends with a newline
+		}
+	})
+	if err != nil {
+		return err
+	}
+	tail := "\n ]"
+	if events == 0 {
+		tail = head + "null" // as a nil array encodes
+	}
+	_, err = io.WriteString(w, tail+",\n \"displayTimeUnit\": \"ms\"\n}\n")
+	return err
+}
+
+// chromeEvents calls emit for each trace event of runs, in file order.
+func chromeEvents(runs []ObservedRun, emit func(chromeEvent)) {
 	base := 1
 	for _, run := range runs {
 		nodes := run.Meta.Nodes
@@ -83,18 +119,16 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 		// Metadata: name and order every track up front so the export
 		// covers the whole topology even where nothing happened.
 		for n := 0; n < nodes; n++ {
-			evs = append(evs,
-				chromeEvent{Name: "process_name", Ph: "M", Pid: nodePid(n),
-					Args: map[string]any{"name": fmt.Sprintf("%s node %d", run.Name, n)}},
-				chromeEvent{Name: "process_sort_index", Ph: "M", Pid: nodePid(n),
-					Args: map[string]any{"sort_index": nodePid(n)}})
+			emit(chromeEvent{Name: "process_name", Ph: "M", Pid: nodePid(n),
+				Args: map[string]any{"name": fmt.Sprintf("%s node %d", run.Name, n)}})
+			emit(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: nodePid(n),
+				Args: map[string]any{"sort_index": nodePid(n)}})
 		}
 		for l := 0; l < links; l++ {
-			evs = append(evs,
-				chromeEvent{Name: "process_name", Ph: "M", Pid: linkPid(l),
-					Args: map[string]any{"name": fmt.Sprintf("%s link %s", run.Name, run.Meta.Links[l])}},
-				chromeEvent{Name: "process_sort_index", Ph: "M", Pid: linkPid(l),
-					Args: map[string]any{"sort_index": linkPid(l)}})
+			emit(chromeEvent{Name: "process_name", Ph: "M", Pid: linkPid(l),
+				Args: map[string]any{"name": fmt.Sprintf("%s link %s", run.Name, run.Meta.Links[l])}})
+			emit(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: linkPid(l),
+				Args: map[string]any{"sort_index": linkPid(l)}})
 		}
 
 		for _, e := range run.Events {
@@ -105,7 +139,7 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 				// length), so the end event alone reconstructs the span —
 				// robust against the ring overwriting the begin.
 				dur := float64(e.B) * cycleMicros
-				evs = append(evs, chromeEvent{
+				emit(chromeEvent{
 					Name: "stall:" + StallClassName(e.Sub), Ph: "X",
 					Ts: ts - dur, Dur: dur,
 					Pid: nodePid(int(e.Node)), Tid: int(e.A) + 1, Cat: "stall",
@@ -116,7 +150,7 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 			case EvNetHop:
 				l := int(e.A)
 				if l >= 0 && l < links {
-					evs = append(evs, chromeEvent{
+					emit(chromeEvent{
 						Name: "xfer", Ph: "X", Ts: ts, Dur: float64(e.B) * cycleMicros,
 						Pid: linkPid(l), Tid: 1, Cat: "net",
 						Args: map[string]any{"cause": e.Cause, "occupancy": e.B},
@@ -132,7 +166,7 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 				case EvDispatch:
 					cat = "sched"
 				}
-				evs = append(evs, chromeEvent{
+				emit(chromeEvent{
 					Name: e.Kind.String(), Ph: "i", Ts: ts, S: "t",
 					Pid: nodePid(int(e.Node)), Tid: 1, Cat: cat,
 					Args: map[string]any{"cause": e.Cause, "a": e.A, "b": e.B, "sub": e.Sub},
@@ -150,7 +184,7 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 				if l < len(s.LinkDepth) {
 					args["depth"] = s.LinkDepth[l]
 				}
-				evs = append(evs, chromeEvent{
+				emit(chromeEvent{
 					Name: "link", Ph: "C", Ts: ts, Pid: linkPid(l), Args: args,
 				})
 			}
@@ -172,7 +206,7 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 					args["verify_stall"] = s.NodeVerifyStall[n]
 				}
 				if len(args) > 0 {
-					evs = append(evs, chromeEvent{
+					emit(chromeEvent{
 						Name: "cycles", Ph: "C", Ts: ts, Pid: nodePid(n), Args: args,
 					})
 				}
@@ -184,13 +218,12 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 		// link tracks identically.
 		if len(run.Marks) > 0 {
 			markPid := base + nodes + links
-			evs = append(evs,
-				chromeEvent{Name: "process_name", Ph: "M", Pid: markPid,
-					Args: map[string]any{"name": run.Name + " races"}},
-				chromeEvent{Name: "process_sort_index", Ph: "M", Pid: markPid,
-					Args: map[string]any{"sort_index": markPid}})
+			emit(chromeEvent{Name: "process_name", Ph: "M", Pid: markPid,
+				Args: map[string]any{"name": run.Name + " races"}})
+			emit(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: markPid,
+				Args: map[string]any{"sort_index": markPid}})
 			for _, mk := range run.Marks {
-				evs = append(evs, chromeEvent{
+				emit(chromeEvent{
 					Name: mk.Name, Ph: "i", Ts: float64(mk.At) * cycleMicros, S: "p",
 					Pid: markPid, Tid: 1, Cat: "race", Args: mk.Args,
 				})
@@ -199,37 +232,74 @@ func ChromeTrace(runs []ObservedRun) ([]byte, error) {
 
 		base += nodes + links + 1
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false) // keep "0->1E" link labels readable
-	enc.SetIndent("", " ")
-	if err := enc.Encode(chromeTraceFile{TraceEvents: evs, DisplayTimeUnit: "ms"}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
-// ValidateChromeTrace round-trips trace JSON through encoding/json and
-// returns the number of trace events, rejecting empty or malformed
-// files. plusbench runs this on every -trace export (and `make
-// trace-smoke` on a known-good run).
-func ValidateChromeTrace(data []byte) (int, error) {
-	var f struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
+// ValidateChromeTrace reads trace JSON from r, decoding one
+// traceEvents element at a time, and returns the number of trace
+// events, rejecting empty or malformed input: the file must be one
+// JSON object whose traceEvents array is non-empty and whose every
+// element has a ph and a pid. plusbench runs this on every -trace
+// export (and `make trace-smoke` on a known-good run).
+func ValidateChromeTrace(r io.Reader) (int, error) {
+	dec := json.NewDecoder(r)
+	bad := func(err error) (int, error) {
 		return 0, fmt.Errorf("chrome trace does not parse: %w", err)
 	}
-	if len(f.TraceEvents) == 0 {
+	delim := func(want json.Delim) error {
+		tok, err := dec.Token()
+		if err == nil && tok != want {
+			err = fmt.Errorf("found %v where %v belongs", tok, want)
+		}
+		return err
+	}
+	if err := delim('{'); err != nil {
+		return bad(err)
+	}
+	n := 0
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return bad(err)
+		}
+		if key != "traceEvents" {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return bad(err)
+			}
+			continue
+		}
+		if err := delim('['); err != nil {
+			return bad(err)
+		}
+		for ; dec.More(); n++ {
+			// Only presence is checked, so the two fields are kept raw
+			// and the rest is scanned without being built.
+			var ev struct {
+				Ph  json.RawMessage `json:"ph"`
+				Pid json.RawMessage `json:"pid"`
+			}
+			if err := dec.Decode(&ev); err != nil {
+				return bad(err)
+			}
+			if ev.Ph == nil {
+				return 0, fmt.Errorf("traceEvents[%d] missing ph", n)
+			}
+			if ev.Pid == nil {
+				return 0, fmt.Errorf("traceEvents[%d] missing pid", n)
+			}
+		}
+		if err := delim(']'); err != nil {
+			return bad(err)
+		}
+	}
+	if err := delim('}'); err != nil {
+		return bad(err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return bad(fmt.Errorf("data after the trace object"))
+	}
+	if n == 0 {
 		return 0, fmt.Errorf("chrome trace has no traceEvents")
 	}
-	for i, ev := range f.TraceEvents {
-		if _, ok := ev["ph"]; !ok {
-			return 0, fmt.Errorf("traceEvents[%d] missing ph", i)
-		}
-		if _, ok := ev["pid"]; !ok {
-			return 0, fmt.Errorf("traceEvents[%d] missing pid", i)
-		}
-	}
-	return len(f.TraceEvents), nil
+	return n, nil
 }

@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -166,11 +169,12 @@ func TestChromeTraceExportAndValidate(t *testing.T) {
 	o.Emit(EvStallEnd, 0, StallWrite, 1, 3, 20)
 	o.AddSample(Sample{At: 32, LinkUtil: []float64{0.5, 0}, LinkDepth: []sim.Cycles{4, 0},
 		NodeBusy: []sim.Cycles{10, 0}})
-	data, err := ChromeTrace([]ObservedRun{ObservedRunFrom("t", o)})
-	if err != nil {
+	var buf bytes.Buffer
+	if err := ChromeTrace(&buf, []ObservedRun{ObservedRunFrom("t", o)}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateChromeTrace(data)
+	data := buf.Bytes()
+	n, err := ValidateChromeTrace(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("validate: %v\n%s", err, data)
 	}
@@ -186,11 +190,102 @@ func TestChromeTraceExportAndValidate(t *testing.T) {
 			t.Fatalf("trace missing %q:\n%s", want, s)
 		}
 	}
-	if _, err := ValidateChromeTrace([]byte(`{"traceEvents":[]}`)); err == nil {
-		t.Fatal("empty trace should fail validation")
+	for _, bad := range []string{
+		`{"traceEvents":[]}`,
+		`{"traceEvents":null}`,
+		`{"displayTimeUnit":"ms"}`,
+		`{`,
+		`[]`,
+		`{"traceEvents":{}}`,
+		`{"traceEvents":[{"ph":"M","pid":1}]} {}`,
+		`{"traceEvents":[{"ph":"M","pid":1},{"ph":"M"}]}`,
+		`{"traceEvents":[{"ph":"M","pid":1},{"pid":2}]}`,
+		`{"traceEvents":[{"ph":"M","pid":1},3]}`,
+		`{"traceEvents":[{"ph":"M","pid":1}`,
+	} {
+		if _, err := ValidateChromeTrace(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s: passed validation", bad)
+		}
 	}
-	if _, err := ValidateChromeTrace([]byte(`{`)); err == nil {
-		t.Fatal("malformed trace should fail validation")
+	if n, err := ValidateChromeTrace(strings.NewReader(
+		`{"x":[1,{"y":2}],"traceEvents":[{"ph":"M","pid":1},{"ph":"i","pid":2}],"z":null}` + "\n")); n != 2 || err != nil {
+		t.Errorf("valid two-event trace: %d events, %v", n, err)
+	}
+}
+
+// chromeTraceWhole is the exporter as it was before it streamed: every
+// event collected, then the whole file encoded in one call. It is the
+// oracle for the streamed bytes.
+func chromeTraceWhole(runs []ObservedRun) ([]byte, error) {
+	var evs []chromeEvent
+	chromeEvents(runs, func(ev chromeEvent) { evs = append(evs, ev) })
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", " ")
+	err := enc.Encode(struct {
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{evs, "ms"})
+	return buf.Bytes(), err
+}
+
+// TestChromeTraceStreamsWholeEncoding compares the streamed export
+// with the whole-file oracle byte for byte: on no runs, on runs with
+// no tracks, on runs whose ring recorded nothing, and on runs with a
+// random mix of every event kind, samples and race marks (whose labels
+// and args carry the characters HTML escaping would rewrite).
+func TestChromeTraceStreamsWholeEncoding(t *testing.T) {
+	meta := TraceMeta{Nodes: 3, MeshWidth: 3, MeshHeight: 1,
+		Links: []string{"0->1E", "1->0W", "1->2E", "2->1W"}}
+	rng := rand.New(rand.NewSource(7))
+	busy := func() ObservedRun {
+		run := ObservedRun{Name: "busy <&>", Meta: meta}
+		for i := 0; i < 500; i++ {
+			run.Events = append(run.Events, Event{
+				At: sim.Cycles(rng.Intn(1 << 20)), Cause: rng.Uint64() >> rng.Intn(64),
+				A: uint64(rng.Intn(6)) - 1, B: rng.Uint64() >> rng.Intn(64),
+				Kind: EventKind(1 + rng.Intn(int(evKinds)-1)), Sub: uint8(rng.Intn(5)),
+				Node: int16(rng.Intn(meta.Nodes)),
+			})
+		}
+		for i := 0; i < 20; i++ {
+			run.Samples = append(run.Samples, Sample{At: sim.Cycles(1000 * i),
+				LinkUtil:  []float64{rng.Float64(), 0, 1.0 / 3, 1e-9},
+				LinkDepth: []sim.Cycles{sim.Cycles(i), 0, 7},
+				NodeBusy:  []sim.Cycles{sim.Cycles(i), 1, 2}, NodeReadStall: []sim.Cycles{3},
+				NodeWriteStall: []sim.Cycles{4, 5}, NodeFenceStall: []sim.Cycles{6, 7, 8},
+				NodeVerifyStall: []sim.Cycles{9}})
+		}
+		run.Samples = append(run.Samples, Sample{At: 30000})
+		run.Marks = []Mark{
+			{Name: "race a<->b", At: 12, Args: map[string]any{"addr": "0x40 & 0x44", "n": 2, "f": 0.5}},
+			{Name: "plain", At: 40},
+		}
+		return run
+	}
+	for _, tc := range []struct {
+		name string
+		runs []ObservedRun
+	}{
+		{"no runs", nil},
+		{"no tracks", []ObservedRun{{Name: "empty"}}},
+		{"no events", []ObservedRun{{Name: "idle", Meta: meta}}},
+		{"marks only", []ObservedRun{{Name: "m", Marks: []Mark{{Name: "x", At: 1}}}}},
+		{"busy", []ObservedRun{busy(), {Name: "idle", Meta: meta}, busy()}},
+	} {
+		want, err := chromeTraceWhole(tc.runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := ChromeTrace(&got, tc.runs); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: streamed export differs from the whole encoding:\n%s\nwant:\n%s",
+				tc.name, got.Bytes(), want)
+		}
 	}
 }
 
