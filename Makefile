@@ -77,7 +77,9 @@ trace-equiv:
 # read the remote-reference profile).
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
-# search's delayed ops and context switches. Figure 3-1 is traced too,
+# search's delayed ops and context switches; the Figure 2-1 sweep's
+# -sample/-hist text pins the merged latency histograms and the stall
+# summary. Figure 3-1 is traced too,
 # at one to four processors with a ring of 131072 events per point
 # (a one- or two-processor point fits whole; a four-processor point
 # keeps at most its last 131072), so beam's writes, fences, issues and
@@ -85,8 +87,9 @@ trace-equiv:
 # would double the leg's time. The delayed-slots
 # ablation pins the stall on a full delayed-operations cache, the
 # fence ablation the fence before every issue, Table 3-1 each delayed
-# operation's cycles, and the race corpus's reports the order of its
-# EvAccRMW/EvAccVerify events. Last, every quick sweep's JSON rows
+# operation's cycles, and the race corpus's reports and annotated
+# trace the order of its EvAccRMW/EvAccVerify events and its race
+# marks. Last, every quick sweep's JSON rows
 # (-exp all) are compared with the host-time "wall_ms" and "speedup"
 # lines filtered out.
 # Usage: make parent-equiv BASE=<rev>
@@ -101,6 +104,7 @@ parent-equiv:
 		$$d/$$b -quick -exp kvserve-sweep -trace-events 65536 \
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
+		$$d/$$b -quick -exp figure2-1 -sample 5000 -hist > $$d/$$b-hist.txt; \
 		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
 		$$d/$$b -quick -exp figure3-1 -max-procs 4 -trace-events 131072 \
 			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
@@ -110,15 +114,15 @@ parent-equiv:
 			table3-1; do \
 			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
 		done; \
-		$$d/$$b -races > $$d/$$b-races.txt; \
+		$$d/$$b -races -trace $$d/$$b-races.json > $$d/$$b-races.txt; \
 		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
 		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
-	for f in kv.json kv.txt f21.json f21.txt crash.json crash.txt f31.json f31.txt \
+	for f in kv.json kv.txt f21.json f21.txt hist.txt crash.json crash.txt f31.json f31.txt \
 		ext-linkbuf.json fault-crash.json faults.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \
-		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt \
+		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt races.json \
 		all.json; do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \

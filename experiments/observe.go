@@ -7,7 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -74,22 +74,19 @@ func (ob *Observation) MachineFor(name string, w, h int) *core.Config {
 // Runs returns one ObservedRun per instrumented point, sorted by point
 // name: the order depends only on the sweep's point set, never on
 // worker scheduling, so -parallel 1 and -parallel N export identical
-// traces. Call after the sweep completes.
+// traces. Each run is a view of its point's observer; no ring is
+// copied. Call after the sweep completes.
 func (ob *Observation) Runs() []stats.ObservedRun {
 	if ob == nil {
 		return nil
 	}
 	ob.mu.Lock()
-	names := make([]string, 0, len(ob.runs))
-	for name := range ob.runs {
-		names = append(names, name)
+	defer ob.mu.Unlock()
+	out := make([]stats.ObservedRun, 0, len(ob.runs))
+	for name, o := range ob.runs {
+		out = append(out, stats.ObservedRun{Name: name, Observer: o})
 	}
-	ob.mu.Unlock()
-	sort.Strings(names)
-	out := make([]stats.ObservedRun, 0, len(names))
-	for _, name := range names {
-		out = append(out, stats.ObservedRunFrom(name, ob.runs[name]))
-	}
+	slices.SortFunc(out, func(a, b stats.ObservedRun) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -107,9 +104,9 @@ func (ob *Observation) Metrics() stats.Metrics {
 func (ob *Observation) EventDump() string {
 	var b strings.Builder
 	for _, r := range ob.Runs() {
-		fmt.Fprintf(&b, "== %s (%d events)\n", r.Name, len(r.Events))
-		for i := range r.Events {
-			b.WriteString(r.Events[i].String())
+		fmt.Fprintf(&b, "== %s (%d events)\n", r.Name, r.EventCount()-r.Overwritten())
+		for e := range r.All() {
+			b.WriteString(e.String())
 			b.WriteByte('\n')
 		}
 	}

@@ -3,9 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"plus/internal/sim"
 	"plus/internal/stats"
 )
 
@@ -72,6 +75,32 @@ func TestObservationChromeTraceValidates(t *testing.T) {
 	}
 	if !strings.Contains(m.Render(), "remote-read") {
 		t.Error("metrics render missing remote-read row")
+	}
+}
+
+// TestObservationReadsRingsInPlace fills one point's 1<<16-event ring
+// and pins that Runs and Metrics read it where it lies: together they
+// allocate less than the ring's bytes, so neither copies it.
+func TestObservationReadsRingsInPlace(t *testing.T) {
+	const events = 1 << 16
+	ob := NewObservation(stats.ObserveConfig{Events: events})
+	o := ob.ObserverFor("point")
+	o.Bind(func() sim.Cycles { return 0 }, stats.TraceMeta{Nodes: 1})
+	for i := 0; i < events; i++ {
+		o.EmitAt(sim.Cycles(i), stats.EvUpdate, 0, 0, 0, uint64(i), 1)
+	}
+	o.Metrics.RemoteRead.Observe(42)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runs := ob.Runs()
+	m := ob.Metrics()
+	runtime.ReadMemStats(&after)
+	ring := uint64(events * unsafe.Sizeof(stats.Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= ring {
+		t.Fatalf("Runs and Metrics allocated %d bytes, a ring holds %d", got, ring)
+	}
+	if len(runs) != 1 || runs[0].Name != "point" || m.RemoteRead.Count != 1 {
+		t.Fatalf("%d runs, merged remote reads %d", len(runs), m.RemoteRead.Count)
 	}
 }
 

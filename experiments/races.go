@@ -111,10 +111,9 @@ func RunRaceCorpus() (outcomes []RaceOutcome, ok bool, err error) {
 		if !pass {
 			ok = false
 		}
-		run := stats.ObservedRunFrom(p.Name, o)
-		run.Marks = rep.Marks()
 		outcomes = append(outcomes, RaceOutcome{
-			Program: p.Name, Expect: expect, Pass: pass, Report: rep, Trace: run,
+			Program: p.Name, Expect: expect, Pass: pass, Report: rep,
+			Trace: stats.ObservedRun{Name: p.Name, Observer: o, Marks: rep.Marks()},
 		})
 	}
 	return outcomes, ok, nil

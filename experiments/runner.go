@@ -60,9 +60,9 @@ type Point[T any] struct {
 // RunPoints executes the points on a bounded worker pool and returns
 // their results in point order. Each worker goroutine pulls the next
 // unclaimed point, so every point runs exactly once on exactly one
-// goroutine; because points are independent single-threaded
-// simulations, serial (workers=1) and parallel runs produce identical
-// results. The first error in point order wins (also deterministic —
+// goroutine, one worker included; because points are independent
+// single-threaded simulations, serial (workers=1) and parallel runs
+// produce identical results. The first error in point order wins (also deterministic —
 // every point runs to completion regardless of other points' errors).
 func RunPoints[T any](pts []Point[T], workers int) ([]T, error) {
 	if workers <= 0 {
@@ -73,28 +73,22 @@ func RunPoints[T any](pts []Point[T], workers int) ([]T, error) {
 	}
 	results := make([]T, len(pts))
 	errs := make([]error, len(pts))
-	if workers <= 1 {
-		for i := range pts {
-			results[i], errs[i] = pts[i].Run()
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pts) {
-						return
-					}
-					results[i], errs[i] = pts[i].Run()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(pts) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				results[i], errs[i] = pts[i].Run()
+			}
+		}()
 	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pts[i].Name, err)

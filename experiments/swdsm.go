@@ -69,7 +69,7 @@ func swdsmPlusRow(iters int, ob *Observation, name string) (AblationRow, error) 
 // swdsmSVMRow runs the identical trace on the page-grain software
 // shared-virtual-memory comparator.
 func swdsmSVMRow(iters int) (AblationRow, error) {
-	sw := swdsm.New(swdsm.DefaultConfig(4, 2))
+	sw := swdsm.New(swdsm.Config{MeshW: 4, MeshH: 2})
 	sw.Alloc(0, 0)
 	base := memory.VPage(0).Base()
 	// Round-robin the same per-node iterations: the interleaving

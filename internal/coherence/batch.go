@@ -40,10 +40,9 @@ import (
 // member's pending id; batchIDs remembers the rest so the single ack
 // retires every member.
 func (cm *CM) FlushBatch() {
-	if !cm.bopen {
+	if len(cm.bwrites) == 0 {
 		return
 	}
-	cm.bopen = false
 	m := cm.newMsg(kWriteReq, cm.self, cm.bids[0])
 	m.Page = cm.bpage
 	m.Cause = cm.bcause
@@ -93,5 +92,5 @@ func (cm *CM) BufferedWrites() int { return len(cm.bwrites) }
 // BatchTarget reports the open combine buffer's destination, for
 // tests. ok is false when the buffer is empty.
 func (cm *CM) BatchTarget() (node mesh.NodeID, page memory.PPage, ok bool) {
-	return cm.bnode, cm.bpage, cm.bopen
+	return cm.bnode, cm.bpage, len(cm.bwrites) > 0
 }

@@ -116,7 +116,6 @@ type CM struct {
 	// member id so one ack retires the whole batch; idsFree recycles
 	// those slices.
 	batchMax int
-	bopen    bool
 	bnode    mesh.NodeID
 	bpage    memory.PPage
 	bcause   uint64
@@ -158,13 +157,6 @@ type CM struct {
 	// write-update; this exists to measure the §2.2 claim.
 	invalidateMode bool
 	invalid        map[memory.PPage]map[uint32]bool
-
-	// lastCause is the causal ID the most recent traced issue on this
-	// node drew (write, remote read or RMW) — read synchronously by the
-	// processor's data-access layer to stamp the matching EvAcc* event.
-	// Zeroed at the top of each issue path so an operation that draws
-	// no cause (a local read) never inherits a predecessor's ID.
-	lastCause uint64
 }
 
 type dslot struct {
@@ -172,14 +164,12 @@ type dslot struct {
 	ready  bool
 	val    memory.Word
 	waiter func(memory.Word)
-	// issuedAt/cause are set at issue when an observer is attached
-	// (cause != 0 marks a traced operation). cause is consumed (zeroed)
-	// when the result arrives; acause preserves the same ID until the
-	// slot is released so the data-access layer can pair the Verify
-	// that consumes the result with the issue (EvAccVerify ↔ EvAccRMW).
+	// issuedAt/cause are set at issue when an observer is attached.
+	// cause lives until the slot is released, so the data-access layer
+	// can pair the Verify that consumes the result with the issue
+	// (EvAccVerify ↔ EvAccRMW).
 	issuedAt sim.Cycles
 	cause    uint64
-	acause   uint64
 	// Replay record (crash script runs): enough to re-issue the
 	// operation if its request is lost inside a crashed node. gen is
 	// the slot-generation token guarding against stale replies to a
@@ -392,20 +382,11 @@ func (cm *CM) dropReadWaiter(i int) readWaiter {
 	return w
 }
 
-// LastCause returns the causal ID drawn by the most recent traced
-// issue on this node (0 when the last operation drew none — a local
-// read, or any operation with tracing off). The processor's
-// data-access layer reads it synchronously, immediately after the
-// issuing call returns, to stamp the matching EvAcc* event; an
-// operation whose issue was deferred behind a full cache reports 0
-// (best-effort correlation, documented in DESIGN §15).
-func (cm *CM) LastCause() uint64 { return cm.lastCause }
-
 // SlotCause returns the causal ID a busy delayed-operation slot was
-// issued under (0 with tracing off). Unlike the histogram-facing cause
-// it survives result arrival, so Verify can pair its access event with
-// the issue; it dies only when the slot is released.
-func (cm *CM) SlotCause(slot int) uint64 { return cm.slots[slot].acause }
+// issued under (0 with tracing off). It survives result arrival, so
+// Verify can pair its access event with the issue; it dies only when
+// the slot is released.
+func (cm *CM) SlotCause(slot int) uint64 { return cm.slots[slot].cause }
 
 // BusySlots returns the number of delayed-operation cache entries in
 // use.
@@ -424,16 +405,16 @@ func (cm *CM) BusySlots() int {
 // Read performs a (possibly blocking) read. done receives the value;
 // completion is always delivered through an engine event, never
 // synchronously, so the calling coroutine can park unconditionally
-// after issuing.
-func (cm *CM) Read(g GAddr, done func(memory.Word)) {
-	cm.lastCause = 0
+// after issuing. Read returns the causal ID a traced remote read (an
+// invalidated word's refetch included) drew, and 0 for a local read, a
+// read waiting behind a pending write of its word, or any read with
+// tracing off.
+func (cm *CM) Read(g GAddr, done func(memory.Word)) uint64 {
 	// Reads are combine barriers: any read issued by this node flushes
 	// the combine buffer (batch.go). In particular a read of a word
 	// still resting in the buffer would otherwise block below on a
 	// write that was never sent.
-	if cm.bopen {
-		cm.FlushBatch()
-	}
+	cm.FlushBatch()
 	// Reading a location that is currently being written blocks until
 	// the write completes (intra-processor strong ordering, §2.3).
 	if cm.writePending(g) {
@@ -441,12 +422,11 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 			cm.readRetry = make(map[GAddr][]func())
 		}
 		cm.readRetry[g] = append(cm.readRetry[g], func() { cm.Read(g, done) })
-		return
+		return 0
 	}
 	if g.Node == cm.self {
 		if cm.invalidateMode && cm.isInvalid(g.Page, g.Off) {
-			cm.readInvalidated(g, done)
-			return
+			return cm.readInvalidated(g, done)
 		}
 		cost := cm.ca.Read(g.Page, g.Off)
 		v := cm.mem.Read(g.Page, g.Off)
@@ -457,17 +437,18 @@ func (cm *CM) Read(g GAddr, done func(memory.Word)) {
 			cm.node().CacheMisses++
 		}
 		cm.scheduleReadDone(cost, done, v)
-		return
+		return 0
 	}
-	cm.remoteRead(g, done)
+	return cm.remoteRead(g, done)
 }
 
 // remoteRead issues a blocking read of g from the node holding it.
 // The paper charges "about 32 cycles plus the round-trip delay" for a
 // remote blocking read; the 32 cycles are the processor and interface
 // overhead, charged here before the request enters the network. The
-// serving CM adds its processing time on arrival.
-func (cm *CM) remoteRead(g GAddr, done func(memory.Word)) {
+// serving CM adds its processing time on arrival. It returns the
+// read's causal ID (0 with tracing off).
+func (cm *CM) remoteRead(g GAddr, done func(memory.Word)) uint64 {
 	cm.node().RemoteReads++
 	id := cm.nextID
 	cm.nextID++
@@ -477,12 +458,12 @@ func (cm *CM) remoteRead(g GAddr, done func(memory.Word)) {
 	w := readWaiter{id: id, g: g, fn: done}
 	if o := cm.obs(); o != nil {
 		m.Cause = o.CauseFor(int(cm.self))
-		cm.lastCause = m.Cause
 		w.at, w.cause = cm.eng.Now(), m.Cause
 		o.Emit(stats.EvReadIssue, int(cm.self), 0, m.Cause, packAddr(g), 0)
 	}
 	cm.readWaiters = append(cm.readWaiters, w)
 	cm.eng.ScheduleEvent(timing.RemoteReadOverhead, cm, ckSend, m)
+	return m.Cause
 }
 
 // scheduleReadDone delivers a local read's value through a pooled
@@ -505,24 +486,25 @@ func (cm *CM) scheduleReadDone(delay sim.Cycles, fn func(memory.Word), v memory.
 // The write then rests in the combine buffer (batch.go) until a flush
 // trigger sends it — at once at the default depth of one word — and
 // propagates in the background; completion is visible through Fence,
-// PendingCount, and the read-blocking rule.
-func (cm *CM) Write(g GAddr, v memory.Word, accepted func()) {
-	cm.lastCause = 0
+// PendingCount, and the read-blocking rule. Write returns the causal
+// ID of the batch the write joined, and 0 with tracing off or when the
+// write waits for a free pending-writes entry (its retry draws the ID
+// later, out of the caller's reach).
+func (cm *CM) Write(g GAddr, v memory.Word, accepted func()) uint64 {
 	if len(cm.pending) >= cm.tm.MaxPendingWrites {
 		// The cache is full: flush the combine buffer first, or the
 		// acks that free an entry (and wake this waiter) never happen.
 		cm.FlushBatch()
 		cm.writeWaiters = append(cm.writeWaiters, func() { cm.Write(g, v, accepted) })
-		return
+		return 0
 	}
 	cm.countWrite(g)
-	if cm.bopen && (g.Node != cm.bnode || g.Page != cm.bpage) {
+	if len(cm.bwrites) > 0 && (g.Node != cm.bnode || g.Page != cm.bpage) {
 		cm.FlushBatch()
 	}
 	id := cm.allocPending(g)
 	accepted()
-	if !cm.bopen {
-		cm.bopen = true
+	if len(cm.bwrites) == 0 {
 		cm.bnode, cm.bpage = g.Node, g.Page
 		if o := cm.obs(); o != nil {
 			// One causal ID spans the whole batch: every member's issue
@@ -538,12 +520,13 @@ func (cm *CM) Write(g GAddr, v memory.Word, accepted func()) {
 	if o := cm.obs(); o != nil {
 		pw := &cm.pending[cm.pendingIndex(id)]
 		pw.at, pw.cause = cm.eng.Now(), cm.bcause
-		cm.lastCause = cm.bcause
 		o.Emit(stats.EvWriteIssue, int(cm.self), 0, cm.bcause, packAddr(g), id)
 	}
+	cause := cm.bcause
 	if len(cm.bwrites) >= cm.batchMax {
 		cm.FlushBatch()
 	}
+	return cause
 }
 
 // countWrite attributes an issued write to the local/remote counters.
@@ -619,8 +602,7 @@ func (cm *CM) RMW(op Op, g GAddr, operand memory.Word, issued func(slot int)) {
 	m.Page, m.Off, m.Val = g.Page, g.Off, operand
 	if o := cm.obs(); o != nil {
 		m.Cause = o.CauseFor(int(cm.self))
-		cm.lastCause = m.Cause
-		s.issuedAt, s.cause, s.acause = cm.eng.Now(), m.Cause, m.Cause
+		s.issuedAt, s.cause = cm.eng.Now(), m.Cause
 		o.Emit(stats.EvRMWIssue, int(cm.self), uint8(op), m.Cause, packAddr(g), uint64(operand))
 	}
 	cm.handOff(g.Node, m)
@@ -919,16 +901,13 @@ func (cm *CM) execRMW(m *mesh.Msg) {
 // slotFromToken accepted) and hands it to a waiting Verify, if any.
 func (cm *CM) fillSlot(slot int, v memory.Word) {
 	s := &cm.slots[slot]
-	// cause != 0 marks a traced issue; observe the round trip exactly
-	// once, when the result first arrives (duplicated replies in the
-	// unreliable mode are filtered by the transport before this point).
-	if s.cause != 0 {
-		if o := cm.obs(); o != nil {
-			lat := uint64(cm.eng.Now() - s.issuedAt)
-			o.Metrics.RMWRound.Observe(lat)
-			o.Emit(stats.EvRMWDone, int(cm.self), 0, s.cause, lat, uint64(slot))
-		}
-		s.cause = 0
+	// Observe the round trip exactly once, when the result first
+	// arrives (duplicated replies in the unreliable mode are filtered by
+	// the transport before this point).
+	if o := cm.obs(); o != nil && !s.ready {
+		lat := uint64(cm.eng.Now() - s.issuedAt)
+		o.Metrics.RMWRound.Observe(lat)
+		o.Emit(stats.EvRMWDone, int(cm.self), 0, s.cause, lat, uint64(slot))
 	}
 	if w := s.waiter; w != nil {
 		cm.releaseSlot(slot)

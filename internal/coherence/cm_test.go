@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"plus/internal/cache"
@@ -652,5 +653,53 @@ func TestUpdateRatioStatsShape(t *testing.T) {
 	if float64(t4)/float64(u4) >= float64(t2)/float64(u2) {
 		t.Fatalf("total/update ratio did not fall with replication: %f vs %f",
 			float64(t4)/float64(u4), float64(t2)/float64(u2))
+	}
+}
+
+// TestIssueReturnsCause pins the causal IDs Read and Write hand the
+// processor: a traced remote read's and a write's are the IDs their
+// issue events carry; a local read, a write waiting for a free
+// pending-writes entry and any untraced issue return 0.
+func TestIssueReturnsCause(t *testing.T) {
+	r := newRig(t, 2, 1)
+	frames := r.page(0)
+	remote := func(off uint32) GAddr { return GAddr{0, frames[0], off} }
+	if c := r.cms[1].Write(remote(1), 1, func() {}); c != 0 {
+		t.Fatalf("untraced write returned cause %#x", c)
+	}
+	r.eng.Run()
+	o := stats.NewObserver(stats.ObserveConfig{})
+	o.Bind(r.eng.Now, stats.TraceMeta{Nodes: 2})
+	r.st.AttachObserver(o)
+
+	var writes []uint64
+	for off := uint32(0); int(off) < r.tm.MaxPendingWrites; off++ {
+		writes = append(writes, r.cms[1].Write(remote(off), 7, func() {}))
+	}
+	if c := r.cms[1].Write(remote(99), 7, func() {}); c != 0 {
+		t.Fatalf("write behind a full cache returned cause %#x", c)
+	}
+	r.eng.Run()
+	read := r.cms[1].Read(remote(2), func(memory.Word) {})
+	if c := r.cms[0].Read(remote(3), func(memory.Word) {}); c != 0 {
+		t.Fatalf("local read returned cause %#x", c)
+	}
+	r.eng.Run()
+
+	var issued, reads []uint64
+	for _, e := range o.Events() {
+		switch e.Kind {
+		case stats.EvWriteIssue:
+			issued = append(issued, e.Cause)
+		case stats.EvReadIssue:
+			reads = append(reads, e.Cause)
+		}
+	}
+	// The waiting write issues last, under a cause its caller never saw.
+	if len(issued) != len(writes)+1 || !slices.Equal(issued[:len(writes)], writes) || slices.Contains(writes, 0) {
+		t.Fatalf("writes returned causes %#x, their issue events carry %#x", writes, issued)
+	}
+	if len(reads) != 1 || read == 0 || reads[0] != read {
+		t.Fatalf("remote read returned cause %#x, issue events carry %#x", read, reads)
 	}
 }

@@ -120,7 +120,6 @@ func (cm *CM) Crash() {
 	}
 	// The combine buffer's words are lost with the node; their pending
 	// entries force-retire at Restart.
-	cm.bopen = false
 	cm.bwrites = cm.bwrites[:0]
 	cm.bids = cm.bids[:0]
 	cm.bcause = 0

@@ -69,17 +69,18 @@ func (cm *CM) applyInvalidations(frame memory.PPage, ws []wordWrite) {
 // readInvalidated services a local read that hit a stale word: fetch
 // the word from the master copy, repair the replica, and deliver. The
 // cost is exactly a remote blocking read — the §2.2 "cost of cache
-// misses" the update protocol avoids.
-func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) {
+// misses" the update protocol avoids. It returns the refetch's causal
+// ID, as Read does.
+func (cm *CM) readInvalidated(g GAddr, done func(memory.Word)) uint64 {
 	e, ok := cm.entry(g.Page)
 	mg := e.master
 	if !ok || mg.Node == cm.self {
 		// Master local: nothing can be stale here.
 		cm.scheduleReadDone(timing.LocalMemRead, done, cm.mem.Read(g.Page, g.Off))
-		return
+		return 0
 	}
 	cm.node().InvalidateMisses++
-	cm.remoteRead(GAddr{Node: mg.Node, Page: mg.Page, Off: g.Off}, func(v memory.Word) {
+	return cm.remoteRead(GAddr{Node: mg.Node, Page: mg.Page, Off: g.Off}, func(v memory.Word) {
 		cm.repair(g.Page, g.Off, v)
 		done(v)
 	})

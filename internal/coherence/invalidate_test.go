@@ -217,9 +217,10 @@ func TestInvalidateMissTraced(t *testing.T) {
 		r.cms[0].Write(GAddr{0, frames[0], off}, memory.Word(40+off), func() {})
 	}
 	r.eng.Run()
+	returned := map[uint64]bool{}
 	for off := uint32(5); off <= 6; off++ {
 		var got memory.Word
-		r.cms[2].Read(GAddr{2, frames[2], off}, func(v memory.Word) { got = v })
+		returned[r.cms[2].Read(GAddr{2, frames[2], off}, func(v memory.Word) { got = v })] = true
 		r.eng.Run()
 		if got != memory.Word(40+off) {
 			t.Fatalf("word %d read %d, want %d", off, got, 40+off)
@@ -241,6 +242,9 @@ func TestInvalidateMissTraced(t *testing.T) {
 			}
 			if _, dup := issues[e.Cause]; dup {
 				t.Fatalf("cause %#x issued twice", e.Cause)
+			}
+			if !returned[e.Cause] {
+				t.Fatalf("Read returned causes %v, not the refetch's %#x", returned, e.Cause)
 			}
 			if off := uint32(e.A & 0xffff); e.A != packAddr(GAddr{0, frames[0], off}) {
 				t.Errorf("EvReadIssue addressed %#x, want the master's word %d", e.A, off)

@@ -137,9 +137,6 @@ type Machine struct {
 
 // NewMachine builds and wires a machine.
 func NewMachine(cfg Config) (*Machine, error) {
-	if cfg.MeshWidth < 1 || cfg.MeshHeight < 1 {
-		return nil, fmt.Errorf("core: invalid mesh %dx%d", cfg.MeshWidth, cfg.MeshHeight)
-	}
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}

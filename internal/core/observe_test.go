@@ -95,9 +95,8 @@ func TestObserverAcceptance(t *testing.T) {
 	obs := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16, SampleEvery: 500})
 	m, _ := observeWorkload(t, obs, proc.RunToBlock)
 
-	run := stats.ObservedRunFrom("accept", obs)
 	var buf bytes.Buffer
-	if err := stats.ChromeTrace(&buf, []stats.ObservedRun{run}); err != nil {
+	if err := stats.ChromeTrace(&buf, []stats.ObservedRun{{Name: "accept", Observer: obs}}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"plus/internal/sim"
+	"plus/internal/stats"
 )
 
 func faultyConfig(w, h int, f FaultConfig) Config {
@@ -35,12 +36,22 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// faultTally is what a fault run did: the mesh's counters plus the
+// injections, duplicates and delays its observer saw.
+type faultTally struct {
+	Stats
+	Injected, Duplicated, Delayed int
+}
+
 // runFaultTraffic drives a fixed traffic pattern through a faulty mesh
-// and returns the resulting stats. Receivers recycle everything.
-func runFaultTraffic(t *testing.T, f FaultConfig) Stats {
+// and returns the resulting tally. Receivers recycle everything.
+func runFaultTraffic(t *testing.T, f FaultConfig) faultTally {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := New(eng, faultyConfig(4, 4, f))
+	o := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16})
+	o.Bind(eng.Now, stats.TraceMeta{})
+	m.SetObservers([]*stats.Observer{o})
 	for n := NodeID(0); int(n) < m.Nodes(); n++ {
 		m.Attach(n, PortFunc(func(p *Msg) { m.FreeMsg(p) }))
 	}
@@ -59,11 +70,25 @@ func runFaultTraffic(t *testing.T, f FaultConfig) Stats {
 	if live := m.LiveMsgs(); live != 0 {
 		t.Fatalf("pool imbalance: %d messages live after drain", live)
 	}
-	return m.Stats()
+	if o.Overwritten() != 0 {
+		t.Fatalf("ring overwrote %d events", o.Overwritten())
+	}
+	tally := faultTally{Stats: m.Stats()}
+	for _, e := range o.Events() {
+		switch e.Kind {
+		case stats.EvNetInject:
+			tally.Injected++
+		case stats.EvNetDup:
+			tally.Duplicated++
+		case stats.EvNetDelay:
+			tally.Delayed++
+		}
+	}
+	return tally
 }
 
 // TestFaultDeterminism pins that the same seed replays the same fault
-// sequence (identical stats) and that a different seed diverges, and —
+// sequence (identical tallies) and that a different seed diverges, and —
 // via runFaultTraffic's pool check — that drops and dups neither leak
 // nor double-free pooled messages.
 func TestFaultDeterminism(t *testing.T) {
@@ -71,7 +96,7 @@ func TestFaultDeterminism(t *testing.T) {
 	a := runFaultTraffic(t, f)
 	b := runFaultTraffic(t, f)
 	if a != b {
-		t.Fatalf("same seed, different stats:\n%+v\n%+v", a, b)
+		t.Fatalf("same seed, different tallies:\n%+v\n%+v", a, b)
 	}
 	if a.Dropped == 0 || a.Duplicated == 0 || a.Delayed == 0 {
 		t.Fatalf("fault injection inactive: %+v", a)
@@ -79,7 +104,7 @@ func TestFaultDeterminism(t *testing.T) {
 	f.Seed = 12
 	c := runFaultTraffic(t, f)
 	if a == c {
-		t.Fatalf("different seeds produced identical stats: %+v", a)
+		t.Fatalf("different seeds produced identical tallies: %+v", a)
 	}
 }
 
@@ -88,8 +113,8 @@ func TestFaultsOffIsExactlyReliable(t *testing.T) {
 	if a.Dropped != 0 || a.Duplicated != 0 || a.Delayed != 0 || a.Nacked != 0 {
 		t.Fatalf("fault counters nonzero with the model off: %+v", a)
 	}
-	if a.Messages != 500 {
-		t.Fatalf("sent 500, stats say %d", a.Messages)
+	if a.Injected != 500 {
+		t.Fatalf("sent 500, the observer saw %d injections", a.Injected)
 	}
 }
 

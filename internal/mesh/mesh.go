@@ -315,18 +315,13 @@ type PortFunc func(*Msg)
 // Deliver implements Port.
 func (f PortFunc) Deliver(m *Msg) { f(m) }
 
-// Stats aggregates network activity. Messages/Hops/Flits count logical
-// injections by senders; the fault counters record what the unreliable
-// network did to them (all zero with the fault model off).
+// Stats aggregates network activity: the contention model's queueing
+// and what the unreliable network refused or lost (all zero with the
+// fault model off).
 type Stats struct {
-	Messages  uint64     // total messages sent
-	Hops      uint64     // total link traversals
-	Flits     uint64     // total flits transferred (size units)
 	QueueWait sim.Cycles // total cycles spent queued behind busy links
 
 	Dropped      uint64 // messages lost to fault injection
-	Duplicated   uint64 // spurious extra deliveries injected
-	Delayed      uint64 // messages given an extra random delay
 	Nacked       uint64 // messages refused by a full link buffer
 	CrashDropped uint64 // messages discarded at (or injected by) a crashed node
 }
@@ -505,13 +500,8 @@ func (m *Mesh) Engines() []*sim.Engine { return m.engines }
 func (m *Mesh) Stats() Stats {
 	t := m.shStats[0]
 	for _, s := range m.shStats[1:] {
-		t.Messages += s.Messages
-		t.Hops += s.Hops
-		t.Flits += s.Flits
 		t.QueueWait += s.QueueWait
 		t.Dropped += s.Dropped
-		t.Duplicated += s.Duplicated
-		t.Delayed += s.Delayed
 		t.Nacked += s.Nacked
 		t.CrashDropped += s.CrashDropped
 	}
@@ -831,7 +821,7 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 		m.deferSend(srcShard, src, dst, hops, sizeFlits, ms, nil, 0, true)
 		return
 	}
-	dup, extra, ok := m.inject(eng.Now(), src, dst, hops, sizeFlits, ms)
+	dup, extra, ok := m.inject(eng.Now(), src, dst, sizeFlits, ms)
 	if !ok {
 		return
 	}
@@ -848,17 +838,14 @@ func (m *Mesh) Send(src, dst NodeID, sizeFlits int, ms *Msg) {
 	m.deferSend(srcShard, src, dst, hops, sizeFlits, ms, dup, extra, false)
 }
 
-// inject counts a send entering the network at t, records its events,
-// and draws its faults from the source's PRNG: drop, then duplicate
-// and extra delay. It reports false, with the message recycled, when
+// inject records a send entering the network at t and draws its
+// faults from the source's PRNG: drop, then duplicate and extra
+// delay. It reports false, with the message recycled, when
 // the message was dropped.
-func (m *Mesh) inject(t sim.Cycles, src, dst NodeID, hops, sizeFlits int, ms *Msg) (dup *Msg, extra sim.Cycles, ok bool) {
+func (m *Mesh) inject(t sim.Cycles, src, dst NodeID, sizeFlits int, ms *Msg) (dup *Msg, extra sim.Cycles, ok bool) {
 	srcShard := m.shardOf[src]
 	st := &m.shStats[srcShard]
 	o := m.obsFor(srcShard)
-	st.Messages++
-	st.Hops += uint64(hops)
-	st.Flits += uint64(sizeFlits)
 	if o != nil {
 		o.EmitAt(t, stats.EvNetInject, int(src), ms.Kind, ms.Cause, uint64(dst), uint64(sizeFlits))
 	}
@@ -882,14 +869,12 @@ func (m *Mesh) inject(t sim.Cycles, src, dst NodeID, hops, sizeFlits int, ms *Ms
 	// delay postpones the original only.
 	if frand != nil {
 		if r := m.cfg.Faults.DupRate; r > 0 && frand.Float64() < r {
-			st.Duplicated++
 			if o != nil {
 				o.EmitAt(t, stats.EvNetDup, int(src), ms.Kind, ms.Cause, uint64(dst), 0)
 			}
 			dup = m.CloneMsgAt(src, ms)
 		}
 		if r := m.cfg.Faults.DelayRate; r > 0 && frand.Float64() < r {
-			st.Delayed++
 			extra = 1 + sim.Cycles(frand.Int63n(int64(m.cfg.Faults.DelayMax)))
 			if o != nil {
 				o.EmitAt(t, stats.EvNetDelay, int(src), ms.Kind, ms.Cause, uint64(extra), 0)
@@ -941,7 +926,7 @@ func (ps *pendingSend) HandleEvent(int, any) {
 			m.engines[srcShard].InjectEventAt(ps.sendT+Base, ps.msLane, ps.msSeq, m, evNack, ps.ms)
 			deliver = false
 		} else {
-			ps.dup, ps.extra, deliver = m.inject(ps.sendT, ps.src, ps.dst, ps.hops, ps.flits, ps.ms)
+			ps.dup, ps.extra, deliver = m.inject(ps.sendT, ps.src, ps.dst, ps.flits, ps.ms)
 		}
 	}
 	if deliver {

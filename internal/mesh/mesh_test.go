@@ -108,6 +108,9 @@ func TestPathLengthMatchesHops(t *testing.T) {
 
 func TestSendDelivers(t *testing.T) {
 	eng, m := newTestMesh(4, 4, false)
+	o := stats.NewObserver(stats.ObserveConfig{})
+	o.Bind(eng.Now, stats.TraceMeta{})
+	m.SetObservers([]*stats.Observer{o})
 	var got *Msg
 	var at sim.Cycles
 	m.Attach(5, PortFunc(func(p *Msg) { got, at = p, eng.Now() }))
@@ -125,9 +128,16 @@ func TestSendDelivers(t *testing.T) {
 	if want := m.Latency(0, 5); at != want {
 		t.Fatalf("delivered at %d, want %d", at, want)
 	}
-	st := m.Stats()
-	if st.Messages != 1 || st.Hops != 2 || st.Flits != 2 {
-		t.Fatalf("stats = %+v", st)
+	// One 2-flit injection crossing two links, then one delivery.
+	var kinds []stats.EventKind
+	for _, e := range o.Events() {
+		kinds = append(kinds, e.Kind)
+		if e.Kind == stats.EvNetInject && e.B != 2 {
+			t.Fatalf("injected %d flits, want 2", e.B)
+		}
+	}
+	if want := []stats.EventKind{stats.EvNetInject, stats.EvNetHop, stats.EvNetHop, stats.EvNetDeliver}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("events %v, want %v", kinds, want)
 	}
 }
 

@@ -30,7 +30,6 @@ type Table struct {
 	slots []entry
 	shift uint8 // 32 - log2(len(slots)): the hash keeps the top bits
 	used  int   // occupied slots
-	live  int   // mapped entries
 
 	// tlbCap bounds the resident entries; head is the most and tail
 	// the least recently used, -1 when the TLB is empty.
@@ -38,11 +37,6 @@ type Table struct {
 	head, tail int32
 	resident   int
 
-	// Hits and Misses count TLB lookups; Shootdowns counts explicit
-	// TLB invalidations and flushes.
-	Hits, Misses, Shootdowns uint64
-	// Flushes counts whole-table invalidations.
-	Flushes uint64
 	// OnInstall, when non-nil, observes every mapping install — a lazy
 	// fault fill from the processor or a kernel remap (replication
 	// switching a node to its local copy). core wires it to emit
@@ -89,10 +83,8 @@ func (t *Table) Translate(p memory.VPage) (g memory.GPage, tlbHit, ok bool) {
 	i := t.find(p)
 	if i >= 0 && t.slots[i].flags&fResident != 0 {
 		t.touch(i)
-		t.Hits++
 		return t.slots[i].gpage(), true, true
 	}
-	t.Misses++
 	if i < 0 || t.slots[i].flags&fMapped == 0 {
 		return memory.GPage{}, false, false
 	}
@@ -115,10 +107,7 @@ func (t *Table) Lookup(p memory.VPage) (memory.GPage, bool) {
 func (t *Table) Install(p memory.VPage, g memory.GPage) {
 	i := t.slot(p)
 	e := &t.slots[i]
-	if e.flags&fMapped == 0 {
-		e.flags |= fMapped
-		t.live++
-	}
+	e.flags |= fMapped
 	e.node, e.page = int32(g.Node), g.Page
 	if e.flags&fResident != 0 {
 		t.touch(i)
@@ -135,13 +124,9 @@ func (t *Table) Install(p memory.VPage, g memory.GPage) {
 func (t *Table) Invalidate(p memory.VPage) {
 	if i := t.find(p); i >= 0 {
 		e := &t.slots[i]
-		if e.flags&fMapped != 0 {
-			e.flags &^= fMapped
-			t.live--
-		}
+		e.flags &^= fMapped
 		if e.flags&fResident != 0 {
 			t.evict(i)
-			t.Shootdowns++
 		}
 	}
 }
@@ -152,13 +137,8 @@ func (t *Table) Flush() {
 	for i := range t.slots {
 		t.slots[i].flags &^= fMapped | fResident
 	}
-	t.live, t.resident, t.head, t.tail = 0, 0, -1, -1
-	t.Shootdowns++
-	t.Flushes++
+	t.resident, t.head, t.tail = 0, -1, -1
 }
-
-// Len returns the number of live mappings.
-func (t *Table) Len() int { return t.live }
 
 // CountRef bumps page p's remote-reference counter and returns its new
 // value, with whether a competitive replication of p onto this node is

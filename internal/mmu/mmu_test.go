@@ -17,8 +17,8 @@ func TestLookupInstallInvalidate(t *testing.T) {
 	if !ok || got != g {
 		t.Fatalf("lookup = %v %v", got, ok)
 	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d", tbl.Len())
+	if n := mapped(tbl); n != 1 {
+		t.Fatalf("%d mappings, want 1", n)
 	}
 	// Replace.
 	g2 := memory.GPage{Node: 3, Page: 1}
@@ -39,12 +39,25 @@ func TestFlush(t *testing.T) {
 		tbl.Install(i, memory.GPage{Node: 0, Page: memory.PPage(i)})
 	}
 	tbl.Flush()
-	if tbl.Len() != 0 {
-		t.Fatalf("len after flush = %d", tbl.Len())
+	if n := mapped(tbl); n != 0 {
+		t.Fatalf("%d mappings after flush", n)
 	}
-	if tbl.Flushes != 1 {
-		t.Fatalf("flushes = %d", tbl.Flushes)
+	for i := memory.VPage(0); i < 10; i++ {
+		if _, tlbHit, ok := tbl.Translate(i); tlbHit || ok {
+			t.Fatalf("page %d translates after flush (TLB hit %v)", i, tlbHit)
+		}
 	}
+}
+
+// mapped counts the table's live mappings.
+func mapped(t *Table) int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].flags&fMapped != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCountersSurviveInvalidateFlushAndRemap(t *testing.T) {
@@ -77,8 +90,8 @@ func TestCountersSurviveInvalidateFlushAndRemap(t *testing.T) {
 	// A counter on a page never mapped here is an entry too, and
 	// making it maps nothing.
 	tbl.CountRef(9)
-	if tbl.RefCount(9) != 1 || tbl.Len() != 0 {
-		t.Fatalf("unmapped counter: refs %d len %d", tbl.RefCount(9), tbl.Len())
+	if tbl.RefCount(9) != 1 || mapped(tbl) != 0 {
+		t.Fatalf("unmapped counter: refs %d, %d mappings", tbl.RefCount(9), mapped(tbl))
 	}
 }
 
@@ -93,21 +106,26 @@ func TestSteadyStateAllocs(t *testing.T) {
 		tbl.CountRef(p)
 	}
 	var p memory.VPage
+	refillHits := 0
 	for _, c := range []struct {
 		name string
 		f    func()
 	}{
 		{"hit", func() { tbl.Translate(pages - 1) }},
-		{"refill", func() { p = (p + 1) % pages; tbl.Translate(p) }},
+		{"refill", func() {
+			p = (p + 1) % pages
+			if _, tlbHit, _ := tbl.Translate(p); tlbHit {
+				refillHits++
+			}
+		}},
 		{"count", func() { p = (p + 1) % pages; tbl.CountRef(p) }},
 	} {
-		hits := tbl.Hits
 		if n := testing.AllocsPerRun(1000, c.f); n != 0 {
 			t.Errorf("%s: %v allocs per run", c.name, n)
 		}
-		if c.name == "refill" && tbl.Hits != hits {
-			t.Errorf("refill: %d TLB hits, want none", tbl.Hits-hits)
-		}
+	}
+	if refillHits != 0 {
+		t.Errorf("refill: %d TLB hits, want none", refillHits)
 	}
 }
 
@@ -150,8 +168,8 @@ func TestReserveMatchesLazyGrowth(t *testing.T) {
 			if got, want := len(reserved[1].slots), len(lazy.slots); got != want {
 				t.Errorf("%d pages, Reserve(%d): %d slots, lazy growth reaches %d", pre, n, got, want)
 			}
-			if reserved[1].Len() != pre+n {
-				t.Errorf("%d pages, Reserve(%d): %d mappings, want %d", pre, n, reserved[1].Len(), pre+n)
+			if got := mapped(reserved[1]); got != pre+n {
+				t.Errorf("%d pages, Reserve(%d): %d mappings, want %d", pre, n, got, pre+n)
 			}
 		}
 	}

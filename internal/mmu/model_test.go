@@ -3,7 +3,8 @@ package mmu
 import "plus/internal/memory"
 
 // The reference model for Table: the implementation it replaced, kept
-// verbatim apart from names. modelTable is a Go map of mappings with a
+// verbatim apart from names and its unread hit, miss, shootdown and
+// flush counters. modelTable is a Go map of mappings with a
 // separate indexed TLB in front of it (itself pinned against a
 // linear-scan LRU when it was the production TLB), and the counters
 // and in-flight marks are the kernel's per-node maps they were.
@@ -13,7 +14,6 @@ type modelTable struct {
 	entries     map[memory.VPage]memory.GPage
 	refs        map[memory.VPage]uint64
 	replicating map[memory.VPage]bool
-	Flushes     uint64
 }
 
 func newModelTable(tlbEntries int) *modelTable {
@@ -54,7 +54,6 @@ func (t *modelTable) Invalidate(p memory.VPage) {
 func (t *modelTable) Flush() {
 	t.entries = make(map[memory.VPage]memory.GPage)
 	t.tlb.Flush()
-	t.Flushes++
 }
 
 func (t *modelTable) Len() int { return len(t.entries) }
@@ -81,11 +80,6 @@ type modelTLB struct {
 	// the TLB is empty.
 	head, tail int32
 	n          int // valid entries
-	// Hits and Misses count lookups (misses that hit the page table
-	// pay the refill cost; misses that miss it fault to the kernel).
-	Hits, Misses uint64
-	// Shootdowns counts explicit invalidations and flushes.
-	Shootdowns uint64
 }
 
 type modelSlot struct {
@@ -107,10 +101,8 @@ func newModelTLB(entries int) *modelTLB {
 func (t *modelTLB) Lookup(vp memory.VPage) (memory.GPage, bool) {
 	if i := t.find(vp); i >= 0 {
 		t.touch(i)
-		t.Hits++
 		return t.slots[i].g, true
 	}
-	t.Misses++
 	return memory.NilGPage, false
 }
 
@@ -147,7 +139,6 @@ func (t *modelTLB) Insert(vp memory.VPage, g memory.GPage) {
 func (t *modelTLB) Invalidate(vp memory.VPage) {
 	if i := t.find(vp); i >= 0 {
 		t.remove(i)
-		t.Shootdowns++
 	}
 }
 
@@ -155,7 +146,6 @@ func (t *modelTLB) Invalidate(vp memory.VPage) {
 func (t *modelTLB) Flush() {
 	clear(t.slots)
 	t.head, t.tail, t.n = -1, -1, 0
-	t.Shootdowns++
 }
 
 // Len returns the number of valid entries.

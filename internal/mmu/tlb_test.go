@@ -20,9 +20,6 @@ func TestTLBHitMiss(t *testing.T) {
 	if !tlbHit || got != g {
 		t.Fatalf("translate = %v %v", got, tlbHit)
 	}
-	if tbl.Hits != 1 || tbl.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", tbl.Hits, tbl.Misses)
-	}
 }
 
 func TestTLBLRUEviction(t *testing.T) {
@@ -52,8 +49,8 @@ func TestTLBInsertReplacesInPlace(t *testing.T) {
 	if !tlbHit || got != nw {
 		t.Fatalf("translate after remap = %v", got)
 	}
-	if tbl.resident != 1 || tbl.Len() != 1 {
-		t.Fatalf("duplicate entries: resident = %d, len = %d", tbl.resident, tbl.Len())
+	if tbl.resident != 1 || mapped(tbl) != 1 {
+		t.Fatalf("duplicate entries: resident = %d, mappings = %d", tbl.resident, mapped(tbl))
 	}
 }
 
@@ -70,8 +67,8 @@ func TestTLBInvalidateAndFlush(t *testing.T) {
 	if tbl.resident != 0 {
 		t.Fatal("flush left entries")
 	}
-	if tbl.Shootdowns != 2 {
-		t.Fatalf("shootdowns = %d", tbl.Shootdowns)
+	if _, tlbHit, ok := tbl.Translate(2); tlbHit || ok {
+		t.Fatal("flushed entry hit")
 	}
 }
 
@@ -128,8 +125,9 @@ func TestTLBConsistencyProperty(t *testing.T) {
 // map-plus-TLB reference model (model_test.go) through the same seeded
 // stream of installs (new pages and remaps), translations (TLB hits,
 // refills and misses), invalidations, flushes, reservations and counter
-// bumps, reads and resets, comparing every result and counter after
-// every operation.
+// bumps, reads and resets, comparing every Translate result (TLB hit
+// flag included) and every counter, and after every operation the
+// Lookup of the page it touched and the mapped and resident counts.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -201,12 +199,14 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					got.Flush()
 					want.Flush()
 				}
-				if got.Hits != want.tlb.Hits || got.Misses != want.tlb.Misses ||
-					got.Shootdowns != want.tlb.Shootdowns || got.resident != want.tlb.Len() ||
-					got.Len() != want.Len() || got.Flushes != want.Flushes {
-					t.Fatalf("cap %d seed %d op %d (%s %d): hits/misses/shootdowns/resident/len/flushes = %d/%d/%d/%d/%d/%d, model %d/%d/%d/%d/%d/%d",
-						capacity, seed, op, what, vp, got.Hits, got.Misses, got.Shootdowns, got.resident, got.Len(), got.Flushes,
-						want.tlb.Hits, want.tlb.Misses, want.tlb.Shootdowns, want.tlb.Len(), want.Len(), want.Flushes)
+				g1, ok1 := got.Lookup(vp)
+				if g2, ok2 := want.Lookup(vp); g1 != g2 || ok1 != ok2 {
+					t.Fatalf("cap %d seed %d op %d (%s %d): Lookup = %v %v, model %v %v",
+						capacity, seed, op, what, vp, g1, ok1, g2, ok2)
+				}
+				if got.resident != want.tlb.Len() || mapped(got) != want.Len() {
+					t.Fatalf("cap %d seed %d op %d (%s %d): resident/mapped = %d/%d, model %d/%d",
+						capacity, seed, op, what, vp, got.resident, mapped(got), want.tlb.Len(), want.Len())
 				}
 				if c1, c2 := got.RefCount(vp), want.refs[vp]; c1 != c2 {
 					t.Fatalf("cap %d seed %d op %d (%s %d): RefCount = %d, model %d",

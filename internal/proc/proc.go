@@ -653,8 +653,7 @@ func (t *Thread) advance() bool {
 			}
 		case stepRead:
 			t.opCompleted = false
-			p.cm.Read(t.g, t.readDone)
-			t.cause = p.cm.LastCause()
+			t.cause = p.cm.Read(t.g, t.readDone)
 			t.stalled = 0
 			t.step = stepReadDone
 			if !t.opCompleted {
@@ -684,8 +683,7 @@ func (t *Thread) advance() bool {
 			t.step = stepDone
 		case stepWrite:
 			t.opCompleted = false
-			p.cm.Write(t.g, c.v, t.opDone)
-			t.cause = p.cm.LastCause()
+			t.cause = p.cm.Write(t.g, c.v, t.opDone)
 			t.step = stepWriteIssue
 			if !t.opCompleted {
 				t.stall(stats.StallWrite, stepWriteIssue)

@@ -9,21 +9,18 @@ import (
 	"plus/internal/sim"
 )
 
-// ObservedRun packages one machine's observability output for the
-// exporters: the event stream, samples, histograms, and the topology
-// they refer to.
+// ObservedRun names one machine's observer for the exporters, which
+// read its ring, samples, histograms and topology in place: a view,
+// not a copy.
 type ObservedRun struct {
-	Name    string    `json:"name"`
-	Meta    TraceMeta `json:"meta"`
-	Events  []Event   `json:"-"`
-	Samples []Sample  `json:"samples,omitempty"`
-	Metrics Metrics   `json:"metrics"`
+	Name string
+	*Observer
 	// Marks are named annotations pinned to cycles, rendered on a
 	// dedicated per-run track (only present when non-empty, so
 	// unannotated exports are unchanged). Analysis layers above stats —
 	// e.g. the race detector — attach their findings here without stats
 	// needing to know about them.
-	Marks []Mark `json:"marks,omitempty"`
+	Marks []Mark
 }
 
 // Mark is one annotation: an instant with a label and free-form args.
@@ -31,17 +28,6 @@ type Mark struct {
 	Name string         `json:"name"`
 	At   sim.Cycles     `json:"at"`
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// ObservedRunFrom snapshots an observer into an exportable run record.
-func ObservedRunFrom(name string, o *Observer) ObservedRun {
-	return ObservedRun{
-		Name:    name,
-		Meta:    o.Meta(),
-		Events:  o.Events(),
-		Samples: o.Samples(),
-		Metrics: o.Metrics,
-	}
 }
 
 // cycleMicros converts simulator cycles to trace microseconds: the
@@ -111,8 +97,9 @@ func ChromeTrace(w io.Writer, runs []ObservedRun) error {
 func chromeEvents(runs []ObservedRun, emit func(chromeEvent)) {
 	base := 1
 	for _, run := range runs {
-		nodes := run.Meta.Nodes
-		links := len(run.Meta.Links)
+		meta := run.Meta()
+		nodes := meta.Nodes
+		links := len(meta.Links)
 		nodePid := func(n int) int { return base + n }
 		linkPid := func(l int) int { return base + nodes + l }
 
@@ -126,12 +113,12 @@ func chromeEvents(runs []ObservedRun, emit func(chromeEvent)) {
 		}
 		for l := 0; l < links; l++ {
 			emit(chromeEvent{Name: "process_name", Ph: "M", Pid: linkPid(l),
-				Args: map[string]any{"name": fmt.Sprintf("%s link %s", run.Name, run.Meta.Links[l])}})
+				Args: map[string]any{"name": fmt.Sprintf("%s link %s", run.Name, meta.Links[l])}})
 			emit(chromeEvent{Name: "process_sort_index", Ph: "M", Pid: linkPid(l),
 				Args: map[string]any{"sort_index": linkPid(l)}})
 		}
 
-		for _, e := range run.Events {
+		for e := range run.All() {
 			ts := float64(e.At) * cycleMicros
 			switch e.Kind {
 			case EvStallEnd:
@@ -174,7 +161,7 @@ func chromeEvents(runs []ObservedRun, emit func(chromeEvent)) {
 			}
 		}
 
-		for _, s := range run.Samples {
+		for _, s := range run.Samples() {
 			ts := float64(s.At) * cycleMicros
 			for l, u := range s.LinkUtil {
 				if l >= links {

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"strings"
 
@@ -218,15 +219,26 @@ func (r *Ring) Overwritten() uint64 {
 	return r.n - uint64(len(r.buf))
 }
 
+// All yields the held events oldest-first, read in place.
+func (r *Ring) All() iter.Seq[Event] {
+	return func(yield func(Event) bool) {
+		for i := r.n - min(r.n, uint64(len(r.buf))); i < r.n; i++ {
+			if !yield(r.buf[i&r.mask]) {
+				return
+			}
+		}
+	}
+}
+
 // Events returns the held events oldest-first (a copy).
 func (r *Ring) Events() []Event {
-	if r.n <= uint64(len(r.buf)) {
-		return append([]Event(nil), r.buf[:r.n]...)
+	var out []Event
+	if r.n > 0 {
+		out = make([]Event, 0, min(r.n, uint64(len(r.buf))))
 	}
-	out := make([]Event, len(r.buf))
-	head := int(r.n & r.mask) // index of the oldest event
-	copy(out, r.buf[head:])
-	copy(out[len(r.buf)-head:], r.buf[:head])
+	for e := range r.All() {
+		out = append(out, e)
+	}
 	return out
 }
 
@@ -358,8 +370,12 @@ func (o *Observer) CauseFor(node int) uint64 {
 	return uint64(node+1)<<40 | o.causeBy[node]
 }
 
-// Events returns the recorded events oldest-first.
+// Events returns the recorded events oldest-first (a copy).
 func (o *Observer) Events() []Event { return o.ring.Events() }
+
+// All yields the recorded events oldest-first, read in place: the
+// exporters' view of the ring.
+func (o *Observer) All() iter.Seq[Event] { return o.ring.All() }
 
 // Overwritten returns how many events the ring overwrote.
 func (o *Observer) Overwritten() uint64 { return o.ring.Overwritten() }
@@ -394,7 +410,7 @@ func (o *Observer) Samples() []Sample { return o.samples }
 // overwrite note when the ring wrapped.
 func (o *Observer) Dump() string {
 	var b strings.Builder
-	for _, e := range o.ring.Events() {
+	for e := range o.ring.All() {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}

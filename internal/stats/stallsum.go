@@ -16,7 +16,7 @@ func StallSummary(runs []ObservedRun) string {
 	classTotal := map[string]uint64{}
 	var total uint64
 	for _, run := range runs {
-		for _, e := range run.Events {
+		for e := range run.All() {
 			if e.Kind != EvStallEnd {
 				continue
 			}

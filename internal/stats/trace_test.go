@@ -170,7 +170,7 @@ func TestChromeTraceExportAndValidate(t *testing.T) {
 	o.AddSample(Sample{At: 32, LinkUtil: []float64{0.5, 0}, LinkDepth: []sim.Cycles{4, 0},
 		NodeBusy: []sim.Cycles{10, 0}})
 	var buf bytes.Buffer
-	if err := ChromeTrace(&buf, []ObservedRun{ObservedRunFrom("t", o)}); err != nil {
+	if err := ChromeTrace(&buf, []ObservedRun{{Name: "t", Observer: o}}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -239,40 +239,48 @@ func TestChromeTraceStreamsWholeEncoding(t *testing.T) {
 	meta := TraceMeta{Nodes: 3, MeshWidth: 3, MeshHeight: 1,
 		Links: []string{"0->1E", "1->0W", "1->2E", "2->1W"}}
 	rng := rand.New(rand.NewSource(7))
+	// view is a run over a fresh 512-event observer, bound to meta
+	// unless it is nil.
+	view := func(name string, meta *TraceMeta) ObservedRun {
+		o := NewObserver(ObserveConfig{Events: 512})
+		if meta != nil {
+			o.Bind(nil, *meta)
+		}
+		return ObservedRun{Name: name, Observer: o}
+	}
 	busy := func() ObservedRun {
-		run := ObservedRun{Name: "busy <&>", Meta: meta}
+		run := view("busy <&>", &meta)
 		for i := 0; i < 500; i++ {
-			run.Events = append(run.Events, Event{
-				At: sim.Cycles(rng.Intn(1 << 20)), Cause: rng.Uint64() >> rng.Intn(64),
-				A: uint64(rng.Intn(6)) - 1, B: rng.Uint64() >> rng.Intn(64),
-				Kind: EventKind(1 + rng.Intn(int(evKinds)-1)), Sub: uint8(rng.Intn(5)),
-				Node: int16(rng.Intn(meta.Nodes)),
-			})
+			run.EmitAt(sim.Cycles(rng.Intn(1<<20)), EventKind(1+rng.Intn(int(evKinds)-1)),
+				rng.Intn(meta.Nodes), uint8(rng.Intn(5)), rng.Uint64()>>rng.Intn(64),
+				uint64(rng.Intn(6))-1, rng.Uint64()>>rng.Intn(64))
 		}
 		for i := 0; i < 20; i++ {
-			run.Samples = append(run.Samples, Sample{At: sim.Cycles(1000 * i),
+			run.AddSample(Sample{At: sim.Cycles(1000 * i),
 				LinkUtil:  []float64{rng.Float64(), 0, 1.0 / 3, 1e-9},
 				LinkDepth: []sim.Cycles{sim.Cycles(i), 0, 7},
 				NodeBusy:  []sim.Cycles{sim.Cycles(i), 1, 2}, NodeReadStall: []sim.Cycles{3},
 				NodeWriteStall: []sim.Cycles{4, 5}, NodeFenceStall: []sim.Cycles{6, 7, 8},
 				NodeVerifyStall: []sim.Cycles{9}})
 		}
-		run.Samples = append(run.Samples, Sample{At: 30000})
+		run.AddSample(Sample{At: 30000})
 		run.Marks = []Mark{
 			{Name: "race a<->b", At: 12, Args: map[string]any{"addr": "0x40 & 0x44", "n": 2, "f": 0.5}},
 			{Name: "plain", At: 40},
 		}
 		return run
 	}
+	marksOnly := view("m", nil)
+	marksOnly.Marks = []Mark{{Name: "x", At: 1}}
 	for _, tc := range []struct {
 		name string
 		runs []ObservedRun
 	}{
 		{"no runs", nil},
-		{"no tracks", []ObservedRun{{Name: "empty"}}},
-		{"no events", []ObservedRun{{Name: "idle", Meta: meta}}},
-		{"marks only", []ObservedRun{{Name: "m", Marks: []Mark{{Name: "x", At: 1}}}}},
-		{"busy", []ObservedRun{busy(), {Name: "idle", Meta: meta}, busy()}},
+		{"no tracks", []ObservedRun{view("empty", nil)}},
+		{"no events", []ObservedRun{view("idle", &meta)}},
+		{"marks only", []ObservedRun{marksOnly}},
+		{"busy", []ObservedRun{busy(), view("idle", &meta), busy()}},
 	} {
 		want, err := chromeTraceWhole(tc.runs)
 		if err != nil {
@@ -294,7 +302,7 @@ func TestStallSummary(t *testing.T) {
 	o.Bind(func() sim.Cycles { return 100 }, TraceMeta{Nodes: 2})
 	o.Emit(EvStallEnd, 0, StallRead, 1, 0, 60)
 	o.Emit(EvStallEnd, 1, StallWrite, 2, 0, 40)
-	s := StallSummary([]ObservedRun{ObservedRunFrom("r", o)})
+	s := StallSummary([]ObservedRun{{Name: "r", Observer: o}})
 	for _, want := range []string{"r;n0;read 60", "r;n1;write 40"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("summary missing %q:\n%s", want, s)

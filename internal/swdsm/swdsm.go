@@ -24,9 +24,9 @@
 //     memory access.
 //
 // Each fault charges SoftwareFault cycles at the faulting node (trap,
-// kernel entry, message construction) plus the configured handling
-// cost at each participating node, plus page transfer time over the
-// mesh — all parameters in Config.
+// kernel entry, message construction) plus ServiceCost at each
+// participating node, plus page transfer time over the mesh — all
+// package constants.
 package swdsm
 
 import (
@@ -37,36 +37,28 @@ import (
 	"plus/internal/sim"
 )
 
-// Config sets the software-DSM cost model.
+// The cost model, scaled to the 25 MHz PLUS node.
+const (
+	// SoftwareFault is the per-fault kernel overhead at the faulting
+	// node: trap, page-fault handler, request construction. The paper
+	// cites "a few milliseconds on one-VAX-MIP machines"; 25000 cycles
+	// is 1 ms.
+	SoftwareFault sim.Cycles = 25000
+	// ServiceCost is the software handling cost at the manager/owner
+	// for each protocol message (100 µs).
+	ServiceCost sim.Cycles = 2500
+	// PageTransfer is the time to ship one 4 KB page over a link: 1024
+	// words at 2 cycles/word, matching the mesh flit time.
+	PageTransfer sim.Cycles = 2048
+	// LocalAccess is a memory access that hits with sufficient rights,
+	// the same as PLUS's local memory read.
+	LocalAccess sim.Cycles = 6
+)
+
+// Config sets the software-DSM machine's geometry.
 type Config struct {
 	// MeshW, MeshH give the node grid (latencies shared with PLUS).
 	MeshW, MeshH int
-	// SoftwareFault is the per-fault kernel overhead at the faulting
-	// node: trap, page-fault handler, request construction. The paper
-	// cites "a few milliseconds on one-VAX-MIP machines"; scaled to
-	// the 25 MHz PLUS node we default to 25000 cycles (1 ms).
-	SoftwareFault sim.Cycles
-	// ServiceCost is the software handling cost at the manager/owner
-	// for each protocol message (default 2500 cycles — 100 µs).
-	ServiceCost sim.Cycles
-	// PageTransfer is the time to ship one 4 KB page over a link
-	// (default 2048 cycles — 1024 words at 2 cycles/word, matching the
-	// mesh flit time).
-	PageTransfer sim.Cycles
-	// LocalAccess is a memory access that hits with sufficient rights
-	// (default 6, same as PLUS's local memory read).
-	LocalAccess sim.Cycles
-}
-
-// DefaultConfig returns the scaled cost model described above.
-func DefaultConfig(w, h int) Config {
-	return Config{
-		MeshW: w, MeshH: h,
-		SoftwareFault: 25000,
-		ServiceCost:   2500,
-		PageTransfer:  2048,
-		LocalAccess:   6,
-	}
 }
 
 type access int
@@ -89,9 +81,7 @@ type pageState struct {
 // clock per operation rather than run a message-level event loop — the
 // latencies still come from the same mesh model.
 type Machine struct {
-	cfg   Config
 	net   *mesh.Mesh
-	eng   *sim.Engine
 	pages map[memory.VPage]*pageState
 	// rights[node][page] is the node's current access level.
 	rights []map[memory.VPage]access
@@ -107,13 +97,10 @@ type Machine struct {
 
 // New builds a software-DSM machine.
 func New(cfg Config) *Machine {
-	eng := sim.NewEngine()
-	net := mesh.New(eng, mesh.DefaultConfig(cfg.MeshW, cfg.MeshH))
+	net := mesh.New(sim.NewEngine(), mesh.DefaultConfig(cfg.MeshW, cfg.MeshH))
 	n := cfg.MeshW * cfg.MeshH
 	m := &Machine{
-		cfg:    cfg,
 		net:    net,
-		eng:    eng,
 		pages:  make(map[memory.VPage]*pageState),
 		rights: make([]map[memory.VPage]access, n),
 		data:   make(map[memory.VPage][]memory.Word),
@@ -153,7 +140,7 @@ func (m *Machine) Read(node mesh.NodeID, va memory.VAddr) memory.Word {
 	if m.rights[node][vp] == accessNone {
 		m.readFault(node, vp, st)
 	}
-	m.clock[node] += m.cfg.LocalAccess
+	m.clock[node] += LocalAccess
 	return m.data[vp][va.Offset()]
 }
 
@@ -167,7 +154,7 @@ func (m *Machine) Write(node mesh.NodeID, va memory.VAddr, v memory.Word) {
 	if m.rights[node][vp] != accessWrite {
 		m.writeFault(node, vp, st)
 	}
-	m.clock[node] += m.cfg.LocalAccess
+	m.clock[node] += LocalAccess
 	m.data[vp][va.Offset()] = v
 }
 
@@ -175,10 +162,10 @@ func (m *Machine) Write(node mesh.NodeID, va memory.VAddr, v memory.Word) {
 func (m *Machine) readFault(node mesh.NodeID, vp memory.VPage, st *pageState) {
 	m.ReadFaults++
 	c := &m.clock[node]
-	*c += m.cfg.SoftwareFault
-	*c += m.oneWay(node, st.manager) + m.cfg.ServiceCost // request to manager
-	*c += m.oneWay(st.manager, st.owner) + m.cfg.ServiceCost
-	*c += m.oneWay(st.owner, node) + m.cfg.PageTransfer // page ships back
+	*c += SoftwareFault
+	*c += m.oneWay(node, st.manager) + ServiceCost // request to manager
+	*c += m.oneWay(st.manager, st.owner) + ServiceCost
+	*c += m.oneWay(st.owner, node) + PageTransfer // page ships back
 	m.PageTransfers++
 	// Owner demotes to reader; faulting node gains read access.
 	m.rights[st.owner][vp] = accessRead
@@ -192,8 +179,8 @@ func (m *Machine) readFault(node mesh.NodeID, vp memory.VPage, st *pageState) {
 func (m *Machine) writeFault(node mesh.NodeID, vp memory.VPage, st *pageState) {
 	m.WriteFaults++
 	c := &m.clock[node]
-	*c += m.cfg.SoftwareFault
-	*c += m.oneWay(node, st.manager) + m.cfg.ServiceCost
+	*c += SoftwareFault
+	*c += m.oneWay(node, st.manager) + ServiceCost
 	// Invalidations fan out from the manager; the fault completes after
 	// the slowest acknowledgement.
 	var worst sim.Cycles
@@ -202,7 +189,7 @@ func (m *Machine) writeFault(node mesh.NodeID, vp memory.VPage, st *pageState) {
 			continue
 		}
 		m.Invalidations++
-		rt := 2*m.oneWay(st.manager, reader) + m.cfg.ServiceCost
+		rt := 2*m.oneWay(st.manager, reader) + ServiceCost
 		if rt > worst {
 			worst = rt
 		}
@@ -210,8 +197,8 @@ func (m *Machine) writeFault(node mesh.NodeID, vp memory.VPage, st *pageState) {
 	}
 	if st.owner != node {
 		m.rights[st.owner][vp] = accessNone
-		rt := m.oneWay(st.manager, st.owner) + m.cfg.ServiceCost +
-			m.oneWay(st.owner, node) + m.cfg.PageTransfer
+		rt := m.oneWay(st.manager, st.owner) + ServiceCost +
+			m.oneWay(st.owner, node) + PageTransfer
 		if rt > worst {
 			worst = rt
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLocalHitsAreCheap(t *testing.T) {
-	m := New(DefaultConfig(2, 1))
+	m := New(Config{MeshW: 2, MeshH: 1})
 	m.Alloc(0, 0)
 	m.Write(0, 5, 42)
 	if got := m.Read(0, 5); got != 42 {
@@ -16,13 +16,13 @@ func TestLocalHitsAreCheap(t *testing.T) {
 	if m.ReadFaults+m.WriteFaults != 0 {
 		t.Fatal("owner faulted on its own page")
 	}
-	if m.Elapsed() != 2*DefaultConfig(2, 1).LocalAccess {
+	if m.Elapsed() != 2*LocalAccess {
 		t.Fatalf("elapsed = %d", m.Elapsed())
 	}
 }
 
 func TestReadFaultShipsPage(t *testing.T) {
-	cfg := DefaultConfig(2, 1)
+	cfg := Config{MeshW: 2, MeshH: 1}
 	m := New(cfg)
 	m.Alloc(0, 0)
 	m.Write(0, 3, 9)
@@ -33,7 +33,7 @@ func TestReadFaultShipsPage(t *testing.T) {
 		t.Fatalf("faults=%d transfers=%d", m.ReadFaults, m.PageTransfers)
 	}
 	// Node 1's clock carries the big software overhead.
-	if m.Elapsed() < cfg.SoftwareFault {
+	if m.Elapsed() < SoftwareFault {
 		t.Fatalf("elapsed %d below the software fault cost", m.Elapsed())
 	}
 	// Second read: hit.
@@ -45,7 +45,7 @@ func TestReadFaultShipsPage(t *testing.T) {
 }
 
 func TestWriteFaultInvalidatesReaders(t *testing.T) {
-	m := New(DefaultConfig(4, 1))
+	m := New(Config{MeshW: 4, MeshH: 1})
 	m.Alloc(0, 0)
 	m.Write(0, 0, 1)
 	m.Read(1, 0) // nodes 1, 2 become readers
@@ -65,7 +65,7 @@ func TestWriteFaultInvalidatesReaders(t *testing.T) {
 }
 
 func TestWriteWriteMigratesOwnership(t *testing.T) {
-	m := New(DefaultConfig(2, 1))
+	m := New(Config{MeshW: 2, MeshH: 1})
 	m.Alloc(0, 0)
 	for i := 0; i < 5; i++ {
 		m.Write(0, 0, memory.Word(uint32(i)))
@@ -83,7 +83,7 @@ func TestWriteWriteMigratesOwnership(t *testing.T) {
 func TestSequentialConsistencyOfValues(t *testing.T) {
 	// Single-writer protocol: the last writer's value is what every
 	// later reader sees, fault or hit.
-	m := New(DefaultConfig(4, 1))
+	m := New(Config{MeshW: 4, MeshH: 1})
 	m.Alloc(2, 0)
 	m.Write(2, 10, 5)
 	if m.Read(0, 10) != 5 || m.Read(1, 10) != 5 {
@@ -96,7 +96,7 @@ func TestSequentialConsistencyOfValues(t *testing.T) {
 }
 
 func TestDoubleAllocPanics(t *testing.T) {
-	m := New(DefaultConfig(2, 1))
+	m := New(Config{MeshW: 2, MeshH: 1})
 	m.Alloc(0, 0)
 	defer func() {
 		if recover() == nil {

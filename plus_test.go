@@ -129,7 +129,7 @@ func TestMachineStatsAccessors(t *testing.T) {
 	if st.Nodes[0].RemoteReads != 10 {
 		t.Fatalf("remote reads = %d", st.Nodes[0].RemoteReads)
 	}
-	if st.Messages() == 0 || m.Mesh().Stats().Messages == 0 {
+	if st.Messages() == 0 {
 		t.Fatal("no network traffic recorded")
 	}
 	if m.Utilization() <= 0 {
