@@ -91,16 +91,24 @@ trace-equiv:
 # trace the order of its EvAccRMW/EvAccVerify events and its race
 # marks. Last, every quick sweep's JSON rows
 # (-exp all) are compared with the host-time "wall_ms" and "speedup"
-# lines filtered out.
+# lines filtered out. Each plussim workload's -stats report at four
+# processors pins the per-node counters of the workloads the sweeps
+# do not run (prodsys, sor, synth) and of sssp and beam run alone.
 # Usage: make parent-equiv BASE=<rev>
 PARENT_EQUIV_DIR ?= /tmp/plus-parent-equiv
+PLUSSIM_WORKLOADS = sssp beam prodsys sor synth
 parent-equiv:
 	@test -n "$(BASE)" || { echo "usage: make parent-equiv BASE=<rev>"; exit 2; }
 	@set -e; d=$(PARENT_EQUIV_DIR); rm -rf $$d; mkdir -p $$d/src; \
 	git archive $(BASE) | tar -x -C $$d/src; \
-	(cd $$d/src && $(GO) build -o $$d/base ./cmd/plusbench); \
+	(cd $$d/src && $(GO) build -o $$d/base ./cmd/plusbench && \
+		$(GO) build -o $$d/base-plussim ./cmd/plussim); \
 	$(GO) build -o $$d/change ./cmd/plusbench; \
+	$(GO) build -o $$d/change-plussim ./cmd/plussim; \
 	for b in base change; do \
+		for w in $(PLUSSIM_WORKLOADS); do \
+			$$d/$$b-plussim -workload $$w -procs 4 -stats > $$d/$$b-plussim-$$w.txt; \
+		done; \
 		$$d/$$b -quick -exp kvserve-sweep -trace-events 65536 \
 			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
@@ -123,7 +131,7 @@ parent-equiv:
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \
 		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt races.json \
-		all.json; do \
+		all.json $(PLUSSIM_WORKLOADS:%=plussim-%.txt); do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \
 	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"
@@ -206,7 +214,7 @@ kvserve-smoke:
 # (-validate defaults on) and exit nonzero on a mismatch; synth has no
 # reference and only has to run.
 plussim-smoke:
-	@for w in sssp beam prodsys sor synth; do \
+	@for w in $(PLUSSIM_WORKLOADS); do \
 		$(GO) run ./cmd/plussim -workload $$w -procs 4 >/dev/null || exit 1; \
 	done
 

@@ -77,7 +77,7 @@ func RaceReportFor(p RaceProgram, shards int) (*trace.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.Analyze(p.Name, o.Events(), o.Overwritten()), nil
+	return trace.Analyze(p.Name, o.All(), o.Overwritten()), nil
 }
 
 // RaceOutcome is one -races row: the report plus the pass/fail verdict
@@ -102,7 +102,7 @@ func RunRaceCorpus() (outcomes []RaceOutcome, ok bool, err error) {
 		if rerr != nil {
 			return nil, false, rerr
 		}
-		rep := trace.Analyze(p.Name, o.Events(), o.Overwritten())
+		rep := trace.Analyze(p.Name, o.All(), o.Overwritten())
 		expect := "clean"
 		if p.Racy {
 			expect = "racy"

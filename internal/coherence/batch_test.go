@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"plus/internal/memory"
@@ -272,7 +273,7 @@ func TestRetriedWriteAcceptedBeforeIssue(t *testing.T) {
 			t.Fatalf("depth %d: accepted=%v, %d writes pending", depth, accepted, w.PendingCount())
 		}
 		dispatch, issue := -1, -1
-		for i, e := range o.Events() {
+		for i, e := range slices.Collect(o.All()) {
 			switch {
 			case e.Kind == stats.EvDispatch:
 				dispatch = i

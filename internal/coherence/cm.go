@@ -658,7 +658,7 @@ func (cm *CM) PageCopy(src memory.PPage, dst memory.GPage, done func()) {
 	}
 	m := cm.newMsg(kPageCopy, cm.self, 0)
 	m.Page = dst.Page
-	m.Data = append(m.Data[:0], cm.mem.Page(src)...)
+	m.Data = cm.mem.Snapshot(src, m.Data[:0])
 	m.Done = done
 	if o := cm.obs(); o != nil {
 		m.Cause = o.CauseFor(int(cm.self))
@@ -860,8 +860,9 @@ func (cm *CM) ackOrigin(m *mesh.Msg) {
 // the copy-list in the message in hand; m.ID is the originator's slot,
 // m.Pid its pending-writes entry (0 for delayed-read).
 func (cm *CM) execRMW(m *mesh.Msg) {
-	result, ws := exec(Op(m.Op), cm.mem.Page(m.Page), m.Off, m.Val, timing.MaxQueueSize, m.Writes[:0])
+	result, ws := exec(Op(m.Op), cm.mem, m.Page, m.Off, m.Val, timing.MaxQueueSize, m.Writes[:0])
 	m.Writes = ws
+	cm.applyWrites(m.Page, ws)
 	cm.node().RMWExecuted++
 	if o := cm.obs(); o != nil {
 		o.Emit(stats.EvRMWExec, int(cm.self), m.Op, m.Cause, uint64(m.Page), uint64(len(ws)))
@@ -1032,7 +1033,7 @@ func (cm *CM) Deliver(m *mesh.Msg) {
 		// this install then overwrites them (ROADMAP item 1(a)). The
 		// copy engine's word time delays only the completion signal
 		// (mapping switch).
-		copy(cm.mem.Page(m.Page), m.Data)
+		cm.mem.Install(m.Page, m.Data)
 		cm.node().PagesCopied++
 		cm.eng.ScheduleEvent(sim.Cycles(memory.PageWords)*timing.PageCopyPerWord, cm, ckPageDone, m)
 	default:

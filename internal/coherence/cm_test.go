@@ -687,7 +687,7 @@ func TestIssueReturnsCause(t *testing.T) {
 	r.eng.Run()
 
 	var issued, reads []uint64
-	for _, e := range o.Events() {
+	for e := range o.All() {
 		switch e.Kind {
 		case stats.EvWriteIssue:
 			issued = append(issued, e.Cause)

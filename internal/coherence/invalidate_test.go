@@ -231,7 +231,7 @@ func TestInvalidateMissTraced(t *testing.T) {
 	}
 	issues := map[uint64]stats.Event{}
 	pairs := 0
-	for _, e := range o.Events() {
+	for e := range o.All() {
 		if e.Node != 2 {
 			continue
 		}

@@ -94,60 +94,50 @@ func (o Op) ExecCycles() sim.Cycles {
 // IsRead reports whether the operation modifies no memory.
 func (o Op) IsRead() bool { return o == OpDelayedRead }
 
-// exec applies op atomically to the master copy stored in page (the
-// backing slice of the master's frame) and returns the value sent back
-// to the originator plus the word writes to propagate to the other
-// copies. maxQueue is the hardware queue wrap modulus. The writes are
-// appended to buf (typically the pooled message's recycled Writes
-// slice) so the hot path allocates nothing once capacities warm up;
-// operations that modify no memory return buf unchanged (length 0 when
-// the caller passed an empty buffer).
-func exec(op Op, page []memory.Word, off uint32, operand memory.Word, maxQueue int, buf []wordWrite) (memory.Word, []wordWrite) {
+// exec performs op atomically against the master copy, frame p of
+// mem, and returns the value sent back to the originator plus the word
+// writes that carry the modification. It only reads: the master
+// applies the writes through applyWrites like every other copy, which
+// is exact because no operation reads a word after writing it (a queue
+// index equal to off is read before either write). maxQueue is the
+// hardware queue wrap modulus. The writes are appended to buf
+// (typically the pooled message's recycled Writes slice) so the hot
+// path allocates nothing once capacities warm up; operations that
+// modify no memory return buf unchanged (length 0 when the caller
+// passed an empty buffer).
+func exec(op Op, mem *memory.Memory, p memory.PPage, off uint32, operand memory.Word, maxQueue int, buf []wordWrite) (memory.Word, []wordWrite) {
 	off &= memory.OffMask
-	old := page[off]
+	old := mem.Read(p, off)
 	switch op {
 	case OpXchng:
-		page[off] = operand
 		return old, append(buf, wordWrite{Off: off, Val: operand})
 	case OpCondXchng:
 		if old&memory.TopBit != 0 {
-			page[off] = operand
 			return old, append(buf, wordWrite{Off: off, Val: operand})
 		}
 		return old, buf
 	case OpFadd:
-		nv := memory.Word(uint32(old) + uint32(operand))
-		page[off] = nv
-		return old, append(buf, wordWrite{Off: off, Val: nv})
+		return old, append(buf, wordWrite{Off: off, Val: memory.Word(uint32(old) + uint32(operand))})
 	case OpFetchSet:
-		nv := old | memory.TopBit
-		page[off] = nv
-		return old, append(buf, wordWrite{Off: off, Val: nv})
+		return old, append(buf, wordWrite{Off: off, Val: old | memory.TopBit})
 	case OpQueue:
-		tail := uint32(page[off]) % uint32(maxQueue)
-		slot := page[tail]
+		tail := uint32(old) % uint32(maxQueue)
+		slot := mem.Read(p, tail)
 		if slot&memory.TopBit != 0 {
 			return slot, buf // queue full: slot still occupied
 		}
-		nv := operand | memory.TopBit
-		page[tail] = nv
 		nt := memory.Word((tail + 1) % uint32(maxQueue))
-		page[off] = nt
-		return slot, append(buf, wordWrite{Off: tail, Val: nv}, wordWrite{Off: off, Val: nt})
+		return slot, append(buf, wordWrite{Off: tail, Val: operand | memory.TopBit}, wordWrite{Off: off, Val: nt})
 	case OpDequeue:
-		head := uint32(page[off]) % uint32(maxQueue)
-		slot := page[head]
+		head := uint32(old) % uint32(maxQueue)
+		slot := mem.Read(p, head)
 		if slot&memory.TopBit == 0 {
 			return slot, buf // queue empty: slot not occupied
 		}
-		nv := slot &^ memory.TopBit
-		page[head] = nv
 		nh := memory.Word((head + 1) % uint32(maxQueue))
-		page[off] = nh
-		return slot, append(buf, wordWrite{Off: head, Val: nv}, wordWrite{Off: off, Val: nh})
+		return slot, append(buf, wordWrite{Off: head, Val: slot &^ memory.TopBit}, wordWrite{Off: off, Val: nh})
 	case OpMinXchng:
 		if uint32(operand) < uint32(old) {
-			page[off] = operand
 			return old, append(buf, wordWrite{Off: off, Val: operand})
 		}
 		return old, buf

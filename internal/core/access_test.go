@@ -46,14 +46,14 @@ func TestDataAccessOffIsInvisible(t *testing.T) {
 
 	var offDump, onProtocolDump strings.Builder
 	accessSeen := 0
-	for _, e := range off.Events() {
+	for e := range off.All() {
 		if isAccessEvent(e.Kind) {
 			t.Fatalf("DataAccess off recorded %v", e.Kind)
 		}
 		offDump.WriteString(e.String())
 		offDump.WriteByte('\n')
 	}
-	for _, e := range on.Events() {
+	for e := range on.All() {
 		if isAccessEvent(e.Kind) {
 			accessSeen++
 			continue
@@ -97,7 +97,7 @@ func TestAccessEventCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[stats.EventKind]bool{}
-	for _, e := range obs.Events() {
+	for e := range obs.All() {
 		seen[e.Kind] = true
 	}
 	for _, k := range []stats.EventKind{

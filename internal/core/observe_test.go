@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,7 +202,7 @@ func TestObserverWindowOnMachine(t *testing.T) {
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	evs := obs.Events()
+	evs := slices.Collect(obs.All())
 	if len(evs) == 0 {
 		t.Fatal("window [2100,2400] recorded nothing")
 	}

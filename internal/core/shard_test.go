@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"plus/internal/core"
@@ -162,7 +163,7 @@ func runRandom(t *testing.T, shards int, seed int64, leg fuzzLeg) digest {
 		d.Image[pg] = img
 	}
 	if o := cfg.Observe; o != nil {
-		for _, ev := range o.Events() {
+		for ev := range o.All() {
 			d.Events = append(d.Events, ev.String())
 		}
 		d.EventCount = o.EventCount()
@@ -386,7 +387,7 @@ func runKernelOps(t *testing.T, shards int, contention bool, base int64) kernelO
 	if n := cfg.Observe.EventCount(); n > 1<<15 {
 		t.Fatalf("shards=%d: %d events overflow the ring", shards, n)
 	}
-	for _, ev := range cfg.Observe.Events() {
+	for ev := range cfg.Observe.All() {
 		d.Events = append(d.Events, ev.String())
 	}
 	return d
@@ -612,7 +613,7 @@ func TestShardSetObserverDeferOrder(t *testing.T) {
 			}
 		}
 		(&sim.ShardSet{Engines: engines, Window: 2}).Run()
-		return master.Events()
+		return slices.Collect(master.All())
 	}
 	want, got := run(1), run(2)
 	if len(want) != 15 {
@@ -677,7 +678,7 @@ func runTwice(t *testing.T, shards int) twoRunDigest {
 	if n := cfg.Observe.EventCount(); n > 1<<13 {
 		t.Fatalf("shards=%d: %d events overflow the ring", shards, n)
 	}
-	for _, ev := range cfg.Observe.Events() {
+	for ev := range cfg.Observe.All() {
 		d.Events = append(d.Events, ev.String())
 	}
 	return d

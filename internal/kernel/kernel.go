@@ -267,7 +267,7 @@ func (k *Kernel) ReplicateNow(vp memory.VPage, node mesh.NodeID) {
 	}
 	gp, pred := k.link(vp, node)
 	// Instant data copy from the predecessor.
-	copy(k.mems[node].Page(gp.Page), k.mems[pred.Node].Page(pred.Page))
+	k.mems[node].CopyFrame(gp.Page, k.mems[pred.Node], pred.Page)
 	k.tables[node].Install(vp, gp)
 }
 
@@ -548,14 +548,11 @@ func (k *Kernel) CheckCoherent() error {
 		if len(list) < 2 {
 			continue
 		}
-		master := k.mems[list[0].Node].Page(list[0].Page)
+		master := list[0]
 		for _, g := range list[1:] {
-			replica := k.mems[g.Node].Page(g.Page)
-			for off := range master {
-				if master[off] != replica[off] {
-					return fmt.Errorf("kernel: page %d word %d: master(n%d)=%#x copy(n%d)=%#x",
-						vp, off, list[0].Node, master[off], g.Node, replica[off])
-				}
+			if off, mv, rv, ok := k.mems[master.Node].FirstDiff(master.Page, k.mems[g.Node], g.Page); ok {
+				return fmt.Errorf("kernel: page %d word %d: master(n%d)=%#x copy(n%d)=%#x",
+					vp, off, master.Node, mv, g.Node, rv)
 			}
 		}
 	}

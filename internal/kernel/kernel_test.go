@@ -437,6 +437,40 @@ func TestCheckCoherentDetectsDivergence(t *testing.T) {
 	}
 }
 
+// TestCheckCoherentChunkPresence compares frames whose copies hold
+// different chunks: a chunk only one side holds is compared with
+// zeros, and the report names the word exactly as for dense frames.
+func TestCheckCoherentChunkPresence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		node int // the copy that holds the extra chunk
+		off  uint32
+		v    memory.Word
+		want string
+	}{
+		{"replica lacks master's chunk", 0, 100, 5, "kernel: page 0 word 100: master(n0)=0x5 copy(n1)=0x0"},
+		{"master lacks replica's chunk", 1, 700, 0x80000009, "kernel: page 0 word 700: master(n0)=0x0 copy(n1)=0x80000009"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2, 1)
+			vp := r.k.AllocPage(0)
+			r.k.ReplicateNow(vp, 1)
+			list := r.k.CopyList(vp)
+			// A chunk written back to zero equals one never written.
+			r.mems[1-tc.node].Write(list[1-tc.node].Page, 900, 3)
+			r.mems[1-tc.node].Write(list[1-tc.node].Page, 900, 0)
+			if err := r.k.CheckCoherent(); err != nil {
+				t.Fatalf("zeroed chunk reported: %v", err)
+			}
+			r.mems[tc.node].Write(list[tc.node].Page, tc.off, tc.v)
+			err := r.k.CheckCoherent()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestCheckCoherentNamesLowestPage pins the report's determinism: with
 // several pages diverged, every call names the lowest one.
 func TestCheckCoherentNamesLowestPage(t *testing.T) {

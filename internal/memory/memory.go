@@ -72,19 +72,43 @@ func (g GPage) String() string {
 	return fmt.Sprintf("gpage(n%d:p%d)", g.Node, g.Page)
 }
 
+// A frame keeps its page as frameChunks chunks of chunkWords words,
+// each allocated on the first nonzero write into it. PLUS replicates
+// whole pages, but a replica mostly holds the few words a program
+// touched (a distance, a queue slot, a lock, a counter). 64 words keeps
+// a touched word's neighbourhood small while the chunk table stays
+// 128 bytes per frame.
+const (
+	chunkShift  = 6
+	chunkWords  = 1 << chunkShift
+	chunkMask   = chunkWords - 1
+	frameChunks = PageWords / chunkWords
+)
+
+type chunk [chunkWords]Word
+
+// frame is one page frame: chunk i holds words i*chunkWords onwards,
+// and an absent (nil) chunk reads as zeros.
+type frame [frameChunks]*chunk
+
+// zeroChunk stands in for an absent chunk wherever its words are read
+// in bulk.
+var zeroChunk chunk
+
 // Memory is one node's local memory: an array of page frames. In PLUS
 // the local memory serves both as main memory and as the replica store
 // for pages homed elsewhere.
 type Memory struct {
-	frames [][]Word
+	frames []frame
 }
 
 // New returns an empty memory; frames are allocated on demand.
 func New() *Memory { return &Memory{} }
 
-// AllocFrame allocates a zeroed page frame and returns its index.
+// AllocFrame adds a zeroed page frame and returns its index. The frame
+// holds no storage until a nonzero word is written to it.
 func (m *Memory) AllocFrame() PPage {
-	m.frames = append(m.frames, make([]Word, PageWords))
+	m.frames = append(m.frames, frame{})
 	return PPage(len(m.frames) - 1)
 }
 
@@ -93,14 +117,98 @@ func (m *Memory) Frames() int { return len(m.frames) }
 
 // Read returns the word at offset off of frame p.
 func (m *Memory) Read(p PPage, off uint32) Word {
-	return m.frames[p][off&OffMask]
+	off &= OffMask
+	c := m.frames[p][off>>chunkShift]
+	if c == nil {
+		return 0
+	}
+	return c[off&chunkMask]
 }
 
-// Write stores v at offset off of frame p.
+// Write stores v at offset off of frame p. A zero written to an absent
+// chunk allocates nothing.
 func (m *Memory) Write(p PPage, off uint32, v Word) {
-	m.frames[p][off&OffMask] = v
+	off &= OffMask
+	f := &m.frames[p]
+	c := f[off>>chunkShift]
+	if c == nil {
+		if v == 0 {
+			return
+		}
+		c = new(chunk)
+		f[off>>chunkShift] = c
+	}
+	c[off&chunkMask] = v
 }
 
-// Page returns the backing slice of frame p (used by the page-copy
-// engine and by tests; writes through it bypass coherence).
-func (m *Memory) Page(p PPage) []Word { return m.frames[p] }
+// Snapshot appends the PageWords-word image of frame p to dst and
+// returns the extended slice: the page-copy engine's outgoing data.
+func (m *Memory) Snapshot(p PPage, dst []Word) []Word {
+	for _, c := range &m.frames[p] {
+		if c == nil {
+			c = &zeroChunk
+		}
+		dst = append(dst, c[:]...)
+	}
+	return dst
+}
+
+// Install sets frame p to the page image img (PageWords words, as
+// Snapshot produces), leaving every all-zero chunk absent.
+func (m *Memory) Install(p PPage, img []Word) {
+	f := &m.frames[p]
+	for i := range f {
+		src := (*chunk)(img[i*chunkWords:])
+		if *src == zeroChunk {
+			src = nil
+		}
+		f.set(i, src)
+	}
+}
+
+// CopyFrame sets frame p to the contents of frame sp of src, chunk by
+// chunk; chunks absent from the source end up absent here.
+func (m *Memory) CopyFrame(p PPage, src *Memory, sp PPage) {
+	f := &m.frames[p]
+	for i, c := range &src.frames[sp] {
+		f.set(i, c)
+	}
+}
+
+// set makes chunk i of f a copy of src, or absent when src is nil.
+func (f *frame) set(i int, src *chunk) {
+	switch {
+	case src == nil:
+		f[i] = nil
+	case f[i] == nil:
+		c := *src
+		f[i] = &c
+	default:
+		*f[i] = *src
+	}
+}
+
+// FirstDiff compares frame p with frame q of o and returns the lowest
+// offset where they differ and the two words there; ok is false when
+// the frames hold the same page. An absent chunk equals a zero chunk.
+func (m *Memory) FirstDiff(p PPage, o *Memory, q PPage) (off uint32, a, b Word, ok bool) {
+	f, g := &m.frames[p], &o.frames[q]
+	for i := range f {
+		ca, cb := f[i], g[i]
+		if ca == nil {
+			ca = &zeroChunk
+		}
+		if cb == nil {
+			cb = &zeroChunk
+		}
+		if *ca == *cb {
+			continue
+		}
+		for j := range ca {
+			if ca[j] != cb[j] {
+				return uint32(i*chunkWords + j), ca[j], cb[j], true
+			}
+		}
+	}
+	return 0, 0, 0, false
+}

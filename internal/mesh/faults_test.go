@@ -74,7 +74,7 @@ func runFaultTraffic(t *testing.T, f FaultConfig) faultTally {
 		t.Fatalf("ring overwrote %d events", o.Overwritten())
 	}
 	tally := faultTally{Stats: m.Stats()}
-	for _, e := range o.Events() {
+	for e := range o.All() {
 		switch e.Kind {
 		case stats.EvNetInject:
 			tally.Injected++

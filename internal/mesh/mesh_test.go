@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,7 +131,7 @@ func TestSendDelivers(t *testing.T) {
 	}
 	// One 2-flit injection crossing two links, then one delivery.
 	var kinds []stats.EventKind
-	for _, e := range o.Events() {
+	for e := range o.All() {
 		kinds = append(kinds, e.Kind)
 		if e.Kind == stats.EvNetInject && e.B != 2 {
 			t.Fatalf("injected %d flits, want 2", e.B)
@@ -441,7 +442,7 @@ func legWalkAgainstOracle(t *testing.T, w, h int, contention, observed bool) {
 	if !reflect.DeepEqual(legs.LinkBusyTotals(), hops.LinkBusyTotals()) {
 		t.Fatal("link occupancy diverges from the hop walk")
 	}
-	got, want := legObs.Events(), hopObs.Events()
+	got, want := slices.Collect(legObs.All()), slices.Collect(hopObs.All())
 	if len(got) != len(want) || (w*h > 1 && len(got) == 0) {
 		t.Fatalf("%d EvNetHop events, hop walk %d", len(got), len(want))
 	}

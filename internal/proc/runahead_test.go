@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"plus/internal/coherence"
@@ -291,7 +292,7 @@ func runPrograms(t *testing.T, leg raLeg, synced bool) raRun {
 		report:  m.Stats().Report(elapsed),
 		nodes:   append([]stats.Node(nil), m.Stats().Nodes...),
 		crash:   m.Stats().Crash(),
-		events:  obs.Events(),
+		events:  slices.Collect(obs.All()),
 		results: results,
 	}
 	if obs.Overwritten() != 0 {

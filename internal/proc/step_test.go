@@ -2,6 +2,7 @@ package proc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"plus/internal/coherence"
@@ -157,7 +158,7 @@ func runStepLeg(t *testing.T, leg stepLeg, sync bool, crashAt sim.Cycles) stepRu
 	}
 	out.elapsed = r.eng.LastActivityAt()
 	out.nodes = append(out.nodes, r.st.Nodes...)
-	out.events = obs.Events()
+	out.events = slices.Collect(obs.All())
 	return out
 }
 

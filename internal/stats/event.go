@@ -208,7 +208,7 @@ func (r *Ring) Push(e Event) {
 func (r *Ring) Cap() int { return len(r.buf) }
 
 // Pushed returns the total number of events ever pushed (held plus
-// overwritten) — a cheap counter, unlike Events.
+// overwritten) — a cheap counter that reads no event.
 func (r *Ring) Pushed() uint64 { return r.n }
 
 // Overwritten returns how many events were lost to overwriting.
@@ -228,18 +228,6 @@ func (r *Ring) All() iter.Seq[Event] {
 			}
 		}
 	}
-}
-
-// Events returns the held events oldest-first (a copy).
-func (r *Ring) Events() []Event {
-	var out []Event
-	if r.n > 0 {
-		out = make([]Event, 0, min(r.n, uint64(len(r.buf))))
-	}
-	for e := range r.All() {
-		out = append(out, e)
-	}
-	return out
 }
 
 // ObserveConfig parameterizes an Observer. The zero value records all
@@ -369,9 +357,6 @@ func (o *Observer) CauseFor(node int) uint64 {
 	o.causeBy[node]++
 	return uint64(node+1)<<40 | o.causeBy[node]
 }
-
-// Events returns the recorded events oldest-first (a copy).
-func (o *Observer) Events() []Event { return o.ring.Events() }
 
 // All yields the recorded events oldest-first, read in place: the
 // exporters' view of the ring.

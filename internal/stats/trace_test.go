@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestObserverKeepsNewest(t *testing.T) {
 		now = sim.Cycles(i)
 		o.Emit(EvWriteIssue, 1, 0, uint64(i+1), uint64(i), 0)
 	}
-	evs := o.Events()
+	evs := slices.Collect(o.All())
 	if len(evs) != 4 {
 		t.Fatalf("events = %d, want 4 (ring capacity)", len(evs))
 	}
@@ -58,7 +59,7 @@ func TestMachineObserverNilByDefault(t *testing.T) {
 		t.Fatal("observer attach/accessor broken")
 	}
 	m.Observer().Emit(EvUpdate, 1, 0, 3, 9, 1)
-	evs := o.Events()
+	evs := slices.Collect(o.All())
 	if len(evs) != 1 || evs[0].At != 7 || evs[0].Node != 1 || evs[0].Kind != EvUpdate {
 		t.Fatalf("events = %+v", evs)
 	}
@@ -72,7 +73,7 @@ func TestObserverWindow(t *testing.T) {
 		now = c
 		o.Emit(EvReadIssue, 0, 0, 0, 0, 0)
 	}
-	evs := o.Events()
+	evs := slices.Collect(o.All())
 	if len(evs) != 3 || evs[0].At != 10 || evs[2].At != 20 {
 		t.Fatalf("windowed events = %+v, want cycles 10/15/20", evs)
 	}

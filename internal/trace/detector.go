@@ -42,6 +42,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"plus/internal/coherence"
@@ -189,7 +190,9 @@ type raceKey struct {
 // Analyze runs the detector over a recorded stream. dropped is the
 // ring's overwritten-event count (Observer.Overwritten): nonzero means
 // the stream is truncated and the result carries the Dropped flag.
-func Analyze(name string, events []stats.Event, dropped uint64) *Report {
+// The detector walks events twice, so the sequence must yield the same
+// stream each time, as Observer.All does.
+func Analyze(name string, events iter.Seq[stats.Event], dropped uint64) *Report {
 	d := &Detector{
 		name:  name,
 		slots: make(map[int]int),
@@ -206,8 +209,7 @@ func Analyze(name string, events []stats.Event, dropped uint64) *Report {
 	}
 	// Pass 1: classify words. A word is a synchronization word when any
 	// delayed operation targets it or any access is sync-annotated.
-	for i := range events {
-		e := &events[i]
+	for e := range events {
 		switch e.Kind {
 		case stats.EvAccRMW:
 			d.sync[e.A] = true
@@ -219,8 +221,10 @@ func Analyze(name string, events []stats.Event, dropped uint64) *Report {
 	}
 	// Pass 2: vector clocks in stream order (the serial emission
 	// order, deterministic and identical for any shard count).
-	for i := range events {
-		d.step(i, &events[i])
+	i := 0
+	for e := range events {
+		d.step(i, &e)
+		i++
 	}
 	d.report.Threads = len(d.threads)
 	d.report.Words = len(d.words)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestRacyPairFlagged(t *testing.T) {
 		ev(stats.EvAccWrite, 0, 0, 0, x, tb(0, 7)),
 	}
 	for name, events := range map[string][]stats.Event{"write-first": writeFirst, "read-first": readFirst} {
-		r := Analyze(name, events, 0)
+		r := Analyze(name, slices.Values(events), 0)
 		if len(r.Races) != 1 {
 			t.Fatalf("%s: got %d races, want 1", name, len(r.Races))
 		}
@@ -61,7 +62,7 @@ func TestMissingAcquireDiagnosis(t *testing.T) {
 		ev(stats.EvAccFence, 0, 0, 0, 0, 0),
 		ev(stats.EvAccRead, 1, 0, 0, x, tb(1, 1)),
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 1 {
 		t.Fatalf("got %d races, want 1", len(r.Races))
 	}
@@ -82,7 +83,7 @@ func TestReleaseAcquireClean(t *testing.T) {
 		ev(stats.EvAccRead, 1, 1, 0, flag, tb(1, 1)),  // sync-annotated acquire
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 42)),
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 0 {
 		t.Fatalf("got %d races, want 0: %+v", len(r.Races), r.Races)
 	}
@@ -97,7 +98,7 @@ func TestReleaseAcquireClean(t *testing.T) {
 		ev(stats.EvAccRead, 1, 1, 0, flag, tb(1, 1)),
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 42)),
 	}
-	if r := Analyze("t", unfenced, 0); len(r.Races) != 1 {
+	if r := Analyze("t", slices.Values(unfenced), 0); len(r.Races) != 1 {
 		t.Fatalf("unfenced: got %d races, want 1", len(r.Races))
 	}
 }
@@ -118,7 +119,7 @@ func TestRMWChainClean(t *testing.T) {
 		ev(stats.EvAccVerify, 1, 0, 22, 1, 1),           // consumer sees 1 → acquires
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 42)),
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 0 {
 		t.Fatalf("got %d races, want 0: %+v", len(r.Races), r.Races)
 	}
@@ -141,7 +142,7 @@ func TestDelayedReadDoesNotRelease(t *testing.T) {
 		ev(stats.EvAccVerify, 1, 0, 22, 0, 0),
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 42)),
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 1 {
 		t.Fatalf("got %d races, want 1 (delayed read must not release)", len(r.Races))
 	}
@@ -158,7 +159,7 @@ func TestWakeTransfersReleasedKnowledge(t *testing.T) {
 		ev(stats.EvAccSleep, 1, 0, 0, 1, 0),
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 1)),
 	}
-	if r := Analyze("t", fenced, 0); len(r.Races) != 0 {
+	if r := Analyze("t", slices.Values(fenced), 0); len(r.Races) != 0 {
 		t.Fatalf("fenced: got %d races, want 0: %+v", len(r.Races), r.Races)
 	}
 	unfenced := []stats.Event{
@@ -167,7 +168,7 @@ func TestWakeTransfersReleasedKnowledge(t *testing.T) {
 		ev(stats.EvAccSleep, 1, 0, 0, 1, 0),
 		ev(stats.EvAccRead, 1, 0, 0, data, tb(1, 1)),
 	}
-	if r := Analyze("t", unfenced, 0); len(r.Races) != 1 {
+	if r := Analyze("t", slices.Values(unfenced), 0); len(r.Races) != 1 {
 		t.Fatalf("unfenced: got %d races, want 1", len(r.Races))
 	}
 }
@@ -183,7 +184,7 @@ func TestSyncWordExempt(t *testing.T) {
 		ev(stats.EvAccRead, 1, 0, 0, w, tb(1, 1)),    // ...and plain read,
 		ev(stats.EvAccRMW, 2, fadd, 33, w, tb(2, 1)), // but the word is RMW-targeted
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 0 {
 		t.Fatalf("got %d races on a sync word, want 0", len(r.Races))
 	}
@@ -199,7 +200,7 @@ func TestDedup(t *testing.T) {
 			ev(stats.EvAccRead, 1, 0, 0, x, tb(1, uint32(i))),
 		)
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	// write/read and read/write orderings are distinct pairs; the loop
 	// produces both but each only once.
 	if len(r.Races) > 2 {
@@ -214,7 +215,7 @@ func TestWriteWriteRace(t *testing.T) {
 		ev(stats.EvAccWrite, 0, 0, 0, x, tb(0, 1)),
 		ev(stats.EvAccWrite, 1, 0, 0, x, tb(1, 2)),
 	}
-	r := Analyze("t", events, 0)
+	r := Analyze("t", slices.Values(events), 0)
 	if len(r.Races) != 1 {
 		t.Fatalf("got %d races, want 1", len(r.Races))
 	}
@@ -231,14 +232,14 @@ func TestSameThreadClean(t *testing.T) {
 		ev(stats.EvAccRead, 0, 0, 0, x, tb(0, 1)),
 		ev(stats.EvAccWrite, 0, 0, 0, x, tb(0, 2)),
 	}
-	if r := Analyze("t", events, 0); len(r.Races) != 0 {
+	if r := Analyze("t", slices.Values(events), 0); len(r.Races) != 0 {
 		t.Fatalf("got %d races, want 0", len(r.Races))
 	}
 }
 
 // TestDroppedPropagates: ring overwrites surface on the report.
 func TestDroppedPropagates(t *testing.T) {
-	r := Analyze("t", nil, 17)
+	r := Analyze("t", slices.Values([]stats.Event{}), 17)
 	if r.Dropped != 17 {
 		t.Fatalf("Dropped = %d, want 17", r.Dropped)
 	}
@@ -256,9 +257,9 @@ func TestReportDeterminism(t *testing.T) {
 			ev(stats.EvAccWrite, 3, 0, 0, y, tb(3, uint32(i))),
 		)
 	}
-	a := Analyze("t", events, 0).Format()
+	a := Analyze("t", slices.Values(events), 0).Format()
 	for i := 0; i < 3; i++ {
-		if b := Analyze("t", events, 0).Format(); a != b {
+		if b := Analyze("t", slices.Values(events), 0).Format(); a != b {
 			t.Fatalf("nondeterministic report:\n%s\nvs\n%s", a, b)
 		}
 	}

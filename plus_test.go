@@ -1,6 +1,7 @@
 package plus_test
 
 import (
+	"slices"
 	"testing"
 
 	"plus"
@@ -184,7 +185,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]bool{}
-	for _, e := range obs.Events() {
+	for e := range obs.All() {
 		kinds[e.Kind.String()] = true
 	}
 	for _, want := range []string{"write", "fence", "rmw", "ack"} {
@@ -196,7 +197,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Error("empty trace dump")
 	}
 	// Timestamps are nondecreasing.
-	ev := obs.Events()
+	ev := slices.Collect(obs.All())
 	for i := 1; i < len(ev); i++ {
 		if ev[i].At < ev[i-1].At {
 			t.Fatal("trace timestamps not monotone")
