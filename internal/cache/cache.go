@@ -9,6 +9,8 @@
 // both leave every valid line's tag in place, so neither changes what
 // a read costs. A processor write costs only its issue time, so the
 // model keeps only what a read is charged: one tag per line slot.
+// Most nodes of a run never read their local memory, so a cache
+// allocates its 8 KB of tags on its first read.
 //
 // Data always lives in memory.Memory; the cache holds no words.
 package cache
@@ -30,19 +32,21 @@ type Cache struct {
 	// tags[i] is 1 + the line number bits above the slot index of the
 	// line held in slot i (line/slots + 1), or 0 when the slot is
 	// empty. A frame number is an int32, so a line number has at most
-	// 31+PageShift-2 bits and its tag fits 32.
+	// 31+PageShift-2 bits and its tag fits 32. Nil, every slot empty,
+	// until the first Read.
 	tags []uint32
 }
 
-// New builds an empty cache.
-func New() *Cache {
-	return &Cache{tags: make([]uint32, slots)}
-}
+// New builds an empty cache. It allocates no tags.
+func New() *Cache { return &Cache{} }
 
 // Read models a processor load from local memory and returns its cost
 // in cycles: a hit costs CacheHit; a miss fills the line's slot and
 // costs CacheLineFill.
 func (c *Cache) Read(p memory.PPage, off uint32) sim.Cycles {
+	if c.tags == nil {
+		c.tags = make([]uint32, slots)
+	}
 	tag, s := c.slot(p, off)
 	if *s == tag {
 		return timing.CacheHit
@@ -52,8 +56,12 @@ func (c *Cache) Read(p memory.PPage, off uint32) sim.Cycles {
 }
 
 // Drop invalidates the line holding word off of frame p, if the cache
-// holds it, so the next read of any word in that line misses.
+// holds it, so the next read of any word in that line misses. A cache
+// never read holds nothing, and Drop leaves it unallocated.
 func (c *Cache) Drop(p memory.PPage, off uint32) {
+	if c.tags == nil {
+		return
+	}
 	if tag, s := c.slot(p, off); *s == tag {
 		*s = 0
 	}

@@ -116,12 +116,42 @@ func TestHitRatioProperty(t *testing.T) {
 	}
 }
 
-// The cache takes no configuration: it always has the paper's 2,048
-// slots.
+// The cache takes no configuration: once read, it always has the
+// paper's 2,048 slots.
 func TestZeroConfigDefaults(t *testing.T) {
 	c := New()
+	c.Read(0, 0)
 	if len(c.tags) != 8192/4 {
 		t.Fatalf("cache has %d slots", len(c.tags))
+	}
+}
+
+// A cache allocates its tags on its first read and never again: a
+// Drop before any read allocates nothing and leaves it empty, and the
+// tags it then allocates price a miss and a hit as before.
+func TestCacheAllocatesOnFirstRead(t *testing.T) {
+	c := New()
+	if n := testing.AllocsPerRun(100, func() { c.Drop(3, 17) }); n != 0 {
+		t.Fatalf("Drop on a fresh cache: %v allocs", n)
+	}
+	if c.tags != nil {
+		t.Fatalf("Drop on a fresh cache allocated %d tags", len(c.tags))
+	}
+	// AllocsPerRun warms up with one call, so each call reads its own
+	// fresh cache.
+	fresh := []*Cache{New(), New()}
+	k := 0
+	if n := testing.AllocsPerRun(1, func() { fresh[k].Read(0, 0); k++ }); n != 1 {
+		t.Fatalf("first read: %v allocs, want 1", n)
+	}
+	if cost := c.Read(3, 17); cost != timing.CacheLineFill {
+		t.Fatalf("first read cost %d, want %d", cost, timing.CacheLineFill)
+	}
+	if cost := c.Read(3, 17); cost != timing.CacheHit {
+		t.Fatalf("second read cost %d, want %d", cost, timing.CacheHit)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Read(3, 17); c.Read(11, 17); c.Drop(3, 17) }); n != 0 {
+		t.Fatalf("later reads and drops: %v allocs", n)
 	}
 }
 

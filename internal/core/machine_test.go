@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -437,4 +438,25 @@ func TestTimingMatchesPaperCostAnatomy(t *testing.T) {
 	if elapsed != want {
 		t.Fatalf("blocking fadd = %d cycles, want %d", elapsed, want)
 	}
+}
+
+// TestNewMachineAllocBudget pins what building a 16x16 machine costs
+// on the heap: per-node hardware state is allocated where a run first
+// uses it (a cache's tags on its first read, a TLB's ways on its first
+// install), so the build itself stays under 1 MB.
+func TestNewMachineAllocBudget(t *testing.T) {
+	const budget = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := NewMachine(DefaultConfig(16, 16))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= budget {
+		t.Fatalf("NewMachine(DefaultConfig(16, 16)) allocated %d bytes, budget %d", got, budget)
+	}
+	t.Logf("NewMachine(DefaultConfig(16, 16)) allocated %d bytes", got)
+	runtime.KeepAlive(m)
 }

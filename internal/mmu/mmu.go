@@ -6,9 +6,14 @@
 // Each node maintains its own page table holding only the mappings it
 // actively uses; a miss traps to the kernel, which consults the
 // centralized table and fills the local entry lazily.
+//
+// A node's Table keeps its page table and its reference counters in
+// one hash table of 16-byte entries, and its TLB in a separate array
+// of at most MaxTLB ways that name the entries they cache.
 package mmu
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -19,23 +24,27 @@ import (
 // Table is one node's translation state: its page table (virtual page
 // → global physical page, the node's chosen copy, normally the closest
 // one), the hardware TLB over it, and the remote-reference counters
-// §2.4's hardware keeps per page. All three live in one open-addressing
-// table keyed by virtual page (linear probing, Fibonacci hashing),
-// sized to the pages the node has touched, so a TLB hit, a page-table
-// hit with refill and a counter bump each read one slot. The TLB is an
-// LRU list threaded through the resident entries, capped at its
-// capacity. An entry is never deleted: an invalidation or flush clears
-// its mapped and resident flags, and its counter lives on.
+// §2.4's hardware keeps per page. The page table and the counters live
+// in one open-addressing table keyed by virtual page (linear probing,
+// Fibonacci hashing), sized to the pages the node has touched, so a
+// TLB hit, a page-table hit with refill and a counter bump each read
+// one slot. The TLB is a separate array of ways, one per resident
+// mapping, each naming the table slot it caches and linked into an LRU
+// list; a slot names its way in one byte, 0 when not resident. An
+// entry is never deleted: an invalidation or flush clears its mapping
+// and frees its way, and its counter lives on.
 type Table struct {
 	slots []entry
 	shift uint8 // 32 - log2(len(slots)): the hash keeps the top bits
 	used  int   // occupied slots
 
-	// tlbCap bounds the resident entries; head is the most and tail
-	// the least recently used, -1 when the TLB is empty.
-	tlbCap     int
-	head, tail int32
-	resident   int
+	// ways[1:resident+1] are the TLB's resident ways; ways[0] is the
+	// head of the LRU ring (its next is the most and its prev the least
+	// recently used way). Allocated tlbCap+1 long on the first admit or
+	// Reserve.
+	ways     []way
+	tlbCap   int
+	resident int
 
 	// OnInstall, when non-nil, observes every mapping install — a lazy
 	// fault fill from the processor or a kernel remap (replication
@@ -45,30 +54,46 @@ type Table struct {
 	OnInstall func(p memory.VPage, g memory.GPage)
 }
 
-// entry is one virtual page's slot: 28 bytes, so a probe usually reads
-// one cache line.
+// entry is one virtual page's slot: 16 bytes, so four share a cache
+// line. node is the mapping's node.ID narrowed to 16 bits, which holds
+// every node of the largest mesh (mesh.MaxNodes).
 type entry struct {
-	vp         memory.VPage
-	node       int32 // the mapping's node; node.ID narrowed to the slot
-	page       memory.PPage
-	prev, next int32 // TLB recency links, valid while resident
-	refs       uint32
-	flags      uint8
+	vp    memory.VPage
+	page  memory.PPage
+	refs  uint32
+	node  uint16
+	flags uint8
+	way   uint8 // the TLB way holding the mapping, 0 when not resident
 }
+
+// way is one TLB entry: the table slot whose mapping it holds and its
+// LRU ring links.
+type way struct {
+	slot       int32
+	prev, next int16
+}
+
+// MaxTLB is the largest TLB a Table models: a slot's way index is one
+// byte and way 0 is the ring head.
+const MaxTLB = math.MaxUint8
 
 const (
 	fUsed        uint8 = 1 << iota // the slot holds a page
 	fMapped                        // the page table maps the page
-	fResident                      // the TLB holds the mapping
 	fReplicating                   // a competitive replication is in flight
 )
 
 // New returns an empty page table with a 64-entry TLB.
 func New() *Table { return NewSized(64) }
 
-// NewSized returns an empty page table with a TLB of tlbEntries.
+// NewSized returns an empty page table with a TLB of tlbEntries, at
+// least one. It panics if tlbEntries exceeds MaxTLB: a larger TLB
+// would need a wider way index in every entry.
 func NewSized(tlbEntries int) *Table {
-	t := &Table{tlbCap: max(tlbEntries, 1), head: -1, tail: -1}
+	if tlbEntries > MaxTLB {
+		panic(fmt.Sprintf("mmu: %d TLB entries, at most %d", tlbEntries, MaxTLB))
+	}
+	t := &Table{tlbCap: max(tlbEntries, 1)}
 	t.growTo(8)
 	return t
 }
@@ -81,15 +106,19 @@ func (e *entry) gpage() memory.GPage { return memory.GPage{Node: node.ID(e.node)
 // ok=false means the mapping is absent and the kernel must resolve it.
 func (t *Table) Translate(p memory.VPage) (g memory.GPage, tlbHit, ok bool) {
 	i := t.find(p)
-	if i >= 0 && t.slots[i].flags&fResident != 0 {
-		t.touch(i)
-		return t.slots[i].gpage(), true, true
+	if i < 0 {
+		return memory.GPage{}, false, false
 	}
-	if i < 0 || t.slots[i].flags&fMapped == 0 {
+	e := &t.slots[i]
+	if e.way != 0 {
+		t.touch(int16(e.way))
+		return e.gpage(), true, true
+	}
+	if e.flags&fMapped == 0 {
 		return memory.GPage{}, false, false
 	}
 	t.admit(i)
-	return t.slots[i].gpage(), false, true
+	return e.gpage(), false, true
 }
 
 // Lookup returns the mapping for page p, if present, leaving the TLB
@@ -108,9 +137,9 @@ func (t *Table) Install(p memory.VPage, g memory.GPage) {
 	i := t.slot(p)
 	e := &t.slots[i]
 	e.flags |= fMapped
-	e.node, e.page = int32(g.Node), g.Page
-	if e.flags&fResident != 0 {
-		t.touch(i)
+	e.node, e.page = uint16(g.Node), g.Page
+	if e.way != 0 {
+		t.touch(int16(e.way))
 	} else {
 		t.admit(i)
 	}
@@ -125,8 +154,8 @@ func (t *Table) Invalidate(p memory.VPage) {
 	if i := t.find(p); i >= 0 {
 		e := &t.slots[i]
 		e.flags &^= fMapped
-		if e.flags&fResident != 0 {
-			t.evict(i)
+		if e.way != 0 {
+			t.evict(int16(e.way))
 		}
 	}
 }
@@ -135,9 +164,13 @@ func (t *Table) Invalidate(p memory.VPage) {
 // The counters survive.
 func (t *Table) Flush() {
 	for i := range t.slots {
-		t.slots[i].flags &^= fMapped | fResident
+		t.slots[i].flags &^= fMapped
+		t.slots[i].way = 0
 	}
-	t.resident, t.head, t.tail = 0, -1, -1
+	t.resident = 0
+	if t.ways != nil {
+		t.ways[0] = way{}
+	}
 }
 
 // CountRef bumps page p's remote-reference counter and returns its new
@@ -223,9 +256,13 @@ func (t *Table) place(e entry) int32 {
 // Reserve makes room for n more pages in one rehash: it grows the
 // table to the capacity installing them one at a time would reach, so
 // a bulk install (core.Machine.Prefault) allocates its slots once
-// instead of at every doubling on the way. Pages already present count
-// as new, so reserve only for pages the caller expects to be absent.
+// instead of at every doubling on the way, and allocates the TLB's
+// ways if no install has yet. Pages already present count as new, so
+// reserve only for pages the caller expects to be absent.
 func (t *Table) Reserve(n int) {
+	if n > 0 && t.ways == nil {
+		t.ways = make([]way, t.tlbCap+1)
+	}
 	size := len(t.slots)
 	for 4*(t.used+n) > 3*size {
 		size *= 2
@@ -237,71 +274,76 @@ func (t *Table) Reserve(n int) {
 
 // growTo rehashes into size slots, a power of two. Lazy growth doubles
 // the table once an install would fill it past three quarters. Every
-// entry moves, so the TLB list is rebuilt: resident entries are
-// re-placed from the least recently used up, each pushed to the front,
-// which relinks them in their old order.
+// entry moves, so each resident way is pointed at its entry's new
+// slot; the LRU ring is untouched.
 func (t *Table) growTo(size int) {
-	old, tail := t.slots, t.tail
+	old := t.slots
 	t.slots = make([]entry, size)
 	t.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-	t.head, t.tail = -1, -1
 	for k := range old {
-		if old[k].flags&(fUsed|fResident) == fUsed {
-			t.place(old[k])
+		if old[k].flags&fUsed != 0 {
+			i := t.place(old[k])
+			if w := old[k].way; w != 0 {
+				t.ways[w].slot = i
+			}
 		}
 	}
-	for k := tail; k >= 0; k = old[k].prev {
-		t.pushFront(t.place(old[k]))
-	}
 }
 
-// admit makes slot i's mapping resident and most recently used,
-// evicting the least recently used entry from a full TLB.
+// admit makes slot i's mapping resident in the most recently used way,
+// taking the least recently used way from a full TLB.
 func (t *Table) admit(i int32) {
-	if t.resident == t.tlbCap {
-		t.evict(t.tail)
+	if t.ways == nil {
+		t.ways = make([]way, t.tlbCap+1)
 	}
-	t.slots[i].flags |= fResident
-	t.resident++
-	t.pushFront(i)
+	var w int16
+	if t.resident == t.tlbCap {
+		w = t.ways[0].prev
+		t.slots[t.ways[w].slot].way = 0
+		t.unlink(w)
+	} else {
+		t.resident++
+		w = int16(t.resident)
+	}
+	t.ways[w].slot = i
+	t.slots[i].way = uint8(w)
+	t.pushFront(w)
 }
 
-// evict drops slot i from the TLB.
-func (t *Table) evict(i int32) {
-	t.unlink(i)
-	t.slots[i].flags &^= fResident
+// evict drops way w from the TLB and moves the last resident way into
+// its place, so ways[1:resident+1] stay the resident ones.
+func (t *Table) evict(w int16) {
+	ws := t.ways
+	t.unlink(w)
+	t.slots[ws[w].slot].way = 0
+	if last := int16(t.resident); w != last {
+		ws[w] = ws[last]
+		ws[ws[w].prev].next = w
+		ws[ws[w].next].prev = w
+		t.slots[ws[w].slot].way = uint8(w)
+	}
 	t.resident--
 }
 
-// touch makes slot i the most recently used.
-func (t *Table) touch(i int32) {
-	if t.head != i {
-		t.unlink(i)
-		t.pushFront(i)
+// touch makes way w the most recently used.
+func (t *Table) touch(w int16) {
+	if t.ways[0].next != w {
+		t.unlink(w)
+		t.pushFront(w)
 	}
 }
 
-func (t *Table) unlink(i int32) {
-	e := &t.slots[i]
-	if e.prev >= 0 {
-		t.slots[e.prev].next = e.next
-	} else {
-		t.head = e.next
-	}
-	if e.next >= 0 {
-		t.slots[e.next].prev = e.prev
-	} else {
-		t.tail = e.prev
-	}
+func (t *Table) unlink(w int16) {
+	ws := t.ways
+	x := ws[w]
+	ws[x.prev].next = x.next
+	ws[x.next].prev = x.prev
 }
 
-func (t *Table) pushFront(i int32) {
-	e := &t.slots[i]
-	e.prev, e.next = -1, t.head
-	if t.head >= 0 {
-		t.slots[t.head].prev = i
-	} else {
-		t.tail = i
-	}
-	t.head = i
+func (t *Table) pushFront(w int16) {
+	ws := t.ways
+	h := ws[0].next
+	ws[w].prev, ws[w].next = 0, h
+	ws[h].prev = w
+	ws[0].next = w
 }

@@ -2,8 +2,10 @@ package mmu
 
 import (
 	"testing"
+	"unsafe"
 
 	"plus/internal/memory"
+	"plus/internal/mesh"
 )
 
 func TestLookupInstallInvalidate(t *testing.T) {
@@ -173,4 +175,48 @@ func TestReserveMatchesLazyGrowth(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An entry is 16 bytes: four share a 64-byte cache line, and the 256
+// tables of a 16x16 run prefaulted with 513 pages each keep 4 MB.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+}
+
+// An entry narrows its mapping's node to 16 bits; every node of the
+// largest mesh must fit.
+func TestEntryNodeHoldsMaxNodes(t *testing.T) {
+	var e entry
+	e.node = ^e.node
+	if int(e.node) < mesh.MaxNodes-1 {
+		t.Fatalf("entry node field tops out at %d, below mesh.MaxNodes-1 = %d", e.node, mesh.MaxNodes-1)
+	}
+	g := memory.GPage{Node: mesh.MaxNodes - 1, Page: 3}
+	tbl := New()
+	tbl.Install(1, g)
+	if got, _, _ := tbl.Translate(1); got != g {
+		t.Fatalf("translate = %v, want %v", got, g)
+	}
+}
+
+// NewSized takes a TLB of up to MaxTLB ways and panics above it.
+func TestNewSizedTLBLimit(t *testing.T) {
+	tbl := NewSized(MaxTLB)
+	for p := memory.VPage(0); p <= MaxTLB; p++ {
+		tbl.Install(p, memory.GPage{Node: 1, Page: memory.PPage(p)})
+	}
+	if _, hit, _ := tbl.Translate(0); hit {
+		t.Fatal("page 0 still resident after MaxTLB newer installs")
+	}
+	if _, hit, _ := tbl.Translate(MaxTLB); !hit {
+		t.Fatal("newest page not resident")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewSized(%d) did not panic", MaxTLB+1)
+		}
+	}()
+	NewSized(MaxTLB + 1)
 }

@@ -49,8 +49,8 @@ func TestTLBInsertReplacesInPlace(t *testing.T) {
 	if !tlbHit || got != nw {
 		t.Fatalf("translate after remap = %v", got)
 	}
-	if tbl.resident != 1 || mapped(tbl) != 1 {
-		t.Fatalf("duplicate entries: resident = %d, mappings = %d", tbl.resident, mapped(tbl))
+	if n := resident(t, tbl); n != 1 || mapped(tbl) != 1 {
+		t.Fatalf("duplicate entries: resident = %d, mappings = %d", n, mapped(tbl))
 	}
 }
 
@@ -64,8 +64,8 @@ func TestTLBInvalidateAndFlush(t *testing.T) {
 	}
 	tbl.Invalidate(99) // absent: no-op
 	tbl.Flush()
-	if tbl.resident != 0 {
-		t.Fatal("flush left entries")
+	if n := resident(t, tbl); n != 0 {
+		t.Fatalf("flush left %d entries", n)
 	}
 	if _, tlbHit, ok := tbl.Translate(2); tlbHit || ok {
 		t.Fatal("flushed entry hit")
@@ -127,9 +127,11 @@ func TestTLBConsistencyProperty(t *testing.T) {
 // refills and misses), invalidations, flushes, reservations and counter
 // bumps, reads and resets, comparing every Translate result (TLB hit
 // flag included) and every counter, and after every operation the
-// Lookup of the page it touched and the mapped and resident counts.
+// Lookup of the page it touched, the mapped and resident counts and
+// the consistency of the TLB's ways. Capacity MaxTLB fills every way
+// index an entry can name.
 func TestTableMatchesReferenceModel(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 64} {
+	for _, capacity := range []int{1, 2, 3, 64, MaxTLB} {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			// A page pool about twice the capacity, mixing small
@@ -204,9 +206,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("cap %d seed %d op %d (%s %d): Lookup = %v %v, model %v %v",
 						capacity, seed, op, what, vp, g1, ok1, g2, ok2)
 				}
-				if got.resident != want.tlb.Len() || mapped(got) != want.Len() {
+				if n := resident(t, got); n != want.tlb.Len() || mapped(got) != want.Len() {
 					t.Fatalf("cap %d seed %d op %d (%s %d): resident/mapped = %d/%d, model %d/%d",
-						capacity, seed, op, what, vp, got.resident, mapped(got), want.tlb.Len(), want.Len())
+						capacity, seed, op, what, vp, n, mapped(got), want.tlb.Len(), want.Len())
 				}
 				if c1, c2 := got.RefCount(vp), want.refs[vp]; c1 != c2 {
 					t.Fatalf("cap %d seed %d op %d (%s %d): RefCount = %d, model %d",
@@ -261,10 +263,56 @@ func TestTableGrowKeepsLRUOrder(t *testing.T) {
 	for i := range victims {
 		tbl.Install(memory.VPage(1000+i), memory.GPage{Node: 2, Page: memory.PPage(i)})
 		for j, p := range victims {
-			resident := tbl.slots[tbl.find(p)].flags&fResident != 0
+			resident := tbl.slots[tbl.find(p)].way != 0
 			if resident != (j > i) {
 				t.Fatalf("after install %d: page %d resident = %v", i, p, resident)
 			}
 		}
 	}
+}
+
+// resident checks the TLB's way state and returns its resident count:
+// the LRU ring from ways[0] visits exactly ways 1..t.resident, each
+// way's slot is a mapped entry naming that way, and no other entry
+// names a way.
+func resident(tb *testing.T, t *Table) int {
+	tb.Helper()
+	if t.resident > t.tlbCap {
+		tb.Fatalf("%d resident ways, capacity %d", t.resident, t.tlbCap)
+	}
+	if t.ways == nil {
+		if t.resident != 0 {
+			tb.Fatalf("%d resident ways, none allocated", t.resident)
+		}
+		return 0
+	}
+	seen := make([]bool, len(t.ways))
+	n, last := 0, int16(0)
+	for w := t.ways[0].next; w != 0; last, w = w, t.ways[w].next {
+		if w < 0 || int(w) > t.resident || seen[w] {
+			tb.Fatalf("LRU ring reaches way %d (%d resident)", w, t.resident)
+		}
+		seen[w] = true
+		n++
+		if t.ways[w].prev != last {
+			tb.Fatalf("way %d: prev %d, ring came from %d", w, t.ways[w].prev, last)
+		}
+		e := &t.slots[t.ways[w].slot]
+		if int16(e.way) != w || e.flags&fMapped == 0 {
+			tb.Fatalf("way %d caches slot %d, which names way %d (flags %#x)", w, t.ways[w].slot, e.way, e.flags)
+		}
+	}
+	if n != t.resident || t.ways[0].prev != last {
+		tb.Fatalf("LRU ring holds %d ways ending at %d; %d resident, tail %d", n, last, t.resident, t.ways[0].prev)
+	}
+	named := 0
+	for i := range t.slots {
+		if t.slots[i].way != 0 {
+			named++
+		}
+	}
+	if named != n {
+		tb.Fatalf("%d entries name a way, %d ways resident", named, n)
+	}
+	return n
 }
