@@ -74,7 +74,10 @@ trace-equiv:
 # ablations the write-invalidate, pending-depth and combining paths;
 # the competitive ablation and ext-placement the per-page reference
 # counters (the only sweeps that cross the competitive threshold or
-# read the remote-reference profile).
+# read the remote-reference profile). The ablations group (the seven
+# ablation-* sweeps, ext-swdsm and ext-placement) is traced too: its
+# trace names every run by its sweep point's name, which no row
+# carries, and keeps each point's last 4096 events (the default ring).
 # The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
 # of the two headline programs: SSSP's update fan-out and beam
 # search's delayed ops and context switches; the Figure 2-1 sweep's
@@ -114,6 +117,7 @@ parent-equiv:
 		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
 		$$d/$$b -quick -exp figure2-1 -sample 5000 -hist > $$d/$$b-hist.txt; \
 		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
+		$$d/$$b -quick -exp ablations -trace $$d/$$b-abl.json > $$d/$$b-abl.txt; \
 		$$d/$$b -quick -exp figure3-1 -max-procs 4 -trace-events 131072 \
 			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
 		for x in ext-linkbuf fault-crash faults ablation-invalidate \
@@ -126,7 +130,8 @@ parent-equiv:
 		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
 		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
-	for f in kv.json kv.txt f21.json f21.txt hist.txt crash.json crash.txt f31.json f31.txt \
+	for f in kv.json kv.txt f21.json f21.txt hist.txt crash.json crash.txt abl.json abl.txt \
+		f31.json f31.txt \
 		ext-linkbuf.json fault-crash.json faults.json \
 		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
 		ablation-competitive.json ext-placement.json figure3-1.json \

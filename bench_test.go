@@ -17,17 +17,29 @@ import (
 	"plus/experiments"
 )
 
-// BenchmarkTable2_1 regenerates Table 2-1 (effect of replication on
-// messages, SSSP on 16 processors, copies 1..5).
-func BenchmarkTable2_1(b *testing.B) {
-	var rows []experiments.Table21Row
+// benchRows runs a registered experiment b.N times through the
+// registry, as cmd/plusbench does, and returns the last run's rows.
+func benchRows[T any](b *testing.B, name string, o experiments.Options) []T {
+	b.Helper()
+	e, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("experiment %q not registered", name)
+	}
+	var rows []T
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table21(experiments.Options{Quick: true})
+		res, err := e.Run(o)
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows = res.Rows.([]T)
 	}
+	return rows
+}
+
+// BenchmarkTable2_1 regenerates Table 2-1 (effect of replication on
+// messages, SSSP on 16 processors, copies 1..5).
+func BenchmarkTable2_1(b *testing.B) {
+	rows := benchRows[experiments.Table21Row](b, "table2-1", experiments.Options{Quick: true})
 	b.ReportMetric(rows[0].ReadRatio, "readsLR@1copy")
 	b.ReportMetric(rows[4].ReadRatio, "readsLR@5copies")
 	b.ReportMetric(rows[4].UpdateRatio, "totalPerUpdate@5copies")
@@ -36,14 +48,7 @@ func BenchmarkTable2_1(b *testing.B) {
 // BenchmarkFigure2_1 regenerates Figure 2-1 (SSSP efficiency and
 // utilization vs processors, with and without replication).
 func BenchmarkFigure2_1(b *testing.B) {
-	var pts []experiments.Fig21Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure21(experiments.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := benchRows[experiments.Fig21Point](b, "figure2-1", experiments.Options{Quick: true})
 	for _, p := range pts {
 		if p.Procs == 16 {
 			if p.Replicated {
@@ -58,14 +63,7 @@ func BenchmarkFigure2_1(b *testing.B) {
 // BenchmarkTable3_1 regenerates Table 3-1 (delayed-operation execution
 // cycles at the coherence manager).
 func BenchmarkTable3_1(b *testing.B) {
-	var rows []experiments.Table31Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table31(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := benchRows[experiments.Table31Row](b, "table3-1", experiments.Options{})
 	for _, r := range rows {
 		if r.MeasuredExec != r.PaperCycles {
 			b.Fatalf("%v: measured %d, paper %d", r.Op, r.MeasuredExec, r.PaperCycles)
@@ -78,14 +76,7 @@ func BenchmarkTable3_1(b *testing.B) {
 // BenchmarkFigure3_1 regenerates Figure 3-1 (beam-search efficiency by
 // synchronization style).
 func BenchmarkFigure3_1(b *testing.B) {
-	var pts []experiments.Fig31Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = experiments.Figure31(experiments.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	pts := benchRows[experiments.Fig31Point](b, "figure3-1", experiments.Options{Quick: true})
 	for _, p := range pts {
 		if p.Procs == 8 {
 			switch p.Label {
@@ -103,14 +94,7 @@ func BenchmarkFigure3_1(b *testing.B) {
 // BenchmarkSection3_1Costs regenerates the §3.1 cost anatomy (latency
 // vs hop distance).
 func BenchmarkSection3_1Costs(b *testing.B) {
-	var rows []experiments.CostRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Section31Costs(experiments.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := benchRows[experiments.CostRow](b, "costs", experiments.Options{})
 	b.ReportMetric(float64(rows[0].RoundTrip), "adjacentRT")
 	b.ReportMetric(float64(rows[0].RemoteRead), "adjacentRead")
 }
@@ -118,58 +102,32 @@ func BenchmarkSection3_1Costs(b *testing.B) {
 // BenchmarkAblationFence compares explicit fences (PLUS) against
 // implicit fences at every synchronization (DASH-style).
 func BenchmarkAblationFence(b *testing.B) {
-	var rows []experiments.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationFence(experiments.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := benchRows[experiments.AblationRow](b, "ablation-fence", experiments.Options{Quick: true})
 	b.ReportMetric(float64(rows[0].Elapsed), "explicitFenceCycles")
 	b.ReportMetric(float64(rows[1].Elapsed), "fenceEverySyncCycles")
 }
 
 // BenchmarkAblationPendingWrites sweeps the pending-writes cache depth.
 func BenchmarkAblationPendingWrites(b *testing.B) {
-	var rows []experiments.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationPendingWrites(experiments.Options{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	rows := benchRows[experiments.AblationRow](b, "ablation-pending-writes", experiments.Options{Quick: true})
 	b.ReportMetric(float64(rows[0].Elapsed), "depth1Cycles")
 	b.ReportMetric(float64(rows[3].Elapsed), "depth8Cycles")
 }
 
 // BenchmarkAblationDelayedSlots sweeps the delayed-op cache depth.
 func BenchmarkAblationDelayedSlots(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationDelayedSlots(experiments.Options{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRows[experiments.AblationRow](b, "ablation-delayed-slots", experiments.Options{Quick: true})
 }
 
 // BenchmarkAblationContention toggles the link-contention model.
 func BenchmarkAblationContention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationContention(experiments.Options{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRows[experiments.AblationRow](b, "ablation-contention", experiments.Options{Quick: true})
 }
 
 // BenchmarkAblationCompetitive sweeps the competitive-replication
 // threshold.
 func BenchmarkAblationCompetitive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationCompetitive(experiments.Options{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRows[experiments.AblationRow](b, "ablation-competitive", experiments.Options{Quick: true})
 }
 
 // --- Simulator micro-benchmarks (host performance, not paper data) -----

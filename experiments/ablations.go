@@ -16,101 +16,144 @@ import (
 // full workloads never push past the hardware's 8 and would show a
 // flat line.
 
-// fencePoints compares PLUS's explicit-fence discipline with
-// DASH-style implicit fences at every synchronization (§2.1) on a
-// write-burst-then-sync pattern, where the implicit fence must drain
-// the pending-writes cache before every RMW.
-func fencePoints(o Options) []Point[AblationRow] {
-	ops := 1200
+// synthVariant is one point of a synth ablation: the point's name (also
+// its trace run name), its row label, and the one machine-config
+// change it makes (nil keeps the default PLUS machine).
+type synthVariant struct {
+	name, label string
+	set         func(*core.Config)
+}
+
+// synthSweep is an ablation over the synthetic load: every variant runs
+// the same load on a 4x2 machine, differing only in its config change.
+type synthSweep struct {
+	quickOps, fullOps int
+	load              synth.Config
+	notes             func(synth.Result) string
+	variants          []synthVariant
+}
+
+// points builds the sweep's points in variant order.
+func (s synthSweep) points(o Options) []Point[AblationRow] {
+	load := s.load
+	load.MeshW, load.MeshH, load.Procs = 4, 2, 8
+	load.OpsPerProc = s.fullOps
 	if o.Quick {
-		ops = 300
+		load.OpsPerProc = s.quickOps
 	}
-	var pts []Point[AblationRow]
-	for _, fence := range []bool{false, true} {
-		fence := fence
-		label := "explicit fence (PLUS)"
-		if fence {
-			label = "fence at every sync (DASH)"
-		}
-		name := "ablation fence " + label
-		pts = append(pts, Point[AblationRow]{
-			Name: name,
-			Tags: map[string]string{"config": label},
-			Run: func() (AblationRow, error) {
-				mc := o.Observe.MachineFor(name, 4, 2)
-				mc.FenceOnSync = fence
-				res, err := synth.Run(synth.Config{
-					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
-					WriteFrac: 60, RMWFrac: 20, LocalFrac: 10, ThinkTime: 5,
-					Seed: 17, Machine: mc,
-				})
-				if err != nil {
-					return AblationRow{}, err
-				}
-				return AblationRow{
-					Label: label, Elapsed: res.Elapsed, Messages: res.Messages,
-					Extra: fmt.Sprintf("fence stall %d", res.Totals.FenceStall),
-				}, nil
-			},
-		})
+	pts := make([]Point[AblationRow], len(s.variants))
+	for i, v := range s.variants {
+		pts[i] = Point[AblationRow]{Name: v.name, Run: func() (AblationRow, error) {
+			cfg := load
+			cfg.Machine = o.Observe.MachineFor(v.name, 4, 2)
+			if v.set != nil {
+				v.set(cfg.Machine)
+			}
+			res, err := synth.Run(cfg)
+			if err != nil {
+				return AblationRow{}, err
+			}
+			return AblationRow{Label: v.label, Elapsed: res.Elapsed,
+				Messages: res.Messages, Extra: s.notes(res)}, nil
+		}}
 	}
 	return pts
 }
 
-// AblationFence runs the fence-discipline comparison.
-func AblationFence(o Options) ([]AblationRow, error) {
-	return RunPoints(fencePoints(o), o.Workers)
+// fenceSweep compares PLUS's explicit-fence discipline with DASH-style
+// implicit fences at every synchronization (§2.1) on a
+// write-burst-then-sync pattern, where the implicit fence must drain
+// the pending-writes cache before every RMW.
+var fenceSweep = synthSweep{
+	quickOps: 300, fullOps: 1200,
+	load:  synth.Config{WriteFrac: 60, RMWFrac: 20, LocalFrac: 10, ThinkTime: 5, Seed: 17},
+	notes: func(r synth.Result) string { return fmt.Sprintf("fence stall %d", r.Totals.FenceStall) },
+	variants: []synthVariant{
+		{"ablation fence explicit fence (PLUS)", "explicit fence (PLUS)", nil},
+		{"ablation fence fence at every sync (DASH)", "fence at every sync (DASH)",
+			func(c *core.Config) { c.FenceOnSync = true }},
+	},
 }
 
-// invalidatePoints compares PLUS's write-update protocol against a
+// invalidateSweep compares PLUS's write-update protocol against a
 // word-granular write-invalidate alternative (§2.2) on a
 // producer/reader pattern: every processor writes its own pages, which
 // are replicated on every other processor and read remotely-owned
 // most of the time — under invalidation each such read of a freshly
 // written word misses and refetches from the master.
-func invalidatePoints(o Options) []Point[AblationRow] {
-	ops := 1000
-	if o.Quick {
-		ops = 300
-	}
-	var pts []Point[AblationRow]
-	for _, inval := range []bool{false, true} {
-		inval := inval
-		label := "write-update (PLUS)"
-		if inval {
-			label = "write-invalidate"
-		}
-		name := "ablation invalidate " + label
-		pts = append(pts, Point[AblationRow]{
-			Name: name,
-			Tags: map[string]string{"config": label},
-			Run: func() (AblationRow, error) {
-				mc := o.Observe.MachineFor(name, 4, 2)
-				mc.InvalidateMode = inval
-				res, err := synth.Run(synth.Config{
-					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
-					WriteFrac: 30, RMWFrac: 2, LocalFrac: 10, Copies: 8,
-					PagesPerProc: 1, ThinkTime: 10,
-					Seed: 37, Machine: mc,
-				})
-				if err != nil {
-					return AblationRow{}, err
-				}
-				return AblationRow{
-					Label: label, Elapsed: res.Elapsed, Messages: res.Messages,
-					Extra: fmt.Sprintf("remote reads %d, invalidations %d",
-						res.Totals.RemoteReads, res.Totals.Invalidations),
-				}, nil
-			},
-		})
-	}
-	return pts
+var invalidateSweep = synthSweep{
+	quickOps: 300, fullOps: 1000,
+	load: synth.Config{WriteFrac: 30, RMWFrac: 2, LocalFrac: 10, Copies: 8,
+		PagesPerProc: 1, ThinkTime: 10, Seed: 37},
+	notes: func(r synth.Result) string {
+		return fmt.Sprintf("remote reads %d, invalidations %d", r.Totals.RemoteReads, r.Totals.Invalidations)
+	},
+	variants: []synthVariant{
+		{"ablation invalidate write-update (PLUS)", "write-update (PLUS)", nil},
+		{"ablation invalidate write-invalidate", "write-invalidate",
+			func(c *core.Config) { c.InvalidateMode = true }},
+	},
 }
 
-// AblationInvalidate runs the write-update vs write-invalidate
-// comparison.
-func AblationInvalidate(o Options) ([]AblationRow, error) {
-	return RunPoints(invalidatePoints(o), o.Workers)
+// contentionSweep compares the idealized (uncontended) network the
+// paper measured on with the link-contention model, under a hotspot
+// load that funnels most traffic into one node.
+var contentionSweep = synthSweep{
+	quickOps: 300, fullOps: 1000,
+	load:  synth.Config{LocalFrac: 1, HotspotFrac: 90, WriteFrac: 50, ThinkTime: 5, Seed: 29},
+	notes: func(r synth.Result) string { return fmt.Sprintf("queue wait %d", r.QueueWait) },
+	variants: []synthVariant{
+		{"ablation contention ideal links", "ideal links", nil},
+		{"ablation contention contended links", "contended links",
+			func(c *core.Config) { c.NetContention = true }},
+	},
+}
+
+// competitiveSweep compares static placement against the competitive
+// replication policy of §2.4 on a read-heavy load with poor initial
+// placement. The high-threshold rows show the policy arriving too
+// late to pay off.
+var competitiveSweep = synthSweep{
+	quickOps: 400, fullOps: 1200,
+	load:  synth.Config{WriteFrac: 5, RMWFrac: 1, LocalFrac: 10, Seed: 31},
+	notes: func(r synth.Result) string { return fmt.Sprintf("remote reads %d", r.Totals.RemoteReads) },
+	variants: []synthVariant{
+		{"ablation competitive static placement", "static placement", nil},
+		competitiveVariant(16), competitiveVariant(64), competitiveVariant(256),
+	},
+}
+
+func competitiveVariant(thr uint64) synthVariant {
+	label := fmt.Sprintf("competitive thr=%d", thr)
+	return synthVariant{"ablation competitive " + label, label,
+		func(c *core.Config) { c.CompetitiveThreshold = thr }}
+}
+
+// batchingSweep sweeps the write-combining depth
+// (Timing.MaxBatchWrites, 1 = combining off) on a write-heavy
+// mostly-local load, where runs of consecutive same-page writes are
+// common and each coalesced word saves a write request, an update per
+// copy, and an ack. The interesting outputs are the update-message
+// count falling with depth and the coalesced-word counter rising, at
+// identical final memory contents (pinned by the core-level
+// equivalence fuzzer).
+var batchingSweep = synthSweep{
+	quickOps: 400, fullOps: 1500,
+	load: synth.Config{WriteFrac: 85, RMWFrac: 2, LocalFrac: 80,
+		PagesPerProc: 1, Copies: 4, ThinkTime: 5, FencePeriod: 64, Seed: 41},
+	notes: func(r synth.Result) string {
+		return fmt.Sprintf("updates %d, coalesced %d", r.Updates, r.Totals.CoalescedWrites)
+	},
+	variants: []synthVariant{
+		{"ablation batching depth=1", "combining off", nil},
+		batchingVariant(2), batchingVariant(4), batchingVariant(8), batchingVariant(16),
+	},
+}
+
+func batchingVariant(depth int) synthVariant {
+	return synthVariant{fmt.Sprintf("ablation batching depth=%d", depth),
+		fmt.Sprintf("combine depth %d", depth),
+		func(c *core.Config) { c.Timing.MaxBatchWrites = depth }}
 }
 
 // burstMachine builds a 2-node machine with a timing override hook.
@@ -137,11 +180,9 @@ func pendingWritesPoints(o Options) []Point[AblationRow] {
 	}
 	var pts []Point[AblationRow]
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		depth := depth
 		name := fmt.Sprintf("ablation pending-writes depth=%d", depth)
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
 				m, data, err := burstMachine(func(c *core.Config) {
 					c.Timing.MaxPendingWrites = depth
@@ -174,11 +215,6 @@ func pendingWritesPoints(o Options) []Point[AblationRow] {
 	return pts
 }
 
-// AblationPendingWrites runs the pending-writes depth sweep.
-func AblationPendingWrites(o Options) ([]AblationRow, error) {
-	return RunPoints(pendingWritesPoints(o), o.Workers)
-}
-
 // delayedSlotsPoints sweeps the delayed-operations cache depth (the
 // hardware chose 8) against bursts of 8 split-transaction reads: with
 // d slots, issue of the (d+1)th operation blocks until a result is
@@ -190,11 +226,9 @@ func delayedSlotsPoints(o Options) []Point[AblationRow] {
 	}
 	var pts []Point[AblationRow]
 	for _, depth := range []int{1, 2, 4, 8, 16} {
-		depth := depth
 		name := fmt.Sprintf("ablation delayed-slots depth=%d", depth)
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
-			Tags: map[string]string{"depth": fmt.Sprint(depth)},
 			Run: func() (AblationRow, error) {
 				m, data, err := burstMachine(func(c *core.Config) {
 					c.Timing.MaxDelayedOps = depth
@@ -241,101 +275,4 @@ func delayedSlotsPoints(o Options) []Point[AblationRow] {
 		})
 	}
 	return pts
-}
-
-// AblationDelayedSlots runs the delayed-operation depth sweep.
-func AblationDelayedSlots(o Options) ([]AblationRow, error) {
-	return RunPoints(delayedSlotsPoints(o), o.Workers)
-}
-
-// contentionPoints compares the idealized (uncontended) network the
-// paper measured on with the link-contention model, under a hotspot
-// load that funnels most traffic into one node.
-func contentionPoints(o Options) []Point[AblationRow] {
-	ops := 1000
-	if o.Quick {
-		ops = 300
-	}
-	var pts []Point[AblationRow]
-	for _, cont := range []bool{false, true} {
-		cont := cont
-		label := "ideal links"
-		if cont {
-			label = "contended links"
-		}
-		name := "ablation contention " + label
-		pts = append(pts, Point[AblationRow]{
-			Name: name,
-			Tags: map[string]string{"config": label},
-			Run: func() (AblationRow, error) {
-				mc := o.Observe.MachineFor(name, 4, 2)
-				mc.NetContention = cont
-				res, err := synth.Run(synth.Config{
-					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
-					LocalFrac: 1, HotspotFrac: 90, WriteFrac: 50, ThinkTime: 5,
-					Seed: 29, Machine: mc,
-				})
-				if err != nil {
-					return AblationRow{}, err
-				}
-				return AblationRow{
-					Label: label, Elapsed: res.Elapsed, Messages: res.Messages,
-					Extra: fmt.Sprintf("queue wait %d", res.QueueWait),
-				}, nil
-			},
-		})
-	}
-	return pts
-}
-
-// AblationContention runs the link-contention comparison.
-func AblationContention(o Options) ([]AblationRow, error) {
-	return RunPoints(contentionPoints(o), o.Workers)
-}
-
-// competitivePoints compares static placement against the competitive
-// replication policy of §2.4 on a read-heavy load with poor initial
-// placement. The high-threshold rows show the policy arriving too
-// late to pay off.
-func competitivePoints(o Options) []Point[AblationRow] {
-	ops := 1200
-	if o.Quick {
-		ops = 400
-	}
-	var pts []Point[AblationRow]
-	for _, thr := range []uint64{0, 16, 64, 256} {
-		thr := thr
-		label := "static placement"
-		if thr > 0 {
-			label = fmt.Sprintf("competitive thr=%d", thr)
-		}
-		name := "ablation competitive " + label
-		pts = append(pts, Point[AblationRow]{
-			Name: name,
-			Tags: map[string]string{"config": label},
-			Run: func() (AblationRow, error) {
-				mc := o.Observe.MachineFor(name, 4, 2)
-				mc.CompetitiveThreshold = thr
-				res, err := synth.Run(synth.Config{
-					MeshW: 4, MeshH: 2, Procs: 8, OpsPerProc: ops,
-					WriteFrac: 5, RMWFrac: 1, LocalFrac: 10, Seed: 31,
-					Machine: mc,
-				})
-				if err != nil {
-					return AblationRow{}, err
-				}
-				return AblationRow{
-					Label: label, Elapsed: res.Elapsed, Messages: res.Messages,
-					Extra: fmt.Sprintf("remote reads %d", res.Totals.RemoteReads),
-				}, nil
-			},
-		})
-	}
-	return pts
-}
-
-// AblationCompetitive runs the competitive-replication threshold
-// sweep.
-func AblationCompetitive(o Options) ([]AblationRow, error) {
-	return RunPoints(competitivePoints(o), o.Workers)
 }

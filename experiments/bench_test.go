@@ -9,9 +9,7 @@ import "testing"
 func BenchmarkFigure21Quick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure21(Options{Quick: true, MaxProcs: 8}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, "figure2-1", Options{Quick: true, MaxProcs: 8})
 	}
 }
 
@@ -20,8 +18,6 @@ func BenchmarkFigure21Quick(b *testing.B) {
 func BenchmarkTable21Quick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Table21(Options{Quick: true}); err != nil {
-			b.Fatal(err)
-		}
+		runExp(b, "table2-1", Options{Quick: true})
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"plus/internal/timing"
 )
 
-func defaultMachine(w, h int) core.Config { return core.DefaultConfig(w, h) }
-
 // --- Table 3-1: delayed-operation execution cycles ----------------------
 
 // Table31Row is one delayed operation's measured cost decomposition.
@@ -32,15 +30,11 @@ type Table31Row struct {
 func table31Points(o Options) []Point[Table31Row] {
 	var pts []Point[Table31Row]
 	for _, op := range coherence.Ops() {
-		op := op
 		name := fmt.Sprintf("table 3-1 %v", op)
 		pts = append(pts, Point[Table31Row]{
 			Name: name,
-			Tags: map[string]string{"op": op.String()},
 			Run: func() (Table31Row, error) {
-				mcfg := defaultMachine(2, 1)
-				o.Observe.Attach(&mcfg, name)
-				m, err := core.NewMachine(mcfg)
+				m, err := core.NewMachine(*o.Observe.MachineFor(name, 2, 1))
 				if err != nil {
 					return Table31Row{}, err
 				}
@@ -112,15 +106,11 @@ type CostRow struct {
 func costsPoints(o Options) []Point[CostRow] {
 	var pts []Point[CostRow]
 	for hops := 1; hops <= 7; hops++ {
-		hops := hops
 		name := fmt.Sprintf("costs hops=%d", hops)
 		pts = append(pts, Point[CostRow]{
 			Name: name,
-			Tags: map[string]string{"hops": fmt.Sprint(hops)},
 			Run: func() (CostRow, error) {
-				mcfg := defaultMachine(8, 1)
-				o.Observe.Attach(&mcfg, name)
-				m, err := core.NewMachine(mcfg)
+				m, err := core.NewMachine(*o.Observe.MachineFor(name, 8, 1))
 				if err != nil {
 					return CostRow{}, err
 				}
@@ -145,11 +135,6 @@ func costsPoints(o Options) []Point[CostRow] {
 		})
 	}
 	return pts
-}
-
-// Section31Costs runs the hop-distance sweep.
-func Section31Costs(o Options) ([]CostRow, error) {
-	return RunPoints(costsPoints(o), o.Workers)
 }
 
 // FormatCosts renders the hop sweep.

@@ -117,11 +117,9 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 func crashPoints(o Options) []Point[CrashRow] {
 	var pts []Point[CrashRow]
 	for _, crashes := range []int{0, 1, 2, 4} {
-		crashes := crashes
 		name := fmt.Sprintf("fault-crash crashes=%d", crashes)
 		pts = append(pts, Point[CrashRow]{
 			Name: name,
-			Tags: map[string]string{"crashes": fmt.Sprint(crashes)},
 			Run: func() (CrashRow, error) {
 				return runCrashPoint(crashes, o.Quick, o, name)
 			},

@@ -15,13 +15,7 @@ import (
 // typed event heap, and every reusable completion hook must carry no
 // state from one run into the next.
 func TestCrossRunDeterminism(t *testing.T) {
-	run := func() string {
-		rows, err := Table21(Options{Quick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatTable21(rows)
-	}
+	run := func() string { return goldenRun(t, "table2-1", Options{Quick: true}) }
 	first, second := run(), run()
 	if first != second {
 		t.Fatalf("Table 2-1 quick diverged between identical runs:\n--- first ---\n%s\n--- second ---\n%s", first, second)

@@ -3,11 +3,13 @@
 //
 // Every experiment is expressed as a sweep of Points — independent
 // single-threaded simulations — executed by RunPoints on a bounded
-// worker pool and rendered through one shared table renderer; the
-// registry in registry.go gives cmd/plusbench a uniform way to run
-// any of them and emit rows as JSON. Serial and parallel executions
-// are byte-identical by construction: each point builds a private
-// machine (its own sim.Engine) and results return in point order.
+// worker pool and rendered through one shared table renderer. The
+// registry in registry.go is the one way to run any of them
+// (Lookup(name).Run): cmd/plusbench, the tests and the benchmarks all
+// go through it and read the same typed rows. Serial and parallel
+// executions are byte-identical by construction: each point builds a
+// private machine (its own sim.Engine) and results return in point
+// order.
 package experiments
 
 import (
@@ -76,11 +78,9 @@ func table21Points(o Options) []Point[Table21Row] {
 	}
 	var pts []Point[Table21Row]
 	for copies := 1; copies <= 5; copies++ {
-		copies := copies
 		name := fmt.Sprintf("table 2-1 copies=%d", copies)
 		pts = append(pts, Point[Table21Row]{
 			Name: name,
-			Tags: map[string]string{"copies": fmt.Sprint(copies)},
 			Run: func() (Table21Row, error) {
 				res, err := sssp.Run(sssp.Config{
 					MeshW: 4, MeshH: 4, Procs: 16,
@@ -104,12 +104,6 @@ func table21Points(o Options) []Point[Table21Row] {
 		})
 	}
 	return pts
-}
-
-// Table21 runs the replication sweep (exported for tests and the
-// repository-root benchmarks; plusbench goes through the registry).
-func Table21(o Options) ([]Table21Row, error) {
-	return RunPoints(table21Points(o), o.Workers)
 }
 
 // FormatTable21 renders rows like the paper's Table 2-1.
@@ -169,7 +163,6 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 			break
 		}
 		for _, repl := range []bool{false, true} {
-			p, repl := p, repl
 			copies := 1
 			if repl {
 				copies = p
@@ -183,7 +176,6 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 			name := fmt.Sprintf("figure 2-1 p=%d copies=%d contention=%v", p, copies, contention)
 			pts = append(pts, Point[Fig21Point]{
 				Name: name,
-				Tags: map[string]string{"procs": fmt.Sprint(p), "copies": fmt.Sprint(copies)},
 				Run: func() (Fig21Point, error) {
 					w, h := meshFor(p)
 					mc := shardedMachine(o, name, w, h)
@@ -226,16 +218,6 @@ func fillFig21Efficiency(pts []Fig21Point) []Fig21Point {
 		pts[i].Efficiency = t1 / (float64(pts[i].Procs) * float64(pts[i].Elapsed))
 	}
 	return pts
-}
-
-// Figure21 sweeps processors with and without replication. Efficiency
-// is T(1)/(P·T(P)) with T(1) measured on the same simulator.
-func Figure21(o Options) ([]Fig21Point, error) {
-	pts, err := RunPoints(figure21Points(o, false), o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return fillFig21Efficiency(pts), nil
 }
 
 func formatFig21(title string, pts []Fig21Point) string {
@@ -313,11 +295,9 @@ func figure31Points(o Options) []Point[Fig31Point] {
 			break
 		}
 		for _, st := range fig31Styles() {
-			p, st := p, st
 			name := fmt.Sprintf("figure 3-1 p=%d %s", p, st.label)
 			pts = append(pts, Point[Fig31Point]{
 				Name: name,
-				Tags: map[string]string{"procs": fmt.Sprint(p), "style": st.label},
 				Run: func() (Fig31Point, error) {
 					w, h := meshFor(p)
 					res, err := beam.Run(beam.Config{
@@ -353,16 +333,6 @@ func fillFig31Efficiency(pts []Fig31Point) []Fig31Point {
 		pts[i].Efficiency = t1 / (float64(pts[i].Procs) * float64(pts[i].Elapsed))
 	}
 	return pts
-}
-
-// Figure31 sweeps beam search over processors for the five curves of
-// Figure 3-1.
-func Figure31(o Options) ([]Fig31Point, error) {
-	pts, err := RunPoints(figure31Points(o), o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return fillFig31Efficiency(pts), nil
 }
 
 // FormatFigure31 renders the five curves of Figure 3-1.

@@ -6,10 +6,7 @@ import (
 )
 
 func TestTable21Shape(t *testing.T) {
-	rows, err := Table21(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[Table21Row](t, "table2-1", Options{Quick: true})
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -38,10 +35,7 @@ func TestTable21Shape(t *testing.T) {
 }
 
 func TestFigure21Shape(t *testing.T) {
-	pts, err := Figure21(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := rowsOf[Fig21Point](t, "figure2-1", Options{Quick: true})
 	find := func(p int, repl bool) Fig21Point {
 		for _, pt := range pts {
 			if pt.Procs == p && pt.Replicated == repl {
@@ -69,10 +63,7 @@ func TestFigure21Shape(t *testing.T) {
 }
 
 func TestFigure31Shape(t *testing.T) {
-	pts, err := Figure31(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := rowsOf[Fig31Point](t, "figure3-1", Options{Quick: true})
 	at := func(p int, label string) Fig31Point {
 		for _, pt := range pts {
 			if pt.Procs == p && pt.Label == label {
@@ -121,10 +112,7 @@ func TestTable31MatchesPaper(t *testing.T) {
 }
 
 func TestSection31Costs(t *testing.T) {
-	rows, err := Section31Costs(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[CostRow](t, "costs", Options{})
 	// Paper: adjacent round trip 24, +4 per extra hop; remote read =
 	// 32 + round trip (+ our documented CM service time).
 	if rows[0].RoundTrip != 24 {
@@ -148,28 +136,20 @@ func TestSection31Costs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	fence, err := AblationFence(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	quick := Options{Quick: true}
+	fence := rowsOf[AblationRow](t, "ablation-fence", quick)
 	if fence[1].Elapsed <= fence[0].Elapsed {
 		t.Errorf("fence-at-every-sync (%d) not slower than explicit fences (%d)",
 			fence[1].Elapsed, fence[0].Elapsed)
 	}
 
-	pw, err := AblationPendingWrites(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pw := rowsOf[AblationRow](t, "ablation-pending-writes", quick)
 	if pw[0].Elapsed <= pw[3].Elapsed {
 		t.Errorf("depth-1 pending writes (%d) not slower than depth-8 (%d)",
 			pw[0].Elapsed, pw[3].Elapsed)
 	}
 
-	slots, err := AblationDelayedSlots(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	slots := rowsOf[AblationRow](t, "ablation-delayed-slots", quick)
 	if len(slots) != 5 {
 		t.Fatalf("slot sweep rows = %d", len(slots))
 	}
@@ -180,10 +160,7 @@ func TestAblations(t *testing.T) {
 			slots[0].Elapsed, slots[3].Elapsed, slots[4].Elapsed)
 	}
 
-	inval, err := AblationInvalidate(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inval := rowsOf[AblationRow](t, "ablation-invalidate", quick)
 	if inval[1].Elapsed <= inval[0].Elapsed {
 		t.Errorf("write-invalidate (%d) not slower than write-update (%d) on the read-mostly load",
 			inval[1].Elapsed, inval[0].Elapsed)
@@ -192,18 +169,12 @@ func TestAblations(t *testing.T) {
 		t.Error("invalidate run recorded no invalidations")
 	}
 
-	cont, err := AblationContention(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cont := rowsOf[AblationRow](t, "ablation-contention", quick)
 	if cont[1].Elapsed < cont[0].Elapsed {
 		t.Error("contended network faster than ideal")
 	}
 
-	comp, err := AblationCompetitive(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	comp := rowsOf[AblationRow](t, "ablation-competitive", quick)
 	// Competitive replication at a sane threshold beats static
 	// placement on this read-heavy, badly placed load.
 	if comp[1].Elapsed >= comp[0].Elapsed {
@@ -215,10 +186,7 @@ func TestAblations(t *testing.T) {
 		t.Error("format missing rows")
 	}
 
-	svm, err := ExtensionSoftwareDSM(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svm := rowsOf[AblationRow](t, "ext-swdsm", quick)
 	// The §4 claim: page-grain software DSM pays orders of magnitude
 	// for fine-grain sharing that PLUS handles in hardware.
 	if svm[1].Elapsed < 20*svm[0].Elapsed {
@@ -226,10 +194,7 @@ func TestAblations(t *testing.T) {
 			svm[1].Elapsed, svm[0].Elapsed)
 	}
 
-	prof, err := ExtensionProfilePlacement(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := rowsOf[AblationRow](t, "ext-placement", quick)
 	// §2.4's measured-then-reallocated mode: the second run must win.
 	if prof[1].Elapsed >= prof[0].Elapsed {
 		t.Errorf("profile-guided run (%d) not faster than naive (%d)",
@@ -238,10 +203,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestAblationBatching(t *testing.T) {
-	rows, err := AblationBatching(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[AblationRow](t, "ablation-batching", Options{Quick: true})
 	if len(rows) != 5 {
 		t.Fatalf("batching sweep rows = %d, want 5", len(rows))
 	}

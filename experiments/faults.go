@@ -55,8 +55,8 @@ type faultMix struct {
 // faultPoints runs SSSP across fault mixes, with the runtime invariant
 // checker verifying the protocol's coherence structures throughout:
 // the 4x4/16-processor replicated Figure 2-1 point across message drop
-// rates (overridable via Options.DropRates), then the 8x8/64-processor
-// machine under drop/dup/delay mixes, where four times the nodes and
+// rates 0, 0.1 %, 1 % and 5 %, then the 8x8/64-processor machine
+// under drop/dup/delay mixes, where four times the nodes and
 // longer paths give every fault class more protocol state to corrupt.
 // Each run validates its distances against Dijkstra, so a row in the
 // output is end-to-end evidence the protocol survived that mix.
@@ -67,12 +67,8 @@ func faultPoints(o Options) []Point[FaultRow] {
 	if o.Quick {
 		vertices = 256
 	}
-	rates := o.DropRates
-	if rates == nil {
-		rates = []float64{0, 0.001, 0.01, 0.05}
-	}
 	var mixes []faultMix
-	for _, rate := range rates {
+	for _, rate := range []float64{0, 0.001, 0.01, 0.05} {
 		mixes = append(mixes, faultMix{4, 4, 16, mesh.FaultConfig{Seed: 7, DropRate: rate}})
 	}
 	for _, f := range []mesh.FaultConfig{
@@ -85,18 +81,11 @@ func faultPoints(o Options) []Point[FaultRow] {
 	}
 	var pts []Point[FaultRow]
 	for _, mx := range mixes {
-		mx := mx
 		meshLabel := fmt.Sprintf("%dx%d", mx.w, mx.h)
 		name := fmt.Sprintf("fault sweep %s drop=%g dup=%g delay=%g",
 			meshLabel, mx.f.DropRate, mx.f.DupRate, mx.f.DelayRate)
 		pts = append(pts, Point[FaultRow]{
 			Name: name,
-			Tags: map[string]string{
-				"mesh":       meshLabel,
-				"drop_rate":  fmt.Sprint(mx.f.DropRate),
-				"dup_rate":   fmt.Sprint(mx.f.DupRate),
-				"delay_rate": fmt.Sprint(mx.f.DelayRate),
-			},
 			Run: func() (FaultRow, error) {
 				mcfg := core.DefaultConfig(mx.w, mx.h)
 				if mx.f.Enabled() {
@@ -150,15 +139,6 @@ func fillFaultSlowdown(rows []FaultRow) []FaultRow {
 		}
 	}
 	return rows
-}
-
-// FaultSweep runs the unreliable-network sweep.
-func FaultSweep(o Options) ([]FaultRow, error) {
-	rows, err := RunPoints(faultPoints(o), o.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return fillFaultSlowdown(rows), nil
 }
 
 // FormatFaultSweep renders the sweep as a table.

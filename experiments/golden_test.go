@@ -36,9 +36,9 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// goldenRun executes a registered experiment and returns its rendered
-// table.
-func goldenRun(t *testing.T, name string, o Options) string {
+// runExp executes a registered experiment through the registry, the
+// one entry point plusbench uses too.
+func runExp(t testing.TB, name string, o Options) *Result {
 	t.Helper()
 	e, ok := Lookup(name)
 	if !ok {
@@ -48,7 +48,20 @@ func goldenRun(t *testing.T, name string, o Options) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Table
+	return res
+}
+
+// rowsOf runs a registered experiment and returns its typed rows.
+func rowsOf[T any](t testing.TB, name string, o Options) []T {
+	t.Helper()
+	return runExp(t, name, o).Rows.([]T)
+}
+
+// goldenRun executes a registered experiment and returns its rendered
+// table.
+func goldenRun(t *testing.T, name string, o Options) string {
+	t.Helper()
+	return runExp(t, name, o).Table
 }
 
 func TestGoldenTable21(t *testing.T) {
@@ -82,4 +95,17 @@ func TestGoldenKvserve(t *testing.T) {
 
 func TestGoldenFigure31(t *testing.T) {
 	checkGolden(t, "figure3-1.quick", goldenRun(t, "figure3-1", Options{Quick: true}))
+}
+
+// TestGoldenAblations pins every ablation-* table at Quick size.
+func TestGoldenAblations(t *testing.T) {
+	for _, name := range []string{
+		"ablation-fence", "ablation-invalidate", "ablation-pending-writes",
+		"ablation-delayed-slots", "ablation-contention", "ablation-competitive",
+		"ablation-batching",
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkGolden(t, name+".quick", goldenRun(t, name, Options{Quick: true}))
+		})
+	}
 }

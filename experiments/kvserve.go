@@ -82,14 +82,10 @@ func kvservePoints(o Options) []Point[KvRow] {
 	for _, mm := range meshes {
 		for _, skew := range skews {
 			for _, placement := range []string{kvserve.MasterLocal, kvserve.Striped, kvserve.ReplicatedHot} {
-				mm, skew, placement := mm, skew, placement
 				meshLabel := fmt.Sprintf("%dx%d", mm.w, mm.h)
 				name := fmt.Sprintf("kvserve %s s=%g %s", meshLabel, skew, placement)
 				pts = append(pts, Point[KvRow]{
 					Name: name,
-					Tags: map[string]string{
-						"mesh": meshLabel, "skew": fmt.Sprint(skew), "placement": placement,
-					},
 					Run: func() (KvRow, error) {
 						mc := shardedMachine(o, name, mm.w, mm.h)
 						// Queueing at the hot master IS the measurement;

@@ -35,11 +35,9 @@ func linkbufPoints(o Options) []Point[LinkbufRow] {
 	}
 	var pts []Point[LinkbufRow]
 	for _, d := range depths {
-		d := d
 		name := fmt.Sprintf("linkbuf flits=%d", d)
 		pts = append(pts, Point[LinkbufRow]{
 			Name: name,
-			Tags: map[string]string{"buf_flits": fmt.Sprint(d)},
 			Run: func() (LinkbufRow, error) {
 				mcfg := shardedMachine(o, name, 8, 8)
 				mcfg.NetContention = true

@@ -20,10 +20,7 @@ import (
 func TestObservationSerialParallelIdentical(t *testing.T) {
 	dump := func(workers int) string {
 		ob := NewObservation(stats.ObserveConfig{})
-		_, err := Figure21(Options{Quick: true, MaxProcs: 2, Workers: workers, Observe: ob})
-		if err != nil {
-			t.Fatal(err)
-		}
+		runExp(t, "figure2-1", Options{Quick: true, MaxProcs: 2, Workers: workers, Observe: ob})
 		return ob.EventDump()
 	}
 	serial := dump(1)
@@ -45,9 +42,7 @@ func TestObservationSerialParallelIdentical(t *testing.T) {
 // round-trips through encoding/json with every run represented.
 func TestObservationChromeTraceValidates(t *testing.T) {
 	ob := NewObservation(stats.ObserveConfig{SampleEvery: 2000})
-	if _, err := Figure21(Options{Quick: true, MaxProcs: 2, Workers: 2, Observe: ob}); err != nil {
-		t.Fatal(err)
-	}
+	runExp(t, "figure2-1", Options{Quick: true, MaxProcs: 2, Workers: 2, Observe: ob})
 	runs := ob.Runs()
 	if len(runs) != 3 { // p=1, p=2 unreplicated, p=2 replicated
 		t.Fatalf("got %d observed runs, want 3", len(runs))
@@ -143,10 +138,7 @@ func TestRegistryObservedRowsMatch(t *testing.T) {
 // counters ride along in the fault sweep's JSON rows (satellite of the
 // observability PR: plusbench -json exposes the full counter block).
 func TestFaultRowsCarryReliability(t *testing.T) {
-	rows, err := FaultSweep(Options{Quick: true, DropRates: []float64{0, 0.01}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[FaultRow](t, "faults", Options{Quick: true})
 	b, err := json.Marshal(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +148,7 @@ func TestFaultRowsCarryReliability(t *testing.T) {
 			t.Errorf("fault rows missing %q in JSON", key)
 		}
 	}
-	if rows[1].Retransmits == 0 {
+	if rows[2].Retransmits == 0 {
 		t.Error("1% drop run recorded no retransmits")
 	}
 }

@@ -14,9 +14,7 @@ import (
 // poor initial placement: every page homed on the far corner, each
 // used intensely by two near-corner nodes with a light write mix.
 func placementWorkload(ops int, ob *Observation, name string) (*core.Machine, error) {
-	mcfg := core.DefaultConfig(4, 2)
-	ob.Attach(&mcfg, name)
-	m, err := core.NewMachine(mcfg)
+	m, err := core.NewMachine(*ob.MachineFor(name, 4, 2))
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +24,6 @@ func placementWorkload(ops int, ob *Observation, name string) (*core.Machine, er
 		bases[i] = m.Alloc(7, 1) // all homed on node 7
 	}
 	for n := 0; n < 6; n++ {
-		n := n
 		pg := bases[n%pages]
 		m.Spawn(mesh.NodeID(n), func(t *proc.Thread) {
 			for i := 0; i < ops; i++ {
@@ -42,7 +39,7 @@ func placementWorkload(ops int, ob *Observation, name string) (*core.Machine, er
 	return m, nil
 }
 
-// ExtensionProfilePlacement measures §2.4's second placement mode:
+// profilePlacement measures §2.4's second placement mode:
 // "If the access pattern is not data dependent, it can be measured
 // during one run of the application and the results of the
 // measurement used to optimally allocate memory in subsequent runs."
@@ -54,7 +51,7 @@ func placementWorkload(ops int, ob *Observation, name string) (*core.Machine, er
 // Unlike every other experiment this one is a two-stage pipeline —
 // run 2 consumes run 1's counters — so it registers as a single sweep
 // point rather than a parallel point set.
-func ExtensionProfilePlacement(o Options) ([]AblationRow, error) {
+func profilePlacement(o Options) ([]AblationRow, error) {
 	ops := 400
 	if o.Quick {
 		ops = 120

@@ -36,8 +36,7 @@ type Experiment struct {
 // newExperiment wires a typed point-sweep experiment into the uniform
 // registry shape: build points, run them on the worker pool, post-
 // process rows (nil post = identity), render through the shared
-// renderer. This one constructor replaces the five bespoke
-// loop/error-wrap/Format implementations the experiments used to carry.
+// renderer.
 func newExperiment[T any](name, title string,
 	points func(Options) []Point[T],
 	post func([]T) []T,
@@ -82,13 +81,13 @@ var registry = []Experiment{
 		figure31Points, fillFig31Efficiency, FormatFigure31, ChartFigure31),
 	newExperiment("costs", "Section 3.1 cost anatomy vs hop distance",
 		costsPoints, nil, FormatCosts, nil),
-	ablationExperiment("ablation-fence", "Ablation: explicit fence vs fence-at-every-sync", fencePoints),
-	ablationExperiment("ablation-invalidate", "Ablation: write-update vs write-invalidate", invalidatePoints),
+	ablationExperiment("ablation-fence", "Ablation: explicit fence vs fence-at-every-sync", fenceSweep.points),
+	ablationExperiment("ablation-invalidate", "Ablation: write-update vs write-invalidate", invalidateSweep.points),
 	ablationExperiment("ablation-pending-writes", "Ablation: pending-writes cache depth", pendingWritesPoints),
 	ablationExperiment("ablation-delayed-slots", "Ablation: delayed-operations cache depth", delayedSlotsPoints),
-	ablationExperiment("ablation-contention", "Ablation: network contention model", contentionPoints),
-	ablationExperiment("ablation-competitive", "Ablation: competitive replication threshold", competitivePoints),
-	ablationExperiment("ablation-batching", "Ablation: write-combining depth (MaxBatchWrites)", batchingPoints),
+	ablationExperiment("ablation-contention", "Ablation: network contention model", contentionSweep.points),
+	ablationExperiment("ablation-competitive", "Ablation: competitive replication threshold", competitiveSweep.points),
+	ablationExperiment("ablation-batching", "Ablation: write-combining depth (MaxBatchWrites)", batchingSweep.points),
 	ablationExperiment("ext-swdsm", "Extension: PLUS vs software shared virtual memory (§4)", swdsmPoints),
 	placementExperiment("ext-placement", "Extension: profile-guided placement (§2.4 second mode)"),
 	newExperiment("faults", "Fault sweep: SSSP under message loss, duplication & delay",
@@ -117,7 +116,7 @@ func placementExperiment(name, title string) Experiment {
 		Name:  name,
 		Title: title,
 		Run: func(o Options) (*Result, error) {
-			rows, err := ExtensionProfilePlacement(o)
+			rows, err := profilePlacement(o)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}

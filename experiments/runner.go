@@ -18,9 +18,6 @@ type Options struct {
 	// are byte-identical for any value: every point is an independent
 	// simulation and rows always come back in point order.
 	Workers int
-	// DropRates overrides the fault sweep's loss rates (fault sweep
-	// only; nil = its default 0, 0.001, 0.01, 0.05).
-	DropRates []float64
 	// Shards runs each point's machine on that many shard engines where
 	// the workload supports it: the SSSP sweeps — contention-on,
 	// bounded-buffer (ext-linkbuf) and observed points included — and
@@ -47,13 +44,12 @@ func (o Options) EffectiveShards() int {
 }
 
 // Point is one independent simulation of a sweep: a name for error
-// reporting, optional tags describing the configuration, and a closure
-// that builds a fresh machine (its own sim.Engine), runs it, and
-// returns one result. Run must not share mutable state with any other
+// reporting (and the point's trace run name), and a closure that
+// builds a fresh machine (its own sim.Engine), runs it, and returns
+// one result. Run must not share mutable state with any other
 // point — RunPoints executes points concurrently.
 type Point[T any] struct {
 	Name string
-	Tags map[string]string
 	Run  func() (T, error)
 }
 

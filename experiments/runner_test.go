@@ -71,7 +71,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q not registered", name)
 		}
-		o := Options{Quick: true, MaxProcs: 8, DropRates: []float64{0, 0.01}}
+		o := Options{Quick: true, MaxProcs: 8}
 		o.Workers = 1
 		serial, err := e.Run(o)
 		if err != nil {

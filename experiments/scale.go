@@ -60,7 +60,6 @@ func scalePoints(o Options) []Point[ScaleRow] {
 	var pts []Point[ScaleRow]
 	for _, mesh := range scaleMeshes(o) {
 		for _, k := range mesh.shards {
-			mesh, k := mesh, k
 			procs := mesh.w * mesh.h
 			if k > procs || procs%k != 0 {
 				continue
@@ -68,7 +67,6 @@ func scalePoints(o Options) []Point[ScaleRow] {
 			name := fmt.Sprintf("scale %dx%d shards=%d", mesh.w, mesh.h, k)
 			pts = append(pts, Point[ScaleRow]{
 				Name: name,
-				Tags: map[string]string{"mesh": fmt.Sprintf("%dx%d", mesh.w, mesh.h), "shards": fmt.Sprint(k)},
 				Run: func() (ScaleRow, error) {
 					// An instrumented sweep runs the full-featured
 					// machine — link contention on, a per-point observer

@@ -27,9 +27,7 @@ const swdsmProcs = 8
 
 // swdsmPlusRow runs the trace on the PLUS hardware simulator.
 func swdsmPlusRow(iters int, ob *Observation, name string) (AblationRow, error) {
-	mcfg := core.DefaultConfig(4, 2)
-	ob.Attach(&mcfg, name)
-	m, err := core.NewMachine(mcfg)
+	m, err := core.NewMachine(*ob.MachineFor(name, 4, 2))
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -40,7 +38,6 @@ func swdsmPlusRow(iters int, ob *Observation, name string) (AblationRow, error) 
 	// Node 0 is a pure reader (a monitor thread), so the page-DSM run
 	// also exhibits read-copy invalidations, not just owner ping-pong.
 	for p := 0; p < swdsmProcs; p++ {
-		p := p
 		m.Spawn(mesh.NodeID(p), func(t *proc.Thread) {
 			mine := shared + memory.VAddr(p)
 			theirs := shared + memory.VAddr((p+1)%swdsmProcs)
@@ -101,20 +98,7 @@ func swdsmPoints(o Options) []Point[AblationRow] {
 		iters = 20
 	}
 	return []Point[AblationRow]{
-		{
-			Name: "ext swdsm PLUS",
-			Tags: map[string]string{"system": "plus"},
-			Run:  func() (AblationRow, error) { return swdsmPlusRow(iters, o.Observe, "ext swdsm PLUS") },
-		},
-		{
-			Name: "ext swdsm software SVM",
-			Tags: map[string]string{"system": "svm"},
-			Run:  func() (AblationRow, error) { return swdsmSVMRow(iters) },
-		},
+		{Name: "ext swdsm PLUS", Run: func() (AblationRow, error) { return swdsmPlusRow(iters, o.Observe, "ext swdsm PLUS") }},
+		{Name: "ext swdsm software SVM", Run: func() (AblationRow, error) { return swdsmSVMRow(iters) }},
 	}
-}
-
-// ExtensionSoftwareDSM runs the PLUS vs software-SVM comparison.
-func ExtensionSoftwareDSM(o Options) ([]AblationRow, error) {
-	return RunPoints(swdsmPoints(o), o.Workers)
 }

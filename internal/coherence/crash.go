@@ -137,20 +137,7 @@ func (cm *CM) Restart() {
 		cm.resetPair(mesh.NodeID(i))
 	}
 	clear(cm.frames)
-	if n := len(cm.pending); n > 0 {
-		ids := make([]uint64, 0, n)
-		for _, p := range cm.pending {
-			ids = append(ids, p.id)
-		}
-		sortIDs(ids)
-		for _, id := range ids {
-			if cm.pendingIndex(id) < 0 {
-				continue // batch member retired by its lead id
-			}
-			cm.st.ForcedRetires++
-			cm.retireWrite(id)
-		}
-	}
+	cm.forceRetire(func(pendingWrite) bool { return true })
 	cm.reissueReads(func(readWaiter) bool { return true })
 	for i := range cm.slots {
 		if cm.slots[i].busy && !cm.slots[i].ready {
@@ -269,22 +256,9 @@ func (cm *CM) Failover(dead mesh.NodeID, affected func(GAddr) bool) {
 	// update may have died inside the crashed node. A write that was in
 	// fact still propagating among live copies delivers a stale ack
 	// later, which finishWrite tolerates on crash runs.
-	if len(cm.pending) > 0 {
-		var ids []uint64
-		for _, p := range cm.pending {
-			if affected(p.g) && !resentPids[p.id] {
-				ids = append(ids, p.id)
-			}
-		}
-		sortIDs(ids)
-		for _, id := range ids {
-			if cm.pendingIndex(id) < 0 {
-				continue // batch member retired by its lead id
-			}
-			cm.st.ForcedRetires++
-			cm.retireWrite(id)
-		}
-	}
+	cm.forceRetire(func(p pendingWrite) bool {
+		return affected(p.g) && !resentPids[p.id]
+	})
 }
 
 // resetPair restarts the transport pair with peer (the peer does too,
@@ -297,6 +271,29 @@ func (cm *CM) resetPair(peer mesh.NodeID) {
 	tx.rto = 0
 	tx.strikes = 0
 	cm.rx[peer].acked = tx.nextSeq
+}
+
+// forceRetire retires every pending write selected by keep, counting
+// each as a forced retire. Deterministic: writes are retired in id
+// order, and a batch member its lead id already retired is skipped.
+func (cm *CM) forceRetire(keep func(pendingWrite) bool) {
+	if len(cm.pending) == 0 {
+		return
+	}
+	ids := make([]uint64, 0, len(cm.pending))
+	for _, p := range cm.pending {
+		if keep(p) {
+			ids = append(ids, p.id)
+		}
+	}
+	sortIDs(ids)
+	for _, id := range ids {
+		if cm.pendingIndex(id) < 0 {
+			continue // batch member retired by its lead id
+		}
+		cm.st.ForcedRetires++
+		cm.retireWrite(id)
+	}
 }
 
 // reissueReads re-sends every outstanding remote read selected by keep,

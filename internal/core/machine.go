@@ -418,11 +418,7 @@ func (m *Machine) Peek(va memory.VAddr) memory.Word { return m.kern.Peek(va) }
 
 // Spawn creates a thread on node running body.
 func (m *Machine) Spawn(node mesh.NodeID, body func(*proc.Thread)) *proc.Thread {
-	id := m.nextTID
-	m.nextTID++
-	t := m.procs[node].Spawn(id, fmt.Sprintf("t%d@n%d", id, node), body)
-	m.threads = append(m.threads, t)
-	return t
+	return m.SpawnNamed(node, fmt.Sprintf("t%d@n%d", m.nextTID, node), body)
 }
 
 // SpawnNamed is Spawn with a diagnostic thread name.

@@ -169,7 +169,7 @@ func TestWriteThroughReplicatedPageEndToEnd(t *testing.T) {
 	if err := r.k.CheckCoherent(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.k.Peek(memory.VPage(vp).Addr(5)); got != 42 {
+	if got := r.k.Peek(memory.VPage(vp).Base() + 5); got != 42 {
 		t.Fatalf("Peek = %d", got)
 	}
 }
@@ -279,7 +279,7 @@ func TestPokePeekAllCopies(t *testing.T) {
 	r := newRig(t, 2, 1)
 	vp := r.k.AllocPage(0)
 	r.k.ReplicateNow(vp, 1)
-	va := memory.VPage(vp).Addr(9)
+	va := memory.VPage(vp).Base() + 9
 	r.k.Poke(va, 1234)
 	if r.k.Peek(va) != 1234 {
 		t.Fatal("Peek after Poke mismatch")
@@ -332,7 +332,7 @@ func TestDeleteMasterPromotesNext(t *testing.T) {
 	if err := r.k.CheckCoherent(); err != nil {
 		t.Fatal(err)
 	}
-	if r.k.Peek(memory.VPage(vp).Addr(0)) != 77 {
+	if r.k.Peek(memory.VPage(vp).Base()) != 77 {
 		t.Fatal("write lost after master promotion")
 	}
 }
@@ -365,13 +365,13 @@ func TestDeleteDuringWritesPanics(t *testing.T) {
 func TestMigrate(t *testing.T) {
 	r := newRig(t, 4, 1)
 	vp := r.k.AllocPage(0)
-	r.k.Poke(memory.VPage(vp).Addr(3), 66)
+	r.k.Poke(memory.VPage(vp).Base()+3, 66)
 	r.k.Migrate(vp, 0, 3)
 	nodes := r.k.CopyNodes(vp)
 	if len(nodes) != 1 || nodes[0] != 3 {
 		t.Fatalf("post-migration nodes = %v", nodes)
 	}
-	if r.k.Peek(memory.VPage(vp).Addr(3)) != 66 {
+	if r.k.Peek(memory.VPage(vp).Base()+3) != 66 {
 		t.Fatal("data lost in migration")
 	}
 }

@@ -45,9 +45,6 @@ func (a VAddr) Offset() uint32 { return uint32(a) & OffMask }
 // Base returns the first address of the page.
 func (p VPage) Base() VAddr { return VAddr(uint32(p) << PageShift) }
 
-// Addr returns the address of word off within the page.
-func (p VPage) Addr(off uint32) VAddr { return p.Base() + VAddr(off&OffMask) }
-
 // PPage is a physical page (frame) index within one node's memory.
 type PPage int32
 

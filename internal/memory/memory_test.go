@@ -15,8 +15,8 @@ func TestAddressArithmetic(t *testing.T) {
 	if a.Offset() != 17 {
 		t.Fatalf("offset = %d, want 17", a.Offset())
 	}
-	if VPage(5).Addr(17) != a {
-		t.Fatalf("Addr round trip failed")
+	if VPage(5).Base()+17 != a {
+		t.Fatalf("Base+offset round trip failed")
 	}
 	if VPage(5).Base() != VAddr(5*PageWords) {
 		t.Fatalf("Base = %d", VPage(5).Base())
@@ -26,7 +26,7 @@ func TestAddressArithmetic(t *testing.T) {
 func TestAddressRoundTripProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		a := VAddr(raw)
-		return a.Page().Addr(a.Offset()) == a
+		return a.Page().Base()+VAddr(a.Offset()) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

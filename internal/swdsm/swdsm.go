@@ -8,8 +8,8 @@
 // result in large software overhead because the basic mechanism is
 // paging... the software overhead (a few milliseconds on one-VAX-MIP
 // machines) will remain" — becomes measurable: the same access trace
-// runs here and on the PLUS machine, and the experiment compares
-// elapsed cycles (see experiments.ExtensionSoftwareDSM).
+// runs here and on the PLUS machine, and the ext-swdsm experiment
+// compares elapsed cycles.
 //
 // Protocol (static distributed manager):
 //

@@ -12,8 +12,7 @@
 //     through a shared fetch-and-add index (the classic fetch-and-add
 //     loop of the era, latency-hidden with the eager allocator);
 //   - Reduce: a parallel sum via per-node partials and fetch-and-add
-//     combination;
-//   - Group.Go / Group.Wait: fork-join over explicit nodes.
+//     combination.
 //
 // Everything is deterministic under the simulator and composes with
 // plus/sync and plus/work.
@@ -26,31 +25,8 @@ import (
 	"plus/internal/memory"
 	"plus/internal/mesh"
 	"plus/internal/proc"
-	"plus/internal/sim"
 	psync "plus/sync"
 )
-
-// Group is a fork-join scope: spawn bodies on nodes, then Wait for all
-// of them from the simulation driver (Run).
-type Group struct {
-	m       *core.Machine
-	threads []*proc.Thread
-}
-
-// NewGroup creates a fork-join scope on the machine.
-func NewGroup(m *core.Machine) *Group { return &Group{m: m} }
-
-// Go forks body onto node.
-func (g *Group) Go(node mesh.NodeID, body func(*proc.Thread)) {
-	g.threads = append(g.threads, g.m.Spawn(node, body))
-}
-
-// Run executes the machine until every forked body completes and
-// returns the elapsed time.
-func (g *Group) Run() (sim.Cycles, error) { return g.m.Run() }
-
-// Threads returns the forked threads.
-func (g *Group) Threads() []*proc.Thread { return g.threads }
 
 // For runs body(i) for every i in [0, n), block-partitioned over the
 // given processors, with an implicit fence+barrier at the end of each

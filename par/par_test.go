@@ -117,23 +117,6 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
-func TestGroupForkJoin(t *testing.T) {
-	m := newMachine(t, 2, 1)
-	g := NewGroup(m)
-	ran := [2]bool{}
-	g.Go(0, func(th *proc.Thread) { th.Compute(100); ran[0] = true })
-	g.Go(1, func(th *proc.Thread) { th.Compute(200); ran[1] = true })
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran[0] || !ran[1] {
-		t.Fatal("bodies did not run")
-	}
-	if len(g.Threads()) != 2 {
-		t.Fatal("threads not tracked")
-	}
-}
-
 func TestValidation(t *testing.T) {
 	m := newMachine(t, 2, 1)
 	for _, f := range []func(){
