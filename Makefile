@@ -31,13 +31,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# The shard run loop's tests, the shard equivalence tests and the
-# kernel-ops sweep (runtime replication, whose page-fill marks are
-# written on the copies' own shards) on one CPU (GOMAXPROCS=1), where
-# every multi-engine set oversubscribes it: a barrier that needs a
-# second CPU to make progress fails here.
+# The shard run loop's tests and every random-program fuzz entry run
+# at more than one shard count (among them runtime replication, whose
+# page-fill marks are written on the copies' own shards) on one CPU
+# (GOMAXPROCS=1), where every multi-engine set oversubscribes it: a
+# barrier that needs a second CPU to make progress fails here.
 shard-oversub:
-	GOMAXPROCS=1 $(GO) test -run 'ShardSet|ShardEquivalence|KernelOps' ./internal/sim ./internal/core
+	GOMAXPROCS=1 $(GO) test -run 'ShardSet|Fuzz|KernelOps' ./internal/sim ./internal/core
 
 # The sharded observer gate beyond the 4x4 fuzz: the Figure 2-1 quick
 # sweep (plain and with the time-series sampler, which runs at
@@ -65,36 +65,27 @@ trace-equiv:
 # that claim to move host speed only: builds plusbench from BASE (via
 # git archive, so it needs the repository's history and stays out of
 # check) and from the working tree, runs both on the same sweeps and
-# compares every output byte for byte. The record-store sweep's trace
-# pins every contended link reservation and wait; ext-linkbuf's JSON
-# the NACKs that bounded link buffers decide; fault-crash the crash
-# and failover sweeps, traced so the failover epoch's event order is
-# compared as well as its rows; faults the reliability sublayer under
-# loss, duplication and delay; the invalidate, pending-writes and batching
-# ablations the write-invalidate, pending-depth and combining paths;
-# the competitive ablation and ext-placement the per-page reference
-# counters (the only sweeps that cross the competitive threshold or
-# read the remote-reference profile). The ablations group (the seven
-# ablation-* sweeps, ext-swdsm and ext-placement) is traced too: its
-# trace names every run by its sweep point's name, which no row
-# carries, and keeps each point's last 4096 events (the default ring).
-# The Figure 2-1 trace and the Figure 3-1 rows pin the dispatch order
-# of the two headline programs: SSSP's update fan-out and beam
-# search's delayed ops and context switches; the Figure 2-1 sweep's
-# -sample/-hist text pins the merged latency histograms and the stall
-# summary. Figure 3-1 is traced too,
-# at one to four processors with a ring of 131072 events per point
-# (a one- or two-processor point fits whole; a four-processor point
-# keeps at most its last 131072), so beam's writes, fences, issues and
-# switches are compared event by event; the eight-processor points
-# would double the leg's time. The delayed-slots
-# ablation pins the stall on a full delayed-operations cache, the
-# fence ablation the fence before every issue, Table 3-1 each delayed
-# operation's cycles, and the race corpus's reports and annotated
-# trace the order of its EvAccRMW/EvAccVerify events and its race
-# marks. Last, every quick sweep's JSON rows
+# compares every output byte for byte. Every quick sweep's JSON rows
 # (-exp all) are compared with the host-time "wall_ms" and "speedup"
-# lines filtered out. Each plussim workload's -stats report at four
+# lines filtered out: among them ext-linkbuf's NACK counts, the crash,
+# failover and loss sweeps, the invalidate, pending-writes, batching,
+# delayed-slots and fence ablations, the competitive ablation's and
+# ext-placement's per-page reference counters, the Figure 3-1 rows and
+# Table 3-1's per-operation cycles. The traces pin event order beyond
+# the rows: the record-store sweep's every contended link reservation
+# and wait; fault-crash's failover epochs; the ablations group (the
+# seven ablation-* sweeps, ext-swdsm and ext-placement), whose trace
+# names every run by its sweep point's name, which no row carries, and
+# keeps each point's last 4096 events (the default ring); Figure 2-1's
+# SSSP update fan-out; and Figure 3-1 at one to four processors with a
+# ring of 131072 events per point (a one- or two-processor point fits
+# whole; a four-processor point keeps at most its last 131072), so
+# beam's writes, fences, issues and switches are compared event by
+# event; the eight-processor points would double the leg's time. The
+# Figure 2-1 sweep's -sample/-hist text pins the merged latency
+# histograms and the stall summary, and the race corpus's reports and
+# annotated trace the order of its EvAccRMW/EvAccVerify events and its
+# race marks. Each plussim workload's -stats report at four
 # processors pins the per-node counters of the workloads the sweeps
 # do not run (prodsys, sor, synth) and of sssp and beam run alone.
 # Usage: make parent-equiv BASE=<rev>
@@ -120,22 +111,12 @@ parent-equiv:
 		$$d/$$b -quick -exp ablations -trace $$d/$$b-abl.json > $$d/$$b-abl.txt; \
 		$$d/$$b -quick -exp figure3-1 -max-procs 4 -trace-events 131072 \
 			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
-		for x in ext-linkbuf fault-crash faults ablation-invalidate \
-			ablation-pending-writes ablation-batching ablation-competitive \
-			ext-placement figure3-1 ablation-delayed-slots ablation-fence \
-			table3-1; do \
-			$$d/$$b -quick -exp $$x -json > $$d/$$b-$$x.json; \
-		done; \
 		$$d/$$b -races -trace $$d/$$b-races.json > $$d/$$b-races.txt; \
 		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
 		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
 	for f in kv.json kv.txt f21.json f21.txt hist.txt crash.json crash.txt abl.json abl.txt \
-		f31.json f31.txt \
-		ext-linkbuf.json fault-crash.json faults.json \
-		ablation-invalidate.json ablation-pending-writes.json ablation-batching.json \
-		ablation-competitive.json ext-placement.json figure3-1.json \
-		ablation-delayed-slots.json ablation-fence.json table3-1.json races.txt races.json \
+		f31.json f31.txt races.txt races.json \
 		all.json $(PLUSSIM_WORKLOADS:%=plussim-%.txt); do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \

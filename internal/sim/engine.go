@@ -139,11 +139,12 @@ type Engine struct {
 	// RunUntil's horizon, so it reports true elapsed work in sharded
 	// rounds.
 	lastAct Cycles
-	// cur is the queue key of the event currently dispatching. Keys are
-	// unique across all engines of a sharded run, so filing deferred
-	// work under it lets the barrier replay every engine's log in the
-	// order one engine would have made the calls (runDeferred).
-	cur key
+	// cur is the queue key of the event currently dispatching; filed,
+	// the largest key this engine dispatched this round, files its
+	// deferred work. Keys are unique across all engines of a sharded
+	// run, so the barrier replays every engine's log in the order one
+	// engine would have made the calls (runDeferred).
+	cur, filed key
 	// inRound is set by ShardSet while this engine runs a round;
 	// deferred logs the Defer calls made meanwhile, in this engine's
 	// execution order, for replay at the round's barrier.
@@ -226,7 +227,7 @@ func (e *Engine) Defer(sink EventSink, kind int, data any) {
 //
 //go:noinline
 func (e *Engine) logDeferred(sink EventSink, kind int, data any) {
-	e.deferred = append(e.deferred, deferredCall{at: e.cur, sink: sink, kind: kind, data: data})
+	e.deferred = append(e.deferred, deferredCall{at: e.filed, sink: sink, kind: kind, data: data})
 }
 
 // ScheduleEvent delivers (kind, data) to sink after delay cycles.
@@ -302,6 +303,9 @@ func (e *Engine) run(at Cycles, h int32) {
 	e.lastAct = at
 	e.curLane = max(laneOf(tie), NoLane)
 	e.cur = key{at, tie}
+	if e.filed.less(e.cur) {
+		e.filed = e.cur
+	}
 	e.processed++
 	sink.HandleEvent(int(kind), data)
 }

@@ -191,7 +191,7 @@ func (s *ShardSet) Run() {
 			return
 		}
 		for _, e := range s.Engines {
-			e.inRound = true
+			e.inRound, e.filed = true, key{}
 		}
 		b.horizon = t + s.Window - 1
 		b.pending.Store(int64(k - 1))
@@ -311,15 +311,16 @@ func (b *barrier) wake(i int) bool {
 // runDeferred replays the finished round's Defer calls in the order
 // one engine would have made them, then empties the logs. Each log is
 // its engine's calls in execution order, and the merge repeatedly runs
-// the head whose dispatch key is smallest. A flat key sort would not
-// do: a serial engine's pop order is not key order, because a dispatch
-// can schedule a same-cycle event under a smaller key (a zero-delay
-// wake on the sleeper's lane, made while dispatching a delivery keyed
-// under the sender's lane), which runs after the dispatch that made
-// it. The head merge is exact: once every engine's earlier calls have
-// run, each engine's next dispatch was already queued (scheduled by
-// earlier activity on its own engine; cross-engine scheduling happens
-// only at barriers), so one engine's next pop is the smallest head.
+// the head whose filing key is smallest. A serial engine's pop order
+// is not key order: a dispatch can schedule a same-cycle event under a
+// smaller key (a zero-delay wake on the sleeper's lane, made while
+// dispatching a delivery keyed under the sender's lane), which runs
+// right after it, before anything keyed above it. So that event's
+// calls are filed under its parent's key (Engine.filed). The head
+// merge is exact: once every engine's earlier calls have run, each
+// engine's next dispatch was already queued (scheduled by earlier
+// activity on its own engine; cross-engine scheduling happens only at
+// barriers), so one engine's next pop is the smallest head.
 // The merge takes each winner's calls in runs, up to the first that
 // sorts after another engine's head. Heads of different engines never
 // tie, since each lane's counter lives on one engine. No engine is in

@@ -142,6 +142,35 @@ func TestShardSetDefer(t *testing.T) {
 	}
 }
 
+// TestShardSetDeferAfterSmallerKeyedChild pins where a same-cycle
+// event scheduled under a smaller key than its parent files its
+// deferred calls: under the parent's key, since it runs right after
+// the parent. At cycle 5, W (lane 4) defers "W", and X (lane 8) defers
+// nothing but schedules Y on lane 1, which defers "Y". One engine runs
+// W, X, Y; with X and Y on one engine and W on another, the barrier
+// must still replay W's call first.
+func TestShardSetDeferAfterSmallerKeyedChild(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		var log []string
+		engines := []*Engine{NewEngine(), NewEngine()}[:k]
+		a, b := engines[0], engines[k-1]
+		note := func(e *Engine, s string) func() {
+			return func() { e.Defer(fnSink{}, 0, func() { log = append(log, s) }) }
+		}
+		b.SetLane(4)
+		runAt(b, 5, note(b, "W"))
+		a.SetLane(8)
+		runAt(a, 5, func() {
+			a.SetLane(1)
+			runAfter(a, 0, note(a, "Y"))
+		})
+		(&ShardSet{Engines: engines, Window: 12}).Run()
+		if got := strings.Join(log, " "); got != "W Y" {
+			t.Errorf("%d engines replayed %q, want \"W Y\"", k, got)
+		}
+	}
+}
+
 // TestShardSetReplayKeys pins the keys barrier replay draws: whichever
 // engine a replayed call schedules on, and whatever lane that engine
 // last dispatched, the key comes from the set's one counter under
