@@ -48,6 +48,10 @@ type fuzzEntry struct {
 	// pages is the shared page count (8); ops the operations per thread
 	// (300).
 	pages, ops int
+	// place lays the pages out (strided). Under a crash script it must
+	// keep every page a copy on a node the script never crashes, as
+	// failover requires.
+	place placement
 	// mods edit the config before construction (contention, an
 	// observer, the invariant checker, ...).
 	mods   []func(*core.Config)
@@ -60,6 +64,9 @@ type fuzzEntry struct {
 	shards []int
 	// seeds are the programs to draw (1, 42).
 	seeds []int64
+	// pooled asks a bounded-buffer entry to NACK, and a lossy entry to
+	// drop, on at least one of its seeds rather than on each.
+	pooled bool
 	// ring passes a token around the nodes with Sleep/Wake every
 	// ringEvery operations. Every shard count's tiling cuts the ring, so
 	// some wakes cross shards.
@@ -82,10 +89,8 @@ const (
 )
 
 var (
-	everyK = []int{1, 2, 4, 8}
 	// rerun runs twice on one engine, then on two.
 	rerun      = []int{1, 1, 2}
-	shardSeeds = []int64{1, 42}
 	contention = func(c *core.Config) { c.NetContention = true }
 	invalidate = func(c *core.Config) { c.InvalidateMode = true }
 	// observe attaches a ring large enough for every entry's whole
@@ -104,54 +109,81 @@ func checked(period sim.Cycles) func(*core.Config) {
 	}
 }
 
-// seedRange returns the seeds lo .. hi-1.
-func seedRange(lo, hi int64) []int64 {
-	var s []int64
-	for seed := lo; seed < hi; seed++ {
-		s = append(s, seed)
+// placement returns page pg's home and then its replicas on an n-node
+// machine. rng is the seed's layout stream; safe lists the nodes the
+// crash script never takes down, nil without one. Repeats add nothing.
+type placement func(rng *rand.Rand, pg, n int, safe []mesh.NodeID) []mesh.NodeID
+
+// strided homes page pg on node 5pg mod n and replicates even pages 3
+// and 7 nodes on, whatever the seed, so directed tests can name a
+// page's holders.
+func strided(_ *rand.Rand, pg, n int, _ []mesh.NodeID) []mesh.NodeID {
+	home := pg * 5 % n
+	if pg%2 == 1 {
+		return []mesh.NodeID{mesh.NodeID(home)}
 	}
-	return s
+	return []mesh.NodeID{mesh.NodeID(home), mesh.NodeID((home + 3) % n), mesh.NodeID((home + 7) % n)}
+}
+
+// drawn homes each page on a random node and replicates it on 0–3
+// random nodes. Under a crash script the first replica is a random
+// node the script never crashes, and 0–2 random ones follow.
+func drawn(rng *rand.Rand, _, n int, safe []mesh.NodeID) []mesh.NodeID {
+	nodes := []mesh.NodeID{mesh.NodeID(rng.Intn(n))}
+	extra := rng.Intn(4)
+	if safe != nil {
+		nodes = append(nodes, safe[rng.Intn(len(safe))])
+		extra = rng.Intn(3)
+	}
+	for range extra {
+		nodes = append(nodes, mesh.NodeID(rng.Intn(n)))
+	}
+	return nodes
+}
+
+// on puts every page on the given nodes, the first its home.
+func on(nodes ...mesh.NodeID) placement {
+	return func(*rand.Rand, int, int, []mesh.NodeID) []mesh.NodeID { return nodes }
 }
 
 // overlapCrashes takes down two holders of one page at once: nodes 4
-// and 7 both hold page 4 of the 4×4 layout, whose third copy is on
-// node 11.
+// and 7 both hold page 4 of the strided 4×4 layout, whose third copy is
+// on node 11.
 var overlapCrashes = []mesh.CrashEvent{{Node: 4, At: 2500, Duration: 6000}, {Node: 7, At: 2600, Duration: 3000}}
 
-// backpressureSeeds are seeds 0–2, seed 1 first: seed 0 alone NACKs
-// nothing at either batch depth, and -short runs the first seed only.
-var backpressureSeeds = []int64{1, 0, 2}
-
 var fuzzTable = slices.Concat([]fuzzEntry{
-	// 4×2 machines: the protocol alone, under contention, in
-	// write-invalidate mode, over a lossy network, behind bounded link
-	// buffers, and through crash epochs.
-	{test: "ProtocolFuzz", name: "protocol", w: 4, h: 2, pages: 4, ops: 60,
-		shards: []int{1, 2}, seeds: seedRange(0, 8)},
-	{test: "ProtocolFuzzWithContention", name: "contention", w: 4, h: 2, pages: 1, ops: 40,
-		mods: []func(*core.Config){contention}, shards: []int{1, 2}, seeds: seedRange(0, 4)},
-	{test: "ProtocolFuzzInvalidateMode", name: "invalidate", w: 4, h: 1, pages: 1, ops: 30,
-		mods: []func(*core.Config){invalidate}, shards: []int{1, 2}, seeds: seedRange(0, 4)},
-	{test: "ProtocolFuzzWithFaults", name: "light-loss", w: 4, h: 2, pages: 3, ops: 40,
+	// 4×2 machines, each seed drawing its layout: the protocol alone,
+	// over a lossy network, behind bounded link buffers (only seed 1
+	// NACKs at both batch depths, so it runs first) and through crash
+	// epochs; one page on every other node under contention, and on
+	// every node of a 4×1 row in write-invalidate mode, where a counter
+	// read after a fetch-and-add elsewhere takes the stale-read repair.
+	{test: "ProtocolFuzz", name: "protocol", w: 4, h: 2, pages: 4, ops: 60, place: drawn,
+		shards: []int{1, 2}, seeds: []int64{0, 1, 2, 3, 4, 5, 6, 7}},
+	{test: "ProtocolFuzzWithContention", name: "contention", w: 4, h: 2, pages: 1, ops: 40, place: on(0, 3, 5, 7),
+		mods: []func(*core.Config){contention}, shards: []int{1, 2}, seeds: []int64{0, 1, 2, 3}},
+	{test: "ProtocolFuzzInvalidateMode", name: "invalidate", w: 4, h: 1, pages: 1, ops: 300, place: on(0, 1, 2, 3),
+		mods: []func(*core.Config){invalidate}, shards: []int{1, 2}, seeds: []int64{0, 1, 2, 3}},
+	{test: "ProtocolFuzzWithFaults", name: "light-loss", w: 4, h: 2, pages: 3, ops: 40, place: drawn,
 		faults: mesh.FaultConfig{Seed: 7, DropRate: 0.01},
-		mods:   []func(*core.Config){checked(5000)}, shards: rerun, seeds: seedRange(0, 3)},
-	{test: "ProtocolFuzzWithFaults", name: "heavy-loss", w: 4, h: 2, pages: 3, ops: 40,
+		mods:   []func(*core.Config){checked(5000)}, shards: rerun, seeds: []int64{0, 1, 2}},
+	{test: "ProtocolFuzzWithFaults", name: "heavy-loss", w: 4, h: 2, pages: 3, ops: 40, place: drawn,
 		faults: mesh.FaultConfig{Seed: 7, DropRate: 0.05, DupRate: 0.02, DelayRate: 0.05, DelayMax: 300},
-		mods:   []func(*core.Config){checked(5000)}, shards: rerun, seeds: seedRange(0, 3)},
-	{test: "ProtocolFuzzWithBackpressure", name: "batch=1", w: 4, h: 2, pages: 3, ops: 40,
+		mods:   []func(*core.Config){checked(5000)}, shards: rerun, seeds: []int64{0, 1, 2}},
+	{test: "ProtocolFuzzWithBackpressure", name: "batch=1", w: 4, h: 2, pages: 3, ops: 40, place: drawn,
 		faults: mesh.FaultConfig{Seed: 3, DropRate: 0.01, LinkBufFlits: 16},
-		mods:   []func(*core.Config){contention, checked(5000)}, shards: rerun, seeds: backpressureSeeds},
-	{test: "ProtocolFuzzWithBackpressure", name: "batch=4", w: 4, h: 2, pages: 3, ops: 40, batch: 4,
+		mods:   []func(*core.Config){contention, checked(5000)}, shards: rerun, seeds: []int64{1, 0, 2}, pooled: true},
+	{test: "ProtocolFuzzWithBackpressure", name: "batch=4", w: 4, h: 2, pages: 3, ops: 40, batch: 4, place: drawn,
 		faults: mesh.FaultConfig{Seed: 3, DropRate: 0.01, LinkBufFlits: 16},
-		mods:   []func(*core.Config){contention, checked(5000)}, shards: rerun, seeds: backpressureSeeds},
+		mods:   []func(*core.Config){contention, checked(5000)}, shards: rerun, seeds: []int64{1, 0, 2}, pooled: true},
 	// Two staggered outages: the second is short enough that its
 	// restart, not detection, triggers the failover.
-	{test: "CrashFuzz", name: "staggered", w: 4, h: 2, pages: 3, ops: 40,
+	{test: "CrashFuzz", name: "staggered", w: 4, h: 2, pages: 3, ops: 40, place: drawn,
 		faults: mesh.FaultConfig{Crashes: []mesh.CrashEvent{{Node: 2, At: 2000, Duration: 4000}, {Node: 5, At: 7000, Duration: 600}}},
-		mods:   []func(*core.Config){checked(1000)}, shards: rerun, seeds: seedRange(0, 3)},
-	{test: "CrashFuzz", name: "staggered+loss", w: 4, h: 2, pages: 3, ops: 40,
+		mods:   []func(*core.Config){checked(1000)}, shards: rerun, seeds: []int64{0, 1, 2}},
+	{test: "CrashFuzz", name: "staggered+loss", w: 4, h: 2, pages: 3, ops: 40, place: drawn,
 		faults: mesh.FaultConfig{Seed: 7, DropRate: 0.01, Crashes: []mesh.CrashEvent{{Node: 2, At: 2500, Duration: 3000}, {Node: 6, At: 8000, Duration: 800}}},
-		mods:   []func(*core.Config){checked(1000)}, shards: rerun, seeds: seedRange(0, 3)},
+		mods:   []func(*core.Config){checked(1000)}, shards: rerun, seeds: []int64{0, 1, 2}},
 
 	// 4×4 machines at 1, 2, 4 and 8 shard engines, on the paths most
 	// likely to diverge between them: the unreliable network
@@ -213,14 +245,10 @@ var fuzzTable = slices.Concat([]fuzzEntry{
 // copy is still travelling.
 func kernelOpsSweep() []fuzzEntry {
 	var entries []fuzzEntry
-	for _, c := range []bool{false, true} {
-		mods := []func(*core.Config){observe}
-		if c {
-			mods = append(mods, contention)
-		}
+	for _, mods := range [][]func(*core.Config){{observe}, {observe, contention}} {
 		for seed := int64(900); seed <= 915; seed++ {
 			entries = append(entries, fuzzEntry{test: "KernelOpsSeedSweep",
-				name: fmt.Sprintf("contention=%v/base=%d", c, seed), ops: 120, replicate: true,
+				name: fmt.Sprintf("contention=%v/base=%d", len(mods) > 1, seed), ops: 120, replicate: true,
 				mods: mods, shards: []int{1}, seeds: []int64{seed}})
 		}
 	}
@@ -241,59 +269,58 @@ func TestKernelOpsSeedSweep(t *testing.T)       { fuzz(t, "KernelOpsSeedSweep") 
 
 // fuzz runs test's entries of fuzzTable as subtests. In -short mode
 // each entry runs its first seed only. A lossy entry must drop, and a
-// bounded-buffer entry NACK, on at least one of the seeds it runs.
+// bounded-buffer entry NACK, on every seed it runs, or on one of them
+// if it is pooled.
 func fuzz(t *testing.T, test string) {
-	ran := false
 	for _, e := range fuzzTable {
 		if e.test != test {
 			continue
 		}
-		ran = true
 		t.Run(e.name, func(t *testing.T) {
 			seeds, shards := e.seeds, e.shards
 			if seeds == nil {
-				seeds = shardSeeds
+				seeds = []int64{1, 42}
 			}
 			if shards == nil {
-				shards = everyK
+				shards = []int{1, 2, 4, 8}
 			}
 			if testing.Short() {
 				seeds = seeds[:1]
 			}
 			var dropped, nacked uint64
-			for _, seed := range seeds {
+			for i, seed := range seeds {
 				ref := fuzzRun(t, e, shards[0], seed)
-				dropped += ref.Net.Dropped
-				nacked += ref.Net.Nacked
 				for _, k := range shards[1:] {
 					if d := fuzzRun(t, e, k, seed).diff(ref); d != "" {
 						t.Errorf("seed %d: shards=%d differs from shards=%d: %s", seed, k, shards[0], d)
 					}
 				}
-			}
-			if e.faults.DropRate > 0 && dropped == 0 {
-				t.Fatalf("no message was dropped — the entry lost its point")
-			}
-			if e.faults.LinkBufFlits > 0 && nacked == 0 {
-				t.Fatalf("no send was refused by a full link buffer — the entry lost its point")
+				dropped += ref.Net.Dropped
+				nacked += ref.Net.Nacked
+				if e.pooled && i < len(seeds)-1 {
+					continue
+				}
+				if e.faults.DropRate > 0 && dropped == 0 {
+					t.Fatalf("seed %d: no message was dropped — the entry lost its point", seed)
+				}
+				if e.faults.LinkBufFlits > 0 && nacked == 0 {
+					t.Fatalf("seed %d: no send was refused by a full link buffer — the entry lost its point", seed)
+				}
+				dropped, nacked = 0, 0
 			}
 		})
-	}
-	if !ran {
-		t.Fatalf("fuzzTable has no entry for %s", test)
 	}
 }
 
 // fuzzRun builds e's machine on the given shard count, runs the random
 // program drawn from seed, checks the run, and returns its digest.
 //
-// Every node runs one thread of ops random operations: reads, private
-// and shared writes, fetch-and-adds on a page's counter, min-xchngs,
-// delayed reads, compute and fences, each fence followed by a read of
-// the thread's latest private write. Page pg is homed on node 5pg mod
-// n, even pages are replicated 3 and 7 nodes on, and word w of page pg
-// starts at pg*PageWords+w. Under a crash script every page also keeps
-// a copy on a node the script never crashes, as failover requires.
+// Every node runs one thread of ops random operations: reads of any
+// word and of a page's counter, private and shared writes,
+// fetch-and-adds on the counter, min-xchngs, delayed reads, compute
+// and fences, each fence followed by a read of the thread's latest
+// private write. e.place lays the pages out, and word w of page pg starts at
+// pg*PageWords+w.
 func fuzzRun(t *testing.T, e fuzzEntry, shards int, seed int64) digest {
 	t.Helper()
 	cfg := core.DefaultConfig(cmp.Or(e.w, 4), cmp.Or(e.h, 4))
@@ -309,25 +336,24 @@ func fuzzRun(t *testing.T, e fuzzEntry, shards int, seed int64) digest {
 	}
 	n, pages, ops := m.Nodes(), cmp.Or(e.pages, 8), cmp.Or(e.ops, 300)
 	crashes := len(cfg.Faults.Crashes)
-	crashed := func(node mesh.NodeID) bool {
-		return slices.ContainsFunc(cfg.Faults.Crashes, func(c mesh.CrashEvent) bool { return c.Node == node })
+	var safe []mesh.NodeID // the nodes the crash script never takes down
+	for node := range mesh.NodeID(n) {
+		if crashes > 0 && !slices.ContainsFunc(cfg.Faults.Crashes, func(c mesh.CrashEvent) bool { return c.Node == node }) {
+			safe = append(safe, node)
+		}
 	}
 
+	place := e.place
+	if place == nil {
+		place = strided
+	}
+	layout := rand.New(rand.NewSource(seed))
 	bases := make([]memory.VAddr, pages)
 	initCopies := make([]int, pages)
 	for pg := range bases {
-		home := mesh.NodeID(pg * 5 % n)
-		bases[pg] = m.Alloc(home, 1)
-		if pg%2 == 0 {
-			m.Replicate(bases[pg], (home+3)%mesh.NodeID(n), (home+7)%mesh.NodeID(n))
-		}
-		if crashes > 0 && !slices.ContainsFunc(m.Kernel().CopyNodes(bases[pg].Page()), func(c mesh.NodeID) bool { return !crashed(c) }) {
-			safe := home
-			for crashed(safe) {
-				safe = (safe + 1) % mesh.NodeID(n)
-			}
-			m.Replicate(bases[pg], safe)
-		}
+		nodes := place(layout, pg, n, safe)
+		bases[pg] = m.Alloc(nodes[0], 1)
+		m.Replicate(bases[pg], nodes[1:]...)
 		initCopies[pg] = len(m.Kernel().CopyNodes(bases[pg].Page()))
 		for off := range memory.PageWords {
 			m.Poke(bases[pg]+memory.VAddr(off), memory.Word(pg*memory.PageWords+off))
@@ -371,8 +397,10 @@ func fuzzRun(t *testing.T, e fuzzEntry, shards int, seed int64) digest {
 				}
 				pg := rng.Intn(pages)
 				switch rng.Intn(kinds) {
-				case 0, 1, 2:
+				case 0, 1:
 					rec(uint64(th.Read(anyWord(pg))))
+				case 2:
+					rec(uint64(th.Read(bases[pg])))
 				case 3:
 					lastVA = bases[pg] + memory.VAddr(1+window*node+rng.Intn(window))
 					lastVal = memory.Word(rng.Uint32())

@@ -190,6 +190,8 @@ func (s *ShardSet) Run() {
 			}
 			return
 		}
+		// filed restarts: barrier replay schedules at the last horizon
+		// under barrier-lane keys, below any dispatched there.
 		for _, e := range s.Engines {
 			e.inRound, e.filed = true, key{}
 		}
@@ -315,8 +317,8 @@ func (b *barrier) wake(i int) bool {
 // is not key order: a dispatch can schedule a same-cycle event under a
 // smaller key (a zero-delay wake on the sleeper's lane, made while
 // dispatching a delivery keyed under the sender's lane), which runs
-// right after it, before anything keyed above it. So that event's
-// calls are filed under its parent's key (Engine.filed). The head
+// right after it, before anything keyed above it. Calls are filed
+// under their engine's largest key of the round (Engine.filed). The head
 // merge is exact: once every engine's earlier calls have run, each
 // engine's next dispatch was already queued (scheduled by earlier
 // activity on its own engine; cross-engine scheduling happens only at

@@ -171,6 +171,35 @@ func TestShardSetDeferAfterSmallerKeyedChild(t *testing.T) {
 	}
 }
 
+// TestShardSetDeferFiledPerRound pins that the filing key restarts
+// each round. X, dispatched at 11 on lane 8 at the first round's
+// horizon, defers a call that, replayed at the barrier, schedules Z on
+// a and then B on b at zero delay, under the barrier lane's keys, which
+// sort below X's. One engine runs Z then B; with B on another engine,
+// Z's call must not be filed under X's key, which B's would beat.
+func TestShardSetDeferFiledPerRound(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		var log []string
+		engines := []*Engine{NewEngine(), NewEngine()}[:k]
+		a, b := engines[0], engines[k-1]
+		note := func(e *Engine, s string) func() {
+			return func() { e.Defer(fnSink{}, 0, func() { log = append(log, s) }) }
+		}
+		runAt(a, 0, func() {})
+		a.SetLane(8)
+		runAt(a, 11, func() {
+			a.Defer(fnSink{}, 0, func() {
+				runAfter(a, 0, note(a, "Z"))
+				runAfter(b, 0, note(b, "B"))
+			})
+		})
+		(&ShardSet{Engines: engines, Window: 12}).Run()
+		if got := strings.Join(log, " "); got != "Z B" {
+			t.Errorf("%d engines replayed %q, want \"Z B\"", k, got)
+		}
+	}
+}
+
 // TestShardSetReplayKeys pins the keys barrier replay draws: whichever
 // engine a replayed call schedules on, and whatever lane that engine
 // last dispatched, the key comes from the set's one counter under
