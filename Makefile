@@ -2,24 +2,25 @@
 
 GO ?= go
 
-.PHONY: all check build test race shard-oversub trace-equiv parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale scale-smoke kvserve-smoke plussim-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale plussim-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
-# The default gate: everything a PR must keep green. The shard
-# equivalence tests ride in test/race, all-smoke's -exp all includes
-# the scale experiment's quick leg (which fails loudly if any sharded
-# run diverges from its serial twin), scale-smoke reruns that sweep
-# full-featured (contention + tracing at 4 shards), and race-smoke
-# runs the happens-before detection corpus end to end. bench-check
-# vets and tests the benchmark harness, a nested module outside the
-# root `go test ./...`; bench-smoke runs every Benchmark function once.
+# The default gate: everything a PR must keep green. test includes
+# TestGoldenFingerprints, which pins every observed quick point's run
+# fingerprint (its whole event stream and end-of-run state) and checks
+# it at 1, 2 and 4 shard engines. all-smoke runs every quick sweep at
+# 4 shard engines with tracing, the scale experiment's quick leg (which
+# fails loudly if any sharded run diverges from its serial twin) and
+# the self-validating record-store sweep among them; race-smoke runs
+# the happens-before detection corpus end to end. bench-check vets and
+# tests the benchmark harness, a nested module outside the root
+# `go test ./...`; bench-smoke runs every Benchmark function once.
 # examples runs the API demos, among them locks and prodcons, the only
 # programs outside the tests that use Sleep/Wake. shard-oversub reruns
-# the shard run loop's tests on one CPU. trace-equiv compares traced
-# sweeps at 1, 2 and 4 shard engines byte for byte. plussim-smoke runs
-# the single-workload command once per workload.
-check: build test race shard-oversub trace-equiv lint bench-check bench-smoke all-smoke trace-smoke race-smoke scale-smoke kvserve-smoke plussim-smoke examples
+# the shard run loop's tests on one CPU. plussim-smoke runs the
+# single-workload command once per workload.
+check: build test race shard-oversub lint bench-check bench-smoke all-smoke trace-smoke race-smoke plussim-smoke examples
 
 build:
 	$(GO) build ./...
@@ -39,55 +40,16 @@ race:
 shard-oversub:
 	GOMAXPROCS=1 $(GO) test -run 'ShardSet|Fuzz|KernelOps' ./internal/sim ./internal/core
 
-# The sharded observer gate beyond the 4x4 fuzz: the Figure 2-1 quick
-# sweep (plain and with the time-series sampler, which runs at
-# barriers), the record-store sweep (link contention on), the
-# link-buffer sweep (bounded buffers: admission and NACKs at
-# barriers) and the crash sweep (crash, restart, failover and resync
-# at barriers), traced at 1, 2 and 4 shard engines, must export
-# byte-identical Chrome trace JSON. Two engines cut the mesh at one
-# band boundary, four at three. The record-store ring holds every
-# point's whole stream; the other sweeps' default ring keeps each
-# point's last 4096 events.
-trace-equiv:
-	@for x in "figure2-1" "figure2-1 -sample 5000" "kvserve-sweep -trace-events 65536" "ext-linkbuf" "fault-crash"; do \
-		for k in 1 2 4; do \
-			$(GO) run ./cmd/plusbench -quick -exp $$x -shards $$k \
-				-trace /tmp/plus-trace-equiv-$$k.json >/dev/null || exit 1; \
-		done; \
-		for k in 2 4; do \
-			cmp /tmp/plus-trace-equiv-1.json /tmp/plus-trace-equiv-$$k.json || exit 1; \
-		done; \
-	done
-	@rm -f /tmp/plus-trace-equiv-1.json /tmp/plus-trace-equiv-2.json /tmp/plus-trace-equiv-4.json
-
-# Byte-identical simulation against an earlier commit, for changes
-# that claim to move host speed only: builds plusbench from BASE (via
-# git archive, so it needs the repository's history and stays out of
-# check) and from the working tree, runs both on the same sweeps and
-# compares every output byte for byte. Every quick sweep's JSON rows
-# (-exp all) are compared with the host-time "wall_ms" and "speedup"
-# lines filtered out: among them ext-linkbuf's NACK counts, the crash,
-# failover and loss sweeps, the invalidate, pending-writes, batching,
-# delayed-slots and fence ablations, the competitive ablation's and
-# ext-placement's per-page reference counters, the Figure 3-1 rows and
-# Table 3-1's per-operation cycles. The traces pin event order beyond
-# the rows: the record-store sweep's every contended link reservation
-# and wait; fault-crash's failover epochs; the ablations group (the
-# seven ablation-* sweeps, ext-swdsm and ext-placement), whose trace
-# names every run by its sweep point's name, which no row carries, and
-# keeps each point's last 4096 events (the default ring); Figure 2-1's
-# SSSP update fan-out; and Figure 3-1 at one to four processors with a
-# ring of 131072 events per point (a one- or two-processor point fits
-# whole; a four-processor point keeps at most its last 131072), so
-# beam's writes, fences, issues and switches are compared event by
-# event; the eight-processor points would double the leg's time. The
-# Figure 2-1 sweep's -sample/-hist text pins the merged latency
-# histograms and the stall summary, and the race corpus's reports and
-# annotated trace the order of its EvAccRMW/EvAccVerify events and its
-# race marks. Each plussim workload's -stats report at four
-# processors pins the per-node counters of the workloads the sweeps
-# do not run (prodsys, sor, synth) and of sssp and beam run alone.
+# Byte-identical simulation against an earlier commit, field by
+# field: builds plusbench and plussim from BASE (via git archive, so it
+# needs the repository's history and stays out of check) and from the
+# working tree, and compares the JSON rows of every quick sweep (-exp
+# all, with the host-time "wall_ms" and "speedup" lines filtered out)
+# and each plussim workload's -stats report at four processors, which
+# pins the per-node counters of the workloads no sweep runs (prodsys,
+# sor, synth). Which point moved is what the diff of
+# experiments/testdata/fingerprints.quick.txt says; this says which
+# field.
 # Usage: make parent-equiv BASE=<rev>
 PARENT_EQUIV_DIR ?= /tmp/plus-parent-equiv
 PLUSSIM_WORKLOADS = sssp beam prodsys sor synth
@@ -103,21 +65,10 @@ parent-equiv:
 		for w in $(PLUSSIM_WORKLOADS); do \
 			$$d/$$b-plussim -workload $$w -procs 4 -stats > $$d/$$b-plussim-$$w.txt; \
 		done; \
-		$$d/$$b -quick -exp kvserve-sweep -trace-events 65536 \
-			-trace $$d/$$b-kv.json > $$d/$$b-kv.txt; \
-		$$d/$$b -quick -exp figure2-1 -trace $$d/$$b-f21.json > $$d/$$b-f21.txt; \
-		$$d/$$b -quick -exp figure2-1 -sample 5000 -hist > $$d/$$b-hist.txt; \
-		$$d/$$b -quick -exp fault-crash -trace $$d/$$b-crash.json > $$d/$$b-crash.txt; \
-		$$d/$$b -quick -exp ablations -trace $$d/$$b-abl.json > $$d/$$b-abl.txt; \
-		$$d/$$b -quick -exp figure3-1 -max-procs 4 -trace-events 131072 \
-			-trace $$d/$$b-f31.json > $$d/$$b-f31.txt; \
-		$$d/$$b -races -trace $$d/$$b-races.json > $$d/$$b-races.txt; \
 		$$d/$$b -quick -exp all -json > $$d/$$b-all.raw; \
 		grep -v -e '"wall_ms"' -e '"speedup"' $$d/$$b-all.raw > $$d/$$b-all.json; \
 	done; \
-	for f in kv.json kv.txt f21.json f21.txt hist.txt crash.json crash.txt abl.json abl.txt \
-		f31.json f31.txt races.txt races.json \
-		all.json $(PLUSSIM_WORKLOADS:%=plussim-%.txt); do \
+	for f in all.json $(PLUSSIM_WORKLOADS:%=plussim-%.txt); do \
 		cmp $$d/base-$$f $$d/change-$$f; \
 	done; \
 	rm -rf $$d; echo "parent-equiv: identical to $(BASE)"
@@ -144,25 +95,18 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every quick sweep through the parallel runner at 4 shard engines with
-# tracing on, so the sweeps that honor -shards (the SSSP figures and
-# the scale experiment's quick leg) exercise the full-featured sharded
-# machine — contention, observers, shard engines together — on every
-# check. Writes nothing into the tree; host performance is measured by
-# the benchmark harness (bench/run.sh), not here.
+# tracing on, so the sweeps that honor -shards exercise the
+# full-featured sharded machine — contention, observers, shard engines
+# together — on every check: the scale experiment's quick leg runs with
+# link contention and exits nonzero if a sharded row's cycles, messages
+# or relaxations diverge from the serial row's, and every record-store
+# point checks its fetch-and-add op counters against the generators'
+# tallies. Writes nothing into the tree; host performance is measured
+# by the benchmark harness (bench/run.sh), not here.
 all-smoke:
 	$(GO) run ./cmd/plusbench -quick -exp all -shards 4 \
 		-trace /tmp/plus-all-smoke.json >/dev/null
 	@rm -f /tmp/plus-all-smoke.json
-
-# Full-featured sharded scale smoke: the figure2-1-scale quick sweep
-# with link contention and per-point tracing enabled at 4 shards. The
-# sweep's equivalence check exits nonzero if the sharded row's cycles,
-# messages or relaxations diverge from the serial row's, pinning the
-# contention + observer gate lifts end to end.
-scale-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp figure2-1-scale -shards 4 \
-		-trace /tmp/plus-scale-smoke.json >/dev/null
-	@rm -f /tmp/plus-scale-smoke.json
 
 # Full sharded-engine scale sweep: Figure 2-1's workload at 8x8,
 # 16x16 and 32x32 over shard counts 1..16, points run sequentially so
@@ -186,14 +130,6 @@ trace-smoke:
 # a clean one is misflagged — either is a detector regression.
 race-smoke:
 	$(GO) run ./cmd/plusbench -races >/dev/null
-
-# Serving-workload smoke: the open-loop Zipfian record-store sweep's
-# quick leg (4x4, skews 0 and 1.2, all three placements) at 4 shard
-# engines with contention on. Every point self-validates its
-# fetch-and-add op counters against the generators' tallies, so the
-# target exits nonzero if the serving path loses an update.
-kvserve-smoke:
-	$(GO) run ./cmd/plusbench -quick -exp kvserve-sweep -shards 4 >/dev/null
 
 # Every plussim workload once on 4 processors. The sssp, beam, prodsys
 # and sor runs check their results against the sequential reference

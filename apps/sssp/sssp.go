@@ -102,7 +102,8 @@ type Result struct {
 
 // Run executes the workload and returns measurements. The returned
 // error covers machine construction, deadlock and — with Validate —
-// result mismatches against Dijkstra.//
+// result mismatches against Dijkstra.
+//
 // Run is safe for concurrent use by the experiments sweep runner:
 // every call builds a private machine (its own sim.Engine, mesh,
 // stats and locally seeded RNGs) and shares no mutable state with

@@ -23,11 +23,11 @@ func TestCrossRunDeterminism(t *testing.T) {
 }
 
 // TestCrossRunTraceDeterminism runs a small traced machine twice and
-// compares the full protocol trace byte for byte: the (time, seq)
-// total order of writes, updates, acks, RMWs and reads must be
-// reproduced exactly run to run.
+// compares the run fingerprints: the (time, seq) total order of
+// writes, updates, acks, RMWs and reads, and the end-of-run state,
+// must be reproduced exactly run to run.
 func TestCrossRunTraceDeterminism(t *testing.T) {
-	run := func() string {
+	run := func() *stats.Observer {
 		cfg := core.DefaultConfig(2, 2)
 		obs := stats.NewObserver(stats.ObserveConfig{Events: 1 << 16})
 		cfg.Observe = obs
@@ -52,13 +52,13 @@ func TestCrossRunTraceDeterminism(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return obs.Dump()
+		return obs
 	}
 	first, second := run(), run()
-	if first == "" {
+	if first.EventCount() == 0 {
 		t.Fatal("empty trace")
 	}
-	if first != second {
+	if first.Fingerprint() != second.Fingerprint() {
 		t.Fatal("protocol trace diverged between identical runs")
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +19,14 @@ var update = os.Getenv("UPDATE_GOLDEN") == "1"
 
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", name+".golden")
+	checkTestdata(t, name+".golden", got)
+}
+
+// checkTestdata compares got with testdata/file, or rewrites the file
+// under UPDATE_GOLDEN=1; a mismatch lists the lines that differ.
+func checkTestdata(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -32,8 +41,26 @@ func checkGolden(t *testing.T, name, got string) {
 		t.Fatalf("missing golden %s (run with UPDATE_GOLDEN=1 to create): %v", path, err)
 	}
 	if string(want) != got {
-		t.Errorf("golden mismatch for %s.\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+		t.Errorf("golden mismatch for %s (- want, + got):\n%s", path, lineDiff(string(want), got))
 	}
+}
+
+// lineDiff lists the lines of want missing from got, then the lines
+// of got missing from want.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for _, side := range []struct {
+		mark       string
+		from, into []string
+	}{{"- ", w, g}, {"+ ", g, w}} {
+		for _, l := range side.from {
+			if !slices.Contains(side.into, l) {
+				b.WriteString(side.mark + l + "\n")
+			}
+		}
+	}
+	return b.String()
 }
 
 // runExp executes a registered experiment through the registry, the

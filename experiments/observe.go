@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -97,18 +96,4 @@ func (ob *Observation) Metrics() stats.Metrics {
 		m.Add(&r.Metrics)
 	}
 	return m
-}
-
-// EventDump renders every run's event stream in name order — the
-// byte-comparable form behind the serial-vs-parallel determinism test.
-func (ob *Observation) EventDump() string {
-	var b strings.Builder
-	for _, r := range ob.Runs() {
-		fmt.Fprintf(&b, "== %s (%d events)\n", r.Name, r.EventCount()-r.Overwritten())
-		for e := range r.All() {
-			b.WriteString(e.String())
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,26 +15,29 @@ import (
 
 // TestObservationSerialParallelIdentical pins the exporter's
 // determinism contract: the same sweep instrumented at -parallel 1 and
-// -parallel 4 produces byte-identical event streams, because every
-// point owns a private observer and exports are ordered by point name,
-// not completion order.
+// -parallel 4 gives every point the same fingerprint (its whole event
+// stream and end-of-run state), because every point owns a private
+// observer and exports are ordered by point name, not completion
+// order.
 func TestObservationSerialParallelIdentical(t *testing.T) {
-	dump := func(workers int) string {
+	fingerprints := func(workers int) map[string]uint64 {
 		ob := NewObservation(stats.ObserveConfig{})
 		runExp(t, "figure2-1", Options{Quick: true, MaxProcs: 2, Workers: workers, Observe: ob})
-		return ob.EventDump()
+		fps := map[string]uint64{}
+		for _, r := range ob.Runs() {
+			if r.EventCount() == 0 {
+				t.Fatalf("%s recorded no events", r.Name)
+			}
+			fps[r.Name] = r.Fingerprint()
+		}
+		return fps
 	}
-	serial := dump(1)
-	parallel := dump(4)
-	if serial != parallel {
-		t.Fatalf("serial and parallel event dumps differ (%d vs %d bytes)",
-			len(serial), len(parallel))
+	serial, parallel := fingerprints(1), fingerprints(4)
+	if _, ok := serial["figure 2-1 p=1 copies=1 contention=false"]; !ok || len(serial) != 3 {
+		t.Fatalf("observed runs %v, want the p=1 run among 3", serial)
 	}
-	if !strings.Contains(serial, "== figure 2-1 p=1 copies=1 contention=false") {
-		t.Fatalf("event dump missing the p=1 run header:\n%.300s", serial)
-	}
-	if !strings.Contains(serial, "read") {
-		t.Fatal("event dump recorded no read events")
+	if !maps.Equal(serial, parallel) {
+		t.Fatalf("serial and parallel fingerprints differ:\n%v\n%v", serial, parallel)
 	}
 }
 

@@ -509,6 +509,12 @@ func (m *Machine) runShards() {
 	if last := ss.LastActivityAt(); last > started {
 		m.elapsed = last - started
 	}
+	if m.obs != nil {
+		m.obs.FoldRun(m.st, m.elapsed)
+		for va := range memory.VAddr(m.kern.PageCount() * memory.PageWords) {
+			m.obs.Fold(uint64(m.kern.Peek(va)))
+		}
+	}
 }
 
 // quiescentFunc returns the run loop's quiescent-point hook: the

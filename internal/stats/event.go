@@ -10,6 +10,7 @@ package stats
 
 import (
 	"fmt"
+	"hash/fnv"
 	"iter"
 	"math/bits"
 	"strings"
@@ -181,6 +182,7 @@ type Ring struct {
 	buf  []Event
 	mask uint64
 	n    uint64 // total events ever pushed
+	fp   uint64 // run fingerprint (Observer.Fingerprint)
 }
 
 // DefaultRingEvents is the ring capacity when ObserveConfig.Events is
@@ -195,13 +197,25 @@ func NewRing(capacity int) *Ring {
 		capacity = DefaultRingEvents
 	}
 	c := 1 << bits.Len64(uint64(capacity-1))
-	return &Ring{buf: make([]Event, c), mask: uint64(c - 1)}
+	return &Ring{buf: make([]Event, c), mask: uint64(c - 1), fp: 0x9e3779b97f4a7c15}
 }
 
-// Push records e, overwriting the oldest event when the ring is full.
+// Push records e, overwriting the oldest event when the ring is full,
+// and folds all seven of its fields into the fingerprint.
 func (r *Ring) Push(e Event) {
 	r.buf[r.n&r.mask] = e
 	r.n++
+	r.fp = mix(mix(mix(mix(mix(r.fp, uint64(e.At)), e.Cause), e.A), e.B),
+		uint64(e.Kind)|uint64(e.Sub)<<8|uint64(uint16(e.Node))<<16)
+}
+
+// mix folds v into the fingerprint h with SplitMix64's finalizer: a
+// fixed function, unlike hash/maphash, whose seed differs per process.
+func mix(h, v uint64) uint64 {
+	h ^= v
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // Cap returns the ring capacity.
@@ -361,6 +375,23 @@ func (o *Observer) CauseFor(node int) uint64 {
 // All yields the recorded events oldest-first, read in place: the
 // exporters' view of the ring.
 func (o *Observer) All() iter.Seq[Event] { return o.ring.All() }
+
+// Fingerprint returns the hash of every event ever pushed, in push
+// order (the same at every shard count), and of what Fold added.
+func (o *Observer) Fingerprint() uint64 { return o.ring.fp }
+
+// Fold mixes v into the run fingerprint.
+func (o *Observer) Fold(v uint64) { o.ring.fp = mix(o.ring.fp, v) }
+
+// FoldRun folds in elapsed, m's counters, the fixed histograms with
+// their buckets (workloads fill Classes after Run) and the samples, as
+// %v prints them, with the observer pointer cleared.
+func (o *Observer) FoldRun(m *Machine, elapsed sim.Cycles) {
+	h, c, mt := fnv.New64a(), *m, &o.Metrics
+	c.obs = nil
+	fmt.Fprint(h, elapsed, c, mt.RemoteRead, mt.WriteAck, mt.RMWRound, mt.HopQueue, mt.BatchSize, o.samples)
+	o.Fold(h.Sum64())
+}
 
 // Overwritten returns how many events the ring overwrote.
 func (o *Observer) Overwritten() uint64 { return o.ring.Overwritten() }

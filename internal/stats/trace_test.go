@@ -36,6 +36,39 @@ func TestObserverKeepsNewest(t *testing.T) {
 	}
 }
 
+// The fingerprint covers every event ever pushed: two streams that
+// differ only in an event the ring has overwritten hold identical
+// tails but get different fingerprints. A fixed three-event stream has
+// a pinned value, so a change to the mixer is a deliberate one that
+// regenerates every pinned fingerprint (experiments/testdata).
+func TestRingFingerprint(t *testing.T) {
+	stream := func(first uint64) *Observer {
+		o := NewObserver(ObserveConfig{Events: 4})
+		o.Bind(func() sim.Cycles { return 0 }, TraceMeta{})
+		o.EmitAt(1, EvWriteIssue, 1, 0, 7, first, 0)
+		for i := 2; i < 8; i++ {
+			o.EmitAt(sim.Cycles(i), EvUpdate, i%3, 1, 7, uint64(i), 2)
+		}
+		return o
+	}
+	a, b := stream(1), stream(2)
+	if !slices.Equal(slices.Collect(a.All()), slices.Collect(b.All())) || a.Overwritten() == 0 {
+		t.Fatal("streams differing in an overwritten event hold different tails")
+	}
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatalf("overwritten event left the fingerprint at %016x", a.Fingerprint())
+	}
+
+	o := NewObserver(ObserveConfig{})
+	o.Bind(func() sim.Cycles { return 0 }, TraceMeta{})
+	o.EmitAt(10, EvReadIssue, 3, 0, 1<<40|1, 0x1000, 0)
+	o.EmitAt(10, EvNetHop, 3, 2, 1<<40|1, 5, 4)
+	o.EmitAt(42, EvReadDone, -1, 0, 1<<40|1, 32, 0)
+	if got, want := o.Fingerprint(), uint64(0x1bee4b2e85342721); got != want {
+		t.Fatalf("fingerprint of the fixed stream = %#016x, want %#016x", got, want)
+	}
+}
+
 // Events <= 0 is the documented default, not a silent fallback.
 func TestObserverDefaultRingCap(t *testing.T) {
 	if got := NewObserver(ObserveConfig{}).RingCap(); got != DefaultRingEvents {
