@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race shard-oversub parent-equiv bench bench-check bench-smoke all-smoke trace-smoke race-smoke scale plussim-smoke vet fmt lint experiments experiments-quick golden examples loc clean
+.PHONY: all check build test race shard-oversub parent-equiv bench allocs bench-check bench-smoke all-smoke trace-smoke race-smoke scale plussim-smoke vet fmt lint experiments experiments-quick golden examples loc clean
 
 all: check
 
@@ -79,6 +79,22 @@ test-log:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
+
+# Where the benchmark's four workloads allocate: one run of each
+# (BenchmarkWorkloads in bench_test.go) under a memory profile sampling
+# every 512 bytes, printed as its top sites by bytes allocated
+# (alloc_space). The profiles stay in ALLOCS_DIR for go tool pprof.
+ALLOCS_DIR ?= /tmp/plus-allocs
+ALLOCS_WORKLOADS = sssp-16x16 sssp-16x16-k2 kvserve-hotkey beam-switch
+allocs:
+	@mkdir -p $(ALLOCS_DIR); set -e; for w in $(ALLOCS_WORKLOADS); do \
+		$(GO) test -run '^$$' -bench "^BenchmarkWorkloads$$/^$$w$$" -benchtime 1x \
+			-memprofilerate 512 -memprofile $(ALLOCS_DIR)/$$w.prof \
+			-o $(ALLOCS_DIR)/plus.test . >/dev/null; \
+		echo "=== $$w"; \
+		$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space $(ALLOCS_DIR)/$$w.prof 2>/dev/null \
+			| grep -v -e "^File:" -e "^Build ID:" -e "^Type:" -e "^Time:"; \
+	done
 
 # One iteration of every Benchmark function, so none stops compiling
 # or running unnoticed.

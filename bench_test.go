@@ -12,6 +12,7 @@ import (
 
 	"plus"
 	"plus/apps/beam"
+	"plus/apps/kvserve"
 	"plus/apps/sor"
 	"plus/apps/sssp"
 	"plus/experiments"
@@ -234,5 +235,54 @@ func BenchmarkSimBeam(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWorkloads runs the benchmark harness's four workloads at
+// full size and seed 42, one app run per iteration, reporting
+// allocations; make allocs prints where they allocate. The configs are
+// copied from bench/workloads.go (ssspConfig, kvConfig and beamConfig;
+// bench/ is its own module), so a change to one belongs in both.
+func BenchmarkWorkloads(b *testing.B) {
+	const seed = 42
+	machine := func(w, h, shards int, contention bool) *plus.Config {
+		mc := plus.DefaultConfig(w, h)
+		mc.Shards, mc.NetContention = shards, contention
+		return &mc
+	}
+	runSSSP := func(shards int) func() error {
+		return func() error {
+			_, err := sssp.Run(sssp.Config{MeshW: 16, MeshH: 16, Vertices: 4096, Degree: 4,
+				MaxWeight: 16, Copies: 4, Seed: seed, Validate: true, Machine: machine(16, 16, shards, false)})
+			return err
+		}
+	}
+	for _, w := range []struct {
+		name string
+		run  func() error
+	}{
+		{"sssp-16x16", runSSSP(1)},
+		{"sssp-16x16-k2", runSSSP(2)},
+		{"kvserve-hotkey", func() error {
+			_, err := kvserve.Run(kvserve.Config{MeshW: 16, MeshH: 16, OpsPerNode: 1024, ReadPct: 90,
+				Skew: 1.2, ArrivalMean: 1000, Placement: kvserve.MasterLocal, Seed: seed, Validate: true,
+				Machine: machine(16, 16, 1, true)})
+			return err
+		}},
+		{"beam-switch", func() error {
+			_, err := beam.Run(beam.Config{MeshW: 8, MeshH: 8, Layers: 64, States: 256,
+				Style: beam.ContextSwitch, SwitchCost: 40, ThreadsPerProc: 2, Validate: true,
+				Machine: machine(8, 8, 1, false)})
+			return err
+		}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := w.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

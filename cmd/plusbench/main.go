@@ -13,7 +13,7 @@
 // Every experiment is a sweep of independent simulation points run on
 // a worker pool of -parallel goroutines (default GOMAXPROCS); stdout
 // is byte-identical for any -parallel value. -shards K additionally
-// runs each supporting point's machine on K shard engines —
+// runs each point's machine whose mesh K tiles on K shard engines —
 // parallelism inside one simulation rather than across points, with
 // byte-identical results either way. -json replaces the tables with
 // one JSON array of {experiment, title, points, rows} objects. Host
@@ -59,7 +59,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink problem sizes for a fast run")
 	maxProcs := flag.Int("max-procs", 0, "cap the processor sweep (0 = experiment default)")
 	parallel := flag.Int("parallel", 0, "sweep-point worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "shard engines per machine where supported (0/1 = serial; orthogonal to -parallel)")
+	shards := flag.Int("shards", 0, "shard engines per machine where they tile its mesh (0/1 = serial; orthogonal to -parallel)")
 	jsonOut := flag.Bool("json", false, "emit rows as a JSON array instead of tables")
 	chart := flag.Bool("chart", false, "render the figures as ASCII charts as well")
 	list := flag.Bool("list", false, "list registered experiments and exit")

@@ -45,7 +45,7 @@ func (s synthSweep) points(o Options) []Point[AblationRow] {
 	for i, v := range s.variants {
 		pts[i] = Point[AblationRow]{Name: v.name, Run: func() (AblationRow, error) {
 			cfg := load
-			cfg.Machine = o.Observe.MachineFor(v.name, 4, 2)
+			cfg.Machine = o.machine(v.name, 4, 2)
 			if v.set != nil {
 				v.set(cfg.Machine)
 			}
@@ -156,13 +156,12 @@ func batchingVariant(depth int) synthVariant {
 		func(c *core.Config) { c.Timing.MaxBatchWrites = depth }}
 }
 
-// burstMachine builds a 2-node machine with a timing override hook.
-func burstMachine(mod func(*core.Config)) (*core.Machine, memory.VAddr, error) {
-	cfg := core.DefaultConfig(2, 1)
-	if mod != nil {
-		mod(&cfg)
-	}
-	m, err := core.NewMachine(cfg)
+// burstMachine builds the named point's 2-node machine with a timing
+// override hook.
+func burstMachine(o Options, name string, mod func(*core.Config)) (*core.Machine, memory.VAddr, error) {
+	cfg := o.machine(name, 2, 1)
+	mod(cfg)
+	m, err := core.NewMachine(*cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -184,9 +183,8 @@ func pendingWritesPoints(o Options) []Point[AblationRow] {
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
 			Run: func() (AblationRow, error) {
-				m, data, err := burstMachine(func(c *core.Config) {
+				m, data, err := burstMachine(o, name, func(c *core.Config) {
 					c.Timing.MaxPendingWrites = depth
-					o.Observe.Attach(c, name)
 				})
 				if err != nil {
 					return AblationRow{}, err
@@ -230,9 +228,8 @@ func delayedSlotsPoints(o Options) []Point[AblationRow] {
 		pts = append(pts, Point[AblationRow]{
 			Name: name,
 			Run: func() (AblationRow, error) {
-				m, data, err := burstMachine(func(c *core.Config) {
+				m, data, err := burstMachine(o, name, func(c *core.Config) {
 					c.Timing.MaxDelayedOps = depth
-					o.Observe.Attach(c, name)
 				})
 				if err != nil {
 					return AblationRow{}, err

@@ -34,7 +34,7 @@ func table31Points(o Options) []Point[Table31Row] {
 		pts = append(pts, Point[Table31Row]{
 			Name: name,
 			Run: func() (Table31Row, error) {
-				m, err := core.NewMachine(*o.Observe.MachineFor(name, 2, 1))
+				m, err := core.NewMachine(*o.machine(name, 2, 1))
 				if err != nil {
 					return Table31Row{}, err
 				}
@@ -110,7 +110,7 @@ func costsPoints(o Options) []Point[CostRow] {
 		pts = append(pts, Point[CostRow]{
 			Name: name,
 			Run: func() (CostRow, error) {
-				m, err := core.NewMachine(*o.Observe.MachineFor(name, 8, 1))
+				m, err := core.NewMachine(*o.machine(name, 8, 1))
 				if err != nil {
 					return CostRow{}, err
 				}

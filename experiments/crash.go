@@ -49,7 +49,7 @@ func runCrashPoint(crashes int, quick bool, o Options, name string) (CrashRow, e
 	if quick {
 		iters = 800
 	}
-	mcfg := shardedMachine(o, name, 4, 4)
+	mcfg := o.machine(name, 4, 4)
 	if crashes > 0 {
 		f := mesh.FaultConfig{}
 		for i := 0; i < crashes; i++ {

@@ -21,18 +21,20 @@ import (
 	"plus/internal/sim"
 )
 
-// shardedMachine resolves an SSSP point's machine config: a default
-// config, instrumented when observing, carrying Options.Shards when the
-// knob is set and tiles the point's mesh. Contention and observation
-// are shard-aware (deferred replay and shard-local observers, see
-// internal/core.Config.Shards), so neither forces a point serial
-// anymore.
-func shardedMachine(o Options, name string, w, h int) *core.Config {
-	mc := o.Observe.MachineFor(name, w, h)
+// machine returns a sweep point's machine config: a default config on
+// a w x h mesh, carrying a fresh observer for the named point when
+// observing and Options.Shards when the count tiles the mesh. Every
+// sweep builds its machines here, so every sweep honours Shards; a
+// point whose mesh the count does not tile runs serially. Contention,
+// observation, faults and kernel ops are shard-aware (see
+// internal/core.Config.Shards), so none forces a point serial.
+func (o Options) machine(name string, w, h int) *core.Config {
+	mc := core.DefaultConfig(w, h)
+	mc.Observe = o.Observe.ObserverFor(name)
 	if o.Shards > 1 && o.Shards <= w*h && (w*h)%o.Shards == 0 {
 		mc.Shards = o.Shards
 	}
-	return mc
+	return &mc
 }
 
 // meshFor returns a near-square mesh holding at least p nodes.
@@ -86,7 +88,7 @@ func table21Points(o Options) []Point[Table21Row] {
 					MeshW: 4, MeshH: 4, Procs: 16,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: copies, Validate: true,
-					Machine: shardedMachine(o, name, 4, 4),
+					Machine: o.machine(name, 4, 4),
 				})
 				if err != nil {
 					return Table21Row{}, err
@@ -178,7 +180,7 @@ func figure21Points(o Options, contention bool) []Point[Fig21Point] {
 				Name: name,
 				Run: func() (Fig21Point, error) {
 					w, h := meshFor(p)
-					mc := shardedMachine(o, name, w, h)
+					mc := o.machine(name, w, h)
 					mc.NetContention = contention
 					res, err := sssp.Run(sssp.Config{
 						MeshW: w, MeshH: h, Procs: p,
@@ -305,7 +307,7 @@ func figure31Points(o Options) []Point[Fig31Point] {
 						Layers: layers, States: states, Branch: 3,
 						Style: st.style, SwitchCost: st.cost,
 						Validate: true,
-						Machine:  o.Observe.MachineFor(name, w, h),
+						Machine:  o.machine(name, w, h),
 					})
 					if err != nil {
 						return Fig31Point{}, err

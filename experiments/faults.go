@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plus/apps/sssp"
-	"plus/internal/core"
 	"plus/internal/mesh"
 	"plus/internal/sim"
 )
@@ -87,17 +86,16 @@ func faultPoints(o Options) []Point[FaultRow] {
 		pts = append(pts, Point[FaultRow]{
 			Name: name,
 			Run: func() (FaultRow, error) {
-				mcfg := core.DefaultConfig(mx.w, mx.h)
+				mcfg := o.machine(name, mx.w, mx.h)
 				if mx.f.Enabled() {
 					mcfg.Faults = mx.f
 					mcfg.CheckInvariants = true
 				}
-				o.Observe.Attach(&mcfg, name)
 				res, err := sssp.Run(sssp.Config{
 					MeshW: mx.w, MeshH: mx.h, Procs: mx.procs,
 					Vertices: vertices, Degree: 4, Seed: 42,
 					Copies: 4, Validate: true,
-					Machine: &mcfg,
+					Machine: mcfg,
 				})
 				if err != nil {
 					return FaultRow{}, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +85,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		if shared == 0 {
 			t.Errorf("shards=%d: no point shared with the serial sweep", k)
 		}
+		t.Logf("shards=%d: %d of %d serial points shared", k, shared, len(serial))
 	}
 }
 
@@ -96,24 +96,11 @@ type observedSweep struct {
 	runs []stats.ObservedRun
 }
 
-// serialSweeps are the experiments that ignore Options.Shards: they
-// build every machine serially at any count.
-var serialSweeps = []string{
-	"table3-1", "figure3-1", "costs", "faults", "ext-swdsm", "ext-placement",
-	"ablation-fence", "ablation-invalidate", "ablation-pending-writes",
-	"ablation-delayed-slots", "ablation-contention", "ablation-competitive",
-	"ablation-batching",
-}
-
 // observedSweeps runs the registered experiments at quick size on the
 // given shard count, each point observed with a 5000-cycle sampler.
-// Above one shard it skips serialSweeps.
 func observedSweeps(shards int) ([]observedSweep, error) {
 	var out []observedSweep
 	for _, e := range Registered() {
-		if shards > 1 && slices.Contains(serialSweeps, e.Name) {
-			continue
-		}
 		ob := NewObservation(stats.ObserveConfig{SampleEvery: 5000})
 		res, err := e.Run(Options{Quick: true, Shards: shards, Observe: ob})
 		if err != nil {

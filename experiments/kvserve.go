@@ -87,7 +87,7 @@ func kvservePoints(o Options) []Point[KvRow] {
 				pts = append(pts, Point[KvRow]{
 					Name: name,
 					Run: func() (KvRow, error) {
-						mc := shardedMachine(o, name, mm.w, mm.h)
+						mc := o.machine(name, mm.w, mm.h)
 						// Queueing at the hot master IS the measurement;
 						// without the contention model the tail barely moves.
 						mc.NetContention = true

@@ -39,7 +39,7 @@ func linkbufPoints(o Options) []Point[LinkbufRow] {
 		pts = append(pts, Point[LinkbufRow]{
 			Name: name,
 			Run: func() (LinkbufRow, error) {
-				mcfg := shardedMachine(o, name, 8, 8)
+				mcfg := o.machine(name, 8, 8)
 				mcfg.NetContention = true
 				mcfg.Faults = mesh.FaultConfig{LinkBufFlits: d}
 				res, err := sssp.Run(sssp.Config{

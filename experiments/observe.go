@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"plus/internal/core"
 	"plus/internal/stats"
 )
 
@@ -50,24 +49,6 @@ func (ob *Observation) ObserverFor(name string) *stats.Observer {
 	ob.runs[name] = o
 	ob.mu.Unlock()
 	return o
-}
-
-// Attach instruments a machine config in place with a fresh observer
-// for the named point; a nil Observation is a no-op.
-func (ob *Observation) Attach(cfg *core.Config, name string) {
-	if ob == nil {
-		return
-	}
-	cfg.Observe = ob.ObserverFor(name)
-}
-
-// MachineFor returns a default machine config on a w x h mesh, carrying
-// a fresh observer for the named point when observation is on: the
-// apps' Machine override field, on which a point sets its knobs.
-func (ob *Observation) MachineFor(name string, w, h int) *core.Config {
-	cfg := core.DefaultConfig(w, h)
-	ob.Attach(&cfg, name)
-	return &cfg
 }
 
 // Runs returns one ObservedRun per instrumented point, sorted by point

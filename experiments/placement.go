@@ -13,8 +13,8 @@ import (
 // placementWorkload builds a deterministic machine with deliberately
 // poor initial placement: every page homed on the far corner, each
 // used intensely by two near-corner nodes with a light write mix.
-func placementWorkload(ops int, ob *Observation, name string) (*core.Machine, error) {
-	m, err := core.NewMachine(*ob.MachineFor(name, 4, 2))
+func placementWorkload(ops int, o Options, name string) (*core.Machine, error) {
+	m, err := core.NewMachine(*o.machine(name, 4, 2))
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func profilePlacement(o Options) ([]AblationRow, error) {
 	if o.Quick {
 		ops = 120
 	}
-	m1, err := placementWorkload(ops, o.Observe, "ext placement run 1 naive")
+	m1, err := placementWorkload(ops, o, "ext placement run 1 naive")
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func profilePlacement(o Options) ([]AblationRow, error) {
 	}
 	plan := placement.Compute(m1, placement.Options{})
 
-	m2, err := placementWorkload(ops, o.Observe, "ext placement run 2 profiled")
+	m2, err := placementWorkload(ops, o, "ext placement run 2 profiled")
 	if err != nil {
 		return nil, err
 	}

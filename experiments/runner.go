@@ -18,15 +18,14 @@ type Options struct {
 	// are byte-identical for any value: every point is an independent
 	// simulation and rows always come back in point order.
 	Workers int
-	// Shards runs each point's machine on that many shard engines where
-	// the workload supports it: the SSSP sweeps — contention-on,
-	// bounded-buffer (ext-linkbuf) and observed points included — and
-	// the scale experiment, which then sweeps {1, Shards} instead of
-	// its default shard list. Results are
-	// byte-identical to serial runs; the knob trades wall-clock time
-	// inside one point, orthogonally to Workers, which runs independent
-	// points concurrently. 0 or 1 = serial points; points whose mesh the
-	// count does not tile fall back to serial individually.
+	// Shards runs each point's machine on that many shard engines: every
+	// sweep builds its machines through Options.machine, and the scale
+	// experiment then sweeps {1, Shards} instead of its default shard
+	// list. Results are byte-identical to serial runs; the knob trades
+	// wall-clock time inside one point, orthogonally to Workers, which
+	// runs independent points concurrently. 0 or 1 = serial points;
+	// points whose mesh the count does not tile fall back to serial
+	// individually.
 	Shards int
 	// Observe, when non-nil, instruments every sweep point with a
 	// structured-event observer (one per point; see observe.go). Nil

@@ -74,7 +74,7 @@ func scalePoints(o Options) []Point[ScaleRow] {
 					// check below also pins the contention and observer
 					// gate lifts at SSSP scale (make check runs this
 					// quick at -shards 4 with tracing).
-					mc := o.Observe.MachineFor(name, mesh.w, mesh.h)
+					mc := o.machine(name, mesh.w, mesh.h)
 					mc.Shards = k
 					mc.NetContention = o.Observe != nil
 					start := time.Now()

@@ -26,8 +26,8 @@ import (
 const swdsmProcs = 8
 
 // swdsmPlusRow runs the trace on the PLUS hardware simulator.
-func swdsmPlusRow(iters int, ob *Observation, name string) (AblationRow, error) {
-	m, err := core.NewMachine(*ob.MachineFor(name, 4, 2))
+func swdsmPlusRow(iters int, o Options, name string) (AblationRow, error) {
+	m, err := core.NewMachine(*o.machine(name, 4, 2))
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -98,7 +98,7 @@ func swdsmPoints(o Options) []Point[AblationRow] {
 		iters = 20
 	}
 	return []Point[AblationRow]{
-		{Name: "ext swdsm PLUS", Run: func() (AblationRow, error) { return swdsmPlusRow(iters, o.Observe, "ext swdsm PLUS") }},
+		{Name: "ext swdsm PLUS", Run: func() (AblationRow, error) { return swdsmPlusRow(iters, o, "ext swdsm PLUS") }},
 		{Name: "ext swdsm software SVM", Run: func() (AblationRow, error) { return swdsmSVMRow(iters) }},
 	}
 }

@@ -388,14 +388,13 @@ func (m *Machine) ReplicateRange(va memory.VAddr, npages int, nodes ...mesh.Node
 // (a page-table fill costs timing.PageFault, 2000 cycles, which would
 // swamp an open-loop run's per-op latencies). The same nearest-copy
 // choice the lazy fill would make is installed, so only the 2000-cycle
-// charge differs from faulting lazily. The node's page table is grown
-// once, up front, to the size installing npages new pages reaches
-// (mmu.Table.Reserve), so a bulk prefault allocates the slots the table
-// keeps and no intermediate tables; prefaulting a range again may leave
-// the table one doubling larger than lazy fills would.
+// charge differs from faulting lazily. The node's page table reserves
+// the range up front (mmu.Table.Reserve): it grows once, to the slots
+// the range's page groups need, and allocates their leaves in one
+// block, so a bulk prefault allocates no intermediate tables.
 func (m *Machine) Prefault(node mesh.NodeID, va memory.VAddr, npages int) {
 	tbl := m.tables[node]
-	tbl.Reserve(npages)
+	tbl.Reserve(va.Page(), npages)
 	for i := 0; i < npages; i++ {
 		vp := va.Page() + memory.VPage(i)
 		if _, ok := tbl.Lookup(vp); ok {

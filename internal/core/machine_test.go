@@ -440,23 +440,62 @@ func TestTimingMatchesPaperCostAnatomy(t *testing.T) {
 	}
 }
 
-// TestNewMachineAllocBudget pins what building a 16x16 machine costs
-// on the heap: per-node hardware state is allocated where a run first
-// uses it (a cache's tags on its first read, a TLB's ways on its first
-// install), so the build itself stays under 1 MB.
-func TestNewMachineAllocBudget(t *testing.T) {
-	const budget = 1 << 20
+// heapBytes returns the bytes f allocates on the heap.
+func heapBytes(f func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	m, err := NewMachine(DefaultConfig(16, 16))
+	f()
 	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNewMachineAllocBudget pins what building a 16x16 machine costs
+// on the heap: per-node hardware state is allocated where a run first
+// uses it (a cache's tags on its first read, a page table's slots and
+// a TLB's ways on its first install), so the build itself stays under
+// 530 kB.
+func TestNewMachineAllocBudget(t *testing.T) {
+	const budget = 530 << 10
+	var m *Machine
+	var err error
+	got := heapBytes(func() { m, err = NewMachine(DefaultConfig(16, 16)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := after.TotalAlloc - before.TotalAlloc
 	if got >= budget {
 		t.Fatalf("NewMachine(DefaultConfig(16, 16)) allocated %d bytes, budget %d", got, budget)
 	}
 	t.Logf("NewMachine(DefaultConfig(16, 16)) allocated %d bytes", got)
 	runtime.KeepAlive(m)
+}
+
+// TestPrefaultAllocBudget pins the page tables of the record store's
+// shape, as BenchmarkPrefault builds it: every node of a 16x16 machine
+// prefaults 512 record pages and the counter page. Each table grows to
+// 88 slots (1,408 bytes) and 65 eight-page leaves (96 bytes each), 64
+// of them in one block: 7,648 bytes, 1.96 MB for the 256 tables, pinned
+// under 2 MB.
+func TestPrefaultAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what growing a slice allocates")
+	}
+	const recordPages, budget = 512, 2 << 20
+	m := newMachine(t, 16, 16)
+	nodes := m.Nodes()
+	homes := make([]mesh.NodeID, recordPages)
+	for p := range homes {
+		homes[p] = mesh.NodeID(p / (recordPages / nodes) % nodes)
+	}
+	records := m.AllocHomed(homes...)
+	counters := m.Alloc(mesh.NodeID(nodes-1), 1)
+	got := heapBytes(func() {
+		for n := 0; n < nodes; n++ {
+			m.Prefault(mesh.NodeID(n), records, recordPages)
+			m.Prefault(mesh.NodeID(n), counters, 1)
+		}
+	})
+	if got >= budget {
+		t.Fatalf("prefaulting %d pages on %d nodes allocated %d bytes, budget %d", recordPages+1, nodes, got, budget)
+	}
+	t.Logf("prefaulting %d pages on %d nodes allocated %d bytes", recordPages+1, nodes, got)
 }

@@ -92,11 +92,12 @@ type frame [frameChunks]*chunk
 // in bulk.
 var zeroChunk chunk
 
-// Memory is one node's local memory: an array of page frames. In PLUS
-// the local memory serves both as main memory and as the replica store
-// for pages homed elsewhere.
+// Memory is one node's local memory: its page frames, each allocated
+// on its own (128 bytes of chunk pointers), so growing the frame table
+// copies pointers, not frames. In PLUS the local memory serves both as
+// main memory and as the replica store for pages homed elsewhere.
 type Memory struct {
-	frames []frame
+	frames []*frame
 }
 
 // New returns an empty memory; frames are allocated on demand.
@@ -105,7 +106,7 @@ func New() *Memory { return &Memory{} }
 // AllocFrame adds a zeroed page frame and returns its index. The frame
 // holds no storage until a nonzero word is written to it.
 func (m *Memory) AllocFrame() PPage {
-	m.frames = append(m.frames, frame{})
+	m.frames = append(m.frames, new(frame))
 	return PPage(len(m.frames) - 1)
 }
 
@@ -126,7 +127,7 @@ func (m *Memory) Read(p PPage, off uint32) Word {
 // chunk allocates nothing.
 func (m *Memory) Write(p PPage, off uint32, v Word) {
 	off &= OffMask
-	f := &m.frames[p]
+	f := m.frames[p]
 	c := f[off>>chunkShift]
 	if c == nil {
 		if v == 0 {
@@ -141,7 +142,7 @@ func (m *Memory) Write(p PPage, off uint32, v Word) {
 // Snapshot appends the PageWords-word image of frame p to dst and
 // returns the extended slice: the page-copy engine's outgoing data.
 func (m *Memory) Snapshot(p PPage, dst []Word) []Word {
-	for _, c := range &m.frames[p] {
+	for _, c := range m.frames[p] {
 		if c == nil {
 			c = &zeroChunk
 		}
@@ -153,7 +154,7 @@ func (m *Memory) Snapshot(p PPage, dst []Word) []Word {
 // Install sets frame p to the page image img (PageWords words, as
 // Snapshot produces), leaving every all-zero chunk absent.
 func (m *Memory) Install(p PPage, img []Word) {
-	f := &m.frames[p]
+	f := m.frames[p]
 	for i := range f {
 		src := (*chunk)(img[i*chunkWords:])
 		if *src == zeroChunk {
@@ -166,8 +167,8 @@ func (m *Memory) Install(p PPage, img []Word) {
 // CopyFrame sets frame p to the contents of frame sp of src, chunk by
 // chunk; chunks absent from the source end up absent here.
 func (m *Memory) CopyFrame(p PPage, src *Memory, sp PPage) {
-	f := &m.frames[p]
-	for i, c := range &src.frames[sp] {
+	f := m.frames[p]
+	for i, c := range src.frames[sp] {
 		f.set(i, c)
 	}
 }
@@ -189,7 +190,7 @@ func (f *frame) set(i int, src *chunk) {
 // offset where they differ and the two words there; ok is false when
 // the frames hold the same page. An absent chunk equals a zero chunk.
 func (m *Memory) FirstDiff(p PPage, o *Memory, q PPage) (off uint32, a, b Word, ok bool) {
-	f, g := &m.frames[p], &o.frames[q]
+	f, g := m.frames[p], o.frames[q]
 	for i := range f {
 		ca, cb := f[i], g[i]
 		if ca == nil {

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -176,13 +177,23 @@ func chunksHeld(m *Memory, p PPage) int {
 	return n
 }
 
-// TestFrameAllocations pins what a frame costs: no storage until a
-// nonzero word is written, and nothing allocated to read it, to write
-// a zero into it or to snapshot it into a warmed buffer.
+// TestFrameAllocations pins what a frame costs: one 128-byte
+// allocation, its chunk pointers (with the frame table's room already
+// there), no storage until a nonzero word is written, and nothing
+// allocated to read it, to write a zero into it or to snapshot it into
+// a warmed buffer.
 func TestFrameAllocations(t *testing.T) {
+	const frames = 1000
 	m := New()
-	if n := testing.AllocsPerRun(1000, func() { m.AllocFrame() }); n > 0.05 {
-		t.Errorf("AllocFrame: %.3f allocations per frame", n)
+	m.frames = make([]*frame, 0, frames+1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range frames {
+		m.AllocFrame()
+	}
+	runtime.ReadMemStats(&after)
+	if n, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != frames || b != 128*frames {
+		t.Errorf("%d frames: %d allocations of %d bytes, want one of 128 bytes each", frames, n, b)
 	}
 	p := m.AllocFrame()
 	if n := testing.AllocsPerRun(100, func() { m.Read(p, 17) }); n != 0 {

@@ -72,10 +72,11 @@ func BenchmarkTLBLookup(b *testing.B) {
 		tables := make([]*Table, nodes)
 		for n := range tables {
 			t := New()
-			t.Reserve(records + 1)
+			t.Reserve(0, records)
 			for p := 0; p < records; p++ {
 				t.Install(memory.VPage(p), memory.GPage{Node: 1, Page: memory.PPage(p)})
 			}
+			t.Reserve(counter, 1)
 			t.Install(counter, memory.GPage{Node: 1, Page: records})
 			tables[n] = t
 		}

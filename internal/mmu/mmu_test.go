@@ -54,10 +54,30 @@ func TestFlush(t *testing.T) {
 // mapped counts the table's live mappings.
 func mapped(t *Table) int {
 	n := 0
-	for i := range t.slots {
-		if t.slots[i].flags&fMapped != 0 {
+	for _, s := range t.slots {
+		if s.leaf != nil {
+			for _, e := range s.leaf {
+				if e.flags&fMapped != 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// leaves counts the table's groups, checking that the occupied slots
+// match its count.
+func leaves(tb *testing.T, t *Table) int {
+	tb.Helper()
+	n := 0
+	for _, s := range t.slots {
+		if s.leaf != nil {
 			n++
 		}
+	}
+	if n != t.used {
+		tb.Fatalf("%d occupied slots, table counts %d", n, t.used)
 	}
 	return n
 }
@@ -132,34 +152,48 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestReserveMatchesLazyGrowth pins Reserve on tables already holding
-// a few pages: after Reserve(n), n fresh installs allocate nothing, and
-// the table ends at exactly the capacity the same installs reach
-// growing one doubling at a time, so Reserve never over-reserves.
+// a few pages, at a range that starts mid-group: after Reserve of a
+// range, installing its pages allocates nothing, the table holds one
+// leaf per group the range and the earlier pages touch, exactly as many
+// as the same installs reach growing lazily, in no more slots, and
+// Reserve itself maps nothing. On a fresh table Reserve makes three
+// allocations: the TLB's ways, the slots and one block of leaves
+// (unchecked under the race detector, see raceEnabled).
 func TestReserveMatchesLazyGrowth(t *testing.T) {
+	const base = 1000003 // not a multiple of groupPages
 	g := memory.GPage{Node: 1, Page: 2}
 	for _, pre := range []int{0, 5, 6, 100} {
 		for _, n := range []int{0, 1, 6, 7, 513, 1000} {
 			filled := func() *Table {
 				tbl := New()
 				for p := 0; p < pre; p++ {
-					tbl.Install(memory.VPage(p), g)
+					tbl.Install(memory.VPage(base+p), g)
 				}
 				return tbl
 			}
+			first := memory.VPage(base + pre)
 			install := func(tbl *Table) {
 				for i := 0; i < n; i++ {
-					tbl.Install(memory.VPage(pre+i), g)
+					tbl.Install(first+memory.VPage(i), g)
 				}
 			}
 			lazy := filled()
 			install(lazy)
 			// AllocsPerRun calls its function once to warm up and once
-			// measured; each call gets its own reserved table.
+			// measured; each call gets its own table.
 			reserved := []*Table{filled(), filled()}
-			for _, tbl := range reserved {
-				tbl.Reserve(n)
-			}
 			k := 0
+			reserveAllocs := testing.AllocsPerRun(1, func() {
+				reserved[k].Reserve(first, n)
+				k++
+			})
+			if want := 3.0; pre == 0 && n > 0 && !raceEnabled && reserveAllocs != want {
+				t.Errorf("Reserve(%d) on a fresh table allocated %v times, want %v", n, reserveAllocs, want)
+			}
+			if got := mapped(reserved[1]); got != pre {
+				t.Errorf("%d pages, Reserve(%d): %d mappings before any install", pre, n, got)
+			}
+			k = 0
 			allocs := testing.AllocsPerRun(1, func() {
 				install(reserved[k])
 				k++
@@ -167,8 +201,15 @@ func TestReserveMatchesLazyGrowth(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%d pages, Reserve(%d): the installs allocated %v times", pre, n, allocs)
 			}
-			if got, want := len(reserved[1].slots), len(lazy.slots); got != want {
-				t.Errorf("%d pages, Reserve(%d): %d slots, lazy growth reaches %d", pre, n, got, want)
+			groups := 0
+			if pre+n > 0 {
+				groups = (base+pre+n-1)/groupPages - base/groupPages + 1
+			}
+			if got, lz := leaves(t, reserved[1]), leaves(t, lazy); got != groups || lz != groups {
+				t.Errorf("%d pages, Reserve(%d): %d leaves, lazy growth %d, the pages touch %d groups", pre, n, got, lz, groups)
+			}
+			if got, lz := len(reserved[1].slots), len(lazy.slots); got > lz {
+				t.Errorf("%d pages, Reserve(%d): %d slots, lazy growth reaches %d", pre, n, got, lz)
 			}
 			if got := mapped(reserved[1]); got != pre+n {
 				t.Errorf("%d pages, Reserve(%d): %d mappings, want %d", pre, n, got, pre+n)
@@ -177,11 +218,11 @@ func TestReserveMatchesLazyGrowth(t *testing.T) {
 	}
 }
 
-// An entry is 16 bytes: four share a 64-byte cache line, and the 256
-// tables of a 16x16 run prefaulted with 513 pages each keep 4 MB.
+// An entry is 12 bytes: its virtual page is implied by its group's
+// slot and its index in the leaf, so a leaf of eight is 96 bytes.
 func TestEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 16 {
-		t.Fatalf("entry is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(entry{}); n != 12 {
+		t.Fatalf("entry is %d bytes, want 12", n)
 	}
 }
 

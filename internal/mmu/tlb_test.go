@@ -192,10 +192,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					got.Invalidate(vp)
 					want.Invalidate(vp)
 				case r < 99:
-					// Growing ahead of installs changes no result: the
-					// model has nothing to do.
+					// Reserving groups ahead of installs changes no
+					// result: the model has nothing to do.
 					what = "reserve"
-					got.Reserve(rng.Intn(4 * len(pool)))
+					got.Reserve(vp, rng.Intn(4*groupPages))
 				default:
 					what = "flush"
 					got.Flush()
@@ -237,8 +237,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 
 // TestTableGrowKeepsLRUOrder fills a TLB, sets its recency order, then
 // grows the table underneath it (counter bumps on fresh pages make
-// entries without touching the TLB) and checks that evictions still
-// follow the old order.
+// groups without touching the TLB) and checks that evictions still
+// follow the old order and that each resident way still names its
+// page.
 func TestTableGrowKeepsLRUOrder(t *testing.T) {
 	const capacity = 4
 	tbl := NewSized(capacity)
@@ -263,9 +264,12 @@ func TestTableGrowKeepsLRUOrder(t *testing.T) {
 	for i := range victims {
 		tbl.Install(memory.VPage(1000+i), memory.GPage{Node: 2, Page: memory.PPage(i)})
 		for j, p := range victims {
-			resident := tbl.slots[tbl.find(p)].way != 0
-			if resident != (j > i) {
+			e := tbl.find(p)
+			if resident := e.way != 0; resident != (j > i) {
 				t.Fatalf("after install %d: page %d resident = %v", i, p, resident)
+			}
+			if e.way != 0 && tbl.ways[e.way].vp != p {
+				t.Fatalf("after install %d: page %d's way names page %d", i, p, tbl.ways[e.way].vp)
 			}
 		}
 	}
@@ -273,7 +277,7 @@ func TestTableGrowKeepsLRUOrder(t *testing.T) {
 
 // resident checks the TLB's way state and returns its resident count:
 // the LRU ring from ways[0] visits exactly ways 1..t.resident, each
-// way's slot is a mapped entry naming that way, and no other entry
+// way's page has a mapped entry naming that way, and no other entry
 // names a way.
 func resident(tb *testing.T, t *Table) int {
 	tb.Helper()
@@ -297,18 +301,22 @@ func resident(tb *testing.T, t *Table) int {
 		if t.ways[w].prev != last {
 			tb.Fatalf("way %d: prev %d, ring came from %d", w, t.ways[w].prev, last)
 		}
-		e := &t.slots[t.ways[w].slot]
-		if int16(e.way) != w || e.flags&fMapped == 0 {
-			tb.Fatalf("way %d caches slot %d, which names way %d (flags %#x)", w, t.ways[w].slot, e.way, e.flags)
+		e := t.find(t.ways[w].vp)
+		if e == nil || int16(e.way) != w || e.flags&fMapped == 0 {
+			tb.Fatalf("way %d caches page %d, whose entry %+v does not name it", w, t.ways[w].vp, e)
 		}
 	}
 	if n != t.resident || t.ways[0].prev != last {
 		tb.Fatalf("LRU ring holds %d ways ending at %d; %d resident, tail %d", n, last, t.resident, t.ways[0].prev)
 	}
 	named := 0
-	for i := range t.slots {
-		if t.slots[i].way != 0 {
-			named++
+	for _, s := range t.slots {
+		if s.leaf != nil {
+			for _, e := range s.leaf {
+				if e.way != 0 {
+					named++
+				}
+			}
 		}
 	}
 	if named != n {
